@@ -13,8 +13,9 @@
 //! * [`network`] — the simulated overlay: message/hop accounting, query
 //!   routing, optional multi-threaded disjunct execution, degraded
 //!   execution under a seeded fault plan (retry/backoff, query budgets,
-//!   partial-answer completeness reports), epoch-invalidated
-//!   reformulation/plan caches ("plan once, run many"), and continuous
+//!   partial-answer completeness reports), reformulation/plan caches
+//!   whose entries are each valid for the inputs they were computed
+//!   from ("plan once, run many"), and continuous
 //!   queries ([`PdmsNetwork::subscribe`] / [`PdmsNetwork::publish`])
 //!   maintained by delta-dataflow circuits.
 //! * [`xmlmap`] — the Figure 4 mapping-template language for XML peers:

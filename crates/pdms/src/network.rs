@@ -33,10 +33,12 @@ use revere_query::{parse_query, ConjunctiveQuery, ExecMode, Source, StepProfile,
 use revere_storage::{row_deltas, Catalog, Lsn, RelSchema, Relation, SharedCatalog, Tuple};
 use revere_util::fault::{Fate, FaultPlan, RetryPolicy};
 use revere_util::obs::{names, Histogram, Obs, SpanHandle};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::Hash;
 use std::str::FromStr;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The PDMS: peers plus the shared mapping graph.
 #[derive(Debug)]
@@ -52,8 +54,13 @@ pub struct PdmsNetwork {
     /// Per-query spend limits.
     pub budget: QueryBudget,
     /// Reuse reformulations and query plans across queries (default on).
-    /// Turning it off makes every query plan from scratch — the baseline
-    /// the cache-invalidation tests compare byte-for-byte against.
+    /// A cached reformulation is served while the mapping graph it was
+    /// expanded over is current, a cached plan while the statistics of
+    /// the peers it reads are (DESIGN.md has the dependency table);
+    /// nothing a cache holds can change an answer. Turning it
+    /// off makes every query reformulate and plan from scratch — the
+    /// baseline the cache-invalidation tests compare byte-for-byte
+    /// against.
     pub caching: bool,
     /// Observability handle. [`Obs::disabled`] (the default) records
     /// nothing; an enabled handle collects per-query spans
@@ -64,11 +71,13 @@ pub struct PdmsNetwork {
     /// completely-fetched (sequential) query, any executed plan whose
     /// observed max q-error exceeds this value has its cache entry
     /// evicted and its measured join selectivities written back into the
-    /// owning peers' statistics (see [`PdmsNetwork::cache_epoch`] — the
-    /// write shifts the epoch, so every cached plan re-plans against the
-    /// new evidence). `None` disables feedback — the E15 ablation
-    /// baseline. Well-calibrated plans never trigger it, so warm caches
-    /// stay warm on workloads the estimator already gets right.
+    /// owning peers' statistics. A write that materially changes a
+    /// learned value bumps that peer's stats epoch, so exactly the cached
+    /// plans that read the peer re-plan against the new evidence; plans
+    /// over other peers, and every reformulation, stay cached. `None`
+    /// disables feedback — the E15 ablation baseline. Well-calibrated
+    /// plans never trigger it, so warm caches stay warm on workloads the
+    /// estimator already gets right.
     pub replan_q_error: Option<f64>,
     /// Which evaluator executes planned disjuncts, on both the sequential
     /// and the parallel query paths. The engines are byte-identical in
@@ -76,9 +85,10 @@ pub struct PdmsNetwork {
     /// [`ExecMode::Row`] keeps the historical per-tuple engine around as
     /// the ablation baseline for E18.
     pub exec_mode: ExecMode,
-    /// Bumped on every membership or mapping-graph change; part of the
-    /// cache validity epoch (peer data changes are caught separately via
-    /// each peer catalog's stats epoch).
+    /// Bumped on every membership or mapping-graph change. Cached
+    /// reformulations and plans are stamped with it; plans also carry the
+    /// stats epochs of the peer catalogs they read, which is how peer
+    /// data changes are caught.
     topology_epoch: u64,
     /// Stable storage per durable peer (see [`PdmsNetwork::enable_durability`]).
     /// Peers without an entry lose everything on [`PdmsNetwork::restart_peer`]
@@ -216,23 +226,212 @@ fn kv_fields(s: &str) -> Result<Vec<(&str, &str)>, String> {
         .collect()
 }
 
-/// The epoch-guarded caches behind [`PdmsNetwork::query`]. Entries are
-/// only served while `valid_for` equals the network's current
-/// [`PdmsNetwork::cache_epoch`]; any membership, mapping, or peer-data
-/// change shifts the epoch and the next lookup clears everything.
-#[derive(Debug, Default)]
+/// Most reformulations kept at once. The key is the query's exact text,
+/// so an ad hoc stream with varying constants would otherwise grow the
+/// map for as long as the mapping graph holds still.
+const REFORMULATION_CAPACITY: usize = 256;
+
+/// Most plans kept at once (a reformulation holds up to a few hundred
+/// disjuncts, many of them isomorphic across queries).
+const PLAN_CAPACITY: usize = 16_384;
+
+/// The reformulation cache audits itself: the lookup that finds a valid
+/// entry for the 16th time re-expands the query over the current mapping
+/// graph, checks the entry against it and replaces it; the next audit
+/// falls due after four times as many such lookups, so the total audit
+/// work is logarithmic in traffic. With no global flush left, a path that
+/// changed the mapping graph without bumping `topology_epoch` would
+/// otherwise serve a stale union for ever; the audit bounds that, and in
+/// debug builds — every test suite — it asserts. The first one is early
+/// enough that a short run exercises the path: `crates/e2e`'s 20-step
+/// `query_churn` smoke test requires the reformulation layer to run at
+/// least once in a timed pass.
+const FIRST_REFORMULATION_AUDIT: u64 = 16;
+const REFORMULATION_AUDIT_BACKOFF: u64 = 4;
+
+/// The caches behind [`PdmsNetwork::query`]. Each entry is valid for the
+/// inputs it was computed from and nothing else, so there is no global
+/// flush:
+///
+/// | entry | key | computed from | served while |
+/// |---|---|---|---|
+/// | reformulation | options + the query's exact text | the mapping graph | `topology_epoch` is the one it was expanded under |
+/// | plan | the disjunct's canonical key | the staged snapshots and learned join statistics of the peers owning its body relations | `topology_epoch` and each of those owners' stats epochs are the ones it was costed under |
+///
+/// A publish, an `analyze` or a feedback write at one peer therefore
+/// re-plans only the disjuncts that read that peer and re-reformulates
+/// nothing; a membership or mapping change invalidates everything.
+/// Epochs are compared exactly, never hashed together.
+#[derive(Debug)]
 struct Caches {
-    valid_for: u64,
-    /// Keyed by options fingerprint + the query's exact textual form.
-    /// NOT the rename-invariant canonical key: a reformulation carries
-    /// the query's own head variables into every disjunct, so serving it
-    /// for a merely-isomorphic query would change the answer schema.
-    reformulations: HashMap<String, ReformulationResult>,
-    /// Keyed by disjunct canonical key — plans *do* transfer across
-    /// isomorphic disjuncts, because the executor re-projects from the
-    /// query it is given ([`revere_query::eval_cq_bag_planned`]).
-    plans: HashMap<String, Plan>,
+    /// NOT keyed by the rename-invariant canonical key: a reformulation
+    /// carries the query's own head variables into every disjunct, so
+    /// serving it for a merely-isomorphic query would change the answer
+    /// schema.
+    reformulations: BoundedMap<(ReformulateOptions, String), CachedReformulation>,
+    /// Plans *do* transfer across isomorphic disjuncts, because the
+    /// executor re-projects from the query it is given
+    /// ([`revere_query::eval_cq_bag_planned`]).
+    plans: BoundedMap<String, CachedPlan>,
     stats: CacheStats,
+    /// Reformulation lookups that found a valid entry, and the count at
+    /// which the next audit falls due.
+    valid_lookups: u64,
+    audit_at: u64,
+}
+
+impl Default for Caches {
+    fn default() -> Self {
+        Caches {
+            reformulations: BoundedMap::new(REFORMULATION_CAPACITY),
+            plans: BoundedMap::new(PLAN_CAPACITY),
+            stats: CacheStats::default(),
+            valid_lookups: 0,
+            audit_at: FIRST_REFORMULATION_AUDIT,
+        }
+    }
+}
+
+#[derive(Debug)]
+struct CachedReformulation {
+    topology: u64,
+    result: Arc<ReformulationResult>,
+    deps: Arc<UnionDeps>,
+}
+
+#[derive(Debug)]
+struct CachedPlan {
+    topology: u64,
+    /// Stats epochs of the disjunct's owners, in [`DisjunctDeps::owners`]
+    /// order (equal keys name equal relations, hence equal owners).
+    owner_epochs: Vec<u64>,
+    plan: Arc<Plan>,
+}
+
+/// What the plan cache needs to know about a reformulated union, derived
+/// once when the reformulation is cached so that a hit derives nothing.
+#[derive(Debug)]
+struct UnionDeps {
+    /// Every peer owning a body relation of some disjunct, sorted.
+    owners: Vec<String>,
+    /// Parallel to the union's disjuncts.
+    disjuncts: Vec<DisjunctDeps>,
+}
+
+#[derive(Debug)]
+struct DisjunctDeps {
+    /// The disjunct's canonical key — its plan-cache key.
+    key: String,
+    /// The distinct owners of its body relations, ascending indices into
+    /// [`UnionDeps::owners`]: the catalogs `fetch_phase` stages and
+    /// imports learned join statistics from when the disjunct is costed.
+    owners: Vec<usize>,
+}
+
+impl UnionDeps {
+    fn of(union: &UnionQuery) -> Self {
+        let owners_of = |d: &ConjunctiveQuery| -> BTreeSet<String> {
+            d.body
+                .iter()
+                .filter_map(|a| split_qualified(&a.relation))
+                .map(|(owner, _)| owner.to_string())
+                .collect()
+        };
+        let per_disjunct: Vec<BTreeSet<String>> = union.disjuncts.iter().map(owners_of).collect();
+        let owners: Vec<String> =
+            per_disjunct.iter().flatten().collect::<BTreeSet<_>>().into_iter().cloned().collect();
+        let disjuncts = union
+            .disjuncts
+            .iter()
+            .zip(&per_disjunct)
+            .map(|(d, mine)| DisjunctDeps {
+                key: d.canonical_key(),
+                owners: mine
+                    .iter()
+                    .map(|o| owners.binary_search(o).expect("every owner was collected above"))
+                    .collect(),
+            })
+            .collect();
+        UnionDeps { owners, disjuncts }
+    }
+}
+
+/// Which relations each disjunct reads, as a sorted multiset — what a
+/// reformulation audit compares. Not the canonical keys: those can depend
+/// on the fresh variable names an expansion mints.
+fn relation_footprint(union: &UnionQuery) -> Vec<Vec<&str>> {
+    let mut footprint: Vec<Vec<&str>> = union
+        .disjuncts
+        .iter()
+        .map(|d| {
+            let mut relations: Vec<&str> = d.body.iter().map(|a| a.relation.as_str()).collect();
+            relations.sort_unstable();
+            relations
+        })
+        .collect();
+    footprint.sort_unstable();
+    footprint
+}
+
+/// One query's view of the plan cache: the union's dependencies and the
+/// current stats epoch of each of its owners (`None` for a non-member),
+/// read once before the fetch phase — a catalog that moves afterwards
+/// leaves the plans of this query stamped older than its data, so they
+/// are re-planned, never served stale.
+struct PlanScope {
+    deps: Arc<UnionDeps>,
+    epochs: Vec<Option<u64>>,
+}
+
+/// Why a disjunct was planned the way it was, recorded on its
+/// `pdms.eval.disjunct` span.
+enum PlanVerdict<'a> {
+    /// `caching` is off.
+    Bypass,
+    Hit,
+    /// `stale_owner` is the first owner whose stats epoch moved since the
+    /// cached plan was costed; `None` when there was no current entry.
+    Miss { stale_owner: Option<&'a str> },
+}
+
+/// A map that never holds more than `capacity` entries: inserting a new
+/// key into a full map first drops the older half, by insertion order.
+#[derive(Debug)]
+struct BoundedMap<K, V> {
+    capacity: usize,
+    inserted: u64,
+    entries: HashMap<K, (u64, V)>,
+}
+
+impl<K: Hash + Eq, V> BoundedMap<K, V> {
+    fn new(capacity: usize) -> Self {
+        BoundedMap { capacity, inserted: 0, entries: HashMap::new() }
+    }
+
+    fn get<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
+        self.entries.get(key).map(|(_, v)| v)
+    }
+
+    fn insert(&mut self, key: K, value: V) {
+        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
+            let mut ages: Vec<u64> = self.entries.values().map(|(age, _)| *age).collect();
+            ages.sort_unstable();
+            let median = ages[ages.len() / 2];
+            self.entries.retain(|_, (age, _)| *age > median);
+        }
+        self.inserted += 1;
+        self.entries.insert(key, (self.inserted, value));
+    }
+
+    fn remove<Q: Hash + Eq + ?Sized>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
+        self.entries.remove(key).map(|(_, v)| v)
+    }
 }
 
 /// Per-query spend limits. `None` means unlimited (the default).
@@ -344,8 +543,9 @@ impl FromStr for CompletenessReport {
 pub struct QueryOutcome {
     /// The answers, in the querying peer's vocabulary.
     pub answers: Relation,
-    /// Reformulation statistics.
-    pub reformulation: ReformulationResult,
+    /// The reformulated union and its statistics, shared with the
+    /// reformulation cache when caching is on.
+    pub reformulation: Arc<ReformulationResult>,
     /// Peers whose data actually contributed (had the needed relations).
     pub peers_contacted: BTreeSet<String>,
     /// Messages exchanged: one request + one response per contacted remote
@@ -467,6 +667,18 @@ pub struct PublishReport {
     /// Distinct output tuples whose derivation counts changed, summed
     /// over the refreshed subscriptions.
     pub output_changes: usize,
+}
+
+/// What every disjunct of one query is evaluated against.
+struct DisjunctRun<'a> {
+    staging: &'a Catalog,
+    /// `None` when caching is off.
+    scope: Option<&'a PlanScope>,
+    /// The fetch was complete: plans may be cached and profiles fed back.
+    /// A plan costed against partial staging data executes correctly but
+    /// would poison the cache with statistics from a degraded view of the
+    /// network.
+    cacheable: bool,
 }
 
 /// Internal result of the shared fetch phase.
@@ -603,8 +815,13 @@ impl PdmsNetwork {
     }
 
     /// Mutably borrow a peer. Conservatively treated as a topology change
-    /// for cache purposes — the caller may swap the peer's entire storage,
-    /// which the per-catalog stats epoch alone would not reliably detect.
+    /// for cache purposes (every cached reformulation and plan is
+    /// invalidated) — the caller may swap the peer's entire storage for
+    /// one whose stats epoch happens to equal the old one, which the
+    /// per-owner plan stamps alone would not detect. To change a peer's
+    /// *data*, go through [`PdmsNetwork::peer`] and `storage.write`
+    /// instead: that bumps the catalog's stats epoch and re-plans only
+    /// the disjuncts that read the peer.
     pub fn peer_mut(&mut self, name: &str) -> Option<&mut Peer> {
         if self.peers.contains_key(name) {
             self.topology_epoch += 1;
@@ -639,21 +856,6 @@ impl PdmsNetwork {
         self.query(at_peer, &q)
     }
 
-    /// The current cache validity epoch: a deterministic mix of the
-    /// topology epoch, the peer count, and every peer catalog's stats
-    /// epoch (in `BTreeMap` order). Any membership change, mapping change,
-    /// `peer_mut` access, or peer-data mutation — inserts, updategram
-    /// application, `analyze` — shifts it, and cached entries computed
-    /// under a different epoch are never served.
-    pub fn cache_epoch(&self) -> u64 {
-        let mut e = self.topology_epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        e = e.wrapping_mul(31).wrapping_add(self.peers.len() as u64);
-        for p in self.peers.values() {
-            e = e.wrapping_mul(31).wrapping_add(p.storage.epoch());
-        }
-        e
-    }
-
     /// Snapshot the cache hit/miss counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.lock_caches().stats
@@ -681,73 +883,125 @@ impl PdmsNetwork {
         self.accounting.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Reformulate through the cache. On an epoch mismatch the whole cache
-    /// is cleared first, so a stale entry can never be served. The second
-    /// return is the cache verdict ("hit" / "miss" / "bypass"), recorded
-    /// on the query's reformulation span.
-    fn reformulate_cached(&self, q: &ConjunctiveQuery) -> (ReformulationResult, &'static str) {
-        if !self.caching {
+    /// Reformulate through the cache, under a `pdms.reformulate` span that
+    /// records the cache verdict ("hit" / "miss" / "audit" / "bypass") and,
+    /// when the rule-goal expansion actually ran, how much work it did (an
+    /// audit counts as a miss in [`CacheStats`]: the query reformulated
+    /// from scratch). The second return is `None` exactly when `caching`
+    /// is off.
+    fn reformulate_cached(
+        &self,
+        q: &ConjunctiveQuery,
+        parent: &SpanHandle,
+    ) -> (Arc<ReformulationResult>, Option<Arc<UnionDeps>>) {
+        let span = parent.child("pdms.reformulate");
+        let expand = |verdict: &str| {
             let r = Reformulator::new(self.mappings.clone(), self.options.clone()).reformulate(q);
-            return (r, "bypass");
+            span.set("cache", verdict);
+            span.set("disjuncts", r.union.disjuncts.len());
+            span.set("nodes_expanded", r.nodes_expanded);
+            span.set("candidates", r.candidates_generated);
+            span.set("pruned_by_containment", r.pruned_by_containment);
+            span.set("pruned_by_visited", r.pruned_by_visited);
+            Arc::new(r)
+        };
+        if !self.caching {
+            return (expand("bypass"), None);
         }
-        let epoch = self.cache_epoch();
-        let key = format!("{:?}|{q}", self.options);
-        {
-            let mut caches = self.lock_caches();
-            if caches.valid_for != epoch {
-                caches.reformulations.clear();
-                caches.plans.clear();
-                caches.valid_for = epoch;
-            }
-            if let Some(r) = caches.reformulations.get(&key).cloned() {
-                caches.stats.reformulation_hits += 1;
-                return (r, "hit");
-            }
+        let key = (self.options.clone(), q.to_string());
+        let audited = {
+            let mut guard = self.lock_caches();
+            let caches = &mut *guard;
+            let valid =
+                caches.reformulations.get(&key).filter(|e| e.topology == self.topology_epoch);
+            let audited = match valid {
+                Some(e) => {
+                    caches.valid_lookups += 1;
+                    if caches.valid_lookups != caches.audit_at {
+                        caches.stats.reformulation_hits += 1;
+                        span.set("cache", "hit");
+                        span.set("disjuncts", e.result.union.disjuncts.len());
+                        return (Arc::clone(&e.result), Some(Arc::clone(&e.deps)));
+                    }
+                    caches.audit_at *= REFORMULATION_AUDIT_BACKOFF;
+                    Some(Arc::clone(&e.result))
+                }
+                None => None,
+            };
             caches.stats.reformulation_misses += 1;
+            audited
+        };
+        // Reformulation can be expensive; don't hold the lock for it. The
+        // mapping graph only changes through `&mut self`, so the stamp
+        // cannot go stale while this query runs.
+        let result = expand(if audited.is_some() { "audit" } else { "miss" });
+        let deps = Arc::new(UnionDeps::of(&result.union));
+        if let Some(cached) = audited {
+            debug_assert_eq!(
+                relation_footprint(&cached.union),
+                relation_footprint(&result.union),
+                "stale reformulation cached for `{q}`"
+            );
         }
-        // Reformulation can be expensive; don't hold the lock for it.
-        let r = Reformulator::new(self.mappings.clone(), self.options.clone()).reformulate(q);
-        let mut caches = self.lock_caches();
-        if caches.valid_for == epoch {
-            caches.reformulations.insert(key, r.clone());
-        }
-        (r, "miss")
+        self.lock_caches().reformulations.insert(
+            key,
+            CachedReformulation {
+                topology: self.topology_epoch,
+                result: Arc::clone(&result),
+                deps: Arc::clone(&deps),
+            },
+        );
+        (result, Some(deps))
     }
 
-    /// Plan a disjunct through the cache. `cacheable` is false when the
-    /// fetch phase was incomplete: a plan costed against partial staging
-    /// data executes correctly but would poison the cache with statistics
-    /// from a degraded view of the network.
-    fn plan_for(
+    /// Read the current stats epoch of every owner the union depends on.
+    fn plan_scope(&self, deps: Arc<UnionDeps>) -> PlanScope {
+        let epochs =
+            deps.owners.iter().map(|o| self.peers.get(o).map(|p| p.storage.epoch())).collect();
+        PlanScope { deps, epochs }
+    }
+
+    /// Plan disjunct `i` of the run's union through the cache.
+    fn plan_for<'a>(
         &self,
+        i: usize,
         d: &ConjunctiveQuery,
-        staging: &Catalog,
-        epoch: u64,
-        cacheable: bool,
-    ) -> (Plan, &'static str) {
-        if !self.caching {
-            return (plan_cq(d, staging), "bypass");
-        }
+        run: &DisjunctRun<'a>,
+    ) -> (Arc<Plan>, PlanVerdict<'a>) {
+        let Some(scope) = run.scope else {
+            return (Arc::new(plan_cq(d, run.staging)), PlanVerdict::Bypass);
+        };
+        let dep = &scope.deps.disjuncts[i];
+        let mut stale_owner = None;
         {
-            let mut caches = self.lock_caches();
-            if caches.valid_for == epoch {
-                if let Some(p) = caches.plans.get(&d.canonical_key()).cloned() {
-                    if p.applies_to(d) {
-                        caches.stats.plan_hits += 1;
-                        return (p, "hit");
-                    }
+            let mut guard = self.lock_caches();
+            let caches = &mut *guard;
+            if let Some(e) =
+                caches.plans.get(&dep.key).filter(|e| e.topology == self.topology_epoch)
+            {
+                debug_assert_eq!(e.owner_epochs.len(), dep.owners.len());
+                stale_owner = dep
+                    .owners
+                    .iter()
+                    .zip(&e.owner_epochs)
+                    .find(|(&o, &costed_at)| scope.epochs[o] != Some(costed_at))
+                    .map(|(&o, _)| scope.deps.owners[o].as_str());
+                if stale_owner.is_none() {
+                    caches.stats.plan_hits += 1;
+                    return (Arc::clone(&e.plan), PlanVerdict::Hit);
                 }
             }
             caches.stats.plan_misses += 1;
         }
-        let p = plan_cq(d, staging);
-        if cacheable {
-            let mut caches = self.lock_caches();
-            if caches.valid_for == epoch {
-                caches.plans.insert(p.key().to_string(), p.clone());
-            }
+        let plan = Arc::new(plan_cq(d, run.staging));
+        let owner_epochs: Option<Vec<u64>> = dep.owners.iter().map(|&o| scope.epochs[o]).collect();
+        if let (true, Some(owner_epochs)) = (run.cacheable, owner_epochs) {
+            self.lock_caches().plans.insert(
+                dep.key.clone(),
+                CachedPlan { topology: self.topology_epoch, owner_epochs, plan: Arc::clone(&plan) },
+            );
         }
-        (p, "miss")
+        (plan, PlanVerdict::Miss { stale_owner })
     }
 
     /// Copy the owner's learned join-overlap statistics for `rel` into a
@@ -768,9 +1022,10 @@ impl PdmsNetwork {
     /// unambiguous (single-pair) join step's measured selectivity
     /// `bindings / (probes · build_rows)` into the owning peers'
     /// catalogs. The write bumps those catalogs' stats epochs only when
-    /// the learned value materially changed, which in turn shifts
-    /// [`PdmsNetwork::cache_epoch`] — cached plans can never outlive the
-    /// observations that justified them.
+    /// the learned value materially changed, which invalidates every
+    /// cached plan stamped with the old epoch of a peer written to —
+    /// cached plans can never outlive the observations that justified
+    /// them, and plans over other peers are left alone.
     fn feed_back(&self, plan: &Plan, profiles: &[StepProfile]) {
         let max_q = plan
             .steps
@@ -1028,121 +1283,82 @@ impl PdmsNetwork {
     /// fetch the needed relations (riding out whatever faults the plan
     /// injects), evaluate the union over what arrived.
     pub fn query(&self, at_peer: &str, q: &ConjunctiveQuery) -> Result<QueryOutcome, String> {
-        if !self.peers.contains_key(at_peer) {
-            return Err(format!("unknown peer {at_peer:?}"));
-        }
-        let root = self.obs.span("pdms.query");
-        root.set("peer", at_peer);
-        root.set("query", q);
-        let epoch = self.cache_epoch();
-        let rspan = root.child("pdms.reformulate");
-        let (reformulation, verdict) = self.reformulate_cached(q);
-        rspan.set("cache", verdict);
-        rspan.set("disjuncts", reformulation.union.disjuncts.len());
-        rspan.finish();
-        let fetched = self.fetch_phase(at_peer, &reformulation.union, &root);
-        let cacheable = fetched.completeness.is_complete();
-
-        // Evaluate disjuncts (those whose relations are all staged),
-        // each under a cached-or-fresh plan.
-        let answers = revere_query::eval_union_with(&reformulation.union, &fetched.staging, |d, s| {
-            let span = root.child("pdms.eval.disjunct");
-            if span.is_recording() {
-                // The canonical form, not `d` itself: reformulation mints
-                // fresh variable names from a process-wide counter, so the
-                // raw text varies run to run while the canonical key is
-                // byte-stable — the golden-trace contract needs the latter.
-                span.set("disjunct", d.canonical_key());
-            }
-            let (plan, verdict) = self.plan_for(d, s, epoch, cacheable);
-            span.set("plan_cache", verdict);
-            let r = revere_query::eval_cq_bag_profiled_obs_mode(
-                d,
-                &plan,
-                s,
-                &self.obs,
-                &span,
-                self.exec_mode,
-            )
-                .map(|(r, profiles)| {
-                    // Feed actuals back only when the fetch was complete:
-                    // a partial staging would teach the estimator that
-                    // missing data means empty joins.
-                    if cacheable {
-                        self.feed_back(&plan, &profiles);
-                    }
-                    r.distinct()
-                });
-            if let Ok(rel) = &r {
-                span.set("answers", rel.len());
-            }
-            r
-        })
-        .map_err(|e| e.to_string())?;
-        root.set("answers", answers.len());
-        root.set("complete", fetched.completeness.is_complete());
-        Ok(QueryOutcome {
-            answers,
-            reformulation,
-            peers_contacted: fetched.peers_contacted,
-            messages: fetched.messages,
-            tuples_shipped: fetched.tuples_shipped,
-            completeness: fetched.completeness,
-        })
+        self.run_query(at_peer, q, false)
     }
 
-    /// Parallel variant: evaluate each disjunct on its own scoped thread.
-    /// Same answers, stats, and completeness as [`PdmsNetwork::query`] —
-    /// the fetch phase (and hence the fault schedule) is shared, and only
-    /// disjunct evaluation fans out.
+    /// Parallel variant: evaluate the disjuncts on scoped worker threads,
+    /// one contiguous chunk per available core. Same answers, stats, and
+    /// completeness as [`PdmsNetwork::query`] — the fetch phase (and hence
+    /// the fault schedule) is shared, and only disjunct evaluation fans
+    /// out.
     pub fn query_parallel(&self, at_peer: &str, q: &ConjunctiveQuery) -> Result<QueryOutcome, String> {
+        self.run_query(at_peer, q, true)
+    }
+
+    fn run_query(
+        &self,
+        at_peer: &str,
+        q: &ConjunctiveQuery,
+        parallel: bool,
+    ) -> Result<QueryOutcome, String> {
         if !self.peers.contains_key(at_peer) {
             return Err(format!("unknown peer {at_peer:?}"));
         }
-        let root = self.obs.span("pdms.query_parallel");
+        let root = self.obs.span(if parallel { "pdms.query_parallel" } else { "pdms.query" });
         root.set("peer", at_peer);
         root.set("query", q);
-        let epoch = self.cache_epoch();
-        let rspan = root.child("pdms.reformulate");
-        let (reformulation, verdict) = self.reformulate_cached(q);
-        rspan.set("cache", verdict);
-        rspan.set("disjuncts", reformulation.union.disjuncts.len());
-        rspan.finish();
+        let (reformulation, deps) = self.reformulate_cached(q, &root);
+        let scope = deps.map(|deps| self.plan_scope(deps));
         let fetched = self.fetch_phase(at_peer, &reformulation.union, &root);
-        let cacheable = fetched.completeness.is_complete();
+        let run = DisjunctRun {
+            staging: &fetched.staging,
+            scope: scope.as_ref(),
+            cacheable: fetched.completeness.is_complete(),
+        };
 
-        let union = &reformulation.union;
-        let staging = &fetched.staging;
-        // Workers record no spans: span order would depend on thread
-        // scheduling and break trace determinism. Metrics counters *are*
-        // commutative, so the per-step `query.eval.*` accounting (incl.
-        // the `step_bindings` histogram) is emitted here exactly as on
-        // the sequential path — `tests/trace_obs.rs` asserts the parity.
-        let results: Vec<Option<Relation>> = std::thread::scope(|s| {
-            let handles: Vec<_> = union
-                .disjuncts
-                .iter()
-                .map(|d| {
-                    s.spawn(move || {
-                        let (plan, _) = self.plan_for(d, staging, epoch, cacheable);
-                        revere_query::eval_cq_bag_planned_mode(
-                            d,
-                            &plan,
-                            staging,
-                            self.exec_mode,
-                            &self.obs,
-                        )
-                        .map(|r| r.distinct())
-                        .ok()
+        // Evaluate disjuncts (those whose relations are all staged), each
+        // under a cached-or-fresh plan.
+        let disjuncts = &reformulation.union.disjuncts;
+        let results: Vec<Option<Relation>> = if parallel {
+            let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let per_worker = disjuncts.len().div_ceil(workers).max(1);
+            // Workers record no spans: span order would depend on thread
+            // scheduling and break trace determinism. Metrics counters
+            // *are* commutative, so the per-step `query.eval.*` accounting
+            // (incl. the `step_bindings` histogram) is emitted exactly as
+            // on the sequential path — `tests/trace_obs.rs` asserts the
+            // parity.
+            std::thread::scope(|s| {
+                let run = &run;
+                let handles: Vec<_> = disjuncts
+                    .chunks(per_worker)
+                    .enumerate()
+                    .map(|(c, chunk)| {
+                        let first = c * per_worker;
+                        s.spawn(move || {
+                            chunk
+                                .iter()
+                                .enumerate()
+                                .map(|(k, d)| self.eval_disjunct_untraced(first + k, d, run))
+                                .collect::<Vec<_>>()
+                        })
                     })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("disjunct worker panicked")).collect()
-        });
-        // Joining in spawn order already fixes the merge order, and
-        // `distinct()` sorts and dedups — so the final row order is a pure
-        // function of the query, independent of thread scheduling, and
-        // identical to the sequential `eval_union` path's normalization.
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("disjunct worker panicked"))
+                    .collect()
+            })
+        } else {
+            disjuncts
+                .iter()
+                .enumerate()
+                .map(|(i, d)| self.eval_disjunct(i, d, &run, &root))
+                .collect()
+        };
+        // Merging in disjunct order and then `distinct()` (which sorts and
+        // dedups) makes the final row order a pure function of the query,
+        // independent of thread scheduling and identical on both paths.
         let mut merged: Option<Relation> = None;
         for r in results.into_iter().flatten() {
             merged = Some(match merged {
@@ -1159,7 +1375,8 @@ impl PdmsNetwork {
             Some(m) => m.distinct(),
             // Every disjunct dropped: fall back to eval_union for the
             // correctly-shaped empty relation.
-            None => revere_query::eval_union(union, staging).map_err(|e| e.to_string())?,
+            None => revere_query::eval_union(&reformulation.union, &fetched.staging)
+                .map_err(|e| e.to_string())?,
         };
         root.set("answers", answers.len());
         root.set("complete", fetched.completeness.is_complete());
@@ -1173,6 +1390,70 @@ impl PdmsNetwork {
         })
     }
 
+    /// Evaluate disjunct `i` on the sequential path: under its own span,
+    /// profiled, with the profile fed back to the estimator. `None` when
+    /// it cannot be evaluated against what was staged.
+    fn eval_disjunct(
+        &self,
+        i: usize,
+        d: &ConjunctiveQuery,
+        run: &DisjunctRun<'_>,
+        root: &SpanHandle,
+    ) -> Option<Relation> {
+        let span = root.child("pdms.eval.disjunct");
+        let (plan, verdict) = self.plan_for(i, d, run);
+        if span.is_recording() {
+            // The canonical form, not `d` itself: reformulation mints
+            // fresh variable names from a process-wide counter, so the
+            // raw text varies run to run while the canonical key is
+            // byte-stable — the golden-trace contract needs the latter.
+            span.set("disjunct", plan.key());
+            match verdict {
+                PlanVerdict::Bypass => span.set("plan_cache", "bypass"),
+                PlanVerdict::Hit => span.set("plan_cache", "hit"),
+                PlanVerdict::Miss { stale_owner } => {
+                    span.set("plan_cache", "miss");
+                    if let Some(owner) = stale_owner {
+                        span.set("stale_owner", owner);
+                    }
+                }
+            }
+        }
+        let (bag, profiles) = revere_query::eval_cq_bag_profiled_obs_mode(
+            d,
+            &plan,
+            run.staging,
+            &self.obs,
+            &span,
+            self.exec_mode,
+        )
+        .ok()?;
+        // Feed actuals back only when the fetch was complete: a partial
+        // staging would teach the estimator that missing data means
+        // empty joins.
+        if run.cacheable {
+            self.feed_back(&plan, &profiles);
+        }
+        let answers = bag.distinct();
+        span.set("answers", answers.len());
+        Some(answers)
+    }
+
+    /// Evaluate disjunct `i` on a `query_parallel` worker: no span, no
+    /// feedback (worker scheduling would make last-write-wins learned
+    /// values nondeterministic).
+    fn eval_disjunct_untraced(
+        &self,
+        i: usize,
+        d: &ConjunctiveQuery,
+        run: &DisjunctRun<'_>,
+    ) -> Option<Relation> {
+        let (plan, _) = self.plan_for(i, d, run);
+        revere_query::eval_cq_bag_planned_mode(d, &plan, run.staging, self.exec_mode, &self.obs)
+            .map(|r| r.distinct())
+            .ok()
+    }
+
     /// `EXPLAIN ANALYZE` for a query posed at a peer: reformulate and
     /// fetch exactly as [`PdmsNetwork::query`] would, then render each
     /// disjunct's plan with estimated vs measured per-step cardinalities
@@ -1183,7 +1464,7 @@ impl PdmsNetwork {
         if !self.peers.contains_key(at_peer) {
             return Err(format!("unknown peer {at_peer:?}"));
         }
-        let (reformulation, _) = self.reformulate_cached(q);
+        let (reformulation, _) = self.reformulate_cached(q, &SpanHandle::none());
         let fetched = self.fetch_phase(at_peer, &reformulation.union, &SpanHandle::none());
         let mut out = format!(
             "explain analyze at {at_peer}: {q}\n{} disjunct(s), fetch {}\n",
@@ -1264,7 +1545,7 @@ impl PdmsNetwork {
         // initialize against the same state later deltas are signed from.
         self.sync_durable_subscriptions();
         self.ensure_subs_base();
-        let (reformulation, _) = self.reformulate_cached(&q);
+        let (reformulation, _) = self.reformulate_cached(&q, &SpanHandle::none());
         let base = self.subs_base.as_ref().expect("ensured above");
         let mut sub = Subscription {
             name: name.to_string(),
@@ -1892,6 +2173,70 @@ mod tests {
     }
 
     #[test]
+    fn caches_stay_within_capacity_and_never_change_an_answer() {
+        let cached = university_network();
+        let mut plain = university_network();
+        plain.caching = false;
+        // More distinct query texts than the reformulation cache holds,
+        // each with disjunct shapes of its own: the constants differ.
+        let texts = |i: usize| format!("q(T, E) :- MIT.subject(T, E), E > {i}");
+        for i in 0..REFORMULATION_CAPACITY + 40 {
+            let (a, b) = (
+                cached.query_str("MIT", &texts(i)).unwrap(),
+                plain.query_str("MIT", &texts(i)).unwrap(),
+            );
+            assert_eq!(a.answers.rows(), b.answers.rows(), "query {i}");
+            let caches = cached.lock_caches();
+            assert!(caches.reformulations.entries.len() <= REFORMULATION_CAPACITY);
+            assert!(caches.plans.entries.len() <= PLAN_CAPACITY);
+        }
+        // The oldest texts were evicted, the newest are still served.
+        let before = cached.cache_stats();
+        cached.query_str("MIT", &texts(0)).unwrap();
+        cached.query_str("MIT", &texts(REFORMULATION_CAPACITY + 39)).unwrap();
+        let after = cached.cache_stats();
+        assert_eq!(after.reformulation_misses, before.reformulation_misses + 1);
+        assert_eq!(after.reformulation_hits, before.reformulation_hits + 1);
+    }
+
+    #[test]
+    fn bounded_map_drops_the_older_half_when_full() {
+        let mut m = BoundedMap::new(4);
+        for k in 0..4 {
+            m.insert(k, k * 10);
+        }
+        // Overwriting a held key never evicts, and makes it the youngest.
+        m.insert(0, 1);
+        assert_eq!(m.entries.len(), 4);
+        m.insert(4, 40);
+        let mut held: Vec<i32> = m.entries.keys().copied().collect();
+        held.sort_unstable();
+        assert_eq!(held, [0, 4], "1, 2 and 3 were the three oldest");
+        assert_eq!(m.get(&0), Some(&1));
+        assert_eq!(m.remove(&4), Some(40));
+    }
+
+    #[test]
+    fn reformulation_audits_back_off_and_count_as_misses() {
+        let net = university_network();
+        let q = parse_query("q(T, E) :- MIT.subject(T, E)").unwrap();
+        let cold = net.query("MIT", &q).unwrap();
+        let mut audits = Vec::new();
+        for lookup in 1..=70u64 {
+            let before = net.cache_stats().reformulation_misses;
+            let out = net.query("MIT", &q).unwrap();
+            assert_eq!(out.answers.rows(), cold.answers.rows());
+            if net.cache_stats().reformulation_misses > before {
+                audits.push(lookup);
+            }
+        }
+        assert_eq!(audits, [16, 64]);
+        // An audit re-derives the same disjuncts, so no plan is rebuilt.
+        let stats = net.cache_stats();
+        assert_eq!(stats.plan_misses, cold.reformulation.union.disjuncts.len(), "{stats}");
+    }
+
+    #[test]
     fn cache_stats_display_round_trips() {
         let stats = CacheStats {
             reformulation_hits: 3,
@@ -2115,7 +2460,7 @@ mod tests {
             Some(0.25),
             "evidence about live peers survives"
         );
-        assert!(mit.storage.epoch() != epoch_before, "purge shifts the cache epoch");
+        assert!(mit.storage.epoch() != epoch_before, "purge shifts the stats epoch");
     }
 
     #[test]

@@ -42,8 +42,9 @@ use revere_query::unfold::{unfold_with, ViewDef};
 use revere_query::{contained_in, minimize, rewrite_using_views, ConjunctiveQuery, UnionQuery};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
-/// Tuning knobs for reformulation.
-#[derive(Debug, Clone)]
+/// Tuning knobs for reformulation. Hashable: together with the query's
+/// text they key the network's reformulation cache.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ReformulateOptions {
     /// Maximum mapping-graph hops from the querying peer.
     pub max_depth: usize,

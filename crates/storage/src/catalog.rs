@@ -33,9 +33,9 @@ use std::sync::{Arc, Mutex, RwLock};
 ///
 /// The catalog also owns the planner-facing metadata for its relations:
 /// incremental [`RelStats`] per relation (see [`crate::stats`]) and a
-/// *stats epoch*, a counter bumped on every mutation. Plan caches key on
-/// the epoch, so a cached plan can never outlive the statistics it was
-/// costed against.
+/// *stats epoch*, a counter bumped on every mutation. Plan caches stamp
+/// each entry with the epoch, so a cached plan can never outlive the
+/// statistics it was costed against.
 ///
 /// # Durability
 ///
@@ -310,8 +310,8 @@ impl Catalog {
     ///
     /// The epoch moves only when some recomputed statistics actually
     /// differ from the last clean ones: a `get_mut` round-trip that left
-    /// the data equivalent must not shift downstream cache epochs and
-    /// flush every warm reformulation/plan cache for a no-op.
+    /// the data equivalent must not invalidate every warm plan that
+    /// reads this catalog for a no-op.
     pub fn analyze(&mut self) -> usize {
         if self.journal.is_some()
             && self.relations.keys().any(|n| !self.stats.contains_key(n))

@@ -67,6 +67,18 @@ for seed in ${REVERE_VEC_SEEDS:-1 2 3}; do
     REVERE_VEC_SEED="$seed" cargo test -q --offline -p revere --test differential_vec
 done
 
+# Cache differential gate: one random schedule over everything that can
+# change a cached reformulation's or a cached plan's inputs (publishes,
+# direct writes, analyze, new mappings, peers leaving and rejoining with
+# different data, crash-restarts, weather, estimator feedback) applied to
+# a caching and a non-caching network, which must agree on answers and
+# completeness after every step. Override the seed set with
+# REVERE_CACHE_SEEDS="1 2 3" scripts/verify.sh
+for seed in ${REVERE_CACHE_SEEDS:-7 42 1003 1 2}; do
+    echo "cache differential gate: seed $seed"
+    REVERE_CACHE_SEED="$seed" cargo test -q --offline -p revere --test differential_cache
+done
+
 # E16 smoke: the durability experiment must run end to end — its sweep
 # asserts byte-identical convergence and suffix-bounded recovery for
 # every built-in crash seed, and reports recovery latency and
@@ -125,4 +137,14 @@ done
 # Obs::disabled() — running the report IS the gate, like E15/E18.
 echo "telemetry gate: seed ${REVERE_E19_SEED:-1003}, max detect ${REVERE_E19_MAX_DETECT_TICKS:-8} ticks, max overhead ${REVERE_E19_MAX_OVERHEAD_PCT:-50}%"
 cargo run --release --offline -p revere-bench --bin report E19
+
+# End-to-end smoke: two seconds of each query workload through the
+# benchmark's front door, traced. `e2e` exits non-zero if any operation
+# failed or disagreed with its reference, or if the traced pass does not
+# reconcile (an `unattributed_ratio` above 0.30).
+for workload in query_churn query_warm; do
+    echo "e2e smoke: $workload"
+    cargo run --release --offline -p revere-e2e --bin e2e -- \
+        --workload "$workload" --seed 1013 --seconds 2 --trace 1 >/dev/null
+done
 echo "verify: OK"

@@ -4,9 +4,10 @@
 //! Every test drives two networks through the *same* sequence of queries
 //! and mutations — one with caching on (the default), one with
 //! `caching = false` — and asserts the answers stay byte-identical at
-//! every step. The mutations are exactly the ones the cache epochs must
+//! every step. The mutations are exactly the ones the cache stamps must
 //! notice: adding a mapping, removing a peer, and updategram-driven data
-//! maintenance flowing through a peer's catalog.
+//! maintenance flowing through a peer's catalog — and each must
+//! invalidate only what was computed from the thing that changed.
 
 use revere::prelude::*;
 use revere::storage::Attribute;
@@ -91,27 +92,25 @@ fn a_no_op_analyze_keeps_warm_caches_warm() {
     let plain = build(false, true);
     assert_identical(&cached, &plain, "cold");
     assert_identical(&cached, &plain, "warm");
-    let hits = cached.cache_stats().reformulation_hits;
-    assert_eq!(hits, QUERIES.len(), "warm pass should be all hits");
-    // `get_mut` pessimistically bumps the epoch (the caller may mutate),
-    // so one flush and one re-warming pass are expected.
+    let warm = cached.cache_stats();
+    assert_eq!(warm.reformulation_hits, QUERIES.len(), "warm pass should be all hits");
+    // `get_mut` pessimistically bumps B's stats epoch (the caller may
+    // mutate), so the plans that read B are rebuilt once.
     cached.peer("B").unwrap().storage.write(|c| {
         let _ = c.get_mut("B.course");
     });
     assert_identical(&cached, &plain, "re-warm after get_mut");
-    let hits = cached.cache_stats().reformulation_hits;
+    let rewarmed = cached.cache_stats();
+    assert!(rewarmed.plan_misses > warm.plan_misses, "get_mut left B's plans cached: {rewarmed}");
     // `analyze` recomputes the stashed statistics and finds them
-    // identical: the epoch must hold and the re-warmed caches survive.
+    // identical: the epoch must hold and the re-warmed plans survive.
     cached.peer("B").unwrap().storage.write(|c| {
         c.analyze();
     });
     assert_identical(&cached, &plain, "after no-op analyze");
     let stats = cached.cache_stats();
-    assert_eq!(
-        stats.reformulation_hits,
-        hits + QUERIES.len(),
-        "a no-op analyze flushed warm caches: {stats}"
-    );
+    assert_eq!(stats.plan_misses, rewarmed.plan_misses, "a no-op analyze re-planned: {stats}");
+    assert_eq!(stats.reformulation_misses, QUERIES.len(), "data changes re-reformulated: {stats}");
 }
 
 #[test]
@@ -176,4 +175,94 @@ fn updategram_maintenance_after_warmup_invalidates_warm_plans() {
     }
     let after = assert_identical(&cached, &plain, "after updategram");
     assert!(after > before, "inserted rows should reach A ({before} -> {after})");
+}
+
+/// Disjuncts of the three probe queries' reformulations that read `owner`.
+fn disjuncts_reading(net: &PdmsNetwork, owner: &str) -> usize {
+    let prefix = format!("{owner}.");
+    QUERIES
+        .iter()
+        .map(|q| {
+            let out = net.query_str("A", q).expect("probe runs");
+            out.reformulation
+                .union
+                .disjuncts
+                .iter()
+                .filter(|d| d.body.iter().any(|a| a.relation.starts_with(&prefix)))
+                .count()
+        })
+        .sum()
+}
+
+#[test]
+fn reformulations_survive_data_changes_but_not_topology_changes() {
+    let mut cached = build(true, false);
+    let mut plain = build(false, false);
+    for net in [&mut cached, &mut plain] {
+        // Freeze the estimator feedback loop: its writes are peer-data
+        // changes of their own and would blur the exact counts below
+        // (`tests/differential_cache.rs` covers it under caching).
+        net.replan_q_error = None;
+    }
+    assert_identical(&cached, &plain, "cold");
+    assert_identical(&cached, &plain, "warm");
+    let reading_b = disjuncts_reading(&cached, "B");
+    assert!(reading_b > 0, "no disjunct reads the peer the test publishes to");
+
+    // Peer data: a publish re-plans exactly the disjuncts that read the
+    // published owner and re-reformulates nothing.
+    let rows = vec![vec![Value::str("Churn seminar"), Value::Int(21)]];
+    let grams =
+        [Updategram::inserts("B.course", rows.clone()), Updategram::deletes("B.course", rows)];
+    for gram in grams {
+        let before = cached.cache_stats();
+        for net in [&mut cached, &mut plain] {
+            net.publish(&gram).expect("B stores course");
+        }
+        assert_identical(&cached, &plain, "after publish");
+        let after = cached.cache_stats();
+        assert_eq!(after.reformulation_misses, before.reformulation_misses, "{after}");
+        assert_eq!(after.reformulation_hits, before.reformulation_hits + QUERIES.len(), "{after}");
+        assert_eq!(after.plan_misses, before.plan_misses + reading_b, "{after}");
+    }
+
+    // Topology: each of these forces every query to reformulate afresh.
+    let late = || {
+        let rule = "m(T, E) :- B.course(T, E) ==> m(T, E) :- C.course(T, E)";
+        GlavMapping::parse("late", "B", "C", rule).unwrap()
+    };
+    let swapped = || {
+        let mut r = Relation::new(RelSchema::new(
+            "course",
+            vec![Attribute::text("title"), Attribute::int("enrollment")],
+        ));
+        r.insert(vec![Value::str("Swapped in at C"), Value::Int(77)]);
+        r
+    };
+    type Change = Box<dyn Fn(&mut PdmsNetwork)>;
+    let changes: [(&str, Change); 4] = [
+        ("add_mapping", Box::new(move |net| net.add_mapping(late()))),
+        ("peer_mut", Box::new(move |net| net.peer_mut("C").unwrap().add_relation(swapped()))),
+        (
+            "restart_peer",
+            Box::new(|net| {
+                net.enable_durability("B").expect("B is a member");
+                net.restart_peer("B").expect("B recovers from its image");
+            }),
+        ),
+        ("remove_peer", Box::new(|net| assert!(net.remove_peer("C").is_some()))),
+    ];
+    for (what, change) in &changes {
+        for net in [&mut cached, &mut plain] {
+            change(net);
+        }
+        let before = cached.cache_stats();
+        assert_identical(&cached, &plain, what);
+        let after = cached.cache_stats();
+        assert_eq!(
+            after.reformulation_misses,
+            before.reformulation_misses + QUERIES.len(),
+            "{what} left a reformulation cached: {after}"
+        );
+    }
 }

@@ -114,6 +114,42 @@ fn trace_covers_all_three_layers() {
 }
 
 #[test]
+fn trace_says_why_work_was_redone() {
+    // A reformulation that actually ran reports its rule-goal expansion
+    // work; a cached one does not. A plan rebuilt because a peer's
+    // statistics moved names that peer.
+    let mut net = build_network(trace_seed());
+    net.faults = FaultPlan::default();
+    net.obs = Obs::enabled();
+    let q = QUERIES[0];
+    net.query_str("P0", q).expect("cold query runs");
+    net.peer("P3").unwrap().storage.write(|c| {
+        c.insert("P3.course", vec![Value::str("Late addition"), Value::Int(55)])
+    });
+    net.query_str("P0", q).expect("warm query runs");
+    let spans = net.obs.tracer().unwrap().spans();
+    let reformulations: Vec<_> = spans.iter().filter(|s| s.name == "pdms.reformulate").collect();
+    let [cold, warm] = reformulations[..] else { panic!("one reformulate span per query") };
+    assert_eq!(cold.arg("cache"), Some("miss"));
+    for work in ["nodes_expanded", "candidates", "pruned_by_containment", "pruned_by_visited"] {
+        assert!(cold.arg(work).is_some(), "a reformulation miss must report {work}");
+        assert!(warm.arg(work).is_none(), "a reformulation hit did no {work} work");
+    }
+    assert_eq!(warm.arg("cache"), Some("hit"), "a data change re-reformulated");
+    let second_query = spans.iter().rfind(|s| s.name == "pdms.query").expect("two queries ran").id;
+    let disjuncts: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "pdms.eval.disjunct" && s.parent == Some(second_query))
+        .collect();
+    assert!(!disjuncts.is_empty());
+    for d in disjuncts {
+        let reads_p3 = d.arg("disjunct").is_some_and(|key| key.contains("P3.course"));
+        let expected = if reads_p3 { (Some("miss"), Some("P3")) } else { (Some("hit"), None) };
+        assert_eq!((d.arg("plan_cache"), d.arg("stale_owner")), expected, "{:?}", d.args);
+    }
+}
+
+#[test]
 fn tracing_never_changes_answers() {
     let seed = trace_seed();
     for q in QUERIES {
