@@ -20,8 +20,14 @@
 //! Timings are wall-clock and machine-dependent; row counts, realized
 //! bindings, and answer checksums are pure functions of the seed. The
 //! full-scale report also asserts the hot-loop speedup stays above
-//! `REVERE_E18_MIN_SPEEDUP` (default 5) — running the report IS the
-//! perf-regression gate, like E15's calibration gate.
+//! `REVERE_E18_MIN_SPEEDUP` (default 3) — running the report IS the
+//! perf-regression gate, like E15's calibration gate. The floor is a
+//! ratio against the row engine and moves with it: it was 5 while the row
+//! engine's binding tuples cloned owned `String`s; with `Arc<str>` cells
+//! that baseline runs the hot loop ~1.9× faster and the vectorized
+//! kernel, which never touched strings, as fast as before. 3× of the new
+//! baseline allows the vectorized kernel less absolute time than 5× of
+//! the old one did.
 
 use crate::experiments::e_plancache::{plan_cache_network, PlanCacheConfig};
 use crate::table::Table;
@@ -55,7 +61,7 @@ fn min_speedup() -> f64 {
     std::env::var("REVERE_E18_MIN_SPEEDUP")
         .ok()
         .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(5.0)
+        .unwrap_or(3.0)
 }
 
 /// Run `f` `reps` times, returning the minimum elapsed time and the (rep-

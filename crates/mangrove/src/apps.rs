@@ -79,7 +79,7 @@ impl WhosWho {
                 if vals.is_empty() {
                     Value::Null
                 } else {
-                    Value::Str(
+                    Value::str(
                         vals.iter().map(Value::to_string).collect::<Vec<_>>().join("; "),
                     )
                 }

@@ -1118,10 +1118,10 @@ impl PdmsNetwork {
             completeness: CompletenessReport::default(),
         };
         let mut clock = 0u64;
-        let mut fetched: BTreeSet<String> = BTreeSet::new();
+        let mut fetched: BTreeSet<&str> = BTreeSet::new();
         for d in &union.disjuncts {
             for a in &d.body {
-                if !fetched.insert(a.relation.clone()) {
+                if !fetched.insert(&a.relation) {
                     continue;
                 }
                 let span = parent.child("pdms.fetch");

@@ -186,15 +186,6 @@ impl Source for Overlay<'_> {
     fn relation(&self, name: &str) -> Option<&Relation> {
         self.extra.get(name).copied().or_else(|| self.base.get(name))
     }
-
-    fn batch(&self, name: &str) -> Option<std::sync::Arc<revere_storage::ColumnarBatch>> {
-        // Delta relations pivot afresh (they are small and short-lived);
-        // base relations share the catalog's epoch-keyed image.
-        match self.extra.get(name) {
-            Some(r) => Some(std::sync::Arc::new(revere_storage::ColumnarBatch::from_relation(r))),
-            None => self.base.batch(name),
-        }
-    }
 }
 
 /// The delta-rule pass. Returns the number of derivation rows produced.

@@ -233,18 +233,40 @@ impl ConjunctiveQuery {
     }
 
     /// The canonical ordering of the body: indices into `body` sorted by
-    /// (relation, printed shape). Two queries with equal
+    /// relation, then by a shape that names no variable — constants
+    /// verbatim, a head variable by its head position, any other variable
+    /// by where it first occurs in the atom — and, between atoms of one
+    /// shape, by body position. Variable names must not take part:
+    /// reformulation mints them from a process-wide counter, and `u9_T`
+    /// sorts after `u10_T`. Two queries with equal
     /// [`ConjunctiveQuery::canonical_key`] have structurally identical
     /// bodies *position by position* under this ordering, which is what
     /// lets a cached [plan](crate::plan) built for one disjunct execute an
     /// isomorphic one.
     pub fn canonical_order(&self) -> Vec<usize> {
+        #[derive(PartialEq, Eq, PartialOrd, Ord)]
+        enum Shape<'a> {
+            Const(&'a Value),
+            Head(usize),
+            Local(usize),
+        }
+        fn shape<'a>(head: &[Term], atom: &'a Atom) -> Vec<Shape<'a>> {
+            let first = |terms: &[Term], t: &Term| terms.iter().position(|u| u == t);
+            atom.terms
+                .iter()
+                .map(|t| match t {
+                    Term::Const(c) => Shape::Const(c),
+                    Term::Var(_) => match first(head, t) {
+                        Some(p) => Shape::Head(p),
+                        None => Shape::Local(first(&atom.terms, t).expect("t is one of them")),
+                    },
+                })
+                .collect()
+        }
         let mut idx: Vec<usize> = (0..self.body.len()).collect();
-        idx.sort_by(|&a, &b| {
-            let (a, b) = (&self.body[a], &self.body[b]);
-            a.relation
-                .cmp(&b.relation)
-                .then_with(|| format!("{a}").cmp(&format!("{b}")))
+        idx.sort_by_cached_key(|&i| {
+            let atom = &self.body[i];
+            (atom.relation.as_str(), shape(&self.head.terms, atom))
         });
         idx
     }
@@ -407,6 +429,26 @@ mod tests {
         assert_eq!(a.canonical_key(), b.canonical_key());
         let c = parse_query("q(A) :- s(A), r(A, B)").unwrap();
         assert_ne!(a.canonical_key(), c.canonical_key());
+    }
+
+    #[test]
+    fn canonical_key_ignores_how_minted_names_sort() {
+        // `u10_T` sorts before `u9_T`, `u8_T` after `u7_T`: ordering
+        // same-relation atoms by their printed form made the key depend
+        // on where the fresh-name counter stood.
+        let minted = |e: &str, f: &str| {
+            parse_query(&format!("q(A, B) :- r({e}, A), r({f}, B)")).unwrap().canonical_key()
+        };
+        assert_eq!(minted("U7_T", "U8_T"), minted("U9_T", "U10_T"));
+        let q = parse_query("q(A, B) :- r(A, E), r(B, E)").unwrap();
+        assert_eq!(q.rename_vars("u9_").canonical_key(), q.rename_vars("u10_").canonical_key());
+        assert_eq!(q.canonical_key(), "q(v1,v2,):-r(v1,v3,)r(v2,v3,)");
+        // Shape still separates atoms that differ in more than names.
+        let swapped = parse_query("q(A, B) :- r(B, E), r(A, E)").unwrap();
+        assert_eq!(swapped.canonical_key(), q.canonical_key());
+        let local = parse_query("q(A) :- r(E, E), r(A, F)").unwrap();
+        let local_swapped = parse_query("q(A) :- r(A, F), r(E, E)").unwrap();
+        assert_eq!(local.canonical_key(), local_swapped.canonical_key());
     }
 
     #[test]

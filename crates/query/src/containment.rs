@@ -20,7 +20,7 @@ use revere_storage::Value;
 /// Returns the frozen body and head.
 fn freeze(q: &ConjunctiveQuery) -> (Vec<Atom>, Atom) {
     let frozen = |t: &Term| match t {
-        Term::Var(v) => Term::Const(Value::Str(format!("\u{2744}{v}"))),
+        Term::Var(v) => Term::Const(Value::str(format!("\u{2744}{v}"))),
         c @ Term::Const(_) => c.clone(),
     };
     let body = q
@@ -65,7 +65,7 @@ pub fn contained_in(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
     // constants.
     let frozen_cmp: Vec<Comparison> = {
         let frozenize = |t: &Term| match t {
-            Term::Var(v) => Term::Const(Value::Str(format!("\u{2744}{v}"))),
+            Term::Var(v) => Term::Const(Value::str(format!("\u{2744}{v}"))),
             c @ Term::Const(_) => c.clone(),
         };
         q1.comparisons

@@ -53,22 +53,17 @@ pub trait Source {
     }
 
     /// The columnar image of the named relation, consumed by the
-    /// vectorized engine (see [`crate::vec`]). The default pivots afresh
-    /// on every call; catalog-backed sources override it with an
-    /// epoch-keyed cache so repeated evaluations against unchanged data
-    /// pay the row→column pivot once.
+    /// vectorized engine (see [`crate::vec`]): the relation's own
+    /// memoised image ([`Relation::batch`]), pivoted once per row state
+    /// and shared by every source the relation is reachable from.
     fn batch(&self, name: &str) -> Option<Arc<ColumnarBatch>> {
-        self.relation(name).map(|r| Arc::new(ColumnarBatch::from_relation(r)))
+        self.relation(name).map(Relation::batch)
     }
 }
 
 impl Source for Catalog {
     fn relation(&self, name: &str) -> Option<&Relation> {
         self.get(name)
-    }
-
-    fn batch(&self, name: &str) -> Option<Arc<ColumnarBatch>> {
-        Catalog::batch(self, name)
     }
 
     fn stats(&self, name: &str) -> Option<&RelStats> {

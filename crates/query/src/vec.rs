@@ -249,9 +249,9 @@ fn build_index(
                     let codes: HashMap<&str, u32> = bd
                         .iter()
                         .enumerate()
-                        .map(|(i, s)| (s.as_str(), i as u32))
+                        .map(|(i, s)| (&**s, i as u32))
                         .collect();
-                    pd.iter().map(|s| codes.get(s.as_str()).copied()).collect()
+                    pd.iter().map(|s| codes.get(&**s).copied()).collect()
                 };
                 return BuildIndex::Str { index, trans };
             }
@@ -445,17 +445,17 @@ fn eval_bindings_vec<S: Source>(
 
     let mut bind = Bindings { names: Vec::new(), cols: Vec::new(), rows: 1 };
     let mut trace = Vec::with_capacity(plan.order.len());
-    // Columnar images come from the source ([`Source::batch`]): catalogs
-    // serve an epoch-keyed cached image, so repeated evaluations — the
+    // Columnar images come from the source ([`Source::batch`]), which
+    // serves each relation's memoised image, so repeated evaluations — the
     // realized-bindings hot loop, every disjunct of a reformulated query —
     // skip the row→column pivot entirely. The per-eval map just keeps a
     // relation joined at several steps from hitting the source twice.
-    let mut batches: HashMap<String, Arc<ColumnarBatch>> = HashMap::new();
+    let mut batches: HashMap<&str, Arc<ColumnarBatch>> = HashMap::new();
 
     for (step_no, &ci) in plan.order.iter().enumerate() {
         let atom = &q.body[canonical[ci]];
         let batch: &ColumnarBatch = batches
-            .entry(atom.relation.clone())
+            .entry(&atom.relation)
             .or_insert_with(|| catalog.batch(&atom.relation).expect("validated above"));
         let split = AtomSplit::analyze(atom, &bind.names);
         let span = parent.child("eval.step");

@@ -20,14 +20,13 @@
 //! torn multi-step update is then visible, which the simulation accepts
 //! in exchange for availability.
 
-use crate::column::ColumnarBatch;
 use crate::relation::Relation;
 use crate::schema::{DbSchema, RelSchema};
 use crate::stats::{JoinStats, RelStats};
 use crate::value::Value;
 use crate::wal::{Journal, WalRecord};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// A named collection of relations.
 ///
@@ -36,6 +35,11 @@ use std::sync::{Arc, Mutex, RwLock};
 /// *stats epoch*, a counter bumped on every mutation. Plan caches stamp
 /// each entry with the epoch, so a cached plan can never outlive the
 /// statistics it was costed against.
+///
+/// Relations share their rows and what is derived from them (see
+/// [`Relation`]), so registering a clone of another catalog's relation
+/// copies no tuples, takes the statistics the relation already carries,
+/// and reads the same columnar image.
 ///
 /// # Durability
 ///
@@ -51,12 +55,14 @@ pub struct Catalog {
     relations: BTreeMap<String, Relation>,
     /// Clean statistics per relation. A relation mutated through
     /// [`Catalog::get_mut`] loses its entry (the mutation is opaque) until
-    /// the next [`Catalog::analyze`] or re-registration.
-    stats: BTreeMap<String, RelStats>,
+    /// the next [`Catalog::analyze`] or re-registration. Shared with the
+    /// relation's own memo ([`Relation::stats`]) until an insert or
+    /// delete moves them on.
+    stats: BTreeMap<String, Arc<RelStats>>,
     /// The last clean stats of relations dirtied via [`Catalog::get_mut`],
     /// kept so [`Catalog::analyze`] can tell a real change from a no-op
     /// round-trip and leave the epoch alone for the latter.
-    dirty: BTreeMap<String, RelStats>,
+    dirty: BTreeMap<String, Arc<RelStats>>,
     /// Learned equijoin selectivities fed back from executed plans.
     join_stats: JoinStats,
     epoch: u64,
@@ -68,14 +74,6 @@ pub struct Catalog {
     /// then the log is behind the in-memory state — the documented
     /// crash window of an unflushed write.
     rejournal: BTreeSet<String>,
-    /// Columnar images built on demand by [`Catalog::batch`], keyed by the
-    /// stats epoch they were pivoted at. Every mutation path bumps the
-    /// epoch (including the conservative bump in [`Catalog::get_mut`],
-    /// which fires before the `&mut Relation` is handed out — and borrow
-    /// rules keep `batch` uncallable while that borrow lives), so a stale
-    /// image is unreachable. Interior mutability keeps `batch` usable
-    /// through the `&Catalog` the evaluator holds.
-    batches: Mutex<BTreeMap<String, (u64, Arc<ColumnarBatch>)>>,
 }
 
 impl Clone for Catalog {
@@ -89,8 +87,6 @@ impl Clone for Catalog {
             epoch: self.epoch,
             journal: None,
             rejournal: BTreeSet::new(),
-            // The cache is derived state; clones rebuild lazily.
-            batches: Mutex::new(BTreeMap::new()),
         }
     }
 }
@@ -190,7 +186,8 @@ impl Catalog {
     }
 
     /// Register (or replace) a relation under its schema name. Statistics
-    /// are computed in the same pass that hands the relation over.
+    /// are the relation's own ([`Relation::stats`]): computed here if no
+    /// clone of it has needed them yet, taken by reference otherwise.
     pub fn register(&mut self, rel: Relation) {
         let name = rel.schema.name.clone();
         if self.journal.is_some() {
@@ -198,7 +195,7 @@ impl Catalog {
             self.rejournal.remove(&name);
             self.journal_record(WalRecord::Register { relation: rel.clone() });
         }
-        self.stats.insert(name.clone(), RelStats::compute(&rel));
+        self.stats.insert(name.clone(), rel.stats());
         self.dirty.remove(&name);
         self.relations.insert(name, rel);
         self.epoch += 1;
@@ -212,26 +209,6 @@ impl Catalog {
     /// Borrow a relation.
     pub fn get(&self, name: &str) -> Option<&Relation> {
         self.relations.get(name)
-    }
-
-    /// The columnar image of a relation (see [`ColumnarBatch`]), built on
-    /// first use and cached until the stats epoch moves. The row→column
-    /// pivot — dictionary-encoding every string cell in particular — costs
-    /// about as much as scanning the relation, so the vectorized engine
-    /// must not pay it per evaluation; with the cache, repeated queries
-    /// against an unchanged catalog share one immutable image per
-    /// relation.
-    pub fn batch(&self, name: &str) -> Option<Arc<ColumnarBatch>> {
-        let rel = self.relations.get(name)?;
-        let mut cache = self.batches.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((epoch, batch)) = cache.get(name) {
-            if *epoch == self.epoch {
-                return Some(Arc::clone(batch));
-            }
-        }
-        let batch = Arc::new(ColumnarBatch::from_relation(rel));
-        cache.insert(name.to_string(), (self.epoch, Arc::clone(&batch)));
-        Some(batch)
     }
 
     /// Mutably borrow a relation.
@@ -265,10 +242,15 @@ impl Catalog {
         if self.journal.is_some() {
             self.journal_record(WalRecord::Insert { relation: rel.to_string(), row: row.clone() });
         }
+        // The relation first: its write drops the memo's reference to
+        // these statistics, so `make_mut` updates them in place instead
+        // of copying every histogram.
+        let r = self.relations.get_mut(rel).expect("checked above");
+        r.insert(row);
         if let Some(s) = self.stats.get_mut(rel) {
-            s.note_insert(&row);
+            let row = r.rows().last().expect("just inserted");
+            Arc::make_mut(s).note_insert(row);
         }
-        self.relations.get_mut(rel).expect("checked above").insert(row);
         self.epoch += 1;
         true
     }
@@ -292,7 +274,7 @@ impl Catalog {
         let removed = r.delete(row);
         if removed > 0 {
             if let Some(s) = self.stats.get_mut(rel) {
-                s.note_delete_n(row, removed);
+                Arc::make_mut(s).note_delete_n(row, removed);
             }
             self.epoch += 1;
         }
@@ -302,7 +284,7 @@ impl Catalog {
     /// Current statistics for a relation, if clean. `None` for unknown
     /// relations and for relations dirtied via [`Catalog::get_mut`].
     pub fn rel_stats(&self, name: &str) -> Option<&RelStats> {
-        self.stats.get(name)
+        self.stats.get(name).map(Arc::as_ref)
     }
 
     /// Recompute statistics for every relation that lacks a clean entry.
@@ -325,7 +307,7 @@ impl Catalog {
         let mut changed = 0;
         for (name, rel) in &self.relations {
             if !self.stats.contains_key(name) {
-                let fresh = RelStats::compute(rel);
+                let fresh = rel.stats();
                 if self.dirty.remove(name).as_ref() != Some(&fresh) {
                     changed += 1;
                 }
@@ -456,9 +438,19 @@ impl SharedCatalog {
         f(&mut self.inner.write().unwrap_or_else(std::sync::PoisonError::into_inner))
     }
 
-    /// Clone out a relation by name.
+    /// A snapshot of a relation by name: a handle on the rows as they are
+    /// now, O(1) whatever the cardinality, which later writes to the
+    /// catalog leave untouched (see [`Relation`] on sharing). The
+    /// catalog's incrementally maintained statistics ride along, so a
+    /// relation written since its last scan is not rescanned for them.
     pub fn snapshot(&self, rel: &str) -> Option<Relation> {
-        self.read(|c| c.get(rel).cloned())
+        self.read(|c| {
+            let r = c.get(rel)?;
+            if let Some(stats) = c.stats.get(rel) {
+                r.seed_stats(stats);
+            }
+            Some(r.clone())
+        })
     }
 
     /// The wrapped catalog's stats epoch (see [`Catalog::stats_epoch`]).
@@ -676,28 +668,77 @@ mod tests {
     }
 
     #[test]
-    fn batch_cache_tracks_the_epoch() {
+    fn every_mutation_path_empties_the_relation_memo() {
         let mut c = Catalog::new();
         c.create(RelSchema::text("t", &["v"]));
         c.insert("t", vec![Value::str("a")]);
-        assert!(c.batch("missing").is_none());
-        let b1 = c.batch("t").expect("batch builds");
+        let fresh = |c: &Catalog| {
+            let r = c.get("t").unwrap();
+            assert_eq!(*r.batch(), crate::ColumnarBatch::from_relation(r));
+            assert_eq!(*r.stats(), RelStats::compute(r));
+            assert_eq!(c.rel_stats("t"), Some(&RelStats::compute(r)));
+            r.batch()
+        };
+        let b1 = fresh(&c);
         assert_eq!(b1.to_relation(c.get("t").unwrap().schema.clone()), *c.get("t").unwrap());
-        // Unchanged catalog: the very same image is shared.
-        let b2 = c.batch("t").expect("batch cached");
-        assert!(Arc::ptr_eq(&b1, &b2), "cache hit must share the image");
-        // Any mutation path invalidates — insert, delete, get_mut.
-        c.insert("t", vec![Value::str("b")]);
-        let b3 = c.batch("t").expect("batch rebuilt");
-        assert!(!Arc::ptr_eq(&b2, &b3), "stale image survived an insert");
-        assert_eq!(b3.rows(), 2);
-        c.get_mut("t").unwrap().insert(vec![Value::str("c")]);
-        assert_eq!(c.batch("t").unwrap().rows(), 3, "stale image survived get_mut");
-        c.delete("t", &[Value::str("a")]);
-        assert_eq!(c.batch("t").unwrap().rows(), 2, "stale image survived a delete");
-        // Clones start cold but converge to the same contents.
-        let copy = c.clone();
-        assert_eq!(copy.batch("t").unwrap(), c.batch("t").unwrap());
+        // Unchanged relation: the very same image is shared, also through
+        // a clone of the catalog and through a snapshot staged elsewhere.
+        assert!(Arc::ptr_eq(&b1, &fresh(&c)), "memo hit must share the image");
+        assert!(Arc::ptr_eq(&b1, &fresh(&c.clone())));
+        let shared = SharedCatalog::new(c);
+        let mut staging = Catalog::new();
+        staging.register(shared.snapshot("t").unwrap());
+        assert!(Arc::ptr_eq(&b1, &fresh(&staging)));
+        drop(staging);
+        // Any mutation path invalidates — insert, get_mut, delete.
+        let b3 = shared.write(|c| {
+            c.insert("t", vec![Value::str("b")]);
+            let b3 = fresh(c);
+            assert!(!Arc::ptr_eq(&b1, &b3), "stale image survived an insert");
+            assert_eq!(b3.rows(), 2);
+            c.get_mut("t").unwrap().insert(vec![Value::str("c")]);
+            assert_eq!(c.get("t").unwrap().batch().rows(), 3, "stale image survived get_mut");
+            c.analyze();
+            assert_eq!(fresh(c).rows(), 3);
+            c.delete("t", &[Value::str("a")]);
+            assert_eq!(fresh(c).rows(), 2, "stale image survived a delete");
+            // A delete that removes nothing leaves the memo alone.
+            let kept = fresh(c);
+            c.delete("t", &[Value::str("ghost")]);
+            assert!(Arc::ptr_eq(&kept, &fresh(c)));
+            b3
+        });
+        // The images handed out earlier still describe the rows they
+        // were pivoted from.
+        assert_eq!((b1.rows(), b3.rows()), (1, 2));
+    }
+
+    #[test]
+    fn a_snapshot_is_isolated_from_later_writes_and_carries_the_stats() {
+        let shared = SharedCatalog::new(Catalog::new());
+        shared.write(|c| {
+            c.create(RelSchema::text("t", &["v"]));
+            c.insert("t", vec![Value::str("a")]);
+        });
+        // The insert emptied the memo; the snapshot is seeded from the
+        // catalog's incremental statistics instead of rescanning.
+        let snap = shared.snapshot("t").unwrap();
+        assert!(shared.read(|c| std::ptr::eq(&*snap.stats(), c.rel_stats("t").unwrap())));
+        shared.write(|c| {
+            c.insert("t", vec![Value::str("b")]);
+            c.delete("t", &[Value::str("a")]);
+            assert_eq!(c.rel_stats("t"), Some(&RelStats::compute(c.get("t").unwrap())));
+        });
+        assert_eq!(snap.rows(), [vec![Value::str("a")]]);
+        assert_eq!(*snap.stats(), RelStats::compute(&snap));
+        assert_eq!(shared.snapshot("t").unwrap().rows(), [vec![Value::str("b")]]);
+        // With the snapshot gone the owner writes in place again.
+        drop(snap);
+        let rows_at = |s: &SharedCatalog| s.read(|c| c.get("t").unwrap().rows().as_ptr());
+        shared.write(|c| c.get_mut("t").unwrap().insert(vec![Value::str("c")]));
+        let at = rows_at(&shared);
+        shared.write(|c| c.delete("t", &[Value::str("b")]));
+        assert_eq!(rows_at(&shared), at, "an unshared relation is mutated in place");
     }
 
     #[test]

@@ -184,6 +184,12 @@ impl SelBitmap {
     }
 }
 
+/// The dictionary of a [`ColumnVec::Str`] column: its distinct strings in
+/// first-seen order. Entries are the cells' own `Arc<str>`s, so
+/// [`ColumnVec::get`] hands a string back out by reference count, and the
+/// whole dictionary is shared by every column gathered from this one.
+pub type Dictionary = Arc<Vec<Arc<str>>>;
+
 /// One column of a batch, stored as the tightest representation the data
 /// admits. See the module docs for the cross-type correctness rule.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,7 +202,7 @@ pub enum ColumnVec {
     /// translated (see `Arc` sharing in [`ColumnVec::gather`]).
     Str {
         /// The distinct strings, in first-seen order.
-        dict: Arc<Vec<String>>,
+        dict: Dictionary,
         /// Per-row index into `dict`.
         codes: Vec<u32>,
     },
@@ -215,20 +221,16 @@ impl ColumnVec {
             );
         }
         if !vals.is_empty() && vals.iter().all(|v| matches!(v, Value::Str(_))) {
-            let mut dict: Vec<String> = Vec::new();
-            let mut positions: HashMap<String, u32> = HashMap::new();
+            let mut dict: Vec<Arc<str>> = Vec::new();
+            let mut positions: HashMap<&str, u32> = HashMap::new();
             let mut codes = Vec::with_capacity(vals.len());
             for v in vals {
-                let s = v.as_str().expect("all-str column");
-                match positions.get(s) {
-                    Some(&c) => codes.push(c),
-                    None => {
-                        let c = dict.len() as u32;
-                        dict.push(s.to_string());
-                        positions.insert(s.to_string(), c);
-                        codes.push(c);
-                    }
-                }
+                let Value::Str(s) = v else { unreachable!("all-str column") };
+                let code = *positions.entry(s).or_insert_with(|| {
+                    dict.push(Arc::clone(s));
+                    (dict.len() - 1) as u32
+                });
+                codes.push(code);
             }
             return ColumnVec::Str { dict: Arc::new(dict), codes };
         }
@@ -254,7 +256,7 @@ impl ColumnVec {
     pub fn get(&self, i: usize) -> Value {
         match self {
             ColumnVec::Int(v) => Value::Int(v[i]),
-            ColumnVec::Str { dict, codes } => Value::Str(dict[codes[i] as usize].clone()),
+            ColumnVec::Str { dict, codes } => Value::Str(Arc::clone(&dict[codes[i] as usize])),
             ColumnVec::Any(v) => v[i].clone(),
         }
     }
@@ -305,7 +307,7 @@ impl ColumnVec {
     }
 
     /// The dictionary and code slice, when this is a `Str` column.
-    pub fn as_dict(&self) -> Option<(&Arc<Vec<String>>, &[u32])> {
+    pub fn as_dict(&self) -> Option<(&Dictionary, &[u32])> {
         match self {
             ColumnVec::Str { dict, codes } => Some((dict, codes)),
             _ => None,
@@ -337,7 +339,7 @@ impl ColumnVec {
             }
             ColumnVec::Str { dict, codes } => {
                 if let Some(target) =
-                    c.as_str().and_then(|s| dict.iter().position(|d| d == s))
+                    c.as_str().and_then(|s| dict.iter().position(|d| &**d == s))
                 {
                     let target = target as u32;
                     for (i, code) in codes.iter().enumerate() {
@@ -429,10 +431,10 @@ impl ColumnVec {
             (ColumnVec::Int(a), ColumnVec::Any(b)) => Value::Int(a[i]) == b[j],
             (ColumnVec::Any(a), ColumnVec::Int(b)) => a[i] == Value::Int(b[j]),
             (ColumnVec::Str { dict, codes }, ColumnVec::Any(b)) => {
-                b[j].as_str() == Some(dict[codes[i] as usize].as_str())
+                b[j].as_str() == Some(&*dict[codes[i] as usize])
             }
             (ColumnVec::Any(a), ColumnVec::Str { dict, codes }) => {
-                a[i].as_str() == Some(dict[codes[j] as usize].as_str())
+                a[i].as_str() == Some(&*dict[codes[j] as usize])
             }
             // Int vs Str never compare equal (distinct type ranks).
             (ColumnVec::Int(_), ColumnVec::Str { .. })
@@ -590,7 +592,7 @@ mod tests {
         let vals: Vec<Value> = ["a", "b", "a", "a"].iter().map(|s| Value::str(*s)).collect();
         let col = ColumnVec::from_values(&vals);
         let (dict, codes) = col.as_dict().expect("str column");
-        assert_eq!(dict.as_slice(), &["a".to_string(), "b".to_string()]);
+        assert_eq!(dict.as_slice(), &[Arc::from("a"), Arc::from("b")]);
         assert_eq!(codes, &[0, 1, 0, 0]);
         assert_eq!(col.to_values(), vals);
     }

@@ -8,7 +8,8 @@
 //! * [`value`] — the dynamically-typed [`Value`] cell type.
 //! * [`schema`] — relation schemas ([`RelSchema`]) and database schemas
 //!   ([`DbSchema`]): the unit that corpus tools and peer mappings operate on.
-//! * [`relation`] — in-memory [`Relation`]s (bags of tuples).
+//! * [`relation`] — in-memory [`Relation`]s (bags of tuples); clones
+//!   share rows, statistics and columnar image, writes are copy-on-write.
 //! * [`column`] — typed column vectors ([`ColumnVec`]), relation→batch
 //!   pivoting ([`ColumnarBatch`]) and selection bitmaps ([`SelBitmap`]):
 //!   the columnar layer under the vectorized evaluator.
@@ -18,7 +19,7 @@
 //! * [`triples`] — the provenance-carrying triple store MANGROVE publishes
 //!   annotations into, with SPO/POS/OSP indexes (our stand-in for Jena \[33\]).
 //! * [`catalog`] — a named collection of relations, plus a thread-safe
-//!   shared wrapper used by the PDMS peers.
+//!   shared wrapper used by the PDMS peers, whose snapshots are O(1).
 //! * [`stats`] — incremental per-relation/per-column statistics (row,
 //!   distinct and value-frequency counts) behind the catalog's stats
 //!   epoch; what the query planner costs join orders with.

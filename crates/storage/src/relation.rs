@@ -1,9 +1,12 @@
 //! In-memory relations: bags of tuples under a [`RelSchema`].
 
+use crate::column::ColumnarBatch;
 use crate::schema::RelSchema;
+use crate::stats::RelStats;
 use crate::value::Value;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// One row of a relation.
 pub type Tuple = Vec<Value>;
@@ -13,17 +16,69 @@ pub type Tuple = Vec<Value>;
 /// Relations are bags, not sets — MANGROVE explicitly admits "partial,
 /// redundant, or conflicting information" (§2.1), so duplicates are
 /// preserved unless [`Relation::distinct`] is called.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// # Sharing
+///
+/// The rows live behind an `Arc`, together with a memo of what is
+/// derived from them ([`Relation::stats`], [`Relation::batch`]). `Clone`
+/// therefore costs a schema copy and one reference-count bump whatever
+/// the cardinality, and every clone — a peer's stored relation, the copy
+/// [`crate::SharedCatalog::snapshot`] stages for a query, the relation
+/// inside a WAL `Register` record — reads the same rows, the same
+/// statistics and the same columnar image.
+///
+/// Mutation is copy-on-write: [`Relation::insert`] and
+/// [`Relation::delete`] work in place when this handle is the only one,
+/// and otherwise copy the rows once and leave every other handle reading
+/// what it was cloned from (snapshot isolation). Either way the mutated
+/// handle's memo is emptied, so a derived value can never describe rows
+/// other than the ones beside it. The memo depends on the rows alone;
+/// `schema` may be renamed freely, but its arity must stay the rows'.
+#[derive(Clone)]
 pub struct Relation {
     /// The schema this relation conforms to.
     pub schema: RelSchema,
+    shared: Arc<Shared>,
+}
+
+/// What the clones of one relation share: the rows and, computed at most
+/// once per row state, what is derived from them.
+#[derive(Default)]
+struct Shared {
     rows: Vec<Tuple>,
+    stats: OnceLock<Arc<RelStats>>,
+    batch: OnceLock<Arc<ColumnarBatch>>,
+}
+
+impl Clone for Shared {
+    /// The copy half of copy-on-write: the rows, under an empty memo
+    /// (the caller is about to change them).
+    fn clone(&self) -> Self {
+        Shared { rows: self.rows.clone(), ..Shared::default() }
+    }
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.rows() == other.rows()
+    }
+}
+
+impl Eq for Relation {}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation")
+            .field("schema", &self.schema)
+            .field("rows", &self.rows())
+            .finish()
+    }
 }
 
 impl Relation {
     /// Create an empty relation.
     pub fn new(schema: RelSchema) -> Self {
-        Relation { schema, rows: Vec::new() }
+        Relation { schema, shared: Arc::default() }
     }
 
     /// Create a relation pre-filled with rows.
@@ -41,7 +96,17 @@ impl Relation {
                 schema.name
             );
         }
-        Relation { schema, rows }
+        Relation { schema, shared: Arc::new(Shared { rows, ..Shared::default() }) }
+    }
+
+    /// The rows for writing: unshared (copied first if another handle
+    /// reads them) and with the memo emptied. The memo's allocation is
+    /// reused, so a write to an unshared relation allocates nothing here.
+    fn rows_mut(&mut self) -> &mut Vec<Tuple> {
+        let shared = Arc::make_mut(&mut self.shared);
+        shared.stats.take();
+        shared.batch.take();
+        &mut shared.rows
     }
 
     /// Append a tuple.
@@ -57,67 +122,96 @@ impl Relation {
             self.schema.arity(),
             self.schema.name
         );
-        self.rows.push(row);
+        self.rows_mut().push(row);
     }
 
     /// Remove every occurrence of `row`; returns how many were removed.
     pub fn delete(&mut self, row: &[Value]) -> usize {
-        let before = self.rows.len();
-        self.rows.retain(|r| r.as_slice() != row);
-        before - self.rows.len()
+        // Look before writing: a delete of an absent row must not copy
+        // shared rows or discard a memo that still holds.
+        if !self.iter().any(|r| r.as_slice() == row) {
+            return 0;
+        }
+        let rows = self.rows_mut();
+        let before = rows.len();
+        rows.retain(|r| r.as_slice() != row);
+        before - rows.len()
+    }
+
+    /// Statistics of the current rows, computed on first use and shared
+    /// by every clone until one of them is mutated.
+    pub fn stats(&self) -> Arc<RelStats> {
+        Arc::clone(self.shared.stats.get_or_init(|| Arc::new(RelStats::compute(self))))
+    }
+
+    /// Offer already-known statistics of the current rows (a catalog
+    /// maintains them incrementally) to an empty memo, sparing the next
+    /// [`Relation::stats`] its scan. `stats` must equal
+    /// [`RelStats::compute`] of this relation.
+    pub(crate) fn seed_stats(&self, stats: &Arc<RelStats>) {
+        let _ = self.shared.stats.set(Arc::clone(stats));
+    }
+
+    /// The columnar image of the current rows (see [`ColumnarBatch`]),
+    /// pivoted on first use and shared by every clone until one of them
+    /// is mutated. The row→column pivot — dictionary-encoding every
+    /// string cell in particular — costs about as much as scanning the
+    /// relation, so the vectorized engine must not pay it per evaluation:
+    /// queries against unchanged data, however many catalogs the relation
+    /// was staged into on the way, read one immutable image.
+    pub fn batch(&self) -> Arc<ColumnarBatch> {
+        Arc::clone(self.shared.batch.get_or_init(|| Arc::new(ColumnarBatch::from_relation(self))))
     }
 
     /// Number of tuples (bag cardinality).
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows().len()
     }
 
     /// True when the relation holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows().is_empty()
     }
 
     /// Borrow the rows.
     pub fn rows(&self) -> &[Tuple] {
-        &self.rows
+        &self.shared.rows
     }
 
     /// Iterate over rows.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.rows.iter()
+        self.rows().iter()
     }
 
-    /// Consume into rows.
+    /// Consume into rows: moved out when this is the only handle, cloned
+    /// when the rows are shared.
     pub fn into_rows(self) -> Vec<Tuple> {
-        self.rows
+        Arc::try_unwrap(self.shared).map_or_else(|shared| shared.rows.clone(), |shared| shared.rows)
     }
 
     /// True if `row` occurs at least once.
     pub fn contains(&self, row: &Tuple) -> bool {
-        self.rows.iter().any(|r| r == row)
+        self.iter().any(|r| r == row)
     }
 
     /// Bag-preserving sorted copy: same multiset of rows in a canonical
     /// order. Two evaluations are bag-equivalent iff their `sorted()`
     /// rows are equal — what the differential query oracle compares.
     pub fn sorted(&self) -> Relation {
-        let mut rows = self.rows.clone();
+        let mut rows = self.rows().to_vec();
         rows.sort();
-        Relation { schema: self.schema.clone(), rows }
+        Relation::with_rows(self.schema.clone(), rows)
     }
 
     /// Set-semantics copy: duplicates removed, rows sorted.
     pub fn distinct(&self) -> Relation {
-        let set: BTreeSet<&Tuple> = self.rows.iter().collect();
-        Relation {
-            schema: self.schema.clone(),
-            rows: set.into_iter().cloned().collect(),
-        }
+        let set: BTreeSet<&Tuple> = self.iter().collect();
+        Relation::with_rows(self.schema.clone(), set.into_iter().cloned().collect())
     }
 
     /// The column at attribute position `idx` as a vector.
     pub fn column(&self, idx: usize) -> Vec<&Value> {
-        self.rows.iter().map(|r| &r[idx]).collect()
+        self.iter().map(|r| &r[idx]).collect()
     }
 
     /// Sample up to `n` distinct values of the named attribute — the
@@ -129,7 +223,7 @@ impl Relation {
         };
         let mut seen = BTreeSet::new();
         let mut out = Vec::new();
-        for row in &self.rows {
+        for row in self.iter() {
             if seen.insert(row[idx].clone()) {
                 out.push(row[idx].clone());
                 if out.len() >= n {
@@ -147,7 +241,6 @@ impl fmt::Display for Relation {
         let headers: Vec<&str> = self.schema.attr_names().collect();
         let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
         let rendered: Vec<Vec<String>> = self
-            .rows
             .iter()
             .map(|r| r.iter().map(Value::to_string).collect())
             .collect();
@@ -163,7 +256,7 @@ impl fmt::Display for Relation {
             }
             writeln!(f)
         };
-        writeln!(f, "{} ({} rows)", self.schema.name, self.rows.len())?;
+        writeln!(f, "{} ({} rows)", self.schema.name, self.len())?;
         line(f, &headers.iter().map(|h| h.to_string()).collect::<Vec<_>>())?;
         for row in &rendered {
             line(f, row)?;

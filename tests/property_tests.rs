@@ -106,7 +106,7 @@ fn gen_value(g: &mut Gen) -> Value {
         1 => Value::Bool(g.random_bool(0.5)),
         2 => Value::Int(g.random_range(i32::MIN as i64..i32::MAX as i64 + 1)),
         3 => Value::Float(g.random_range(-1e9f64..1e9)),
-        _ => Value::Str(g.lowercase(0..9)),
+        _ => Value::str(g.lowercase(0..9)),
     }
 }
 
@@ -129,6 +129,34 @@ fn value_ordering_is_total_and_antisymmetric() {
         assert_eq!(&v, &w);
         // Eq consistent with Ord.
         assert_eq!(a == b, a.cmp(&b) == Ordering::Equal);
+    });
+}
+
+/// `Value::Str` holds an `Arc<str>`; it must hash, compare and order
+/// exactly as the owned `String` it replaced did, or `HashMap<Vec<Value>, _>`
+/// join indexes, sorted answers and WAL images would all shift.
+#[test]
+fn string_cells_hash_and_order_as_owned_strings_did() {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    fn hash_of(f: impl FnOnce(&mut DefaultHasher)) -> u64 {
+        let mut h = DefaultHasher::new();
+        f(&mut h);
+        h.finish()
+    }
+    forall(256, |g| {
+        let (a, b) = (g.lowercase(0..6), g.lowercase(0..6));
+        let (va, vb) = (Value::str(&a), Value::from(b.clone()));
+        // The String-era `Hash` impl: the variant tag, then the `String`.
+        let string_era = hash_of(|h| {
+            3u8.hash(h);
+            a.hash(h);
+        });
+        assert_eq!(hash_of(|h| va.hash(h)), string_era);
+        assert_eq!(hash_of(|h| va.clone().hash(h)), string_era, "a clone hashes alike");
+        assert_eq!(va.cmp(&vb), a.cmp(&b));
+        assert_eq!(va == vb, a == b);
+        assert_eq!((va.as_str(), va.to_string()), (Some(a.as_str()), a.clone()));
     });
 }
 
@@ -613,7 +641,7 @@ fn bitmap_rank_select_are_inverse() {
 fn gen_column_values(g: &mut Gen) -> Vec<Value> {
     match g.random_range(0..3u8) {
         0 => g.vec(0..30, |g| Value::Int(g.random_range(-3i64..4))),
-        1 => g.vec(0..30, |g| Value::Str(g.lowercase(0..3))),
+        1 => g.vec(0..30, |g| Value::str(g.lowercase(0..3))),
         _ => g.vec(0..30, |g| gen_value(g)),
     }
 }
@@ -676,6 +704,106 @@ fn columnar_batch_roundtrips_relations() {
                 assert_eq!(&batch.row(i), row, "row({i}) diverged for {name}");
             }
         }
+    });
+}
+
+// ---------------------------------------------------------------------
+// Shared relations: the derived-state memo and copy-on-write snapshots
+// ---------------------------------------------------------------------
+
+/// Every write path of a stored relation, interleaved with snapshots and
+/// reads of the memo, against a plain `Vec` of rows as the model. After
+/// every step the owner's rows are the model's, whatever the memo serves
+/// equals a computation from scratch (so no write path left a stale
+/// statistic or columnar image behind), and every snapshot still held —
+/// including ones written to in the meantime — reads exactly the rows it
+/// had, untouched by the owner and not touching it.
+#[test]
+fn relation_memo_follows_every_write_and_snapshots_stay_put() {
+    use revere::storage::{RelStats, SharedCatalog, Tuple};
+    fn gen_row(g: &mut Gen) -> Tuple {
+        vec![Value::Int(g.random_range(0..3i64)), Value::str(g.lowercase(0..2))]
+    }
+    fn memo_is_fresh(r: &Relation) {
+        assert_eq!(*r.stats(), RelStats::compute(r), "stale statistics");
+        assert_eq!(*r.batch(), ColumnarBatch::from_relation(r), "stale columnar image");
+    }
+    forall(192, |g| {
+        let schema = RelSchema::text("t", &["a", "b"]);
+        let shared = SharedCatalog::new(Catalog::new());
+        shared.write(|c| c.create(schema.clone()));
+        let mut model: Vec<Tuple> = Vec::new();
+        let mut held: Vec<(Relation, Vec<Tuple>)> = Vec::new();
+        for _ in 0..g.random_range(1..48usize) {
+            let row = gen_row(g);
+            match g.random_range(0..11u8) {
+                0 | 1 => {
+                    model.push(row.clone());
+                    assert!(shared.write(|c| c.insert("t", row)));
+                }
+                2 => {
+                    let n = model.iter().filter(|r| **r == row).count();
+                    model.retain(|r| *r != row);
+                    assert_eq!(shared.write(|c| c.delete("t", &row)), n);
+                }
+                3 => {
+                    model.push(row.clone());
+                    shared.write(|c| c.get_mut("t").unwrap().insert(row));
+                }
+                4 => {
+                    model.retain(|r| *r != row);
+                    shared.write(|c| c.get_mut("t").unwrap().delete(&row));
+                }
+                5 => {
+                    shared.write(|c| c.analyze());
+                }
+                6 => {
+                    // Replace the relation: fresh rows, or a snapshot
+                    // taken earlier (the owner then shares *its* rows).
+                    let rel = if held.is_empty() || g.random_bool(0.5) {
+                        Relation::with_rows(schema.clone(), g.vec(0..6, gen_row))
+                    } else {
+                        g.pick(&held).0.clone()
+                    };
+                    model = rel.rows().to_vec();
+                    shared.write(|c| c.register(rel));
+                }
+                7 | 8 => {
+                    let snap = shared.snapshot("t").unwrap();
+                    assert_eq!(snap.rows(), model);
+                    held.push((snap, model.clone()));
+                }
+                9 if !held.is_empty() => {
+                    // A snapshot is a relation of its own: writing to it
+                    // must not reach the owner either.
+                    let k = g.random_range(0..held.len());
+                    held[k].0.insert(row.clone());
+                    held[k].1.push(row);
+                }
+                _ if !held.is_empty() => {
+                    held.swap_remove(g.random_range(0..held.len()));
+                }
+                _ => {}
+            }
+            // Reading the owner's memo fills it; skip that on some steps
+            // so writes meet both a filled and an empty memo.
+            let read_memo = g.random_bool(0.6);
+            shared.read(|c| {
+                let r = c.get("t").unwrap();
+                assert_eq!(r.rows(), model, "owner diverged from the model");
+                if let Some(stats) = c.rel_stats("t") {
+                    assert_eq!(stats, &RelStats::compute(r), "catalog statistics drifted");
+                }
+                if read_memo {
+                    memo_is_fresh(r);
+                }
+            });
+            for (snap, rows) in &held {
+                assert_eq!(snap.rows(), rows, "a held snapshot changed under its holder");
+                memo_is_fresh(snap);
+            }
+        }
+        shared.read(|c| memo_is_fresh(c.get("t").unwrap()));
     });
 }
 
