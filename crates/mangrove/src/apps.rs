@@ -231,6 +231,34 @@ mod tests {
     }
 
     #[test]
+    fn phone_directory_own_space_is_not_a_url_substring() {
+        let mut m = Mangrove::new(MangroveSchema::department());
+        m.publish(
+            "http://univ.edu/~p100/index.html",
+            r#"<body mg:about="person/p100">
+                 <span mg:tag="person.name">Pat Hundred</span>
+                 <span mg:tag="person.phone">555-0100</span>
+               </body>"#,
+        );
+        // Published later, from somebody else's web space: "p100" is a
+        // substring of the URL but p100 does not own it.
+        m.publish(
+            "http://univ.edu/~p1000/index.html",
+            r#"<body mg:about="person/p1000">
+                 <span mg:tag="person.phone">555-1000</span>
+                 <div mg:about="person/p100"><span mg:tag="person.phone">555-6666</span></div>
+               </body>"#,
+        );
+        let dir = PhoneDirectory::default().render(&m.store);
+        let phone_of = |who: &str| {
+            let row = dir.iter().find(|r| r[0] == Value::str(who)).expect("listed");
+            row[2].clone()
+        };
+        assert_eq!(phone_of("person/p100"), Value::str("555-0100"));
+        assert_eq!(phone_of("person/p1000"), Value::str("555-1000"));
+    }
+
+    #[test]
     fn empty_store_renders_empty_views() {
         let store = TripleStore::new();
         assert!(CourseCalendar::default().render(&store).is_empty());

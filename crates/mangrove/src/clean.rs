@@ -31,13 +31,19 @@ pub enum CleaningPolicy {
 
 /// Does `source` look like `subject`'s own web space? The heuristic the
 /// paper implies: the subject identifier's last path component appears in
-/// the source URL (e.g. subject `person/p003` published from
-/// `http://univ.edu/~p003/index.html`).
+/// the source URL as a whole segment — no letter or digit on either side —
+/// so subject `person/p003` owns `http://univ.edu/~p003/index.html` but
+/// not `http://univ.edu/~p0031/`.
 pub fn is_own_source(subject: &str, source: &str) -> bool {
-    match subject.rsplit('/').next() {
-        Some(key) if !key.is_empty() => source.contains(key),
-        _ => false,
-    }
+    let key = subject.rsplit('/').next().unwrap_or_default().as_bytes();
+    let src = source.as_bytes();
+    let edge = |b: Option<&u8>| b.is_none_or(|b| !b.is_ascii_alphanumeric());
+    !key.is_empty()
+        && (0..src.len()).any(|i| {
+            src[i..].starts_with(key)
+                && edge(i.checked_sub(1).map(|j| &src[j]))
+                && edge(src.get(i + key.len()))
+        })
 }
 
 /// Resolve the values of `(subject, predicate)` under a policy.
@@ -177,5 +183,23 @@ mod tests {
         assert!(is_own_source("person/p003", "http://univ.edu/~p003/index.html"));
         assert!(!is_own_source("person/p003", "http://univ.edu/directory.html"));
         assert!(!is_own_source("", "http://univ.edu/x"));
+    }
+
+    #[test]
+    fn own_source_key_is_a_whole_path_segment() {
+        // `htmlgen` ids are `p{i:03}`: p100 is a prefix of p1000..p1009.
+        for other in ["p1000", "p1009", "xp100", "p100x"] {
+            let url = format!("http://univ.edu/~{other}/index.html");
+            assert!(!is_own_source("person/p100", &url), "{url}");
+        }
+        assert!(is_own_source("person/p100", "http://univ.edu/~p100/index.html"));
+        assert!(is_own_source("person/p100", "http://univ.edu/~p100"));
+        assert!(is_own_source("person/p100", "p100.html"));
+        // A later occurrence may be the whole segment.
+        assert!(is_own_source("person/p100", "http://univ.edu/p1000/p100/"));
+        assert!(is_own_source("course/c100", "http://univ.edu/courses/c100.html"));
+        assert!(!is_own_source("course/db", "http://univ.edu/courses/dbms.html"));
+        assert!(!is_own_source("course/db", "http://adb.univ.edu/courses/os.html"));
+        assert!(is_own_source("course/db", "http://univ.edu/courses/db.html"));
     }
 }

@@ -126,8 +126,11 @@ pub fn parse_html(input: &str) -> Document {
         }
         // Raw-text elements: script/style content up to the end tag.
         if name == "script" || name == "style" {
-            let close = format!("</{name}");
-            if let Some(end) = input[i..].to_ascii_lowercase().find(&close) {
+            let close = [b"</", name.as_bytes()].concat();
+            let end = bytes[i..]
+                .windows(close.len())
+                .position(|w| w.eq_ignore_ascii_case(&close));
+            if let Some(end) = end {
                 let content = &input[i..i + end];
                 if !content.trim().is_empty() {
                     doc.add_text(el, content.to_string());
@@ -309,6 +312,32 @@ mod tests {
         let d = parse_html("<script>if (a < b) { x(); }</script><p>after</p>");
         let ps = Path::parse("//p").unwrap().eval(&d, d.root());
         assert_eq!(ps.len(), 1);
+    }
+
+    #[test]
+    fn many_raw_text_blocks_end_at_their_own_close_tag_in_any_case() {
+        // 2 000 blocks: the close tag is searched from each block's start,
+        // never over a lowercased copy of the rest of the page.
+        let mut page = String::from("<body>");
+        for k in 0..2000 {
+            let close = if k % 2 == 0 { "</SCRIPT>" } else { "</ScRiPt >" };
+            page.push_str(&format!("<script>if (é < {k}) {{ \"</b>\" }}{close}<p>p{k}</p>"));
+        }
+        page.push_str("<STYLE>p > b { }</stYLE><i>end</i></body>");
+        let d = parse_html(&page);
+        let scripts = Path::parse("//script").unwrap().eval(&d, d.root());
+        assert_eq!(scripts.len(), 2000);
+        for k in [0, 1, 999, 1999] {
+            assert_eq!(d.text_content(scripts[k]), format!("if (é < {k}) {{ \"</b>\" }}"));
+        }
+        let ps = Path::parse("//p").unwrap().eval(&d, d.root());
+        assert_eq!(ps.len(), 2000);
+        assert_eq!(d.text_content(ps[1999]), "p1999");
+        assert!(Path::parse("//b").unwrap().eval(&d, d.root()).is_empty());
+        let style = Path::parse("//style").unwrap().eval(&d, d.root());
+        assert_eq!(d.text_content(style[0]), "p > b { }");
+        let i = Path::parse("//body/i").unwrap().eval(&d, d.root());
+        assert_eq!(d.text_content(i[0]), "end");
     }
 
     #[test]

@@ -18,6 +18,9 @@ use revere_storage::TripleStore;
 pub struct PublishReport {
     /// Statements stored.
     pub stored: usize,
+    /// Statements of the page's previous version that this publish
+    /// replaced: with `stored`, the publish's write amplification.
+    pub retracted: usize,
     /// Tags used on the page but not declared in the schema. They are
     /// *still stored* — applications decide what to trust — but reported
     /// back to the author, the way the paper's tool surfaces schema
@@ -65,19 +68,19 @@ pub fn publish_page(
     let (statements, issues) = extract_statements(html);
     let mut undeclared: Vec<String> = statements
         .iter()
+        .filter(|s| !schema.declares(&s.predicate))
         .map(|s| s.predicate.clone())
-        .filter(|p| !schema.declares(p))
         .collect();
     undeclared.sort();
     undeclared.dedup();
     let stored = statements.len();
-    store.republish(
+    let retracted = store.republish(
         url,
         statements
             .into_iter()
             .map(|s| (s.subject, s.predicate, s.object)),
     );
-    PublishReport { stored, undeclared_tags: undeclared, issues }
+    PublishReport { stored, retracted, undeclared_tags: undeclared, issues }
 }
 
 #[cfg(test)]
@@ -111,8 +114,8 @@ mod tests {
     #[test]
     fn republish_replaces_old_statements() {
         let mut m = Mangrove::new(MangroveSchema::department());
-        m.publish("http://u/ada", &page("555-0001"));
-        m.publish("http://u/ada", &page("555-0002"));
+        assert_eq!(m.publish("http://u/ada", &page("555-0001")).retracted, 0);
+        assert_eq!(m.publish("http://u/ada", &page("555-0002")).retracted, 2);
         let phones = m
             .store
             .query((Some("person/ada"), Some("person.phone"), None));

@@ -45,7 +45,7 @@ pub use index::HashIndex;
 pub use relation::{Relation, Tuple};
 pub use schema::{AttrType, Attribute, DbSchema, RelSchema};
 pub use stats::{mcv_join_overlap, ColumnStats, JoinObservation, JoinStats, RelStats};
-pub use triples::{Triple, TripleStore};
+pub use triples::{Occupancy, Triple, TripleStore};
 pub use value::Value;
 pub use wal::{
     decode_catalog, encode_catalog, recover_catalog, row_deltas, Journal, Lsn, RecoveryReport,

@@ -8,15 +8,29 @@
 //!
 //! A [`Triple`] is `(subject, predicate, object)` plus its provenance: the
 //! source URL it was published from and the logical publish time. The store
-//! maintains SP/PO/OS hash indexes so any single- or double-bound pattern is
-//! answered without a scan, and supports *republish* semantics — publishing
-//! a page replaces all triples previously published from that URL, which is
-//! what makes MANGROVE's instant-gratification loop work.
+//! supports *republish* semantics — publishing a page replaces all triples
+//! previously published from that URL, which is what makes MANGROVE's
+//! instant-gratification loop work — and everything it keeps is live:
+//!
+//! * triples sit in a slab; a retracted triple's slot goes on a free list
+//!   and the next insert takes it, so the slab is as long as the largest
+//!   number of triples ever live at once;
+//! * subject and predicate names are interned to `u32`. The subject index
+//!   holds `(predicate id, slot)` per live triple, so an `(S, P, ?)` pattern
+//!   is one probe that dereferences only the matching triples; the
+//!   predicate index holds `subject id → live count`, so
+//!   [`TripleStore::subjects_with`] enumerates keys; the object and source
+//!   indexes hold slots;
+//! * retraction removes a triple from every index it is in, so no read
+//!   ever meets a dead entry and no cost depends on when
+//!   [`TripleStore::compact`] last ran.
 
 use crate::relation::Relation;
 use crate::schema::RelSchema;
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One edge of the annotation graph, with provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,16 +50,78 @@ pub struct Triple {
 /// A query pattern: each position either bound or free.
 pub type Pattern<'a> = (Option<&'a str>, Option<&'a str>, Option<&'a Value>);
 
+/// Names interned to dense ids, each id carrying an index entry `T`. A
+/// name whose entry has emptied keeps its id until [`TripleStore::compact`].
+#[derive(Debug, Clone)]
+struct Names<T> {
+    ids: HashMap<Arc<str>, u32>,
+    entries: Vec<(Arc<str>, T)>,
+}
+
+impl<T> Default for Names<T> {
+    fn default() -> Self {
+        Names { ids: HashMap::new(), entries: Vec::new() }
+    }
+}
+
+impl<T: Default> Names<T> {
+    fn id(&self, name: &str) -> Option<u32> {
+        self.ids.get(name).copied()
+    }
+
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(id) = self.id(name) {
+            return id;
+        }
+        let id = u32::try_from(self.entries.len()).expect("fewer than 2^32 names");
+        let name: Arc<str> = name.into();
+        self.entries.push((name.clone(), T::default()));
+        self.ids.insert(name, id);
+        id
+    }
+
+    fn entry(&self, id: u32) -> &T {
+        &self.entries[id as usize].1
+    }
+
+    fn entry_mut(&mut self, id: u32) -> &mut T {
+        &mut self.entries[id as usize].1
+    }
+}
+
+/// `(predicate id, slot)` of each live triple of one subject.
+type SubjectEntry = Vec<(u32, u32)>;
+/// `subject id → live triples carrying the pair` for one predicate.
+type PredicateEntry = HashMap<u32, u32>;
+
+/// How much a [`TripleStore`] holds, part by part. With nothing dead
+/// reachable, every `*_entries` field equals [`TripleStore::len`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Occupancy {
+    /// Slab slots, live and free.
+    pub slots: usize,
+    /// Entries over all subjects' lists.
+    pub subject_entries: usize,
+    /// Live counts summed over all `(predicate, subject)` pairs.
+    pub predicate_entries: usize,
+    /// Entries over all objects' lists.
+    pub object_entries: usize,
+    /// Entries over all sources' lists.
+    pub source_entries: usize,
+    /// Interned subject and predicate names, used or not.
+    pub names: usize,
+}
+
 /// The annotation repository.
 #[derive(Debug, Default, Clone)]
 pub struct TripleStore {
-    triples: Vec<Option<Triple>>, // tombstoned on delete
-    live: usize,
+    slots: Vec<Option<Triple>>, // `None` exactly for the slots in `free`
+    free: Vec<u32>,
     clock: u64,
-    by_subject: HashMap<String, Vec<usize>>,
-    by_predicate: HashMap<String, Vec<usize>>,
-    by_object: HashMap<Value, Vec<usize>>,
-    by_source: HashMap<String, Vec<usize>>,
+    subjects: Names<SubjectEntry>,
+    predicates: Names<PredicateEntry>,
+    by_object: HashMap<Value, Vec<u32>>,
+    by_source: HashMap<String, Vec<u32>>,
 }
 
 impl TripleStore {
@@ -56,12 +132,12 @@ impl TripleStore {
 
     /// Number of live triples.
     pub fn len(&self) -> usize {
-        self.live
+        self.slots.len() - self.free.len()
     }
 
     /// True when the store holds no live triples.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
     /// Current logical clock (advances on every publish).
@@ -85,104 +161,162 @@ impl TripleStore {
             source: source.into(),
             published_at: self.clock,
         };
-        let idx = self.triples.len();
-        self.by_subject.entry(t.subject.clone()).or_default().push(idx);
-        self.by_predicate.entry(t.predicate.clone()).or_default().push(idx);
-        self.by_object.entry(t.object.clone()).or_default().push(idx);
-        self.by_source.entry(t.source.clone()).or_default().push(idx);
-        self.triples.push(Some(t));
-        self.live += 1;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 triples")
+        });
+        Self::index_names(&mut self.subjects, &mut self.predicates, &t, slot);
+        self.by_object.entry(t.object.clone()).or_default().push(slot);
+        match self.by_source.get_mut(&t.source) {
+            Some(slots) => slots.push(slot),
+            None => {
+                self.by_source.insert(t.source.clone(), vec![slot]);
+            }
+        }
+        self.slots[slot as usize] = Some(t);
         self.clock
+    }
+
+    fn index_names(
+        subjects: &mut Names<SubjectEntry>,
+        predicates: &mut Names<PredicateEntry>,
+        t: &Triple,
+        slot: u32,
+    ) {
+        let s = subjects.intern(&t.subject);
+        let p = predicates.intern(&t.predicate);
+        subjects.entry_mut(s).push((p, slot));
+        *predicates.entry_mut(p).entry(s).or_insert(0) += 1;
     }
 
     /// Replace everything previously published from `source` with the given
     /// `(subject, predicate, object)` statements — the semantics of a user
-    /// hitting "publish" in the MANGROVE annotation tool.
+    /// hitting "publish" in the MANGROVE annotation tool. Returns how many
+    /// triples the previous version had.
     pub fn republish(
         &mut self,
         source: &str,
         statements: impl IntoIterator<Item = (String, String, Value)>,
-    ) {
-        self.retract_source(source);
+    ) -> usize {
+        let retracted = self.retract_source(source);
         for (s, p, o) in statements {
             self.insert(s, p, o, source);
         }
+        retracted
     }
 
     /// Remove all triples from a source (page deleted). Returns the count.
+    /// Costs the page's statements, each times the length of its subject's
+    /// and its object's list.
     pub fn retract_source(&mut self, source: &str) -> usize {
-        let Some(idxs) = self.by_source.get(source) else {
+        let Some(slots) = self.by_source.remove(source) else {
             return 0;
         };
-        let mut removed = 0;
-        for &i in idxs.clone().iter() {
-            if self.triples[i].is_some() {
-                self.triples[i] = None;
-                self.live -= 1;
-                removed += 1;
+        for &slot in &slots {
+            let t = self.slots[slot as usize].take().expect("the source index holds live slots");
+            self.free.push(slot);
+            let s = self.subjects.id(&t.subject).expect("a live triple's subject is interned");
+            let p = self.predicates.id(&t.predicate).expect("a live triple's predicate is interned");
+            self.subjects.entry_mut(s).retain(|&(_, at)| at != slot);
+            if let Entry::Occupied(mut count) = self.predicates.entry_mut(p).entry(s) {
+                *count.get_mut() -= 1;
+                if *count.get() == 0 {
+                    count.remove();
+                }
+            }
+            if let Entry::Occupied(mut at) = self.by_object.entry(t.object) {
+                at.get_mut().retain(|&at| at != slot);
+                if at.get().is_empty() {
+                    at.remove();
+                }
             }
         }
-        self.by_source.remove(source);
-        removed
+        slots.len()
     }
 
-    /// All live triples matching a pattern. Uses whichever bound position
-    /// has an index; a fully-free pattern scans.
+    fn at(&self, slot: u32) -> &Triple {
+        self.slots[slot as usize].as_ref().expect("indexes hold live slots")
+    }
+
+    /// All live triples matching a pattern, oldest first. A bound subject
+    /// is one probe of the subject index (narrowed by predicate id before
+    /// any triple is touched); otherwise a bound object probes the object
+    /// index, a lone predicate walks its subjects' lists, and a fully-free
+    /// pattern scans the slab.
     pub fn query(&self, pattern: Pattern<'_>) -> Vec<&Triple> {
-        let (s, p, o) = pattern;
-        let candidates: Box<dyn Iterator<Item = usize> + '_> = if let Some(s) = s {
-            match self.by_subject.get(s) {
-                Some(v) => Box::new(v.iter().copied()),
-                None => return Vec::new(),
+        let mut out: Vec<&Triple> = match pattern {
+            (Some(s), p, o) => {
+                let Some(s) = self.subjects.id(s) else {
+                    return Vec::new();
+                };
+                let p = match p.map(|p| self.predicates.id(p)) {
+                    Some(None) => return Vec::new(), // a predicate nobody published
+                    p => p.flatten(),
+                };
+                self.subjects
+                    .entry(s)
+                    .iter()
+                    .filter(|&&(q, _)| p.is_none_or(|p| p == q))
+                    .map(|&(_, slot)| self.at(slot))
+                    .filter(|t| o.is_none_or(|o| &t.object == o))
+                    .collect()
             }
-        } else if let Some(p) = p {
-            match self.by_predicate.get(p) {
-                Some(v) => Box::new(v.iter().copied()),
-                None => return Vec::new(),
+            (None, p, Some(o)) => self
+                .by_object
+                .get(o)
+                .into_iter()
+                .flatten()
+                .map(|&slot| self.at(slot))
+                .filter(|t| p.is_none_or(|p| t.predicate == p))
+                .collect(),
+            (None, Some(p), None) => {
+                let Some(p) = self.predicates.id(p) else {
+                    return Vec::new();
+                };
+                self.predicates
+                    .entry(p)
+                    .keys()
+                    .flat_map(|&s| self.subjects.entry(s))
+                    .filter(|&&(q, _)| q == p)
+                    .map(|&(_, slot)| self.at(slot))
+                    .collect()
             }
-        } else if let Some(o) = o {
-            match self.by_object.get(o) {
-                Some(v) => Box::new(v.iter().copied()),
-                None => return Vec::new(),
-            }
-        } else {
-            Box::new(0..self.triples.len())
+            (None, None, None) => self.slots.iter().flatten().collect(),
         };
-        candidates
-            .filter_map(|i| self.triples[i].as_ref())
-            .filter(|t| {
-                s.is_none_or(|s| t.subject == s)
-                    && p.is_none_or(|p| t.predicate == p)
-                    && o.is_none_or(|o| &t.object == o)
-            })
-            .collect()
-    }
-
-    /// Distinct subjects having the given predicate.
-    pub fn subjects_with(&self, predicate: &str) -> Vec<&str> {
-        let mut out: Vec<&str> = self
-            .query((None, Some(predicate), None))
-            .into_iter()
-            .map(|t| t.subject.as_str())
-            .collect();
-        out.sort();
-        out.dedup();
+        // Freed slots are reused, so slot order is not publish order.
+        out.sort_unstable_by_key(|t| t.published_at);
         out
     }
 
-    /// All live triples published from `source`.
+    /// Distinct subjects having the given predicate, sorted.
+    pub fn subjects_with(&self, predicate: &str) -> Vec<&str> {
+        let Some(p) = self.predicates.id(predicate) else {
+            return Vec::new();
+        };
+        let mut out: Vec<&str> = self
+            .predicates
+            .entry(p)
+            .keys()
+            .map(|&s| &*self.subjects.entries[s as usize].0)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// All live triples published from `source`, oldest first (a source's
+    /// list grows in publish order and is only ever removed whole).
     pub fn from_source(&self, source: &str) -> Vec<&Triple> {
         self.by_source
             .get(source)
             .into_iter()
             .flatten()
-            .filter_map(|&i| self.triples[i].as_ref())
+            .map(|&slot| self.at(slot))
             .collect()
     }
 
-    /// Iterate over all live triples.
+    /// Iterate over all live triples, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Triple> {
-        self.triples.iter().filter_map(Option::as_ref)
+        self.query((None, None, None)).into_iter()
     }
 
     /// Expose the graph as a 5-column relation
@@ -215,23 +349,42 @@ impl TripleStore {
         Relation::with_rows(schema, rows)
     }
 
-    /// Rebuild index vectors, dropping tombstones. Called by long-running
-    /// apps after heavy republish churn.
+    /// Forget the subject and predicate names no live triple uses any more
+    /// (their ids are renumbered, so both name-keyed indexes are rebuilt —
+    /// only when there is such a name), and give back spare capacity.
+    /// Nothing else accumulates: no query, publish or memory figure depends
+    /// on calling this.
     pub fn compact(&mut self) {
-        let live: Vec<Triple> = self.triples.drain(..).flatten().collect();
-        self.by_subject.clear();
-        self.by_predicate.clear();
-        self.by_object.clear();
-        self.by_source.clear();
-        self.live = 0;
-        for t in live {
-            let idx = self.triples.len();
-            self.by_subject.entry(t.subject.clone()).or_default().push(idx);
-            self.by_predicate.entry(t.predicate.clone()).or_default().push(idx);
-            self.by_object.entry(t.object.clone()).or_default().push(idx);
-            self.by_source.entry(t.source.clone()).or_default().push(idx);
-            self.triples.push(Some(t));
-            self.live += 1;
+        let unused = self.subjects.entries.iter().any(|(_, e)| e.is_empty())
+            || self.predicates.entries.iter().any(|(_, e)| e.is_empty());
+        if unused {
+            self.subjects = Names::default();
+            self.predicates = Names::default();
+            for (slot, t) in self.slots.iter().enumerate() {
+                if let Some(t) = t {
+                    Self::index_names(&mut self.subjects, &mut self.predicates, t, slot as u32);
+                }
+            }
+        }
+        self.slots.shrink_to_fit();
+        self.free.shrink_to_fit();
+    }
+
+    /// Sizes of the slab and of each index (see [`Occupancy`]).
+    pub fn occupancy(&self) -> Occupancy {
+        Occupancy {
+            slots: self.slots.len(),
+            subject_entries: self.subjects.entries.iter().map(|(_, e)| e.len()).sum(),
+            predicate_entries: self
+                .predicates
+                .entries
+                .iter()
+                .flat_map(|(_, e)| e.values())
+                .map(|&n| n as usize)
+                .sum(),
+            object_entries: self.by_object.values().map(Vec::len).sum(),
+            source_entries: self.by_source.values().map(Vec::len).sum(),
+            names: self.subjects.entries.len() + self.predicates.entries.len(),
         }
     }
 }
@@ -324,6 +477,40 @@ mod tests {
         let before = s.now();
         s.insert("x", "y", "z", "src");
         assert!(s.now() > before);
+    }
+
+    #[test]
+    fn republish_reuses_the_slots_it_frees() {
+        let mut s = store();
+        for round in 0..100 {
+            let phone = Value::str(format!("555-{round:04}"));
+            let retracted = s.republish(
+                "http://uw.edu/alice",
+                vec![("alice".into(), "person.phone".into(), phone.clone())],
+            );
+            assert_eq!(retracted, 1);
+            let phones = s.query((Some("alice"), Some("person.phone"), None));
+            assert_eq!(phones.len(), 2);
+            // Oldest first, although the new triple sits in a reused slot.
+            assert_eq!(phones[0].source, "http://other.org/alice");
+            assert_eq!(phones[1].object, phone);
+        }
+        let o = s.occupancy();
+        assert_eq!((o.slots, o.subject_entries, o.object_entries), (4, 4, 4));
+        assert_eq!(s.now(), 104, "every statement still gets its own tick");
+    }
+
+    #[test]
+    fn compact_forgets_names_no_live_triple_uses() {
+        let mut s = store();
+        assert_eq!(s.occupancy().names, 2 + 3);
+        s.retract_source("http://uw.edu/db");
+        assert_eq!(s.occupancy().names, 2 + 3, "names outlive their triples until compact");
+        s.compact();
+        assert_eq!(s.occupancy().names, 1 + 1);
+        assert_eq!(s.subjects_with("person.phone"), vec!["alice"]);
+        assert!(s.subjects_with("course.title").is_empty());
+        assert_eq!(s.query((None, Some("person.phone"), None)).len(), 2);
     }
 
     #[test]

@@ -90,6 +90,23 @@ for seed in ${REVERE_CACHE_SEEDS:-7 42 1003 1 2}; do
     REVERE_CACHE_SEED="$seed" cargo test -q --offline -p revere --test differential_cache
 done
 
+# Ingestion gate: random schedules of insert / republish / retract /
+# compact against a `Vec<Triple>` model — every read equals the model's
+# filter in publish order, every index holds exactly the live triples and
+# the slab never outgrows the peak live count, compacted or not — and
+# fifty revision rounds of a generated site must render, in all three
+# applications, what a store built fresh from the final pages renders.
+# Override the seed set with REVERE_TRIPLES_SEEDS="1 2 3" scripts/verify.sh
+for seed in ${REVERE_TRIPLES_SEEDS:-7 42 1003}; do
+    echo "ingestion gate: seed $seed"
+    REVERE_TRIPLES_SEED="$seed" cargo test -q --offline -p revere --test property_tests triple_store
+done
+
+# E4 + E5 smokes: the MANGROVE experiments must run end to end (publish
+# vs crawl staleness; the cleaning policies under dirt).
+cargo run --release --offline -p revere-bench --bin report E4
+cargo run --release --offline -p revere-bench --bin report E5
+
 # E16 smoke: the durability experiment must run end to end — its sweep
 # asserts byte-identical convergence and suffix-bounded recovery for
 # every built-in crash seed, and reports recovery latency and

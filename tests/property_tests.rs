@@ -17,7 +17,7 @@ use revere::query::{eval_cq, rewrite_using_views};
 use revere::storage::{Catalog, Relation};
 use revere::xml::{parse as parse_xml, to_string, Document, NodeId};
 use revere_util::prop::{forall, Gen};
-use revere_util::RngExt;
+use revere_util::{RngCore, RngExt};
 
 // ---------------------------------------------------------------------
 // XML generators
@@ -575,6 +575,229 @@ fn triple_store_republish_is_idempotent() {
             let scanned = store.iter().filter(|t| &t.subject == s).count();
             assert_eq!(indexed, scanned);
         }
+    });
+}
+
+/// Run seed for the triple-store properties, from `REVERE_TRIPLES_SEED`
+/// (default 7); `scripts/verify.sh` sweeps `REVERE_TRIPLES_SEEDS`.
+fn triples_gen(g: &mut Gen) -> Gen {
+    let seed: u64 = std::env::var("REVERE_TRIPLES_SEED")
+        .ok()
+        .and_then(|s| s.trim().parse().ok())
+        .unwrap_or(7);
+    Gen::from_seed(g.next_u64() ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// The store holds exactly its live triples: every index has one entry per
+/// live triple and the slab never outgrew the most that were ever live.
+fn assert_nothing_dead(store: &revere::storage::TripleStore, peak_live: usize) {
+    let o = store.occupancy();
+    let live = store.len();
+    assert!(o.slots <= peak_live, "{} slots for a peak of {peak_live} live triples", o.slots);
+    assert_eq!(
+        [o.subject_entries, o.predicate_entries, o.object_entries, o.source_entries],
+        [live; 4],
+        "an index holds something other than the live triples"
+    );
+}
+
+/// Random schedules of every write the store has, against a `Vec<Triple>`
+/// in publish order as the model. After every step every read equals the
+/// model's filter, oldest first, and nothing dead is kept — whether or not
+/// the schedule ever calls `compact()`.
+#[test]
+fn triple_store_agrees_with_a_vec_model_and_keeps_nothing_dead() {
+    use revere::storage::{Triple, TripleStore};
+    const SUBJECTS: [&str; 4] = ["course/a", "course/b", "person/a", "person/b"];
+    const PREDICATES: [&str; 3] = ["x.title", "x.phone", "x.room"];
+    const SOURCES: [&str; 4] = ["http://u/0", "http://u/1", "http://u/2", "http://u/3"];
+    fn gen_object(g: &mut Gen) -> Value {
+        match g.random_range(0..5u8) {
+            0 => Value::Int(g.random_range(0..2i64)),
+            _ => Value::str(g.string_from("xyz", 1..2)),
+        }
+    }
+    forall(128, |g| {
+        let g = &mut triples_gen(g);
+        let mut store = TripleStore::new();
+        let mut model: Vec<Triple> = Vec::new();
+        let (mut clock, mut peak, mut minted) = (0u64, 0usize, 0usize);
+        let compacts = g.random_bool(0.5);
+        for _ in 0..g.random_range(1..40usize) {
+            // A subject from the pool, or one nobody has used before: the
+            // vocabulary `compact()` has to keep up with.
+            let mut gen_statement = |g: &mut Gen| {
+                let subject = if g.random_bool(0.15) {
+                    minted += 1;
+                    format!("person/n{minted}")
+                } else {
+                    g.pick(&SUBJECTS).to_string()
+                };
+                (subject, g.pick(&PREDICATES).to_string(), gen_object(g))
+            };
+            let source = *g.pick(&SOURCES);
+            let mut publish = |model: &mut Vec<Triple>, (subject, predicate, object)| {
+                clock += 1;
+                let source = source.to_string();
+                model.push(Triple { subject, predicate, object, source, published_at: clock });
+                peak = peak.max(model.len());
+            };
+            match g.random_range(0..10u8) {
+                0..=2 => {
+                    let (s, p, o) = gen_statement(g);
+                    publish(&mut model, (s.clone(), p.clone(), o.clone()));
+                    assert_eq!(store.insert(s, p, o, source), clock);
+                }
+                3..=6 => {
+                    let statements = g.vec(0..6, &mut gen_statement);
+                    let before = model.len();
+                    model.retain(|t| t.source != source);
+                    assert_eq!(store.republish(source, statements.clone()), before - model.len());
+                    statements.into_iter().for_each(|s| publish(&mut model, s));
+                }
+                7 | 8 => {
+                    let before = model.len();
+                    model.retain(|t| t.source != source);
+                    assert_eq!(store.retract_source(source), before - model.len());
+                }
+                _ if compacts => {
+                    store.compact();
+                    let mut names: Vec<&str> = model
+                        .iter()
+                        .flat_map(|t| [t.subject.as_str(), t.predicate.as_str()])
+                        .collect();
+                    names.sort();
+                    names.dedup();
+                    assert_eq!(store.occupancy().names, names.len(), "compact kept a dead name");
+                }
+                _ => {}
+            }
+
+            assert_eq!(store.len(), model.len());
+            assert_eq!(store.is_empty(), model.is_empty());
+            assert_eq!(store.now(), clock);
+            assert_nothing_dead(&store, peak);
+            assert_eq!(store.iter().collect::<Vec<_>>(), model.iter().collect::<Vec<_>>());
+            let rows: Vec<Vec<Value>> = model
+                .iter()
+                .map(|t| {
+                    vec![
+                        Value::str(&t.subject),
+                        Value::str(&t.predicate),
+                        t.object.clone(),
+                        Value::str(&t.source),
+                        Value::Int(t.published_at as i64),
+                    ]
+                })
+                .collect();
+            assert_eq!(store.as_relation().rows(), rows);
+            for source in SOURCES.iter().chain(&["http://u/never"]) {
+                let expect: Vec<&Triple> = model.iter().filter(|t| t.source == *source).collect();
+                assert_eq!(store.from_source(source), expect, "from_source({source})");
+            }
+            // All eight patterns, each position free, bound to every name
+            // in use, and bound to a name nobody published.
+            let minted_last = format!("person/n{minted}");
+            let subjects: Vec<Option<&str>> = SUBJECTS
+                .iter()
+                .copied()
+                .chain([minted_last.as_str(), "nobody"])
+                .map(Some)
+                .chain([None])
+                .collect();
+            let predicates: Vec<Option<&str>> =
+                PREDICATES.iter().copied().chain(["x.none"]).map(Some).chain([None]).collect();
+            let objects = [Value::Int(0), Value::Int(1), Value::str("x"), Value::str("y"), Value::str("q")];
+            let objects: Vec<Option<&Value>> = objects.iter().map(Some).chain([None]).collect();
+            for &s in &subjects {
+                for &p in &predicates {
+                    for &o in &objects {
+                        let expect: Vec<&Triple> = model
+                            .iter()
+                            .filter(|t| {
+                                s.is_none_or(|s| t.subject == s)
+                                    && p.is_none_or(|p| t.predicate == p)
+                                    && o.is_none_or(|o| &t.object == o)
+                            })
+                            .collect();
+                        assert_eq!(store.query((s, p, o)), expect, "query({s:?}, {p:?}, {o:?})");
+                    }
+                }
+            }
+            for p in PREDICATES.iter().chain(&["x.none"]) {
+                let mut expect: Vec<&str> = model
+                    .iter()
+                    .filter(|t| t.predicate == *p)
+                    .map(|t| t.subject.as_str())
+                    .collect();
+                expect.sort();
+                expect.dedup();
+                assert_eq!(store.subjects_with(p), expect, "subjects_with({p})");
+            }
+        }
+    });
+}
+
+/// Fifty rounds of revisions to a generated site, `compact()` never
+/// called: the applications render what a store built from scratch from
+/// each page's final version renders, and the churned store is no bigger.
+#[test]
+fn triple_store_after_fifty_republish_rounds_renders_as_if_built_fresh() {
+    use revere::mangrove::apps::{CourseCalendar, PhoneDirectory, WhosWho};
+    use revere::mangrove::{Mangrove, MangroveSchema};
+    use revere::workload::DirtSpec;
+    forall(2, |g| {
+        let g = &mut triples_gen(g);
+        // Three revisions of one site: same URLs and subjects, other values
+        // and other lies in the directories.
+        let revisions: Vec<Vec<_>> = (0..3)
+            .map(|_| {
+                PageGenerator {
+                    seed: g.next_u64(),
+                    courses: 30,
+                    people: 40,
+                    dirt: DirtSpec { conflict_prob: 0.3, secondary_pages: 3 },
+                }
+                .generate()
+            })
+            .collect();
+        let pages = revisions[0].len();
+        let mut churned = Mangrove::new(MangroveSchema::department());
+        // Per page: when it was last published, which revision, and how
+        // many statements that stored.
+        let mut last = vec![(0usize, 0usize, 0usize); pages];
+        let (mut tick, mut peak) = (0usize, 0usize);
+        for round in 0..=50 {
+            let slice: Vec<usize> = if round == 0 {
+                (0..pages).collect()
+            } else {
+                (0..g.random_range(1..pages / 2)).map(|_| g.random_range(0..pages)).collect()
+            };
+            for p in slice {
+                let revision = g.random_range(0..revisions.len());
+                let page = &revisions[revision][p];
+                let report = churned.publish(&page.url, &page.html);
+                assert_eq!(report.retracted, last[p].2, "{}", page.url);
+                tick += 1;
+                last[p] = (tick, revision, report.stored);
+                peak = peak.max(churned.store.len());
+            }
+            assert_eq!(churned.store.len(), last.iter().map(|l| l.2).sum::<usize>());
+            assert_nothing_dead(&churned.store, peak);
+        }
+        // Freshest and majority ties go by publish time: publish the final
+        // versions in the order the churned store last saw them.
+        let mut order: Vec<usize> = (0..pages).collect();
+        order.sort_by_key(|&p| last[p].0);
+        let mut fresh = Mangrove::new(MangroveSchema::department());
+        for p in order {
+            let page = &revisions[last[p].1][p];
+            fresh.publish(&page.url, &page.html);
+        }
+        let (a, b) = (&churned.store, &fresh.store);
+        assert_eq!(CourseCalendar::default().render(a), CourseCalendar::default().render(b));
+        assert_eq!(WhosWho::default().render(a), WhosWho::default().render(b));
+        assert_eq!(PhoneDirectory::default().render(a), PhoneDirectory::default().render(b));
     });
 }
 
