@@ -1,19 +1,19 @@
-//! Bench (in-repo harness) for E18: the vectorized columnar engine vs the
-//! row engine on the kernels the experiment gates — filtered scans and
-//! hash self-joins over a synthetic fact table, timed both as the
-//! bindings-only kernel (`eval_cq_bindings_mode`, what `report E18`
-//! asserts on) and as the full evaluation including answer
-//! materialization.
+//! Bench (in-repo harness) for the columnar join engine: filtered scans
+//! and hash self-joins over a synthetic fact table, timed both as the
+//! bindings-only kernel ([`eval_bindings`]) and as the full evaluation
+//! including answer materialization ([`eval_planned`]). Absolute times;
+//! the per-layer trajectory lives in `revere-e2e`
+//! (`query.vec.kernel_self_us_per_op`).
 
 use revere_query::parse::parse_query;
 use revere_query::plan::plan_cq;
-use revere_query::{eval_cq_bag_profiled_obs_mode, eval_cq_bindings_mode, ExecMode};
+use revere_query::{eval_bindings, eval_planned};
 use revere_storage::{Attribute, Catalog, RelSchema, Relation, Value};
-use revere_util::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use revere_util::criterion::{criterion_group, criterion_main, Criterion};
 use revere_util::obs::{Obs, SpanHandle};
 
-/// `fact(key Int, tag Str, val Int)` — the E18 operator-sweep shape at
-/// bench scale: 1024 join keys, 16 tags, 300 values.
+/// `fact(key Int, tag Str, val Int)`: 1024 join keys, 16 tags, 300
+/// values.
 fn fact_catalog(rows: usize) -> Catalog {
     let mut r = Relation::new(RelSchema::new(
         "fact",
@@ -43,42 +43,30 @@ fn bench_vec_exec(c: &mut Criterion) {
     for (name, text) in queries {
         let q = parse_query(text).expect("bench query parses");
         let plan = plan_cq(&q, &catalog);
-        for mode in [ExecMode::Row, ExecMode::Vectorized] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("bindings/{name}"), mode),
-                &mode,
-                |b, &mode| {
-                    b.iter(|| {
-                        eval_cq_bindings_mode(
-                            &q,
-                            &plan,
-                            std::hint::black_box(&catalog),
-                            &Obs::disabled(),
-                            &SpanHandle::none(),
-                            mode,
-                        )
-                        .expect("bench query evaluates")
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("full/{name}"), mode),
-                &mode,
-                |b, &mode| {
-                    b.iter(|| {
-                        eval_cq_bag_profiled_obs_mode(
-                            &q,
-                            &plan,
-                            std::hint::black_box(&catalog),
-                            &Obs::disabled(),
-                            &SpanHandle::none(),
-                            mode,
-                        )
-                        .expect("bench query evaluates")
-                    })
-                },
-            );
-        }
+        group.bench_function(format!("bindings/{name}"), |b| {
+            b.iter(|| {
+                eval_bindings(
+                    &q,
+                    &plan,
+                    std::hint::black_box(&catalog),
+                    &Obs::disabled(),
+                    &SpanHandle::none(),
+                )
+                .expect("bench query evaluates")
+            })
+        });
+        group.bench_function(format!("full/{name}"), |b| {
+            b.iter(|| {
+                eval_planned(
+                    &q,
+                    &plan,
+                    std::hint::black_box(&catalog),
+                    &Obs::disabled(),
+                    &SpanHandle::none(),
+                )
+                .expect("bench query evaluates")
+            })
+        });
     }
     group.finish();
 }

@@ -18,7 +18,7 @@ fn main() {
         ids.iter()
             .flat_map(|id| {
                 experiments::run_one(id)
-                    .unwrap_or_else(|| panic!("unknown experiment {id:?} (use E1..E18)"))
+                    .unwrap_or_else(|| panic!("unknown experiment {id:?} (use E1..E17, E19)"))
             })
             .collect()
     };

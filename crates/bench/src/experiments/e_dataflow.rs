@@ -2,11 +2,14 @@
 
 use crate::fixtures::big_relation;
 use crate::table::{f2, ms, Table};
-use revere_pdms::{apply_updategrams, IvmStrategy, MaterializedView, PdmsNetwork, Peer, Updategram};
+use revere_pdms::{
+    apply_updategrams, derivation_deltas_readonly, MaterializedView, PdmsNetwork, Peer, Updategram,
+};
 use revere_query::dataflow::{Circuit, DeltaBatch};
 use revere_query::plan::plan_cq;
-use revere_query::{eval_cq_bag_planned, parse_query};
+use revere_query::{eval_planned, parse_query};
 use revere_storage::{Catalog, Value};
+use revere_util::obs::{Obs, SpanHandle};
 use std::time::Instant;
 
 /// E17a — O(|Δ|) refresh: a circuit's per-update cost is a function of
@@ -68,7 +71,8 @@ pub fn e17_dataflow_scaling() -> Table {
 
         // What each update would have cost without the circuit.
         let start = Instant::now();
-        let fresh = eval_cq_bag_planned(&q, &plan, &mirror).unwrap();
+        let (fresh, _) =
+            eval_planned(&q, &plan, &mirror, &Obs::disabled(), &SpanHandle::none()).unwrap();
         let recompute = start.elapsed();
         assert_eq!(circuit.output_bag().rows(), fresh.sorted().rows(), "circuit drifted");
 
@@ -120,10 +124,12 @@ fn feed_grams(domain: i64) -> Vec<Updategram> {
 
 /// E17b — refresh latency under subscriber fan-out: the same update
 /// stream served to N continuous queries by delta-dataflow circuits
-/// ([`IvmStrategy::Dataflow`]), counting IVM ([`IvmStrategy::Counting`],
-/// whose delta queries rescan the base), and invalidate-and-recompute
-/// (every subscriber refreshes from scratch after every gram). Setup
-/// (subscribe/initial refresh) is excluded; the table times the stream.
+/// ([`PdmsNetwork::subscribe_str`]), counting IVM (a [`MaterializedView`]
+/// per subscriber fed the incremental path of `maintain` — delta queries
+/// that rescan the base), and invalidate-and-recompute (every subscriber
+/// refreshes from scratch after every gram). The two view baselines share
+/// one base catalog, written once per gram. Setup (subscribe/initial
+/// refresh) is excluded; the table times the stream.
 pub fn e17_subscriber_fanout() -> Table {
     let mut t = Table::new(
         "E17b: N subscribers \u{d7} update stream, maintenance strategy shootout",
@@ -140,7 +146,7 @@ pub fn e17_subscriber_fanout() -> Table {
         // Delta-dataflow circuits.
         let mut net = hub_network(base, domain);
         for i in 0..n {
-            net.subscribe("Hub", &format!("sub{i}"), text, IvmStrategy::Dataflow).unwrap();
+            net.subscribe_str("Hub", &format!("sub{i}"), text).unwrap();
         }
         let start = Instant::now();
         for g in &grams {
@@ -149,33 +155,39 @@ pub fn e17_subscriber_fanout() -> Table {
         let flow = start.elapsed();
         let flow_answers = net.subscription("sub0").unwrap().answers();
 
-        // Counting IVM (delta queries over the full base, per subscriber).
-        let mut net = hub_network(base, domain);
-        for i in 0..n {
-            net.subscribe("Hub", &format!("sub{i}"), text, IvmStrategy::Counting).unwrap();
-        }
+        let mut catalog = hub_network(base, domain).snapshot_all();
+        let q = parse_query(text).unwrap();
+        let fresh_views = |catalog: &Catalog| -> Vec<MaterializedView> {
+            (0..n)
+                .map(|i| {
+                    let mut v = MaterializedView::new(format!("sub{i}"), q.clone());
+                    v.refresh_full(catalog).unwrap();
+                    v
+                })
+                .collect()
+        };
+
+        // Counting IVM: delta queries over the full base, per subscriber,
+        // differenced against the pre-state before the gram lands.
+        let mut counting_base = catalog.clone();
+        let mut views = fresh_views(&counting_base);
         let start = Instant::now();
         for g in &grams {
-            net.publish(g).unwrap();
+            for v in &mut views {
+                let deltas = derivation_deltas_readonly(&counting_base, &v.definition, g).unwrap();
+                v.apply_derivation_delta(deltas);
+            }
+            apply_updategrams(&mut counting_base, std::slice::from_ref(g));
         }
         let count = start.elapsed();
         assert_eq!(
-            net.subscription("sub0").unwrap().answers().rows(),
+            views[0].as_relation().rows(),
             flow_answers.rows(),
             "counting diverged from dataflow"
         );
 
         // Invalidate-and-recompute: every gram re-runs every subscriber.
-        let net = hub_network(base, domain);
-        let mut catalog = net.snapshot_all();
-        let q = parse_query(text).unwrap();
-        let mut views: Vec<MaterializedView> = (0..n)
-            .map(|i| {
-                let mut v = MaterializedView::new(format!("sub{i}"), q.clone());
-                v.refresh_full(&catalog).unwrap();
-                v
-            })
-            .collect();
+        let mut views = fresh_views(&catalog);
         let start = Instant::now();
         for g in &grams {
             apply_updategrams(&mut catalog, std::slice::from_ref(g));

@@ -7,7 +7,7 @@
 //! overlay (plus message drops, flaky responses, latency) and crashes
 //! one healthy peer mid-run, a zipf [`QueryMix`] drives traffic from
 //! `P0`, and a [`Monitor`] scrapes every peer once per query tick. The
-//! experiment then *asserts* (in-report regression gates, like E15/E18):
+//! experiment then *asserts* (in-report regression gates, like E15):
 //!
 //! * **exact attribution** — the monitor's `Suspect`/`Down` set equals
 //!   the injected degraded-peer set: zero misses, zero false positives

@@ -19,7 +19,8 @@ use crate::fixtures::network_with_rows;
 use crate::table::Table;
 use revere_pdms::PdmsNetwork;
 use revere_query::plan::{plan_cq_with, Strategy};
-use revere_query::eval_cq_bag_traced;
+use revere_query::eval_bindings;
+use revere_util::obs::{Obs, SpanHandle};
 use revere_workload::{course_templates, QueryMix, Topology, TopologyKind};
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -150,8 +151,9 @@ pub fn plan_cache_sweep_with(cfg: PlanCacheConfig) -> Vec<PlanCachePoint> {
                 ] {
                     let plan = plan_cq_with(d, &snapshot, strategy);
                     let (_, steps) =
-                        eval_cq_bag_traced(d, &plan, &snapshot).expect("disjunct evaluates");
-                    *acc += steps.iter().sum::<usize>();
+                        eval_bindings(d, &plan, &snapshot, &Obs::disabled(), &SpanHandle::none())
+                            .expect("disjunct evaluates");
+                    *acc += steps.iter().map(|p| p.bindings).sum::<usize>();
                 }
             }
         }

@@ -1,4 +1,5 @@
-//! The E1–E19 experiments (see DESIGN.md §2 for the paper anchors).
+//! The E1–E17 and E19 experiments (see DESIGN.md §2 for the paper
+//! anchors; E18 compared two engines and retired with the second one).
 
 pub mod e_chaos;
 pub mod e_corpus;
@@ -11,7 +12,6 @@ pub mod e_obs;
 pub mod e_pdms;
 pub mod e_placement;
 pub mod e_plancache;
-pub mod e_vec;
 pub mod e_views;
 
 use crate::table::Table;
@@ -38,17 +38,16 @@ pub fn run_all() -> Vec<Table> {
     tables.extend(e_feedback::e15_tables());
     tables.push(e_durability::e16_durability());
     tables.extend(e_dataflow::e17_tables());
-    tables.extend(e_vec::e18_tables());
     tables.extend(e_monitor::e19_tables());
     tables
 }
 
-/// Run one experiment by id (`"E1"`..`"E19"`). An experiment may produce
-/// more than one table (E14 reports calibration and the fetch breakdown;
-/// E15 reports calibration before/after feedback and the loop's cost;
-/// E17 reports delta scaling and the subscriber-fan-out shootout; E18
-/// reports per-operator throughput and the hot-loop engine shootout;
-/// E19 reports fault attribution and the telemetry-overhead gate).
+/// Run one experiment by id (`"E1"`..`"E17"`, `"E19"`). An experiment may
+/// produce more than one table (E14 reports calibration and the fetch
+/// breakdown; E15 reports calibration before/after feedback and the
+/// loop's cost; E17 reports delta scaling and the subscriber-fan-out
+/// shootout; E19 reports fault attribution and the telemetry-overhead
+/// gate).
 pub fn run_one(id: &str) -> Option<Vec<Table>> {
     let one = |t: Table| Some(vec![t]);
     match id.to_ascii_uppercase().as_str() {
@@ -69,7 +68,6 @@ pub fn run_one(id: &str) -> Option<Vec<Table>> {
         "E15" => Some(e_feedback::e15_tables()),
         "E16" => one(e_durability::e16_durability()),
         "E17" => Some(e_dataflow::e17_tables()),
-        "E18" => Some(e_vec::e18_tables()),
         "E19" => Some(e_monitor::e19_tables()),
         _ => None,
     }

@@ -16,7 +16,7 @@
 //!   partial-answer completeness reports), reformulation/plan caches
 //!   whose entries are each valid for the inputs they were computed
 //!   from ("plan once, run many"), and continuous
-//!   queries ([`PdmsNetwork::subscribe`] / [`PdmsNetwork::publish`])
+//!   queries ([`PdmsNetwork::subscribe_str`] / [`PdmsNetwork::publish`])
 //!   maintained by delta-dataflow circuits.
 //! * [`xmlmap`] — the Figure 4 mapping-template language for XML peers:
 //!   a target-schema template annotated with binding queries, applied to
@@ -60,6 +60,8 @@ pub use durable::{
     checkpoint, recover, CheckpointReport, OutboxResume, PeerDisk, PeerRecovery, RecoveredPeer,
 };
 pub use monitor::{Health, Monitor, MonitorConfig, MonitorEvent, PeerVitals};
+#[doc(hidden)]
+pub use network::IvmStrategy;
 pub use network::{
     CacheStats, CompletenessReport, PdmsNetwork, PeerAccounting, PublishReport, QueryBudget,
     QueryOutcome, Subscription,
@@ -75,5 +77,5 @@ pub use updategram::{
     apply_updategrams, derivation_deltas_readonly, gram_to_batch, maintain, MaintenanceChoice,
     SequencedGram, Updategram,
 };
-pub use views::{DataflowView, IvmStrategy, MaterializedView};
+pub use views::{DataflowView, MaterializedView};
 pub use xmlmap::XmlMapping;

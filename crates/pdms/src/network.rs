@@ -24,13 +24,13 @@
 use crate::durable::{self, CheckpointReport, PeerDisk, PeerRecovery};
 use crate::peer::{split_qualified, Peer};
 use crate::reformulate::{ReformulateOptions, ReformulationResult, Reformulator};
-use crate::updategram::{apply_updategrams, derivation_deltas_readonly, gram_to_batch, Updategram};
-use crate::views::{IvmStrategy, MaterializedView};
+use crate::updategram::{apply_updategrams, gram_to_batch, Updategram};
 use revere_query::dataflow::{Circuit, DeltaBatch};
 use revere_query::glav::GlavMapping;
 use revere_query::plan::{plan_cq, q_error, Plan};
-use revere_query::{parse_query, ConjunctiveQuery, ExecMode, Source, StepProfile, Term, UnionQuery};
-use revere_storage::{row_deltas, Catalog, Lsn, RelSchema, Relation, SharedCatalog, Tuple};
+use revere_query::eval::EvalError;
+use revere_query::{head_schema, parse_query, ConjunctiveQuery, Source, StepProfile, UnionQuery};
+use revere_storage::{row_deltas, Catalog, Lsn, Relation, SharedCatalog, Tuple};
 use revere_util::fault::{Fate, FaultPlan, RetryPolicy};
 use revere_util::obs::{names, Histogram, Obs, SpanHandle};
 use std::borrow::Borrow;
@@ -79,12 +79,6 @@ pub struct PdmsNetwork {
     /// plans never trigger it, so warm caches stay warm on workloads the
     /// estimator already gets right.
     pub replan_q_error: Option<f64>,
-    /// Which evaluator executes planned disjuncts, on both the sequential
-    /// and the parallel query paths. The engines are byte-identical in
-    /// answers and counters (`tests/differential_vec.rs` gates it);
-    /// [`ExecMode::Row`] keeps the historical per-tuple engine around as
-    /// the ablation baseline for E18.
-    pub exec_mode: ExecMode,
     /// Bumped on every membership or mapping-graph change. Cached
     /// reformulations and plans are stamped with it; plans also carry the
     /// stats epochs of the peer catalogs they read, which is how peer
@@ -94,7 +88,7 @@ pub struct PdmsNetwork {
     /// Peers without an entry lose everything on [`PdmsNetwork::restart_peer`]
     /// the way any in-memory store would — durability is opt-in.
     disks: BTreeMap<String, PeerDisk>,
-    /// Continuous queries registered via [`PdmsNetwork::subscribe`].
+    /// Continuous queries registered via [`PdmsNetwork::subscribe_str`].
     subs: BTreeMap<String, Subscription>,
     /// The merged base snapshot the subscription circuits were initialized
     /// against, kept in lockstep by [`PdmsNetwork::publish`] and
@@ -123,7 +117,6 @@ impl Default for PdmsNetwork {
             caching: true,
             obs: Obs::disabled(),
             replan_q_error: Some(REPLAN_Q_ERROR_DEFAULT),
-            exec_mode: ExecMode::default(),
             topology_epoch: 0,
             disks: BTreeMap::new(),
             subs: BTreeMap::new(),
@@ -271,7 +264,7 @@ struct Caches {
     reformulations: BoundedMap<(ReformulateOptions, String), CachedReformulation>,
     /// Plans *do* transfer across isomorphic disjuncts, because the
     /// executor re-projects from the query it is given
-    /// ([`revere_query::eval_cq_bag_planned`]).
+    /// ([`revere_query::eval_planned`]).
     plans: BoundedMap<String, CachedPlan>,
     stats: CacheStats,
     /// Reformulation lookups that found a valid entry, and the count at
@@ -558,13 +551,11 @@ pub struct QueryOutcome {
     pub completeness: CompletenessReport,
 }
 
-/// A continuous query registered at a peer ([`PdmsNetwork::subscribe`]):
+/// A continuous query registered at a peer ([`PdmsNetwork::subscribe_str`]):
 /// the query is reformulated once over the mapping graph, and each
-/// evaluable disjunct is compiled either into a delta-dataflow
-/// [`Circuit`] ([`IvmStrategy::Dataflow`], the default) or a counting
-/// [`MaterializedView`] ([`IvmStrategy::Counting`], the ablation
-/// baseline). Published updategrams re-fire only subscriptions whose
-/// base relations the delta touches; everything else is a counted no-op.
+/// evaluable disjunct is compiled into a delta-dataflow [`Circuit`].
+/// Published updategrams re-fire only subscriptions whose base relations
+/// the delta touches; everything else is a counted no-op.
 #[derive(Debug)]
 pub struct Subscription {
     /// Subscription name (unique per network).
@@ -573,8 +564,6 @@ pub struct Subscription {
     pub at_peer: String,
     /// The query as posed, in that peer's own vocabulary.
     pub definition: ConjunctiveQuery,
-    /// How the answer is maintained.
-    pub strategy: IvmStrategy,
     /// Disjuncts in the reformulated union.
     pub disjuncts_total: usize,
     /// Disjuncts dropped at subscribe time (unreachable base relations).
@@ -584,10 +573,8 @@ pub struct Subscription {
     /// Published deltas that touched none of this subscription's base
     /// relations (no work beyond the affected-set check).
     pub skipped: usize,
-    /// One circuit per evaluable disjunct (Dataflow strategy).
+    /// One circuit per evaluable disjunct.
     circuits: Vec<Circuit>,
-    /// One counting view per evaluable disjunct (Counting strategy).
-    counting: Vec<MaterializedView>,
     /// Base relations the subscription reads — the affected set.
     relations: BTreeSet<String>,
 }
@@ -601,59 +588,27 @@ impl Subscription {
     /// The maintained answer under set semantics: the distinct union of
     /// every disjunct's current output, sorted.
     pub fn answers(&self) -> Relation {
-        let mut schema: Option<RelSchema> = None;
+        let mut schema = None;
         let mut rows: Vec<Tuple> = Vec::new();
-        match self.strategy {
-            IvmStrategy::Dataflow => {
-                for c in &self.circuits {
-                    let r = c.output_set();
-                    schema.get_or_insert_with(|| r.schema.clone());
-                    rows.extend(r.into_rows());
-                }
-            }
-            IvmStrategy::Counting => {
-                for v in &self.counting {
-                    let r = v.as_relation();
-                    schema.get_or_insert_with(|| r.schema.clone());
-                    rows.extend(r.into_rows());
-                }
-            }
+        for c in &self.circuits {
+            let r = c.output_set();
+            schema.get_or_insert_with(|| r.schema.clone());
+            rows.extend(r.into_rows());
         }
-        let schema = schema.unwrap_or_else(|| answer_schema(&self.definition));
+        let schema = schema.unwrap_or_else(|| head_schema(&self.definition));
         Relation::with_rows(schema, rows).distinct()
     }
 
-    /// Join-work units spent across all circuits (0 under Counting, whose
-    /// cost lives in the delta-query evaluations instead).
+    /// Join-work units spent across all circuits.
     pub fn work(&self) -> u64 {
         self.circuits.iter().map(|c| c.work).sum()
     }
 
     /// Distinct tuples held across all circuit arrangements — the state
-    /// footprint the dataflow strategy pays for O(|Δ|) refreshes.
+    /// footprint paid for O(|Δ|) refreshes.
     pub fn arranged_tuples(&self) -> usize {
         self.circuits.iter().map(Circuit::arranged_tuples).sum()
     }
-}
-
-/// Answer schema for a subscription with no evaluable disjunct:
-/// head-variable column names, `c{i}` for constant positions (the same
-/// naming the evaluator uses).
-fn answer_schema(q: &ConjunctiveQuery) -> RelSchema {
-    let cols: Vec<String> = q
-        .head
-        .terms
-        .iter()
-        .enumerate()
-        .map(|(i, t)| match t {
-            Term::Var(v) => v.clone(),
-            Term::Const(_) => format!("c{i}"),
-        })
-        .collect();
-    RelSchema::text(
-        q.head.relation.clone(),
-        &cols.iter().map(String::as_str).collect::<Vec<_>>(),
-    )
 }
 
 /// What one [`PdmsNetwork::publish`] call did.
@@ -1373,10 +1328,17 @@ impl PdmsNetwork {
         }
         let answers = match merged {
             Some(m) => m.distinct(),
-            // Every disjunct dropped: fall back to eval_union for the
-            // correctly-shaped empty relation.
-            None => revere_query::eval_union(&reformulation.union, &fetched.staging)
-                .map_err(|e| e.to_string())?,
+            // Every disjunct dropped: the empty relation, shaped by the
+            // first disjunct's head as `eval_union` shapes it, behind the
+            // same two checks.
+            None => {
+                let shape_error = |m: &str| EvalError { message: m.into() }.to_string();
+                let first = disjuncts.first().ok_or_else(|| shape_error("empty union"))?;
+                if disjuncts.iter().any(|d| d.head.terms.len() != first.head.terms.len()) {
+                    return Err(shape_error("union disjuncts have different head arity"));
+                }
+                Relation::new(head_schema(first))
+            }
         };
         root.set("answers", answers.len());
         root.set("complete", fetched.completeness.is_complete());
@@ -1419,15 +1381,8 @@ impl PdmsNetwork {
                 }
             }
         }
-        let (bag, profiles) = revere_query::eval_cq_bag_profiled_obs_mode(
-            d,
-            &plan,
-            run.staging,
-            &self.obs,
-            &span,
-            self.exec_mode,
-        )
-        .ok()?;
+        let (bag, profiles) =
+            revere_query::eval_planned(d, &plan, run.staging, &self.obs, &span).ok()?;
         // Feed actuals back only when the fetch was complete: a partial
         // staging would teach the estimator that missing data means
         // empty joins.
@@ -1449,8 +1404,8 @@ impl PdmsNetwork {
         run: &DisjunctRun<'_>,
     ) -> Option<Relation> {
         let (plan, _) = self.plan_for(i, d, run);
-        revere_query::eval_cq_bag_planned_mode(d, &plan, run.staging, self.exec_mode, &self.obs)
-            .map(|r| r.distinct())
+        revere_query::eval_planned(d, &plan, run.staging, &self.obs, &SpanHandle::none())
+            .map(|(bag, _)| bag.distinct())
             .ok()
     }
 
@@ -1525,17 +1480,16 @@ impl PdmsNetwork {
 
     /// Register a continuous query at a peer. The query is reformulated
     /// over the mapping graph exactly like [`PdmsNetwork::query`]; each
-    /// evaluable disjunct is compiled per `strategy` and initialized
+    /// evaluable disjunct is compiled into a circuit and initialized
     /// against the current network contents, so [`Subscription::answers`]
     /// immediately equals what a one-shot query would return. Disjuncts
     /// referencing unreachable relations are dropped and counted.
     /// Replaces any existing subscription of the same name.
-    pub fn subscribe(
+    pub fn subscribe_str(
         &mut self,
         at_peer: &str,
         name: &str,
         query: &str,
-        strategy: IvmStrategy,
     ) -> Result<&Subscription, String> {
         if !self.peers.contains_key(at_peer) {
             return Err(format!("unknown peer {at_peer:?}"));
@@ -1551,43 +1505,28 @@ impl PdmsNetwork {
             name: name.to_string(),
             at_peer: at_peer.to_string(),
             definition: q,
-            strategy,
             disjuncts_total: reformulation.union.disjuncts.len(),
             disjuncts_dropped: 0,
             refreshes: 0,
             skipped: 0,
             circuits: Vec::new(),
-            counting: Vec::new(),
             relations: BTreeSet::new(),
         };
-        for (i, d) in reformulation.union.disjuncts.iter().enumerate() {
+        for d in &reformulation.union.disjuncts {
             if d.body.iter().any(|a| base.get(&a.relation).is_none()) {
                 sub.disjuncts_dropped += 1;
                 continue;
             }
-            match strategy {
-                IvmStrategy::Dataflow => {
-                    let plan = plan_cq(d, base);
-                    let mut circuit = Circuit::new(d, &plan).map_err(|e| e.to_string())?;
-                    if circuit.init_full(base).is_err() {
-                        // Arity mismatch against staged data: same drop
-                        // the one-shot evaluator would perform.
-                        sub.disjuncts_dropped += 1;
-                        continue;
-                    }
-                    sub.relations.extend(circuit.relations());
-                    sub.circuits.push(circuit);
-                }
-                IvmStrategy::Counting => {
-                    let mut view = MaterializedView::new(format!("{name}#{i}"), d.clone());
-                    if view.refresh_full(base).is_err() {
-                        sub.disjuncts_dropped += 1;
-                        continue;
-                    }
-                    sub.relations.extend(d.body.iter().map(|a| a.relation.clone()));
-                    sub.counting.push(view);
-                }
+            let plan = plan_cq(d, base);
+            let mut circuit = Circuit::new(d, &plan).map_err(|e| e.to_string())?;
+            if circuit.init_full(base).is_err() {
+                // Arity mismatch against staged data: same drop the
+                // one-shot evaluator would perform.
+                sub.disjuncts_dropped += 1;
+                continue;
             }
+            sub.relations.extend(circuit.relations());
+            sub.circuits.push(circuit);
         }
         self.subs.insert(name.to_string(), sub);
         Ok(self.subs.get(name).expect("just inserted"))
@@ -1633,24 +1572,6 @@ impl PdmsNetwork {
         self.ensure_subs_base();
         let base = self.subs_base.as_ref().expect("ensured above");
         let batch = gram_to_batch(base, gram);
-        // The counting ablation differences its delta queries against the
-        // same pre-state the dataflow batch was signed from.
-        let mut counting: BTreeMap<String, Vec<Vec<(Tuple, i64)>>> = BTreeMap::new();
-        for (name, sub) in &self.subs {
-            if sub.strategy != IvmStrategy::Counting
-                || !sub.relations.contains(&gram.relation)
-            {
-                continue;
-            }
-            let mut per_view = Vec::new();
-            for v in &sub.counting {
-                per_view.push(
-                    derivation_deltas_readonly(base, &v.definition, gram)
-                        .map_err(|e| e.to_string())?,
-                );
-            }
-            counting.insert(name.clone(), per_view);
-        }
         self.peers
             .get(&owner)
             .expect("membership checked above")
@@ -1666,17 +1587,16 @@ impl PdmsNetwork {
             self.subs_base.as_mut().expect("ensured above"),
             std::slice::from_ref(gram),
         );
-        Ok(self.refire(&batch, Some(&mut counting)))
+        Ok(self.refire(&batch))
     }
 
     /// Absorb durable peers' journal suffixes into the subscription layer:
     /// mutations made *directly* on a durable peer's catalog (bypassing
     /// [`PdmsNetwork::publish`]) are recovered from its WAL via per-peer
     /// LSN cursors, replayed into the mirrored base as signed row deltas,
-    /// and pushed through affected subscriptions. Counting subscriptions
-    /// have no updategram to difference on this path and fall back to a
-    /// full recompute. Returns the number of distinct changed rows
-    /// absorbed. No-op (0) before the first subscription.
+    /// and pushed through affected subscriptions. Returns the number of
+    /// distinct changed rows absorbed. No-op (0) before the first
+    /// subscription.
     pub fn sync_durable_subscriptions(&mut self) -> usize {
         if self.subs_base.is_none() {
             return 0;
@@ -1701,58 +1621,50 @@ impl PdmsNetwork {
                 continue;
             }
             changed += batch.len();
-            self.refire(&batch, None);
+            self.refire(&batch);
         }
         changed
     }
 
     /// Push one signed batch through every affected subscription.
-    /// `counting` carries the ablation's pre-computed delta-query results
-    /// keyed by subscription name; `None` (the WAL-sync path, which has
-    /// no gram to difference) makes counting subscriptions recompute.
-    fn refire(
-        &mut self,
-        batch: &DeltaBatch,
-        mut counting: Option<&mut BTreeMap<String, Vec<Vec<(Tuple, i64)>>>>,
-    ) -> PublishReport {
+    fn refire(&mut self, batch: &DeltaBatch) -> PublishReport {
         let mut report = PublishReport::default();
-        let base = &self.subs_base;
         for (name, sub) in self.subs.iter_mut() {
             if !batch.relations().any(|r| sub.relations.contains(r)) {
                 sub.skipped += 1;
                 report.skipped += 1;
                 continue;
             }
-            match sub.strategy {
-                IvmStrategy::Dataflow => {
-                    for c in &mut sub.circuits {
-                        report.output_changes += c.push(batch).len();
-                    }
-                }
-                IvmStrategy::Counting => {
-                    match counting.as_deref_mut().and_then(|m| m.remove(name)) {
-                        Some(per_view) => {
-                            for (v, deltas) in sub.counting.iter_mut().zip(per_view) {
-                                report.output_changes += deltas.len();
-                                v.apply_derivation_delta(deltas);
-                            }
-                        }
-                        None => {
-                            if let Some(base) = base {
-                                for v in &mut sub.counting {
-                                    // Stale-on-error mirrors the one-shot
-                                    // evaluator dropping the disjunct.
-                                    let _ = v.refresh_full(base);
-                                }
-                            }
-                        }
-                    }
-                }
+            for c in &mut sub.circuits {
+                report.output_changes += c.push(batch).len();
             }
             sub.refreshes += 1;
             report.refreshed.push(name.clone());
         }
         report
+    }
+}
+
+// Named by `crates/e2e/src/surface.rs`; delete with the next `benchmark`
+// issue.
+
+/// The maintainer selector of the two-maintainer era; circuits are left.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub enum IvmStrategy {
+    Dataflow,
+}
+
+impl PdmsNetwork {
+    #[doc(hidden)]
+    pub fn subscribe(
+        &mut self,
+        at_peer: &str,
+        name: &str,
+        query: &str,
+        _strategy: IvmStrategy,
+    ) -> Result<&Subscription, String> {
+        self.subscribe_str(at_peer, name, query)
     }
 }
 
@@ -1974,6 +1886,26 @@ mod tests {
         assert!(out.completeness.relations_missing.contains("Berkeley.course"));
         assert!(out.completeness.disjuncts_dropped >= 1);
         assert!(out.completeness.coverage() < 1.0);
+    }
+
+    #[test]
+    fn all_disjuncts_dropped_is_an_empty_answer_shaped_by_the_head() {
+        // No peer stores anything any more: every disjunct names an
+        // unreachable relation, and the answer is shaped without
+        // evaluating (or re-planning) anything.
+        let mut net = university_network();
+        net.obs = Obs::enabled();
+        for peer in ["MIT", "Berkeley", "Tsinghua"] {
+            net.peer_mut(peer).unwrap().storage =
+                revere_storage::SharedCatalog::new(Catalog::new());
+        }
+        let out = net.query_str("MIT", "q(T, 'tag') :- MIT.subject(T, E)").unwrap();
+        assert!(out.answers.is_empty());
+        assert_eq!(out.answers.schema.name, "q");
+        assert_eq!(out.answers.schema.attr_names().collect::<Vec<_>>(), ["T", "c1"]);
+        assert_eq!(out.completeness.disjuncts_dropped, out.reformulation.union.disjuncts.len());
+        let snapshot = net.obs.metrics().unwrap().snapshot().to_string();
+        assert!(!snapshot.contains("query.eval."), "{snapshot}");
     }
 
     #[test]
@@ -2497,7 +2429,7 @@ mod tests {
     fn subscription_tracks_published_deltas_across_peers() {
         let mut net = university_network();
         let text = "q(T, E) :- MIT.subject(T, E)";
-        net.subscribe("MIT", "cq", text, IvmStrategy::Dataflow).unwrap();
+        net.subscribe_str("MIT", "cq", text).unwrap();
         // Initialization lands exactly on the one-shot answer.
         let oneshot = net.query_str("MIT", text).unwrap().answers;
         assert_eq!(net.subscription("cq").unwrap().answers().rows(), oneshot.rows());
@@ -2525,28 +2457,6 @@ mod tests {
     }
 
     #[test]
-    fn counting_and_dataflow_subscriptions_agree() {
-        let mut net = university_network();
-        let text = "q(T, E) :- MIT.subject(T, E)";
-        net.subscribe("MIT", "flow", text, IvmStrategy::Dataflow).unwrap();
-        net.subscribe("MIT", "count", text, IvmStrategy::Counting).unwrap();
-        let grams = vec![
-            Updategram::inserts("MIT.subject", vec![vec![Value::str("Queues"), Value::Int(30)]]),
-            Updategram::inserts(
-                "Berkeley.course",
-                vec![vec![Value::str("Queues"), Value::Int(30)]],
-            ),
-            Updategram::deletes("MIT.subject", vec![vec![Value::str("Queues"), Value::Int(30)]]),
-        ];
-        for gram in &grams {
-            net.publish(gram).unwrap();
-            let flow = net.subscription("flow").unwrap().answers();
-            let count = net.subscription("count").unwrap().answers();
-            assert_eq!(flow.rows(), count.rows(), "strategies diverged on {gram:?}");
-        }
-    }
-
-    #[test]
     fn unaffected_subscription_is_a_counted_noop() {
         let mut net = PdmsNetwork::new();
         for name in ["A", "B"] {
@@ -2556,7 +2466,7 @@ mod tests {
             p.add_relation(r);
             net.add_peer(p);
         }
-        net.subscribe("A", "only_a", "q(X) :- A.r(X)", IvmStrategy::Dataflow).unwrap();
+        net.subscribe_str("A", "only_a", "q(X) :- A.r(X)").unwrap();
         let work_before = net.subscription("only_a").unwrap().work();
         let report = net
             .publish(&Updategram::inserts("B.r", vec![vec![Value::str("noise")]]))
@@ -2573,7 +2483,7 @@ mod tests {
         let mut net = university_network();
         net.enable_durability("Berkeley").expect("Berkeley is a member");
         let text = "q(T, E) :- MIT.subject(T, E)";
-        net.subscribe("MIT", "cq", text, IvmStrategy::Dataflow).unwrap();
+        net.subscribe_str("MIT", "cq", text).unwrap();
         // Mutate the durable peer directly — no publish, no gram.
         net.peer("Berkeley").unwrap().storage.write(|c| {
             c.insert("Berkeley.course", vec![Value::str("WAL Mining"), Value::Int(12)]);

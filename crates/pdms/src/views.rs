@@ -18,9 +18,11 @@
 //! [`DataflowView`] is the circuit-backed successor (see
 //! [`revere_query::dataflow`]): same maintenance contract, but updates
 //! flow through arranged per-operator state in O(|Δ|) instead of
-//! re-evaluating delta queries against the base relations.
-//! [`IvmStrategy`] selects between the two; the counting path remains as
-//! an ablation until E17 retires it.
+//! re-evaluating delta queries against the base relations. Continuous
+//! queries ([`crate::PdmsNetwork::subscribe_str`]) are maintained by
+//! circuits only; the counting view stays for what the paper's §3.2 asks
+//! of it — views a peer materializes and maintains from updategrams,
+//! with [`crate::maintain`]'s incremental-vs-recompute choice.
 
 use crate::updategram::{gram_to_batch, Updategram};
 use revere_query::dataflow::Circuit;
@@ -29,20 +31,6 @@ use revere_query::plan::plan_cq;
 use revere_query::ConjunctiveQuery;
 use revere_storage::{Catalog, RelSchema, Relation, Tuple};
 use std::collections::HashMap;
-
-/// Which incremental-maintenance implementation keeps a continuous query
-/// fresh. The counting path re-derives delta queries against base
-/// relations per update; the dataflow path pushes deltas through a
-/// compiled [`Circuit`] with arranged state. Kept side by side as an
-/// ablation (E17 measures the gap).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IvmStrategy {
-    /// Delta-dataflow circuits: O(|Δ|) per update.
-    #[default]
-    Dataflow,
-    /// Counting IVM: delta queries against base relations.
-    Counting,
-}
 
 /// A materialized conjunctive view with derivation counts.
 #[derive(Debug, Clone)]
@@ -268,7 +256,7 @@ impl DataflowView {
     }
 
     /// The maintained *bag* result, sorted — what the differential harness
-    /// compares byte-for-byte against `eval_cq_bag_planned(..).sorted()`.
+    /// compares byte-for-byte against `eval_planned(..).0.sorted()`.
     pub fn as_bag(&self) -> Relation {
         self.circuit.output_bag()
     }

@@ -17,15 +17,15 @@
 //! `Δ(A ⋈ B) = ΔA ⋈ B + A ⋈ ΔB + ΔA ⋈ ΔB` — the decomposition each
 //! [`JoinState`] implements by joining `ΔL` against the *updated* right
 //! arrangement and `ΔR` against the *old* left arrangement.
-//! [`DistinctState`] and [`AggregateState`] carry the retraction-aware
-//! stateful tails (set semantics, grouped aggregates).
+//! [`DistinctState`] carries the retraction-aware stateful tail (set
+//! semantics).
 //!
 //! `tests/differential_ivm.rs` holds every circuit byte-identical to
-//! [`crate::eval::eval_cq_bag_planned`] recomputed from scratch after
-//! every delta; `tests/property_tests.rs` pins the algebraic laws.
+//! [`crate::eval_planned`] recomputed from scratch after every delta;
+//! `tests/property_tests.rs` pins the algebraic laws.
 
 use crate::ast::{CmpOp, ConjunctiveQuery, Term};
-use crate::eval::{a_schema, validate, AtomSplit, EvalError, Source};
+use crate::eval::{head_schema, validate, AtomSplit, EvalError, Source};
 use crate::plan::Plan;
 use revere_storage::{RelSchema, Relation, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -361,90 +361,6 @@ impl DistinctState {
     }
 }
 
-/// Aggregate function of an [`AggregateState`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFn {
-    /// Count of contributing rows (with multiplicity).
-    Count,
-    /// Sum of an integer column (non-integers contribute 0).
-    Sum(usize),
-}
-
-/// Incremental grouped aggregation with retraction: each input delta
-/// retracts the touched groups' old output rows and asserts their new
-/// ones. Output rows are `group key ++ [aggregate value]`; a group whose
-/// support drops to zero retracts its row without a replacement.
-#[derive(Debug, Clone)]
-pub struct AggregateState {
-    group_cols: Vec<usize>,
-    agg: AggFn,
-    /// group key → (support, running sum).
-    groups: BTreeMap<Vec<Value>, (i64, i64)>,
-}
-
-impl AggregateState {
-    /// Aggregate `agg` grouped by the given columns.
-    pub fn new(group_cols: Vec<usize>, agg: AggFn) -> Self {
-        AggregateState { group_cols, agg, groups: BTreeMap::new() }
-    }
-
-    fn output_row(&self, key: &[Value], support: i64, sum: i64) -> Tuple {
-        let value = match self.agg {
-            AggFn::Count => support,
-            AggFn::Sum(_) => sum,
-        };
-        let mut row: Tuple = key.to_vec();
-        row.push(Value::Int(value));
-        row
-    }
-
-    /// Fold a delta in; returns the output delta (old rows retracted, new
-    /// rows asserted, only for groups whose aggregate actually changed).
-    pub fn push(&mut self, d: &Delta) -> Delta {
-        // Batch per group: net the whole delta before emitting, so a
-        // transient within one batch does not churn the output.
-        let mut touched: BTreeMap<Vec<Value>, (i64, i64)> = BTreeMap::new();
-        for (t, w) in d.iter() {
-            let key: Vec<Value> = self.group_cols.iter().map(|&c| t[c].clone()).collect();
-            let contrib = match self.agg {
-                AggFn::Count => 0,
-                AggFn::Sum(col) => match &t[col] {
-                    Value::Int(v) => *v,
-                    _ => 0,
-                },
-            };
-            let slot = touched.entry(key).or_insert((0, 0));
-            slot.0 += w;
-            slot.1 += w * contrib;
-        }
-        let mut out = Delta::new();
-        for (key, (dw, dsum)) in touched {
-            if dw == 0 && dsum == 0 {
-                continue;
-            }
-            let (support, sum) = self.groups.get(&key).copied().unwrap_or((0, 0));
-            let (nsupport, nsum) = (support + dw, sum + dsum);
-            if support > 0 {
-                out.add(self.output_row(&key, support, sum), -1);
-            }
-            if nsupport > 0 {
-                out.add(self.output_row(&key, nsupport, nsum), 1);
-            }
-            if nsupport == 0 && nsum == 0 {
-                self.groups.remove(&key);
-            } else {
-                self.groups.insert(key, (nsupport, nsum));
-            }
-        }
-        out
-    }
-
-    /// Current number of groups with positive support.
-    pub fn len(&self) -> usize {
-        self.groups.values().filter(|(s, _)| *s > 0).count()
-    }
-}
-
 // ---------------------------------------------------------------------
 // Input batches
 // ---------------------------------------------------------------------
@@ -628,7 +544,7 @@ impl Circuit {
             stages,
             comparisons,
             head,
-            schema: a_schema(q),
+            schema: head_schema(q),
             out: Delta::new(),
             pushes: 0,
             work: 0,
@@ -738,7 +654,7 @@ impl Circuit {
     }
 
     /// The maintained bag result, sorted — byte-comparable with
-    /// `eval_cq_bag_planned(..).sorted()`.
+    /// `eval_planned(..).0.sorted()`.
     pub fn output_bag(&self) -> Relation {
         self.out.to_bag(self.schema.clone())
     }
@@ -769,7 +685,8 @@ impl Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_cq_bag_planned;
+    use crate::eval_planned;
+    use revere_util::obs::{Obs, SpanHandle};
     use crate::parse::parse_query;
     use crate::plan::plan_cq;
     use revere_storage::Catalog;
@@ -800,7 +717,8 @@ mod tests {
     fn assert_matches_recompute(cir: &Circuit, c: &Catalog) {
         let q = cir.definition().clone();
         let plan = plan_cq(&q, c);
-        let fresh = eval_cq_bag_planned(&q, &plan, c).unwrap().sorted();
+        let fresh =
+            eval_planned(&q, &plan, c, &Obs::disabled(), &SpanHandle::none()).unwrap().0.sorted();
         assert_eq!(cir.output_bag().rows(), fresh.rows(), "circuit diverged from recompute");
     }
 
@@ -891,32 +809,6 @@ mod tests {
         let out = d.push(&Delta::from_pairs([(vec![Value::str("a")], -1)]));
         assert_eq!(out.weight(&vec![Value::str("a")]), -1);
         assert_eq!(d.support(), 0);
-    }
-
-    #[test]
-    fn aggregate_retracts_old_and_asserts_new() {
-        let mut agg = AggregateState::new(vec![0], AggFn::Sum(1));
-        let row = |k: &str, v: i64| vec![Value::str(k), Value::Int(v)];
-        let out = agg.push(&Delta::from_pairs([(row("g", 10), 1)]));
-        assert_eq!(out.weight(&vec![Value::str("g"), Value::Int(10)]), 1);
-        let out = agg.push(&Delta::from_pairs([(row("g", 5), 1)]));
-        assert_eq!(out.weight(&vec![Value::str("g"), Value::Int(10)]), -1);
-        assert_eq!(out.weight(&vec![Value::str("g"), Value::Int(15)]), 1);
-        // Retract everything: the group's row disappears.
-        let out =
-            agg.push(&Delta::from_pairs([(row("g", 10), -1), (row("g", 5), -1)]));
-        assert_eq!(out.weight(&vec![Value::str("g"), Value::Int(15)]), -1);
-        assert_eq!(agg.len(), 0);
-    }
-
-    #[test]
-    fn count_aggregate_tracks_multiplicity() {
-        let mut agg = AggregateState::new(vec![0], AggFn::Count);
-        let row = |k: &str| vec![Value::str(k), Value::str("payload")];
-        agg.push(&Delta::from_pairs([(row("g"), 3)]));
-        let out = agg.push(&Delta::from_pairs([(row("g"), -1)]));
-        assert_eq!(out.weight(&vec![Value::str("g"), Value::Int(3)]), -1);
-        assert_eq!(out.weight(&vec![Value::str("g"), Value::Int(2)]), 1);
     }
 
     #[test]

@@ -4,27 +4,27 @@
 //! answering ... with respect to its peer schema" service (§3.1) and behind
 //! MANGROVE's RDF-style queries. It executes an explicit [`Plan`] (see
 //! [`crate::plan`]): a statistics-costed join order over the query's
-//! canonical body, performing one hash join per step with constant and
-//! repeated-variable filters pushed into the hash build. Callers that
-//! already hold a cached plan use [`eval_cq_bag_planned`]; the plain
-//! entry points plan on the fly.
+//! canonical body, one hash join per step with constant and
+//! repeated-variable filters pushed into the hash build. There is one
+//! engine — the columnar one in [`crate::vec`] — behind four entry
+//! points: [`eval_cq`] and [`eval_cq_bag`] plan on the fly (set / bag
+//! semantics); [`eval_planned`] runs a caller-supplied (possibly cached)
+//! plan with full instrumentation; [`eval_bindings`] is the same kernel
+//! without the answer copy-out.
 //!
-//! [`eval_naive`] is the differential oracle: a nested-loop evaluator in
-//! textual body order with no indexes and no reordering, slow and
-//! obviously correct. `tests/differential_query.rs` holds every planned
-//! path to `planned ≡ naive` on generated inputs.
-//!
-//! Two engines execute the same plans behind this facade: the historical
-//! row-at-a-time engine ([`eval_cq_bag_profiled_obs_row`]) and the
-//! columnar batch engine in [`crate::vec`], selected by [`ExecMode`]
-//! (vectorized by default). They are byte-identical in answers, counters,
-//! and step profiles — `tests/differential_vec.rs` gates it.
+//! [`eval_naive_bag`] is the differential oracle and the only second
+//! implementation: a nested-loop evaluator in textual body order with no
+//! plan, no indexes and no code shared with the engine beyond the
+//! up-front relation/arity check that fixes which queries error — slow and
+//! obviously correct. `tests/differential_query.rs` and
+//! `tests/differential_vec.rs` hold the engine to it on generated inputs,
+//! answers and [`StepProfile`]s both.
 
 use crate::ast::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use crate::plan::{plan_cq, Plan};
-use crate::vec::{eval_cq_bag_profiled_obs_vec, eval_cq_bindings_vec, ExecMode, VecOpts};
+use crate::vec::{eval_bindings, eval_planned};
 use revere_storage::{Catalog, ColumnarBatch, RelStats, Relation, RelSchema, Tuple, Value};
-use revere_util::obs::{names, Obs, SpanHandle};
+use revere_util::obs::{Obs, SpanHandle};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -185,31 +185,7 @@ pub fn eval_cq<S: Source>(q: &ConjunctiveQuery, catalog: &S) -> Result<Relation,
 /// PDMS needs derivation multiplicities, not just the answer set.
 pub fn eval_cq_bag<S: Source>(q: &ConjunctiveQuery, catalog: &S) -> Result<Relation, EvalError> {
     let plan = plan_cq(q, catalog);
-    eval_cq_bag_planned(q, &plan, catalog)
-}
-
-/// Bag evaluation under a caller-supplied (possibly cached) plan. The
-/// plan must apply to `q` (same canonical key); the output is always
-/// projected from `q`'s own head, so a plan cached from an isomorphic
-/// disjunct yields byte-identical answers to planning fresh.
-pub fn eval_cq_bag_planned<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-) -> Result<Relation, EvalError> {
-    Ok(eval_cq_bag_traced(q, plan, catalog)?.0)
-}
-
-/// Like [`eval_cq_bag_planned`], also returning the binding-table size
-/// after each join step (parallel to `plan.order`) — the measured
-/// counterpart of the plan's estimates, used by EXPLAIN-style reporting
-/// and the E13 experiment.
-pub fn eval_cq_bag_traced<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-) -> Result<(Relation, Vec<usize>), EvalError> {
-    eval_cq_bag_traced_obs(q, plan, catalog, &Obs::disabled(), &SpanHandle::none())
+    Ok(eval_planned(q, &plan, catalog, &Obs::disabled(), &SpanHandle::none())?.0)
 }
 
 /// What one executed join step measured — the actuals the feedback loop
@@ -224,252 +200,6 @@ pub struct StepProfile {
     pub build_rows: usize,
     /// Binding-table rows probed into the step's hash index.
     pub probes: usize,
-}
-
-/// [`eval_cq_bag_traced`] with full observability: one child span of
-/// `parent` per executed join step (relation, rows scanned, build rows,
-/// probes, output bindings) and `query.eval.*` counters in `obs`.
-/// Execution is identical whether or not `obs`/`parent` record anything —
-/// instrumentation must never change answers (the `trace_obs`
-/// integration test holds this to byte-identity).
-pub fn eval_cq_bag_traced_obs<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-    obs: &Obs,
-    parent: &SpanHandle,
-) -> Result<(Relation, Vec<usize>), EvalError> {
-    let (rel, profiles) = eval_cq_bag_profiled_obs(q, plan, catalog, obs, parent)?;
-    Ok((rel, profiles.iter().map(|p| p.bindings).collect()))
-}
-
-/// The full-fidelity evaluator: like [`eval_cq_bag_traced_obs`] but
-/// returning a complete [`StepProfile`] per plan step (parallel to
-/// `plan.order`), which the PDMS feedback loop turns into observed join
-/// selectivities. The other bag evaluators are thin wrappers over this.
-/// Dispatches on [`ExecMode::default`]; use
-/// [`eval_cq_bag_profiled_obs_mode`] to pick an engine explicitly.
-pub fn eval_cq_bag_profiled_obs<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-    obs: &Obs,
-    parent: &SpanHandle,
-) -> Result<(Relation, Vec<StepProfile>), EvalError> {
-    eval_cq_bag_profiled_obs_mode(q, plan, catalog, obs, parent, ExecMode::default())
-}
-
-/// [`eval_cq_bag_profiled_obs`] with an explicit engine choice. The two
-/// engines are byte-identical in output (including row order), counters,
-/// span fields, step profiles, and errors — `tests/differential_vec.rs`
-/// gates that equivalence — so the mode only changes *how fast* the same
-/// answer arrives. [`ExecMode::Row`] is the historical per-tuple engine,
-/// kept as the ablation baseline E18 measures against.
-pub fn eval_cq_bag_profiled_obs_mode<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-    obs: &Obs,
-    parent: &SpanHandle,
-    mode: ExecMode,
-) -> Result<(Relation, Vec<StepProfile>), EvalError> {
-    match mode {
-        ExecMode::Row => eval_cq_bag_profiled_obs_row(q, plan, catalog, obs, parent),
-        ExecMode::Vectorized => {
-            eval_cq_bag_profiled_obs_vec(q, plan, catalog, obs, parent, &VecOpts::default())
-        }
-    }
-}
-
-/// [`eval_cq_bag_planned`] with an explicit engine and a metrics sink but
-/// no tracing — the shape the parallel network path wants. Counters
-/// (`query.eval.steps`, `query.eval.step_bindings`, …) are emitted exactly
-/// as on the traced path; only spans are absent.
-pub fn eval_cq_bag_planned_mode<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-    mode: ExecMode,
-    obs: &Obs,
-) -> Result<Relation, EvalError> {
-    Ok(eval_cq_bag_profiled_obs_mode(q, plan, catalog, obs, &SpanHandle::none(), mode)?.0)
-}
-
-/// Realize the bindings of a planned conjunctive query **without
-/// materializing answers**: the join pipeline and comparison filters run
-/// in full — identical counters, spans, and [`StepProfile`]s to the
-/// corresponding bag evaluator — but the head is never projected into
-/// owned tuples. Returns the surviving binding count and the per-step
-/// profiles.
-///
-/// This is the EXPLAIN-ANALYZE / adaptive-feedback shape: everything the
-/// q-error machinery consumes (realized bindings per step, observed join
-/// selectivities) comes from the profiles, and skipping the answer
-/// copy-out keeps a plan probe from paying for strings nobody reads. E18
-/// benchmarks the engines head-to-head on exactly this kernel.
-pub fn eval_cq_bindings_mode<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-    obs: &Obs,
-    parent: &SpanHandle,
-    mode: ExecMode,
-) -> Result<(usize, Vec<StepProfile>), EvalError> {
-    match mode {
-        ExecMode::Row => {
-            eval_bindings_row(q, plan, catalog, obs, parent).map(|(rows, _, t)| (rows.len(), t))
-        }
-        ExecMode::Vectorized => {
-            eval_cq_bindings_vec(q, plan, catalog, obs, parent, &VecOpts::default())
-        }
-    }
-}
-
-/// The row-at-a-time engine: one hash join per plan step over a binding
-/// table of owned tuples. Superseded by the vectorized engine
-/// ([`crate::vec`]) as the default, retained as an ablation
-/// ([`ExecMode::Row`]) and as the semantic reference the differential
-/// gate holds the columnar engine to.
-pub fn eval_cq_bag_profiled_obs_row<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-    obs: &Obs,
-    parent: &SpanHandle,
-) -> Result<(Relation, Vec<StepProfile>), EvalError> {
-    let (rows, var_cols, trace) = eval_bindings_row(q, plan, catalog, obs, parent)?;
-
-    // Project the head.
-    let resolve = |t: &Term, binding: &Tuple| -> Option<Value> {
-        match t {
-            Term::Const(c) => Some(c.clone()),
-            Term::Var(v) => var_cols
-                .iter()
-                .position(|c| c == v)
-                .map(|i| binding[i].clone()),
-        }
-    };
-    let mut out = Relation::new(a_schema(q));
-    'row: for b in &rows {
-        let mut tuple = Vec::with_capacity(q.head.terms.len());
-        for t in &q.head.terms {
-            match resolve(t, b) {
-                Some(v) => tuple.push(v),
-                None => continue 'row,
-            }
-        }
-        out.insert(tuple);
-    }
-    Ok((out, trace))
-}
-
-/// The row engine's binding-realization core: the join pipeline and
-/// comparison filters, stopping short of head projection. Returns the
-/// surviving binding tuples, the variable columns naming them, and the
-/// per-step profiles. [`eval_cq_bag_profiled_obs_row`] projects the head
-/// on top; [`eval_cq_bindings_mode`] exposes the counts directly.
-fn eval_bindings_row<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-    obs: &Obs,
-    parent: &SpanHandle,
-) -> Result<(Vec<Tuple>, Vec<String>, Vec<StepProfile>), EvalError> {
-    if !plan.applies_to(q) {
-        return Err(EvalError {
-            message: format!("plan for {:?} does not apply to {:?}", plan.key(), q.canonical_key()),
-        });
-    }
-    validate(q, catalog)?;
-    let canonical = q.canonical_order();
-
-    // Binding table: column per variable, row per partial assignment.
-    let mut var_cols: Vec<String> = Vec::new();
-    let mut rows: Vec<Tuple> = vec![Vec::new()]; // one empty binding
-    let mut trace = Vec::with_capacity(plan.order.len());
-
-    for (step_no, &ci) in plan.order.iter().enumerate() {
-        let atom = &q.body[canonical[ci]];
-        let rel = catalog.relation(&atom.relation).expect("validated above");
-        let split = AtomSplit::analyze(atom, &var_cols);
-        let span = parent.child("eval.step");
-        span.set("step", step_no + 1);
-        span.set("relation", &atom.relation);
-
-        // Build the step's hash index: rows surviving the pushed-down
-        // filters (constants, within-atom repeats), keyed by the columns
-        // of already-bound variables. The same split drives both the
-        // build and the probe keys, so a repeated variable is filtered
-        // identically wherever the plan places the atom.
-        let mut index: HashMap<Vec<&Value>, Vec<&Tuple>> = HashMap::new();
-        let mut build_rows = 0usize;
-        for row in rel.iter() {
-            if !split.row_passes(row) {
-                continue;
-            }
-            build_rows += 1;
-            let key: Vec<&Value> = split.join_cols.iter().map(|(i, _)| &row[*i]).collect();
-            index.entry(key).or_default().push(row);
-        }
-
-        // Probe with every current binding.
-        let mut next_rows: Vec<Tuple> = Vec::new();
-        for binding in &rows {
-            let key: Vec<&Value> = split.join_cols.iter().map(|(_, b)| &binding[*b]).collect();
-            if let Some(matches) = index.get(&key) {
-                for m in matches {
-                    let mut extended = binding.clone();
-                    for (i, _) in &split.new_vars {
-                        extended.push(m[*i].clone());
-                    }
-                    next_rows.push(extended);
-                }
-            }
-        }
-        obs.inc(names::QUERY_EVAL_STEPS_EXECUTED, 1);
-        obs.inc(names::QUERY_EVAL_ROWS_SCANNED, rel.len() as u64);
-        obs.inc(names::QUERY_EVAL_ROWS_BUILT, build_rows as u64);
-        obs.inc(names::QUERY_EVAL_ROWS_PROBED, rows.len() as u64);
-        obs.observe(names::QUERY_EVAL_STEP_BINDINGS, next_rows.len() as u64);
-        span.set("rows_scanned", rel.len());
-        span.set("build_rows", build_rows);
-        span.set("probes", rows.len());
-        span.set("est_bindings", format!("{:.1}", plan.steps[step_no].est_bindings));
-        span.set("bindings", next_rows.len());
-        span.finish();
-        for (_, v) in split.new_vars {
-            var_cols.push(v);
-        }
-        let probes = rows.len();
-        rows = next_rows;
-        trace.push(StepProfile { bindings: rows.len(), build_rows, probes });
-        if rows.is_empty() {
-            break;
-        }
-    }
-    // An empty binding table short-circuits; later steps see 0 bindings
-    // (and no build/probe work, so feedback skips them).
-    trace.resize(plan.order.len(), StepProfile::default());
-
-    // Apply comparisons.
-    let resolve = |t: &Term, binding: &Tuple| -> Option<Value> {
-        match t {
-            Term::Const(c) => Some(c.clone()),
-            Term::Var(v) => var_cols
-                .iter()
-                .position(|c| c == v)
-                .map(|i| binding[i].clone()),
-        }
-    };
-    for c in &q.comparisons {
-        rows.retain(|b| {
-            match (resolve(&c.left, b), resolve(&c.right, b)) {
-                (Some(l), Some(r)) => c.op.apply(&l, &r),
-                _ => false, // unsafe comparisons never pass (parser rejects them anyway)
-            }
-        });
-    }
-    Ok((rows, var_cols, trace))
 }
 
 /// Evaluate a union of conjunctive queries (set semantics across
@@ -487,10 +217,9 @@ pub fn eval_naive_union<S: Source>(u: &UnionQuery, catalog: &S) -> Result<Relati
     eval_union_with(u, catalog, eval_naive)
 }
 
-/// Union evaluation with a caller-supplied per-disjunct evaluator —
-/// the hook the PDMS uses to execute each disjunct under a cached plan
-/// while keeping [`eval_union`]'s skip-unavailable and dedup semantics.
-pub fn eval_union_with<S, F>(u: &UnionQuery, catalog: &S, eval_one: F) -> Result<Relation, EvalError>
+/// The skip-unavailable and dedup semantics [`eval_union`] and
+/// [`eval_naive_union`] share, over either per-disjunct evaluator.
+fn eval_union_with<S, F>(u: &UnionQuery, catalog: &S, eval_one: F) -> Result<Relation, EvalError>
 where
     S: Source,
     F: Fn(&ConjunctiveQuery, &S) -> Result<Relation, EvalError>,
@@ -522,7 +251,7 @@ where
         Some(r) => Ok(r.distinct()),
         None => {
             // Every disjunct failed; return an empty relation of the right shape.
-            Ok(Relation::new(a_schema(first)))
+            Ok(Relation::new(head_schema(first)))
         }
     }
 }
@@ -584,7 +313,7 @@ pub fn eval_naive_bag<S: Source>(q: &ConjunctiveQuery, catalog: &S) -> Result<Re
         });
     }
 
-    let mut out = Relation::new(a_schema(q));
+    let mut out = Relation::new(head_schema(q));
     'env: for e in &envs {
         let mut tuple = Vec::with_capacity(q.head.terms.len());
         for t in &q.head.terms {
@@ -598,7 +327,46 @@ pub fn eval_naive_bag<S: Source>(q: &ConjunctiveQuery, catalog: &S) -> Result<Re
     Ok(out)
 }
 
-pub(crate) fn a_schema(q: &ConjunctiveQuery) -> RelSchema {
+/// The [`StepProfile`] oracle: what executing `plan`'s join order
+/// `A₀ … Aₙ` over `q` must measure, derived from [`eval_naive_bag`] alone.
+/// Step `k` builds from the rows of `A_k` that satisfy the atom on its
+/// own (`build_rows`), probes with the bindings of `A₀ … A_{k−1}` (one
+/// empty binding before the first step) and leaves the bindings of
+/// `A₀ … A_k`; nothing runs after a step that leaves none, so later
+/// profiles are all-zero. The engine's profiles feed the estimator's
+/// feedback loop; this is what they are checked against.
+pub fn eval_naive_profiles<S: Source>(
+    q: &ConjunctiveQuery,
+    plan: &Plan,
+    catalog: &S,
+) -> Result<Vec<StepProfile>, EvalError> {
+    validate(q, catalog)?;
+    let bindings_of = |atoms: &[Atom]| -> Result<usize, EvalError> {
+        let mut sub = ConjunctiveQuery::new(Atom::new("p", Vec::new()), atoms.to_vec());
+        sub.head.terms = sub.body_vars().into_iter().map(Term::var).collect();
+        Ok(eval_naive_bag(&sub, catalog)?.len())
+    };
+    let canonical = q.canonical_order();
+    let mut profiles = vec![StepProfile::default(); plan.order.len()];
+    let mut prefix: Vec<Atom> = Vec::new();
+    let mut probes = 1;
+    for (profile, &ci) in profiles.iter_mut().zip(&plan.order) {
+        if probes == 0 {
+            break;
+        }
+        prefix.push(q.body[canonical[ci]].clone());
+        let build_rows = bindings_of(&prefix[prefix.len() - 1..])?;
+        let bindings = bindings_of(&prefix)?;
+        *profile = StepProfile { bindings, build_rows, probes };
+        probes = bindings;
+    }
+    Ok(profiles)
+}
+
+/// The schema every evaluator gives `q`'s answer: the relation is named
+/// after the head, a head variable names its column, and a constant in
+/// position `i` is column `c{i}`.
+pub fn head_schema(q: &ConjunctiveQuery) -> RelSchema {
     RelSchema::text(
         q.head.relation.clone(),
         &q.head
@@ -616,10 +384,54 @@ pub(crate) fn a_schema(q: &ConjunctiveQuery) -> RelSchema {
     )
 }
 
+// Named by `crates/e2e/src/surface.rs`; delete with the next `benchmark`
+// issue.
+
+/// The engine selector of the two-engine era; one engine is left.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecMode {
+    #[default]
+    Vectorized,
+}
+
+impl std::fmt::Display for ExecMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "vectorized")
+    }
+}
+
+#[doc(hidden)]
+pub fn eval_cq_bindings_mode<S: Source>(
+    q: &ConjunctiveQuery,
+    plan: &Plan,
+    catalog: &S,
+    obs: &Obs,
+    parent: &SpanHandle,
+    _mode: ExecMode,
+) -> Result<(usize, Vec<StepProfile>), EvalError> {
+    eval_bindings(q, plan, catalog, obs, parent)
+}
+
+#[doc(hidden)]
+pub fn eval_cq_bag_planned_mode<S: Source>(
+    q: &ConjunctiveQuery,
+    plan: &Plan,
+    catalog: &S,
+    _mode: ExecMode,
+    obs: &Obs,
+) -> Result<Relation, EvalError> {
+    Ok(eval_planned(q, plan, catalog, obs, &SpanHandle::none())?.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parse::parse_query;
+
+    fn planned(q: &ConjunctiveQuery, plan: &Plan, c: &Catalog) -> Result<Relation, EvalError> {
+        Ok(eval_planned(q, plan, c, &Obs::disabled(), &SpanHandle::none())?.0)
+    }
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -795,7 +607,7 @@ mod tests {
         let a = parse_query("q(P, T) :- teaches(P, I), course(I, T, D)").unwrap();
         let b = parse_query("q(X, U) :- teaches(X, C), course(C, U, E)").unwrap();
         let plan = crate::plan::plan_cq(&a, &c);
-        let via_cache = eval_cq_bag_planned(&b, &plan, &c).unwrap();
+        let via_cache = planned(&b, &plan, &c).unwrap();
         let fresh = eval_cq_bag(&b, &c).unwrap();
         assert_eq!(via_cache.sorted().rows(), fresh.sorted().rows());
         assert_eq!(
@@ -810,7 +622,7 @@ mod tests {
         let a = parse_query("q(T) :- course(I, T, D)").unwrap();
         let b = parse_query("q(P) :- teaches(P, I)").unwrap();
         let plan = crate::plan::plan_cq(&a, &c);
-        assert!(eval_cq_bag_planned(&b, &plan, &c).is_err());
+        assert!(planned(&b, &plan, &c).is_err());
     }
 
     #[test]
@@ -818,9 +630,9 @@ mod tests {
         let c = catalog();
         let q = parse_query("q(T) :- course(I, T, 'cs'), teaches(P, I)").unwrap();
         let plan = crate::plan::plan_cq(&q, &c);
-        let (r, trace) = eval_cq_bag_traced(&q, &plan, &c).unwrap();
+        let (r, trace) = eval_planned(&q, &plan, &c, &Obs::disabled(), &SpanHandle::none()).unwrap();
         assert_eq!(trace.len(), plan.order.len());
-        assert_eq!(*trace.last().unwrap(), r.len());
+        assert_eq!(trace.last().unwrap().bindings, r.len());
     }
 
     #[test]

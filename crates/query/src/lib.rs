@@ -16,12 +16,12 @@
 //!   [`Plan`]s costed from catalog statistics, with the historical greedy
 //!   heuristic kept as an ablation baseline.
 //! * [`eval`] — plan-driven evaluation of (unions of) conjunctive queries
-//!   over a [`revere_storage::Catalog`], plus the nested-loop
-//!   [`eval_naive`] differential oracle.
-//! * [`vec`] — the vectorized columnar engine behind the same facade:
-//!   selection bitmaps, typed batched hash joins, morsel-parallel probes
-//!   with join-in-spawn-order determinism ([`ExecMode`] picks the engine;
-//!   the row evaluator stays as the ablation).
+//!   over a [`revere_storage::Catalog`]: four entry points ([`eval_cq`],
+//!   [`eval_cq_bag`], [`eval_planned`], [`eval_bindings`]) over one
+//!   engine, plus the nested-loop [`eval_naive`] differential oracle.
+//! * [`mod@vec`] — that engine: vectorized columnar execution with
+//!   selection bitmaps, typed batched hash joins, and morsel-parallel
+//!   probes with join-in-spawn-order determinism.
 //! * [`dataflow`] — DBSP-style delta dataflow: Z-set [`Delta`]s, bilinear
 //!   incremental joins with arranged state, and [`Circuit`]s that keep a
 //!   planned conjunctive body fresh in O(|Δ|) per update.
@@ -48,16 +48,14 @@ pub mod vec;
 
 pub use ast::{Atom, CmpOp, Comparison, ConjunctiveQuery, Term, UnionQuery};
 pub use containment::{contained_in, equivalent, minimize};
-pub use dataflow::{
-    AggFn, AggregateState, Arrangement, Circuit, Delta, DeltaBatch, DistinctState, JoinState,
-};
+pub use dataflow::{Arrangement, Circuit, Delta, DeltaBatch, DistinctState, JoinState};
 pub use eval::{
-    eval_cq, eval_cq_bag, eval_cq_bag_planned, eval_cq_bag_planned_mode,
-    eval_cq_bag_profiled_obs, eval_cq_bindings_mode, eval_cq_bag_profiled_obs_mode, eval_cq_bag_profiled_obs_row,
-    eval_cq_bag_traced, eval_cq_bag_traced_obs, eval_naive, eval_naive_bag, eval_naive_union,
-    eval_union, eval_union_with, Source, StepProfile,
+    eval_cq, eval_cq_bag, eval_naive, eval_naive_bag, eval_naive_profiles, eval_naive_union,
+    eval_union, head_schema, Source, StepProfile,
 };
-pub use vec::{eval_cq_bag_planned_vec, eval_cq_bag_profiled_obs_vec, eval_cq_bindings_vec, ExecMode, VecOpts};
+#[doc(hidden)]
+pub use eval::{eval_cq_bag_planned_mode, eval_cq_bindings_mode, ExecMode};
+pub use vec::{eval_bindings, eval_planned, VecOpts};
 pub use plan::{
     explain_analyze, explain_analyze_with, plan_cq, plan_cq_opts, plan_cq_with, q_error,
     ExplainAnalyze, JoinPair, Plan, PlanStep, Selectivity, Strategy,

@@ -22,6 +22,7 @@
 
 use crate::ast::{ConjunctiveQuery, Term};
 use crate::eval::Source;
+use revere_util::obs::{Obs, SpanHandle};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -143,8 +144,8 @@ impl Plan {
 
 impl Plan {
     /// Render the plan as an `EXPLAIN`-style table, one aligned line per
-    /// join step. With `actuals` (per-step binding counts from
-    /// [`crate::eval::eval_cq_bag_traced`], parallel to `order`) each
+    /// join step. With `actuals` (the per-step `bindings` of
+    /// [`crate::eval_planned`]'s profiles, parallel to `order`) each
     /// line gains `act bind` and `q-err` columns — `EXPLAIN ANALYZE`.
     /// Column widths are computed from the estimate side only, so the
     /// shared prefix of every line is byte-identical with and without
@@ -282,7 +283,9 @@ pub fn explain_analyze_with<S: Source>(
     selectivity: Selectivity,
 ) -> Result<ExplainAnalyze, crate::eval::EvalError> {
     let plan = plan_cq_opts(q, source, strategy, selectivity);
-    let (rel, actual_bindings) = crate::eval::eval_cq_bag_traced(q, &plan, source)?;
+    let (rel, profiles) =
+        crate::eval_planned(q, &plan, source, &Obs::disabled(), &SpanHandle::none())?;
+    let actual_bindings = profiles.iter().map(|p| p.bindings).collect();
     let derivations = rel.len();
     let answers = rel.distinct().len();
     Ok(ExplainAnalyze { plan, actual_bindings, derivations, answers })

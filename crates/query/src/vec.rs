@@ -1,33 +1,32 @@
-//! Vectorized columnar execution of planned conjunctive queries.
+//! Vectorized columnar execution of planned conjunctive queries — the
+//! engine behind every entry point of [`crate::eval`].
 //!
-//! The row engine in [`crate::eval`] executes one hash join per plan step
-//! over a binding table of `Vec<Value>` tuples — every probe allocates a
-//! key vector, every output binding clones a whole tuple. This module
-//! executes the *same plan over the same semantics* in batches: the
-//! binding table is one [`ColumnVec`] per variable, build-side filters
-//! (constants, within-atom repeated variables) are selection bitmaps
-//! combined with [`SelBitmap`] algebra, hash joins build and probe with
-//! per-column typed keys (`i64`, dictionary codes) where both sides share
-//! a concrete type, and match output is a pair of index vectors gathered
-//! into new columns — integer and code copies instead of per-row clones.
+//! A plan runs in batches: the binding table is one [`ColumnVec`] per
+//! variable, build-side filters (constants, within-atom repeated
+//! variables) are selection bitmaps combined with [`SelBitmap`] algebra,
+//! hash joins build and probe with per-column typed keys (`i64`,
+//! dictionary codes) where both sides share a concrete type, and match
+//! output is a pair of index vectors gathered into new columns — integer
+//! and code copies, no per-row tuple clones or key vectors.
 //!
-//! **Determinism contract.** The vectorized engine reproduces the row
-//! engine's output *row order exactly* (probe bindings in order, matches
-//! in relation insert order), emits the same `query.eval.*` counters,
-//! span fields, and [`StepProfile`]s, and returns the same errors.
-//! Morsel-parallel execution preserves this byte-identity: worker threads
-//! claim fixed-size morsels from an atomic counter, each morsel's output
-//! lands in its own slot, and slots are concatenated in morsel order — a
-//! pure function of the input, independent of thread scheduling (the
-//! same discipline as `PdmsNetwork::query_parallel`). Workers never touch
-//! the tracer or metrics; the coordinator emits per-step totals once.
+//! **Determinism contract.** Output row order is a pure function of the
+//! query, the plan and the data: probe bindings in order, matches within
+//! a binding in relation insert order. Morsel-parallel execution keeps
+//! it: worker threads claim fixed-size morsels from an atomic counter,
+//! each morsel's output lands in its own slot, and slots are concatenated
+//! in morsel order, independent of thread scheduling (the same discipline
+//! as `PdmsNetwork::query_parallel`). Workers never touch the tracer or
+//! metrics; the coordinator emits per-step totals once, so `query.eval.*`
+//! counters, `eval.step` span fields and [`StepProfile`]s do not depend
+//! on [`VecOpts`] either.
 //!
-//! The row engine remains available as an ablation via [`ExecMode::Row`];
-//! `tests/differential_vec.rs` holds the two engines and the nested-loop
-//! oracle together on generated corpora.
+//! `tests/differential_vec.rs` holds this engine to the nested-loop
+//! oracle ([`crate::eval::eval_naive_bag`]) on generated corpora —
+//! answers, errors, and step profiles — and every [`VecOpts`]
+//! configuration to the sequential run byte for byte.
 
 use crate::ast::{ConjunctiveQuery, Term};
-use crate::eval::{a_schema, validate, AtomSplit, EvalError, Source, StepProfile};
+use crate::eval::{head_schema, validate, AtomSplit, EvalError, Source, StepProfile};
 use crate::plan::Plan;
 use revere_storage::{ColumnVec, ColumnarBatch, Relation, SelBitmap, Value};
 use revere_util::obs::{names, Obs, SpanHandle};
@@ -35,25 +34,6 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Which execution engine evaluates a planned conjunctive query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// The historical row-at-a-time engine, kept as an ablation baseline.
-    Row,
-    /// The columnar batch engine (the default).
-    #[default]
-    Vectorized,
-}
-
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecMode::Row => write!(f, "row"),
-            ExecMode::Vectorized => write!(f, "vectorized"),
-        }
-    }
-}
 
 /// Tuning knobs for the vectorized engine. Every setting changes only
 /// *how* work is scheduled, never what is computed — output is
@@ -149,8 +129,7 @@ where
 }
 
 /// The columnar binding table: one column per bound variable, `rows`
-/// logical rows. Starts as the row engine does — zero columns, one empty
-/// binding.
+/// logical rows. Starts with zero columns and one empty binding.
 struct Bindings {
     names: Vec<String>,
     cols: Vec<ColumnVec>,
@@ -166,8 +145,8 @@ struct Bindings {
 /// is collision-hardened but costs more than the whole probe loop body on
 /// `i64`/dictionary-code keys; these maps are built and probed, never
 /// iterated, so a weak fast hash cannot leak nondeterminism into output
-/// order. The `Generic` index keeps the default hasher: its `Vec<Value>`
-/// keys must match the row engine's hash/equality semantics exactly.
+/// order. The `Generic` index keeps the default hasher over `Vec<Value>`
+/// keys, whose `Hash`/`Eq` are the query language's equality.
 #[derive(Default)]
 struct FxHasher(u64);
 
@@ -214,8 +193,8 @@ enum BuildIndex {
         /// string, or `None` when the build side never saw it.
         trans: Vec<Option<u32>>,
     },
-    /// Anything else: materialized `Value` keys, matching the row
-    /// engine's hash/equality semantics by construction.
+    /// Anything else: materialized `Value` keys, equal exactly when the
+    /// query language says so (numerically across `Int`/`Float`).
     Generic(HashMap<Vec<Value>, Vec<u32>>),
 }
 
@@ -268,8 +247,8 @@ fn build_index(
 }
 
 /// Probe every binding row against the index, producing the match pairs
-/// `(probe row, build row)` in exactly the row engine's order: bindings
-/// ascending, matches within a binding in relation insert order.
+/// `(probe row, build row)` in the contract's order: bindings ascending,
+/// matches within a binding in relation insert order.
 fn probe(
     index: &BuildIndex,
     split: &AtomSplit,
@@ -365,8 +344,8 @@ fn concat_pairs(parts: Vec<(Vec<u32>, Vec<u32>)>) -> (Vec<u32>, Vec<u32>) {
 enum Resolved {
     Const(Value),
     Col(usize),
-    /// The variable is not bound by the body — the row engine drops
-    /// every row that reaches such a term.
+    /// The variable is not bound by the body (an unsafe query): no row
+    /// that reaches such a term survives.
     Missing,
 }
 
@@ -380,10 +359,48 @@ fn resolve_term(t: &Term, names: &[String]) -> Resolved {
     }
 }
 
-/// The full-fidelity vectorized evaluator: the columnar counterpart of
-/// [`crate::eval::eval_cq_bag_profiled_obs_row`], same plan, same
-/// counters and spans, same errors, byte-identical output row order.
-pub fn eval_cq_bag_profiled_obs_vec<S: Source>(
+/// Evaluate `q` under a caller-supplied (possibly cached) plan, with full
+/// fidelity: the answer bag, one [`StepProfile`] per plan step (parallel
+/// to `plan.order` — what the PDMS feedback loop turns into observed join
+/// selectivities), one `eval.step` child span of `parent` per executed
+/// step, and the `query.eval.*` counters in `obs`. The plan must apply to
+/// `q` (same canonical key); the output is projected from `q`'s own head,
+/// so a plan cached from an isomorphic disjunct yields byte-identical
+/// answers to planning fresh. Execution is identical whether or not
+/// `obs`/`parent` record anything (`tests/trace_obs.rs` holds that to
+/// byte-identity); a caller that wants only the bag takes `.0`.
+pub fn eval_planned<S: Source>(
+    q: &ConjunctiveQuery,
+    plan: &Plan,
+    catalog: &S,
+    obs: &Obs,
+    parent: &SpanHandle,
+) -> Result<(Relation, Vec<StepProfile>), EvalError> {
+    eval_planned_opts(q, plan, catalog, obs, parent, &VecOpts::default())
+}
+
+/// [`eval_planned`] without the answer copy-out: the join pipeline and
+/// comparison filters run in full — identical counters, spans and
+/// [`StepProfile`]s — but the head is never projected into owned tuples.
+/// Returns the surviving binding count. This is the EXPLAIN-ANALYZE /
+/// adaptive-feedback shape: everything the q-error machinery consumes
+/// comes from the profiles, and a plan probe should not pay for strings
+/// nobody reads.
+pub fn eval_bindings<S: Source>(
+    q: &ConjunctiveQuery,
+    plan: &Plan,
+    catalog: &S,
+    obs: &Obs,
+    parent: &SpanHandle,
+) -> Result<(usize, Vec<StepProfile>), EvalError> {
+    eval_bindings_vec(q, plan, catalog, obs, parent, &VecOpts::default()).map(|(b, t)| (b.rows, t))
+}
+
+/// [`eval_planned`] under explicit scheduling options: the hook
+/// `tests/differential_vec.rs` forces real threads through at morsel
+/// sizes 1, 7, 64 and whole-relation. Production runs the default.
+#[doc(hidden)]
+pub fn eval_planned_opts<S: Source>(
     q: &ConjunctiveQuery,
     plan: &Plan,
     catalog: &S,
@@ -398,7 +415,7 @@ pub fn eval_cq_bag_profiled_obs_vec<S: Source>(
     // answer-heavy queries — and rows are independent, so the pass is
     // morselized; concatenating morsels in index order keeps the output
     // in binding order.
-    let mut out = Relation::new(a_schema(q));
+    let mut out = Relation::new(head_schema(q));
     let head: Vec<Resolved> =
         q.head.terms.iter().map(|t| resolve_term(t, &bind.names)).collect();
     if !head.iter().any(|r| matches!(r, Resolved::Missing)) {
@@ -424,9 +441,9 @@ pub fn eval_cq_bag_profiled_obs_vec<S: Source>(
     Ok((out, trace))
 }
 
-/// The vectorized engine's binding-realization core: everything up to
-/// (not including) head projection. [`eval_cq_bindings_vec`] exposes the
-/// counts; the bag evaluator materializes answers on top.
+/// The binding-realization core: everything up to (not including) head
+/// projection. [`eval_bindings`] exposes the count; [`eval_planned`]
+/// materializes answers on top.
 fn eval_bindings_vec<S: Source>(
     q: &ConjunctiveQuery,
     plan: &Plan,
@@ -511,10 +528,9 @@ fn eval_bindings_vec<S: Source>(
     // (and no build/probe work, so feedback skips them).
     trace.resize(plan.order.len(), StepProfile::default());
 
-    // Apply comparisons: a row survives iff every comparison passes —
-    // the conjunction of per-comparison keep bitmaps, which is exactly
-    // the row engine's sequential `retain`. Rows are independent, so the
-    // pass is morselized like any other operator.
+    // Apply comparisons: a row survives iff every comparison passes.
+    // Rows are independent, so the pass is morselized like any other
+    // operator.
     if !q.comparisons.is_empty() && bind.rows > 0 {
         let terms: Vec<(Resolved, Resolved)> = q
             .comparisons
@@ -525,8 +541,7 @@ fn eval_bindings_vec<S: Source>(
             .iter()
             .any(|(l, r)| matches!(l, Resolved::Missing) || matches!(r, Resolved::Missing));
         let keep = if unsafe_cmp {
-            // Unsafe comparisons never pass (parser rejects them anyway)
-            // — an all-zero bitmap, like the row engine's per-row `false`.
+            // Unsafe comparisons never pass (parser rejects them anyway).
             SelBitmap::none(bind.rows)
         } else {
             let value_at = |r: &Resolved, row: usize| match r {
@@ -553,37 +568,10 @@ fn eval_bindings_vec<S: Source>(
     Ok((bind, trace))
 }
 
-/// Realize bindings without materializing answers — the vectorized side
-/// of [`crate::eval::eval_cq_bindings_mode`]. Same pipeline, counters,
-/// and spans as [`eval_cq_bag_profiled_obs_vec`]; only the head
-/// projection (answer copy-out) is skipped.
-pub fn eval_cq_bindings_vec<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-    obs: &Obs,
-    parent: &SpanHandle,
-    opts: &VecOpts,
-) -> Result<(usize, Vec<StepProfile>), EvalError> {
-    eval_bindings_vec(q, plan, catalog, obs, parent, opts).map(|(b, t)| (b.rows, t))
-}
-
-/// Bag evaluation under a caller-supplied plan with explicit engine
-/// options — the entry point the morsel byte-identity tests sweep.
-pub fn eval_cq_bag_planned_vec<S: Source>(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &S,
-    opts: &VecOpts,
-) -> Result<Relation, EvalError> {
-    Ok(eval_cq_bag_profiled_obs_vec(q, plan, catalog, &Obs::disabled(), &SpanHandle::none(), opts)?
-        .0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_cq_bag_profiled_obs_row;
+    use crate::eval::{eval_naive_bag, eval_naive_profiles};
     use crate::parse::parse_query;
     use crate::plan::plan_cq;
     use revere_storage::{Catalog, RelSchema};
@@ -617,9 +605,21 @@ mod tests {
         c
     }
 
-    /// Vectorized output must match the row engine byte for byte —
-    /// including row order — on representative query shapes, and both
-    /// engines must report identical step profiles.
+    fn untraced(
+        q: &ConjunctiveQuery,
+        plan: &Plan,
+        c: &Catalog,
+        opts: &VecOpts,
+    ) -> Result<(Relation, Vec<StepProfile>), EvalError> {
+        eval_planned_opts(q, plan, c, &Obs::disabled(), &SpanHandle::none(), opts)
+    }
+
+    /// On representative query shapes: the answer bag is the naive
+    /// oracle's, the step profiles are the profile oracle's, the kernel's
+    /// binding count is the bag's length, and every scheduling
+    /// configuration returns the sequential run's rows in its order. (The
+    /// name is the test-floor id from when a row engine was the
+    /// reference; the oracles replaced it.)
     #[test]
     fn vectorized_matches_row_engine_exactly() {
         let c = catalog();
@@ -632,106 +632,78 @@ mod tests {
             "q(A) :- edge(A, A)",
             "q(T, B) :- course(I, T, 'cs'), edge(2, B)",
             "q(X, Y) :- edge(X, Y), edge(Y, Z), edge(Z, X)",
+            "q(T) :- course(I, T, 'none'), enrollment(I, N)",
         ] {
             let q = parse_query(text).unwrap();
             let plan = plan_cq(&q, &c);
-            let (row, row_trace) = eval_cq_bag_profiled_obs_row(
-                &q,
-                &plan,
-                &c,
-                &Obs::disabled(),
-                &SpanHandle::none(),
-            )
-            .unwrap();
+            let naive = eval_naive_bag(&q, &c).unwrap();
+            let profiles = eval_naive_profiles(&q, &plan, &c).unwrap();
+            let (sequential, _) = untraced(&q, &plan, &c, &VecOpts::sequential()).unwrap();
+            assert_eq!(sequential.sorted().rows(), naive.sorted().rows(), "answers: {text}");
             for opts in [VecOpts::default(), VecOpts::sequential(), VecOpts::forced_parallel(2)]
             {
-                let (vec, vec_trace) = eval_cq_bag_profiled_obs_vec(
-                    &q,
-                    &plan,
-                    &c,
-                    &Obs::disabled(),
-                    &SpanHandle::none(),
-                    &opts,
-                )
-                .unwrap();
-                assert_eq!(vec.rows(), row.rows(), "row order diverged: {text}");
-                assert_eq!(vec_trace, row_trace, "step profiles diverged: {text}");
+                let (vec, trace) = untraced(&q, &plan, &c, &opts).unwrap();
+                assert_eq!(vec.rows(), sequential.rows(), "row order diverged: {text}");
+                assert_eq!(trace, profiles, "step profiles diverged: {text}");
             }
+            let (n, trace) =
+                eval_bindings(&q, &plan, &c, &Obs::disabled(), &SpanHandle::none()).unwrap();
+            assert_eq!(n, naive.len(), "binding count: {text}");
+            assert_eq!(trace, profiles, "kernel step profiles diverged: {text}");
         }
     }
 
-    /// The engines agree on errors, too — same messages, not just both
-    /// erring.
+    /// A broken query errors with the oracle's message (both check
+    /// relations and arities up front); a plan that does not apply is
+    /// rejected by both entry points, naming the two canonical keys.
+    /// (Floor id kept, as above.)
     #[test]
     fn errors_match_row_engine() {
         let c = catalog();
         let q = parse_query("q(X) :- ghost(X)").unwrap();
         let plan = plan_cq(&q, &c);
-        let row =
-            eval_cq_bag_profiled_obs_row(&q, &plan, &c, &Obs::disabled(), &SpanHandle::none());
-        let vec = eval_cq_bag_profiled_obs_vec(
-            &q,
-            &plan,
-            &c,
-            &Obs::disabled(),
-            &SpanHandle::none(),
-            &VecOpts::default(),
-        );
-        assert_eq!(row.unwrap_err(), vec.unwrap_err());
-        // A plan that does not apply errors identically as well.
+        let vec = untraced(&q, &plan, &c, &VecOpts::default());
+        assert_eq!(vec.unwrap_err(), eval_naive_bag(&q, &c).unwrap_err());
+
         let other = parse_query("q(N) :- enrollment(C, N)").unwrap();
         let wrong = plan_cq(&other, &c);
         let q2 = parse_query("q(T) :- course(I, T, D)").unwrap();
-        let row = eval_cq_bag_profiled_obs_row(
-            &q2,
-            &wrong,
-            &c,
-            &Obs::disabled(),
-            &SpanHandle::none(),
-        );
-        let vec = eval_cq_bag_profiled_obs_vec(
-            &q2,
-            &wrong,
-            &c,
-            &Obs::disabled(),
-            &SpanHandle::none(),
-            &VecOpts::default(),
-        );
-        assert_eq!(row.unwrap_err(), vec.unwrap_err());
+        let expected = EvalError {
+            message: format!(
+                "plan for {:?} does not apply to {:?}",
+                wrong.key(),
+                q2.canonical_key()
+            ),
+        };
+        assert_eq!(untraced(&q2, &wrong, &c, &VecOpts::default()).unwrap_err(), expected);
+        let kernel = eval_bindings(&q2, &wrong, &c, &Obs::disabled(), &SpanHandle::none());
+        assert_eq!(kernel.unwrap_err(), expected);
     }
 
     /// Counters are emitted identically whether or not a recording span
-    /// is attached, and identically across the two engines — the
-    /// traced/untraced parity the parallel query path depends on.
+    /// is attached, and by the kernel as by the full evaluator — the
+    /// traced/untraced parity the parallel query path depends on. (Floor
+    /// id kept; the "engines" are now the two entry points.)
     #[test]
     fn counters_agree_traced_untraced_and_across_engines() {
         let c = catalog();
         let q = parse_query("q(T, N) :- course(I, T, 'cs'), enrollment(I, N), N > 50").unwrap();
         let plan = plan_cq(&q, &c);
-        let run = |mode: ExecMode, traced: bool| {
+        let run = |traced: bool, kernel: bool| {
             let obs = Obs::enabled();
             let root = if traced { obs.span("root") } else { SpanHandle::none() };
-            match mode {
-                ExecMode::Row => {
-                    eval_cq_bag_profiled_obs_row(&q, &plan, &c, &obs, &root).unwrap()
-                }
-                ExecMode::Vectorized => eval_cq_bag_profiled_obs_vec(
-                    &q,
-                    &plan,
-                    &c,
-                    &obs,
-                    &root,
-                    &VecOpts::default(),
-                )
-                .unwrap(),
-            };
+            if kernel {
+                eval_bindings(&q, &plan, &c, &obs, &root).unwrap();
+            } else {
+                eval_planned(&q, &plan, &c, &obs, &root).unwrap();
+            }
             root.finish();
             obs.metrics().unwrap().snapshot().to_string()
         };
-        let baseline = run(ExecMode::Vectorized, true);
-        assert_eq!(baseline, run(ExecMode::Vectorized, false), "tracing changed counters");
-        assert_eq!(baseline, run(ExecMode::Row, true), "engines disagree on counters");
-        assert_eq!(baseline, run(ExecMode::Row, false));
+        let baseline = run(true, false);
+        assert_eq!(baseline, run(false, false), "tracing changed counters");
+        assert_eq!(baseline, run(true, true), "kernel and evaluator disagree on counters");
+        assert_eq!(baseline, run(false, true));
         assert!(baseline.contains(names::QUERY_EVAL_STEP_BINDINGS), "{baseline}");
     }
 

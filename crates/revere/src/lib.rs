@@ -71,21 +71,18 @@ pub mod prelude {
     pub use revere_pdms::{
         apply_once, apply_once_dataflow, apply_updategrams, derivation_deltas_readonly,
         gram_to_batch, maintain, CacheStats, CompletenessReport, DataflowView, GramInbox, Health,
-        IvmStrategy, MaintenanceChoice, MaterializedView, Monitor, MonitorConfig, MonitorEvent,
+        MaintenanceChoice, MaterializedView, Monitor, MonitorConfig, MonitorEvent,
         PdmsNetwork, Peer, PeerAccounting, PeerVitals, PublishReport, QueryBudget, QueryOutcome,
         ReformulateOptions, Reformulator, ReliableLink, SequencedGram, Subscription, Updategram,
         XmlMapping,
     };
     pub use revere_query::{
-        contained_in, eval_cq, eval_cq_bag, eval_cq_bag_planned, eval_cq_bag_planned_mode,
-        eval_cq_bag_planned_vec, eval_cq_bag_profiled_obs, eval_cq_bag_profiled_obs_mode,
-        eval_cq_bag_profiled_obs_row, eval_cq_bag_profiled_obs_vec, eval_cq_bag_traced,
-        eval_cq_bindings_mode, eval_cq_bindings_vec,
-        eval_naive, eval_naive_bag, eval_naive_union, eval_union, explain_analyze,
+        contained_in, eval_bindings, eval_cq, eval_cq_bag, eval_naive, eval_naive_bag,
+        eval_naive_profiles, eval_naive_union, eval_planned, eval_union, explain_analyze,
         explain_analyze_with, minimize, parse_query, plan_cq, plan_cq_opts, plan_cq_with, q_error,
-        rewrite_using_views, unfold_with, AggFn, AggregateState, Arrangement, Circuit,
-        ConjunctiveQuery, Delta, DeltaBatch, DistinctState, ExecMode, ExplainAnalyze, GlavMapping,
-        JoinState, Plan, Selectivity, StepProfile, Strategy, UnionQuery, VecOpts, ViewDef,
+        rewrite_using_views, unfold_with, Arrangement, Circuit, ConjunctiveQuery, Delta,
+        DeltaBatch, DistinctState, ExplainAnalyze, GlavMapping, JoinState, Plan, Selectivity,
+        StepProfile, Strategy, UnionQuery, VecOpts, ViewDef,
     };
     pub use revere_storage::{
         row_deltas, Catalog, ColumnVec, ColumnarBatch, DbSchema, Journal, RelSchema, Relation,

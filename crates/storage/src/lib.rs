@@ -10,12 +10,10 @@
 //!   ([`DbSchema`]): the unit that corpus tools and peer mappings operate on.
 //! * [`relation`] — in-memory [`Relation`]s (bags of tuples); clones
 //!   share rows, statistics and columnar image, writes are copy-on-write.
-//! * [`column`] — typed column vectors ([`ColumnVec`]), relation→batch
+//! * [`mod@column`] — typed column vectors ([`ColumnVec`]), relation→batch
 //!   pivoting ([`ColumnarBatch`]) and selection bitmaps ([`SelBitmap`]):
-//!   the columnar layer under the vectorized evaluator.
-//! * [`index`] — hash indexes over one or more columns.
-//! * [`engine`] — iterator-style operators: scan, filter, project, hash
-//!   join, union, distinct, sort, grouped aggregation.
+//!   the columnar layer under the vectorized evaluator. Joins themselves
+//!   live one crate up, in `revere_query::vec` — this crate stores.
 //! * [`triples`] — the provenance-carrying triple store MANGROVE publishes
 //!   annotations into, with SPO/POS/OSP indexes (our stand-in for Jena \[33\]).
 //! * [`catalog`] — a named collection of relations, plus a thread-safe
@@ -29,8 +27,6 @@
 
 pub mod catalog;
 pub mod column;
-pub mod engine;
-pub mod index;
 pub mod relation;
 pub mod schema;
 pub mod stats;
@@ -40,8 +36,6 @@ pub mod wal;
 
 pub use catalog::{Catalog, SharedCatalog};
 pub use column::{ColumnVec, ColumnarBatch, SelBitmap};
-pub use engine::{AggFn, Predicate};
-pub use index::HashIndex;
 pub use relation::{Relation, Tuple};
 pub use schema::{AttrType, Attribute, DbSchema, RelSchema};
 pub use stats::{mcv_join_overlap, ColumnStats, JoinObservation, JoinStats, RelStats};

@@ -313,7 +313,7 @@ pub enum WalRecord {
     /// Journaled *before* applying, so replay re-applies the same deltas
     /// and re-marks the gram id as seen.
     DeltaApplied {
-        /// Identity of the inbound link ("<source>→<target>").
+        /// Identity of the inbound link (`<source>→<target>`).
         link: String,
         /// The gram's sequence id on that link.
         id: u64,

@@ -10,7 +10,7 @@
 //! `crates/bench/benches/` keep their structure.
 //!
 //! Measurement model: one warmup phase sizes an iteration batch so a
-//! sample takes roughly [`TARGET_SAMPLE`], then `sample_size` samples are
+//! sample takes roughly `TARGET_SAMPLE`, then `sample_size` samples are
 //! timed and per-iteration **median** and **p95** are reported through a
 //! [`LogSink`] (stdout by default, a capture sink in tests). Each
 //! measurement also emits a machine-parseable `key=value` record on the

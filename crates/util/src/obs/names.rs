@@ -2,8 +2,8 @@
 //! call site draws from.
 //!
 //! Names follow a `layer.component.noun_verb` scheme — the dotted prefix
-//! says *where* in the stack the number comes from (`storage.scan`,
-//! `query.eval`, `pdms.fetch`, `monitor.probe`, ...), the snake_case
+//! says *where* in the stack the number comes from (`query.eval`,
+//! `pdms.fetch`, `pdms.wal`, `monitor.probe`, ...), the snake_case
 //! leaf says *what happened* (`rows_scanned`, `messages_dropped`,
 //! `retries_spent`). Keeping every name here (instead of scattered
 //! string literals) makes three things cheap:
@@ -14,21 +14,6 @@
 //!   on stray names before they ossify into ad-hoc conventions.
 
 use super::MetricsSnapshot;
-
-// --- storage layer ---------------------------------------------------------
-
-/// Rows read by a storage scan before predicate filtering.
-pub const STORAGE_SCAN_ROWS_READ: &str = "storage.scan.rows_read";
-/// Rows a storage scan kept after applying its pushed-down predicates.
-pub const STORAGE_SCAN_ROWS_KEPT: &str = "storage.scan.rows_kept";
-/// Rows hashed into join build sides.
-pub const STORAGE_JOIN_ROWS_BUILT: &str = "storage.join.rows_built";
-/// Rows streamed through join probe sides.
-pub const STORAGE_JOIN_ROWS_PROBED: &str = "storage.join.rows_probed";
-/// Probe rows that found at least one build match via the hash index.
-pub const STORAGE_JOIN_INDEX_HITS: &str = "storage.join.index_hits";
-/// Rows emitted by joins.
-pub const STORAGE_JOIN_ROWS_MATCHED: &str = "storage.join.rows_matched";
 
 // --- query layer -----------------------------------------------------------
 
@@ -147,12 +132,6 @@ pub const ALL: &[&str] = &[
     QUERY_EVAL_ROWS_SCANNED,
     QUERY_EVAL_STEP_BINDINGS,
     QUERY_EVAL_STEPS_EXECUTED,
-    STORAGE_JOIN_INDEX_HITS,
-    STORAGE_JOIN_ROWS_BUILT,
-    STORAGE_JOIN_ROWS_MATCHED,
-    STORAGE_JOIN_ROWS_PROBED,
-    STORAGE_SCAN_ROWS_KEPT,
-    STORAGE_SCAN_ROWS_READ,
 ];
 
 /// Is `name` in the canonical registry?
@@ -218,13 +197,13 @@ mod tests {
         ] {
             assert!(!follows_scheme(bad), "scheme accepted {bad:?}");
         }
-        assert!(follows_scheme("storage.scan.rows_read"));
+        assert!(follows_scheme("query.eval.rows_scanned"));
     }
 
     #[test]
     fn unregistered_flags_strays_only() {
         let m = Metrics::new();
-        m.inc(STORAGE_SCAN_ROWS_READ, 1);
+        m.inc(QUERY_EVAL_ROWS_SCANNED, 1);
         m.observe(PDMS_FETCH_LATENCY_TICKS, 3);
         m.set_gauge(PDMS_WAL_RECORDS_PENDING, 5);
         assert!(unregistered(&m.snapshot()).is_empty());

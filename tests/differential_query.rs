@@ -201,7 +201,9 @@ fn learned_statistics_never_change_answers() {
         assert_agrees(case, &text, &q, &catalog);
         let uniform =
             plan_cq_opts(&q, &catalog, Strategy::CostBased, Selectivity::Uniform);
-        let planned = eval_cq_bag_planned(&q, &uniform, &catalog).map(sorted_rows);
+        let planned =
+            eval_planned(&q, &uniform, &catalog, &Obs::disabled(), &SpanHandle::none())
+                .map(|(bag, _)| sorted_rows(bag));
         let naive = eval_naive_bag(&q, &catalog).map(sorted_rows);
         assert_eq!(planned, naive, "case {case}: uniform plan of `{text}` diverged");
     }

@@ -1,9 +1,9 @@
 //! Differential gate for the vectorized columnar engine.
 //!
-//! The vectorized evaluator (`query::vec`) promises *byte-identity* with
-//! the row engine — not just the same bag of answers but the same row
-//! order, the same step profiles, and the same errors — and agreement
-//! (up to canonical sort) with the nested-loop naive oracle. These tests
+//! The engine (`query::vec`) is held to the nested-loop naive oracle —
+//! the same bag of answers after canonical sort, the same errors — and
+//! its step profiles, the feedback loop's input, to the profile oracle
+//! derived from that evaluator (`eval_naive_profiles`). These tests
 //! generate random catalogs and conjunctive queries biased toward the
 //! shapes where a columnar engine can go wrong:
 //!
@@ -14,17 +14,18 @@
 //! * cartesian-adjacent bodies (atoms sharing no variables — the
 //!   `BuildIndex::All` fan-out), and
 //! * broken queries (missing relation / wrong arity), which must produce
-//!   the *same* `EvalError` from both engines.
+//!   the *same* `EvalError` as the oracle.
 //!
 //! Every case also sweeps morsel configurations — sequential, and forced
 //! parallel at morsel sizes 1, 7, 64, and whole-relation — and holds the
-//! output byte-identical across all of them, the same determinism
-//! contract `query_parallel` is held to.
+//! output (rows in order, profiles, errors) byte-identical across all of
+//! them, the same determinism contract `query_parallel` is held to.
 //!
 //! Seeding: `REVERE_VEC_SEED` (default 1) offsets every generator;
 //! `scripts/verify.sh` sweeps several seeds.
 
 use revere::prelude::*;
+use revere::query::vec::eval_planned_opts;
 use revere::storage::Attribute;
 use revere_util::prop::Gen;
 
@@ -145,7 +146,7 @@ fn random_query(g: &mut Gen, catalog: &Catalog, break_it: bool) -> String {
         // Draw this atom's variables from either half of the pool: atoms
         // drawing from disjoint halves share nothing, which makes the
         // step a cartesian product — the shape the `BuildIndex::All`
-        // fan-out path must get byte-for-byte right.
+        // fan-out path must get right.
         let pool: &[&str] = if *g.pick(&[true, false]) { &VARS[..3] } else { &VARS[2..] };
         let terms: Vec<String> = (0..arity)
             .map(|ti| {
@@ -186,32 +187,54 @@ fn opts_sweep() -> Vec<(&'static str, VecOpts)> {
     ]
 }
 
-fn run_row(q: &ConjunctiveQuery, plan: &Plan, c: &Catalog) -> Result<Relation, String> {
-    eval_cq_bag_profiled_obs_row(q, plan, c, &Obs::disabled(), &SpanHandle::none())
-        .map(|(r, _)| r)
+type Evaluated = Result<(Relation, Vec<StepProfile>), String>;
+
+fn run_vec(q: &ConjunctiveQuery, plan: &Plan, c: &Catalog, opts: &VecOpts) -> Evaluated {
+    eval_planned_opts(q, plan, c, &Obs::disabled(), &SpanHandle::none(), opts)
         .map_err(|e| e.to_string())
 }
 
-fn run_vec(
+fn run_kernel(
     q: &ConjunctiveQuery,
     plan: &Plan,
     c: &Catalog,
-    opts: &VecOpts,
-) -> Result<Relation, String> {
-    eval_cq_bag_profiled_obs_vec(q, plan, c, &Obs::disabled(), &SpanHandle::none(), opts)
-        .map(|(r, _)| r)
-        .map_err(|e| e.to_string())
+) -> Result<(usize, Vec<StepProfile>), String> {
+    eval_bindings(q, plan, c, &Obs::disabled(), &SpanHandle::none()).map_err(|e| e.to_string())
 }
 
 /// Rows in canonical order, for comparison against the (differently
 /// ordered) naive oracle.
-fn sorted_rows(r: Relation) -> Vec<Vec<Value>> {
+fn sorted_rows(r: &Relation) -> Vec<Vec<Value>> {
     r.sorted().into_rows()
 }
 
-/// Vectorized ≡ row engine *byte-for-byte* (unsorted — row order is part
-/// of the contract) across the whole morsel sweep, and ≡ naive oracle
-/// after canonical sort.
+/// Every configuration of the morsel sweep returns what the sequential
+/// run returns — rows in order, profiles, errors (row order is part of
+/// the contract). Hands back the sequential result.
+fn assert_sweep_is_byte_identical(
+    ctx: &str,
+    q: &ConjunctiveQuery,
+    plan: &Plan,
+    c: &Catalog,
+) -> Evaluated {
+    let sequential = run_vec(q, plan, c, &VecOpts::sequential());
+    for (label, opts) in opts_sweep() {
+        match (&sequential, &run_vec(q, plan, c, &opts)) {
+            (Ok((s, st)), Ok((v, vt))) => {
+                assert_eq!(s.rows(), v.rows(), "{ctx} [{label}]: row order diverged");
+                assert_eq!(st, vt, "{ctx} [{label}]: step profiles diverged");
+            }
+            (Err(s), Err(v)) => assert_eq!(s, v, "{ctx} [{label}]: errors diverged"),
+            (s, v) => panic!("{ctx} [{label}]: sequential {s:?} vs {v:?}"),
+        }
+    }
+    sequential
+}
+
+/// Vectorized ≡ naive oracle after canonical sort, step profiles ≡ the
+/// profile oracle, the bindings-only kernel ≡ both, across the whole
+/// morsel sweep. (The name is the test-floor id from when a row engine
+/// was the byte-for-byte reference; the two oracles replaced it.)
 #[test]
 fn vectorized_agrees_with_row_engine_and_naive_oracle() {
     for case in 0..64u64 {
@@ -221,53 +244,31 @@ fn vectorized_agrees_with_row_engine_and_naive_oracle() {
         let q = parse_query(&text).unwrap_or_else(|e| panic!("case {case}: `{text}`: {e}"));
         assert!(q.is_safe(), "case {case}: generated unsafe query `{text}`");
         let plan = plan_cq(&q, &catalog);
-        let row = run_row(&q, &plan, &catalog);
-        for (label, opts) in opts_sweep() {
-            let vec = run_vec(&q, &plan, &catalog, &opts);
-            match (&row, &vec) {
-                (Ok(r), Ok(v)) => assert_eq!(
-                    r.rows(),
-                    v.rows(),
-                    "case {case} [{label}]: `{text}` (canonical `{}`) row order diverged",
-                    q.canonical_key()
-                ),
-                (Err(r), Err(v)) => {
-                    assert_eq!(r, v, "case {case} [{label}]: `{text}` errors diverged")
-                }
-                (r, v) => panic!("case {case} [{label}]: `{text}`: row {r:?} vs vec {v:?}"),
-            }
-        }
-        if let Ok(r) = &row {
-            // The bindings-only kernel (what E18 gates on) must agree with
-            // the full evaluation: identical step traces from both engines,
-            // and — these queries are safe, so every realized binding emits
-            // exactly one head row — the same count as the answer bag.
-            let kernel = |mode: ExecMode| {
-                eval_cq_bindings_mode(&q, &plan, &catalog, &Obs::disabled(), &SpanHandle::none(), mode)
-                    .unwrap_or_else(|e| panic!("case {case}: `{text}` bindings kernel ({mode}): {e}"))
-            };
-            let (row_n, row_trace) = kernel(ExecMode::Row);
-            let (vec_n, vec_trace) = kernel(ExecMode::Vectorized);
-            assert_eq!(row_n, r.len(), "case {case}: `{text}` bindings count vs answer bag");
-            assert_eq!(vec_n, row_n, "case {case}: `{text}` bindings counts diverged");
-            assert_eq!(vec_trace, row_trace, "case {case}: `{text}` bindings traces diverged");
-        }
+        let ctx = format!("case {case}: `{text}` (canonical `{}`)", q.canonical_key());
+        let vec = assert_sweep_is_byte_identical(&ctx, &q, &plan, &catalog);
         let naive = eval_naive_bag(&q, &catalog).map_err(|e| e.to_string());
-        match (row.clone(), naive) {
-            (Ok(r), Ok(n)) => assert_eq!(
-                sorted_rows(run_vec(&q, &plan, &catalog, &VecOpts::default()).unwrap()),
-                sorted_rows(n),
-                "case {case}: `{text}` vectorized vs naive diverged (row engine gave {} rows)",
-                r.len()
-            ),
-            (Err(r), Err(n)) => assert_eq!(r, n, "case {case}: `{text}` errors diverged vs naive"),
-            (r, n) => panic!("case {case}: `{text}`: row {r:?} vs naive {n:?}"),
+        match (vec, naive) {
+            (Ok((v, trace)), Ok(n)) => {
+                assert_eq!(sorted_rows(&v), sorted_rows(&n), "{ctx}: vectorized vs naive diverged");
+                let oracle = eval_naive_profiles(&q, &plan, &catalog).unwrap();
+                assert_eq!(trace, oracle, "{ctx}: step profiles vs profile oracle");
+                // The bindings-only kernel must agree with the full
+                // evaluation: the same profiles, and — these queries are
+                // safe, so every realized binding emits exactly one head
+                // row — the naive bag's length.
+                let (kernel_n, kernel_trace) = run_kernel(&q, &plan, &catalog)
+                    .unwrap_or_else(|e| panic!("{ctx}: bindings kernel: {e}"));
+                assert_eq!(kernel_n, n.len(), "{ctx}: bindings count vs naive bag");
+                assert_eq!(kernel_trace, oracle, "{ctx}: kernel profiles vs profile oracle");
+            }
+            (Err(v), Err(n)) => assert_eq!(v, n, "{ctx}: errors diverged vs naive"),
+            (v, n) => panic!("{ctx}: vec {v:?} vs naive {n:?}"),
         }
     }
 }
 
 /// Broken queries (unknown relation, wrong arity) error identically from
-/// both engines — same message, not merely both erring.
+/// the engine and the oracle — same message, not merely both erring.
 #[test]
 fn engines_agree_on_broken_queries() {
     for case in 0..32u64 {
@@ -276,33 +277,38 @@ fn engines_agree_on_broken_queries() {
         let text = random_query(&mut g, &catalog, true);
         let q = parse_query(&text).unwrap_or_else(|e| panic!("case {case}: `{text}`: {e}"));
         let plan = plan_cq(&q, &catalog);
-        let row = run_row(&q, &plan, &catalog);
-        let vec = run_vec(&q, &plan, &catalog, &VecOpts::default());
-        assert!(row.is_err(), "case {case}: `{text}` should not evaluate");
-        assert_eq!(row, vec, "case {case}: `{text}` errors diverged");
+        let vec = run_vec(&q, &plan, &catalog, &VecOpts::default()).map(|(r, _)| r);
+        let naive = eval_naive_bag(&q, &catalog).map_err(|e| e.to_string());
+        assert!(naive.is_err(), "case {case}: `{text}` should not evaluate");
+        assert_eq!(vec, naive, "case {case}: `{text}` errors diverged");
+        let kernel = run_kernel(&q, &plan, &catalog).map(|_| ());
+        assert_eq!(kernel, naive.map(|_| ()), "case {case}: `{text}` kernel errors diverged");
     }
 }
 
-/// A plan cached for a different query must be rejected with the same
-/// error by both engines.
+/// A plan cached for a different query is rejected before anything runs,
+/// with one error naming both canonical keys — by the evaluator under
+/// every morsel configuration and by the bindings-only kernel.
 #[test]
 fn engines_agree_on_inapplicable_plans() {
     let mut g = case_gen(20_000);
     let catalog = random_catalog(&mut g);
     let a = parse_query("q(X0) :- r0(X0)").unwrap();
-    let b = parse_query("q(X0, X1) :- r1(X0, X1)").unwrap_or_else(|_| a.clone());
+    let b = parse_query("q(X0, X1) :- r1(X0, X1)").unwrap();
     let plan = plan_cq(&a, &catalog);
-    let row = run_row(&b, &plan, &catalog);
-    let vec = run_vec(&b, &plan, &catalog, &VecOpts::default());
-    if row.is_ok() && vec.is_ok() {
-        return; // arities happened to line up — nothing to compare
-    }
-    assert_eq!(row, vec, "inapplicable-plan errors diverged");
+    let expected = format!(
+        "eval error: plan for {:?} does not apply to {:?}",
+        plan.key(),
+        b.canonical_key()
+    );
+    let vec = assert_sweep_is_byte_identical("inapplicable plan", &b, &plan, &catalog);
+    assert_eq!(vec.unwrap_err(), expected);
+    assert_eq!(run_kernel(&b, &plan, &catalog).unwrap_err(), expected);
 }
 
 /// Real-thread coverage: a join over a relation large enough that every
 /// forced-parallel configuration actually spawns workers, held
-/// byte-identical to the sequential run (and to the row engine).
+/// byte-identical to the sequential run.
 #[test]
 fn morsel_parallel_is_byte_identical_on_large_inputs() {
     let mut edge = Relation::new(RelSchema::new(
@@ -331,16 +337,6 @@ fn morsel_parallel_is_byte_identical_on_large_inputs() {
     ] {
         let q = parse_query(text).unwrap();
         let plan = plan_cq(&q, &catalog);
-        let row = run_row(&q, &plan, &catalog).unwrap();
-        let sequential = run_vec(&q, &plan, &catalog, &VecOpts::sequential()).unwrap();
-        assert_eq!(sequential.rows(), row.rows(), "`{text}`: vec vs row diverged");
-        for (label, opts) in opts_sweep() {
-            let parallel = run_vec(&q, &plan, &catalog, &opts).unwrap();
-            assert_eq!(
-                parallel.rows(),
-                sequential.rows(),
-                "`{text}` [{label}]: parallel vs sequential diverged"
-            );
-        }
+        assert_sweep_is_byte_identical(text, &q, &plan, &catalog).unwrap();
     }
 }

@@ -231,7 +231,7 @@ fn parallel_path_emits_the_same_eval_counters_as_sequential() {
     // Regression: `query.eval.*` accounting (notably the
     // `query.eval.step_bindings` histogram behind EXPLAIN ANALYZE) used
     // to be emitted only on the traced sequential path; the parallel
-    // workers evaluated with a bare `eval_cq_bag_planned` and the
+    // workers evaluated without the network's metrics handle and the
     // counters silently read zero. Twin networks, same seed, no faults
     // (so both paths evaluate every disjunct): the eval counters must
     // agree exactly, counter for counter and histogram for histogram.
