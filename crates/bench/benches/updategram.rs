@@ -14,8 +14,8 @@ fn setup() -> (Catalog, MaterializedView) {
     let mut c = Catalog::new();
     c.register(big_relation("r", BASE, DOMAIN));
     c.register(big_relation("s", BASE / 5, DOMAIN));
-    let mut v = MaterializedView::new("v", parse_query("v(A, C) :- r(A, B), s(B, C)").unwrap());
-    v.refresh_full(&c).unwrap();
+    let v = MaterializedView::new("v", parse_query("v(A, C) :- r(A, B), s(B, C)").unwrap(), &c)
+        .unwrap();
     (c, v)
 }
 

@@ -1,13 +1,11 @@
-//! E17: delta-dataflow IVM vs counting IVM vs invalidate-and-recompute.
+//! E17: delta-dataflow IVM vs invalidate-and-recompute.
 
 use crate::fixtures::big_relation;
 use crate::table::{f2, ms, Table};
-use revere_pdms::{
-    apply_updategrams, derivation_deltas_readonly, MaterializedView, PdmsNetwork, Peer, Updategram,
-};
+use revere_pdms::{apply_updategrams, PdmsNetwork, Peer, Updategram};
 use revere_query::dataflow::{Circuit, DeltaBatch};
 use revere_query::plan::plan_cq;
-use revere_query::{eval_planned, parse_query};
+use revere_query::{eval_cq, eval_planned, parse_query};
 use revere_storage::{Catalog, Value};
 use revere_util::obs::{Obs, SpanHandle};
 use std::time::Instant;
@@ -123,20 +121,15 @@ fn feed_grams(domain: i64) -> Vec<Updategram> {
 }
 
 /// E17b — refresh latency under subscriber fan-out: the same update
-/// stream served to N continuous queries by delta-dataflow circuits
-/// ([`PdmsNetwork::subscribe_str`]), counting IVM (a [`MaterializedView`]
-/// per subscriber fed the incremental path of `maintain` — delta queries
-/// that rescan the base), and invalidate-and-recompute (every subscriber
-/// refreshes from scratch after every gram). The two view baselines share
-/// one base catalog, written once per gram. Setup (subscribe/initial
-/// refresh) is excluded; the table times the stream.
+/// stream served to N continuous queries ([`PdmsNetwork::subscribe_str`],
+/// each a view kept by delta-dataflow circuits) against
+/// invalidate-and-recompute (every subscriber re-evaluates the query from
+/// scratch over one shared base catalog after every gram). Setup
+/// (subscribing) is excluded; the table times the stream.
 pub fn e17_subscriber_fanout() -> Table {
     let mut t = Table::new(
-        "E17b: N subscribers \u{d7} update stream, maintenance strategy shootout",
-        &[
-            "subscribers", "grams", "dataflow ms", "counting ms", "recompute ms",
-            "recompute/dataflow", "counting/dataflow",
-        ],
+        "E17b: N subscribers \u{d7} update stream, dataflow vs recompute",
+        &["subscribers", "grams", "dataflow ms", "recompute ms", "recompute/dataflow"],
     );
     let (base, domain) = (2_000usize, 200i64);
     let text = "q(A, C) :- Hub.r(A, B), Hub.s(B, C)";
@@ -155,49 +148,20 @@ pub fn e17_subscriber_fanout() -> Table {
         let flow = start.elapsed();
         let flow_answers = net.subscription("sub0").unwrap().answers();
 
+        // Invalidate-and-recompute: every gram re-runs every subscriber.
         let mut catalog = hub_network(base, domain).snapshot_all();
         let q = parse_query(text).unwrap();
-        let fresh_views = |catalog: &Catalog| -> Vec<MaterializedView> {
-            (0..n)
-                .map(|i| {
-                    let mut v = MaterializedView::new(format!("sub{i}"), q.clone());
-                    v.refresh_full(catalog).unwrap();
-                    v
-                })
-                .collect()
-        };
-
-        // Counting IVM: delta queries over the full base, per subscriber,
-        // differenced against the pre-state before the gram lands.
-        let mut counting_base = catalog.clone();
-        let mut views = fresh_views(&counting_base);
-        let start = Instant::now();
-        for g in &grams {
-            for v in &mut views {
-                let deltas = derivation_deltas_readonly(&counting_base, &v.definition, g).unwrap();
-                v.apply_derivation_delta(deltas);
-            }
-            apply_updategrams(&mut counting_base, std::slice::from_ref(g));
-        }
-        let count = start.elapsed();
-        assert_eq!(
-            views[0].as_relation().rows(),
-            flow_answers.rows(),
-            "counting diverged from dataflow"
-        );
-
-        // Invalidate-and-recompute: every gram re-runs every subscriber.
-        let mut views = fresh_views(&catalog);
+        let mut answer = eval_cq(&q, &catalog).unwrap();
         let start = Instant::now();
         for g in &grams {
             apply_updategrams(&mut catalog, std::slice::from_ref(g));
-            for v in &mut views {
-                v.refresh_full(&catalog).unwrap();
+            for _ in 0..n {
+                answer = eval_cq(&q, &catalog).unwrap();
             }
         }
         let recompute = start.elapsed();
         assert_eq!(
-            views[0].as_relation().rows(),
+            answer.sorted().rows(),
             flow_answers.rows(),
             "recompute diverged from dataflow"
         );
@@ -206,10 +170,8 @@ pub fn e17_subscriber_fanout() -> Table {
             n.to_string(),
             grams.len().to_string(),
             ms(flow),
-            ms(count),
             ms(recompute),
             f2(recompute.as_secs_f64() / flow.as_secs_f64().max(1e-9)),
-            f2(count.as_secs_f64() / flow.as_secs_f64().max(1e-9)),
         ]);
     }
     t
@@ -245,7 +207,7 @@ mod tests {
         let t = e17_subscriber_fanout();
         let last = t.rows.last().unwrap();
         assert_eq!(last[0], "100");
-        let vs_recompute: f64 = last[5].parse().unwrap();
+        let vs_recompute: f64 = last[4].parse().unwrap();
         assert!(
             vs_recompute >= 5.0,
             "dataflow should be \u{2265}5\u{d7} faster than recompute at 100 subscribers\n{t}"

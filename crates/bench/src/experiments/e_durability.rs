@@ -113,9 +113,7 @@ fn gram_for(tick: u64, seed: u64) -> Updategram {
 
 fn replica_view(catalog: &Catalog) -> MaterializedView {
     let q = parse_query(&format!("v(T) :- {DST_REL}(T, A)")).expect("view query parses");
-    let mut v = MaterializedView::new("v", q);
-    v.refresh_full(catalog).expect("replica view refreshes");
-    v
+    MaterializedView::new("v", q, catalog).expect("replica view seeds")
 }
 
 /// The lossy-but-live wire weather for `seed` (no outages — crashes are

@@ -19,8 +19,8 @@ pub fn e11_placement() -> Table {
             "workload messages (no plan)", "workload messages (plan)", "saving",
         ],
     );
-    let n = 8;
-    let net = course_network(TopologyKind::Chain, n, 20, 7);
+    let network = || course_network(TopologyKind::Chain, 8, 20, 7);
+    let net = network();
     // Workload: three peers ask the hot whole-network query with
     // different frequencies, one peer asks a selective query.
     let workload: Vec<WorkloadEntry> = vec![
@@ -48,7 +48,9 @@ pub fn e11_placement() -> Table {
         })
         .sum();
     for &budget in &[0usize, 100, 200, 100_000] {
-        let plan = plan_placement(&net, &workload, budget);
+        // A plan's views are subscriptions on the network it was made for.
+        let mut net = network();
+        let plan = plan_placement(&mut net, &workload, budget);
         let planned: f64 = workload
             .iter()
             .map(|w| {

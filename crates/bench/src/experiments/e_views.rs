@@ -25,11 +25,12 @@ pub fn e8_updategrams() -> Table {
             let mut c = Catalog::new();
             c.register(big_relation("r", base_rows, domain));
             c.register(big_relation("s", base_rows / 5, domain));
-            let mut v = MaterializedView::new(
+            let v = MaterializedView::new(
                 "v",
                 parse_query("v(A, C) :- r(A, B), s(B, C)").unwrap(),
-            );
-            v.refresh_full(&c).unwrap();
+                &c,
+            )
+            .unwrap();
             (c, v)
         };
         let gram = || Updategram {

@@ -472,13 +472,11 @@ mod tests {
         c
     }
 
-    /// A view over `relation` in `catalog`, refreshed so incremental
+    /// A view over `relation`, seeded from `catalog` so incremental
     /// maintenance has a base state to delta against.
     fn view_over(catalog: &Catalog, relation: &str) -> MaterializedView {
         let q = parse_query(&format!("v(T) :- {relation}(T, A)")).expect("parse");
-        let mut v = MaterializedView::new("v", q);
-        v.refresh_full(catalog).expect("refresh");
-        v
+        MaterializedView::new("v", q, catalog).expect("seed")
     }
 
     #[test]

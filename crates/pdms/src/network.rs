@@ -25,12 +25,13 @@ use crate::durable::{self, CheckpointReport, PeerDisk, PeerRecovery};
 use crate::peer::{split_qualified, Peer};
 use crate::reformulate::{ReformulateOptions, ReformulationResult, Reformulator};
 use crate::updategram::{apply_updategrams, gram_to_batch, Updategram};
-use revere_query::dataflow::{Circuit, DeltaBatch};
+use crate::views::MaterializedView;
+use revere_query::dataflow::DeltaBatch;
 use revere_query::glav::GlavMapping;
 use revere_query::plan::{plan_cq, q_error, Plan};
 use revere_query::eval::EvalError;
 use revere_query::{head_schema, parse_query, ConjunctiveQuery, Source, StepProfile, UnionQuery};
-use revere_storage::{row_deltas, Catalog, Lsn, Relation, SharedCatalog, Tuple};
+use revere_storage::{row_deltas, Catalog, Lsn, Relation, SharedCatalog};
 use revere_util::fault::{Fate, FaultPlan, RetryPolicy};
 use revere_util::obs::{names, Histogram, Obs, SpanHandle};
 use std::borrow::Borrow;
@@ -552,62 +553,52 @@ pub struct QueryOutcome {
 }
 
 /// A continuous query registered at a peer ([`PdmsNetwork::subscribe_str`]):
-/// the query is reformulated once over the mapping graph, and each
-/// evaluable disjunct is compiled into a delta-dataflow [`Circuit`].
+/// a [`MaterializedView`] of the query's reformulation over the mapping
+/// graph, plus where it was asked and what publishing has done to it.
 /// Published updategrams re-fire only subscriptions whose base relations
 /// the delta touches; everything else is a counted no-op.
 #[derive(Debug)]
 pub struct Subscription {
-    /// Subscription name (unique per network).
-    pub name: String,
     /// The peer the continuous query was posed at.
     pub at_peer: String,
-    /// The query as posed, in that peer's own vocabulary.
-    pub definition: ConjunctiveQuery,
-    /// Disjuncts in the reformulated union.
+    /// The maintained answer; named after the subscription (unique per
+    /// network), defined by the query as posed in that peer's vocabulary.
+    pub view: MaterializedView,
+    /// Disjuncts in the reformulated union; those the network could not
+    /// evaluate at subscribe time (unreachable base relations) are not in
+    /// the view ([`Subscription::disjuncts_dropped`]).
     pub disjuncts_total: usize,
-    /// Disjuncts dropped at subscribe time (unreachable base relations).
-    pub disjuncts_dropped: usize,
     /// Times a published delta incrementally refreshed this subscription.
     pub refreshes: usize,
     /// Published deltas that touched none of this subscription's base
     /// relations (no work beyond the affected-set check).
     pub skipped: usize,
-    /// One circuit per evaluable disjunct.
-    circuits: Vec<Circuit>,
-    /// Base relations the subscription reads — the affected set.
-    relations: BTreeSet<String>,
 }
 
 impl Subscription {
-    /// The base relations whose deltas re-fire this subscription.
-    pub fn relations(&self) -> &BTreeSet<String> {
-        &self.relations
+    /// Disjuncts dropped at subscribe time.
+    pub fn disjuncts_dropped(&self) -> usize {
+        self.disjuncts_total - self.view.disjuncts()
     }
 
-    /// The maintained answer under set semantics: the distinct union of
-    /// every disjunct's current output, sorted.
+    /// The base relations whose deltas re-fire this subscription.
+    pub fn relations(&self) -> &BTreeSet<String> {
+        self.view.relations()
+    }
+
+    /// The maintained answer under set semantics, sorted.
     pub fn answers(&self) -> Relation {
-        let mut schema = None;
-        let mut rows: Vec<Tuple> = Vec::new();
-        for c in &self.circuits {
-            let r = c.output_set();
-            schema.get_or_insert_with(|| r.schema.clone());
-            rows.extend(r.into_rows());
-        }
-        let schema = schema.unwrap_or_else(|| head_schema(&self.definition));
-        Relation::with_rows(schema, rows).distinct()
+        self.view.as_relation()
     }
 
     /// Join-work units spent across all circuits.
     pub fn work(&self) -> u64 {
-        self.circuits.iter().map(|c| c.work).sum()
+        self.view.work()
     }
 
-    /// Distinct tuples held across all circuit arrangements — the state
-    /// footprint paid for O(|Δ|) refreshes.
+    /// Distinct tuples held across all circuit arrangements.
     pub fn arranged_tuples(&self) -> usize {
-        self.circuits.iter().map(Circuit::arranged_tuples).sum()
+        self.view.arranged_tuples()
     }
 }
 
@@ -1491,43 +1482,33 @@ impl PdmsNetwork {
         name: &str,
         query: &str,
     ) -> Result<&Subscription, String> {
+        let q = parse_query(query).map_err(|e| e.to_string())?;
+        self.subscribe_cq(at_peer, name, q)
+    }
+
+    /// [`PdmsNetwork::subscribe_str`] for an already-parsed query.
+    pub fn subscribe_cq(
+        &mut self,
+        at_peer: &str,
+        name: &str,
+        q: ConjunctiveQuery,
+    ) -> Result<&Subscription, String> {
         if !self.peers.contains_key(at_peer) {
             return Err(format!("unknown peer {at_peer:?}"));
         }
-        let q = parse_query(query).map_err(|e| e.to_string())?;
         // Absorb pending durable-peer mutations first, so the circuits
         // initialize against the same state later deltas are signed from.
         self.sync_durable_subscriptions();
         self.ensure_subs_base();
         let (reformulation, _) = self.reformulate_cached(&q, &SpanHandle::none());
         let base = self.subs_base.as_ref().expect("ensured above");
-        let mut sub = Subscription {
-            name: name.to_string(),
+        let sub = Subscription {
             at_peer: at_peer.to_string(),
-            definition: q,
+            view: MaterializedView::union(name, q, &reformulation.union.disjuncts, base),
             disjuncts_total: reformulation.union.disjuncts.len(),
-            disjuncts_dropped: 0,
             refreshes: 0,
             skipped: 0,
-            circuits: Vec::new(),
-            relations: BTreeSet::new(),
         };
-        for d in &reformulation.union.disjuncts {
-            if d.body.iter().any(|a| base.get(&a.relation).is_none()) {
-                sub.disjuncts_dropped += 1;
-                continue;
-            }
-            let plan = plan_cq(d, base);
-            let mut circuit = Circuit::new(d, &plan).map_err(|e| e.to_string())?;
-            if circuit.init_full(base).is_err() {
-                // Arity mismatch against staged data: same drop the
-                // one-shot evaluator would perform.
-                sub.disjuncts_dropped += 1;
-                continue;
-            }
-            sub.relations.extend(circuit.relations());
-            sub.circuits.push(circuit);
-        }
         self.subs.insert(name.to_string(), sub);
         Ok(self.subs.get(name).expect("just inserted"))
     }
@@ -1630,14 +1611,12 @@ impl PdmsNetwork {
     fn refire(&mut self, batch: &DeltaBatch) -> PublishReport {
         let mut report = PublishReport::default();
         for (name, sub) in self.subs.iter_mut() {
-            if !batch.relations().any(|r| sub.relations.contains(r)) {
+            if !batch.relations().any(|r| sub.view.relations().contains(r)) {
                 sub.skipped += 1;
                 report.skipped += 1;
                 continue;
             }
-            for c in &mut sub.circuits {
-                report.output_changes += c.push(batch).len();
-            }
+            report.output_changes += sub.view.push(batch);
             sub.refreshes += 1;
             report.refreshed.push(name.clone());
         }

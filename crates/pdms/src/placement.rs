@@ -7,11 +7,13 @@
 //!
 //! [`plan_placement`] takes a query workload (who asks what, how often)
 //! and greedily materializes the highest-benefit views within a per-peer
-//! tuple budget, where benefit = frequency × tuples currently shipped
-//! from remote peers for that query. [`answer_with_plan`] then routes: a
-//! query equivalent to a view materialized *at the asking peer* is served
-//! locally with zero messages; everything else falls back to normal
-//! reformulation.
+//! tuple budget, where benefit = frequency × messages currently spent on
+//! that query per tuple stored. A placed view is a subscription registered
+//! at the asking peer ([`PdmsNetwork::subscribe_cq`]), so every later
+//! [`PdmsNetwork::publish`] keeps it fresh like any other continuous
+//! query. [`answer_with_plan`] then routes: a query equivalent to a view
+//! placed *at the asking peer* is served from the maintained answer with
+//! zero messages; everything else falls back to normal reformulation.
 
 use crate::network::{PdmsNetwork, QueryOutcome};
 use revere_query::{equivalent, ConjunctiveQuery};
@@ -31,18 +33,18 @@ pub struct WorkloadEntry {
 
 /// One chosen placement: a view materialized at a peer.
 ///
-/// The materialized data is the query's full PDMS answer (the union over
-/// every reachable peer), not just local data — that is what makes
-/// serving it locally equivalent to re-asking the network.
+/// The view maintains the query's full PDMS answer (the union over every
+/// reachable peer), not just local data — that is what makes serving it
+/// locally equivalent to re-asking the network.
 #[derive(Debug)]
 pub struct Placement {
     /// Where the view lives.
     pub peer: String,
     /// The view's defining query (in the peer's vocabulary).
     pub definition: ConjunctiveQuery,
-    /// The materialized answers.
-    pub data: Relation,
-    /// Tuples it holds (its storage cost).
+    /// The subscription that maintains it ([`PdmsNetwork::subscription`]).
+    pub subscription: String,
+    /// Tuples it held when placed (the storage cost the budget charged).
     pub rows: usize,
     /// Messages saved every time its query is asked.
     pub saved_messages: usize,
@@ -81,9 +83,10 @@ impl PlacementPlan {
 /// (materialized at the asking peer — the "warehouse it where it's asked"
 /// strategy of \[21\]); candidates are ranked by
 /// `frequency × messages saved / rows stored` and accepted while the
-/// peer's budget allows.
+/// peer's budget allows. Each accepted view is registered on `net` as the
+/// subscription `placed:<peer>:<query>`, replacing one of that name.
 pub fn plan_placement(
-    net: &PdmsNetwork,
+    net: &mut PdmsNetwork,
     workload: &[WorkloadEntry],
     budget_per_peer: usize,
 ) -> PlacementPlan {
@@ -95,13 +98,12 @@ pub fn plan_placement(
         if outcome.messages == 0 {
             continue; // already local; nothing to save
         }
-        // Materialize the full network answer.
         let rows = outcome.answers.len();
         let benefit = entry.frequency * outcome.messages as f64 / (rows.max(1) as f64);
         candidates.push(Placement {
             peer: entry.peer.clone(),
             definition: entry.query.clone(),
-            data: outcome.answers,
+            subscription: format!("placed:{}:{}", entry.peer, entry.query),
             rows,
             saved_messages: outcome.messages,
             benefit,
@@ -119,6 +121,10 @@ pub fn plan_placement(
         if plan.view_for(&c.peer, &c.definition).is_some() {
             continue;
         }
+        // Materialize the full network answer, and keep it.
+        if net.subscribe_cq(&c.peer, &c.subscription, c.definition.clone()).is_err() {
+            continue;
+        }
         *u += c.rows;
         plan.placements.push(c);
     }
@@ -133,8 +139,9 @@ pub fn answer_with_plan(
     peer: &str,
     query: &ConjunctiveQuery,
 ) -> Result<(Relation, usize), String> {
-    if let Some(placement) = plan.view_for(peer, query) {
-        return Ok((placement.data.clone(), 0));
+    let placed = plan.view_for(peer, query).and_then(|p| net.subscription(&p.subscription));
+    if let Some(sub) = placed {
+        return Ok((sub.answers(), 0));
     }
     let QueryOutcome { answers, messages, .. } = net.query(peer, query)?;
     Ok((answers, messages))
@@ -185,8 +192,8 @@ mod tests {
 
     #[test]
     fn placement_eliminates_messages_for_hot_query() {
-        let net = chain_net();
-        let plan = plan_placement(&net, &workload(), 1_000);
+        let mut net = chain_net();
+        let plan = plan_placement(&mut net, &workload(), 1_000);
         assert_eq!(plan.placements.len(), 1);
         assert_eq!(plan.placements[0].peer, "P2");
         assert!(plan.placements[0].saved_messages > 0);
@@ -206,8 +213,8 @@ mod tests {
 
     #[test]
     fn zero_budget_places_nothing() {
-        let net = chain_net();
-        let plan = plan_placement(&net, &workload(), 0);
+        let mut net = chain_net();
+        let plan = plan_placement(&mut net, &workload(), 0);
         assert!(plan.placements.is_empty());
         // Queries still work, just remotely.
         let q = parse_query("q(T) :- P2.course(T)").unwrap();
@@ -218,7 +225,7 @@ mod tests {
 
     #[test]
     fn budget_is_respected_across_entries() {
-        let net = chain_net();
+        let mut net = chain_net();
         let mut wl = workload();
         wl.push(WorkloadEntry {
             peer: "P2".into(),
@@ -226,7 +233,7 @@ mod tests {
             frequency: 1.0,
         });
         // Budget fits exactly one 12-row view.
-        let plan = plan_placement(&net, &wl, 12);
+        let plan = plan_placement(&mut net, &wl, 12);
         assert_eq!(plan.placements.len(), 1);
         // The higher-frequency entry wins the budget.
         assert!(plan.placements[0].benefit >= 1.0);
@@ -235,8 +242,8 @@ mod tests {
 
     #[test]
     fn equivalent_queries_share_a_view() {
-        let net = chain_net();
-        let plan = plan_placement(&net, &workload(), 1_000);
+        let mut net = chain_net();
+        let plan = plan_placement(&mut net, &workload(), 1_000);
         // A renamed-variable version of the hot query hits the same view.
         let q2 = parse_query("q(X) :- P2.course(X)").unwrap();
         let (_, messages) = answer_with_plan(&net, &plan, "P2", &q2).unwrap();
@@ -260,7 +267,7 @@ mod tests {
             query: parse_query("q(T) :- Solo.course(T)").unwrap(),
             frequency: 100.0,
         }];
-        let plan = plan_placement(&net, &wl, 1_000);
+        let plan = plan_placement(&mut net, &wl, 1_000);
         assert!(plan.placements.is_empty(), "no messages to save");
     }
 }

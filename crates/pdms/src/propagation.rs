@@ -10,8 +10,10 @@
 //! base relation and translates it — through the mapping's GAV rule — into
 //! an updategram on the mapping's virtual relation `m`, suitable for
 //! shipping to the target side to maintain any cache of the translated
-//! data there. The source catalog is updated in the process (the deltas
-//! are computed incrementally, not by diffing recomputations).
+//! data there. The source catalog is updated in the process (the virtual
+//! relation is a [`MaterializedView`]; the updategram is the set-level
+//! diff its circuit reports for the pushed delta, not a diff of
+//! recomputations).
 //!
 //! # At-least-once shipping
 //!
@@ -22,8 +24,8 @@
 //! ([`apply_once`]) — so a dropped *or* duplicated delivery leaves the
 //! remote cache exactly where a single clean delivery would.
 
-use crate::updategram::{derivation_deltas, maintain, MaintenanceChoice, SequencedGram, Updategram};
-use crate::views::{DataflowView, MaterializedView};
+use crate::updategram::{SequencedGram, Updategram};
+use crate::views::MaterializedView;
 use revere_query::eval::EvalError;
 use revere_query::glav::GlavMapping;
 use revere_query::ConjunctiveQuery;
@@ -40,7 +42,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct MappingPropagator {
     /// The mapping this propagator serves.
     pub mapping: GlavMapping,
-    /// Materialized extension of the virtual relation (with counts).
+    /// Materialized extension of the virtual relation.
     state: MaterializedView,
 }
 
@@ -49,8 +51,7 @@ impl MappingPropagator {
     pub fn new(mapping: GlavMapping, source_catalog: &Catalog) -> Result<Self, EvalError> {
         let gav = mapping.gav_rule();
         let definition = ConjunctiveQuery::new(gav.head.clone(), gav.body.clone());
-        let mut state = MaterializedView::new(mapping.name.clone(), definition);
-        state.refresh_full(source_catalog)?;
+        let state = MaterializedView::new(mapping.name.clone(), definition, source_catalog)?;
         Ok(MappingPropagator { mapping, state })
     }
 
@@ -68,17 +69,8 @@ impl MappingPropagator {
         source_catalog: &mut Catalog,
         gram: &Updategram,
     ) -> Result<Updategram, EvalError> {
-        let deltas = derivation_deltas(
-            source_catalog,
-            &self.state.definition.clone(),
-            std::slice::from_ref(gram),
-        )?;
-        let (inserts, deletes) = self.state.apply_derivation_delta_diff(deltas);
-        Ok(Updategram {
-            relation: self.mapping.name.clone(),
-            insert: inserts,
-            delete: deletes,
-        })
+        let (insert, delete) = self.state.apply_gram(source_catalog, gram);
+        Ok(Updategram { relation: self.mapping.name.clone(), insert, delete })
     }
 }
 
@@ -186,7 +178,8 @@ impl GramInbox {
 
 /// Apply a sequenced gram to a target-side cache **exactly once**: a gram
 /// id the inbox has already seen is a no-op (`Ok(false)`). First-time
-/// grams maintain the cached view incrementally.
+/// grams are pushed through the cached view's circuits and applied to the
+/// catalog ([`MaterializedView::apply_gram`]).
 ///
 /// For a durable inbox the gram is journaled as one atomic
 /// [`WalRecord::DeltaApplied`] *before* applying; the catalog's own
@@ -197,55 +190,6 @@ pub fn apply_once(
     inbox: &mut GramInbox,
     catalog: &mut Catalog,
     view: &mut MaterializedView,
-    gram: &SequencedGram,
-) -> Result<bool, EvalError> {
-    if inbox.is_seen(gram.id) {
-        inbox.duplicates_ignored += 1;
-        return Ok(false);
-    }
-    if let Some((link, journal)) = &inbox.durability {
-        journal.append(&WalRecord::DeltaApplied {
-            link: link.clone(),
-            id: gram.id,
-            relation: gram.gram.relation.clone(),
-            insert: gram.gram.insert.clone(),
-            delete: gram.gram.delete.clone(),
-        });
-        let suspended = catalog.detach_journal();
-        let result = maintain(
-            catalog,
-            view,
-            std::slice::from_ref(&gram.gram),
-            Some(MaintenanceChoice::Incremental),
-        );
-        if let Some(j) = suspended {
-            catalog.attach_journal(j);
-        }
-        result?;
-    } else {
-        maintain(
-            catalog,
-            view,
-            std::slice::from_ref(&gram.gram),
-            Some(MaintenanceChoice::Incremental),
-        )?;
-    }
-    let accepted = inbox.accept(gram.id);
-    debug_assert!(accepted);
-    Ok(true)
-}
-
-/// [`apply_once`] for a circuit-backed [`DataflowView`]: identical
-/// exactly-once structure — dedup by inbox, atomic
-/// [`WalRecord::DeltaApplied`] journaled *before* applying on durable
-/// inboxes, catalog journal suspended during the apply — but the view is
-/// maintained by pushing the gram's delta batch through the circuit
-/// instead of re-evaluating delta queries. Subscriptions inherit the
-/// E12/E16 delivery guarantees by construction.
-pub fn apply_once_dataflow(
-    inbox: &mut GramInbox,
-    catalog: &mut Catalog,
-    view: &mut DataflowView,
     gram: &SequencedGram,
 ) -> Result<bool, EvalError> {
     if inbox.is_seen(gram.id) {
@@ -417,31 +361,6 @@ impl ReliableLink {
         catalog: &mut Catalog,
         view: &mut MaterializedView,
     ) -> Result<Delivery, EvalError> {
-        self.ship_with(gram, |g| apply_once(inbox, catalog, view, g))
-    }
-
-    /// [`ReliableLink::ship`] for a circuit-backed [`DataflowView`]
-    /// receiver: same weather, same accounting, deliveries routed through
-    /// [`apply_once_dataflow`].
-    pub fn ship_dataflow(
-        &mut self,
-        gram: &SequencedGram,
-        inbox: &mut GramInbox,
-        catalog: &mut Catalog,
-        view: &mut DataflowView,
-    ) -> Result<Delivery, EvalError> {
-        self.ship_with(gram, |g| apply_once_dataflow(inbox, catalog, view, g))
-    }
-
-    /// The fate-draw core of shipping, generic over the receiver:
-    /// `deliver` is invoked once per copy the network actually lands (it
-    /// must be idempotent — both [`apply_once`] flavors are, via the
-    /// inbox) and returns whether this copy was applied (vs deduplicated).
-    pub fn ship_with(
-        &mut self,
-        gram: &SequencedGram,
-        mut deliver: impl FnMut(&SequencedGram) -> Result<bool, EvalError>,
-    ) -> Result<Delivery, EvalError> {
         self.stats.shipped += 1;
         self.epoch += 1;
         let key = format!("gram:{}:epoch:{}", gram.id, self.epoch);
@@ -480,7 +399,7 @@ impl ReliableLink {
                     // Delivered, but the ack is lost: the receiver applies
                     // (idempotently), the sender cannot tell and retries.
                     self.stats.messages += 2;
-                    if deliver(gram)? {
+                    if apply_once(inbox, catalog, view, gram)? {
                         applied = true;
                     } else {
                         self.stats.duplicated += 1;
@@ -488,7 +407,7 @@ impl ReliableLink {
                 }
                 Fate::Delivered { .. } => {
                     self.stats.messages += 2;
-                    if deliver(gram)? {
+                    if apply_once(inbox, catalog, view, gram)? {
                         applied = true;
                     } else {
                         self.stats.duplicated += 1;
@@ -498,7 +417,7 @@ impl ReliableLink {
                         // swallows it.
                         self.stats.messages += 1;
                         self.stats.duplicated += 1;
-                        deliver(gram)?;
+                        apply_once(inbox, catalog, view, gram)?;
                     }
                     acknowledged = true;
                     break;
@@ -535,6 +454,19 @@ impl ReliableLink {
         self.obs.inc(names::PDMS_SHIP_MESSAGES_DUPLICATED, (self.stats.duplicated - duplicated0) as u64);
         self.obs.observe(names::PDMS_SHIP_ATTEMPTS_SPENT, attempts_used as u64);
         Ok(Delivery { id: gram.id, acknowledged, applied })
+    }
+
+    // Named by `crates/e2e/src/surface.rs`; delete with the next
+    // `benchmark` issue.
+    #[doc(hidden)]
+    pub fn ship_dataflow(
+        &mut self,
+        gram: &SequencedGram,
+        inbox: &mut GramInbox,
+        catalog: &mut Catalog,
+        view: &mut MaterializedView,
+    ) -> Result<Delivery, EvalError> {
+        self.ship(gram, inbox, catalog, view)
     }
 
     /// Ship and keep re-shipping (fresh fate draws each round) until
@@ -665,9 +597,12 @@ mod tests {
         // Remote (target-side) cache of the virtual relation.
         let mut remote_cat = Catalog::new();
         remote_cat.register(p.current());
-        let mut remote_view =
-            MaterializedView::new("cache", parse_query("cache(T) :- m_bm(T, P)").unwrap());
-        remote_view.refresh_full(&remote_cat).unwrap();
+        let mut remote_view = MaterializedView::new(
+            "cache",
+            parse_query("cache(T) :- m_bm(T, P)").unwrap(),
+            &remote_cat,
+        )
+        .unwrap();
         assert_eq!(remote_view.len(), 2);
 
         // Source-side change.
@@ -697,9 +632,12 @@ mod tests {
     fn remote_cache(p: &MappingPropagator) -> (Catalog, MaterializedView) {
         let mut remote_cat = Catalog::new();
         remote_cat.register(p.current());
-        let mut remote_view =
-            MaterializedView::new("cache", parse_query("cache(T, P) :- m_bm(T, P)").unwrap());
-        remote_view.refresh_full(&remote_cat).unwrap();
+        let remote_view = MaterializedView::new(
+            "cache",
+            parse_query("cache(T, P) :- m_bm(T, P)").unwrap(),
+            &remote_cat,
+        )
+        .unwrap();
         (remote_cat, remote_view)
     }
 
@@ -731,8 +669,8 @@ mod tests {
         assert_eq!(inbox.applied_count(), 1);
         assert_eq!(link.stats.duplicated, 1);
         // Cache state is what ONE application produces.
-        let mut fresh = MaterializedView::new("chk", remote_view.definition.clone());
-        fresh.refresh_full(&remote_cat).unwrap();
+        let fresh =
+            MaterializedView::new("chk", remote_view.definition.clone(), &remote_cat).unwrap();
         assert_eq!(remote_view.as_relation().rows(), fresh.as_relation().rows());
     }
 
@@ -770,8 +708,7 @@ mod tests {
         // Converged: remote cache == current virtual extension.
         let mut want = Catalog::new();
         want.register(p.current());
-        let mut fresh = MaterializedView::new("chk", remote_view.definition.clone());
-        fresh.refresh_full(&want).unwrap();
+        let fresh = MaterializedView::new("chk", remote_view.definition.clone(), &want).unwrap();
         assert_eq!(remote_view.as_relation().rows(), fresh.as_relation().rows());
         // The weather actually did something, and we rode it out.
         assert!(link.stats.dropped > 0 || link.stats.duplicated > 0, "{:?}", link.stats);

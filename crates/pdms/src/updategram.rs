@@ -8,24 +8,22 @@
 //!
 //! An [`Updategram`] is a signed delta on one base relation. [`maintain`]
 //! applies a batch of updategrams to a catalog and brings a
-//! [`MaterializedView`] up to date, choosing **incrementally** (delta
-//! rules + counting) or by **full recomputation** with a simple cost model
-//! — exactly the decision the paper assigns to the optimizer. Experiment
-//! E8 validates the crossover.
+//! [`MaterializedView`] up to date, choosing between the two things the
+//! view can do — **incrementally** (each gram signed against the pre-state
+//! by [`gram_to_batch`] and pushed through the view's circuits, O(|Δ|)) or
+//! by **full recomputation** (apply the grams, re-plan, re-seed) — with a
+//! simple cost model: exactly the decision the paper assigns to the
+//! optimizer. Experiment E8 validates the crossover.
 //!
-//! The delta rules use the standard progressive decomposition: process the
-//! view's atoms left to right; the contribution of atom *i*'s delta is the
-//! body evaluated with atoms `< i` in their *new* state, atom *i* replaced
-//! by the delta, and atoms `> i` in their *old* state. We apply each
-//! relation's delta to the catalog right after its contribution is
-//! computed, so "new prefix / old suffix" falls out of evaluation order and
-//! only self-joined changed relations need an old-state snapshot.
+//! The delta rule lives in [`revere_query::dataflow`]: every join stage
+//! computes `Δ(A ⋈ B) = ΔA ⋈ (B + ΔB) + A ⋈ ΔB` against arranged state, so
+//! self-joins (the Δ⋈Δ term), stored duplicates and repeated delete rows
+//! need no special case here beyond the signing in [`gram_to_batch`].
 
 use crate::views::MaterializedView;
 use revere_query::dataflow::DeltaBatch;
-use revere_query::eval::{eval_cq_bag, EvalError, Source};
+use revere_query::eval::EvalError;
 use revere_storage::{Catalog, Relation, Tuple};
-use std::collections::HashMap;
 
 /// A signed delta on one base relation.
 #[derive(Debug, Clone, Default)]
@@ -82,9 +80,9 @@ pub struct SequencedGram {
 /// How the optimizer decided to bring the view up to date.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenanceChoice {
-    /// Delta rules + counting.
+    /// Push each gram's delta through the view's circuits.
     Incremental,
-    /// Invalidate and recompute.
+    /// Invalidate: apply the grams, re-plan and re-seed the view.
     Recompute,
 }
 
@@ -97,8 +95,6 @@ pub struct MaintenanceReport {
     pub est_incremental: usize,
     /// Estimated recompute cost (tuples touched).
     pub est_recompute: usize,
-    /// Derivation rows produced by delta evaluation (0 for recompute).
-    pub delta_derivations: usize,
 }
 
 /// Cost model: both paths approximated by tuples read.
@@ -144,27 +140,23 @@ pub fn maintain(
         MaintenanceChoice::Recompute => {
             apply_updategrams(catalog, grams);
             view.refresh_full(catalog)?;
-            Ok(MaintenanceReport { choice, est_incremental, est_recompute, delta_derivations: 0 })
         }
         MaintenanceChoice::Incremental => {
-            let derivations = incremental_maintain(catalog, view, grams)?;
-            Ok(MaintenanceReport {
-                choice,
-                est_incremental,
-                est_recompute,
-                delta_derivations: derivations,
-            })
+            for g in grams {
+                view.apply_gram(catalog, g);
+            }
         }
     }
+    Ok(MaintenanceReport { choice, est_incremental, est_recompute })
 }
 
 /// Apply updategrams through the catalog's insert/delete paths (not
 /// `get_mut`), so statistics stay incrementally maintained and deletes
 /// note only the rows actually removed — an updategram deleting a row the
 /// relation never held must not desync the stats (`RelStats::note_delete`
-/// used to be called unconditionally here). Public so tests and the
-/// dataflow path apply grams with *exactly* the semantics the maintenance
-/// deltas assume (deletes first, every occurrence removed).
+/// used to be called unconditionally here). Public so every caller
+/// applies grams with *exactly* the semantics [`gram_to_batch`] signs for
+/// (deletes first, every occurrence removed).
 pub fn apply_updategrams(catalog: &mut Catalog, grams: &[Updategram]) {
     for g in grams {
         for row in &g.delete {
@@ -176,155 +168,14 @@ pub fn apply_updategrams(catalog: &mut Catalog, grams: &[Updategram]) {
     }
 }
 
-/// A catalog with a few extra named relations layered on top.
-struct Overlay<'a> {
-    base: &'a Catalog,
-    extra: HashMap<&'a str, &'a Relation>,
-}
-
-impl Source for Overlay<'_> {
-    fn relation(&self, name: &str) -> Option<&Relation> {
-        self.extra.get(name).copied().or_else(|| self.base.get(name))
-    }
-}
-
-/// The delta-rule pass. Returns the number of derivation rows produced.
-///
-/// Grams are processed in order; each gram is applied to the catalog right
-/// after its contributions are computed, so atoms over relations with
-/// earlier grams naturally read the new state and atoms over relations
-/// with later grams the old state. Within one gram, occurrence `i` of the
-/// changed relation reads the signed delta, occurrences `< i` read the
-/// relation's *new* state and occurrences `> i` its old state — the exact
-/// decomposition `ΔQ = Σᵢ new₁..newᵢ₋₁ · Δᵢ · oldᵢ₊₁..oldₙ`, which is what
-/// makes Δ⋈Δ derivations (self-joins) come out right.
-fn incremental_maintain(
-    catalog: &mut Catalog,
-    view: &mut MaterializedView,
-    grams: &[Updategram],
-) -> Result<usize, EvalError> {
-    let deltas = derivation_deltas(catalog, &view.definition.clone(), grams)?;
-    let total = deltas.len();
-    view.apply_derivation_delta(deltas);
-    Ok(total)
-}
-
-/// Compute the signed derivation deltas of `definition` under `grams`,
-/// applying the grams to `catalog` in the process. This is the shared core
-/// of incremental maintenance and of updategram *propagation* ("updategrams
-/// on base data can be combined to create updategrams for views").
-pub fn derivation_deltas(
-    catalog: &mut Catalog,
-    definition: &revere_query::ConjunctiveQuery,
-    grams: &[Updategram],
-) -> Result<Vec<(Tuple, i64)>, EvalError> {
-    let mut deltas: Vec<(Tuple, i64)> = Vec::new();
-    for g in grams {
-        deltas.extend(derivation_deltas_readonly(catalog, definition, g)?);
-        if catalog.get(&g.relation).is_some() {
-            apply_updategrams(catalog, std::slice::from_ref(g));
-        }
-    }
-    Ok(deltas)
-}
-
-/// Effective delete rows of one gram against the relation's current
-/// contents: `Catalog::delete` removes *every* occurrence of a row, so a
-/// row stored at multiplicity `m` contributes `m` retractions (not one —
-/// the duplicate-tuple undercount the differential oracle arbitrates), and
-/// a repeated row within one gram's delete list contributes only once
-/// (the second physical delete removes nothing).
-fn effective_deletes(base_rel: &Relation, deletes: &[Tuple]) -> Vec<Tuple> {
-    let mut seen: Vec<&Tuple> = Vec::new();
-    let mut rows = Vec::new();
-    for row in deletes {
-        if seen.contains(&row) {
-            continue;
-        }
-        seen.push(row);
-        let mult = base_rel.iter().filter(|r| *r == row).count();
-        for _ in 0..mult {
-            rows.push(row.clone());
-        }
-    }
-    rows
-}
-
-/// The per-gram delta-rule core, **without** applying the gram: the signed
-/// derivation deltas of `definition` under `g`, computed against the
-/// catalog's current (pre-gram) state. The subscription layer uses this to
-/// fan one published gram out to many continuous queries before applying
-/// it once.
-pub fn derivation_deltas_readonly(
-    catalog: &Catalog,
-    definition: &revere_query::ConjunctiveQuery,
-    g: &Updategram,
-) -> Result<Vec<(Tuple, i64)>, EvalError> {
-    let mut deltas: Vec<(Tuple, i64)> = Vec::new();
-    let Some(base_rel) = catalog.get(&g.relation) else {
-        return Ok(deltas);
-    };
-    let schema = base_rel.schema.clone();
-    let ins = Relation::with_rows(schema.clone(), g.insert.clone());
-    let del = Relation::with_rows(schema.clone(), effective_deletes(base_rel, &g.delete));
-
-    let body = definition.body.clone();
-    let occurrences: Vec<usize> = body
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.relation == g.relation)
-        .map(|(i, _)| i)
-        .collect();
-    if occurrences.is_empty() {
-        return Ok(deltas);
-    }
-    // The relation's new state, needed only when it occurs more than
-    // once in the body (self-join).
-    let new_rel = if occurrences.len() > 1 {
-        let mut nr = base_rel.clone();
-        for row in &g.delete {
-            nr.delete(row);
-        }
-        for row in &g.insert {
-            nr.insert(row.clone());
-        }
-        Some(nr)
-    } else {
-        None
-    };
-
-    for (k, &i) in occurrences.iter().enumerate() {
-        let mut q = definition.clone();
-        q.body[i].relation = "__delta__".to_string();
-        // Earlier occurrences of the same relation read the new state.
-        for &j in &occurrences[..k] {
-            q.body[j].relation = "__new__".to_string();
-        }
-        for (rel, sign) in [(&ins, 1i64), (&del, -1i64)] {
-            if rel.is_empty() {
-                continue;
-            }
-            let mut extra: HashMap<&str, &Relation> = HashMap::new();
-            extra.insert("__delta__", rel);
-            if let Some(nr) = &new_rel {
-                extra.insert("__new__", nr);
-            }
-            let overlay = Overlay { base: catalog, extra };
-            let bag = eval_cq_bag(&q, &overlay)?;
-            for row in bag.into_rows() {
-                deltas.push((row, sign));
-            }
-        }
-    }
-    Ok(deltas)
-}
-
-/// Convert one updategram into a [`DeltaBatch`] for the dataflow path,
-/// signed against the catalog's current (pre-gram) state: each insert list
-/// occurrence is `+1`; each *unique* delete row is `-m` where `m` is its
-/// current multiplicity (matching [`apply_updategrams`], whose physical
-/// delete removes every copy). Grams on unknown relations yield an empty
-/// batch, mirroring [`derivation_deltas`].
+/// Convert one updategram into a [`DeltaBatch`], signed against the
+/// catalog's current (pre-gram) state: each insert list occurrence is
+/// `+1`; each *unique* delete row is `-m` where `m` is its current
+/// multiplicity (matching [`apply_updategrams`], whose physical delete
+/// removes every copy — the duplicate-tuple undercount the differential
+/// oracle arbitrates — while a row repeated within one delete list
+/// retracts once: the second physical delete removes nothing). Grams on
+/// unknown relations yield an empty batch.
 pub fn gram_to_batch(catalog: &Catalog, gram: &Updategram) -> DeltaBatch {
     let mut batch = DeltaBatch::new();
     let Some(rel) = catalog.get(&gram.relation) else {
@@ -348,6 +199,7 @@ pub fn gram_to_batch(catalog: &Catalog, gram: &Updategram) -> DeltaBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use revere_query::eval::eval_cq_bag;
     use revere_query::parse_query;
     use revere_storage::{RelSchema, Value};
 
@@ -366,30 +218,25 @@ mod tests {
         c
     }
 
-    fn view() -> MaterializedView {
-        MaterializedView::new("v", parse_query("v(A, C) :- r(A, B), s(B, C)").unwrap())
+    fn view_of(text: &str, c: &Catalog) -> MaterializedView {
+        MaterializedView::new("v", parse_query(text).unwrap(), c).unwrap()
     }
 
-    /// Invariant: after maintenance the view equals a fresh recompute.
+    fn view(c: &Catalog) -> MaterializedView {
+        view_of("v(A, C) :- r(A, B), s(B, C)", c)
+    }
+
+    /// Invariant: after maintenance the view equals a from-scratch
+    /// evaluation, derivation counts included (bag equality).
     fn assert_consistent(catalog: &Catalog, view: &MaterializedView) {
-        let mut fresh = MaterializedView::new("chk", view.definition.clone());
-        fresh.refresh_full(catalog).unwrap();
-        assert_eq!(
-            view.as_relation().rows(),
-            fresh.as_relation().rows(),
-            "view diverged from recompute"
-        );
-        // Derivation counts must match too.
-        for row in fresh.as_relation().rows() {
-            assert_eq!(view.derivations(row), fresh.derivations(row), "counts for {row:?}");
-        }
+        let fresh = eval_cq_bag(&view.definition, catalog).unwrap().sorted();
+        assert_eq!(view.as_bag().rows(), fresh.rows(), "view diverged from recompute");
     }
 
     #[test]
     fn insert_maintenance() {
         let mut c = base();
-        let mut v = view();
-        v.refresh_full(&c).unwrap();
+        let mut v = view(&c);
         let g = Updategram::inserts("r", vec![vec!["4".into(), "y".into()]]);
         let rep = maintain(&mut c, &mut v, &[g], Some(MaintenanceChoice::Incremental)).unwrap();
         assert_eq!(rep.choice, MaintenanceChoice::Incremental);
@@ -400,8 +247,7 @@ mod tests {
     #[test]
     fn delete_maintenance() {
         let mut c = base();
-        let mut v = view();
-        v.refresh_full(&c).unwrap();
+        let mut v = view(&c);
         let g = Updategram::deletes("r", vec![vec!["1".into(), "x".into()]]);
         maintain(&mut c, &mut v, &[g], Some(MaintenanceChoice::Incremental)).unwrap();
         assert!(!v.as_relation().contains(&vec![Value::str("1"), Value::str("p")]));
@@ -411,8 +257,7 @@ mod tests {
     #[test]
     fn mixed_batch_over_both_relations() {
         let mut c = base();
-        let mut v = view();
-        v.refresh_full(&c).unwrap();
+        let mut v = view(&c);
         let grams = vec![
             Updategram {
                 relation: "r".into(),
@@ -435,8 +280,7 @@ mod tests {
     fn duplicate_supporting_derivations_survive_partial_delete() {
         // v(C) :- r(A, B), s(B, C): tuple "p" derived via A=1 and A=2.
         let mut c = base();
-        let mut v = MaterializedView::new("v", parse_query("v(C) :- r(A, B), s(B, C)").unwrap());
-        v.refresh_full(&c).unwrap();
+        let mut v = view_of("v(C) :- r(A, B), s(B, C)", &c);
         assert_eq!(v.derivations(&vec![Value::str("p")]), 2);
         let g = Updategram::deletes("r", vec![vec!["1".into(), "x".into()]]);
         maintain(&mut c, &mut v, &[g], Some(MaintenanceChoice::Incremental)).unwrap();
@@ -453,8 +297,7 @@ mod tests {
             e.insert(vec![a.into(), b.into()]);
         }
         c.register(e);
-        let mut v = MaterializedView::new("v", parse_query("v(X, Z) :- e(X, Y), e(Y, Z)").unwrap());
-        v.refresh_full(&c).unwrap();
+        let mut v = view_of("v(X, Z) :- e(X, Y), e(Y, Z)", &c);
         assert_eq!(v.len(), 1);
         // Insert an edge that creates paths through BOTH atom positions.
         let g = Updategram::inserts("e", vec![vec!["3".into(), "1".into()]]);
@@ -471,8 +314,7 @@ mod tests {
         let mut e = Relation::new(RelSchema::text("e", &["a", "b"]));
         e.insert(vec!["1".into(), "2".into()]);
         c.register(e);
-        let mut v = MaterializedView::new("v", parse_query("v(X, Z) :- e(X, Y), e(Y, Z)").unwrap());
-        v.refresh_full(&c).unwrap();
+        let mut v = view_of("v(X, Z) :- e(X, Y), e(Y, Z)", &c);
         let g = Updategram::inserts("e", vec![vec!["9".into(), "9".into()]]);
         maintain(&mut c, &mut v, &[g], Some(MaintenanceChoice::Incremental)).unwrap();
         assert!(v.as_relation().contains(&vec![Value::str("9"), Value::str("9")]));
@@ -487,8 +329,7 @@ mod tests {
             e.insert(vec![a.into(), b.into()]);
         }
         c.register(e);
-        let mut v = MaterializedView::new("v", parse_query("v(X, Z) :- e(X, Y), e(Y, Z)").unwrap());
-        v.refresh_full(&c).unwrap();
+        let mut v = view_of("v(X, Z) :- e(X, Y), e(Y, Z)", &c);
         let g = Updategram::deletes("e", vec![vec!["2".into(), "3".into()]]);
         maintain(&mut c, &mut v, &[g], Some(MaintenanceChoice::Incremental)).unwrap();
         assert_consistent(&c, &v);
@@ -502,8 +343,7 @@ mod tests {
             r.insert(vec![Value::Int(i), Value::Int(i % 100)]);
         }
         c.register(r);
-        let mut v = MaterializedView::new("v", parse_query("v(B) :- r(A, B)").unwrap());
-        v.refresh_full(&c).unwrap();
+        let mut v = view_of("v(B) :- r(A, B)", &c);
         let g = Updategram::inserts("r", vec![vec![Value::Int(10_000), Value::Int(5)]]);
         let rep = maintain(&mut c, &mut v, &[g], None).unwrap();
         assert_eq!(rep.choice, MaintenanceChoice::Incremental);
@@ -516,8 +356,7 @@ mod tests {
         let mut r = Relation::new(RelSchema::text("r", &["a", "b"]));
         r.insert(vec![Value::Int(0), Value::Int(0)]);
         c.register(r);
-        let mut v = MaterializedView::new("v", parse_query("v(B) :- r(A, B)").unwrap());
-        v.refresh_full(&c).unwrap();
+        let mut v = view_of("v(B) :- r(A, B)", &c);
         let big: Vec<Tuple> = (1..500).map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
         let rep = maintain(&mut c, &mut v, &[Updategram::inserts("r", big)], None).unwrap();
         assert_eq!(rep.choice, MaintenanceChoice::Recompute);
@@ -532,9 +371,7 @@ mod tests {
             delete: vec![vec!["3".into(), "y".into()]],
         }];
         let (mut c1, mut c2) = (base(), base());
-        let (mut v1, mut v2) = (view(), view());
-        v1.refresh_full(&c1).unwrap();
-        v2.refresh_full(&c2).unwrap();
+        let (mut v1, mut v2) = (view(&c1), view(&c2));
         maintain(&mut c1, &mut v1, &grams, Some(MaintenanceChoice::Incremental)).unwrap();
         maintain(&mut c2, &mut v2, &grams, Some(MaintenanceChoice::Recompute)).unwrap();
         assert_eq!(v1.as_relation().rows(), v2.as_relation().rows());
@@ -551,8 +388,7 @@ mod tests {
         r.insert(vec!["x".into()]);
         r.insert(vec!["y".into()]);
         c.register(r);
-        let mut v = MaterializedView::new("v", parse_query("v(A) :- r(A)").unwrap());
-        v.refresh_full(&c).unwrap();
+        let mut v = view_of("v(A) :- r(A)", &c);
         assert_eq!(v.derivations(&vec![Value::str("x")]), 2);
         let g = Updategram::deletes("r", vec![vec!["x".into()]]);
         maintain(&mut c, &mut v, &[g], Some(MaintenanceChoice::Incremental)).unwrap();
@@ -566,8 +402,7 @@ mod tests {
         // The first physical delete removes the row; the second removes
         // nothing and must not drive derivation counts doubly negative.
         let mut c = base();
-        let mut v = view();
-        v.refresh_full(&c).unwrap();
+        let mut v = view(&c);
         let g = Updategram::deletes(
             "r",
             vec![vec!["1".into(), "x".into()], vec!["1".into(), "x".into()]],
@@ -597,23 +432,10 @@ mod tests {
     }
 
     #[test]
-    fn readonly_deltas_do_not_touch_the_catalog() {
-        let c = base();
-        let before = c.get("r").unwrap().sorted();
-        let def = parse_query("v(A, C) :- r(A, B), s(B, C)").unwrap();
-        let g = Updategram::deletes("r", vec![vec!["1".into(), "x".into()]]);
-        let deltas = derivation_deltas_readonly(&c, &def, &g).unwrap();
-        assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].1, -1);
-        assert_eq!(c.get("r").unwrap().sorted().rows(), before.rows());
-    }
-
-    #[test]
     fn updategram_on_unrelated_relation_is_noop_for_view() {
         let mut c = base();
         c.create(RelSchema::text("t", &["z"]));
-        let mut v = view();
-        v.refresh_full(&c).unwrap();
+        let mut v = view(&c);
         let before = v.as_relation();
         let g = Updategram::inserts("t", vec![vec!["new".into()]]);
         maintain(&mut c, &mut v, &[g], Some(MaintenanceChoice::Incremental)).unwrap();

@@ -1,15 +1,15 @@
 //! DBSP-style delta dataflow: continuous queries kept fresh in O(|Δ|).
 //!
 //! §3.1.2 wants materialized views maintained "versus simply invalidating
-//! views and re-reading data". The counting IVM in the PDMS re-evaluates
-//! delta *queries* against base relations on every updategram — correct,
-//! but each round still scans the unchanged base data to rebuild its hash
-//! indexes. This module removes that rescan: a [`Circuit`] compiles a
-//! planned conjunctive body (reusing the [`crate::plan`] step order) into
-//! a chain of bilinear incremental hash joins whose per-side state stays
-//! **arranged** (indexed by join key) between updates, so one updategram
-//! costs work proportional to the delta and the bindings it touches, not
-//! to the base tables.
+//! views and re-reading data". Re-evaluating delta *queries* against base
+//! relations on every updategram is correct, but each round still scans
+//! the unchanged base data to rebuild its hash indexes. This module has
+//! no such rescan: a [`Circuit`] compiles a planned conjunctive body
+//! (reusing the [`crate::plan`] step order) into a chain of bilinear
+//! incremental hash joins whose per-side state stays **arranged**
+//! (indexed by join key) between updates, so one updategram costs work
+//! proportional to the delta and the bindings it touches, not to the
+//! base tables.
 //!
 //! The algebra is Z-sets: a [`Delta`] maps tuples to signed
 //! multiplicities, insertions are `+w`, retractions `-w`, and operators

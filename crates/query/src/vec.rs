@@ -617,11 +617,9 @@ mod tests {
     /// On representative query shapes: the answer bag is the naive
     /// oracle's, the step profiles are the profile oracle's, the kernel's
     /// binding count is the bag's length, and every scheduling
-    /// configuration returns the sequential run's rows in its order. (The
-    /// name is the test-floor id from when a row engine was the
-    /// reference; the oracles replaced it.)
+    /// configuration returns the sequential run's rows in its order.
     #[test]
-    fn vectorized_matches_row_engine_exactly() {
+    fn vectorized_matches_naive_and_profile_oracles_exactly() {
         let c = catalog();
         for text in [
             "q(T) :- course(I, T, D)",
@@ -656,9 +654,8 @@ mod tests {
     /// A broken query errors with the oracle's message (both check
     /// relations and arities up front); a plan that does not apply is
     /// rejected by both entry points, naming the two canonical keys.
-    /// (Floor id kept, as above.)
     #[test]
-    fn errors_match_row_engine() {
+    fn errors_match_naive_oracle() {
         let c = catalog();
         let q = parse_query("q(X) :- ghost(X)").unwrap();
         let plan = plan_cq(&q, &c);

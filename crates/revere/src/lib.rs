@@ -69,10 +69,10 @@ pub mod prelude {
         LogSink, Metrics, MetricsSnapshot, Obs, ObsConfig, SpanHandle, Tracer,
     };
     pub use revere_pdms::{
-        apply_once, apply_once_dataflow, apply_updategrams, derivation_deltas_readonly,
-        gram_to_batch, maintain, CacheStats, CompletenessReport, DataflowView, GramInbox, Health,
-        MaintenanceChoice, MaterializedView, Monitor, MonitorConfig, MonitorEvent,
-        PdmsNetwork, Peer, PeerAccounting, PeerVitals, PublishReport, QueryBudget, QueryOutcome,
+        apply_once, apply_updategrams, gram_to_batch, maintain, CacheStats, CompletenessReport,
+        GramInbox, Health, MaintenanceChoice, MaterializedView, Monitor, MonitorConfig,
+        MonitorEvent, PdmsNetwork, Peer, PeerAccounting, PeerVitals, PublishReport, QueryBudget,
+        QueryOutcome,
         ReformulateOptions, Reformulator, ReliableLink, SequencedGram, Subscription, Updategram,
         XmlMapping,
     };

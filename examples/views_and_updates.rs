@@ -54,7 +54,7 @@ fn main() {
     let hot = parse_query("q(T, E) :- P4.course(T, E), E > 350").unwrap();
     let workload = vec![WorkloadEntry { peer: "P4".into(), query: hot.clone(), frequency: 50.0 }];
     let before = net.query("P4", &hot).expect("query runs");
-    let plan = plan_placement(&net, &workload, 1_000_000);
+    let plan = plan_placement(&mut net, &workload, 1_000_000);
     let (answers, messages) = answer_with_plan(&net, &plan, "P4", &hot).expect("planned query runs");
     println!(
         "placement: hot query cost {} messages / {} tuples shipped before; {} messages after \
@@ -65,7 +65,29 @@ fn main() {
         plan.placements.iter().map(|p| p.rows).sum::<usize>()
     );
     assert_eq!(messages, 0);
-    assert_eq!(answers.len(), before.answers.len());
+    assert_eq!(answers.rows(), before.answers.rows());
+
+    // The placed view is a subscription: a publish two peers away reaches
+    // it, so the local answer still equals re-asking the network.
+    let gram = Updategram {
+        relation: "P2.course".into(),
+        insert: vec![vec![Value::str("Fresh@P2"), Value::Int(399)]],
+        delete: vec![vec![Value::str("C27@P2"), Value::Int(365)]],
+    };
+    let report = net.publish(&gram).expect("publish applies");
+    let live = net.query("P4", &hot).expect("query runs");
+    let (answers, messages) = answer_with_plan(&net, &plan, "P4", &hot).expect("planned query runs");
+    println!(
+        "after a publish at P2: {} view(s) refreshed, {} rows served locally at {} messages \
+         (asking the network: {} messages)",
+        report.refreshed.len(),
+        answers.len(),
+        messages,
+        live.messages
+    );
+    assert_eq!(messages, 0);
+    assert_ne!(live.answers.rows(), before.answers.rows(), "the publish changed the answer");
+    assert_eq!(answers.rows(), live.answers.rows(), "placed view went stale");
 
     // ------------------------------------------------------------------
     // 2. A materialized join view at P0, maintained by updategrams.
@@ -88,9 +110,8 @@ fn main() {
     }
     catalog.register(tags);
     let def = parse_query("v(T, Tag) :- P0.course(T, E), tags(E, Tag)").unwrap();
-    let mut view = MaterializedView::new("v", def);
-    view.refresh_full(&catalog).expect("initial refresh");
-    println!("\nview materialized: {} tuples, {} derivations", view.len(), view.total_derivations());
+    let mut view = MaterializedView::new("v", def, &catalog).expect("view seeds");
+    println!("\nview materialized: {} tuples, {} derivations", view.len(), view.as_bag().len());
 
     // A burst of small updategrams: incremental is chosen and fast.
     let gram = Updategram {
@@ -104,9 +125,8 @@ fn main() {
     let start = Instant::now();
     let report = maintain(&mut catalog, &mut view, &[gram], None).expect("maintenance runs");
     println!(
-        "small updategram: optimizer chose {:?} (est inc {} vs recompute {}), {} delta derivations, {:?}",
-        report.choice, report.est_incremental, report.est_recompute, report.delta_derivations,
-        start.elapsed()
+        "small updategram: optimizer chose {:?} (est inc {} vs recompute {}), {:?}",
+        report.choice, report.est_incremental, report.est_recompute, start.elapsed()
     );
     assert_eq!(report.choice, MaintenanceChoice::Incremental);
     assert!(view.as_relation().contains(&vec![Value::str("NewCourse1"), Value::str("huge")]));
@@ -127,9 +147,8 @@ fn main() {
     assert_eq!(report.choice, MaintenanceChoice::Recompute);
 
     // Consistency check: the view equals a fresh recompute.
-    let mut fresh = MaterializedView::new("check", view.definition.clone());
-    fresh.refresh_full(&catalog).unwrap();
-    assert_eq!(view.as_relation().rows(), fresh.as_relation().rows());
+    let fresh = eval_cq(&view.definition, &catalog).unwrap().sorted();
+    assert_eq!(view.as_relation().rows(), fresh.rows());
     println!("view verified against full recompute: {} tuples", view.len());
     println!("\nviews_and_updates OK");
 }

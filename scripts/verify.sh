@@ -65,9 +65,11 @@ done
 
 # IVM differential gate: after every updategram in a seeded adversarial
 # stream (duplicate inserts, multi-copy deletes, absent deletes, bulk
-# dataset joins/leaves), the delta-dataflow circuit and the counting
-# maintainer must both equal a from-scratch recompute of their defining
-# query, byte for byte. Override the seed set with
+# dataset joins/leaves), a view that always pushes the delta through its
+# circuits and a view driven by `maintain`'s policy (the cost model's own
+# choice per gram, plus a forced re-seed every fifth) must both equal a
+# from-scratch recompute of their defining query, byte for byte. Override
+# the seed set with
 # REVERE_IVM_SEEDS="1 2 3" scripts/verify.sh
 for seed in ${REVERE_IVM_SEEDS:-7 42 1003}; do
     echo "ivm differential gate: seed $seed"
@@ -141,9 +143,14 @@ cargo run --release --offline -p revere-bench --bin report E15
 # E17 smoke: the delta-dataflow experiment must run end to end — E17a
 # asserts the circuit's per-update work stays flat across a 64× base-size
 # sweep and that its output matches recompute; E17b cross-checks
-# dataflow subscriptions against counting and invalidate-and-recompute
-# `MaterializedView`s under fan-out.
+# dataflow subscriptions against invalidate-and-recompute under fan-out.
 cargo run --release --offline -p revere-bench --bin report E17
+
+# Views smoke: the example asserts the cost model's choices (incremental
+# for a small gram, recompute for a bulk load), that a placed view serves
+# its query at zero messages, and that it still equals the live network
+# answer after a publish two peers away.
+cargo run --release --offline -p revere --example views_and_updates
 
 # Monitor gate: the health-monitor suite must hold under several fixed
 # seeds — exact fault attribution within the detection bound, answer

@@ -139,8 +139,8 @@ fn remote_cache() -> (Catalog, MaterializedView) {
     rel.insert(vec!["Databases".into()]);
     let mut cat = Catalog::new();
     cat.register(rel);
-    let mut view = MaterializedView::new("cache", parse_query("cache(T) :- feed(T)").unwrap());
-    view.refresh_full(&cat).unwrap();
+    let view =
+        MaterializedView::new("cache", parse_query("cache(T) :- feed(T)").unwrap(), &cat).unwrap();
     (cat, view)
 }
 
@@ -259,7 +259,7 @@ fn dataflow_chaos_run(
     cat.attach_journal(disk.journal());
     checkpoint(&disk, &mut cat, &[], &[]);
     let q = parse_query("cache(T, L) :- feed(T, K), tag(K, L)").unwrap();
-    let mut view = DataflowView::new("cache", q.clone(), &cat).unwrap();
+    let mut view = MaterializedView::new("cache", q.clone(), &cat).unwrap();
     let mut inbox = GramInbox::durable("Src", disk.journal());
     let mut link = ReliableLink::new("Sub", plan);
     let mut pending: Vec<SequencedGram> = Vec::new();
@@ -275,7 +275,7 @@ fn dataflow_chaos_run(
                 .find(|(l, _)| l == "Src")
                 .map(|(_, i)| i)
                 .unwrap_or_else(|| GramInbox::durable("Src", disk.journal()));
-            view = DataflowView::new("cache", q.clone(), &cat).expect("circuit rebuilds");
+            view = MaterializedView::new("cache", q.clone(), &cat).expect("circuit rebuilds");
         }
         pending.push(link.seal(subscriber_gram(tick)));
         // Ship strictly in sequence order: a delete must not overtake the
@@ -283,7 +283,7 @@ fn dataflow_chaos_run(
         // out-of-order delivery would not converge). The head gram blocks
         // the line until acknowledged.
         while let Some(g) = pending.first() {
-            let d = link.ship_dataflow(g, &mut inbox, &mut cat, &mut view).expect("ship");
+            let d = link.ship(g, &mut inbox, &mut cat, &mut view).expect("ship");
             if d.acknowledged {
                 pending.remove(0);
             } else {
@@ -296,7 +296,7 @@ fn dataflow_chaos_run(
     }
     let mut rounds = 0;
     while let Some(g) = pending.first() {
-        let d = link.ship_dataflow(g, &mut inbox, &mut cat, &mut view).expect("ship");
+        let d = link.ship(g, &mut inbox, &mut cat, &mut view).expect("ship");
         if d.acknowledged {
             pending.remove(0);
         }

@@ -1,15 +1,17 @@
 //! Differential testing for incremental view maintenance.
 //!
-//! The delta-dataflow circuits ([`DataflowView`]) and the counting
-//! maintainer ([`MaterializedView`] driven by [`maintain`]) both promise
-//! the same contract: after any sequence of updategrams, the maintained
-//! state equals what a from-scratch evaluation of the defining query over
-//! the current catalog would produce. These tests generate random
-//! catalogs, random conjunctive queries (self-joins, constants,
-//! comparisons), and adversarial gram sequences — duplicate inserts,
-//! multi-copy deletes, deletes of absent rows, bulk dataset joins and
-//! leaves, churn on unrelated relations — and after **every** gram hold
-//! both maintainers to the recompute oracle byte for byte.
+//! A [`MaterializedView`] promises one contract however it is driven:
+//! after any sequence of updategrams, the maintained state equals what a
+//! from-scratch evaluation of the defining query over the current catalog
+//! would produce. These tests generate random catalogs, random conjunctive
+//! queries (self-joins, constants, comparisons), and adversarial gram
+//! sequences — duplicate inserts, multi-copy deletes, deletes of absent
+//! rows, bulk dataset joins and leaves, churn on unrelated relations — and
+//! after **every** gram hold two arms to the recompute oracle byte for
+//! byte: a view that always pushes the delta through its circuits, and a
+//! view driven by [`maintain`]'s policy — the cost model's own choice per
+//! gram, and a forced re-seed every [`RESEED_EVERY`]-th — so one view
+//! alternates between push and re-plan-and-re-seed mid-stream.
 //!
 //! Seeding: `REVERE_IVM_SEED` (default 7) offsets every generator;
 //! `scripts/verify.sh` sweeps `REVERE_IVM_SEEDS` (default `7 42 1003`).
@@ -161,34 +163,36 @@ fn sorted_rows(r: Relation) -> Vec<Vec<Value>> {
     r.sorted().into_rows()
 }
 
-/// Hold one case to the oracle: after every gram, the circuit's bag equals
-/// `eval_cq_bag` recomputed from scratch, its set view equals
-/// `eval_cq`, and the counting maintainer agrees with both. Returns false
-/// when the generated query compiles to no circuit (skipped case).
-fn run_case(case: u64, grams: usize) -> bool {
+/// The policy arm is forced to [`MaintenanceChoice::Recompute`] on every
+/// gram whose index is `RESEED_EVERY - 1` modulo this.
+const RESEED_EVERY: usize = 5;
+
+/// Hold one case to the oracle: after every gram, each arm's bag equals
+/// `eval_cq_bag` recomputed from scratch and its set view equals `eval_cq`.
+/// Returns how often the cost model, left to itself, picked
+/// `[Incremental, Recompute]` — or `None` when the generated query
+/// compiles to no circuit (skipped case).
+fn run_case(case: u64, grams: usize) -> Option<[usize; 2]> {
     let mut g = case_gen(case);
     let mut catalog = random_catalog(&mut g);
     let text = random_query_text(&mut g, &catalog);
     let q = parse_query(&text).unwrap_or_else(|e| panic!("case {case}: `{text}`: {e}"));
     assert!(q.is_safe(), "case {case}: generated unsafe query `{text}`");
 
-    let Ok(mut flow) = DataflowView::new("flow", q.clone(), &catalog) else {
-        return false;
-    };
-    let mut counting_catalog = catalog.clone();
-    let mut counting = MaterializedView::new("count", q.clone());
-    counting.refresh_full(&counting_catalog).unwrap();
+    let mut push = MaterializedView::new("push", q.clone(), &catalog).ok()?;
+    let mut policy_catalog = catalog.clone();
+    let mut policy = push.clone();
+    let mut picks = [0usize; 2];
 
     for round in 0..grams {
         let gram = random_gram(&mut g, &catalog);
-        flow.apply_gram(&mut catalog, &gram);
-        maintain(
-            &mut counting_catalog,
-            &mut counting,
-            std::slice::from_ref(&gram),
-            Some(MaintenanceChoice::Incremental),
-        )
-        .unwrap();
+        push.apply_gram(&mut catalog, &gram);
+        let force = (round % RESEED_EVERY == RESEED_EVERY - 1).then_some(MaintenanceChoice::Recompute);
+        let report =
+            maintain(&mut policy_catalog, &mut policy, std::slice::from_ref(&gram), force).unwrap();
+        if force.is_none() {
+            picks[usize::from(report.choice == MaintenanceChoice::Recompute)] += 1;
+        }
 
         let ctx = || {
             format!(
@@ -198,39 +202,35 @@ fn run_case(case: u64, grams: usize) -> bool {
                 gram.delete.len()
             )
         };
-        let bag_oracle = eval_cq_bag(&q, &catalog).unwrap();
-        assert_eq!(
-            sorted_rows(flow.as_bag()),
-            sorted_rows(bag_oracle),
-            "circuit bag drifted from recompute: {}",
-            ctx()
-        );
-        let set_oracle = eval_cq(&q, &catalog).unwrap();
-        assert_eq!(
-            sorted_rows(flow.as_relation()),
-            sorted_rows(set_oracle.clone()),
-            "circuit set drifted from recompute: {}",
-            ctx()
-        );
-        assert_eq!(
-            sorted_rows(counting.as_relation()),
-            sorted_rows(set_oracle),
-            "counting maintainer drifted from recompute: {}",
-            ctx()
-        );
+        let bag_oracle = sorted_rows(eval_cq_bag(&q, &catalog).unwrap());
+        let set_oracle = sorted_rows(eval_cq(&q, &catalog).unwrap());
+        for (arm, view) in [("always-push", &push), ("policy", &policy)] {
+            assert_eq!(
+                sorted_rows(view.as_bag()),
+                bag_oracle,
+                "{arm} bag drifted from recompute: {}",
+                ctx()
+            );
+            assert_eq!(
+                sorted_rows(view.as_relation()),
+                set_oracle,
+                "{arm} set drifted from recompute: {}",
+                ctx()
+            );
+        }
     }
-    true
+    Some(picks)
 }
 
 #[test]
 fn circuits_track_recompute_after_every_gram() {
-    let mut compiled = 0;
-    for case in 0..16u64 {
-        if run_case(case, 40) {
-            compiled += 1;
-        }
-    }
+    let picks: Vec<[usize; 2]> = (0..16u64).filter_map(|case| run_case(case, 40)).collect();
+    let compiled = picks.len();
     assert!(compiled >= 12, "only {compiled}/16 generated queries compiled to circuits");
+    // The policy arm is only a second arm if the cost model really sends
+    // one stream down both paths.
+    let [incremental, recompute] = picks.iter().fold([0, 0], |[i, r], p| [i + p[0], r + p[1]]);
+    assert!(incremental > 0 && recompute > 0, "cost model picks: {incremental} / {recompute}");
 }
 
 /// Long single-case soak: one query, hundreds of grams, catching drift
@@ -239,7 +239,7 @@ fn circuits_track_recompute_after_every_gram() {
 #[test]
 fn one_circuit_survives_a_long_gram_stream() {
     assert!(
-        run_case(90_001, 250) || run_case(90_002, 250),
+        run_case(90_001, 250).or_else(|| run_case(90_002, 250)).is_some(),
         "soak cases failed to compile a circuit"
     );
 }

@@ -233,10 +233,9 @@ fn assert_sweep_is_byte_identical(
 
 /// Vectorized ≡ naive oracle after canonical sort, step profiles ≡ the
 /// profile oracle, the bindings-only kernel ≡ both, across the whole
-/// morsel sweep. (The name is the test-floor id from when a row engine
-/// was the byte-for-byte reference; the two oracles replaced it.)
+/// morsel sweep.
 #[test]
-fn vectorized_agrees_with_row_engine_and_naive_oracle() {
+fn vectorized_agrees_with_naive_and_profile_oracles() {
     for case in 0..64u64 {
         let mut g = case_gen(case);
         let catalog = random_catalog(&mut g);
@@ -270,7 +269,7 @@ fn vectorized_agrees_with_row_engine_and_naive_oracle() {
 /// Broken queries (unknown relation, wrong arity) error identically from
 /// the engine and the oracle — same message, not merely both erring.
 #[test]
-fn engines_agree_on_broken_queries() {
+fn broken_queries_error_as_the_naive_oracle_does() {
     for case in 0..32u64 {
         let mut g = case_gen(10_000 + case);
         let catalog = random_catalog(&mut g);
@@ -290,7 +289,7 @@ fn engines_agree_on_broken_queries() {
 /// with one error naming both canonical keys — by the evaluator under
 /// every morsel configuration and by the bindings-only kernel.
 #[test]
-fn engines_agree_on_inapplicable_plans() {
+fn inapplicable_plans_are_rejected_by_evaluator_and_kernel() {
     let mut g = case_gen(20_000);
     let catalog = random_catalog(&mut g);
     let a = parse_query("q(X0) :- r0(X0)").unwrap();

@@ -170,9 +170,7 @@ fn course_catalog(rel: &str) -> Catalog {
 
 fn replica_view(catalog: &Catalog, rel: &str) -> MaterializedView {
     let q = parse_query(&format!("v(T) :- {rel}(T, A)")).expect("view parses");
-    let mut v = MaterializedView::new("v", q);
-    v.refresh_full(catalog).expect("view refreshes");
-    v
+    MaterializedView::new("v", q, catalog).expect("view seeds")
 }
 
 #[test]

@@ -163,13 +163,15 @@ fn updategram_maintenance_after_warmup_invalidates_warm_plans() {
         ],
     )];
     for net in [&cached, &plain] {
-        let mut view = MaterializedView::new(
-            "B.popular",
-            parse_query("popular(T, E) :- B.course(T, E), E > 50").unwrap(),
-        );
-        net.peer("B").unwrap().storage.write(|c| {
-            view.refresh_full(c).expect("view refreshes");
+        let view = net.peer("B").unwrap().storage.write(|c| {
+            let mut view = MaterializedView::new(
+                "B.popular",
+                parse_query("popular(T, E) :- B.course(T, E), E > 50").unwrap(),
+                c,
+            )
+            .expect("view seeds");
             maintain(c, &mut view, &grams, None).expect("maintenance applies");
+            view
         });
         assert_eq!(view.len(), 1, "the view saw the new row too");
     }

@@ -10,6 +10,7 @@
 //! closure-driven generation, a fixed case count per property, seeded and
 //! shrink-free — a failure prints the case seed to reproduce it.
 
+use revere::pdms::placement::{answer_with_plan, plan_placement, WorkloadEntry};
 use revere::pdms::{maintain, MaintenanceChoice, MaterializedView, Updategram};
 use revere::prelude::*;
 use revere::query::unfold::{unfold_with, ViewDef};
@@ -335,10 +336,8 @@ fn incremental_maintenance_matches_recompute() {
         let def = parse_query(view_q).unwrap();
         let mut c1 = db.clone();
         let mut c2 = db;
-        let mut v1 = MaterializedView::new("v", def.clone());
-        let mut v2 = MaterializedView::new("v", def);
-        v1.refresh_full(&c1).unwrap();
-        v2.refresh_full(&c2).unwrap();
+        let mut v1 = MaterializedView::new("v", def.clone(), &c1).unwrap();
+        let mut v2 = MaterializedView::new("v", def, &c2).unwrap();
 
         // Deletes drawn from existing rows; inserts arbitrary.
         let existing: Vec<Vec<Value>> = c1.get("r").unwrap().rows().to_vec();
@@ -356,6 +355,74 @@ fn incremental_maintenance_matches_recompute() {
         let r1 = v1.as_relation();
         let r2 = v2.as_relation();
         assert_eq!(r1.rows(), r2.rows(), "divergence after {gram:?}");
+    });
+}
+
+// ---------------------------------------------------------------------
+// Data placement: a placed view is a subscription, so it stays fresh
+// ---------------------------------------------------------------------
+
+/// The three-peer chain of `placement.rs`'s unit tests: `P0 → P1 → P2`,
+/// four courses each, every peer's `course` mapped onto its successor's.
+fn placement_chain() -> PdmsNetwork {
+    let mut net = PdmsNetwork::new();
+    for i in 0..3 {
+        let mut p = Peer::new(format!("P{i}"));
+        let mut r = Relation::new(RelSchema::text("course", &["title"]));
+        for k in 0..4 {
+            r.insert(vec![Value::str(format!("C{k}@P{i}"))]);
+        }
+        p.add_relation(r);
+        net.add_peer(p);
+    }
+    for i in 1..3 {
+        let rule =
+            format!("m(T) :- P{}.course(T) ==> m(T) :- P{i}.course(T)", i - 1);
+        net.add_mapping(
+            GlavMapping::parse(format!("m{i}"), format!("P{}", i - 1), format!("P{i}"), &rule)
+                .unwrap(),
+        );
+    }
+    net
+}
+
+#[test]
+fn placed_views_answer_as_the_network_does_after_every_publish() {
+    forall(12, |g| {
+        let mut net = placement_chain();
+        let hot = parse_query("q(T) :- P2.course(T)").unwrap();
+        let workload = vec![WorkloadEntry { peer: "P2".into(), query: hot.clone(), frequency: 10.0 }];
+        let plan = plan_placement(&mut net, &workload, 1_000);
+        assert_eq!(plan.placements.len(), 1);
+        // A renamed copy of the hot query shares the view; P1's own query
+        // has none and takes the network path.
+        let renamed = parse_query("q(X) :- P2.course(X)").unwrap();
+        let unplaced = parse_query("q(T) :- P1.course(T)").unwrap();
+
+        for step in 0..24 {
+            let owner = g.random_range(0..3usize);
+            let relation = format!("P{owner}.course");
+            let stored = net.peer(&format!("P{owner}")).unwrap().storage.snapshot(&relation).unwrap();
+            let gram = if stored.is_empty() || g.random_bool(0.6) {
+                // Small title pool: re-inserts of stored rows happen.
+                let title = format!("N{}@P{owner}", g.random_range(0..6usize));
+                Updategram::inserts(&relation, vec![vec![Value::str(title)]])
+            } else {
+                Updategram::deletes(&relation, vec![g.pick(stored.rows()).clone()])
+            };
+            net.publish(&gram).unwrap();
+
+            for (peer, q, placed) in [("P2", &hot, true), ("P2", &renamed, true), ("P1", &unplaced, false)] {
+                let live = net.query(peer, q).unwrap();
+                let (answers, messages) = answer_with_plan(&net, &plan, peer, q).unwrap();
+                assert_eq!(
+                    answers.rows(),
+                    live.answers.rows(),
+                    "step {step}: `{q}` at {peer} drifted from the network after {gram:?}"
+                );
+                assert_eq!(messages == 0, placed, "step {step}: `{q}` at {peer} spent {messages}");
+            }
+        }
     });
 }
 
