@@ -28,7 +28,6 @@ fn fact_catalog(rows: usize) -> Catalog {
     }
     let mut catalog = Catalog::new();
     catalog.register(r);
-    catalog.analyze();
     catalog
 }
 

@@ -34,7 +34,7 @@ pub fn e17_dataflow_scaling() -> Table {
         let plan = plan_cq(&q, &mirror);
         let mut circuit = Circuit::new(&q, &plan).unwrap();
         circuit.init_full(&mirror).unwrap();
-        let work0 = circuit.work;
+        let work0 = circuit.work();
 
         // Single-row updates: fresh `a` values (no collision with the
         // base pattern), in-domain `b` values so every update joins.
@@ -65,7 +65,7 @@ pub fn e17_dataflow_scaling() -> Table {
             circuit.push(batch);
         }
         let inc = start.elapsed();
-        let work_per_update = (circuit.work - work0) as f64 / updates as f64;
+        let work_per_update = (circuit.work() - work0) as f64 / updates as f64;
 
         // What each update would have cost without the circuit.
         let start = Instant::now();

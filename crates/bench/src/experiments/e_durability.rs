@@ -154,12 +154,12 @@ fn run(seed: u64, crashing: bool) -> RunOutcome {
     let mut src_cat = Catalog::new();
     src_cat.create(course_schema(SRC_REL));
     src_cat.attach_journal(src_disk.journal());
-    checkpoint(&src_disk, &mut src_cat, &[], &[]);
+    checkpoint(&src_disk, &src_cat, &[], &[]);
 
     let mut dst_cat = Catalog::new();
     dst_cat.create(course_schema(DST_REL));
     dst_cat.attach_journal(dst_disk.journal());
-    checkpoint(&dst_disk, &mut dst_cat, &[], &[]);
+    checkpoint(&dst_disk, &dst_cat, &[], &[]);
 
     let mut link = ReliableLink::durable("Dst", plan.clone(), src_disk.journal());
     link.retry = RetryPolicy::none();
@@ -241,8 +241,8 @@ fn run(seed: u64, crashing: bool) -> RunOutcome {
         ship_pending(&mut pending, &mut link, &mut inbox, &mut dst_cat, &mut view);
 
         if tick % CHECKPOINT_EVERY == CHECKPOINT_EVERY - 1 {
-            checkpoint(&src_disk, &mut src_cat, &[], &[&link]);
-            checkpoint(&dst_disk, &mut dst_cat, &[&inbox], &[]);
+            checkpoint(&src_disk, &src_cat, &[], &[&link]);
+            checkpoint(&dst_disk, &dst_cat, &[&inbox], &[]);
         }
         log_peak = log_peak.max(src_disk.log_len()).max(dst_disk.log_len());
     }

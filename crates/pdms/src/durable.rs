@@ -132,15 +132,15 @@ pub struct CheckpointReport {
 /// Checkpoint a peer: write a fresh image capturing `catalog`, the
 /// `inboxes`' dedup watermarks, and the `links`' sequence counters, then
 /// truncate the log below every link's truncation floor (see the module
-/// docs). Flushes any pending [`Catalog::get_mut`] re-journal first, so
-/// the image + suffix is self-contained.
+/// docs). Every catalog mutation is journaled before it is applied, so
+/// the image taken here plus the log suffix is self-contained, and a
+/// shared borrow of the catalog is all a checkpoint needs.
 pub fn checkpoint(
     disk: &PeerDisk,
-    catalog: &mut Catalog,
+    catalog: &Catalog,
     inboxes: &[&GramInbox],
     links: &[&ReliableLink],
 ) -> CheckpointReport {
-    catalog.flush_journal();
     let as_of = disk.journal.next_lsn();
     let image = encode_peer_image(catalog, as_of, inboxes, links);
     let floor = links
@@ -150,12 +150,7 @@ pub fn checkpoint(
         .unwrap_or(as_of)
         .min(as_of);
     let truncated = disk.journal.truncate_below(floor);
-    let retained_for_acks = disk
-        .journal
-        .records()
-        .iter()
-        .filter(|(lsn, _)| *lsn < as_of)
-        .count();
+    let retained_for_acks = disk.journal.record_count() - disk.journal.records_from(as_of).len();
     let image_bytes = image.len();
     disk.with_image(|i| *i = Some(image));
     CheckpointReport {
@@ -485,7 +480,7 @@ mod tests {
         let mut cat = course_catalog();
         cat.attach_journal(disk.journal());
         cat.insert("S.course", vec![Value::str("os"), Value::str("systems")]);
-        let report = checkpoint(&disk, &mut cat, &[], &[]);
+        let report = checkpoint(&disk, &cat, &[], &[]);
         assert!(report.as_of > 0);
         assert_eq!(report.retained_for_acks, 0);
         // Post-checkpoint mutations land in the suffix.
@@ -531,7 +526,7 @@ mod tests {
         let d = link.ship(&gram, &mut inbox, &mut target_cat, &mut view).expect("ship");
         assert!(!d.acknowledged);
 
-        let report = checkpoint(&disk, &mut cat, &[], &[&link]);
+        let report = checkpoint(&disk, &cat, &[], &[&link]);
         assert!(report.floor < report.as_of, "unacked seal pins the floor");
         assert_eq!(report.retained_for_acks, 1);
 
@@ -564,7 +559,7 @@ mod tests {
         }
         assert_eq!(link.truncation_floor(), None, "fully acknowledged");
         let before = disk.log_len();
-        let report = checkpoint(&disk, &mut cat, &[], &[&link]);
+        let report = checkpoint(&disk, &cat, &[], &[&link]);
         assert_eq!(report.retained_for_acks, 0);
         assert!(report.truncated > 0, "acknowledged history is garbage");
         assert!(disk.log_len() < before);
@@ -585,7 +580,7 @@ mod tests {
         let mut cat = course_catalog();
         cat.attach_journal(disk.journal());
         // Base catalog predates the journal; checkpoint it into the image.
-        checkpoint(&disk, &mut cat, &[], &[]);
+        checkpoint(&disk, &cat, &[], &[]);
         let mut view = view_over(&cat, "S.course");
         let mut inbox = GramInbox::durable("Src", disk.journal());
         let gram = Updategram::inserts(
@@ -614,7 +609,7 @@ mod tests {
         let disk = PeerDisk::new();
         let mut cat = course_catalog();
         cat.attach_journal(disk.journal());
-        checkpoint(&disk, &mut cat, &[], &[]);
+        checkpoint(&disk, &cat, &[], &[]);
         cat.insert("S.course", vec![Value::str("sec"), Value::str("systems")]);
 
         // Tear the log mid-frame: the post-checkpoint insert was in

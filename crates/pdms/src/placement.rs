@@ -14,6 +14,8 @@
 //! query. [`answer_with_plan`] then routes: a query equivalent to a view
 //! placed *at the asking peer* is served from the maintained answer with
 //! zero messages; everything else falls back to normal reformulation.
+//! A plan that is replaced or dropped is taken back with
+//! [`PlacementPlan::retire`], or its views go on being maintained.
 
 use crate::network::{PdmsNetwork, QueryOutcome};
 use revere_query::{equivalent, ConjunctiveQuery};
@@ -74,6 +76,15 @@ impl PlacementPlan {
             *out.entry(p.peer.clone()).or_default() += p.rows;
         }
         out
+    }
+
+    /// Discard the plan: unsubscribe exactly the subscriptions
+    /// [`plan_placement`] registered for it, so its circuits stop being
+    /// pushed on every publish.
+    pub fn retire(self, net: &mut PdmsNetwork) {
+        for p in &self.placements {
+            net.unsubscribe(&p.subscription);
+        }
     }
 }
 
@@ -209,6 +220,20 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b, "view answers must match live answers");
+    }
+
+    #[test]
+    fn retire_takes_back_exactly_the_plans_subscriptions() {
+        let mut net = chain_net();
+        let plan = plan_placement(&mut net, &workload(), 1_000);
+        let placed = plan.placements[0].subscription.clone();
+        assert_eq!(net.subscription_names().collect::<Vec<_>>(), [placed.as_str()]);
+        plan.retire(&mut net);
+        assert_eq!(net.subscription_names().count(), 0, "a retired plan leaves nothing behind");
+        // Somebody else's subscription is not the plan's to take.
+        net.subscribe_str("P1", "mine", "q(T) :- P1.course(T)").unwrap();
+        plan_placement(&mut net, &workload(), 1_000).retire(&mut net);
+        assert_eq!(net.subscription_names().collect::<Vec<_>>(), ["mine"]);
     }
 
     #[test]

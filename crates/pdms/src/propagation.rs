@@ -573,9 +573,7 @@ mod tests {
         // Two teachers for one course: deleting one keeps the (title, prof)
         // pair for the other but only removes that teacher's pair.
         let mut cat = source();
-        cat.get_mut("B.teaches")
-            .unwrap()
-            .insert(vec!["carol".into(), "c1".into()]);
+        cat.insert("B.teaches", vec!["carol".into(), "c1".into()]);
         let mut p = MappingPropagator::new(mapping(), &cat).unwrap();
         assert_eq!(p.current().len(), 3);
         let gram = Updategram::deletes("B.teaches", vec![vec!["carol".into(), "c1".into()]]);

@@ -150,11 +150,10 @@ pub fn maintain(
     Ok(MaintenanceReport { choice, est_incremental, est_recompute })
 }
 
-/// Apply updategrams through the catalog's insert/delete paths (not
-/// `get_mut`), so statistics stay incrementally maintained and deletes
-/// note only the rows actually removed — an updategram deleting a row the
-/// relation never held must not desync the stats (`RelStats::note_delete`
-/// used to be called unconditionally here). Public so every caller
+/// Apply updategrams through the catalog's insert/delete paths, so
+/// statistics stay incrementally maintained and deletes note only the
+/// rows actually removed — an updategram deleting a row the relation
+/// never held must not desync the stats. Public so every caller
 /// applies grams with *exactly* the semantics [`gram_to_batch`] signs for
 /// (deletes first, every occurrence removed).
 pub fn apply_updategrams(catalog: &mut Catalog, grams: &[Updategram]) {

@@ -199,7 +199,7 @@ impl MaterializedView {
 
     /// Join-work units spent across all circuits since they were seeded.
     pub fn work(&self) -> u64 {
-        self.circuits.iter().map(|c| c.work).sum()
+        self.circuits.iter().map(Circuit::work).sum()
     }
 
     /// Distinct tuples held across all circuit arrangements — the state

@@ -14,20 +14,24 @@
 //! The algebra is Z-sets: a [`Delta`] maps tuples to signed
 //! multiplicities, insertions are `+w`, retractions `-w`, and operators
 //! are linear (filter/map/project) or bilinear (join) in their inputs, so
-//! `Δ(A ⋈ B) = ΔA ⋈ B + A ⋈ ΔB + ΔA ⋈ ΔB` — the decomposition each
+//! `Δ(A ⋈ B) = ΔA ⋈ B + A ⋈ ΔB + ΔA ⋈ ΔB` — the decomposition
 //! [`JoinState`] implements by joining `ΔL` against the *updated* right
-//! arrangement and `ΔR` against the *old* left arrangement.
-//! [`DistinctState`] carries the retraction-aware stateful tail (set
-//! semantics).
+//! arrangement and `ΔR` against the *old* left arrangement. A circuit is
+//! one `JoinState` per plan step — left the bindings entering the step,
+//! right the atom's filtered rows — and nothing else stateful: the output
+//! Z-set's weights are derivation counts, and set semantics is read off
+//! their sign where the view is kept (`pdms::views`), with no second copy
+//! of the counts.
 //!
 //! `tests/differential_ivm.rs` holds every circuit byte-identical to
 //! [`crate::eval_planned`] recomputed from scratch after every delta;
-//! `tests/property_tests.rs` pins the algebraic laws.
+//! `tests/property_tests.rs` pins the algebraic laws on the same
+//! [`JoinState`] the circuits run.
 
 use crate::ast::{CmpOp, ConjunctiveQuery, Term};
-use crate::eval::{head_schema, validate, AtomSplit, EvalError, Source};
+use crate::eval::{head_schema, validate, AtomSplit, EvalError};
 use crate::plan::Plan;
-use revere_storage::{RelSchema, Relation, Tuple, Value};
+use revere_storage::{Catalog, RelSchema, Relation, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 // ---------------------------------------------------------------------
@@ -316,52 +320,6 @@ impl JoinState {
 }
 
 // ---------------------------------------------------------------------
-// Stateful tails: distinct and aggregates, with retraction
-// ---------------------------------------------------------------------
-
-/// Incremental `DISTINCT`: tracks input multiplicities and emits a
-/// set-level delta — `+1` when an element's support crosses from
-/// non-positive to positive, `-1` on the way back down. Retractions that
-/// only lower a multiplicity without emptying it emit nothing.
-#[derive(Debug, Clone, Default)]
-pub struct DistinctState {
-    counts: Delta,
-}
-
-impl DistinctState {
-    /// An empty distinct operator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold a bag delta in; returns the set-level output delta.
-    pub fn push(&mut self, d: &Delta) -> Delta {
-        let mut out = Delta::new();
-        for (t, w) in d.iter() {
-            let before = self.counts.weight(t);
-            self.counts.add(t.clone(), w);
-            let after = before + w;
-            if before <= 0 && after > 0 {
-                out.add(t.clone(), 1);
-            } else if before > 0 && after <= 0 {
-                out.add(t.clone(), -1);
-            }
-        }
-        out
-    }
-
-    /// Elements with positive support.
-    pub fn support(&self) -> usize {
-        self.counts.positive().count()
-    }
-
-    /// The tracked multiplicities.
-    pub fn counts(&self) -> &Delta {
-        &self.counts
-    }
-}
-
-// ---------------------------------------------------------------------
 // Input batches
 // ---------------------------------------------------------------------
 
@@ -443,29 +401,14 @@ impl Operand {
 }
 
 /// One join step of a circuit: the atom's pushed-filter/key analysis plus
-/// the two arrangements — the binding table entering this step, keyed by
-/// the probe columns, and the atom's filtered rows, keyed by join columns.
+/// its incremental join — left the binding table entering this step,
+/// arranged by the probe columns; right the atom's rows surviving pushed
+/// filters, arranged by the atom-side join columns.
 #[derive(Debug, Clone)]
 struct Stage {
     relation: String,
     split: AtomSplit,
-    /// `B_{i-1}`, arranged by the binding-side join columns.
-    bindings: Arrangement,
-    /// The atom's rows surviving pushed filters, arranged by the
-    /// atom-side join columns.
-    rows: Arrangement,
-}
-
-impl Stage {
-    /// Extend a binding with the atom row's newly bound variables —
-    /// identical to the evaluator's probe extension.
-    fn extend(&self, binding: &Tuple, row: &Tuple) -> Tuple {
-        let mut out = binding.clone();
-        for (i, _) in &self.split.new_vars {
-            out.push(row[*i].clone());
-        }
-        out
-    }
+    join: JoinState,
 }
 
 /// A compiled continuous query: the plan's join order as a chain of
@@ -484,9 +427,6 @@ pub struct Circuit {
     out: Delta,
     /// Delta batches pushed so far (including the initializing one).
     pub pushes: usize,
-    /// Tuples touched across all pushes: folded delta entries plus probe
-    /// hits. The deterministic refresh-cost counter E17 sweeps.
-    pub work: u64,
 }
 
 impl Circuit {
@@ -510,22 +450,18 @@ impl Circuit {
         for &ci in &plan.order {
             let atom = &q.body[canonical[ci]];
             let split = AtomSplit::analyze(atom, &var_cols);
-            let bind_key: Vec<usize> = split.join_cols.iter().map(|(_, b)| *b).collect();
-            let row_key: Vec<usize> = split.join_cols.iter().map(|(i, _)| *i).collect();
-            let mut bindings = Arrangement::new(bind_key);
+            let mut join = JoinState::new(
+                split.join_cols.iter().map(|(_, b)| *b).collect(),
+                split.join_cols.iter().map(|(i, _)| *i).collect(),
+            );
             if stages.is_empty() {
                 // The unit binding: one empty tuple with weight 1. It
-                // never changes; stage 0's only live input is its delta.
-                bindings.apply(&Delta::from_pairs([(Vec::new(), 1)]));
+                // never changes; stage 0's only live input is its rows'
+                // delta. Seeding it is construction, not refresh work.
+                join.left.apply(&Delta::from_pairs([(Vec::new(), 1)]));
             }
-            let new_vars: Vec<String> = split.new_vars.iter().map(|(_, v)| v.clone()).collect();
-            stages.push(Stage {
-                relation: atom.relation.clone(),
-                split,
-                bindings,
-                rows: Arrangement::new(row_key),
-            });
-            var_cols.extend(new_vars);
+            var_cols.extend(split.new_vars.iter().map(|(_, v)| v.clone()));
+            stages.push(Stage { relation: atom.relation.clone(), split, join });
         }
         let comparisons = q
             .comparisons
@@ -547,7 +483,6 @@ impl Circuit {
             schema: head_schema(q),
             out: Delta::new(),
             pushes: 0,
-            work: 0,
         })
     }
 
@@ -567,11 +502,11 @@ impl Circuit {
     /// batch of insert deltas — by bilinearity this lands exactly on the
     /// from-scratch evaluation. Errors if a body relation is missing or
     /// has the wrong arity (same contract as the evaluator).
-    pub fn init_full<S: Source>(&mut self, source: &S) -> Result<(), EvalError> {
+    pub fn init_full(&mut self, source: &Catalog) -> Result<(), EvalError> {
         validate(&self.query, source)?;
         let mut batch = DeltaBatch::new();
         for name in self.relations() {
-            let rel = source.relation(&name).expect("validated above");
+            let rel = source.get(&name).expect("validated above");
             for row in rel.iter() {
                 batch.add(name.clone(), row.clone(), 1);
             }
@@ -603,34 +538,19 @@ impl Circuit {
         self.pushes += 1;
         // ΔB_{-1}: the unit binding never changes.
         let mut d_bindings: Delta = Delta::new();
-        for stage in &mut self.stages {
-            let arity = stage.split.arity;
-            let d_rows = match batch.get(&stage.relation) {
-                Some(d) => d.filter(|t| t.len() == arity && stage.split.row_passes(t)),
+        for Stage { relation, split, join } in &mut self.stages {
+            let d_rows = match batch.get(relation) {
+                Some(d) => d.filter(|t| t.len() == split.arity && split.row_passes(t)),
                 None => Delta::new(),
             };
-            self.work += (d_rows.len() + d_bindings.len()) as u64;
-            // ΔB ⋈ (R + ΔR): fold ΔR in first so the Δ⋈Δ term is included.
-            stage.rows.apply(&d_rows);
             let mut next = Delta::new();
-            for (b, wb) in d_bindings.iter() {
-                let key: Vec<Value> =
-                    stage.split.join_cols.iter().map(|(_, c)| b[*c].clone()).collect();
-                for (r, wr) in stage.rows.probe(&key) {
-                    self.work += 1;
-                    next.add(stage.extend(b, r), wb * wr);
-                }
-            }
-            // B_old ⋈ ΔR: probe the not-yet-updated binding arrangement.
-            for (r, wr) in d_rows.iter() {
-                let key: Vec<Value> =
-                    stage.split.join_cols.iter().map(|(c, _)| r[*c].clone()).collect();
-                for (b, wb) in stage.bindings.probe(&key) {
-                    self.work += 1;
-                    next.add(stage.extend(b, r), wb * wr);
-                }
-            }
-            stage.bindings.apply(&d_bindings);
+            // Extend a binding with the atom row's newly bound variables —
+            // identical to the evaluator's probe extension.
+            join.push_with(&d_bindings, &d_rows, |b, r, w| {
+                let mut out = b.clone();
+                out.extend(split.new_vars.iter().map(|(i, _)| r[*i].clone()));
+                next.add(out, w);
+            });
             d_bindings = next;
         }
         // Comparisons (linear filter) then head projection (linear map).
@@ -675,10 +595,17 @@ impl Circuit {
         self.len() == 0
     }
 
+    /// Tuples touched across all pushes — folded delta entries plus probe
+    /// hits, summed over the stages' joins. The deterministic refresh-cost
+    /// counter E17 sweeps.
+    pub fn work(&self) -> u64 {
+        self.stages.iter().map(|s| s.join.work).sum()
+    }
+
     /// Distinct tuples held across all arrangements — the circuit's
     /// state footprint (reported by E17 as write amplification).
     pub fn arranged_tuples(&self) -> usize {
-        self.stages.iter().map(|s| s.bindings.len() + s.rows.len()).sum()
+        self.stages.iter().map(|s| s.join.left.len() + s.join.right.len()).sum()
     }
 }
 
@@ -790,25 +717,12 @@ mod tests {
     fn unaffected_relation_is_a_cheap_noop() {
         let c = catalog();
         let mut cir = circuit(&c, "q(A, C) :- r(A, B), s(B, C)");
-        let work_before = cir.work;
+        let work_before = cir.work();
         let mut batch = DeltaBatch::new();
         batch.add("unrelated", vec!["z".into()], 1);
         let out = cir.push(&batch);
         assert!(out.is_empty());
-        assert_eq!(cir.work, work_before);
-    }
-
-    #[test]
-    fn distinct_emits_only_set_transitions() {
-        let mut d = DistinctState::new();
-        let out = d.push(&Delta::from_pairs([(vec![Value::str("a")], 2)]));
-        assert_eq!(out.weight(&vec![Value::str("a")]), 1);
-        // Lowering multiplicity 2 → 1 changes nothing at the set level.
-        let out = d.push(&Delta::from_pairs([(vec![Value::str("a")], -1)]));
-        assert!(out.is_empty());
-        let out = d.push(&Delta::from_pairs([(vec![Value::str("a")], -1)]));
-        assert_eq!(out.weight(&vec![Value::str("a")]), -1);
-        assert_eq!(d.support(), 0);
+        assert_eq!(cir.work(), work_before);
     }
 
     #[test]

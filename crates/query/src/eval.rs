@@ -12,6 +12,13 @@
 //! plan with full instrumentation; [`eval_bindings`] is the same kernel
 //! without the answer copy-out.
 //!
+//! Everything reads from one [`Catalog`], directly: relations through
+//! [`Catalog::get`], statistics through [`Catalog::rel_stats`] and
+//! [`Catalog::join_stats`], the columnar image through
+//! [`Relation::batch`]. A peer evaluating over fetched data stages the
+//! snapshots into a catalog of its own (O(1) per relation); there is no
+//! second kind of source to implement.
+//!
 //! [`eval_naive_bag`] is the differential oracle and the only second
 //! implementation: a nested-loop evaluator in textual body order with no
 //! plan, no indexes and no code shared with the engine beyond the
@@ -23,57 +30,9 @@
 use crate::ast::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use crate::plan::{plan_cq, Plan};
 use crate::vec::{eval_bindings, eval_planned};
-use revere_storage::{Catalog, ColumnarBatch, RelStats, Relation, RelSchema, Tuple, Value};
+use revere_storage::{Catalog, Relation, RelSchema, Tuple, Value};
 use revere_util::obs::{Obs, SpanHandle};
 use std::collections::HashMap;
-use std::sync::Arc;
-
-/// Anything the evaluator can read relations from.
-///
-/// [`Catalog`] is the usual source; the PDMS implements this for overlay
-/// structures (base catalog + delta relations) so incremental view
-/// maintenance can swap one atom's relation without copying base data.
-pub trait Source {
-    /// Borrow the named relation, if present.
-    fn relation(&self, name: &str) -> Option<&Relation>;
-
-    /// Statistics for the named relation, when the source keeps them.
-    /// Estimates only — the planner must survive `None` (and does, by
-    /// falling back to raw row counts).
-    fn stats(&self, _name: &str) -> Option<&RelStats> {
-        None
-    }
-
-    /// Learned equijoin selectivity for a column pair, when the source
-    /// carries feedback from previously executed plans (see
-    /// [`revere_storage::stats::JoinStats`]). The planner prefers this
-    /// over any model-based estimate and must survive `None`.
-    fn join_overlap(&self, _rel_a: &str, _col_a: usize, _rel_b: &str, _col_b: usize) -> Option<f64> {
-        None
-    }
-
-    /// The columnar image of the named relation, consumed by the
-    /// vectorized engine (see [`crate::vec`]): the relation's own
-    /// memoised image ([`Relation::batch`]), pivoted once per row state
-    /// and shared by every source the relation is reachable from.
-    fn batch(&self, name: &str) -> Option<Arc<ColumnarBatch>> {
-        self.relation(name).map(Relation::batch)
-    }
-}
-
-impl Source for Catalog {
-    fn relation(&self, name: &str) -> Option<&Relation> {
-        self.get(name)
-    }
-
-    fn stats(&self, name: &str) -> Option<&RelStats> {
-        self.rel_stats(name)
-    }
-
-    fn join_overlap(&self, rel_a: &str, col_a: usize, rel_b: &str, col_b: usize) -> Option<f64> {
-        self.join_stats().overlap(rel_a, col_a, rel_b, col_b)
-    }
-}
 
 /// Error raised when a query references a relation the catalog lacks or
 /// uses it at the wrong arity.
@@ -97,9 +56,9 @@ impl std::error::Error for EvalError {}
 /// join order (it used to: a query could return an empty `Ok` or an `Err`
 /// for the same missing relation depending on where the greedy order put
 /// it).
-pub(crate) fn validate<S: Source>(q: &ConjunctiveQuery, catalog: &S) -> Result<(), EvalError> {
+pub(crate) fn validate(q: &ConjunctiveQuery, catalog: &Catalog) -> Result<(), EvalError> {
     for atom in &q.body {
-        let rel = catalog.relation(&atom.relation).ok_or_else(|| EvalError {
+        let rel = catalog.get(&atom.relation).ok_or_else(|| EvalError {
             message: format!("unknown relation {:?}", atom.relation),
         })?;
         if rel.schema.arity() != atom.terms.len() {
@@ -176,14 +135,14 @@ impl AtomSplit {
 
 /// Evaluate a conjunctive query, returning a relation named after the
 /// query head whose columns are the head terms in order (set semantics).
-pub fn eval_cq<S: Source>(q: &ConjunctiveQuery, catalog: &S) -> Result<Relation, EvalError> {
+pub fn eval_cq(q: &ConjunctiveQuery, catalog: &Catalog) -> Result<Relation, EvalError> {
     Ok(eval_cq_bag(q, catalog)?.distinct())
 }
 
 /// Evaluate under *bag* semantics: one output row per derivation (binding
-/// of the body). The counting-based incremental view maintenance in the
-/// PDMS needs derivation multiplicities, not just the answer set.
-pub fn eval_cq_bag<S: Source>(q: &ConjunctiveQuery, catalog: &S) -> Result<Relation, EvalError> {
+/// of the body) — the multiplicities a maintained view's Z-set weights
+/// are checked against.
+pub fn eval_cq_bag(q: &ConjunctiveQuery, catalog: &Catalog) -> Result<Relation, EvalError> {
     let plan = plan_cq(q, catalog);
     Ok(eval_planned(q, &plan, catalog, &Obs::disabled(), &SpanHandle::none())?.0)
 }
@@ -207,23 +166,23 @@ pub struct StepProfile {
 /// rather than failing the whole union — in a PDMS a rewriting may mention
 /// a peer whose data is unavailable, and "the system should make use of
 /// relevant data anywhere" that *is* reachable.
-pub fn eval_union<S: Source>(u: &UnionQuery, catalog: &S) -> Result<Relation, EvalError> {
+pub fn eval_union(u: &UnionQuery, catalog: &Catalog) -> Result<Relation, EvalError> {
     eval_union_with(u, catalog, eval_cq)
 }
 
 /// Union evaluation through the naive oracle: same skip-unavailable and
 /// dedup semantics as [`eval_union`], different per-disjunct evaluator.
-pub fn eval_naive_union<S: Source>(u: &UnionQuery, catalog: &S) -> Result<Relation, EvalError> {
+pub fn eval_naive_union(u: &UnionQuery, catalog: &Catalog) -> Result<Relation, EvalError> {
     eval_union_with(u, catalog, eval_naive)
 }
 
 /// The skip-unavailable and dedup semantics [`eval_union`] and
 /// [`eval_naive_union`] share, over either per-disjunct evaluator.
-fn eval_union_with<S, F>(u: &UnionQuery, catalog: &S, eval_one: F) -> Result<Relation, EvalError>
-where
-    S: Source,
-    F: Fn(&ConjunctiveQuery, &S) -> Result<Relation, EvalError>,
-{
+fn eval_union_with(
+    u: &UnionQuery,
+    catalog: &Catalog,
+    eval_one: fn(&ConjunctiveQuery, &Catalog) -> Result<Relation, EvalError>,
+) -> Result<Relation, EvalError> {
     let Some(first) = u.disjuncts.first() else {
         return Err(EvalError { message: "empty union".into() });
     };
@@ -257,7 +216,7 @@ where
 }
 
 /// Set-semantics naive evaluation: [`eval_naive_bag`] then distinct.
-pub fn eval_naive<S: Source>(q: &ConjunctiveQuery, catalog: &S) -> Result<Relation, EvalError> {
+pub fn eval_naive(q: &ConjunctiveQuery, catalog: &Catalog) -> Result<Relation, EvalError> {
     Ok(eval_naive_bag(q, catalog)?.distinct())
 }
 
@@ -266,11 +225,11 @@ pub fn eval_naive<S: Source>(q: &ConjunctiveQuery, catalog: &S) -> Result<Relati
 /// per derivation. Quadratically slow and obviously correct; any
 /// divergence from [`eval_cq_bag`] (up to row order) is a planner or
 /// executor bug.
-pub fn eval_naive_bag<S: Source>(q: &ConjunctiveQuery, catalog: &S) -> Result<Relation, EvalError> {
+pub fn eval_naive_bag(q: &ConjunctiveQuery, catalog: &Catalog) -> Result<Relation, EvalError> {
     validate(q, catalog)?;
     let mut envs: Vec<HashMap<String, Value>> = vec![HashMap::new()];
     for atom in &q.body {
-        let rel = catalog.relation(&atom.relation).expect("validated above");
+        let rel = catalog.get(&atom.relation).expect("validated above");
         let mut next: Vec<HashMap<String, Value>> = Vec::new();
         for env in &envs {
             'row: for row in rel.iter() {
@@ -335,10 +294,10 @@ pub fn eval_naive_bag<S: Source>(q: &ConjunctiveQuery, catalog: &S) -> Result<Re
 /// `A₀ … A_k`; nothing runs after a step that leaves none, so later
 /// profiles are all-zero. The engine's profiles feed the estimator's
 /// feedback loop; this is what they are checked against.
-pub fn eval_naive_profiles<S: Source>(
+pub fn eval_naive_profiles(
     q: &ConjunctiveQuery,
     plan: &Plan,
-    catalog: &S,
+    catalog: &Catalog,
 ) -> Result<Vec<StepProfile>, EvalError> {
     validate(q, catalog)?;
     let bindings_of = |atoms: &[Atom]| -> Result<usize, EvalError> {
@@ -402,10 +361,10 @@ impl std::fmt::Display for ExecMode {
 }
 
 #[doc(hidden)]
-pub fn eval_cq_bindings_mode<S: Source>(
+pub fn eval_cq_bindings_mode(
     q: &ConjunctiveQuery,
     plan: &Plan,
-    catalog: &S,
+    catalog: &Catalog,
     obs: &Obs,
     parent: &SpanHandle,
     _mode: ExecMode,
@@ -414,10 +373,10 @@ pub fn eval_cq_bindings_mode<S: Source>(
 }
 
 #[doc(hidden)]
-pub fn eval_cq_bag_planned_mode<S: Source>(
+pub fn eval_cq_bag_planned_mode(
     q: &ConjunctiveQuery,
     plan: &Plan,
-    catalog: &S,
+    catalog: &Catalog,
     _mode: ExecMode,
     obs: &Obs,
 ) -> Result<Relation, EvalError> {

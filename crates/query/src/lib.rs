@@ -48,10 +48,10 @@ pub mod vec;
 
 pub use ast::{Atom, CmpOp, Comparison, ConjunctiveQuery, Term, UnionQuery};
 pub use containment::{contained_in, equivalent, minimize};
-pub use dataflow::{Arrangement, Circuit, Delta, DeltaBatch, DistinctState, JoinState};
+pub use dataflow::{Arrangement, Circuit, Delta, DeltaBatch, JoinState};
 pub use eval::{
     eval_cq, eval_cq_bag, eval_naive, eval_naive_bag, eval_naive_profiles, eval_naive_union,
-    eval_union, head_schema, Source, StepProfile,
+    eval_union, head_schema, StepProfile,
 };
 #[doc(hidden)]
 pub use eval::{eval_cq_bag_planned_mode, eval_cq_bindings_mode, ExecMode};

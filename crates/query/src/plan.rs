@@ -7,7 +7,7 @@
 //! ordering into an explicit, explainable [`Plan`]:
 //!
 //! * costs come from the catalog's incremental statistics
-//!   ([`revere_storage::RelStats`], reached through [`Source::stats`]):
+//!   ([`revere_storage::RelStats`], reached through [`Catalog::rel_stats`]):
 //!   exact value frequencies for pushed-down constant selections, distinct
 //!   counts for join selectivities;
 //! * the chosen order is a permutation of the *canonical* body
@@ -21,7 +21,7 @@
 //! (`eval::eval_naive`) checks exactly that.
 
 use crate::ast::{ConjunctiveQuery, Term};
-use crate::eval::Source;
+use revere_storage::Catalog;
 use revere_util::obs::{Obs, SpanHandle};
 use std::collections::HashMap;
 use std::fmt;
@@ -58,7 +58,7 @@ pub enum Selectivity {
     /// estimate — the clamp that made underestimates compound with depth.
     Uniform,
     /// Prefer a learned overlap fed back from executed plans
-    /// ([`Source::join_overlap`]), then the exact MCV-vs-MCV overlap
+    /// ([`revere_storage::stats::JoinStats::overlap`]), then the exact MCV-vs-MCV overlap
     /// `Σ_v fA(v)·fB(v)` when both sides have histograms, and only then
     /// the uniform assumption.
     #[default]
@@ -266,9 +266,9 @@ impl fmt::Display for ExplainAnalyze {
 
 /// Plan `q`, execute it, and pair the estimates with measured per-step
 /// cardinalities — `EXPLAIN ANALYZE` as a library call.
-pub fn explain_analyze<S: Source>(
+pub fn explain_analyze(
     q: &ConjunctiveQuery,
-    source: &S,
+    source: &Catalog,
 ) -> Result<ExplainAnalyze, crate::eval::EvalError> {
     explain_analyze_with(q, source, Strategy::CostBased, Selectivity::default())
 }
@@ -276,9 +276,9 @@ pub fn explain_analyze<S: Source>(
 /// [`explain_analyze`] with an explicit strategy and selectivity model —
 /// how the E15 experiment replays the historical estimator side by side
 /// with the adaptive one.
-pub fn explain_analyze_with<S: Source>(
+pub fn explain_analyze_with(
     q: &ConjunctiveQuery,
-    source: &S,
+    source: &Catalog,
     strategy: Strategy,
     selectivity: Selectivity,
 ) -> Result<ExplainAnalyze, crate::eval::EvalError> {
@@ -326,8 +326,8 @@ struct CandidateEstimate {
 /// variable, best evidence first: a learned observation for the exact
 /// column pair, the MCV-vs-MCV overlap of the two histograms, and only
 /// then the uniform `1/max(d1,d2)` containment assumption.
-fn join_pair_selectivity<S: Source>(
-    source: &S,
+fn join_pair_selectivity(
+    source: &Catalog,
     selectivity: Selectivity,
     atom_rel: &str,
     i: usize,
@@ -339,10 +339,10 @@ fn join_pair_selectivity<S: Source>(
         return uniform;
     }
     let Some((o_rel, o_col)) = &vb.origin else { return uniform };
-    if let Some(learned) = source.join_overlap(atom_rel, i, o_rel, *o_col) {
+    if let Some(learned) = source.join_stats().overlap(atom_rel, i, o_rel, *o_col) {
         return learned;
     }
-    match (source.stats(atom_rel), source.stats(o_rel)) {
+    match (source.rel_stats(atom_rel), source.rel_stats(o_rel)) {
         (Some(sa), Some(sb)) => {
             revere_storage::mcv_join_overlap(sa, i, sb, *o_col).unwrap_or(uniform)
         }
@@ -350,15 +350,15 @@ fn join_pair_selectivity<S: Source>(
     }
 }
 
-fn estimate<S: Source>(
+fn estimate(
     atom: &crate::ast::Atom,
-    source: &S,
+    source: &Catalog,
     selectivity: Selectivity,
     bound: &HashMap<String, VarBound>,
     cur_bindings: f64,
 ) -> CandidateEstimate {
-    let rel = source.relation(&atom.relation);
-    let stats = source.stats(&atom.relation);
+    let rel = source.get(&atom.relation);
+    let stats = source.rel_stats(&atom.relation);
     let rows = rel.map(|r| r.len()).unwrap_or(0) as f64;
     let raw_size = rel.map(|r| r.len()).unwrap_or(usize::MAX);
     let mut eff = rows;
@@ -423,21 +423,21 @@ fn estimate<S: Source>(
 
 /// Plan `q` against `source` with the default cost-based strategy and
 /// adaptive selectivity.
-pub fn plan_cq<S: Source>(q: &ConjunctiveQuery, source: &S) -> Plan {
+pub fn plan_cq(q: &ConjunctiveQuery, source: &Catalog) -> Plan {
     plan_cq_with(q, source, Strategy::CostBased)
 }
 
 /// Plan `q` against `source` with an explicit strategy (adaptive
 /// selectivity).
-pub fn plan_cq_with<S: Source>(q: &ConjunctiveQuery, source: &S, strategy: Strategy) -> Plan {
+pub fn plan_cq_with(q: &ConjunctiveQuery, source: &Catalog, strategy: Strategy) -> Plan {
     plan_cq_opts(q, source, strategy, Selectivity::default())
 }
 
 /// Plan `q` against `source` with an explicit strategy and selectivity
 /// model.
-pub fn plan_cq_opts<S: Source>(
+pub fn plan_cq_opts(
     q: &ConjunctiveQuery,
-    source: &S,
+    source: &Catalog,
     strategy: Strategy,
     selectivity: Selectivity,
 ) -> Plan {

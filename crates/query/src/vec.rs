@@ -26,9 +26,9 @@
 //! configuration to the sequential run byte for byte.
 
 use crate::ast::{ConjunctiveQuery, Term};
-use crate::eval::{head_schema, validate, AtomSplit, EvalError, Source, StepProfile};
+use crate::eval::{head_schema, validate, AtomSplit, EvalError, StepProfile};
 use crate::plan::Plan;
-use revere_storage::{ColumnVec, ColumnarBatch, Relation, SelBitmap, Value};
+use revere_storage::{Catalog, ColumnVec, ColumnarBatch, Relation, SelBitmap, Value};
 use revere_util::obs::{names, Obs, SpanHandle};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -369,10 +369,10 @@ fn resolve_term(t: &Term, names: &[String]) -> Resolved {
 /// answers to planning fresh. Execution is identical whether or not
 /// `obs`/`parent` record anything (`tests/trace_obs.rs` holds that to
 /// byte-identity); a caller that wants only the bag takes `.0`.
-pub fn eval_planned<S: Source>(
+pub fn eval_planned(
     q: &ConjunctiveQuery,
     plan: &Plan,
-    catalog: &S,
+    catalog: &Catalog,
     obs: &Obs,
     parent: &SpanHandle,
 ) -> Result<(Relation, Vec<StepProfile>), EvalError> {
@@ -386,10 +386,10 @@ pub fn eval_planned<S: Source>(
 /// adaptive-feedback shape: everything the q-error machinery consumes
 /// comes from the profiles, and a plan probe should not pay for strings
 /// nobody reads.
-pub fn eval_bindings<S: Source>(
+pub fn eval_bindings(
     q: &ConjunctiveQuery,
     plan: &Plan,
-    catalog: &S,
+    catalog: &Catalog,
     obs: &Obs,
     parent: &SpanHandle,
 ) -> Result<(usize, Vec<StepProfile>), EvalError> {
@@ -400,10 +400,10 @@ pub fn eval_bindings<S: Source>(
 /// `tests/differential_vec.rs` forces real threads through at morsel
 /// sizes 1, 7, 64 and whole-relation. Production runs the default.
 #[doc(hidden)]
-pub fn eval_planned_opts<S: Source>(
+pub fn eval_planned_opts(
     q: &ConjunctiveQuery,
     plan: &Plan,
-    catalog: &S,
+    catalog: &Catalog,
     obs: &Obs,
     parent: &SpanHandle,
     opts: &VecOpts,
@@ -444,10 +444,10 @@ pub fn eval_planned_opts<S: Source>(
 /// The binding-realization core: everything up to (not including) head
 /// projection. [`eval_bindings`] exposes the count; [`eval_planned`]
 /// materializes answers on top.
-fn eval_bindings_vec<S: Source>(
+fn eval_bindings_vec(
     q: &ConjunctiveQuery,
     plan: &Plan,
-    catalog: &S,
+    catalog: &Catalog,
     obs: &Obs,
     parent: &SpanHandle,
     opts: &VecOpts,
@@ -462,18 +462,18 @@ fn eval_bindings_vec<S: Source>(
 
     let mut bind = Bindings { names: Vec::new(), cols: Vec::new(), rows: 1 };
     let mut trace = Vec::with_capacity(plan.order.len());
-    // Columnar images come from the source ([`Source::batch`]), which
-    // serves each relation's memoised image, so repeated evaluations — the
+    // Columnar images are each relation's own memoised image
+    // ([`Relation::batch`]), so repeated evaluations — the
     // realized-bindings hot loop, every disjunct of a reformulated query —
     // skip the row→column pivot entirely. The per-eval map just keeps a
-    // relation joined at several steps from hitting the source twice.
+    // relation joined at several steps from being looked up twice.
     let mut batches: HashMap<&str, Arc<ColumnarBatch>> = HashMap::new();
 
     for (step_no, &ci) in plan.order.iter().enumerate() {
         let atom = &q.body[canonical[ci]];
         let batch: &ColumnarBatch = batches
             .entry(&atom.relation)
-            .or_insert_with(|| catalog.batch(&atom.relation).expect("validated above"));
+            .or_insert_with(|| catalog.get(&atom.relation).expect("validated above").batch());
         let split = AtomSplit::analyze(atom, &bind.names);
         let span = parent.child("eval.step");
         span.set("step", step_no + 1);
@@ -679,10 +679,9 @@ mod tests {
 
     /// Counters are emitted identically whether or not a recording span
     /// is attached, and by the kernel as by the full evaluator — the
-    /// traced/untraced parity the parallel query path depends on. (Floor
-    /// id kept; the "engines" are now the two entry points.)
+    /// traced/untraced parity the parallel query path depends on.
     #[test]
-    fn counters_agree_traced_untraced_and_across_engines() {
+    fn counters_agree_traced_untraced_and_across_entry_points() {
         let c = catalog();
         let q = parse_query("q(T, N) :- course(I, T, 'cs'), enrollment(I, N), N > 50").unwrap();
         let plan = plan_cq(&q, &c);

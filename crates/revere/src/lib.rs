@@ -81,7 +81,7 @@ pub mod prelude {
         eval_naive_profiles, eval_naive_union, eval_planned, eval_union, explain_analyze,
         explain_analyze_with, minimize, parse_query, plan_cq, plan_cq_opts, plan_cq_with, q_error,
         rewrite_using_views, unfold_with, Arrangement, Circuit, ConjunctiveQuery, Delta,
-        DeltaBatch, DistinctState, ExplainAnalyze, GlavMapping, JoinState, Plan, Selectivity,
+        DeltaBatch, ExplainAnalyze, GlavMapping, JoinState, Plan, Selectivity,
         StepProfile, Strategy, UnionQuery, VecOpts, ViewDef,
     };
     pub use revere_storage::{

@@ -25,8 +25,18 @@ use crate::schema::{DbSchema, RelSchema};
 use crate::stats::{JoinStats, RelStats};
 use crate::value::Value;
 use crate::wal::{Journal, WalRecord};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
+
+/// A registered relation and its statistics, kept together so that
+/// neither exists without the other.
+#[derive(Debug, Clone)]
+struct Stored {
+    relation: Relation,
+    /// Shared with the relation's own memo ([`Relation::stats`]) until an
+    /// insert or delete moves them on incrementally.
+    stats: Arc<RelStats>,
+}
 
 /// A named collection of relations.
 ///
@@ -36,6 +46,12 @@ use std::sync::{Arc, RwLock};
 /// each entry with the epoch, so a cached plan can never outlive the
 /// statistics it was costed against.
 ///
+/// Relations are written only through the catalog's own mutators —
+/// [`Catalog::register`] / [`Catalog::create`], [`Catalog::insert`],
+/// [`Catalog::delete`] — so every registered relation has current
+/// statistics at all times ([`Catalog::rel_stats`] is `Some` exactly when
+/// [`Catalog::get`] is).
+///
 /// Relations share their rows and what is derived from them (see
 /// [`Relation`]), so registering a clone of another catalog's relation
 /// copies no tuples, takes the statistics the relation already carries,
@@ -44,36 +60,23 @@ use std::sync::{Arc, RwLock};
 /// # Durability
 ///
 /// A catalog may carry an attached [`Journal`]
-/// ([`Catalog::attach_journal`]); every mutation is then journaled as a
-/// [`WalRecord`] *before* it is applied, so the catalog can be recovered
-/// after a crash via [`crate::wal::recover_catalog`] (snapshot + LSN
-/// suffix replay). `Clone` deliberately does **not** carry the journal:
-/// a clone is a value snapshot (staging catalogs, merged views), and
-/// double-journaling through copies would corrupt the history.
+/// ([`Catalog::attach_journal`]); every mutator then journals a
+/// [`WalRecord`] *before* it touches memory, so the log is never behind
+/// the state and the catalog can be recovered after a crash via
+/// [`crate::wal::recover_catalog`] (snapshot + LSN suffix replay). The
+/// one exception is [`Catalog::absorb_join_stats`], a staging/merge API
+/// that durable catalogs do not use. `Clone` deliberately does **not**
+/// carry the journal: a clone is a value snapshot (staging catalogs,
+/// merged views), and double-journaling through copies would corrupt the
+/// history.
 #[derive(Debug, Default)]
 pub struct Catalog {
-    relations: BTreeMap<String, Relation>,
-    /// Clean statistics per relation. A relation mutated through
-    /// [`Catalog::get_mut`] loses its entry (the mutation is opaque) until
-    /// the next [`Catalog::analyze`] or re-registration. Shared with the
-    /// relation's own memo ([`Relation::stats`]) until an insert or
-    /// delete moves them on.
-    stats: BTreeMap<String, Arc<RelStats>>,
-    /// The last clean stats of relations dirtied via [`Catalog::get_mut`],
-    /// kept so [`Catalog::analyze`] can tell a real change from a no-op
-    /// round-trip and leave the epoch alone for the latter.
-    dirty: BTreeMap<String, Arc<RelStats>>,
+    relations: BTreeMap<String, Stored>,
     /// Learned equijoin selectivities fed back from executed plans.
     join_stats: JoinStats,
     epoch: u64,
     /// Attached durable change log; `None` for plain in-memory catalogs.
     journal: Option<Journal>,
-    /// Relations handed out via [`Catalog::get_mut`] while journaled: the
-    /// mutation is opaque, so the whole relation is re-journaled as a
-    /// [`WalRecord::Register`] at the next journaled operation. Until
-    /// then the log is behind the in-memory state — the documented
-    /// crash window of an unflushed write.
-    rejournal: BTreeSet<String>,
 }
 
 impl Clone for Catalog {
@@ -81,12 +84,9 @@ impl Clone for Catalog {
     fn clone(&self) -> Self {
         Catalog {
             relations: self.relations.clone(),
-            stats: self.stats.clone(),
-            dirty: self.dirty.clone(),
             join_stats: self.join_stats.clone(),
             epoch: self.epoch,
             journal: None,
-            rejournal: BTreeSet::new(),
         }
     }
 }
@@ -118,29 +118,11 @@ impl Catalog {
         self.journal.as_ref()
     }
 
-    /// Journal a record, first flushing any relations dirtied through
-    /// [`Catalog::get_mut`] as whole-relation re-registrations (their
-    /// mutations were opaque, so the full current state is the only
-    /// faithful record).
-    fn journal_record(&mut self, rec: WalRecord) {
-        let Some(j) = self.journal.clone() else { return };
-        for name in std::mem::take(&mut self.rejournal) {
-            if let Some(r) = self.relations.get(&name) {
-                j.append(&WalRecord::Register { relation: r.clone() });
-            }
-        }
-        j.append(&rec);
-    }
-
-    /// Flush pending opaque-mutation re-registrations to the journal
-    /// without adding a record — called before snapshotting, so the log
-    /// and the image agree.
-    pub fn flush_journal(&mut self) {
-        let Some(j) = self.journal.clone() else { return };
-        for name in std::mem::take(&mut self.rejournal) {
-            if let Some(r) = self.relations.get(&name) {
-                j.append(&WalRecord::Register { relation: r.clone() });
-            }
+    /// Append the record `rec` builds to the attached journal; an
+    /// un-journaled catalog never builds it.
+    fn journal_record(&self, rec: impl FnOnce() -> WalRecord) {
+        if let Some(j) = &self.journal {
+            j.append(&rec());
         }
     }
 
@@ -158,9 +140,6 @@ impl Catalog {
             WalRecord::Delete { relation, row } => {
                 self.delete(relation, row);
             }
-            WalRecord::Analyze => {
-                self.analyze();
-            }
             WalRecord::JoinObserved { rel_a, col_a, rel_b, col_b, selectivity } => {
                 self.note_join_overlap(
                     rel_a,
@@ -169,6 +148,9 @@ impl Catalog {
                     *col_b as usize,
                     *selectivity,
                 );
+            }
+            WalRecord::JoinPurged { peer } => {
+                self.purge_join_stats(peer);
             }
             WalRecord::DeltaApplied { relation, insert, delete, .. } => {
                 // Same order as updategram application: deletes, then
@@ -189,15 +171,9 @@ impl Catalog {
     /// are the relation's own ([`Relation::stats`]): computed here if no
     /// clone of it has needed them yet, taken by reference otherwise.
     pub fn register(&mut self, rel: Relation) {
-        let name = rel.schema.name.clone();
-        if self.journal.is_some() {
-            // The explicit record supersedes any pending re-journal.
-            self.rejournal.remove(&name);
-            self.journal_record(WalRecord::Register { relation: rel.clone() });
-        }
-        self.stats.insert(name.clone(), rel.stats());
-        self.dirty.remove(&name);
-        self.relations.insert(name, rel);
+        self.journal_record(|| WalRecord::Register { relation: rel.clone() });
+        let stats = rel.stats();
+        self.relations.insert(rel.schema.name.clone(), Stored { relation: rel, stats });
         self.epoch += 1;
     }
 
@@ -208,29 +184,7 @@ impl Catalog {
 
     /// Borrow a relation.
     pub fn get(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(name)
-    }
-
-    /// Mutably borrow a relation.
-    ///
-    /// The caller may mutate arbitrarily, so the relation's cached
-    /// statistics are invalidated and the stats epoch bumped; call
-    /// [`Catalog::analyze`] afterwards to rebuild them (the planner falls
-    /// back to raw row counts in the meantime).
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut Relation> {
-        if self.journal.is_some() && self.relations.contains_key(name) {
-            // The caller's mutations are opaque to the journal; remember
-            // to re-journal the whole relation at the next operation.
-            self.rejournal.insert(name.to_string());
-        }
-        let r = self.relations.get_mut(name);
-        if r.is_some() {
-            if let Some(old) = self.stats.remove(name) {
-                self.dirty.insert(name.to_string(), old);
-            }
-            self.epoch += 1;
-        }
-        r
+        self.relations.get(name).map(|s| &s.relation)
     }
 
     /// Insert a row into a named relation. Returns `false` if the relation
@@ -239,18 +193,14 @@ impl Catalog {
         if !self.relations.contains_key(rel) {
             return false;
         }
-        if self.journal.is_some() {
-            self.journal_record(WalRecord::Insert { relation: rel.to_string(), row: row.clone() });
-        }
+        self.journal_record(|| WalRecord::Insert { relation: rel.to_string(), row: row.clone() });
         // The relation first: its write drops the memo's reference to
         // these statistics, so `make_mut` updates them in place instead
         // of copying every histogram.
-        let r = self.relations.get_mut(rel).expect("checked above");
-        r.insert(row);
-        if let Some(s) = self.stats.get_mut(rel) {
-            let row = r.rows().last().expect("just inserted");
-            Arc::make_mut(s).note_insert(row);
-        }
+        let s = self.relations.get_mut(rel).expect("checked above");
+        s.relation.insert(row);
+        let row = s.relation.rows().last().expect("just inserted");
+        Arc::make_mut(&mut s.stats).note_insert(row);
         self.epoch += 1;
         true
     }
@@ -267,58 +217,20 @@ impl Catalog {
         if !self.relations.contains_key(rel) {
             return 0;
         }
-        if self.journal.is_some() {
-            self.journal_record(WalRecord::Delete { relation: rel.to_string(), row: row.to_vec() });
-        }
-        let r = self.relations.get_mut(rel).expect("checked above");
-        let removed = r.delete(row);
+        self.journal_record(|| WalRecord::Delete { relation: rel.to_string(), row: row.to_vec() });
+        let s = self.relations.get_mut(rel).expect("checked above");
+        let removed = s.relation.delete(row);
         if removed > 0 {
-            if let Some(s) = self.stats.get_mut(rel) {
-                Arc::make_mut(s).note_delete_n(row, removed);
-            }
+            Arc::make_mut(&mut s.stats).note_delete_n(row, removed);
             self.epoch += 1;
         }
         removed
     }
 
-    /// Current statistics for a relation, if clean. `None` for unknown
-    /// relations and for relations dirtied via [`Catalog::get_mut`].
+    /// Current statistics for a relation; `None` only for unknown
+    /// relations.
     pub fn rel_stats(&self, name: &str) -> Option<&RelStats> {
-        self.stats.get(name).map(Arc::as_ref)
-    }
-
-    /// Recompute statistics for every relation that lacks a clean entry.
-    /// Returns how many relations were (re)analyzed.
-    ///
-    /// The epoch moves only when some recomputed statistics actually
-    /// differ from the last clean ones: a `get_mut` round-trip that left
-    /// the data equivalent must not invalidate every warm plan that
-    /// reads this catalog for a no-op.
-    pub fn analyze(&mut self) -> usize {
-        if self.journal.is_some()
-            && self.relations.keys().any(|n| !self.stats.contains_key(n))
-        {
-            // journal_record first flushes the dirtied relations as full
-            // re-registrations, so the replayed Analyze finds them clean;
-            // the record still marks where statistics were rebuilt.
-            self.journal_record(WalRecord::Analyze);
-        }
-        let mut analyzed = 0;
-        let mut changed = 0;
-        for (name, rel) in &self.relations {
-            if !self.stats.contains_key(name) {
-                let fresh = rel.stats();
-                if self.dirty.remove(name).as_ref() != Some(&fresh) {
-                    changed += 1;
-                }
-                self.stats.insert(name.clone(), fresh);
-                analyzed += 1;
-            }
-        }
-        if changed > 0 {
-            self.epoch += 1;
-        }
-        analyzed
+        self.relations.get(name).map(|s| s.stats.as_ref())
     }
 
     /// The learned join-overlap store (see [`crate::stats::JoinStats`]).
@@ -339,18 +251,16 @@ impl Catalog {
         col_b: usize,
         sel: f64,
     ) -> bool {
-        if self.journal.is_some() {
-            // Every observation is journaled (not just material changes):
-            // replay re-runs each `note`, reproducing both the stored
-            // selectivity and the observation count exactly.
-            self.journal_record(WalRecord::JoinObserved {
-                rel_a: rel_a.to_string(),
-                col_a: col_a as u32,
-                rel_b: rel_b.to_string(),
-                col_b: col_b as u32,
-                selectivity: sel,
-            });
-        }
+        // Every observation is journaled (not just material changes):
+        // replay re-runs each `note`, reproducing both the stored
+        // selectivity and the observation count exactly.
+        self.journal_record(|| WalRecord::JoinObserved {
+            rel_a: rel_a.to_string(),
+            col_a: col_a as u32,
+            rel_b: rel_b.to_string(),
+            col_b: col_b as u32,
+            selectivity: sel,
+        });
         let changed = self.join_stats.note(rel_a, col_a, rel_b, col_b, sel);
         if changed {
             self.epoch += 1;
@@ -367,12 +277,15 @@ impl Catalog {
         self.join_stats.absorb(other);
     }
 
-    /// Drop every learned join observation mentioning a relation for which
-    /// `drop_rel` returns true (either side of the pair). Bumps the epoch
-    /// when anything was removed, so caches costed against the departed
-    /// statistics are invalidated. Returns how many entries were removed.
-    pub fn purge_join_stats(&mut self, drop_rel: impl Fn(&str) -> bool) -> usize {
-        let removed = self.join_stats.purge_where(drop_rel);
+    /// Drop every learned join observation mentioning a relation of the
+    /// departed peer `peer` (its qualified names start `"<peer>."`), on
+    /// either side of the pair. Bumps the epoch when anything was
+    /// removed, so caches costed against the departed statistics are
+    /// invalidated. Returns how many entries were removed.
+    pub fn purge_join_stats(&mut self, peer: &str) -> usize {
+        self.journal_record(|| WalRecord::JoinPurged { peer: peer.to_string() });
+        let prefix = format!("{peer}.");
+        let removed = self.join_stats.purge_where(|rel| rel.starts_with(&prefix));
         if removed > 0 {
             self.epoch += 1;
         }
@@ -380,7 +293,9 @@ impl Catalog {
     }
 
     /// The stats epoch: strictly increases with every catalog mutation
-    /// (register/create/insert/`get_mut`/analyze). Cache keys include it.
+    /// that changed something (register/create/insert, a delete that
+    /// removed rows, a join observation or purge that moved the store).
+    /// Cache keys include it.
     pub fn stats_epoch(&self) -> u64 {
         self.epoch
     }
@@ -404,13 +319,13 @@ impl Catalog {
     pub fn schema(&self, name: impl Into<String>) -> DbSchema {
         DbSchema {
             name: name.into(),
-            relations: self.relations.values().map(|r| r.schema.clone()).collect(),
+            relations: self.relations.values().map(|s| s.relation.schema.clone()).collect(),
         }
     }
 
     /// Total tuple count across all relations.
     pub fn total_rows(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
+        self.relations.values().map(|s| s.relation.len()).sum()
     }
 }
 
@@ -445,11 +360,9 @@ impl SharedCatalog {
     /// relation written since its last scan is not rescanned for them.
     pub fn snapshot(&self, rel: &str) -> Option<Relation> {
         self.read(|c| {
-            let r = c.get(rel)?;
-            if let Some(stats) = c.stats.get(rel) {
-                r.seed_stats(stats);
-            }
-            Some(r.clone())
+            let s = c.relations.get(rel)?;
+            s.relation.seed_stats(&s.stats);
+            Some(s.relation.clone())
         })
     }
 
@@ -488,43 +401,6 @@ mod tests {
         assert_eq!(s.columns[0].count_of(&Value::str("a")), 2);
         assert!(c.stats_epoch() > e0, "mutations bump the epoch");
         assert!(c.rel_stats("missing").is_none());
-    }
-
-    #[test]
-    fn get_mut_dirties_stats_and_analyze_rebuilds() {
-        let mut c = Catalog::new();
-        c.create(RelSchema::text("t", &["v"]));
-        c.insert("t", vec![Value::str("a")]);
-        let before = c.stats_epoch();
-        c.get_mut("t").unwrap().insert(vec![Value::str("b")]);
-        assert!(c.rel_stats("t").is_none(), "opaque mutation dirties stats");
-        assert!(c.stats_epoch() > before);
-        assert_eq!(c.analyze(), 1);
-        let s = c.rel_stats("t").unwrap();
-        assert_eq!(s.rows, 2);
-        assert_eq!(s.distinct(0), 2);
-        // A second analyze is a no-op and leaves the epoch alone.
-        let stable = c.stats_epoch();
-        assert_eq!(c.analyze(), 0);
-        assert_eq!(c.stats_epoch(), stable);
-    }
-
-    #[test]
-    fn analyze_after_a_no_op_get_mut_leaves_the_epoch_alone() {
-        let mut c = Catalog::new();
-        c.create(RelSchema::text("t", &["v"]));
-        c.insert("t", vec![Value::str("a")]);
-        // Borrow mutably but change nothing observable.
-        assert_eq!(c.get_mut("t").unwrap().len(), 1);
-        let after_dirty = c.stats_epoch();
-        assert_eq!(c.analyze(), 1, "the dirtied relation is recomputed");
-        assert_eq!(c.stats_epoch(), after_dirty, "identical stats must not bump the epoch");
-        assert_eq!(c.rel_stats("t").unwrap().rows, 1);
-        // A get_mut that really changes data still bumps on analyze.
-        c.get_mut("t").unwrap().insert(vec![Value::str("b")]);
-        let dirtied = c.stats_epoch();
-        assert_eq!(c.analyze(), 1);
-        assert!(c.stats_epoch() > dirtied, "changed stats bump the epoch");
     }
 
     #[test]
@@ -595,6 +471,8 @@ mod tests {
         c.delete("t", &[Value::str("a")]);
         c.note_join_overlap("A.r", 0, "B.s", 1, 0.5);
         c.note_join_overlap("A.r", 0, "B.s", 1, 0.5); // re-observation journaled too
+        c.note_join_overlap("Gone.r", 0, "B.s", 1, 0.25);
+        c.purge_join_stats("Gone"); // a departed peer stays departed after a restart
         let (rec, report) = recover_catalog(None, &journal.bytes()).expect("recovers");
         assert!(!report.snapshot_used);
         assert_eq!(encode_catalog(&rec, 0), encode_catalog(&c, 0));
@@ -605,35 +483,6 @@ mod tests {
         );
         // Statistics are recomputed on replay, not carried in the log.
         assert_eq!(rec.rel_stats("t").unwrap(), c.rel_stats("t").unwrap());
-    }
-
-    #[test]
-    fn get_mut_mutations_are_rejournaled_at_the_next_operation() {
-        use crate::wal::{recover_catalog, Journal, WalRecord};
-        let mut c = Catalog::new();
-        let journal = Journal::new();
-        c.attach_journal(journal.clone());
-        c.create(RelSchema::text("t", &["v"]));
-        // Opaque mutation: invisible to the journal until the next op.
-        c.get_mut("t").unwrap().insert(vec![Value::str("hidden")]);
-        let behind = recover_catalog(None, &journal.bytes()).unwrap().0;
-        assert_eq!(behind.get("t").unwrap().len(), 0, "crash window: unflushed write");
-        // The next journaled operation flushes the whole relation first.
-        c.insert("t", vec![Value::str("visible")]);
-        let caught_up = recover_catalog(None, &journal.bytes()).unwrap().0;
-        assert_eq!(caught_up.get("t").unwrap().len(), 2);
-        assert!(
-            journal
-                .records()
-                .iter()
-                .any(|(_, r)| matches!(r, WalRecord::Register { relation } if relation.len() == 1)),
-            "the flush re-registered the relation with its opaque insert"
-        );
-        // flush_journal covers the snapshot path with no extra record.
-        c.get_mut("t").unwrap().insert(vec![Value::str("third")]);
-        c.flush_journal();
-        let flushed = recover_catalog(None, &journal.bytes()).unwrap().0;
-        assert_eq!(flushed.get("t").unwrap().len(), 3);
     }
 
     #[test]
@@ -657,14 +506,16 @@ mod tests {
         c.note_join_overlap("Gone.r", 0, "Stays.s", 1, 0.25);
         c.note_join_overlap("Stays.s", 0, "Also.t", 1, 0.5);
         let e = c.stats_epoch();
-        assert_eq!(c.purge_join_stats(|rel| rel.starts_with("Gone.")), 1);
+        assert_eq!(c.purge_join_stats("Gone"), 1);
         assert!(c.stats_epoch() > e);
         assert_eq!(c.join_stats().len(), 1);
         assert!(c.join_stats().overlap("Gone.r", 0, "Stays.s", 1).is_none());
         // Purging nothing leaves the epoch alone.
         let e2 = c.stats_epoch();
-        assert_eq!(c.purge_join_stats(|rel| rel.starts_with("Absent.")), 0);
+        assert_eq!(c.purge_join_stats("Absent"), 0);
         assert_eq!(c.stats_epoch(), e2);
+        // A peer's name is a whole qualifier, not a string prefix.
+        assert_eq!(c.purge_join_stats("Stay"), 0);
     }
 
     #[test]
@@ -690,15 +541,13 @@ mod tests {
         staging.register(shared.snapshot("t").unwrap());
         assert!(Arc::ptr_eq(&b1, &fresh(&staging)));
         drop(staging);
-        // Any mutation path invalidates — insert, get_mut, delete.
+        // Any mutation path invalidates — insert, delete.
         let b3 = shared.write(|c| {
             c.insert("t", vec![Value::str("b")]);
             let b3 = fresh(c);
             assert!(!Arc::ptr_eq(&b1, &b3), "stale image survived an insert");
             assert_eq!(b3.rows(), 2);
-            c.get_mut("t").unwrap().insert(vec![Value::str("c")]);
-            assert_eq!(c.get("t").unwrap().batch().rows(), 3, "stale image survived get_mut");
-            c.analyze();
+            c.insert("t", vec![Value::str("c")]);
             assert_eq!(fresh(c).rows(), 3);
             c.delete("t", &[Value::str("a")]);
             assert_eq!(fresh(c).rows(), 2, "stale image survived a delete");
@@ -735,7 +584,7 @@ mod tests {
         // With the snapshot gone the owner writes in place again.
         drop(snap);
         let rows_at = |s: &SharedCatalog| s.read(|c| c.get("t").unwrap().rows().as_ptr());
-        shared.write(|c| c.get_mut("t").unwrap().insert(vec![Value::str("c")]));
+        shared.write(|c| c.insert("t", vec![Value::str("c")]));
         let at = rows_at(&shared);
         shared.write(|c| c.delete("t", &[Value::str("b")]));
         assert_eq!(rows_at(&shared), at, "an unshared relation is mutated in place");

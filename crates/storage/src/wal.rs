@@ -267,15 +267,15 @@ impl<'a> Reader<'a> {
 
 /// One journaled catalog or propagation mutation.
 ///
-/// The first five variants are the catalog's own mutation vocabulary
-/// (what [`Catalog::replay`] consumes); the `Delta*` variants journal the
+/// The first five variants are the catalog's own mutation vocabulary —
+/// one per [`Catalog`] mutator, what [`Catalog::replay`] consumes; the `Delta*` variants journal the
 /// propagation layer's exactly-once state — sealed-but-unacked outgoing
 /// updategrams, downstream acknowledgements, and incoming applications —
 /// so a peer restart neither re-applies nor loses grams.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A relation was registered (or re-registered wholesale, e.g. after
-    /// an opaque `get_mut` mutation).
+    /// A relation was registered, or replaced wholesale by a
+    /// re-registration under the same name.
     Register {
         /// Full relation contents at registration time.
         relation: Relation,
@@ -294,8 +294,6 @@ pub enum WalRecord {
         /// The deleted row.
         row: Tuple,
     },
-    /// Statistics were recomputed for dirtied relations.
-    Analyze,
     /// A learned equijoin selectivity was fed back from an executed plan.
     JoinObserved {
         /// One side's relation name.
@@ -308,6 +306,12 @@ pub enum WalRecord {
         col_b: u32,
         /// Observed selectivity.
         selectivity: f64,
+    },
+    /// Every learned join selectivity mentioning a departed peer's
+    /// relations was dropped ([`Catalog::purge_join_stats`]).
+    JoinPurged {
+        /// The departed peer's name.
+        peer: String,
     },
     /// An incoming updategram was accepted and applied exactly once.
     /// Journaled *before* applying, so replay re-applies the same deltas
@@ -367,7 +371,6 @@ impl WalRecord {
                 put_str(&mut out, relation);
                 put_tuple(&mut out, row);
             }
-            WalRecord::Analyze => out.push(4),
             WalRecord::JoinObserved { rel_a, col_a, rel_b, col_b, selectivity } => {
                 out.push(5);
                 put_str(&mut out, rel_a);
@@ -397,19 +400,23 @@ impl WalRecord {
                 put_str(&mut out, link);
                 put_u64(&mut out, *id);
             }
+            WalRecord::JoinPurged { peer } => {
+                out.push(9);
+                put_str(&mut out, peer);
+            }
         }
         out
     }
 
-    /// Decode a record; `None` on any malformation (unknown tag, short
-    /// buffer, trailing garbage, arity mismatch).
+    /// Decode a record; `None` on any malformation (unknown tag — 4, the
+    /// retired `Analyze`, included — short buffer, trailing garbage,
+    /// arity mismatch).
     pub fn from_bytes(bytes: &[u8]) -> Option<WalRecord> {
         let mut r = Reader::new(bytes);
         let rec = match r.u8()? {
             1 => WalRecord::Register { relation: r.relation()? },
             2 => WalRecord::Insert { relation: r.str()?, row: r.tuple()? },
             3 => WalRecord::Delete { relation: r.str()?, row: r.tuple()? },
-            4 => WalRecord::Analyze,
             5 => WalRecord::JoinObserved {
                 rel_a: r.str()?,
                 col_a: r.u32()?,
@@ -432,6 +439,7 @@ impl WalRecord {
                 delete: r.rows()?,
             },
             8 => WalRecord::DeltaAcked { link: r.str()?, id: r.u64()? },
+            9 => WalRecord::JoinPurged { peer: r.str()? },
             _ => return None,
         };
         r.done().then_some(rec)
@@ -688,6 +696,14 @@ impl Journal {
         self.with(|w| w.records().to_vec())
     }
 
+    /// Snapshot of the retained records with `lsn >= from` — what a
+    /// change-capture cursor or a truncation audit has not read yet,
+    /// found by a partition point on the LSN-ordered log and copied
+    /// without the prefix it has.
+    pub fn records_from(&self, from: Lsn) -> Vec<(Lsn, WalRecord)> {
+        self.with(|w| w.entries[w.entries.partition_point(|(l, _)| *l < from)..].to_vec())
+    }
+
     /// See [`Wal::truncate_below`].
     pub fn truncate_below(&self, floor: Lsn) -> usize {
         self.with(|w| w.truncate_below(floor))
@@ -844,7 +860,7 @@ pub fn recover_catalog(
 /// replayed into it as its delta is extracted, so delete multiplicities
 /// and `Register` replacements are read from the correct pre-state, and
 /// consecutive calls over consecutive LSN windows compose. Non-row
-/// records (`Analyze`, `JoinObserved`, seal/ack bookkeeping) contribute
+/// records (`JoinObserved`, `JoinPurged`, seal/ack bookkeeping) contribute
 /// nothing; `Register` retracts the previous contents wholesale and
 /// asserts the new; `DeltaApplied` expands like the updategram it
 /// journaled — deletes first (repeated rows retract once), then inserts.
@@ -900,8 +916,8 @@ pub fn row_deltas(
                     }
                 }
             }
-            WalRecord::Analyze
-            | WalRecord::JoinObserved { .. }
+            WalRecord::JoinObserved { .. }
+            | WalRecord::JoinPurged { .. }
             | WalRecord::DeltaSealed { .. }
             | WalRecord::DeltaAcked { .. } => {}
         }
@@ -913,6 +929,11 @@ pub fn row_deltas(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A small record with no catalog effect, for tests about framing.
+    fn marker() -> WalRecord {
+        WalRecord::DeltaAcked { link: "T".into(), id: 0 }
+    }
 
     fn sample_relation() -> Relation {
         let mut r = Relation::new(RelSchema::new(
@@ -951,8 +972,8 @@ mod tests {
         // Second window: the delete retracts BOTH stored copies, and the
         // shadow (already advanced past window one) knows the right count.
         cat.delete("course", &dup);
-        let second: Vec<_> =
-            journal.records().into_iter().filter(|(l, _)| *l >= first.len() as u64).collect();
+        let second = journal.records_from(first.len() as u64);
+        assert_eq!(second.len(), 1, "only the unread suffix");
         let d2 = row_deltas(&second, &mut shadow);
         assert_eq!(d2, vec![("course".to_string(), dup.clone(), -2)]);
         assert!(!shadow.get("course").expect("shadow has course").contains(&dup));
@@ -998,7 +1019,7 @@ mod tests {
                 relation: "course".into(),
                 row: vec![Value::Null, Value::Float(1.5)],
             },
-            WalRecord::Analyze,
+            WalRecord::JoinPurged { peer: "Gone".into() },
             WalRecord::JoinObserved {
                 rel_a: "A.r".into(),
                 col_a: 0,
@@ -1031,14 +1052,15 @@ mod tests {
             assert_eq!(WalRecord::from_bytes(&longer), None);
         }
         assert_eq!(WalRecord::from_bytes(&[42]), None, "unknown tag");
+        assert_eq!(WalRecord::from_bytes(&[4]), None, "the retired Analyze tag");
         assert_eq!(WalRecord::from_bytes(&[]), None, "empty");
     }
 
     #[test]
     fn log_appends_assign_increasing_lsns_and_reopen_cleanly() {
         let mut w = Wal::new();
-        assert_eq!(w.append(&WalRecord::Analyze), 0);
-        assert_eq!(w.append(&WalRecord::Analyze), 1);
+        assert_eq!(w.append(&marker()), 0);
+        assert_eq!(w.append(&marker()), 1);
         let (re, report) = Wal::open(w.bytes());
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(re.records(), w.records());
@@ -1064,7 +1086,7 @@ mod tests {
         // New appends continue after the clean prefix.
         let mut re = re;
         assert_eq!(re.next_lsn(), 3);
-        re.append(&WalRecord::Analyze);
+        re.append(&marker());
         let (again, rep2) = Wal::open(re.bytes());
         assert!(rep2.is_clean());
         assert_eq!(again.len(), 4);
@@ -1088,7 +1110,7 @@ mod tests {
     #[test]
     fn corrupt_header_recovers_as_an_empty_log() {
         let mut w = Wal::new();
-        w.append(&WalRecord::Analyze);
+        w.append(&marker());
         let mut bytes = w.bytes().to_vec();
         bytes[1] ^= 0xFF;
         let (re, report) = Wal::open(&bytes);
@@ -1112,7 +1134,7 @@ mod tests {
         assert_eq!(w.truncate_below(u64::MAX), 2);
         assert!(w.is_empty());
         assert_eq!(w.next_lsn(), 5);
-        assert_eq!(w.append(&WalRecord::Analyze), 5);
+        assert_eq!(w.append(&marker()), 5);
         // The truncated log reopens with its base intact.
         let (re, report) = Wal::open(w.bytes());
         assert!(report.is_clean());

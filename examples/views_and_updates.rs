@@ -150,5 +150,10 @@ fn main() {
     let fresh = eval_cq(&view.definition, &catalog).unwrap().sorted();
     assert_eq!(view.as_relation().rows(), fresh.rows());
     println!("view verified against full recompute: {} tuples", view.len());
+
+    // Done with the placement plan: take its views back, or the network
+    // would go on maintaining them for nobody.
+    plan.retire(&mut net);
+    assert_eq!(net.subscription_names().count(), 0);
     println!("\nviews_and_updates OK");
 }

@@ -90,7 +90,7 @@ done
 
 # Cache differential gate: one random schedule over everything that can
 # change a cached reformulation's or a cached plan's inputs (publishes,
-# direct writes, analyze, new mappings, peers leaving and rejoining with
+# direct writes and deletes, new mappings, peers leaving and rejoining with
 # different data, crash-restarts, weather, estimator feedback) applied to
 # a caching and a non-caching network, which must agree on answers and
 # completeness after every step. Override the seed set with

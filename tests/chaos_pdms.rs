@@ -257,7 +257,7 @@ fn dataflow_chaos_run(
     let disk = PeerDisk::new();
     let mut cat = subscriber_catalog();
     cat.attach_journal(disk.journal());
-    checkpoint(&disk, &mut cat, &[], &[]);
+    checkpoint(&disk, &cat, &[], &[]);
     let q = parse_query("cache(T, L) :- feed(T, K), tag(K, L)").unwrap();
     let mut view = MaterializedView::new("cache", q.clone(), &cat).unwrap();
     let mut inbox = GramInbox::durable("Src", disk.journal());
@@ -291,7 +291,7 @@ fn dataflow_chaos_run(
             }
         }
         if tick % 6 == 5 {
-            checkpoint(&disk, &mut cat, &[&inbox], &[]);
+            checkpoint(&disk, &cat, &[&inbox], &[]);
         }
     }
     let mut rounds = 0;

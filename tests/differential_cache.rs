@@ -4,7 +4,7 @@
 //! over, a cached plan for the statistics of the peers it reads; nothing
 //! is ever flushed globally. This suite draws one random schedule over
 //! everything that can change either input — publishes (insert and
-//! delete grams), direct catalog writes, `analyze`, new mappings, peers
+//! delete grams), direct catalog writes and deletes, new mappings, peers
 //! leaving and rejoining under the same name with *different* data,
 //! crash-restarts of durable peers, changing network weather, and the
 //! estimator feedback loop writing learned statistics mid-query — and
@@ -182,10 +182,17 @@ fn random_schedule_cached_equals_uncached() {
                 "direct write"
             }
             3 => {
+                // Retract what some earlier direct write may have put here
+                // (a delete that removes nothing is a fine step).
+                let row =
+                    vec![Value::str(format!("Direct {}", g.random_range(0..step + 1))), Value::Int(100)];
                 for net in [&cached, &plain] {
-                    net.peer(&format!("P{target}")).expect("member").storage.write(|c| c.analyze());
+                    net.peer(&format!("P{target}"))
+                        .expect("member")
+                        .storage
+                        .write(|c| c.delete(&relation, &row));
                 }
-                "analyze"
+                "direct delete"
             }
             4 if members.len() > 1 => {
                 let other = *g.pick(&members);

@@ -67,7 +67,6 @@ fn random_catalog(g: &mut Gen) -> Catalog {
         noise.insert(row);
     }
     catalog.register(noise);
-    catalog.analyze();
     catalog
 }
 

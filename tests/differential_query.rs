@@ -77,7 +77,6 @@ fn random_catalog(g: &mut Gen) -> Catalog {
         }
         catalog.register(rel);
     }
-    catalog.analyze();
     catalog
 }
 

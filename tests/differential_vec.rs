@@ -105,7 +105,6 @@ fn random_catalog(g: &mut Gen) -> Catalog {
         }
         catalog.register(rel);
     }
-    catalog.analyze();
     catalog
 }
 
@@ -328,7 +327,6 @@ fn morsel_parallel_is_byte_identical_on_large_inputs() {
     }
     let mut catalog = Catalog::new();
     catalog.register(edge);
-    catalog.analyze();
     for text in [
         "q(A, C) :- edge(A, B), edge(B, C)",
         "q(A) :- edge(A, A)",

@@ -72,7 +72,7 @@ fn gen_record(g: &mut Gen) -> WalRecord {
         0 => WalRecord::Register { relation: gen_relation(g) },
         1 => WalRecord::Insert { relation: g.lowercase(1..6), row: (0..2).map(|_| gen_value(g)).collect() },
         2 => WalRecord::Delete { relation: g.lowercase(1..6), row: (0..2).map(|_| gen_value(g)).collect() },
-        3 => WalRecord::Analyze,
+        3 => WalRecord::JoinPurged { peer: g.lowercase(1..6) },
         4 => WalRecord::JoinObserved {
             rel_a: g.lowercase(1..6),
             col_a: g.random_range(0..4u32),
@@ -140,7 +140,7 @@ fn log_torn_at_every_byte_offset_is_a_clean_prefix() {
     // log: every single byte offset, not a sample.
     let mut wal = Wal::new();
     let header_len = wal.byte_len();
-    wal.append(&WalRecord::Analyze);
+    wal.append(&WalRecord::JoinPurged { peer: "p".into() });
     wal.append(&WalRecord::Insert { relation: "p.r".into(), row: vec![Value::str("x")] });
     wal.append(&WalRecord::DeltaAcked { link: "q".into(), id: 9 });
     let full = wal.bytes().to_vec();
@@ -192,7 +192,7 @@ fn acknowledged_grams_are_truncated_from_the_log_at_checkpoint() {
         assert!(d.acknowledged);
     }
     let before = disk.log_len();
-    let report = checkpoint(&disk, &mut src, &[], &[&link]);
+    let report = checkpoint(&disk, &src, &[], &[&link]);
     assert!(report.truncated >= 20, "10 seals + 10 acks are garbage once acknowledged");
     assert_eq!(report.retained_for_acks, 0);
     assert!(disk.log_len() < before, "the log physically shrinks");
@@ -268,10 +268,10 @@ fn propagation_run(seed: u64, crashing: bool) -> (Vec<u8>, Vec<u8>, usize) {
     let dst_disk = PeerDisk::new();
     let mut src = course_catalog("Src.course");
     src.attach_journal(src_disk.journal());
-    checkpoint(&src_disk, &mut src, &[], &[]);
+    checkpoint(&src_disk, &src, &[], &[]);
     let mut dst = course_catalog("Dst.course");
     dst.attach_journal(dst_disk.journal());
-    checkpoint(&dst_disk, &mut dst, &[], &[]);
+    checkpoint(&dst_disk, &dst, &[], &[]);
 
     let mut link = ReliableLink::durable("Dst", plan.clone(), src_disk.journal());
     link.retry = RetryPolicy::none();
@@ -317,8 +317,8 @@ fn propagation_run(seed: u64, crashing: bool) -> (Vec<u8>, Vec<u8>, usize) {
         pending = still;
 
         if tick % CHECKPOINT_EVERY == CHECKPOINT_EVERY - 1 {
-            checkpoint(&src_disk, &mut src, &[], &[&link]);
-            checkpoint(&dst_disk, &mut dst, &[&inbox], &[]);
+            checkpoint(&src_disk, &src, &[], &[&link]);
+            checkpoint(&dst_disk, &dst, &[&inbox], &[]);
         }
     }
     let mut rounds = 0;

@@ -87,33 +87,6 @@ fn warm_answers_are_byte_identical_and_actually_cached() {
 }
 
 #[test]
-fn a_no_op_analyze_keeps_warm_caches_warm() {
-    let cached = build(true, true);
-    let plain = build(false, true);
-    assert_identical(&cached, &plain, "cold");
-    assert_identical(&cached, &plain, "warm");
-    let warm = cached.cache_stats();
-    assert_eq!(warm.reformulation_hits, QUERIES.len(), "warm pass should be all hits");
-    // `get_mut` pessimistically bumps B's stats epoch (the caller may
-    // mutate), so the plans that read B are rebuilt once.
-    cached.peer("B").unwrap().storage.write(|c| {
-        let _ = c.get_mut("B.course");
-    });
-    assert_identical(&cached, &plain, "re-warm after get_mut");
-    let rewarmed = cached.cache_stats();
-    assert!(rewarmed.plan_misses > warm.plan_misses, "get_mut left B's plans cached: {rewarmed}");
-    // `analyze` recomputes the stashed statistics and finds them
-    // identical: the epoch must hold and the re-warmed plans survive.
-    cached.peer("B").unwrap().storage.write(|c| {
-        c.analyze();
-    });
-    assert_identical(&cached, &plain, "after no-op analyze");
-    let stats = cached.cache_stats();
-    assert_eq!(stats.plan_misses, rewarmed.plan_misses, "a no-op analyze re-planned: {stats}");
-    assert_eq!(stats.reformulation_misses, QUERIES.len(), "data changes re-reformulated: {stats}");
-}
-
-#[test]
 fn adding_a_mapping_after_warmup_is_visible_immediately() {
     let mut cached = build(true, false);
     let mut plain = build(false, false);

@@ -1001,15 +1001,19 @@ fn columnar_batch_roundtrips_relations() {
 // Shared relations: the derived-state memo and copy-on-write snapshots
 // ---------------------------------------------------------------------
 
-/// Every write path of a stored relation, interleaved with snapshots and
-/// reads of the memo, against a plain `Vec` of rows as the model. After
-/// every step the owner's rows are the model's, whatever the memo serves
-/// equals a computation from scratch (so no write path left a stale
-/// statistic or columnar image behind), and every snapshot still held —
+/// Every write path of a journaled catalog, interleaved with snapshots
+/// and reads of the memo, against a plain `Vec` of rows as the model.
+/// After every step the owner's rows are the model's, whatever the memo
+/// serves equals a computation from scratch (so no write path left a
+/// stale statistic or columnar image behind), every snapshot still held —
 /// including ones written to in the meantime — reads exactly the rows it
-/// had, untouched by the owner and not touching it.
+/// had, untouched by the owner and not touching it, and **the log is
+/// never behind the state**: recovering from the image taken when the
+/// journal was attached plus the log as it stands lands on the live
+/// catalog — rows, statistics and learned join selectivities.
 #[test]
 fn relation_memo_follows_every_write_and_snapshots_stay_put() {
+    use revere::storage::wal::{encode_catalog, recover_catalog};
     use revere::storage::{RelStats, SharedCatalog, Tuple};
     fn gen_row(g: &mut Gen) -> Tuple {
         vec![Value::Int(g.random_range(0..3i64)), Value::str(g.lowercase(0..2))]
@@ -1020,9 +1024,15 @@ fn relation_memo_follows_every_write_and_snapshots_stay_put() {
     }
     forall(192, |g| {
         let schema = RelSchema::text("t", &["a", "b"]);
-        let shared = SharedCatalog::new(Catalog::new());
-        shared.write(|c| c.create(schema.clone()));
-        let mut model: Vec<Tuple> = Vec::new();
+        let journal = Journal::new();
+        // Some history from before the journal: the image is the baseline.
+        let mut model: Vec<Tuple> = g.vec(0..4, gen_row);
+        let mut catalog = Catalog::new();
+        catalog.register(Relation::with_rows(schema.clone(), model.clone()));
+        catalog.note_join_overlap("A.t", 0, "B.t", 1, 0.5);
+        let image = encode_catalog(&catalog, journal.next_lsn());
+        catalog.attach_journal(journal.clone());
+        let shared = SharedCatalog::new(catalog);
         let mut held: Vec<(Relation, Vec<Tuple>)> = Vec::new();
         for _ in 0..g.random_range(1..48usize) {
             let row = gen_row(g);
@@ -1036,16 +1046,14 @@ fn relation_memo_follows_every_write_and_snapshots_stay_put() {
                     model.retain(|r| *r != row);
                     assert_eq!(shared.write(|c| c.delete("t", &row)), n);
                 }
-                3 => {
-                    model.push(row.clone());
-                    shared.write(|c| c.get_mut("t").unwrap().insert(row));
-                }
-                4 => {
-                    model.retain(|r| *r != row);
-                    shared.write(|c| c.get_mut("t").unwrap().delete(&row));
+                3 | 4 => {
+                    let (a, b) = (*g.pick(&["A.t", "B.t", "t"]), *g.pick(&["A.u", "B.t"]));
+                    let sel = *g.pick(&[0.5, 0.25, 0.01]);
+                    shared.write(|c| c.note_join_overlap(a, g.random_range(0..2usize), b, 1, sel));
                 }
                 5 => {
-                    shared.write(|c| c.analyze());
+                    let gone = *g.pick(&["A", "B", "Nobody"]);
+                    shared.write(|c| c.purge_join_stats(gone));
                 }
                 6 => {
                     // Replace the relation: fresh rows, or a snapshot
@@ -1081,12 +1089,19 @@ fn relation_memo_follows_every_write_and_snapshots_stay_put() {
             shared.read(|c| {
                 let r = c.get("t").unwrap();
                 assert_eq!(r.rows(), model, "owner diverged from the model");
-                if let Some(stats) = c.rel_stats("t") {
-                    assert_eq!(stats, &RelStats::compute(r), "catalog statistics drifted");
-                }
+                let stats = c.rel_stats("t").expect("a registered relation has statistics");
+                assert_eq!(stats, &RelStats::compute(r), "catalog statistics drifted");
                 if read_memo {
                     memo_is_fresh(r);
                 }
+                let (recovered, _) =
+                    recover_catalog(Some(&image), &journal.bytes()).expect("the image is clean");
+                assert_eq!(
+                    encode_catalog(&recovered, 0),
+                    encode_catalog(c, 0),
+                    "the log fell behind the state (rows or join statistics)"
+                );
+                assert_eq!(recovered.rel_stats("t"), Some(stats), "recovered statistics differ");
             });
             for (snap, rows) in &held {
                 assert_eq!(snap.rows(), rows, "a held snapshot changed under its holder");
