@@ -1209,7 +1209,7 @@ impl PdmsNetwork {
         // under a cached-or-fresh plan.
         let disjuncts = &reformulation.union.disjuncts;
         let results: Vec<Option<Relation>> = if parallel {
-            let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let workers = revere_query::vec::available_cores();
             let per_worker = disjuncts.len().div_ceil(workers).max(1);
             // Workers record no spans: span order would depend on thread
             // scheduling and break trace determinism. Metrics counters
@@ -1248,20 +1248,15 @@ impl PdmsNetwork {
         // Merging in disjunct order and then `distinct()` (which sorts and
         // dedups) makes the final row order a pure function of the query,
         // independent of thread scheduling and identical on both paths.
-        let mut merged: Option<Relation> = None;
+        // The union is built once, shaped by the first evaluated disjunct.
+        let mut schema = None;
+        let mut rows = Vec::new();
         for r in results.into_iter().flatten() {
-            merged = Some(match merged {
-                None => r,
-                Some(m) => {
-                    let schema = m.schema.clone();
-                    let mut rows = m.into_rows();
-                    rows.extend(r.into_rows());
-                    Relation::with_rows(schema, rows)
-                }
-            });
+            schema.get_or_insert_with(|| r.schema.clone());
+            rows.extend(r.into_rows());
         }
-        let answers = match merged {
-            Some(m) => m.distinct(),
+        let answers = match schema {
+            Some(schema) => Relation::with_rows(schema, rows).distinct(),
             // Every disjunct dropped: the empty relation, shaped by the
             // first disjunct's head as `eval_union` shapes it, behind the
             // same two checks.

@@ -275,53 +275,67 @@ impl ConjunctiveQuery {
     /// reordering — used by the reformulator's visited-set pruning and as
     /// the cache key of the PDMS reformulation/plan caches.
     pub fn canonical_key(&self) -> String {
-        // Sort body atoms canonically, then rename variables in order of
-        // first appearance across head-then-sorted-body.
-        let body: Vec<&Atom> = self.canonical_order().into_iter().map(|i| &self.body[i]).collect();
-        let mut names: std::collections::HashMap<String, String> = Default::default();
-        let mut next = 0usize;
-        let mut key = String::new();
-        let mut emit = |t: &Term,
-                        names: &mut std::collections::HashMap<String, String>,
-                        key: &mut String| match t {
-            Term::Var(v) => {
-                let n = names.entry(v.clone()).or_insert_with(|| {
-                    next += 1;
-                    format!("v{next}")
-                });
-                key.push_str(n);
-            }
-            Term::Const(c) => key.push_str(&format!("#{c}")),
-        };
-        key.push_str(&self.head.relation);
-        key.push('(');
-        for t in &self.head.terms {
-            emit(t, &mut names, &mut key);
-            key.push(',');
+        use fmt::Write as _;
+        /// Write `t` as the key spells it: a constant as `#{c}`, a
+        /// variable as `v{k}` for the k-th name in `names` — minted on
+        /// first sight when `mint`, else left as it is (safety binds every
+        /// comparison variable in the body, so only an unsafe query's
+        /// comparison gets there).
+        fn term<'a>(t: &'a Term, names: &mut Vec<&'a str>, mint: bool, key: &mut String) {
+            // Writing to a `String` cannot fail.
+            let k = match t {
+                Term::Const(c) => {
+                    let _ = write!(key, "#{c}");
+                    return;
+                }
+                Term::Var(v) => match names.iter().position(|n| *n == v) {
+                    Some(k) => k + 1,
+                    None if mint => {
+                        names.push(v);
+                        names.len()
+                    }
+                    None => {
+                        key.push_str(v);
+                        return;
+                    }
+                },
+            };
+            let _ = write!(key, "v{k}");
         }
-        key.push_str("):-");
-        for a in body {
+        fn atom<'a>(a: &'a Atom, names: &mut Vec<&'a str>, key: &mut String) {
             key.push_str(&a.relation);
             key.push('(');
             for t in &a.terms {
-                emit(t, &mut names, &mut key);
+                term(t, names, true, key);
                 key.push(',');
             }
             key.push(')');
         }
+        // Sort body atoms canonically, then rename variables in order of
+        // first appearance across head-then-sorted-body. This runs once
+        // per disjunct per query, so everything is written straight into
+        // the key: no per-term strings.
+        let mut names: Vec<&str> = Vec::new();
+        let mut key = String::new();
+        atom(&self.head, &mut names, &mut key);
+        key.push_str(":-");
+        for i in self.canonical_order() {
+            atom(&self.body[i], &mut names, &mut key);
+        }
         // Comparisons go through the same renaming (a raw `to_string`
         // here would leak the original variable names, breaking the
-        // renaming invariance the reformulation/plan caches key on).
-        let canon_term = |t: &Term, names: &std::collections::HashMap<String, String>| match t {
-            // Safety guarantees comparison variables are body-bound, so
-            // every variable already has a canonical name by now.
-            Term::Var(v) => names.get(v).cloned().unwrap_or_else(|| v.clone()),
-            Term::Const(c) => format!("#{c}"),
-        };
+        // renaming invariance the reformulation/plan caches key on) and
+        // are sorted as text.
         let mut cmps: Vec<String> = self
             .comparisons
             .iter()
-            .map(|c| format!("{} {} {}", canon_term(&c.left, &names), c.op, canon_term(&c.right, &names)))
+            .map(|c| {
+                let mut text = String::new();
+                term(&c.left, &mut names, false, &mut text);
+                let _ = write!(text, " {} ", c.op);
+                term(&c.right, &mut names, false, &mut text);
+                text
+            })
             .collect();
         cmps.sort();
         for c in cmps {

@@ -33,7 +33,7 @@ use revere_util::obs::{names, Obs, SpanHandle};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Tuning knobs for the vectorized engine. Every setting changes only
 /// *how* work is scheduled, never what is computed — output is
@@ -69,20 +69,21 @@ impl VecOpts {
     }
 }
 
-/// Worker threads to use for one phase under `opts`.
-fn worker_count(opts: &VecOpts) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(opts.max_threads)
-        .max(1)
+/// The machine's core count, read once per process. The standard
+/// library re-reads the cgroup quota files on every
+/// `available_parallelism` call, which costs more than a small scan; the
+/// count cannot change under a running process in any way we act on.
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Split `0..n` into contiguous morsels of `opts.morsel_rows` and map `f`
 /// over each, returning per-morsel results *in morsel order*.
 ///
 /// Below `opts.parallel_min_rows` (or with one worker/morsel) this is a
-/// plain sequential loop. Otherwise scoped worker threads claim morsel
+/// plain sequential loop on the calling thread, decided before anything
+/// else is looked at. Otherwise scoped worker threads claim morsel
 /// indices from a shared atomic counter; each result lands in the slot of
 /// its morsel index, workers are joined in spawn order, and the slots are
 /// read out in index order — so the concatenation is a pure function of
@@ -95,8 +96,12 @@ where
     let step = opts.morsel_rows.max(1);
     let ranges: Vec<Range<usize>> =
         (0..n).step_by(step).map(|s| s..(s + step).min(n)).collect();
-    let workers = worker_count(opts).min(ranges.len());
-    if n < opts.parallel_min_rows || workers <= 1 {
+    let workers = if n < opts.parallel_min_rows {
+        1
+    } else {
+        available_cores().min(opts.max_threads).min(ranges.len())
+    };
+    if workers <= 1 {
         return ranges.into_iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
@@ -502,7 +507,7 @@ fn eval_bindings_vec(
         span.set("rows_scanned", batch.rows());
         span.set("build_rows", build_rows);
         span.set("probes", bind.rows);
-        span.set("est_bindings", format!("{:.1}", plan.steps[step_no].est_bindings));
+        span.set("est_bindings", format_args!("{:.1}", plan.steps[step_no].est_bindings));
         span.set("bindings", probe_idx.len());
         span.finish();
 
@@ -709,5 +714,16 @@ mod tests {
         let out = morsel_map(20, &opts, |r| r.collect::<Vec<usize>>());
         assert_eq!(out.concat(), (0..20).collect::<Vec<usize>>());
         assert_eq!(morsel_map(0, &opts, |r| r.len()), Vec::<usize>::new());
+    }
+
+    /// A phase below `parallel_min_rows` never leaves the calling thread,
+    /// however many morsels it splits into and whatever `max_threads`
+    /// allows.
+    #[test]
+    fn morsel_map_below_parallel_min_rows_runs_on_the_calling_thread() {
+        let opts = VecOpts { morsel_rows: 1, parallel_min_rows: 41, max_threads: usize::MAX };
+        let caller = std::thread::current().id();
+        let threads = morsel_map(40, &opts, |_| std::thread::current().id());
+        assert_eq!(threads, vec![caller; 40]);
     }
 }

@@ -324,9 +324,7 @@ impl ColumnVec {
                 // constants that are exactly an integer.
                 let target = match c {
                     Value::Int(i) => Some(*i),
-                    Value::Float(f) if *f == f.trunc() && (*f as i64) as f64 == *f => {
-                        Some(*f as i64)
-                    }
+                    Value::Float(f) if Value::Int(*f as i64) == *c => Some(*f as i64),
                     _ => None,
                 };
                 if let Some(t) = target {
@@ -629,6 +627,19 @@ mod tests {
         assert_eq!(strs.eq_const(&Value::str("zzz")).count_ones(), 0);
         let any = ColumnVec::from_values(&[Value::Float(2.0), Value::Null]);
         assert_eq!(any.eq_const(&Value::Int(2)).ones(), vec![0]);
+    }
+
+    /// The typed Int path selects exactly what `Value` equality selects at
+    /// the edges a float-to-int conversion blurs: `-0.0`, 2⁶³ and NaN.
+    #[test]
+    fn eq_const_on_int_column_is_value_equality_at_the_edges() {
+        let vals = [Value::Int(0), Value::Int(i64::MAX), Value::Int(i64::MIN)];
+        let ints = ColumnVec::from_values(&vals);
+        for c in [-0.0, 0.0, 9_223_372_036_854_775_808.0, -9_223_372_036_854_775_808.0, f64::NAN] {
+            let c = Value::Float(c);
+            let expect: Vec<u32> = (0..3).filter(|&i| vals[i as usize] == c).collect();
+            assert_eq!(ints.eq_const(&c).ones(), expect, "{c:?}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub type Tuple = Vec<Value>;
 ///
 /// Relations are bags, not sets — MANGROVE explicitly admits "partial,
 /// redundant, or conflicting information" (§2.1), so duplicates are
-/// preserved unless [`Relation::distinct`] is called.
+/// preserved until [`Relation::distinct`] consumes the relation.
 ///
 /// # Sharing
 ///
@@ -203,10 +203,23 @@ impl Relation {
         Relation::with_rows(self.schema.clone(), rows)
     }
 
-    /// Set-semantics copy: duplicates removed, rows sorted.
-    pub fn distinct(&self) -> Relation {
-        let set: BTreeSet<&Tuple> = self.iter().collect();
-        Relation::with_rows(self.schema.clone(), set.into_iter().cloned().collect())
+    /// Set semantics: rows sorted, duplicates removed. Sorts in place when
+    /// this handle is the only one and copies the rows once when they are
+    /// shared (copy-on-write, as for any write). Of rows that compare
+    /// equal but are spelled differently — `Int(2)` and `Float(2.0)` — the
+    /// last one in the bag is kept, as collecting into a `BTreeSet` keeps
+    /// it, so answers are byte-identical to that older implementation.
+    pub fn distinct(mut self) -> Relation {
+        let rows = self.rows_mut();
+        rows.sort();
+        rows.dedup_by(|later, kept| {
+            let equal = later == kept;
+            if equal {
+                std::mem::swap(later, kept);
+            }
+            equal
+        });
+        self
     }
 
     /// The column at attribute position `idx` as a vector.

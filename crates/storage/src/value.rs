@@ -8,8 +8,9 @@ use std::sync::Arc;
 /// A single cell of a tuple.
 ///
 /// `Value` implements total [`Ord`], [`Eq`] and [`Hash`] (floats compare by
-/// [`f64::total_cmp`] and hash by bit pattern) so it can serve as a join or
-/// grouping key without wrapper types.
+/// [`f64::total_cmp`] and hash by bit pattern; an `Int` and a `Float`
+/// compare by exact numeric value) so it can serve as a join or grouping
+/// key, and a sort key, without wrapper types.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// Absent / unknown.
@@ -125,11 +126,40 @@ impl Ord for Value {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => cmp_int_float(*a, *b),
+            (Float(a), Int(b)) => cmp_int_float(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             _ => self.type_rank().cmp(&other.type_rank()),
         }
+    }
+}
+
+/// `i` against `f` exactly, in [`f64::total_cmp`]'s order: an `i64` of
+/// magnitude above 2⁵³ may round to a neighbouring `f64`, so converting
+/// it would make `Int(2⁵³ + 1) == Float(2⁵³) == Int(2⁵³)` and break
+/// transitivity (and with it `sort`). Up to 2⁵³ every `i64` is exactly an
+/// `f64`, and the conversion is exact — `-0.0` below `0`, NaNs at the
+/// ends, as among floats.
+///
+/// Kept out of line: cross-type comparisons are rare, and inlined twice
+/// into `Value::cmp` they double its size, which measurably slows sorts
+/// and ordered maps over tuples.
+#[cold]
+#[inline(never)]
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    const EXACT: i64 = 1 << 53;
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if (-EXACT..=EXACT).contains(&i) || f.is_nan() {
+        (i as f64).total_cmp(&f)
+    } else if f >= TWO_63 {
+        Ordering::Less
+    } else if f < -TWO_63 {
+        Ordering::Greater
+    } else {
+        // `f` truncates exactly into i64 range; with |i| > 2⁵³, `i` equals
+        // `f` only when `f` is that integer (every f64 that large is one),
+        // and otherwise lies on the same side of `f` as of its truncation.
+        i.cmp(&(f as i64))
     }
 }
 
@@ -142,9 +172,9 @@ impl Hash for Value {
                 b.hash(state);
             }
             // Int and Float that are numerically equal must hash equally
-            // (they compare equal). Hash every numeric as the total_cmp key
-            // of its f64 value when exactly representable, else the raw
-            // integer.
+            // (they compare equal). An Int equals a Float only when the
+            // float is exactly that integer, so hash an Int that converts
+            // and back as the f64's bits, any other as the raw integer.
             Value::Int(i) => {
                 2u8.hash(state);
                 let f = *i as f64;
@@ -242,6 +272,36 @@ mod tests {
     fn equal_values_hash_equal() {
         assert_eq!(hash_of(&Value::Int(7)), hash_of(&Value::Float(7.0)));
         assert_eq!(hash_of(&Value::str("x")), hash_of(&Value::Str("x".into())));
+    }
+
+    /// Above 2⁵³ an `i64` can round to a neighbouring `f64`; comparing
+    /// through that rounding made `Int(2⁵³ + 1) == Float(2⁵³) == Int(2⁵³)`
+    /// while `Int(2⁵³ + 1) > Int(2⁵³)`, and hashed the first two apart.
+    #[test]
+    fn int_float_order_is_transitive_and_hash_agrees_past_2_pow_53() {
+        let p = 1i64 << 53;
+        let triple = [Value::Int(p + 1), Value::Float(p as f64), Value::Int(p)];
+        for a in &triple {
+            for b in &triple {
+                for c in &triple {
+                    if a <= b && b <= c {
+                        assert!(a <= c, "{a:?} <= {b:?} <= {c:?} but not {a:?} <= {c:?}");
+                    }
+                }
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?} hash apart");
+                }
+            }
+        }
+        assert!(Value::Int(p + 1) > Value::Float(p as f64));
+        assert_eq!(Value::Int(p), Value::Float(p as f64));
+        // The extremes: 2⁶³ is above every i64, -2⁶³ is i64::MIN.
+        assert!(Value::Int(i64::MAX) < Value::Float(9_223_372_036_854_775_808.0));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(-9_223_372_036_854_775_808.0));
+        assert!(Value::Int(-p - 1) < Value::Float(-p as f64));
+        assert!(Value::Int(p + 1) < Value::Float(f64::INFINITY));
+        assert!(Value::Int(p + 1) < Value::Float(f64::NAN));
     }
 
     #[test]

@@ -1112,6 +1112,46 @@ fn relation_memo_follows_every_write_and_snapshots_stay_put() {
     });
 }
 
+/// `Relation::distinct` against collecting the rows into a `BTreeSet` (the
+/// implementation the in-place sort replaced), on bags whose cells include
+/// equal values in different representations (`Int(2)` and `Float(2.0)`):
+/// the same rows, in the same order, and of equal rows the same
+/// *representation* — collecting keeps the last in the bag. Rows are
+/// compared by their `Debug` text, which tells `Int(2)` from `Float(2.0)`.
+/// Deduplicating a clone copies the rows and leaves the other handle's
+/// rows and memo as they were.
+#[test]
+fn relation_distinct_matches_a_btreeset_and_leaves_clones_alone() {
+    use revere::storage::Tuple;
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+    fn gen_cell(g: &mut Gen) -> Value {
+        match g.random_range(0..5u8) {
+            0 => Value::Null,
+            1 => Value::Int(g.random_range(-2..3i64)),
+            2 => Value::Float(g.random_range(-2..3i64) as f64),
+            3 => Value::Float(*g.pick(&[0.5, -0.0, f64::NAN])),
+            _ => Value::str(g.string_from("ab", 0..2)),
+        }
+    }
+    let text = |rows: &[Tuple]| format!("{rows:?}");
+    forall(256, |g| {
+        let schema = RelSchema::text("t", &["a", "b"]);
+        let rows: Vec<Tuple> = g.vec(0..24, |g| vec![gen_cell(g), gen_cell(g)]);
+        let model: Vec<Tuple> = rows.iter().collect::<BTreeSet<_>>().into_iter().cloned().collect();
+
+        let owned = Relation::with_rows(schema.clone(), rows.clone());
+        assert_eq!(text(owned.distinct().rows()), text(&model), "unshared handle");
+
+        let kept = Relation::with_rows(schema, rows.clone());
+        let (stats, batch) = (kept.stats(), kept.batch());
+        assert_eq!(text(kept.clone().distinct().rows()), text(&model), "shared handle");
+        assert_eq!(text(kept.rows()), text(&rows), "the other handle's rows changed");
+        assert!(Arc::ptr_eq(&kept.stats(), &stats), "the other handle's statistics were dropped");
+        assert!(Arc::ptr_eq(&kept.batch(), &batch), "the other handle's columnar image was dropped");
+    });
+}
+
 // ---------------------------------------------------------------------
 // Observability: histogram merge (PR 10)
 // ---------------------------------------------------------------------
