@@ -175,18 +175,27 @@ pub fn apply_updategrams(catalog: &mut Catalog, grams: &[Updategram]) {
 /// oracle arbitrates — while a row repeated within one delete list
 /// retracts once: the second physical delete removes nothing). Grams on
 /// unknown relations yield an empty batch.
+///
+/// The unique delete rows are sorted once and every multiplicity is
+/// counted in a single pass over the relation, so signing costs
+/// O(|relation| · log |delete|), not a relation scan per delete row.
 pub fn gram_to_batch(catalog: &Catalog, gram: &Updategram) -> DeltaBatch {
     let mut batch = DeltaBatch::new();
     let Some(rel) = catalog.get(&gram.relation) else {
         return batch;
     };
-    let mut seen: Vec<&Tuple> = Vec::new();
-    for row in &gram.delete {
-        if seen.contains(&row) {
-            continue;
+    let mut deletes: Vec<(&Tuple, i64)> = gram.delete.iter().map(|row| (row, 0)).collect();
+    // A stable sort keeps the first-listed spelling of equal rows in front.
+    deletes.sort_by(|a, b| a.0.cmp(b.0));
+    deletes.dedup_by(|later, kept| later.0 == kept.0);
+    if !deletes.is_empty() {
+        for r in rel.iter() {
+            if let Ok(i) = deletes.binary_search_by(|(d, _)| (*d).cmp(r)) {
+                deletes[i].1 += 1;
+            }
         }
-        seen.push(row);
-        let mult = rel.iter().filter(|r| *r == row).count() as i64;
+    }
+    for (row, mult) in deletes {
         batch.add(&gram.relation, row.clone(), -mult);
     }
     for row in &gram.insert {
@@ -200,7 +209,7 @@ mod tests {
     use super::*;
     use revere_query::eval::eval_cq_bag;
     use revere_query::parse_query;
-    use revere_storage::{RelSchema, Value};
+    use revere_storage::{Attribute, RelSchema, Value};
 
     fn base() -> Catalog {
         let mut c = Catalog::new();
@@ -428,6 +437,32 @@ mod tests {
         assert_eq!(d.weight(&vec![Value::str("x")]), -2, "both stored copies retract");
         assert_eq!(d.weight(&vec![Value::str("z")]), 2, "insert occurrences count");
         assert_eq!(d.weight(&vec![Value::str("ghost")]), 0, "absent delete is a no-op");
+
+        // A three-copy row listed twice, apart, among other deletes: one
+        // retraction at its full multiplicity. Of equal rows spelled
+        // differently, the first-listed spelling is the one signed.
+        let mut c = Catalog::new();
+        let mut r = Relation::new(RelSchema::new("r", vec![Attribute::int("a")]));
+        for v in [3, 1, 3, 2, 3, 1] {
+            r.insert(vec![Value::Int(v)]);
+        }
+        c.register(r);
+        let g = Updategram {
+            relation: "r".into(),
+            insert: vec![vec![Value::Int(7)]],
+            delete: vec![
+                vec![Value::Float(3.0)],
+                vec![Value::Int(1)],
+                vec![Value::Int(9)],
+                vec![Value::Int(3)],
+                vec![Value::Int(1)],
+            ],
+        };
+        let batch = gram_to_batch(&c, &g);
+        let entries: Vec<(String, i64)> =
+            batch.get("r").unwrap().iter().map(|(t, w)| (format!("{t:?}"), w)).collect();
+        let expected = [("[Int(1)]", -2), ("[Float(3.0)]", -3), ("[Int(7)]", 1)];
+        assert_eq!(entries, expected.map(|(t, w)| (t.to_string(), w)));
     }
 
     #[test]

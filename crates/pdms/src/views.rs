@@ -26,7 +26,6 @@ use revere_query::eval::{head_schema, EvalError};
 use revere_query::plan::plan_cq;
 use revere_query::ConjunctiveQuery;
 use revere_storage::{Catalog, Relation, Tuple};
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// A query whose answer is kept fresh under updategrams: each disjunct's
@@ -148,20 +147,22 @@ impl MaterializedView {
     }
 
     /// The maintained derivation weights, summed over the circuits.
-    fn total(&self) -> Cow<'_, Delta> {
-        match self.circuits.as_slice() {
-            [one] => Cow::Borrowed(one.derivations()),
-            many => Cow::Owned(many.iter().fold(Delta::new(), |mut sum, c| {
-                sum.merge(c.derivations());
-                sum
-            })),
+    fn total(&self) -> Delta {
+        let mut circuits = self.circuits.iter();
+        let mut sum = circuits.next().map(Circuit::derivations).unwrap_or_default();
+        for c in circuits {
+            sum.merge(&c.derivations());
         }
+        sum
     }
 
     /// The view's current contents: tuples with *positive* derivation
     /// weight (set semantics, sorted).
     pub fn as_relation(&self) -> Relation {
-        let rows = self.total().positive().map(|(t, _)| t.clone()).collect();
+        let rows = match self.circuits.as_slice() {
+            [one] => one.output_set().into_rows(),
+            _ => self.total().positive().map(|(t, _)| t.clone()).collect(),
+        };
         Relation::with_rows(head_schema(&self.definition), rows)
     }
 
@@ -173,7 +174,10 @@ impl MaterializedView {
 
     /// Number of distinct tuples with positive derivation weight.
     pub fn len(&self) -> usize {
-        self.total().positive().count()
+        match self.circuits.as_slice() {
+            [one] => one.len(),
+            _ => self.total().positive().count(),
+        }
     }
 
     /// True when the view holds no (positively derived) tuples.
@@ -183,7 +187,7 @@ impl MaterializedView {
 
     /// Derivation weight of one tuple (0 if absent).
     pub fn derivations(&self, row: &Tuple) -> i64 {
-        self.circuits.iter().map(|c| c.derivations().weight(row)).sum()
+        self.circuits.iter().map(|c| c.weight(row)).sum()
     }
 
     /// The base relations this view listens to (the affected-set check:

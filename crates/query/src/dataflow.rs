@@ -21,7 +21,17 @@
 //! right the atom's filtered rows — and nothing else stateful: the output
 //! Z-set's weights are derivation counts, and set semantics is read off
 //! their sign where the view is kept (`pdms::views`), with no second copy
-//! of the counts.
+//! of the counts. The last step's join emits straight into the head: each
+//! match is extended into one scratch binding, the query's comparisons
+//! (a linear filter) and head projection (a linear map) run on it there,
+//! and no intermediate binding Z-set is built.
+//!
+//! `Delta` is the ordered, consolidated algebra every edge carries; the
+//! *stored* state is hashed. Arrangements and derivation counts are
+//! hash maps under the crate's seedless `FxHasher`, probed and folded by
+//! borrowed key, and sorted only when read
+//! ([`Circuit::derivations`], [`Circuit::output_set`]) — a push never
+//! scans or sorts full state.
 //!
 //! `tests/differential_ivm.rs` holds every circuit byte-identical to
 //! [`crate::eval_planned`] recomputed from scratch after every delta;
@@ -30,9 +40,12 @@
 
 use crate::ast::{CmpOp, ConjunctiveQuery, Term};
 use crate::eval::{head_schema, validate, AtomSplit, EvalError};
+use crate::fxhash::FxMap;
 use crate::plan::Plan;
 use revere_storage::{Catalog, RelSchema, Relation, Tuple, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::Hash;
 
 // ---------------------------------------------------------------------
 // Z-sets
@@ -182,50 +195,88 @@ impl Delta<Tuple> {
 // Arrangements and the bilinear join
 // ---------------------------------------------------------------------
 
+/// Add `w` (nonzero) to `t`'s weight in `map`, consolidating: `t` is
+/// cloned only when it enters and removed when its weight cancels.
+/// Returns the change in the number of stored entries (+1, 0 or −1).
+fn fold_weight(map: &mut FxMap<Tuple, i64>, t: &Tuple, w: i64) -> isize {
+    match map.get_mut(t) {
+        Some(slot) => {
+            *slot += w;
+            if *slot == 0 {
+                map.remove(t);
+                -1
+            } else {
+                0
+            }
+        }
+        None => {
+            insert_churning(map, t.clone(), w);
+            1
+        }
+    }
+}
+
+/// Insert into a map whose keys churn at a stationary size. Erasing from
+/// a swiss table can leave a tombstone that spends its growth budget like
+/// a live entry; when the budget runs out, a table over half full doubles
+/// although its live count never grew (and a hundred identical circuits
+/// double in the same push). So when the next insert may reallocate, the
+/// table is rebuilt at the size its live entries need instead: the same
+/// amortized rehash, without the growth.
+fn insert_churning<K: Hash + Eq, V>(map: &mut FxMap<K, V>, k: K, v: V) {
+    if map.len() == map.capacity() {
+        let mut rebuilt = FxMap::with_capacity_and_hasher(map.len() + 1, Default::default());
+        rebuilt.extend(map.drain());
+        *map = rebuilt;
+    }
+    map.insert(k, v);
+}
+
+/// Write `t`'s `cols` into `key`, reusing its allocation.
+fn fill_key(key: &mut Vec<Value>, cols: &[usize], t: &Tuple) {
+    key.clear();
+    key.extend(cols.iter().map(|&c| t[c].clone()));
+}
+
 /// A Z-set arranged (indexed) by a key: the per-side state an incremental
 /// join probes instead of rescanning its input. Keys are column
-/// projections of the stored tuples.
+/// projections of the stored tuples; both the key index and each key's
+/// group are hash maps, so neither a probe nor a fold walks an ordered
+/// tree. Group iteration order is unspecified (but deterministic).
 #[derive(Debug, Clone, Default)]
 pub struct Arrangement {
     key_cols: Vec<usize>,
-    index: HashMap<Vec<Value>, BTreeMap<Tuple, i64>>,
+    index: FxMap<Vec<Value>, FxMap<Tuple, i64>>,
     distinct: usize,
 }
 
 impl Arrangement {
     /// An empty arrangement keyed by the given columns of its tuples.
     pub fn new(key_cols: Vec<usize>) -> Self {
-        Arrangement { key_cols, index: HashMap::new(), distinct: 0 }
-    }
-
-    /// The key of a stored tuple.
-    fn key_of(&self, t: &Tuple) -> Vec<Value> {
-        self.key_cols.iter().map(|&c| t[c].clone()).collect()
+        Arrangement { key_cols, index: FxMap::default(), distinct: 0 }
     }
 
     /// Fold a delta into the arrangement (consolidating; groups and
     /// entries reaching weight zero are dropped). Cost is O(|delta|)
     /// index operations — touched entries only, never a full-index scan,
     /// or the "incremental" join would secretly pay O(base) per update.
+    /// A key is cloned only when its group is created.
     pub fn apply(&mut self, delta: &Delta) {
+        let mut key = Vec::with_capacity(self.key_cols.len());
         for (t, w) in delta.iter() {
-            let key = self.key_of(t);
-            let group = self.index.entry(key).or_default();
-            let slot = group.entry(t.clone()).or_insert(0);
-            let was = *slot != 0;
-            *slot += w;
-            let is = *slot != 0;
-            match (was, is) {
-                (false, true) => self.distinct += 1,
-                (true, false) => {
-                    group.remove(t);
-                    self.distinct -= 1;
+            fill_key(&mut key, &self.key_cols, t);
+            match self.index.get_mut(key.as_slice()) {
+                Some(group) => {
+                    self.distinct = self.distinct.wrapping_add_signed(fold_weight(group, t, w));
                     if group.is_empty() {
-                        let key = self.key_of(t);
-                        self.index.remove(&key);
+                        self.index.remove(key.as_slice());
                     }
                 }
-                _ => {}
+                None => {
+                    let group = FxMap::from_iter([(t.clone(), w)]);
+                    insert_churning(&mut self.index, key.clone(), group);
+                    self.distinct += 1;
+                }
             }
         }
     }
@@ -288,15 +339,16 @@ impl JoinState {
     ) {
         self.right.apply(dr);
         self.work += (dl.len() + dr.len()) as u64;
+        let mut key = Vec::with_capacity(self.left_key.len());
         for (l, wl) in dl.iter() {
-            let key: Vec<Value> = self.left_key.iter().map(|&c| l[c].clone()).collect();
+            fill_key(&mut key, &self.left_key, l);
             for (r, wr) in self.right.probe(&key) {
                 self.work += 1;
                 emit(l, r, wl * wr);
             }
         }
         for (r, wr) in dr.iter() {
-            let key: Vec<Value> = self.right_key.iter().map(|&c| r[c].clone()).collect();
+            fill_key(&mut key, &self.right_key, r);
             for (l, wl) in self.left.probe(&key) {
                 self.work += 1;
                 emit(l, r, wl * wr);
@@ -400,6 +452,20 @@ impl Operand {
     }
 }
 
+/// True when `binding` satisfies every comparison.
+fn cmp_pass(comparisons: &[(Operand, CmpOp, Operand)], binding: &Tuple) -> bool {
+    comparisons.iter().all(|(l, op, r)| match (l.value(binding), r.value(binding)) {
+        (Some(a), Some(b)) => op.apply(a, b),
+        _ => false,
+    })
+}
+
+/// The head tuple of `binding`, or `None` when the head names a variable
+/// the body never binds.
+fn project(head: &[Operand], binding: &Tuple) -> Option<Tuple> {
+    head.iter().map(|o| o.value(binding).cloned()).collect()
+}
+
 /// One join step of a circuit: the atom's pushed-filter/key analysis plus
 /// its incremental join — left the binding table entering this step,
 /// arranged by the probe columns; right the atom's rows surviving pushed
@@ -409,6 +475,25 @@ struct Stage {
     relation: String,
     split: AtomSplit,
     join: JoinState,
+}
+
+impl Stage {
+    /// The batch's rows of this stage's relation that survive the atom's
+    /// pushed filters — borrowed when none is dropped.
+    fn row_delta<'b>(&self, batch: &'b DeltaBatch) -> Cow<'b, Delta> {
+        let keep = |t: &Tuple| t.len() == self.split.arity && self.split.row_passes(t);
+        match batch.get(&self.relation) {
+            Some(d) if d.iter().all(|(t, _)| keep(t)) => Cow::Borrowed(d),
+            Some(d) => Cow::Owned(d.filter(keep)),
+            None => Cow::Owned(Delta::new()),
+        }
+    }
+}
+
+/// Extend a binding with an atom row's newly bound variables — identical
+/// to the evaluator's probe extension.
+fn extend_binding(split: &AtomSplit, binding: &mut Tuple, row: &Tuple) {
+    binding.extend(split.new_vars.iter().map(|(i, _)| row[*i].clone()));
 }
 
 /// A compiled continuous query: the plan's join order as a chain of
@@ -424,7 +509,8 @@ pub struct Circuit {
     comparisons: Vec<(Operand, CmpOp, Operand)>,
     head: Vec<Operand>,
     schema: RelSchema,
-    out: Delta,
+    /// Derivation counts of head tuples, consolidated (no zero weights).
+    out: FxMap<Tuple, i64>,
     /// Delta batches pushed so far (including the initializing one).
     pub pushes: usize,
 }
@@ -481,7 +567,7 @@ impl Circuit {
             comparisons,
             head,
             schema: head_schema(q),
-            out: Delta::new(),
+            out: FxMap::default(),
             pushes: 0,
         })
     }
@@ -515,79 +601,82 @@ impl Circuit {
         Ok(())
     }
 
-    fn cmp_pass(&self, binding: &Tuple) -> bool {
-        self.comparisons.iter().all(|(l, op, r)| {
-            match (l.value(binding), r.value(binding)) {
-                (Some(a), Some(b)) => op.apply(a, b),
-                _ => false,
-            }
-        })
-    }
-
-    fn project(&self, binding: &Tuple) -> Option<Tuple> {
-        self.head
-            .iter()
-            .map(|o| o.value(binding).cloned())
-            .collect::<Option<Vec<Value>>>()
-    }
-
     /// Push one batch of base-relation deltas through the circuit and
     /// return the derivation-level output delta (head tuples with signed
     /// multiplicities), also folded into [`Circuit::derivations`].
+    ///
+    /// Every stage but the last builds the next stage's binding delta; the
+    /// last one's emit applies the comparisons (linear filter) and head
+    /// projection (linear map) to each match and adds it straight into
+    /// the output, which by linearity equals filtering and projecting the
+    /// consolidated binding delta.
     pub fn push(&mut self, batch: &DeltaBatch) -> Delta {
-        self.pushes += 1;
+        let Circuit { stages, comparisons, head, out: derivations, pushes, .. } = self;
+        *pushes += 1;
+        let mut out = Delta::new();
+        let Some((last, earlier)) = stages.split_last_mut() else {
+            return out;
+        };
         // ΔB_{-1}: the unit binding never changes.
         let mut d_bindings: Delta = Delta::new();
-        for Stage { relation, split, join } in &mut self.stages {
-            let d_rows = match batch.get(relation) {
-                Some(d) => d.filter(|t| t.len() == split.arity && split.row_passes(t)),
-                None => Delta::new(),
-            };
-            let mut next = Delta::new();
-            // Extend a binding with the atom row's newly bound variables —
-            // identical to the evaluator's probe extension.
-            join.push_with(&d_bindings, &d_rows, |b, r, w| {
-                let mut out = b.clone();
-                out.extend(split.new_vars.iter().map(|(i, _)| r[*i].clone()));
-                next.add(out, w);
+        for stage in earlier {
+            let d_rows = stage.row_delta(batch);
+            let (split, mut next) = (&stage.split, Delta::new());
+            stage.join.push_with(&d_bindings, &d_rows, |b, r, w| {
+                let mut binding = Vec::with_capacity(b.len() + split.new_vars.len());
+                binding.extend_from_slice(b);
+                extend_binding(split, &mut binding, r);
+                next.add(binding, w);
             });
             d_bindings = next;
         }
-        // Comparisons (linear filter) then head projection (linear map).
-        let mut out = Delta::new();
-        for (b, w) in d_bindings.iter() {
-            if !self.cmp_pass(b) {
-                continue;
+        let d_rows = last.row_delta(batch);
+        let (split, mut binding) = (&last.split, Vec::new());
+        last.join.push_with(&d_bindings, &d_rows, |b, r, w| {
+            binding.clear();
+            binding.extend_from_slice(b);
+            extend_binding(split, &mut binding, r);
+            if cmp_pass(comparisons, &binding) {
+                if let Some(t) = project(head, &binding) {
+                    out.add(t, w);
+                }
             }
-            if let Some(t) = self.project(b) {
-                out.add(t, w);
-            }
+        });
+        for (t, w) in out.iter() {
+            fold_weight(derivations, t, w);
         }
-        self.out.merge(&out);
         out
     }
 
     /// The maintained derivation counts of head tuples (the bag result as
-    /// a Z-set).
-    pub fn derivations(&self) -> &Delta {
-        &self.out
+    /// a Z-set), sorted into an owned [`Delta`] on each call.
+    pub fn derivations(&self) -> Delta {
+        Delta { entries: self.out.iter().map(|(t, w)| (t.clone(), *w)).collect() }
+    }
+
+    /// Derivation count of one head tuple (0 when absent).
+    pub fn weight(&self, t: &Tuple) -> i64 {
+        self.out.get(t).copied().unwrap_or(0)
     }
 
     /// The maintained bag result, sorted — byte-comparable with
     /// `eval_planned(..).0.sorted()`.
     pub fn output_bag(&self) -> Relation {
-        self.out.to_bag(self.schema.clone())
+        self.derivations().to_bag(self.schema.clone())
     }
 
     /// The maintained set-semantics result, sorted and deduplicated.
     pub fn output_set(&self) -> Relation {
-        let rows: Vec<Tuple> = self.out.positive().map(|(t, _)| t.clone()).collect();
+        let mut rows: Vec<Tuple> =
+            self.out.iter().filter(|(_, w)| **w > 0).map(|(t, _)| t.clone()).collect();
+        // Stored tuples are pairwise unequal, so any sort is the sort.
+        rows.sort_unstable();
         Relation::with_rows(self.schema.clone(), rows)
     }
 
     /// Distinct tuples currently derivable.
     pub fn len(&self) -> usize {
-        self.out.positive().count()
+        self.out.values().filter(|w| **w > 0).count()
     }
 
     /// True when the maintained result is empty.
@@ -723,6 +812,24 @@ mod tests {
         let out = cir.push(&batch);
         assert!(out.is_empty());
         assert_eq!(cir.work(), work_before);
+    }
+
+    #[test]
+    fn a_map_churning_at_a_stationary_size_keeps_its_table() {
+        // Fresh keys in, oldest out, 3 000 live throughout: the table may
+        // rebuild, but never grows past what 3 000 entries need.
+        let live = 3_000;
+        let ceiling = FxMap::<Tuple, i64>::with_capacity_and_hasher(live + 1, Default::default())
+            .capacity();
+        let mut map: FxMap<Tuple, i64> = FxMap::default();
+        for k in 0..200_000 {
+            fold_weight(&mut map, &vec![Value::Int(k as i64)], 1);
+            if k >= live {
+                fold_weight(&mut map, &vec![Value::Int((k - live) as i64)], -1);
+            }
+            assert!(map.capacity() <= ceiling, "table grew at key {k}");
+        }
+        assert_eq!(map.len(), live);
     }
 
     #[test]

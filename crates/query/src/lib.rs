@@ -38,6 +38,7 @@ pub mod ast;
 pub mod containment;
 pub mod dataflow;
 pub mod eval;
+mod fxhash;
 pub mod glav;
 pub mod minicon;
 pub mod parse;

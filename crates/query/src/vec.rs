@@ -27,6 +27,7 @@
 
 use crate::ast::{ConjunctiveQuery, Term};
 use crate::eval::{head_schema, validate, AtomSplit, EvalError, StepProfile};
+use crate::fxhash::FxMap;
 use crate::plan::Plan;
 use revere_storage::{Catalog, ColumnVec, ColumnarBatch, Relation, SelBitmap, Value};
 use revere_util::obs::{names, Obs, SpanHandle};
@@ -146,43 +147,6 @@ struct Bindings {
 /// sides to hold the same concrete [`ColumnVec`] variant — `Value`
 /// equality is numeric across `Int`/`Float`, which only the generic
 /// `Value`-keyed path honors (see `revere_storage::column` docs).
-/// A multiply-fold hasher for the typed join indexes. The default SipHash
-/// is collision-hardened but costs more than the whole probe loop body on
-/// `i64`/dictionary-code keys; these maps are built and probed, never
-/// iterated, so a weak fast hash cannot leak nondeterminism into output
-/// order. The `Generic` index keeps the default hasher over `Vec<Value>`
-/// keys, whose `Hash`/`Eq` are the query language's equality.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    fn fold(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.fold(b as u64);
-        }
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.fold(n as u64);
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.fold(n);
-    }
-    fn write_i64(&mut self, n: i64) {
-        self.fold(n as u64);
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
-
 enum BuildIndex {
     /// No join columns: every probe row matches every build row
     /// (leading scan or cartesian extension). Holds the filtered row

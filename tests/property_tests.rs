@@ -526,6 +526,91 @@ fn zset_incremental_join_is_bilinear() {
     });
 }
 
+/// A cell `k` in `0..4`, spelled `Int(k)` or `Float(k)` at random: equal
+/// values of both spellings must meet in one hashed group and one
+/// derivation count, as they meet in one `Delta` entry.
+fn gen_num(g: &mut Gen) -> Value {
+    let k = g.random_range(0i64..4);
+    if g.random_bool(0.5) {
+        Value::Int(k)
+    } else {
+        Value::Float(k as f64)
+    }
+}
+
+/// [`gen_delta`] with mixed `Int`/`Float` spellings.
+fn gen_mixed_delta(g: &mut Gen) -> Delta {
+    Delta::from_pairs(g.vec(0..8, |g| (vec![gen_num(g), gen_num(g)], g.random_range(-3i64..4))))
+}
+
+#[test]
+fn zset_hashed_state_agrees_with_value_equality() {
+    forall(96, |g| {
+        // Bilinearity, as above, across spellings.
+        let (a, b, da, db) =
+            (gen_mixed_delta(g), gen_mixed_delta(g), gen_mixed_delta(g), gen_mixed_delta(g));
+        let mut state = JoinState::new(vec![0], vec![0]);
+        state.push_concat(&a, &b);
+        let incr = state.push_concat(&da, &db);
+        let mut decomposed = brute_join(&da, &b);
+        decomposed.merge(&brute_join(&a, &db));
+        decomposed.merge(&brute_join(&da, &db));
+        assert_eq!(incr, decomposed, "bilinear decomposition diverged across spellings");
+
+        // An arrangement counts distinct nonzero tuples as a Delta does,
+        // and a key of either spelling probes the same group.
+        let mut arr = Arrangement::new(vec![0]);
+        let mut sum = Delta::new();
+        for _ in 0..g.random_range(1..5usize) {
+            let d = gen_mixed_delta(g);
+            arr.apply(&d);
+            sum.merge(&d);
+            assert_eq!(arr.len(), sum.len(), "arranged tuples != distinct nonzero tuples");
+        }
+        for k in 0..4i64 {
+            let expected = sum.filter(|t| t[0] == Value::Int(k));
+            for key in [Value::Int(k), Value::Float(k as f64)] {
+                let got = Delta::from_pairs(arr.probe(&[key]).map(|(t, w)| (t.clone(), w)));
+                assert_eq!(got, expected, "probe of key {k} missed entries");
+            }
+        }
+    });
+}
+
+#[test]
+fn circuit_over_mixed_spellings_matches_recompute() {
+    forall(48, |g| {
+        let mut catalog = Catalog::new();
+        for (name, cols) in [("r", ["a", "b"]), ("s", ["b", "c"])] {
+            let mut rel = Relation::new(RelSchema::text(name, &cols));
+            for _ in 0..g.random_range(0..8usize) {
+                rel.insert(vec![gen_num(g), gen_num(g)]);
+            }
+            catalog.register(rel);
+        }
+        let q = parse_query("q(A, C) :- r(A, B), s(B, C)").unwrap();
+        let mut circuit = Circuit::new(&q, &plan_cq(&q, &catalog)).unwrap();
+        circuit.init_full(&catalog).unwrap();
+        for step in 0..6 {
+            let relation = if g.random_bool(0.5) { "r" } else { "s" };
+            let gram = Updategram {
+                relation: relation.into(),
+                insert: g.vec(0..3, |g| vec![gen_num(g), gen_num(g)]),
+                delete: g.vec(0..3, |g| vec![gen_num(g), gen_num(g)]),
+            };
+            let batch = gram_to_batch(&catalog, &gram);
+            apply_updategrams(&mut catalog, std::slice::from_ref(&gram));
+            circuit.push(&batch);
+            let plan = plan_cq(&q, &catalog);
+            let fresh = eval_planned(&q, &plan, &catalog, &Obs::disabled(), &SpanHandle::none())
+                .unwrap()
+                .0
+                .sorted();
+            assert_eq!(circuit.output_bag().rows(), fresh.rows(), "step {step}: after {gram:?}");
+        }
+    });
+}
+
 #[test]
 fn zset_consolidation_never_stores_zero_weights() {
     forall(128, |g| {
