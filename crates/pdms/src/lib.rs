@@ -11,13 +11,13 @@
 //!   mappings: rule-goal expansion mixing GAV unfolding with MiniCon view
 //!   rewriting, with the pruning heuristics §3.1.1 mentions.
 //! * [`network`] — the simulated overlay: message/hop accounting, query
-//!   routing, optional multi-threaded disjunct execution, degraded
-//!   execution under a seeded fault plan (retry/backoff, query budgets,
-//!   partial-answer completeness reports), reformulation/plan caches
-//!   whose entries are each valid for the inputs they were computed
-//!   from ("plan once, run many"), and continuous
-//!   queries ([`PdmsNetwork::subscribe_str`] / [`PdmsNetwork::publish`]),
-//!   each a [`MaterializedView`] kept fresh by every publish.
+//!   routing, degraded execution under a seeded fault plan
+//!   (retry/backoff, query budgets, partial-answer completeness reports),
+//!   reformulation/plan caches whose entries are each valid for the
+//!   inputs they were computed from ("plan once, run many"), and
+//!   continuous queries ([`PdmsNetwork::subscribe_str`] /
+//!   [`PdmsNetwork::publish`]), each a [`MaterializedView`] kept fresh by
+//!   every publish. Its front doors fail with one [`PdmsError`].
 //! * [`xmlmap`] — the Figure 4 mapping-template language for XML peers:
 //!   a target-schema template annotated with binding queries, applied to
 //!   source documents.
@@ -65,8 +65,8 @@ pub use monitor::{Health, Monitor, MonitorConfig, MonitorEvent, PeerVitals};
 #[doc(hidden)]
 pub use network::IvmStrategy;
 pub use network::{
-    CacheStats, CompletenessReport, PdmsNetwork, PeerAccounting, PublishReport, QueryBudget,
-    QueryOutcome, Subscription,
+    CacheStats, CompletenessReport, PdmsError, PdmsNetwork, PeerAccounting, PublishReport,
+    QueryBudget, QueryOutcome, Subscription,
 };
 pub use peer::Peer;
 pub use placement::{answer_with_plan, plan_placement, PlacementPlan, WorkloadEntry};

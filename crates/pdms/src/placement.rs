@@ -17,7 +17,7 @@
 //! A plan that is replaced or dropped is taken back with
 //! [`PlacementPlan::retire`], or its views go on being maintained.
 
-use crate::network::{PdmsNetwork, QueryOutcome};
+use crate::network::{PdmsError, PdmsNetwork, QueryOutcome};
 use revere_query::{equivalent, ConjunctiveQuery};
 use revere_storage::Relation;
 use std::collections::BTreeMap;
@@ -149,7 +149,7 @@ pub fn answer_with_plan(
     plan: &PlacementPlan,
     peer: &str,
     query: &ConjunctiveQuery,
-) -> Result<(Relation, usize), String> {
+) -> Result<(Relation, usize), PdmsError> {
     let placed = plan.view_for(peer, query).and_then(|p| net.subscription(&p.subscription));
     if let Some(sub) = placed {
         return Ok((sub.answers(), 0));

@@ -338,11 +338,6 @@ impl ReliableLink {
         self.unacked.values().min().copied()
     }
 
-    /// Ids sealed but not yet acknowledged, in order.
-    pub fn pending_ids(&self) -> Vec<u64> {
-        self.unacked.keys().copied().collect()
-    }
-
     /// The id the next [`ReliableLink::seal`] will assign (checkpointed
     /// so a restarted sender never reuses a delivery id).
     pub fn next_seal_id(&self) -> u64 {

@@ -14,11 +14,10 @@
 //! a binding in relation insert order. Morsel-parallel execution keeps
 //! it: worker threads claim fixed-size morsels from an atomic counter,
 //! each morsel's output lands in its own slot, and slots are concatenated
-//! in morsel order, independent of thread scheduling (the same discipline
-//! as `PdmsNetwork::query_parallel`). Workers never touch the tracer or
-//! metrics; the coordinator emits per-step totals once, so `query.eval.*`
-//! counters, `eval.step` span fields and [`StepProfile`]s do not depend
-//! on [`VecOpts`] either.
+//! in morsel order, independent of thread scheduling. Workers never
+//! touch the tracer or metrics; the coordinator emits per-step totals
+//! once, so `query.eval.*` counters, `eval.step` span fields and
+//! [`StepProfile`]s do not depend on [`VecOpts`] either.
 //!
 //! `tests/differential_vec.rs` holds this engine to the nested-loop
 //! oracle ([`crate::eval::eval_naive_bag`]) on generated corpora —
@@ -74,7 +73,7 @@ impl VecOpts {
 /// library re-reads the cgroup quota files on every
 /// `available_parallelism` call, which costs more than a small scan; the
 /// count cannot change under a running process in any way we act on.
-pub fn available_cores() -> usize {
+fn available_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }

@@ -71,8 +71,8 @@ pub mod prelude {
     pub use revere_pdms::{
         apply_once, apply_updategrams, gram_to_batch, maintain, CacheStats, CompletenessReport,
         GramInbox, Health, MaintenanceChoice, MaterializedView, Monitor, MonitorConfig,
-        MonitorEvent, PdmsNetwork, Peer, PeerAccounting, PeerVitals, PublishReport, QueryBudget,
-        QueryOutcome,
+        MonitorEvent, PdmsError, PdmsNetwork, Peer, PeerAccounting, PeerVitals, PublishReport,
+        QueryBudget, QueryOutcome,
         ReformulateOptions, Reformulator, ReliableLink, SequencedGram, Subscription, Updategram,
         XmlMapping,
     };

@@ -23,8 +23,8 @@
 //!   adds epoch-rotated sliding windows: observations land in the
 //!   current window, [`Metrics::rotate_window`] (driven by the caller's
 //!   logical tick cadence, never wall-clock) closes it, and
-//!   [`Metrics::rate`] / [`Metrics::quantile_window`] read the last K
-//!   closed windows — recent behaviour, not lifetime averages.
+//!   [`Metrics::window_counter`] / [`Metrics::window_snapshot`] read the
+//!   last K closed windows — recent behaviour, not lifetime averages.
 //! * Lossless rollups — [`Histogram::merge`] and
 //!   [`MetricsSnapshot::merge`] combine per-peer metrics into a cluster
 //!   view. Log2 buckets plus exact count/sum/min/max make histogram
@@ -213,26 +213,9 @@ impl Tracer {
 
     /// Snapshot every *retained* span (in span-id order). In unbounded
     /// mode that is the full trace; a flight recorder returns its ring
-    /// plus any still-open spans. Clones each record — periodic scrapers
-    /// should prefer [`Tracer::for_each_span`] or [`Tracer::spans_since`].
+    /// plus any still-open spans. Clones each record.
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.lock().sorted().into_iter().cloned().collect()
-    }
-
-    /// Snapshot only the retained spans with `id >= since` (in span-id
-    /// order) — the incremental-scrape companion to [`Tracer::spans`]: a
-    /// periodic scraper remembers the last id it saw and clones just the
-    /// suffix instead of the whole trace on every poll.
-    pub fn spans_since(&self, since: usize) -> Vec<SpanRecord> {
-        self.lock().sorted().into_iter().filter(|s| s.id >= since).cloned().collect()
-    }
-
-    /// Visit every retained span in span-id order **without cloning** —
-    /// what the exporters are built on.
-    pub fn for_each_span(&self, mut f: impl FnMut(&SpanRecord)) {
-        for s in self.lock().sorted() {
-            f(s);
-        }
     }
 
     /// Number of spans started so far (including evicted ones).
@@ -568,8 +551,6 @@ struct Frame {
 #[derive(Debug)]
 struct WindowState {
     keep: usize,
-    /// Rotations performed so far — the window epoch.
-    epoch: u64,
     current: Frame,
     closed: VecDeque<Frame>,
 }
@@ -589,8 +570,8 @@ struct MetricsInner {
 /// [`Metrics::windowed`] additionally keeps epoch-rotated sliding
 /// windows: every `inc`/`observe` also lands in the *current* window,
 /// [`Metrics::rotate_window`] closes it (retaining the last `keep`
-/// closed windows), and [`Metrics::rate`] / [`Metrics::quantile_window`]
-/// read only those closed windows. Rotation is driven by the caller's
+/// closed windows), and [`Metrics::window_counter`] /
+/// [`Metrics::window_snapshot`] read only those closed windows. Rotation is driven by the caller's
 /// logical tick cadence — never wall-clock — so windowed readings are as
 /// byte-deterministic as cumulative ones.
 #[derive(Debug, Clone, Default)]
@@ -611,7 +592,6 @@ impl Metrics {
             inner: Arc::new(Mutex::new(MetricsInner {
                 windows: Some(WindowState {
                     keep: keep.max(1),
-                    epoch: 0,
                     current: Frame::default(),
                     closed: VecDeque::new(),
                 }),
@@ -667,11 +647,6 @@ impl Metrics {
         self.lock().histograms.get(name).cloned()
     }
 
-    /// True when this registry keeps sliding windows.
-    pub fn is_windowed(&self) -> bool {
-        self.lock().windows.is_some()
-    }
-
     /// Close the current window and open a fresh one, retaining at most
     /// `keep` closed windows. No-op on a cumulative-only registry.
     pub fn rotate_window(&self) {
@@ -682,13 +657,7 @@ impl Metrics {
             while w.closed.len() > w.keep {
                 w.closed.pop_front();
             }
-            w.epoch += 1;
         }
-    }
-
-    /// Rotations performed so far (0 for cumulative-only registries).
-    pub fn window_epoch(&self) -> u64 {
-        self.lock().windows.as_ref().map_or(0, |w| w.epoch)
     }
 
     /// Sum of the named counter over the retained closed windows.
@@ -697,42 +666,6 @@ impl Metrics {
         m.windows
             .as_ref()
             .map_or(0, |w| w.closed.iter().filter_map(|f| f.counters.get(name)).sum())
-    }
-
-    /// Per-window average of the named counter over the retained closed
-    /// windows (0.0 until the first rotation) — "events per tick" when
-    /// the caller rotates once per logical tick.
-    pub fn rate(&self, name: &str) -> f64 {
-        let m = self.lock();
-        match m.windows.as_ref() {
-            Some(w) if !w.closed.is_empty() => {
-                let total: u64 = w.closed.iter().filter_map(|f| f.counters.get(name)).sum();
-                total as f64 / w.closed.len() as f64
-            }
-            _ => 0.0,
-        }
-    }
-
-    /// The named histogram merged across the retained closed windows
-    /// (empty until the first rotation).
-    pub fn window_histogram(&self, name: &str) -> Histogram {
-        let m = self.lock();
-        let mut out = Histogram::default();
-        if let Some(w) = m.windows.as_ref() {
-            for f in &w.closed {
-                if let Some(h) = f.histograms.get(name) {
-                    out.merge(h);
-                }
-            }
-        }
-        out
-    }
-
-    /// Estimated `q`-quantile of the named histogram over the retained
-    /// closed windows — the sliding-window companion to
-    /// [`Histogram::quantile`].
-    pub fn quantile_window(&self, name: &str, q: f64) -> u64 {
-        self.window_histogram(name).quantile(q)
     }
 
     /// A point-in-time copy of every metric, for rendering or assertions.
@@ -1197,9 +1130,6 @@ mod tests {
         // Survivors are the most recent finishes, exported in id order.
         let ids: Vec<usize> = t.spans().iter().map(|s| s.id).collect();
         assert_eq!(ids, vec![96, 97, 98, 99]);
-        // spans_since clones just a suffix.
-        assert_eq!(t.spans_since(98).len(), 2);
-        assert_eq!(t.spans_since(1000).len(), 0);
     }
 
     #[test]
@@ -1235,20 +1165,6 @@ mod tests {
         assert!(d.contains("capacity=unbounded"), "{d}");
         assert!(d.contains("#0 open_root [0..*]"), "open span marked: {d}");
         root.finish();
-    }
-
-    #[test]
-    fn spans_since_on_unbounded_tracer_is_a_suffix() {
-        let t = Tracer::new();
-        for i in 0..10 {
-            t.span(format!("s{i}")).finish();
-        }
-        let tail = t.spans_since(7);
-        assert_eq!(tail.len(), 3);
-        assert_eq!(tail[0].id, 7);
-        let mut seen = 0;
-        t.for_each_span(|_| seen += 1);
-        assert_eq!(seen, 10);
     }
 
     #[test]
@@ -1350,27 +1266,19 @@ mod tests {
     #[test]
     fn windowed_metrics_read_only_closed_windows() {
         let m = Metrics::windowed(2);
-        assert!(m.is_windowed() && !Metrics::new().is_windowed());
         m.inc("c", 10);
         m.observe("h", 100);
         // Nothing rotated yet: windowed readers see nothing, cumulative
         // readers see everything.
         assert_eq!(m.window_counter("c"), 0);
-        assert_eq!(m.rate("c"), 0.0);
-        assert_eq!(m.quantile_window("h", 0.5), 0);
         assert_eq!(m.counter("c"), 10);
         m.rotate_window();
         assert_eq!(m.window_counter("c"), 10);
-        assert_eq!(m.rate("c"), 10.0);
-        assert_eq!(m.quantile_window("h", 0.5), 100);
         // Two more rotations age the first window out (keep = 2).
         m.inc("c", 4);
         m.rotate_window();
         m.rotate_window();
-        assert_eq!(m.window_epoch(), 3);
         assert_eq!(m.window_counter("c"), 4, "first window aged out");
-        assert_eq!(m.rate("c"), 2.0, "4 events over 2 retained windows");
-        assert_eq!(m.window_histogram("h").count, 0, "histogram aged out");
         // Cumulative view is untouched by rotation.
         assert_eq!(m.counter("c"), 14);
         // window_snapshot carries only retained-window deltas (+ gauges).
@@ -1382,7 +1290,7 @@ mod tests {
         let plain = Metrics::new();
         plain.inc("c", 1);
         plain.rotate_window();
-        assert_eq!(plain.window_epoch(), 0);
+        assert!(plain.window_snapshot().counters.is_empty());
         assert_eq!(plain.counter("c"), 1);
     }
 

@@ -107,19 +107,6 @@ fn zero_fault_plan_matches_default_network_bit_for_bit() {
 }
 
 #[test]
-fn sequential_and_parallel_agree_under_chaos() {
-    let mut net = build_network(TopologyKind::Random { extra: 3 }, 9, 5);
-    net.faults = FaultPlan::new(FaultSpec::chaos(chaos_seed(), 0.35));
-    let q = parse_query("q(T, E) :- P1.course(T, E)").unwrap();
-    let seq = net.query("P1", &q).unwrap();
-    let par = net.query_parallel("P1", &q).unwrap();
-    assert_eq!(sorted_rows(&seq), sorted_rows(&par));
-    assert_eq!(seq.messages, par.messages);
-    assert_eq!(seq.tuples_shipped, par.tuples_shipped);
-    assert_eq!(seq.completeness, par.completeness);
-}
-
-#[test]
 fn message_budget_is_honored_and_reported() {
     let mut net = build_network(TopologyKind::Chain, 6, 0);
     net.budget = QueryBudget { max_messages: Some(4), deadline_ticks: None };

@@ -9,9 +9,8 @@
 //! crash-restarts of durable peers, changing network weather, and the
 //! estimator feedback loop writing learned statistics mid-query — and
 //! applies it to two networks that differ only in `caching`. After every
-//! step a random query (sequential or `query_parallel`, at a random
-//! peer) must return identical sorted answers and an identical
-//! [`CompletenessReport`] on both.
+//! step a random query (at a random peer) must return identical sorted
+//! answers and an identical [`CompletenessReport`] on both.
 //!
 //! Seeding: `REVERE_CACHE_SEED` (default 7) seeds the schedule;
 //! `scripts/verify.sh` sweeps `REVERE_CACHE_SEEDS` (default
@@ -103,18 +102,15 @@ fn assert_same(
     plain: &PdmsNetwork,
     at: &str,
     text: &str,
-    parallel: bool,
     when: &str,
 ) {
     let q = parse_query(text).expect("template parses");
-    let run = |net: &PdmsNetwork| {
-        if parallel { net.query_parallel(at, &q) } else { net.query(at, &q) }.expect("member peer")
-    };
+    let run = |net: &PdmsNetwork| net.query(at, &q).expect("member peer");
     let (a, b) = (run(cached), run(plain));
     assert_eq!(
         a.answers.sorted().into_rows(),
         b.answers.sorted().into_rows(),
-        "{when}: `{text}` at {at} (parallel: {parallel}) diverged from the uncached run"
+        "{when}: `{text}` at {at} diverged from the uncached run"
     );
     assert_eq!(a.completeness, b.completeness, "{when}: `{text}` at {at}: completeness diverged");
 }
@@ -130,7 +126,7 @@ fn random_schedule_cached_equals_uncached() {
     // actually force a feedback eviction, or the schedule below would
     // never exercise plans invalidated by learned statistics.
     for text in templates("P0") {
-        assert_same(&cached, &plain, "P0", &text, false, "warm-up");
+        assert_same(&cached, &plain, "P0", &text, "warm-up");
     }
     assert!(cached.cache_stats().plan_evictions > 0, "the correlated probe never tripped feedback");
 
@@ -248,9 +244,8 @@ fn random_schedule_cached_equals_uncached() {
         let members: Vec<usize> = (0..PEERS).filter(|i| !absent.contains(i)).collect();
         let at = format!("P{}", g.pick(&members));
         let text = g.pick(&templates(&at)).clone();
-        let parallel = g.random_bool(0.3);
         let when = format!("seed {seed} step {step} ({what})");
-        assert_same(&cached, &plain, &at, &text, parallel, &when);
+        assert_same(&cached, &plain, &at, &text, &when);
     }
 
     let stats = cached.cache_stats();

@@ -19,7 +19,7 @@
 //! Every case also sweeps morsel configurations — sequential, and forced
 //! parallel at morsel sizes 1, 7, 64, and whole-relation — and holds the
 //! output (rows in order, profiles, errors) byte-identical across all of
-//! them, the same determinism contract `query_parallel` is held to.
+//! them.
 //!
 //! Seeding: `REVERE_VEC_SEED` (default 1) offsets every generator;
 //! `scripts/verify.sh` sweeps several seeds.

@@ -13,17 +13,22 @@
 //! This is a first cut (ROADMAP item 10a): it catches a name that was
 //! deleted or renamed under the prose, not a sentence that is wrong about
 //! a name that still exists.
+//!
+//! The same walk holds `crates/pdms/src` to its cut: no source file over
+//! [`MAX_PDMS_LINES`] lines (unit tests included), and no function there
+//! returning `Result<_, String>` — its front doors fail with `PdmsError`.
 
 use std::fs;
 use std::path::Path;
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 const ROOTS: [&str; 4] = ["crates", "tests", "examples", "scripts"];
+const MAX_PDMS_LINES: usize = 800;
 
-/// File contents and relative paths under `dir`, appended to `corpus`.
-/// Build outputs (`target`, the benchmark's git-ignored `out`) are not
-/// part of the tree.
-fn read_tree(dir: &Path, corpus: &mut String) {
+/// Visit every readable file under `dir` with its path and contents, in
+/// path order. Build outputs (`target`, the benchmark's git-ignored
+/// `out`) are not part of the tree.
+fn read_tree(dir: &Path, visit: &mut dyn FnMut(&Path, &str)) {
     let mut entries: Vec<_> = fs::read_dir(dir).expect("readable directory").flatten().collect();
     entries.sort_by_key(|e| e.path());
     for entry in entries {
@@ -31,13 +36,10 @@ fn read_tree(dir: &Path, corpus: &mut String) {
         let name = entry.file_name();
         if path.is_dir() {
             if name != "target" && name != "out" {
-                read_tree(&path, corpus);
+                read_tree(&path, visit);
             }
         } else if let Ok(text) = fs::read_to_string(&path) {
-            corpus.push_str(&path.to_string_lossy());
-            corpus.push('\n');
-            corpus.push_str(&text);
-            corpus.push('\n');
+            visit(&path, &text);
         }
     }
 }
@@ -101,7 +103,12 @@ fn backticked_names_in_the_docs_resolve_in_the_tree() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut corpus = String::new();
     for dir in ROOTS {
-        read_tree(&root.join(dir), &mut corpus);
+        read_tree(&root.join(dir), &mut |path, text| {
+            corpus.push_str(&path.to_string_lossy());
+            corpus.push('\n');
+            corpus.push_str(text);
+            corpus.push('\n');
+        });
     }
     let mut dangling = Vec::new();
     for doc in DOCS {
@@ -132,4 +139,55 @@ fn the_lint_reads_tokens_the_way_its_doc_says() {
                 ### Deeper\n`also_gone`\n## Live\n`back_again`\n";
     let words: Vec<String> = tokens(text).into_iter().map(|(_, w)| w).collect();
     assert_eq!(words, ["a_b", "y::z", "back_again"]);
+}
+
+/// The error type of a `-> Result<T, E>` on `line`, when it fits there.
+fn result_error_type(line: &str) -> Option<&str> {
+    let args = line.split("-> Result<").nth(1)?;
+    let (mut depth, mut last_comma) = (0usize, None);
+    for (i, c) in args.char_indices() {
+        match c {
+            '<' | '(' | '[' => depth += 1,
+            ')' | ']' => depth -= 1,
+            ',' if depth == 0 => last_comma = Some(i),
+            '>' if depth == 0 => return Some(args[last_comma? + 1..i].trim()),
+            '>' => depth -= 1,
+            _ => {}
+        }
+    }
+    None
+}
+
+#[test]
+fn pdms_sources_stay_small_and_return_typed_errors() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../crates/pdms/src");
+    let mut findings = Vec::new();
+    read_tree(&root, &mut |path, text| {
+        if path.extension().is_some_and(|e| e == "rs") {
+            let lines = text.lines().count();
+            if lines > MAX_PDMS_LINES {
+                findings.push(format!("{}: {lines} lines", path.display()));
+            }
+            for (i, line) in text.lines().enumerate() {
+                if result_error_type(line) == Some("String") {
+                    findings.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+                }
+            }
+        }
+    });
+    assert!(
+        findings.is_empty(),
+        "crates/pdms/src must keep every file within {MAX_PDMS_LINES} lines and return typed \
+         errors, not `Result<_, String>`:\n{}",
+        findings.join("\n")
+    );
+}
+
+#[test]
+fn the_result_check_reads_the_error_type() {
+    assert_eq!(result_error_type("fn f() -> Result<(), String> {"), Some("String"));
+    assert_eq!(result_error_type("-> Result<(Relation, usize), PdmsError> {"), Some("PdmsError"));
+    assert_eq!(result_error_type("-> Result<BTreeMap<u32, String>, E>"), Some("E"));
+    assert_eq!(result_error_type("-> Result<&Subscription, String> {"), Some("String"));
+    assert_eq!(result_error_type("let r: Result<(), String> = Ok(());"), None);
 }

@@ -206,70 +206,9 @@ fn feedback_runs_are_byte_identical_too() {
 }
 
 #[test]
-fn parallel_and_sequential_agree_under_tracing() {
-    // query_parallel records no per-worker spans (span order would depend
-    // on scheduling) but must still return the sequential answers.
-    let seed = trace_seed();
-    let mut net = build_network(seed);
-    net.obs = Obs::enabled();
-    for q in QUERIES {
-        let seq = net.query_str("P0", q).expect("query runs");
-        let parsed = parse_query(q).expect("query parses");
-        let par = net.query_parallel("P0", &parsed).expect("query runs");
-        let (mut a, mut b) = (seq.answers.rows().to_vec(), par.answers.rows().to_vec());
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "parallel diverged from sequential under tracing: {q}");
-    }
-    let spans = net.obs.tracer().unwrap().spans();
-    assert!(spans.iter().any(|s| s.name == "pdms.query_parallel"));
-    assert!(spans.iter().all(|s| s.name != "pdms.worker"));
-}
-
-#[test]
-fn parallel_path_emits_the_same_eval_counters_as_sequential() {
-    // Regression: `query.eval.*` accounting (notably the
-    // `query.eval.step_bindings` histogram behind EXPLAIN ANALYZE) used
-    // to be emitted only on the traced sequential path; the parallel
-    // workers evaluated without the network's metrics handle and the
-    // counters silently read zero. Twin networks, same seed, no faults
-    // (so both paths evaluate every disjunct): the eval counters must
-    // agree exactly, counter for counter and histogram for histogram.
-    let seed = trace_seed();
-    let run = |parallel: bool| {
-        let mut net = build_network(seed);
-        net.faults = FaultPlan::default();
-        net.obs = Obs::enabled();
-        for q in QUERIES {
-            if parallel {
-                let parsed = parse_query(q).expect("query parses");
-                net.query_parallel("P0", &parsed).expect("query runs");
-            } else {
-                net.query_str("P0", q).expect("query runs");
-            }
-        }
-        net
-    };
-    let (seq, par) = (run(false), run(true));
-    let (sm, pm) = (seq.obs.metrics().unwrap(), par.obs.metrics().unwrap());
-    for name in [
-        names::QUERY_EVAL_STEPS_EXECUTED,
-        names::QUERY_EVAL_ROWS_SCANNED,
-        names::QUERY_EVAL_ROWS_BUILT,
-        names::QUERY_EVAL_ROWS_PROBED,
-    ] {
-        assert!(sm.counter(name) > 0, "sequential path never emitted {name}");
-        assert_eq!(sm.counter(name), pm.counter(name), "counter {name} diverged");
-    }
-    let sh = sm.histogram(names::QUERY_EVAL_STEP_BINDINGS).expect("sequential histogram exists");
-    let ph = pm.histogram(names::QUERY_EVAL_STEP_BINDINGS).expect("parallel path lost step_bindings");
-    assert_eq!((sh.count, sh.sum, sh.min, sh.max), (ph.count, ph.sum, ph.min, ph.max));
-}
-
-#[test]
 fn every_emitted_metric_name_is_registered() {
     // Counter-name lint: a representative traced workload (chaos fetches,
-    // retries, feedback, parallel eval) may only emit names canonicalized
+    // retries, feedback) may only emit names canonicalized
     // in `obs::names` — strays fail here before they ossify.
     let seed = trace_seed();
     let mut net = build_network(seed);
