@@ -16,7 +16,7 @@
 //! * **bounded detection latency** — every injected fault is flagged
 //!   within `REVERE_E19_MAX_DETECT_TICKS` of its onset;
 //! * **bounded telemetry cost** — the production observability profile
-//!   (head-sampled tracing + flight recorder + windowed metrics) costs at
+//!   (head-sampled tracing + flight recorder) costs at
 //!   most `REVERE_E19_MAX_OVERHEAD_PCT` percent over [`Obs::disabled`]
 //!   on the same workload.
 //!
@@ -184,7 +184,6 @@ fn time_workload(cfg: &E19Config, seed: u64, runs: usize, obs: impl Fn() -> Obs)
         for _ in 0..cfg.queries {
             let q = mix.next_query().to_string();
             net.query_str("P0", &q).expect("E19 query runs");
-            net.obs.rotate_window();
         }
         let us = started.elapsed().as_secs_f64() * 1e6 / cfg.queries.max(1) as f64;
         best = best.min(us);
@@ -193,11 +192,10 @@ fn time_workload(cfg: &E19Config, seed: u64, runs: usize, obs: impl Fn() -> Obs)
 }
 
 /// The production observability profile the overhead gate prices: a
-/// 256-span flight recorder, 8 metric windows, 5% head sampling.
+/// 256-span flight recorder and 5% head sampling.
 pub fn production_obs(seed: u64) -> Obs {
     Obs::with_config(ObsConfig {
         flight_capacity: Some(256),
-        metric_windows: Some(8),
         sample_rate: Some(0.05),
         sample_seed: seed,
     })
@@ -284,7 +282,7 @@ pub fn e19_overhead() -> Table {
     t.row(vec!["disabled".into(), f2(disabled), "-".into(), "-".into()]);
     t.row(vec!["full tracing".into(), f2(full), f2(pct(full)), "-".into()]);
     t.row(vec![
-        "production (5% sampled, 256-span flight, 8 windows)".into(),
+        "production (5% sampled, 256-span flight)".into(),
         f2(production),
         f2(pct(production)),
         "ok".into(),

@@ -39,8 +39,8 @@ use crate::propagation::{GramInbox, ReliableLink};
 use crate::updategram::Updategram;
 use crate::SequencedGram;
 use revere_storage::wal::{
-    crc32, decode_catalog, encode_catalog, put_str, put_u32, put_u64, Journal, Lsn, Reader, Wal,
-    WalRecord,
+    crc32, encode_catalog, put_str, put_u32, put_u64, recover_catalog, Journal, Lsn, Reader,
+    RecoveryReport, Wal, WalRecord,
 };
 use revere_storage::Catalog;
 use revere_util::fault::FaultPlan;
@@ -237,55 +237,35 @@ pub struct RecoveredPeer {
     pub report: PeerRecovery,
 }
 
-#[derive(Debug, Default)]
-struct InboxState {
-    watermark: u64,
-    above: BTreeSet<u64>,
-    duplicates: u64,
-    applied: u64,
-}
-
-impl InboxState {
-    /// Mirror of `GramInbox::accept`'s compaction, replayed offline.
-    fn mark_seen(&mut self, id: u64) {
-        if id < self.watermark || self.above.contains(&id) {
-            return;
-        }
-        self.above.insert(id);
-        self.applied += 1;
-        while self.above.remove(&self.watermark) {
-            self.watermark += 1;
-        }
-    }
-}
-
 /// Recover a peer from its stable storage: open the log (truncating any
-/// torn tail), decode the peer image if present, then replay.
+/// torn tail), then hand the image's catalog blob and the opened log to
+/// [`recover_catalog`], the one catalog replay.
 ///
-/// The replay rule is split by the image's `as_of` mark:
+/// What the catalog replay does not cover — peer-level state — is folded
+/// here, split by the image's `as_of` mark:
 ///
 /// * seal/ack records fold into outbox state at **any** LSN — the image
 ///   stores only each link's sequence counter, and an unacked seal
 ///   record below `as_of` is the gram's only surviving copy;
-/// * every other record replays into the catalog (and, for
-///   [`WalRecord::DeltaApplied`], the inbox ledger) **only** when
-///   `lsn >= as_of` — older ones are already reflected in the image.
+/// * a [`WalRecord::DeltaApplied`] is accepted by its link's inbox
+///   ([`GramInbox::accept`]) **only** when `lsn >= as_of` — older ones
+///   are already reflected in the image.
 ///
 /// Returns `None` only when the image itself is corrupt (log corruption
 /// is handled by tail truncation and is not fatal).
 pub fn recover(disk: &PeerDisk) -> Option<RecoveredPeer> {
     let bytes = disk.journal.bytes();
     let (wal, open) = Wal::open(&bytes);
-    let torn_bytes = open.torn_bytes;
     // Adopt the clean prefix: the journal handle now matches what
     // recovery saw, and new appends continue from its last LSN.
     disk.journal.replace(wal.clone());
 
     let image = disk.image_bytes();
-    let (mut catalog, as_of, mut inboxes, next_ids) = match &image {
-        Some(b) => decode_peer_image(b)?,
-        None => (Catalog::new(), 0, BTreeMap::new(), BTreeMap::new()),
+    let (blob, mut inboxes, next_ids) = match &image {
+        Some(b) => decode_peer_image(b, &disk.journal)?,
+        None => (None, BTreeMap::new(), BTreeMap::new()),
     };
+    let (mut catalog, RecoveryReport { as_of, .. }) = recover_catalog(blob, &wal)?;
     let mut outboxes: BTreeMap<String, OutboxResume> = next_ids
         .into_iter()
         .map(|(link, next_id)| (link, OutboxResume { next_id, unacked: BTreeMap::new() }))
@@ -312,9 +292,11 @@ pub fn recover(disk: &PeerDisk) -> Option<RecoveredPeer> {
             }
             _ if *lsn >= as_of => {
                 if let WalRecord::DeltaApplied { link, id, .. } = rec {
-                    inboxes.entry(link.clone()).or_default().mark_seen(*id);
+                    inboxes
+                        .entry(link.clone())
+                        .or_insert_with(|| GramInbox::durable(link.clone(), disk.journal()))
+                        .accept(*id);
                 }
-                catalog.replay(rec);
                 replayed += 1;
             }
             // Below as_of and not outbox-relevant: captured by the image.
@@ -323,19 +305,6 @@ pub fn recover(disk: &PeerDisk) -> Option<RecoveredPeer> {
     }
 
     catalog.attach_journal(disk.journal());
-    let inboxes: BTreeMap<String, GramInbox> = inboxes
-        .into_iter()
-        .map(|(link, st)| {
-            let inbox = GramInbox::restore(
-                st.watermark,
-                st.above,
-                st.duplicates as usize,
-                st.applied as usize,
-                Some((link.clone(), disk.journal())),
-            );
-            (link, inbox)
-        })
-        .collect();
     let pending_grams = outboxes.values().map(OutboxResume::pending_count).sum();
     Some(RecoveredPeer {
         catalog,
@@ -346,7 +315,7 @@ pub fn recover(disk: &PeerDisk) -> Option<RecoveredPeer> {
             as_of,
             replayed,
             outbox_folds,
-            torn_bytes,
+            torn_bytes: open.torn_bytes,
             pending_grams,
         },
     })
@@ -405,9 +374,11 @@ fn encode_peer_image(
     out
 }
 
-type DecodedImage = (Catalog, Lsn, BTreeMap<String, InboxState>, BTreeMap<String, u64>);
+/// A peer image's catalog blob, durable inboxes and outbox next ids.
+type DecodedImage<'a> =
+    (Option<&'a [u8]>, BTreeMap<String, GramInbox>, BTreeMap<String, u64>);
 
-fn decode_peer_image(bytes: &[u8]) -> Option<DecodedImage> {
+fn decode_peer_image<'a>(bytes: &'a [u8], journal: &Journal) -> Option<DecodedImage<'a>> {
     if bytes.len() < 8 {
         return None;
     }
@@ -425,7 +396,6 @@ fn decode_peer_image(bytes: &[u8]) -> Option<DecodedImage> {
     }
     let blob_len = r.u32()? as usize;
     let blob = r.take(blob_len)?;
-    let (catalog, as_of) = decode_catalog(blob)?;
     let mut inboxes = BTreeMap::new();
     for _ in 0..r.u32()? {
         let link = r.str()?;
@@ -436,7 +406,10 @@ fn decode_peer_image(bytes: &[u8]) -> Option<DecodedImage> {
         for _ in 0..r.u32()? {
             above.insert(r.u64()?);
         }
-        inboxes.insert(link, InboxState { watermark, above, duplicates, applied });
+        let durability = Some((link.clone(), journal.clone()));
+        let inbox =
+            GramInbox::restore(watermark, above, duplicates as usize, applied as usize, durability);
+        inboxes.insert(link, inbox);
     }
     let mut outboxes = BTreeMap::new();
     for _ in 0..r.u32()? {
@@ -447,7 +420,7 @@ fn decode_peer_image(bytes: &[u8]) -> Option<DecodedImage> {
     if !r.done() {
         return None;
     }
-    Some((catalog, as_of, inboxes, outboxes))
+    Some((Some(blob), inboxes, outboxes))
 }
 
 #[cfg(test)]

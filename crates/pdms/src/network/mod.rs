@@ -151,7 +151,8 @@ pub enum PdmsError {
     },
     /// The query text does not parse.
     Parse(ParseError),
-    /// The reformulated union cannot be shaped into an answer.
+    /// The reformulated union cannot be shaped into an answer, or a
+    /// published row has the wrong arity for its relation.
     Eval(EvalError),
 }
 
@@ -247,9 +248,13 @@ impl PdmsNetwork {
     }
 
     /// Checkpoint a durable peer: write a fresh image and truncate its
-    /// log (see [`crate::durable::checkpoint`]). `None` when the peer is
-    /// unknown or not durable.
-    pub fn checkpoint_peer(&self, name: &str) -> Option<CheckpointReport> {
+    /// log (see [`crate::durable::checkpoint`]). Subscriptions absorb the
+    /// log first ([`PdmsNetwork::sync_durable_subscriptions`]): the
+    /// truncation must not drop a direct write they have not read. `None`
+    /// when the peer is unknown or not durable.
+    pub fn checkpoint_peer(&mut self, name: &str) -> Option<CheckpointReport> {
+        self.disks.get(name)?;
+        self.sync_durable_subscriptions();
         let peer = self.peers.get(name)?;
         let disk = self.disks.get(name)?;
         Some(peer.storage.read(|c| durable::checkpoint(disk, c, &[], &[])))

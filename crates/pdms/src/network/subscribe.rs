@@ -2,11 +2,12 @@
 
 use super::{PdmsError, PdmsNetwork};
 use crate::peer::split_qualified;
-use crate::updategram::{apply_updategrams, gram_to_batch, Updategram};
+use crate::updategram::{add_change, apply_gram, Updategram};
 use crate::views::MaterializedView;
 use revere_query::dataflow::DeltaBatch;
+use revere_query::eval::EvalError;
 use revere_query::{parse_query, ConjunctiveQuery};
-use revere_storage::{row_deltas, Catalog, Lsn, Relation};
+use revere_storage::{Catalog, Lsn, Relation};
 use revere_util::obs::SpanHandle;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -173,13 +174,15 @@ impl PdmsNetwork {
     }
 
     /// Apply an updategram to the relation's owning peer and push the
-    /// resulting delta through every affected subscription. The delta is
-    /// signed against the pre-state (a delete retracts every stored copy
-    /// of a row, duplicate inserts each count), applied to the owner's
-    /// catalog and the mirrored base, and re-fires *only* subscriptions
-    /// whose base relations it touches — everyone else pays one set
-    /// lookup. Errors when the relation is unqualified, its owner is not
-    /// a member, or the owner does not store it.
+    /// resulting delta through every affected subscription. The gram is
+    /// applied to the owner's catalog and to the mirrored base, and the
+    /// signed rows the base's apply reports (a delete retracts every
+    /// stored copy of a row, duplicate inserts each count) re-fire *only*
+    /// subscriptions whose base relations they touch — everyone else pays
+    /// one set lookup. Errors when the relation is unqualified, its owner
+    /// is not a member, or the owner does not store it; a row of the
+    /// wrong arity is refused ([`PdmsError::Eval`]) before the owner
+    /// journals or writes anything.
     pub fn publish(&mut self, gram: &Updategram) -> Result<PublishReport, PdmsError> {
         let Some((owner, _)) = split_qualified(&gram.relation) else {
             return Err(PdmsError::Unqualified(gram.relation.clone()));
@@ -192,75 +195,49 @@ impl PdmsNetwork {
         // deltas are signed against the state subscribers actually hold.
         self.sync_durable_subscriptions();
         self.ensure_subs_base();
-        let base = self.subs.base.as_ref().expect("ensured above");
-        let batch = gram_to_batch(base, gram);
         self.peers
             .get(&owner)
             .expect("membership checked above")
             .storage
-            .write(|c| apply_updategrams(c, std::slice::from_ref(gram)));
+            .write(|c| c.apply(&gram.relation, &gram.delete, &gram.insert).map(drop))
+            .map_err(EvalError::from)?;
         // The application above may itself have journaled records on a
         // durable owner; advance the cursor past them — their effect is
-        // exactly this batch, which is pushed below.
+        // exactly the batch the base's apply reports, pushed below.
         if let Some(disk) = self.disks.get(&owner) {
             self.subs.wal_cursors.insert(owner.clone(), disk.journal().next_lsn());
         }
-        apply_updategrams(
-            self.subs.base.as_mut().expect("ensured above"),
-            std::slice::from_ref(gram),
-        );
-        Ok(self.refire(&batch))
+        let batch = apply_gram(self.subs.base.as_mut().expect("ensured above"), gram)?;
+        Ok(refire(&mut self.subs.by_name, &batch))
     }
 
     /// Absorb durable peers' journal suffixes into the subscription layer:
     /// mutations made *directly* on a durable peer's catalog (bypassing
     /// [`PdmsNetwork::publish`]) are recovered from its WAL via per-peer
-    /// LSN cursors, replayed into the mirrored base as signed row deltas,
-    /// and pushed through affected subscriptions. Returns the number of
-    /// distinct changed rows absorbed. No-op (0) before the first
-    /// subscription.
+    /// LSN cursors, replayed into the mirrored base, and the signed rows
+    /// each replay reports ([`Catalog::replay`]) are pushed through
+    /// affected subscriptions. Returns the number of distinct changed rows
+    /// absorbed. No-op (0) before the first subscription.
     pub fn sync_durable_subscriptions(&mut self) -> usize {
-        if self.subs.base.is_none() {
+        let Subscriptions { by_name, base: Some(base), wal_cursors } = &mut self.subs else {
             return 0;
-        }
+        };
         let mut changed = 0;
-        let names: Vec<String> = self.disks.keys().cloned().collect();
-        for name in names {
-            let journal = self.disks.get(&name).expect("listed above").journal();
-            let cursor = self.subs.wal_cursors.get(&name).copied().unwrap_or(0);
+        for (name, disk) in &self.disks {
+            let journal = disk.journal();
+            let cursor = wal_cursors.get(name).copied().unwrap_or(0);
             let records = journal.records_from(cursor);
-            self.subs.wal_cursors.insert(name.clone(), journal.next_lsn());
-            if records.is_empty() {
-                continue;
-            }
-            let deltas = row_deltas(&records, self.subs.base.as_mut().expect("checked above"));
+            wal_cursors.insert(name.clone(), journal.next_lsn());
             let mut batch = DeltaBatch::new();
-            for (rel, row, w) in deltas {
-                batch.add(rel, row, w);
+            for (_, rec) in &records {
+                add_change(&mut batch, &base.replay(rec));
             }
-            if batch.is_empty() {
-                continue;
+            if !batch.is_empty() {
+                changed += batch.len();
+                refire(by_name, &batch);
             }
-            changed += batch.len();
-            self.refire(&batch);
         }
         changed
-    }
-
-    /// Push one signed batch through every affected subscription.
-    fn refire(&mut self, batch: &DeltaBatch) -> PublishReport {
-        let mut report = PublishReport::default();
-        for (name, sub) in self.subs.by_name.iter_mut() {
-            if !batch.relations().any(|r| sub.view.relations().contains(r)) {
-                sub.skipped += 1;
-                report.skipped += 1;
-                continue;
-            }
-            report.output_changes += sub.view.push(batch);
-            sub.refreshes += 1;
-            report.refreshed.push(name.clone());
-        }
-        report
     }
 
     // This and `IvmStrategy` are named by `crates/e2e/src/surface.rs`;
@@ -275,6 +252,22 @@ impl PdmsNetwork {
     ) -> Result<&Subscription, PdmsError> {
         self.subscribe_str(at_peer, name, query)
     }
+}
+
+/// Push one signed batch through every affected subscription.
+fn refire(subs: &mut BTreeMap<String, Subscription>, batch: &DeltaBatch) -> PublishReport {
+    let mut report = PublishReport::default();
+    for (name, sub) in subs.iter_mut() {
+        if !batch.relations().any(|r| sub.view.relations().contains(r)) {
+            sub.skipped += 1;
+            report.skipped += 1;
+            continue;
+        }
+        report.output_changes += sub.view.push(batch);
+        sub.refreshes += 1;
+        report.refreshed.push(name.clone());
+    }
+    report
 }
 
 /// The maintainer selector of the two-maintainer era; circuits are left.

@@ -24,8 +24,9 @@
 //! ([`apply_once`]) — so a dropped *or* duplicated delivery leaves the
 //! remote cache exactly where a single clean delivery would.
 
-use crate::updategram::{SequencedGram, Updategram};
+use crate::updategram::{add_change, SequencedGram, Updategram};
 use crate::views::MaterializedView;
+use revere_query::dataflow::DeltaBatch;
 use revere_query::eval::EvalError;
 use revere_query::glav::GlavMapping;
 use revere_query::ConjunctiveQuery;
@@ -179,13 +180,16 @@ impl GramInbox {
 /// Apply a sequenced gram to a target-side cache **exactly once**: a gram
 /// id the inbox has already seen is a no-op (`Ok(false)`). First-time
 /// grams are pushed through the cached view's circuits and applied to the
-/// catalog ([`MaterializedView::apply_gram`]).
+/// catalog ([`MaterializedView::apply_gram`]). A gram carrying a row of
+/// the wrong arity is refused (`Err`) before anything is journaled,
+/// written or accepted.
 ///
 /// For a durable inbox the gram is journaled as one atomic
-/// [`WalRecord::DeltaApplied`] *before* applying; the catalog's own
-/// journal is suspended for the application so the deltas are not
-/// journaled twice (replaying both the `DeltaApplied` and the per-row
-/// records would double-apply).
+/// [`WalRecord::DeltaApplied`] *before* applying, and applied as recovery
+/// will apply it: by replaying that record ([`Catalog::replay`]), with
+/// the catalog's own journal suspended so the deltas are not journaled
+/// twice (replaying both the `DeltaApplied` and per-row records would
+/// double-apply).
 pub fn apply_once(
     inbox: &mut GramInbox,
     catalog: &mut Catalog,
@@ -196,19 +200,21 @@ pub fn apply_once(
         inbox.duplicates_ignored += 1;
         return Ok(false);
     }
+    if let Some(rel) = catalog.get(&gram.gram.relation) {
+        rel.check_arity(gram.gram.delete.iter().chain(&gram.gram.insert))?;
+    }
     if let Some((link, journal)) = &inbox.durability {
-        journal.append(&WalRecord::DeltaApplied {
+        let rec = WalRecord::DeltaApplied {
             link: link.clone(),
             id: gram.id,
             relation: gram.gram.relation.clone(),
             insert: gram.gram.insert.clone(),
             delete: gram.gram.delete.clone(),
-        });
-        let suspended = catalog.detach_journal();
-        view.apply_gram(catalog, &gram.gram);
-        if let Some(j) = suspended {
-            catalog.attach_journal(j);
-        }
+        };
+        journal.append(&rec);
+        let mut batch = DeltaBatch::new();
+        add_change(&mut batch, &catalog.replay(&rec));
+        view.push_batch(&batch);
     } else {
         view.apply_gram(catalog, &gram.gram);
     }

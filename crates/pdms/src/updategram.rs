@@ -9,21 +9,22 @@
 //! An [`Updategram`] is a signed delta on one base relation. [`maintain`]
 //! applies a batch of updategrams to a catalog and brings a
 //! [`MaterializedView`] up to date, choosing between the two things the
-//! view can do — **incrementally** (each gram signed against the pre-state
-//! by [`gram_to_batch`] and pushed through the view's circuits, O(|Δ|)) or
-//! by **full recomputation** (apply the grams, re-plan, re-seed) — with a
-//! simple cost model: exactly the decision the paper assigns to the
-//! optimizer. Experiment E8 validates the crossover.
+//! view can do — **incrementally** (each gram applied through
+//! [`Catalog::apply`], and the signed rows it reports pushed through the
+//! view's circuits, O(|Δ|)) or by **full recomputation** (apply the grams,
+//! re-plan, re-seed) — with a simple cost model: exactly the decision the
+//! paper assigns to the optimizer. Experiment E8 validates the crossover.
 //!
 //! The delta rule lives in [`revere_query::dataflow`]: every join stage
 //! computes `Δ(A ⋈ B) = ΔA ⋈ (B + ΔB) + A ⋈ ΔB` against arranged state, so
 //! self-joins (the Δ⋈Δ term), stored duplicates and repeated delete rows
-//! need no special case here beyond the signing in [`gram_to_batch`].
+//! need no special case here: the catalog signs a gram where it applies
+//! it ([`revere_storage::Change`]).
 
 use crate::views::MaterializedView;
 use revere_query::dataflow::DeltaBatch;
 use revere_query::eval::EvalError;
-use revere_storage::{Catalog, Relation, Tuple};
+use revere_storage::{Catalog, Change, Relation, Tuple};
 
 /// A signed delta on one base relation.
 #[derive(Debug, Clone, Default)]
@@ -150,58 +151,41 @@ pub fn maintain(
     Ok(MaintenanceReport { choice, est_incremental, est_recompute })
 }
 
-/// Apply updategrams through the catalog's insert/delete paths, so
-/// statistics stay incrementally maintained and deletes note only the
-/// rows actually removed — an updategram deleting a row the relation
-/// never held must not desync the stats. Public so every caller
-/// applies grams with *exactly* the semantics [`gram_to_batch`] signs for
-/// (deletes first, every occurrence removed).
+/// Apply updategrams through [`Catalog::apply`] — deletes first, every
+/// copy removed, then inserts. Panics, before that gram is journaled or
+/// written, on a row whose arity is not its relation's.
 pub fn apply_updategrams(catalog: &mut Catalog, grams: &[Updategram]) {
     for g in grams {
-        for row in &g.delete {
-            catalog.delete(&g.relation, row);
-        }
-        for row in &g.insert {
-            catalog.insert(&g.relation, row.clone());
-        }
+        catalog.apply(&g.relation, &g.delete, &g.insert).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
-/// Convert one updategram into a [`DeltaBatch`], signed against the
-/// catalog's current (pre-gram) state: each insert list occurrence is
-/// `+1`; each *unique* delete row is `-m` where `m` is its current
-/// multiplicity (matching [`apply_updategrams`], whose physical delete
-/// removes every copy — the duplicate-tuple undercount the differential
-/// oracle arbitrates — while a row repeated within one delete list
-/// retracts once: the second physical delete removes nothing). Grams on
+/// The [`DeltaBatch`] applying one updategram would make of the
+/// catalog's current state ([`Catalog::sign`]): each insert is `+1`, each
+/// *distinct* delete row `-m` for its `m` current copies. Grams on
 /// unknown relations yield an empty batch.
-///
-/// The unique delete rows are sorted once and every multiplicity is
-/// counted in a single pass over the relation, so signing costs
-/// O(|relation| · log |delete|), not a relation scan per delete row.
 pub fn gram_to_batch(catalog: &Catalog, gram: &Updategram) -> DeltaBatch {
     let mut batch = DeltaBatch::new();
-    let Some(rel) = catalog.get(&gram.relation) else {
-        return batch;
-    };
-    let mut deletes: Vec<(&Tuple, i64)> = gram.delete.iter().map(|row| (row, 0)).collect();
-    // A stable sort keeps the first-listed spelling of equal rows in front.
-    deletes.sort_by(|a, b| a.0.cmp(b.0));
-    deletes.dedup_by(|later, kept| later.0 == kept.0);
-    if !deletes.is_empty() {
-        for r in rel.iter() {
-            if let Ok(i) = deletes.binary_search_by(|(d, _)| (*d).cmp(r)) {
-                deletes[i].1 += 1;
-            }
-        }
-    }
-    for (row, mult) in deletes {
-        batch.add(&gram.relation, row.clone(), -mult);
-    }
-    for row in &gram.insert {
-        batch.add(&gram.relation, row.clone(), 1);
-    }
+    add_change(&mut batch, &catalog.sign(&gram.relation, &gram.delete, &gram.insert));
     batch
+}
+
+/// Apply one updategram through [`Catalog::apply`] and return the signed
+/// rows it made, as a batch (or the arity error that refused it).
+pub(crate) fn apply_gram(
+    catalog: &mut Catalog,
+    gram: &Updategram,
+) -> Result<DeltaBatch, EvalError> {
+    let mut batch = DeltaBatch::new();
+    add_change(&mut batch, &catalog.apply(&gram.relation, &gram.delete, &gram.insert)?);
+    Ok(batch)
+}
+
+/// Add the signed rows a catalog reported to `batch`.
+pub(crate) fn add_change(batch: &mut DeltaBatch, change: &Change) {
+    for (row, w) in change.rows() {
+        batch.add(change.relation(), row.to_vec(), w);
+    }
 }
 
 #[cfg(test)]

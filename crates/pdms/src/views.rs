@@ -20,7 +20,7 @@
 //! are visible through [`MaterializedView::as_relation`] /
 //! [`MaterializedView::len`].
 
-use crate::updategram::{apply_updategrams, gram_to_batch, Updategram};
+use crate::updategram::{apply_gram, Updategram};
 use revere_query::dataflow::{Circuit, Delta, DeltaBatch};
 use revere_query::eval::{head_schema, EvalError};
 use revere_query::plan::plan_cq;
@@ -99,19 +99,17 @@ impl MaterializedView {
         Ok(())
     }
 
-    /// Push one updategram through the view **and** apply it to the
-    /// catalog (the delta is signed against the pre-gram state). Returns
+    /// Apply one updategram to the catalog ([`Catalog::apply`]) **and**
+    /// push the signed rows the apply reports through the view. Returns
     /// the set-level `(appeared, vanished)` diff — the updategram the
-    /// view's own consumers need.
+    /// view's own consumers need. Panics, before anything is journaled or
+    /// written, on a row whose arity is not its relation's.
     pub fn apply_gram(
         &mut self,
         catalog: &mut Catalog,
         gram: &Updategram,
     ) -> (Vec<Tuple>, Vec<Tuple>) {
-        let batch = gram_to_batch(catalog, gram);
-        let diff = self.push_batch(&batch);
-        apply_updategrams(catalog, std::slice::from_ref(gram));
-        diff
+        self.push_batch(&apply_gram(catalog, gram).unwrap_or_else(|e| panic!("{e}")))
     }
 
     /// Push a pre-built delta batch (already signed against the view's

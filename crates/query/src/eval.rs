@@ -30,12 +30,13 @@
 use crate::ast::{Atom, ConjunctiveQuery, Term, UnionQuery};
 use crate::plan::{plan_cq, Plan};
 use crate::vec::{eval_bindings, eval_planned};
-use revere_storage::{Catalog, Relation, RelSchema, Tuple, Value};
+use revere_storage::{ArityError, Catalog, Relation, RelSchema, Tuple, Value};
 use revere_util::obs::{Obs, SpanHandle};
 use std::collections::HashMap;
 
 /// Error raised when a query references a relation the catalog lacks or
-/// uses it at the wrong arity.
+/// uses it at the wrong arity, or when a change to a relation carries a
+/// row of the wrong arity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalError {
     /// Description of the problem.
@@ -49,6 +50,12 @@ impl std::fmt::Display for EvalError {
 }
 
 impl std::error::Error for EvalError {}
+
+impl From<ArityError> for EvalError {
+    fn from(e: ArityError) -> Self {
+        EvalError { message: e.to_string() }
+    }
+}
 
 /// Check every body atom up front: the relation must exist at the right
 /// arity. Centralized so the planned, traced, and naive evaluators agree

@@ -85,8 +85,8 @@ pub mod prelude {
         StepProfile, Strategy, UnionQuery, VecOpts, ViewDef,
     };
     pub use revere_storage::{
-        row_deltas, Catalog, ColumnVec, ColumnarBatch, DbSchema, Journal, RelSchema, Relation,
-        SelBitmap, TripleStore, Value, WalRecord,
+        Catalog, ColumnVec, ColumnarBatch, DbSchema, Journal, RelSchema, Relation, SelBitmap,
+        TripleStore, Value, WalRecord,
     };
     pub use revere_workload::{
         course_templates, PageGenerator, QueryMix, Topology, TopologyKind, University,

@@ -20,7 +20,7 @@
 //! torn multi-step update is then visible, which the simulation accepts
 //! in exchange for availability.
 
-use crate::relation::Relation;
+use crate::relation::{ArityError, Relation, Tuple};
 use crate::schema::{DbSchema, RelSchema};
 use crate::stats::{JoinStats, RelStats};
 use crate::value::Value;
@@ -38,6 +38,50 @@ struct Stored {
     stats: Arc<RelStats>,
 }
 
+impl Stored {
+    /// Append a row; the statistics follow.
+    fn push(&mut self, row: Tuple) {
+        // The relation first: its write drops the memo's reference to
+        // these statistics, so `make_mut` updates them in place instead
+        // of copying every histogram.
+        self.relation.insert(row);
+        let row = self.relation.rows().last().expect("just inserted");
+        Arc::make_mut(&mut self.stats).note_insert(row);
+    }
+}
+
+/// The signed rows one catalog change made to one relation, as a Z-set
+/// delta: `-m` once for each distinct deleted row that had `m` copies
+/// (spelled as listed first), `-1` for each row a re-registration
+/// replaced, `+1` for each inserted row. The rows are borrowed from the
+/// change itself, so reporting one copies none.
+#[derive(Debug, Default)]
+pub struct Change<'a> {
+    relation: &'a str,
+    /// Distinct deleted rows that had copies, sorted, with their counts.
+    deleted: Vec<(&'a [Value], usize)>,
+    /// The contents a re-registration replaced.
+    replaced: Option<Relation>,
+    /// The rows inserted, or a registration's new contents.
+    inserted: &'a [Tuple],
+}
+
+impl<'a> Change<'a> {
+    /// The relation changed.
+    pub fn relation(&self) -> &'a str {
+        self.relation
+    }
+
+    /// Every changed row with its weight: the deletes in row order, then
+    /// the replaced contents, then the inserts as listed.
+    pub fn rows(&self) -> impl Iterator<Item = (&[Value], i64)> + '_ {
+        let deleted = self.deleted.iter().map(|&(row, n)| (row, -(n as i64)));
+        let replaced = self.replaced.iter().flat_map(Relation::iter).map(|row| (&row[..], -1));
+        let inserted = self.inserted.iter().map(|row| (&row[..], 1));
+        deleted.chain(replaced).chain(inserted)
+    }
+}
+
 /// A named collection of relations.
 ///
 /// The catalog also owns the planner-facing metadata for its relations:
@@ -47,10 +91,12 @@ struct Stored {
 /// statistics it was costed against.
 ///
 /// Relations are written only through the catalog's own mutators —
-/// [`Catalog::register`] / [`Catalog::create`], [`Catalog::insert`],
-/// [`Catalog::delete`] — so every registered relation has current
-/// statistics at all times ([`Catalog::rel_stats`] is `Some` exactly when
-/// [`Catalog::get`] is).
+/// [`Catalog::register`] / [`Catalog::create`], [`Catalog::apply`] and its
+/// one-row cases [`Catalog::insert`] and [`Catalog::delete`] — so every
+/// registered relation has current statistics at all times
+/// ([`Catalog::rel_stats`] is `Some` exactly when [`Catalog::get`] is).
+/// [`Catalog::apply`] and [`Catalog::replay`] report the signed rows they
+/// made ([`Change`]), so no consumer of deltas recounts them.
 ///
 /// Relations share their rows and what is derived from them (see
 /// [`Relation`]), so registering a clone of another catalog's relation
@@ -61,10 +107,11 @@ struct Stored {
 ///
 /// A catalog may carry an attached [`Journal`]
 /// ([`Catalog::attach_journal`]); every mutator then journals a
-/// [`WalRecord`] *before* it touches memory, so the log is never behind
-/// the state and the catalog can be recovered after a crash via
-/// [`crate::wal::recover_catalog`] (snapshot + LSN suffix replay). The
-/// one exception is [`Catalog::absorb_join_stats`], a staging/merge API
+/// [`WalRecord`] *before* it touches memory (after checking every row's
+/// arity, so each record replays), so the log is never behind the state
+/// and the catalog can be recovered after a crash via
+/// [`crate::wal::recover_catalog`], the one catalog replay. The one
+/// exception is [`Catalog::absorb_join_stats`], a staging/merge API
 /// that durable catalogs do not use. `Clone` deliberately does **not**
 /// carry the journal: a clone is a value snapshot (staging catalogs,
 /// merged views), and double-journaling through copies would corrupt the
@@ -105,14 +152,6 @@ impl Catalog {
         self.journal = Some(journal);
     }
 
-    /// Detach the journal (mutations stop being journaled). Used to
-    /// suppress re-journaling while *replaying* history onto a catalog and
-    /// while applying an updategram already captured as one atomic
-    /// [`WalRecord::DeltaApplied`].
-    pub fn detach_journal(&mut self) -> Option<Journal> {
-        self.journal.take()
-    }
-
     /// The attached journal, if any.
     pub fn journal(&self) -> Option<&Journal> {
         self.journal.as_ref()
@@ -126,19 +165,30 @@ impl Catalog {
         }
     }
 
-    /// Apply one journaled record to this catalog (crash recovery). The
-    /// journal is suspended for the duration: replay must not re-journal
-    /// history. `DeltaSealed`/`DeltaAcked` records carry no catalog
-    /// effect and are ignored (the propagation layer folds them).
-    pub fn replay(&mut self, rec: &WalRecord) {
+    /// Apply one journaled record — crash recovery, and change capture
+    /// from a log — and return the signed rows it made: row records go
+    /// through [`Catalog::apply`], a `Register` retracts the contents it
+    /// replaces and asserts its own, and bookkeeping records change no
+    /// rows. The journal is suspended: replay must not re-journal history.
+    pub fn replay<'a>(&mut self, rec: &'a WalRecord) -> Change<'a> {
         let suspended = self.journal.take();
-        match rec {
-            WalRecord::Register { relation } => self.register(relation.clone()),
+        let change = match rec {
+            WalRecord::Register { relation } => {
+                let name = relation.schema.name.as_str();
+                let replaced = self.get(name).cloned();
+                self.register(relation.clone());
+                Change { relation: name, replaced, inserted: relation.rows(), ..Change::default() }
+            }
+            // A wrong-arity record predates the check that keeps such rows
+            // out of the log; it is skipped, as a live change is refused.
             WalRecord::Insert { relation, row } => {
-                self.insert(relation, row.clone());
+                self.apply(relation, &[], std::slice::from_ref(row)).unwrap_or_default()
             }
             WalRecord::Delete { relation, row } => {
-                self.delete(relation, row);
+                self.apply(relation, std::slice::from_ref(row), &[]).unwrap_or_default()
+            }
+            WalRecord::DeltaApplied { relation, insert, delete, .. } => {
+                self.apply(relation, delete, insert).unwrap_or_default()
             }
             WalRecord::JoinObserved { rel_a, col_a, rel_b, col_b, selectivity } => {
                 self.note_join_overlap(
@@ -148,23 +198,69 @@ impl Catalog {
                     *col_b as usize,
                     *selectivity,
                 );
+                Change::default()
             }
             WalRecord::JoinPurged { peer } => {
                 self.purge_join_stats(peer);
+                Change::default()
             }
-            WalRecord::DeltaApplied { relation, insert, delete, .. } => {
-                // Same order as updategram application: deletes, then
-                // inserts.
-                for row in delete {
-                    self.delete(relation, row);
-                }
-                for row in insert {
-                    self.insert(relation, row.clone());
-                }
-            }
-            WalRecord::DeltaSealed { .. } | WalRecord::DeltaAcked { .. } => {}
-        }
+            WalRecord::DeltaSealed { .. } | WalRecord::DeltaAcked { .. } => Change::default(),
+        };
         self.journal = suspended;
+        change
+    }
+
+    /// The signed rows [`Catalog::apply`] would make of this change,
+    /// without writing: one pass over the relation counts the copies of
+    /// every distinct deleted row. An unknown relation yields no rows.
+    pub fn sign<'a>(&self, rel: &'a str, delete: &'a [Tuple], insert: &'a [Tuple]) -> Change<'a> {
+        let Some(s) = self.relations.get(rel) else {
+            return Change { relation: rel, ..Change::default() };
+        };
+        let mut deleted: Vec<(&[Value], usize)> = delete.iter().map(|row| (&row[..], 0)).collect();
+        // A stable sort keeps the first-listed spelling of equal rows in front.
+        deleted.sort_by(|a, b| a.0.cmp(b.0));
+        deleted.dedup_by(|later, kept| later.0 == kept.0);
+        s.relation.count_copies(&mut deleted);
+        deleted.retain(|(_, n)| *n > 0);
+        Change { relation: rel, deleted, replaced: None, inserted: insert }
+    }
+
+    /// The row mutator, with an updategram's semantics: every copy of each
+    /// `delete` row goes (in one pass), then each `insert` row is
+    /// appended. Returns the signed rows it made ([`Catalog::sign`] of the
+    /// pre-state). Journals what single-row [`Catalog::delete`] and
+    /// [`Catalog::insert`] calls would: a `Delete` per listed row, then an
+    /// `Insert` per row. A row of the wrong arity refuses the whole change
+    /// before anything is journaled or written.
+    pub fn apply<'a>(
+        &mut self,
+        rel: &'a str,
+        delete: &'a [Tuple],
+        insert: &'a [Tuple],
+    ) -> Result<Change<'a>, ArityError> {
+        let change = self.sign(rel, delete, insert);
+        let Some(s) = self.relations.get_mut(rel) else {
+            return Ok(change);
+        };
+        s.relation.check_arity(delete.iter().chain(insert))?;
+        if let Some(j) = &self.journal {
+            for row in delete {
+                j.append(&WalRecord::Delete { relation: rel.to_string(), row: row.clone() });
+            }
+            for row in insert {
+                j.append(&WalRecord::Insert { relation: rel.to_string(), row: row.clone() });
+            }
+        }
+        s.relation.remove_all(&change.deleted);
+        for &(row, n) in &change.deleted {
+            Arc::make_mut(&mut s.stats).note_delete_n(row, n);
+        }
+        for row in insert {
+            s.push(row.clone());
+        }
+        self.epoch += (change.deleted.len() + insert.len()) as u64;
+        Ok(change)
     }
 
     /// Register (or replace) a relation under its schema name. Statistics
@@ -187,20 +283,21 @@ impl Catalog {
         self.relations.get(name).map(|s| &s.relation)
     }
 
-    /// Insert a row into a named relation. Returns `false` if the relation
+    /// Insert a row into a named relation: [`Catalog::apply`] of one
+    /// insert, taking the row by value. Returns `false` if the relation
     /// does not exist. Statistics follow incrementally — no rescan.
+    ///
+    /// # Panics
+    /// Panics, before journaling, if the row's arity is not the relation's.
     pub fn insert(&mut self, rel: &str, row: Vec<Value>) -> bool {
-        if !self.relations.contains_key(rel) {
+        let Some(s) = self.relations.get_mut(rel) else {
             return false;
+        };
+        s.relation.check_arity([&row]).unwrap_or_else(|e| panic!("{e}"));
+        if let Some(j) = &self.journal {
+            j.append(&WalRecord::Insert { relation: rel.to_string(), row: row.clone() });
         }
-        self.journal_record(|| WalRecord::Insert { relation: rel.to_string(), row: row.clone() });
-        // The relation first: its write drops the memo's reference to
-        // these statistics, so `make_mut` updates them in place instead
-        // of copying every histogram.
-        let s = self.relations.get_mut(rel).expect("checked above");
-        s.relation.insert(row);
-        let row = s.relation.rows().last().expect("just inserted");
-        Arc::make_mut(&mut s.stats).note_insert(row);
+        s.push(row);
         self.epoch += 1;
         true
     }
@@ -214,11 +311,12 @@ impl Catalog {
     /// even a delete that turns out to remove nothing (replaying a no-op
     /// delete is itself a no-op, so recovery stays faithful).
     pub fn delete(&mut self, rel: &str, row: &[Value]) -> usize {
-        if !self.relations.contains_key(rel) {
+        let Some(s) = self.relations.get_mut(rel) else {
             return 0;
+        };
+        if let Some(j) = &self.journal {
+            j.append(&WalRecord::Delete { relation: rel.to_string(), row: row.to_vec() });
         }
-        self.journal_record(|| WalRecord::Delete { relation: rel.to_string(), row: row.to_vec() });
-        let s = self.relations.get_mut(rel).expect("checked above");
         let removed = s.relation.delete(row);
         if removed > 0 {
             Arc::make_mut(&mut s.stats).note_delete_n(row, removed);
@@ -425,6 +523,114 @@ mod tests {
         assert_eq!(c.delete("missing", &[Value::str("x")]), 0);
     }
 
+    fn signed(change: &Change) -> Vec<(Vec<Value>, i64)> {
+        change.rows().map(|(row, w)| (row.to_vec(), w)).collect()
+    }
+
+    #[test]
+    fn apply_signs_the_pre_state_and_journals_what_single_row_calls_journal() {
+        use crate::wal::Journal;
+        let v = |s: &str| vec![Value::str(s)];
+        let setup = || {
+            let mut c = Catalog::new();
+            c.create(RelSchema::text("t", &["v"]));
+            for s in ["a", "b", "a"] {
+                c.insert("t", v(s));
+            }
+            let journal = Journal::new();
+            c.attach_journal(journal.clone());
+            (c, journal)
+        };
+        // A two-copy row listed twice, an absent row, a repeated insert.
+        let delete = [v("a"), v("ghost"), v("a")];
+        let insert = [v("c"), v("c")];
+        let (mut applied, journal) = setup();
+        let change = applied.apply("t", &delete, &insert).unwrap();
+        assert_eq!(change.relation(), "t");
+        assert_eq!(signed(&change), [(v("a"), -2), (v("c"), 1), (v("c"), 1)]);
+        let (mut by_row, by_row_journal) = setup();
+        for row in &delete {
+            by_row.delete("t", row);
+        }
+        for row in &insert {
+            by_row.insert("t", row.clone());
+        }
+        assert_eq!(journal.bytes(), by_row_journal.bytes(), "the log is byte-identical");
+        assert_eq!(applied.get("t"), by_row.get("t"));
+        assert_eq!(applied.rel_stats("t"), by_row.rel_stats("t"));
+        assert_eq!(applied.stats_epoch(), by_row.stats_epoch());
+        assert!(signed(&applied.apply("nope", &delete, &insert).unwrap()).is_empty());
+
+        // A wrong-arity row refuses the whole change, journaling nothing;
+        // a direct insert of one panics before it journals.
+        let before = journal.bytes();
+        let wide = [vec![Value::str("x"), Value::str("y")]];
+        let err = applied.apply("t", &[v("b")], &wide).unwrap_err();
+        assert_eq!(err.to_string(), "relation t has arity 1, row has 2");
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            applied.insert("t", vec![]);
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(journal.bytes(), before);
+        assert_eq!(applied.get("t"), by_row.get("t"));
+    }
+
+    #[test]
+    fn replay_reports_the_signed_rows_of_each_record() {
+        use crate::schema::Attribute;
+        use crate::wal::{Journal, WalRecord};
+        // A journaled catalog mutates; a shadow started from the same
+        // pre-state replays each record and reports what it changed.
+        let row = |t: &str, n: i64| vec![Value::str(t), Value::Int(n)];
+        let schema =
+            RelSchema::new("course", vec![Attribute::text("title"), Attribute::int("size")]);
+        let base = || {
+            let mut c = Catalog::new();
+            let rows = vec![row("Db", 120), row("Greece", 40)];
+            c.register(Relation::with_rows(schema.clone(), rows));
+            c
+        };
+        let (mut live, mut shadow) = (base(), base());
+        let journal = Journal::new();
+        live.attach_journal(journal.clone());
+        live.insert("course", row("Db", 120));
+        live.insert("course", row("Logic", 15));
+        live.delete("course", &row("Db", 120));
+        live.delete("course", &row("Ghost", 0));
+        live.register(Relation::with_rows(schema.clone(), vec![row("Rhetoric", 9)]));
+        live.note_join_overlap("A.r", 0, "B.s", 1, 0.5);
+        let records = journal.records();
+        let replayed: Vec<_> = records.iter().map(|(_, rec)| signed(&shadow.replay(rec))).collect();
+        assert_eq!(
+            replayed,
+            [
+                vec![(row("Db", 120), 1)],
+                vec![(row("Logic", 15), 1)],
+                vec![(row("Db", 120), -2)],
+                vec![],
+                vec![(row("Greece", 40), -1), (row("Logic", 15), -1), (row("Rhetoric", 9), 1)],
+                vec![],
+            ]
+        );
+        assert_eq!(shadow.get("course"), live.get("course"));
+
+        // A `DeltaApplied` is signed as the gram it journaled: a repeated
+        // delete row retracts once, inserts count per occurrence.
+        let gram = WalRecord::DeltaApplied {
+            link: "S→T".into(),
+            id: 1,
+            relation: "course".into(),
+            insert: vec![row("Logic", 15), row("Logic", 15)],
+            delete: vec![row("Rhetoric", 9), row("Rhetoric", 9)],
+        };
+        assert_eq!(
+            signed(&shadow.replay(&gram)),
+            [(row("Rhetoric", 9), -1), (row("Logic", 15), 1), (row("Logic", 15), 1)]
+        );
+        let lost = WalRecord::Insert { relation: "gone".into(), row: row("x", 1) };
+        assert!(signed(&shadow.replay(&lost)).is_empty(), "no rows for an unknown relation");
+    }
+
     #[test]
     fn join_overlap_feedback_bumps_the_epoch_only_on_material_change() {
         let mut c = Catalog::new();
@@ -461,7 +667,7 @@ mod tests {
 
     #[test]
     fn journaled_mutations_replay_to_the_same_catalog() {
-        use crate::wal::{encode_catalog, recover_catalog, Journal};
+        use crate::wal::{encode_catalog, recover_catalog, Journal, Wal};
         let mut c = Catalog::new();
         let journal = Journal::new();
         c.attach_journal(journal.clone());
@@ -473,7 +679,8 @@ mod tests {
         c.note_join_overlap("A.r", 0, "B.s", 1, 0.5); // re-observation journaled too
         c.note_join_overlap("Gone.r", 0, "B.s", 1, 0.25);
         c.purge_join_stats("Gone"); // a departed peer stays departed after a restart
-        let (rec, report) = recover_catalog(None, &journal.bytes()).expect("recovers");
+        let (log, _) = Wal::open(&journal.bytes());
+        let (rec, report) = recover_catalog(None, &log).expect("recovers");
         assert!(!report.snapshot_used);
         assert_eq!(encode_catalog(&rec, 0), encode_catalog(&c, 0));
         assert_eq!(
@@ -555,6 +762,10 @@ mod tests {
             let kept = fresh(c);
             c.delete("t", &[Value::str("ghost")]);
             assert!(Arc::ptr_eq(&kept, &fresh(c)));
+            c.apply("t", &[vec![Value::str("ghost")]], &[]).unwrap();
+            assert!(Arc::ptr_eq(&kept, &fresh(c)), "an apply that removes nothing leaves it too");
+            c.apply("t", &[vec![Value::str("b")]], &[vec![Value::str("d")]]).unwrap();
+            assert_eq!(fresh(c).rows(), 2, "stale image survived an apply");
             b3
         });
         // The images handed out earlier still describe the rows they

@@ -34,14 +34,14 @@ pub mod triples;
 pub mod value;
 pub mod wal;
 
-pub use catalog::{Catalog, SharedCatalog};
+pub use catalog::{Catalog, Change, SharedCatalog};
 pub use column::{ColumnVec, ColumnarBatch, SelBitmap};
-pub use relation::{Relation, Tuple};
+pub use relation::{ArityError, Relation, Tuple};
 pub use schema::{AttrType, Attribute, DbSchema, RelSchema};
 pub use stats::{mcv_join_overlap, ColumnStats, JoinObservation, JoinStats, RelStats};
 pub use triples::{Occupancy, Triple, TripleStore};
 pub use value::Value;
 pub use wal::{
-    decode_catalog, encode_catalog, recover_catalog, row_deltas, Journal, Lsn, RecoveryReport,
+    decode_catalog, encode_catalog, recover_catalog, Journal, Lsn, RecoveryReport,
     Wal, WalOpenReport, WalRecord,
 };

@@ -86,17 +86,21 @@ impl Relation {
     /// # Panics
     /// Panics if any row's arity differs from the schema's.
     pub fn with_rows(schema: RelSchema, rows: Vec<Tuple>) -> Self {
-        for row in &rows {
-            assert_eq!(
-                row.len(),
-                schema.arity(),
-                "row arity {} != schema arity {} for {}",
-                row.len(),
-                schema.arity(),
-                schema.name
-            );
+        let rel = Relation { schema, shared: Arc::new(Shared { rows, ..Shared::default() }) };
+        rel.check_arity(rel.rows()).unwrap_or_else(|e| panic!("{e}"));
+        rel
+    }
+
+    /// Refuse rows whose arity is not the schema's, naming the first.
+    pub fn check_arity<'r>(
+        &self,
+        rows: impl IntoIterator<Item = &'r Tuple>,
+    ) -> Result<(), ArityError> {
+        let (relation, arity) = (&self.schema.name, self.schema.arity());
+        match rows.into_iter().find(|row| row.len() != arity) {
+            Some(row) => Err(ArityError { relation: relation.clone(), arity, row: row.len() }),
+            None => Ok(()),
         }
-        Relation { schema, shared: Arc::new(Shared { rows, ..Shared::default() }) }
     }
 
     /// The rows for writing: unshared (copied first if another handle
@@ -114,28 +118,41 @@ impl Relation {
     /// # Panics
     /// Panics if the tuple's arity differs from the schema's.
     pub fn insert(&mut self, row: Tuple) {
-        assert_eq!(
-            row.len(),
-            self.schema.arity(),
-            "row arity {} != schema arity {} for {}",
-            row.len(),
-            self.schema.arity(),
-            self.schema.name
-        );
+        self.check_arity([&row]).unwrap_or_else(|e| panic!("{e}"));
         self.rows_mut().push(row);
     }
 
     /// Remove every occurrence of `row`; returns how many were removed.
     pub fn delete(&mut self, row: &[Value]) -> usize {
-        // Look before writing: a delete of an absent row must not copy
-        // shared rows or discard a memo that still holds.
-        if !self.iter().any(|r| r.as_slice() == row) {
-            return 0;
+        let mut found = [(row, 0)];
+        self.count_copies(&mut found);
+        self.remove_all(&found);
+        found[0].1
+    }
+
+    /// Count, in one pass, the copies held of each row in `rows` (sorted,
+    /// no two equal), adding each count beside its row. Every delete's
+    /// multiplicities are counted here and nowhere else.
+    pub fn count_copies(&self, rows: &mut [(&[Value], usize)]) {
+        if rows.is_empty() {
+            return;
         }
-        let rows = self.rows_mut();
-        let before = rows.len();
-        rows.retain(|r| r.as_slice() != row);
-        before - rows.len()
+        for r in self.iter() {
+            if let Ok(i) = rows.binary_search_by(|(d, _)| (*d).cmp(r.as_slice())) {
+                rows[i].1 += 1;
+            }
+        }
+    }
+
+    /// Remove, in one pass, every copy of the rows [`Relation::count_copies`]
+    /// counted. Writes nothing when it found none: a delete of absent rows
+    /// must not copy shared rows or discard a memo that still holds.
+    pub fn remove_all(&mut self, rows: &[(&[Value], usize)]) {
+        if rows.iter().all(|(_, n)| *n == 0) {
+            return;
+        }
+        self.rows_mut()
+            .retain(|r| rows.binary_search_by(|(d, _)| (*d).cmp(r.as_slice())).is_err());
     }
 
     /// Statistics of the current rows, computed on first use and shared
@@ -247,6 +264,23 @@ impl Relation {
         out
     }
 }
+
+/// A row whose arity is not its relation's. A change that carries one is
+/// refused whole, before anything is journaled or written.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArityError {
+    relation: String,
+    arity: usize,
+    row: usize,
+}
+
+impl fmt::Display for ArityError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "relation {} has arity {}, row has {}", self.relation, self.arity, self.row)
+    }
+}
+
+impl std::error::Error for ArityError {}
 
 impl fmt::Display for Relation {
     /// Prints an ASCII table; used by examples and the `report` binary.

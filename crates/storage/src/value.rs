@@ -57,15 +57,6 @@ impl Value {
         }
     }
 
-    /// Numeric view: `Int` and `Float` as `f64`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
     /// Rank used to order across variants: Null < Bool < numeric < Str.
     fn type_rank(&self) -> u8 {
         match self {

@@ -657,11 +657,6 @@ impl Journal {
         Self::default()
     }
 
-    /// Wrap an already-opened log (e.g. after crash recovery).
-    pub fn from_wal(wal: Wal) -> Self {
-        Journal { inner: Arc::new(Mutex::new(wal)) }
-    }
-
     fn with<T>(&self, f: impl FnOnce(&mut Wal) -> T) -> T {
         f(&mut self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
     }
@@ -812,19 +807,13 @@ pub struct RecoveryReport {
     pub replayed: usize,
     /// Log records skipped as already captured by the snapshot.
     pub skipped: usize,
-    /// What opening the log found (torn tail, header state).
-    pub open: WalOpenReport,
 }
 
-/// Recover a catalog from an optional snapshot plus the serialized log:
-/// decode the snapshot, then replay only the records with `lsn >= as_of`
-/// — the LSN suffix, not full history. Returns `None` only when snapshot
-/// bytes are present but corrupt (a torn *log* tail is recovered, but a
-/// corrupt snapshot means the baseline itself is gone).
-pub fn recover_catalog(
-    snapshot: Option<&[u8]>,
-    log_bytes: &[u8],
-) -> Option<(Catalog, RecoveryReport)> {
+/// The one catalog replay: decode an optional snapshot, then replay only
+/// the records of an opened log ([`Wal::open`] cut any torn tail) with
+/// `lsn >= as_of` — the LSN suffix, not full history. Returns `None` only
+/// when snapshot bytes are present but corrupt: the baseline is gone.
+pub fn recover_catalog(snapshot: Option<&[u8]>, wal: &Wal) -> Option<(Catalog, RecoveryReport)> {
     let mut report = RecoveryReport::default();
     let mut cat = match snapshot {
         Some(bytes) => {
@@ -835,8 +824,6 @@ pub fn recover_catalog(
         }
         None => Catalog::new(),
     };
-    let (wal, open) = Wal::open(log_bytes);
-    report.open = open;
     for (lsn, rec) in wal.records() {
         if *lsn < report.as_of {
             report.skipped += 1;
@@ -846,84 +833,6 @@ pub fn recover_catalog(
         }
     }
     Some((cat, report))
-}
-
-// ---------------------------------------------------------------------------
-// Change-data capture: journal records as signed row deltas
-// ---------------------------------------------------------------------------
-
-/// Expand journaled mutations into Z-set row deltas — `(relation, row,
-/// weight)` with `+1` per inserted occurrence and `-m` for a delete of a
-/// row stored with multiplicity `m` (matching [`Catalog::delete`], which
-/// removes every copy). The caller supplies a `shadow` catalog mirroring
-/// the journaled catalog's state *before* `records`; each record is
-/// replayed into it as its delta is extracted, so delete multiplicities
-/// and `Register` replacements are read from the correct pre-state, and
-/// consecutive calls over consecutive LSN windows compose. Non-row
-/// records (`JoinObserved`, `JoinPurged`, seal/ack bookkeeping) contribute
-/// nothing; `Register` retracts the previous contents wholesale and
-/// asserts the new; `DeltaApplied` expands like the updategram it
-/// journaled — deletes first (repeated rows retract once), then inserts.
-pub fn row_deltas(
-    records: &[(Lsn, WalRecord)],
-    shadow: &mut Catalog,
-) -> Vec<(String, Tuple, i64)> {
-    fn mult(shadow: &Catalog, rel: &str, row: &[Value]) -> i64 {
-        shadow.get(rel).map_or(0, |r| r.iter().filter(|t| t.as_slice() == row).count() as i64)
-    }
-    let mut out: Vec<(String, Tuple, i64)> = Vec::new();
-    for (_, rec) in records {
-        match rec {
-            WalRecord::Register { relation } => {
-                let name = &relation.schema.name;
-                if let Some(old) = shadow.get(name) {
-                    for row in old.iter() {
-                        out.push((name.clone(), row.clone(), -1));
-                    }
-                }
-                for row in relation.iter() {
-                    out.push((name.clone(), row.clone(), 1));
-                }
-            }
-            WalRecord::Insert { relation, row } => {
-                if shadow.get(relation).is_some() {
-                    out.push((relation.clone(), row.clone(), 1));
-                }
-            }
-            WalRecord::Delete { relation, row } => {
-                let m = mult(shadow, relation, row);
-                if m > 0 {
-                    out.push((relation.clone(), row.clone(), -m));
-                }
-            }
-            WalRecord::DeltaApplied { relation, insert, delete, .. } => {
-                if shadow.get(relation).is_some() {
-                    // Repeated delete rows in one gram retract once; the
-                    // per-row replay below removes every copy regardless.
-                    let mut seen: Vec<&Tuple> = Vec::new();
-                    for row in delete {
-                        if seen.contains(&row) {
-                            continue;
-                        }
-                        seen.push(row);
-                        let m = mult(shadow, relation, row);
-                        if m > 0 {
-                            out.push((relation.clone(), row.clone(), -m));
-                        }
-                    }
-                    for row in insert {
-                        out.push((relation.clone(), row.clone(), 1));
-                    }
-                }
-            }
-            WalRecord::JoinObserved { .. }
-            | WalRecord::JoinPurged { .. }
-            | WalRecord::DeltaSealed { .. }
-            | WalRecord::DeltaAcked { .. } => {}
-        }
-        shadow.replay(rec);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -943,61 +852,6 @@ mod tests {
         r.insert(vec![Value::str("Databases"), Value::Int(120)]);
         r.insert(vec![Value::str("Ancient Greece"), Value::Int(40)]);
         r
-    }
-
-    #[test]
-    fn row_deltas_track_multiplicity_and_compose_across_windows() {
-        // A journaled catalog mutates; a shadow started from the same
-        // pre-state must reconstruct every change as signed deltas.
-        let mut cat = Catalog::new();
-        cat.register(sample_relation());
-        let mut shadow = Catalog::new();
-        shadow.register(sample_relation());
-        let journal = Journal::new();
-        cat.attach_journal(journal.clone());
-
-        let dup = vec![Value::str("Databases"), Value::Int(120)];
-        cat.insert("course", dup.clone()); // multiplicity 2
-        cat.insert("course", vec![Value::str("Logic"), Value::Int(15)]);
-        let first: Vec<_> = journal.records();
-        let d1 = row_deltas(&first, &mut shadow);
-        assert_eq!(
-            d1,
-            vec![
-                ("course".to_string(), dup.clone(), 1),
-                ("course".to_string(), vec![Value::str("Logic"), Value::Int(15)], 1),
-            ]
-        );
-
-        // Second window: the delete retracts BOTH stored copies, and the
-        // shadow (already advanced past window one) knows the right count.
-        cat.delete("course", &dup);
-        let second = journal.records_from(first.len() as u64);
-        assert_eq!(second.len(), 1, "only the unread suffix");
-        let d2 = row_deltas(&second, &mut shadow);
-        assert_eq!(d2, vec![("course".to_string(), dup.clone(), -2)]);
-        assert!(!shadow.get("course").expect("shadow has course").contains(&dup));
-
-        // DeltaApplied expands like the gram it journaled: repeated
-        // delete rows retract once, inserts count per occurrence.
-        let gram_rec = WalRecord::DeltaApplied {
-            link: "S→T".into(),
-            id: 1,
-            relation: "course".into(),
-            insert: vec![vec![Value::str("Rhetoric"), Value::Int(9)]],
-            delete: vec![
-                vec![Value::str("Logic"), Value::Int(15)],
-                vec![Value::str("Logic"), Value::Int(15)],
-            ],
-        };
-        let d3 = row_deltas(&[(99, gram_rec)], &mut shadow);
-        assert_eq!(
-            d3,
-            vec![
-                ("course".to_string(), vec![Value::str("Logic"), Value::Int(15)], -1),
-                ("course".to_string(), vec![Value::str("Rhetoric"), Value::Int(9)], 1),
-            ]
-        );
     }
 
     #[test]
@@ -1184,15 +1038,15 @@ mod tests {
         live.insert("t", vec![Value::str("b")]);
         live.delete("t", &[Value::str("a")]);
 
-        let (rec, report) =
-            recover_catalog(Some(&snap), &journal.bytes()).expect("recovers");
+        let (wal, _) = Wal::open(&journal.bytes());
+        let (rec, report) = recover_catalog(Some(&snap), &wal).expect("recovers");
         assert!(report.snapshot_used);
         assert_eq!(report.replayed, 2, "only the post-snapshot suffix");
         assert_eq!(report.skipped, 2, "pre-snapshot records are skipped");
         assert_eq!(encode_catalog(&rec, 0), encode_catalog(&live, 0));
 
         // Full-history replay (no snapshot) lands in the same state.
-        let (rec2, report2) = recover_catalog(None, &journal.bytes()).expect("recovers");
+        let (rec2, report2) = recover_catalog(None, &wal).expect("recovers");
         assert!(!report2.snapshot_used);
         assert_eq!(report2.replayed, 4);
         assert_eq!(encode_catalog(&rec2, 0), encode_catalog(&live, 0));

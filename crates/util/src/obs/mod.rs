@@ -758,7 +758,7 @@ impl fmt::Display for MetricsSnapshot {
 // ---------------------------------------------------------------------------
 
 /// How an [`Obs`] handle records: unbounded vs flight-recorder tracing,
-/// cumulative vs windowed metrics, full vs head-sampled spans. The
+/// full vs head-sampled spans. The
 /// default (`Obs::enabled()`) is the golden-trace configuration: retain
 /// everything, sample nothing away.
 #[derive(Debug, Clone, Default)]
@@ -766,9 +766,6 @@ pub struct ObsConfig {
     /// `Some(n)` bounds the tracer to a flight-recorder ring of `n`
     /// finished spans ([`Tracer::flight`]); `None` retains every span.
     pub flight_capacity: Option<usize>,
-    /// `Some(k)` makes the metrics registry windowed, retaining the last
-    /// `k` rotated windows ([`Metrics::windowed`]).
-    pub metric_windows: Option<usize>,
     /// `Some(r)` head-samples root spans at rate `r` (`0.0..=1.0`): a
     /// pure-hash draw on `(sample_seed, root ordinal)` keeps the span
     /// tree for ~`r` of the roots and drops it (children included,
@@ -829,20 +826,16 @@ impl Obs {
     }
 
     /// A live handle configured for production telemetry: flight-recorder
-    /// capacity, windowed metrics, head sampling — any subset.
+    /// capacity, head sampling, or both.
     pub fn with_config(cfg: ObsConfig) -> Self {
         let tracer = match cfg.flight_capacity {
             Some(cap) => Tracer::flight(cap),
             None => Tracer::new(),
         };
-        let metrics = match cfg.metric_windows {
-            Some(k) => Metrics::windowed(k),
-            None => Metrics::new(),
-        };
         let sampler = cfg
             .sample_rate
             .map(|rate| Sampler { rate, seed: cfg.sample_seed, roots: Mutex::new(0) });
-        Obs { inner: Some(Arc::new(ObsCore { tracer, metrics, sampler })) }
+        Obs { inner: Some(Arc::new(ObsCore { tracer, metrics: Metrics::new(), sampler })) }
     }
 
     /// The no-op handle (no allocation).
@@ -890,14 +883,6 @@ impl Obs {
     pub fn advance(&self, n: u64) {
         if let Some(c) = &self.inner {
             c.tracer.advance(n);
-        }
-    }
-
-    /// Rotate the metrics window ([`Metrics::rotate_window`]); no-op when
-    /// disabled or cumulative-only.
-    pub fn rotate_window(&self) {
-        if let Some(c) = &self.inner {
-            c.metrics.rotate_window();
         }
     }
 
@@ -1320,7 +1305,6 @@ mod tests {
         o.inc("x", 1);
         o.observe("y", 2);
         o.advance(10);
-        o.rotate_window();
         let s = o.span("nothing");
         assert!(!s.is_recording());
         s.child("nested").set("k", "v");

@@ -68,8 +68,10 @@ done
 # dataset joins/leaves), a view that always pushes the delta through its
 # circuits and a view driven by `maintain`'s policy (the cost model's own
 # choice per gram, plus a forced re-seed every fifth) must both equal a
-# from-scratch recompute of their defining query, byte for byte. Override
-# the seed set with
+# from-scratch recompute of their defining query, byte for byte; and
+# subscriptions over a durable peer, under publishes, direct writes,
+# checkpoints and restarts, must equal a one-shot query after every step
+# (change capture from the WAL). Override the seed set with
 # REVERE_IVM_SEEDS="1 2 3" scripts/verify.sh
 for seed in ${REVERE_IVM_SEEDS:-7 42 1003}; do
     echo "ivm differential gate: seed $seed"
@@ -167,8 +169,8 @@ done
 # flagged set equals the injected degraded-peer set (zero misses, zero
 # false positives), that every detection lands within
 # REVERE_E19_MAX_DETECT_TICKS (default 8), and that the production
-# observability profile (5% sampled tracing + flight recorder + windowed
-# metrics) costs at most REVERE_E19_MAX_OVERHEAD_PCT (default 50%) over
+# observability profile (5% sampled tracing + flight recorder) costs at
+# most REVERE_E19_MAX_OVERHEAD_PCT (default 50%) over
 # Obs::disabled() — running the report IS the gate, like E15.
 echo "telemetry gate: seed ${REVERE_E19_SEED:-1003}, max detect ${REVERE_E19_MAX_DETECT_TICKS:-8} ticks, max overhead ${REVERE_E19_MAX_OVERHEAD_PCT:-50}%"
 cargo run --release --offline -p revere-bench --bin report E19

@@ -13,6 +13,12 @@
 //! gram, and a forced re-seed every [`RESEED_EVERY`]-th — so one view
 //! alternates between push and re-plan-and-re-seed mid-stream.
 //!
+//! A second arm checks change capture from the WAL: two subscriptions
+//! over a durable peer — a local join and a query across a mapping — held
+//! to a one-shot query after every step of a seeded mix of publishes,
+//! direct writes (inserts, multi-copy and absent deletes, same-schema
+//! re-registrations), checkpoints and clean restarts.
+//!
 //! Seeding: `REVERE_IVM_SEED` (default 7) offsets every generator;
 //! `scripts/verify.sh` sweeps `REVERE_IVM_SEEDS` (default `7 42 1003`).
 
@@ -241,4 +247,143 @@ fn one_circuit_survives_a_long_gram_stream() {
         run_case(90_001, 250).or_else(|| run_case(90_002, 250)).is_some(),
         "soak cases failed to compile a circuit"
     );
+}
+
+// ---------------------------------------------------------------------
+// Change capture from the WAL: subscriptions over a durable peer
+// ---------------------------------------------------------------------
+
+/// A binary int relation named `name`.
+fn int_pair(name: impl Into<String>) -> RelSchema {
+    RelSchema::new(name, vec![Attribute::int("c0"), Attribute::int("c1")])
+}
+
+/// The subscriptions of [`run_durable_case`]: (name, peer, query) — a
+/// join local to the durable peer, and a query at `V` that the mapping
+/// `D.r ⟶ V.t` answers partly from `D`.
+const DURABLE_SUBSCRIPTIONS: [(&str, &str, &str); 2] = [
+    ("local", "D", "q(A, C) :- D.r(A, B), D.s(B, C)"),
+    ("mapped", "V", "q(A, B) :- V.t(A, B)"),
+];
+
+/// A network of a durable peer `D` (relations `r`, `s`) and a peer `V`
+/// (relation `t`) with a mapping from `D.r` into `V.t`.
+fn durable_network(g: &mut Gen) -> PdmsNetwork {
+    let mut net = PdmsNetwork::new();
+    for (peer, rels) in [("D", &["r", "s"][..]), ("V", &["t"][..])] {
+        let mut p = Peer::new(peer);
+        for name in rels {
+            p.add_relation(Relation::with_rows(int_pair(*name), g.vec(0..8, random_row)));
+        }
+        net.add_peer(p);
+    }
+    net.add_mapping(
+        GlavMapping::parse("m", "D", "V", "m(A, B) :- D.r(A, B) ==> m(A, B) :- V.t(A, B)")
+            .expect("mapping parses"),
+    );
+    net.enable_durability("D").expect("D is a member");
+    net
+}
+
+/// One direct write on `D`'s catalog through `storage.write`, bypassing
+/// `publish`: an insert, a delete of a stored row (every copy goes), a
+/// delete of a row that may be absent, or a re-registration of a
+/// relation under the same schema. Returns what it did.
+fn direct_write(g: &mut Gen, net: &PdmsNetwork) -> String {
+    let rel = *g.pick(&["r", "s"]);
+    let qualified = format!("D.{rel}");
+    let peer = net.peer("D").expect("D is a member");
+    peer.storage.write(|c| match g.random_range(0..4u8) {
+        0 => {
+            let row = random_row(g);
+            c.insert(&qualified, row.clone());
+            format!("insert {row:?} into {qualified}")
+        }
+        1 if !c.get(&qualified).expect("D stores it").is_empty() => {
+            let row = g.pick(c.get(&qualified).expect("D stores it").rows()).clone();
+            let removed = c.delete(&qualified, &row);
+            format!("delete {row:?} from {qualified} ({removed} copies)")
+        }
+        1 | 2 => {
+            let row = random_row(g);
+            let removed = c.delete(&qualified, &row);
+            format!("delete maybe-absent {row:?} from {qualified} ({removed} copies)")
+        }
+        _ => {
+            let rows = g.vec(0..8, random_row);
+            let n = rows.len();
+            c.register(Relation::with_rows(int_pair(qualified.as_str()), rows));
+            format!("register {qualified} with {n} rows")
+        }
+    })
+}
+
+/// A random published gram on one of `D`'s relations.
+fn published_gram(g: &mut Gen, net: &PdmsNetwork) -> Updategram {
+    let relation = format!("D.{}", g.pick(&["r", "s"]));
+    let stored = net
+        .peer("D")
+        .expect("D is a member")
+        .storage
+        .read(|c| c.get(&relation).expect("D stores it").rows().to_vec());
+    let mut delete = g.vec(0..3, random_row);
+    if !stored.is_empty() && g.random_bool(0.6) {
+        let row = g.pick(&stored).clone();
+        delete.push(row.clone());
+        delete.push(row);
+    }
+    Updategram { relation, insert: g.vec(0..3, random_row), delete }
+}
+
+/// Drive one seeded schedule of publishes, direct writes, checkpoints
+/// and clean restarts of `D`; after every step, absorb the journal and
+/// hold each subscription to a one-shot query at its peer.
+fn run_durable_case(case: u64, steps: usize) {
+    let mut g = case_gen(case);
+    let mut net = durable_network(&mut g);
+    for (name, peer, text) in DURABLE_SUBSCRIPTIONS {
+        net.subscribe_str(peer, name, text).expect("subscribes");
+    }
+    for step in 0..steps {
+        let what = match g.random_range(0..10u8) {
+            0..=2 => {
+                let gram = published_gram(&mut g, &net);
+                net.publish(&gram).expect("D stores the relation");
+                format!("publish {gram:?}")
+            }
+            3..=6 => {
+                let mut what = direct_write(&mut g, &net);
+                // A checkpoint may land before anyone reads the write.
+                if g.random_bool(0.3) {
+                    net.checkpoint_peer("D").expect("D is durable");
+                    what.push_str(", then checkpoint");
+                }
+                what
+            }
+            7 => {
+                net.checkpoint_peer("D").expect("D is durable");
+                "checkpoint".to_string()
+            }
+            _ => {
+                net.restart_peer("D").expect("D restarts cleanly");
+                "restart".to_string()
+            }
+        };
+        net.sync_durable_subscriptions();
+        for (name, peer, text) in DURABLE_SUBSCRIPTIONS {
+            let oneshot = net.query_str(peer, text).expect("query runs").answers;
+            assert_eq!(
+                net.subscription(name).expect("subscribed").answers().rows(),
+                oneshot.rows(),
+                "case {case}, step {step} ({what}): subscription `{name}` drifted"
+            );
+        }
+    }
+}
+
+#[test]
+fn subscriptions_over_a_durable_peer_track_direct_writes_through_the_wal() {
+    for case in 0..8u64 {
+        run_durable_case(70_000 + case, 40);
+    }
 }

@@ -372,3 +372,63 @@ fn network_level_restart_preserves_query_answers() {
     let after = net.query_str("A", "q(T) :- A.course(T)").expect("query");
     assert_eq!(before.answers, after.answers);
 }
+
+// ---------------------------------------------------------------------
+// A row of the wrong arity never reaches the log
+// ---------------------------------------------------------------------
+
+#[test]
+fn publish_refuses_a_wrong_arity_row_before_the_owner_journals_it() {
+    let mut net = PdmsNetwork::new();
+    let mut p = Peer::new("B");
+    p.add_relation(Relation::with_rows(
+        RelSchema::text("course", &["title"]),
+        vec![vec![Value::str("Algebra")]],
+    ));
+    net.add_peer(p);
+    net.enable_durability("B").expect("B is a member");
+    net.subscribe_str("B", "all", "q(T) :- B.course(T)").expect("subscribes");
+    let rows = |net: &PdmsNetwork| {
+        net.peer("B").unwrap().storage.read(|c| c.get("B.course").unwrap().rows().to_vec())
+    };
+    let (before, log) = (rows(&net), net.disk("B").unwrap().log_len());
+    // The bad row comes last: the delete and the good insert before it
+    // must not happen either.
+    let gram = Updategram {
+        relation: "B.course".into(),
+        insert: vec![vec![Value::str("Logic")], vec![Value::str("Logic"), Value::Int(3)]],
+        delete: vec![vec![Value::str("Algebra")]],
+    };
+    let err = net.publish(&gram).unwrap_err();
+    let PdmsError::Eval(e) = &err else { panic!("{err:?}") };
+    assert_eq!(e.message, "relation B.course has arity 1, row has 2");
+    assert_eq!(rows(&net), before, "the owner is untouched");
+    assert_eq!(net.disk("B").unwrap().log_len(), log, "nothing was journaled");
+    assert_eq!(net.subscription("all").unwrap().answers().rows(), before);
+    net.restart_peer("B").expect("the log replays");
+    assert_eq!(rows(&net), before);
+}
+
+#[test]
+fn ship_refuses_a_wrong_arity_row_before_the_receiver_journals_it() {
+    let disk = PeerDisk::new();
+    let mut dst = course_catalog("Dst.course");
+    dst.attach_journal(disk.journal());
+    checkpoint(&disk, &dst, &[], &[]);
+    let mut inbox = GramInbox::durable("Src", disk.journal());
+    let mut view = replica_view(&dst, "Dst.course");
+    let mut link = ReliableLink::new("Dst", FaultPlan::default());
+    let row = vec![Value::str("c0"), Value::str("x")];
+    let good = link.seal(Updategram::inserts("Dst.course", vec![row]));
+    assert!(link.ship(&good, &mut inbox, &mut dst, &mut view).expect("ships").applied);
+    let bad = link.seal(Updategram::inserts("Dst.course", vec![vec![Value::str("c1")]]));
+    let err = link.ship(&bad, &mut inbox, &mut dst, &mut view).unwrap_err();
+    assert_eq!(err.message, "relation Dst.course has arity 2, row has 1");
+    assert!(!inbox.is_seen(bad.id), "a refused gram is not accepted");
+
+    let rec = recover(&disk).expect("the log replays");
+    let rows = |c: &Catalog| c.get("Dst.course").unwrap().rows().to_vec();
+    assert_eq!(rows(&rec.catalog), rows(&dst));
+    let restored = &rec.inboxes["Src"];
+    assert!(restored.is_seen(good.id) && !restored.is_seen(bad.id));
+}

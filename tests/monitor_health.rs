@@ -180,7 +180,6 @@ fn flight_recorder_memory_is_fixed_over_a_10x_e13_trace() {
         let mut net = build_network(seed(), 6);
         net.obs = Obs::with_config(ObsConfig {
             flight_capacity: Some(capacity),
-            metric_windows: Some(8),
             sample_rate: None,
             sample_seed: seed(),
         });
@@ -189,7 +188,6 @@ fn flight_recorder_memory_is_fixed_over_a_10x_e13_trace() {
     let templates = course_templates("P0", 12);
     for i in 0..queries {
         net.query_str("P0", &templates[i % templates.len()]).expect("query runs");
-        net.obs.rotate_window();
     }
     let tracer = net.obs.tracer().expect("flight recorder is on");
     assert_eq!(tracer.capacity(), Some(capacity));

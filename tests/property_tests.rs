@@ -611,6 +611,92 @@ fn circuit_over_mixed_spellings_matches_recompute() {
     });
 }
 
+/// The catalog's one signing rule against a bag-difference oracle. Bags
+/// hold duplicates in `Int(k)`/`Float(k)` spellings; grams carry
+/// repeated, absent and respelled deletes, and some name an unknown
+/// relation. Per distinct row, post − pre equals (a) what
+/// [`Catalog::apply`] reports, (b) [`gram_to_batch`] on the pre-state,
+/// (c) what [`Catalog::replay`] reports for the journaled records — and
+/// for the gram journaled whole as a `DeltaApplied` — replayed onto
+/// clones of the pre-state; and (d) the apply journals the bytes the same
+/// change written as single-row `delete`/`insert` calls journals.
+#[test]
+fn catalog_signs_every_change_as_the_bag_difference() {
+    use revere::storage::{Change, Tuple};
+    fn signed(change: &Change) -> Delta {
+        Delta::from_pairs(change.rows().map(|(row, w)| (row.to_vec(), w)))
+    }
+    fn respelled(row: &[Value]) -> Tuple {
+        row.iter()
+            .map(|v| match v {
+                Value::Int(k) => Value::Float(*k as f64),
+                Value::Float(f) => Value::Int(*f as i64),
+                other => other.clone(),
+            })
+            .collect()
+    }
+    fn journaled(pre: &Catalog) -> (Catalog, Journal) {
+        let (mut c, journal) = (pre.clone(), Journal::new());
+        c.attach_journal(journal.clone());
+        (c, journal)
+    }
+    forall(256, |g| {
+        let mut pre = Catalog::new();
+        let rows = g.vec(0..10, |g| vec![gen_num(g), gen_num(g)]);
+        pre.register(Relation::with_rows(RelSchema::text("r", &["a", "b"]), rows));
+        let stored = pre.get("r").unwrap().rows().to_vec();
+        let mut delete = g.vec(0..3, |g| vec![gen_num(g), gen_num(g)]);
+        if !stored.is_empty() && g.random_bool(0.7) {
+            let row = g.pick(&stored).clone();
+            delete.push(respelled(&row));
+            delete.push(row);
+        }
+        let gram = Updategram {
+            relation: if g.random_bool(0.85) { "r" } else { "nope" }.into(),
+            insert: g.vec(0..3, |g| vec![gen_num(g), gen_num(g)]),
+            delete,
+        };
+        let rel = gram.relation.as_str();
+
+        let (mut post, journal) = journaled(&pre);
+        let applied = signed(&post.apply(rel, &gram.delete, &gram.insert).unwrap());
+        let mut oracle = Delta::from_pairs(post.get("r").unwrap().iter().map(|r| (r.clone(), 1)));
+        oracle.merge(&Delta::from_pairs(stored.iter().map(|r| (r.clone(), -1))));
+        assert_eq!(applied, oracle, "(a) apply of {gram:?}");
+
+        let batch = gram_to_batch(&pre, &gram);
+        assert_eq!(batch.get("r").cloned().unwrap_or_default(), oracle, "(b) gram_to_batch");
+
+        let mut replica = pre.clone();
+        let mut replayed = Delta::new();
+        for (_, rec) in journal.records() {
+            replayed.merge(&signed(&replica.replay(&rec)));
+        }
+        assert_eq!(replayed, oracle, "(c) replay of the journaled records");
+        assert_eq!(replica.get("r"), post.get("r"));
+        let whole = WalRecord::DeltaApplied {
+            link: "L".into(),
+            id: 0,
+            relation: gram.relation.clone(),
+            insert: gram.insert.clone(),
+            delete: gram.delete.clone(),
+        };
+        assert_eq!(signed(&pre.clone().replay(&whole)), oracle, "(c) replay of a DeltaApplied");
+
+        let (mut by_row, by_row_journal) = journaled(&pre);
+        for row in &gram.delete {
+            by_row.delete(rel, row);
+        }
+        for row in &gram.insert {
+            by_row.insert(rel, row.clone());
+        }
+        assert_eq!(journal.bytes(), by_row_journal.bytes(), "(d) the journal bytes");
+        assert_eq!(by_row.get("r"), post.get("r"));
+        assert_eq!(by_row.rel_stats("r"), post.rel_stats("r"));
+        assert_eq!(by_row.stats_epoch(), post.stats_epoch());
+    });
+}
+
 #[test]
 fn zset_consolidation_never_stores_zero_weights() {
     forall(128, |g| {
@@ -1098,7 +1184,7 @@ fn columnar_batch_roundtrips_relations() {
 /// catalog — rows, statistics and learned join selectivities.
 #[test]
 fn relation_memo_follows_every_write_and_snapshots_stay_put() {
-    use revere::storage::wal::{encode_catalog, recover_catalog};
+    use revere::storage::wal::{encode_catalog, recover_catalog, Wal};
     use revere::storage::{RelStats, SharedCatalog, Tuple};
     fn gen_row(g: &mut Gen) -> Tuple {
         vec![Value::Int(g.random_range(0..3i64)), Value::str(g.lowercase(0..2))]
@@ -1179,8 +1265,9 @@ fn relation_memo_follows_every_write_and_snapshots_stay_put() {
                 if read_memo {
                     memo_is_fresh(r);
                 }
+                let (log, _) = Wal::open(&journal.bytes());
                 let (recovered, _) =
-                    recover_catalog(Some(&image), &journal.bytes()).expect("the image is clean");
+                    recover_catalog(Some(&image), &log).expect("the image is clean");
                 assert_eq!(
                     encode_catalog(&recovered, 0),
                     encode_catalog(c, 0),
