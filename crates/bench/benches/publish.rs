@@ -3,7 +3,7 @@
 //! and application render latency right after a publish.
 
 use revere_util::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use revere_mangrove::{CourseCalendar, Mangrove, MangroveSchema, PhoneDirectory};
+use revere_mangrove::{CourseCalendar, Mangrove, MangroveSchema, PhoneDirectory, WhosWho};
 use revere_workload::PageGenerator;
 
 fn bench_publish(c: &mut Criterion) {
@@ -42,6 +42,9 @@ fn bench_publish(c: &mut Criterion) {
     });
     group.bench_function("phone_directory", |b| {
         b.iter(|| PhoneDirectory::default().render(std::hint::black_box(&m.store)))
+    });
+    group.bench_function("whos_who", |b| {
+        b.iter(|| WhosWho::default().render(std::hint::black_box(&m.store)))
     });
     group.finish();
 }

@@ -1,9 +1,11 @@
 //! Bench (in-repo harness) for E1/E9: full-network query answering across
-//! topologies, and corpus statistics computation scaling.
+//! topologies, corpus statistics computation scaling, and a relation's
+//! statistics built from scratch (what registering a relation costs).
 
 use revere_util::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use revere_bench::fixtures::course_network;
 use revere_corpus::{Corpus, CorpusEntry, CorpusStats};
+use revere_storage::{RelSchema, RelStats, Relation, Value};
 use revere_workload::{TopologyKind, UniversityGenerator};
 
 fn bench_reachability(c: &mut Criterion) {
@@ -55,5 +57,28 @@ fn bench_stats(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_reachability, bench_stats);
+/// `RelStats::compute` over a 4 000 × 4 text relation shaped like the
+/// course calendar a MANGROVE render loads into a peer: a key column, and
+/// columns with hundreds, dozens and a handful of distinct values.
+fn bench_rel_stats(c: &mut Criterion) {
+    let rows = (0..4000)
+        .map(|i| {
+            vec![
+                Value::str(format!("course/c{i:04}")),
+                Value::str(format!("Title {}", i % 997)),
+                Value::str(format!("MWF {}:30", 8 + i % 9)),
+                Value::str(format!("Sieg {}", 100 + i % 40)),
+            ]
+        })
+        .collect();
+    let rel = Relation::with_rows(RelSchema::text("course", &["id", "title", "time", "room"]), rows);
+    let mut group = c.benchmark_group("rel_stats");
+    group.sample_size(20);
+    group.bench_function("compute_4000x4_text", |b| {
+        b.iter(|| RelStats::compute(std::hint::black_box(&rel)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_reachability, bench_stats, bench_rel_stats);
 criterion_main!(benches);

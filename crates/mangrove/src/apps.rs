@@ -9,12 +9,38 @@
 //!
 //! Each application is a *view* over the triple store, recomputed on
 //! demand — so a publish is visible on the very next render, which is the
-//! E4 experiment's subject. Each application chooses its own
-//! [`CleaningPolicy`], demonstrating §2.3's point that integrity is an
-//! application decision.
+//! E4 experiment's subject. A render is one walk of the store
+//! ([`TripleStore::records`]) with each cell [`resolve_among`] its
+//! `(subject, predicate)` group, under the [`CleaningPolicy`] each
+//! application chooses — §2.3's point that integrity is an application
+//! decision.
 
-use crate::clean::{resolve, CleaningPolicy};
-use revere_storage::{Attribute, RelSchema, Relation, TripleStore, Value};
+use crate::clean::{resolve_among, CleaningPolicy};
+use revere_storage::{Attribute, RelSchema, Relation, Triple, TripleStore, Value};
+use std::fmt::Write as _;
+
+/// The first value `policy` keeps of one `(subject, predicate)` group, or
+/// `Null`.
+fn first(subject: &str, group: &[&Triple], policy: &CleaningPolicy) -> Value {
+    resolve_among(subject, group, policy).next().cloned().unwrap_or(Value::Null)
+}
+
+/// Every value `policy` keeps of one group, joined with `; ` into one
+/// string (a lone string value is that cell), or `Null`.
+fn joined(subject: &str, group: &[&Triple], policy: &CleaningPolicy) -> Value {
+    let mut values = resolve_among(subject, group, policy).peekable();
+    let Some(head) = values.next() else {
+        return Value::Null;
+    };
+    if values.peek().is_none() && matches!(head, Value::Str(_)) {
+        return head.clone();
+    }
+    let mut text = head.to_string();
+    for v in values {
+        let _ = write!(text, "; {v}");
+    }
+    Value::str(text)
+}
 
 /// The departmental course calendar: one row per course with title, time
 /// and room. Uses [`CleaningPolicy::Freshest`] — a schedule should show
@@ -35,22 +61,14 @@ impl CourseCalendar {
     /// Render the calendar from the store's current contents.
     pub fn render(&self, store: &TripleStore) -> Relation {
         let schema = RelSchema::text("calendar", &["course", "title", "time", "room"]);
-        let mut rel = Relation::new(schema);
-        for subject in store.subjects_with("course.title") {
-            let get = |pred: &str| {
-                resolve(store, subject, pred, &self.policy)
-                    .into_iter()
-                    .next()
-                    .unwrap_or(Value::Null)
-            };
-            rel.insert(vec![
-                Value::str(subject),
-                get("course.title"),
-                get("course.time"),
-                get("course.room"),
-            ]);
-        }
-        rel
+        let mut rows = Vec::new();
+        let columns = ["course.title", "course.time", "course.room"];
+        store.records("course.title", &columns, |subject, groups| {
+            let mut row = vec![Value::Str(subject.clone())];
+            row.extend(groups.iter().map(|group| first(subject, group, &self.policy)));
+            rows.push(row);
+        });
+        Relation::with_rows(schema, rows)
     }
 }
 
@@ -72,26 +90,14 @@ impl WhosWho {
     /// Render the listing.
     pub fn render(&self, store: &TripleStore) -> Relation {
         let schema = RelSchema::text("whos_who", &["person", "name", "email", "office"]);
-        let mut rel = Relation::new(schema);
-        for subject in store.subjects_with("person.name") {
-            let get = |pred: &str| {
-                let vals = resolve(store, subject, pred, &self.policy);
-                if vals.is_empty() {
-                    Value::Null
-                } else {
-                    Value::str(
-                        vals.iter().map(Value::to_string).collect::<Vec<_>>().join("; "),
-                    )
-                }
-            };
-            rel.insert(vec![
-                Value::str(subject),
-                get("person.name"),
-                get("person.email"),
-                get("person.office"),
-            ]);
-        }
-        rel
+        let mut rows = Vec::new();
+        let columns = ["person.name", "person.email", "person.office"];
+        store.records("person.name", &columns, |subject, groups| {
+            let mut row = vec![Value::Str(subject.clone())];
+            row.extend(groups.iter().map(|group| joined(subject, group, &self.policy)));
+            rows.push(row);
+        });
+        Relation::with_rows(schema, rows)
     }
 }
 
@@ -118,19 +124,15 @@ impl PhoneDirectory {
             "phone_directory",
             vec![Attribute::text("person"), Attribute::text("name"), Attribute::text("phone")],
         );
-        let mut rel = Relation::new(schema);
-        for subject in store.subjects_with("person.phone") {
-            let phone = resolve(store, subject, "person.phone", &self.policy)
-                .into_iter()
-                .next()
-                .unwrap_or(Value::Null);
-            let name = resolve(store, subject, "person.name", &CleaningPolicy::Freshest)
-                .into_iter()
-                .next()
-                .unwrap_or(Value::Null);
-            rel.insert(vec![Value::str(subject), name, phone]);
-        }
-        rel
+        let mut rows = Vec::new();
+        store.records("person.phone", &["person.name", "person.phone"], |subject, groups| {
+            rows.push(vec![
+                Value::Str(subject.clone()),
+                first(subject, &groups[0], &CleaningPolicy::Freshest),
+                first(subject, &groups[1], &self.policy),
+            ]);
+        });
+        Relation::with_rows(schema, rows)
     }
 }
 

@@ -46,7 +46,8 @@ pub fn is_own_source(subject: &str, source: &str) -> bool {
         })
 }
 
-/// Resolve the values of `(subject, predicate)` under a policy.
+/// Resolve the values of `(subject, predicate)` under a policy: one
+/// `(S, P, ?)` probe of the store, then [`resolve_among`].
 ///
 /// Single-winner policies return at most one value; [`CleaningPolicy::TakeAll`]
 /// returns every distinct value ordered by first publish time.
@@ -57,56 +58,47 @@ pub fn resolve(
     policy: &CleaningPolicy,
 ) -> Vec<Value> {
     let triples = store.query((Some(subject), Some(predicate), None));
-    if triples.is_empty() {
-        return Vec::new();
-    }
-    match policy {
-        CleaningPolicy::TakeAll => {
-            let mut sorted: Vec<&Triple> = triples;
-            sorted.sort_by_key(|t| t.published_at);
-            let mut seen = Vec::new();
-            for t in sorted {
-                if !seen.contains(&t.object) {
-                    seen.push(t.object.clone());
-                }
-            }
-            seen
-        }
-        CleaningPolicy::PreferOwnSource => {
-            let own: Vec<&Triple> = triples
-                .iter()
-                .copied()
-                .filter(|t| is_own_source(subject, &t.source))
-                .collect();
-            if own.is_empty() {
-                resolve(store, subject, predicate, &CleaningPolicy::Majority)
-            } else {
-                // Freshest among own-space assertions.
-                vec![freshest(&own).object.clone()]
-            }
-        }
-        CleaningPolicy::Majority => {
-            let mut counts: BTreeMap<&Value, (usize, u64)> = BTreeMap::new();
-            for t in &triples {
-                let e = counts.entry(&t.object).or_insert((0, 0));
-                e.0 += 1;
-                e.1 = e.1.max(t.published_at);
-            }
-            let winner = counts
-                .into_iter()
-                .max_by_key(|(_, (n, at))| (*n, *at))
-                .map(|(v, _)| v.clone());
-            winner.into_iter().collect()
-        }
-        CleaningPolicy::Freshest => vec![freshest(&triples).object.clone()],
-    }
+    resolve_among(subject, &triples, policy).cloned().collect()
 }
 
-fn freshest<'a>(triples: &[&'a Triple]) -> &'a Triple {
-    triples
+/// Resolve one `(subject, predicate)` group — its live triples, oldest
+/// first, as [`TripleStore::query`] and [`TripleStore::records`] give
+/// them — under a policy, as [`resolve`] does. The values are borrowed
+/// from the group (a value asserted as both `Int(2)` and `Float(2.0)`
+/// keeps its oldest spelling under `TakeAll` and `Majority`); only
+/// [`CleaningPolicy::Majority`], and the fallback to it, allocate.
+pub fn resolve_among<'t>(
+    subject: &str,
+    triples: &'t [&'t Triple],
+    policy: &CleaningPolicy,
+) -> impl Iterator<Item = &'t Value> {
+    let (all, winner) = match policy {
+        CleaningPolicy::TakeAll => (triples, None),
+        CleaningPolicy::PreferOwnSource => {
+            let own = triples.iter().rev().find(|t| is_own_source(subject, &t.source));
+            (&[][..], own.map(|t| &t.object).or_else(|| majority(triples)))
+        }
+        CleaningPolicy::Majority => (&[][..], majority(triples)),
+        CleaningPolicy::Freshest => (&[][..], triples.last().map(|t| &t.object)),
+    };
+    // TakeAll: every value not asserted by an older triple of the group.
+    let distinct = all
         .iter()
-        .max_by_key(|t| t.published_at)
-        .expect("non-empty by caller contract")
+        .enumerate()
+        .filter(|&(i, t)| all[..i].iter().all(|u| u.object != t.object))
+        .map(|(_, t)| &t.object);
+    winner.into_iter().chain(distinct)
+}
+
+/// The most frequently asserted value, ties broken by the latest publish.
+fn majority<'t>(triples: &[&'t Triple]) -> Option<&'t Value> {
+    let mut counts: BTreeMap<&Value, (usize, u64)> = BTreeMap::new();
+    for t in triples {
+        let e = counts.entry(&t.object).or_insert((0, 0));
+        e.0 += 1;
+        e.1 = e.1.max(t.published_at);
+    }
+    counts.into_iter().max_by_key(|(_, (n, at))| (*n, *at)).map(|(v, _)| v)
 }
 
 #[cfg(test)]

@@ -10,9 +10,10 @@
 //! a generated summary can be published back into (another) MANGROVE
 //! installation and re-extracted losslessly.
 
-use crate::clean::{resolve, CleaningPolicy};
+use crate::clean::{resolve_among, CleaningPolicy};
 use revere_storage::TripleStore;
-use revere_xml::writer::escape_text;
+use revere_xml::writer::{escape_attr, escape_text};
+use std::fmt::Write as _;
 
 /// Render the department-wide course summary page. One section per
 /// course subject, each fact both displayed and annotated.
@@ -22,22 +23,26 @@ pub fn render_course_summary(store: &TripleStore, policy: &CleaningPolicy) -> St
          <h1>Department course summary</h1>\n\
          <p>Generated from published annotations.</p>\n",
     );
-    for subject in store.subjects_with("course.title") {
-        html.push_str(&format!("<div mg:about=\"{subject}\">\n"));
-        let field = |pred: &str, label: &str, html: &mut String| {
-            if let Some(v) = resolve(store, subject, pred, policy).into_iter().next() {
-                html.push_str(&format!(
-                    "  <p>{label}: <span mg:tag=\"{pred}\">{}</span></p>\n",
+    let fields = [
+        ("course.title", "Title"),
+        ("course.instructor", "Instructor"),
+        ("course.time", "Time"),
+        ("course.room", "Room"),
+    ];
+    store.records("course.title", &fields.map(|(pred, _)| pred), |subject, groups| {
+        let _ = writeln!(html, "<div mg:about=\"{}\">", escape_attr(subject));
+        for ((pred, label), group) in fields.iter().zip(groups) {
+            if let Some(v) = resolve_among(subject, group, policy).next() {
+                let _ = writeln!(
+                    html,
+                    "  <p>{label}: <span mg:tag=\"{}\">{}</span></p>",
+                    escape_attr(pred),
                     escape_text(&v.to_string())
-                ));
+                );
             }
-        };
-        field("course.title", "Title", &mut html);
-        field("course.instructor", "Instructor", &mut html);
-        field("course.time", "Time", &mut html);
-        field("course.room", "Room", &mut html);
+        }
         html.push_str("</div>\n");
-    }
+    });
     html.push_str("</body></html>\n");
     html
 }
@@ -47,22 +52,21 @@ pub fn render_people_summary(store: &TripleStore, policy: &CleaningPolicy) -> St
     let mut html = String::from(
         "<html><head><title>People</title></head><body>\n<h1>People</h1>\n<ul>\n",
     );
-    for subject in store.subjects_with("person.name") {
-        html.push_str(&format!("<li mg:about=\"{subject}\">"));
-        for (pred, sep) in [
-            ("person.name", ""),
-            ("person.email", " — "),
-            ("person.office", ", "),
-        ] {
-            if let Some(v) = resolve(store, subject, pred, policy).into_iter().next() {
-                html.push_str(&format!(
-                    "{sep}<span mg:tag=\"{pred}\">{}</span>",
+    let fields = [("person.name", ""), ("person.email", " — "), ("person.office", ", ")];
+    store.records("person.name", &fields.map(|(pred, _)| pred), |subject, groups| {
+        let _ = write!(html, "<li mg:about=\"{}\">", escape_attr(subject));
+        for ((pred, sep), group) in fields.iter().zip(groups) {
+            if let Some(v) = resolve_among(subject, group, policy).next() {
+                let _ = write!(
+                    html,
+                    "{sep}<span mg:tag=\"{}\">{}</span>",
+                    escape_attr(pred),
                     escape_text(&v.to_string())
-                ));
+                );
             }
         }
         html.push_str("</li>\n");
-    }
+    });
     html.push_str("</ul>\n</body></html>\n");
     html
 }
@@ -145,6 +149,28 @@ mod tests {
         assert!(html.contains("Logic &lt;&amp; &gt; Proofs"));
         let (stmts, _) = extract_statements(&html);
         assert_eq!(stmts[0].object, Value::str("Logic <& > Proofs"));
+    }
+
+    #[test]
+    fn subjects_with_markup_round_trip_through_both_summaries() {
+        let subjects = ["course/a\"b", "course/<x>", "course/a&amp;b", "course/&lt;y"];
+        let mut m = Mangrove::new(MangroveSchema::department());
+        for s in subjects {
+            m.store.insert(s, "course.title", "T", "src");
+            m.store.insert(s, "person.name", "N", "src");
+        }
+        for html in [
+            render_course_summary(&m.store, &CleaningPolicy::Freshest),
+            render_people_summary(&m.store, &CleaningPolicy::Freshest),
+        ] {
+            let (stmts, issues) = extract_statements(&html);
+            assert!(issues.is_empty(), "{issues:?}");
+            let mut about: Vec<&str> = stmts.iter().map(|s| s.subject.as_str()).collect();
+            about.dedup();
+            let mut expect = subjects.to_vec();
+            expect.sort();
+            assert_eq!(about, expect, "{html}");
+        }
     }
 
     #[test]

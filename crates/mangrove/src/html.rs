@@ -70,7 +70,7 @@ pub fn parse_html(input: &str) -> Document {
             continue;
         }
         // Find the tag end.
-        let Some(rel_end) = input[i..].find('>') else {
+        let Some(rel_end) = tag_end(&input[i..]) else {
             // Unterminated tag: treat the rest as text.
             let (_, parent) = stack.last().expect("stack never empty");
             doc.add_text(*parent, decode_entities(&input[i..]));
@@ -150,6 +150,27 @@ pub fn parse_html(input: &str) -> Document {
     doc
 }
 
+/// Where the tag starting `src` ends: its first `>` outside a quoted
+/// attribute value (a quote opens a value only right after `=`, as in
+/// [`parse_tag`]). A value whose quote never closes ends at the first `>`.
+fn tag_end(src: &str) -> Option<usize> {
+    let mut from = 0;
+    loop {
+        let at = from + src[from..].find(['>', '"', '\''])?;
+        let c = src.as_bytes()[at];
+        if c == b'>' {
+            return Some(at);
+        }
+        from = at + 1;
+        if src[..at].trim_end().ends_with('=') {
+            match src[from..].find(c as char) {
+                Some(len) => from += len + 1,
+                None => return src.find('>'),
+            }
+        }
+    }
+}
+
 /// Split `name attr="v" flag attr2=bare` into a lowercase name plus
 /// attribute pairs. Attribute *names* are lowercased except the `mg:`
 /// annotation namespace, which is preserved case-insensitively as given.
@@ -218,17 +239,20 @@ fn parse_tag(src: &str) -> (String, Vec<(String, String)>) {
     (name, attrs)
 }
 
-/// Decode the handful of entities that matter in page text.
+/// Decode the handful of entities that matter in page text, in one pass:
+/// `&amp;lt;` is the text `&lt;`, not `<`.
 fn decode_entities(s: &str) -> String {
-    if !s.contains('&') {
-        return s.to_string();
+    const ENTITIES: [(&str, char); 6] =
+        [("amp;", '&'), ("lt;", '<'), ("gt;", '>'), ("quot;", '"'), ("nbsp;", ' '), ("#39;", '\'')];
+    let mut pieces = s.split('&');
+    let mut out = String::from(pieces.next().unwrap_or_default());
+    for piece in pieces {
+        let (c, rest) = (ENTITIES.iter().find_map(|(e, c)| Some((*c, piece.strip_prefix(e)?))))
+            .unwrap_or(('&', piece));
+        out.push(c);
+        out.push_str(rest);
     }
-    s.replace("&amp;", "&")
-        .replace("&lt;", "<")
-        .replace("&gt;", ">")
-        .replace("&quot;", "\"")
-        .replace("&nbsp;", " ")
-        .replace("&#39;", "'")
+    out
 }
 
 #[cfg(test)]
@@ -305,6 +329,21 @@ mod tests {
         let p = Path::parse("//p").unwrap().eval(&d, d.root())[0];
         assert_eq!(d.text_content(p), "1 < 2");
         assert_eq!(d.attr(p, "title"), Some("a & b"));
+    }
+
+    #[test]
+    fn quoted_attribute_values_may_hold_markup_and_entities_decode_once() {
+        let d = parse_html(r#"<p title = "a>b" alt='<c>' x=y>z<i>1 &amp;lt; 2</i></p>"#);
+        let p = Path::parse("//p").unwrap().eval(&d, d.root())[0];
+        assert_eq!(d.attr(p, "title"), Some("a>b"));
+        assert_eq!(d.attr(p, "alt"), Some("<c>"));
+        assert_eq!(d.attr(p, "x"), Some("y"));
+        assert_eq!(d.text_content(p), "z1 &lt; 2");
+        // An unclosed quote still ends the tag at its first `>`.
+        let d = parse_html(r#"<p title="a>b</p>"#);
+        let p = Path::parse("//p").unwrap().eval(&d, d.root())[0];
+        assert_eq!(d.attr(p, "title"), Some("a"));
+        assert_eq!(d.text_content(p), "b");
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl SearchEngine {
         SearchEngine { postings, subjects: subjects.len() }
     }
 
-    /// Number of distinct indexed terms.
-    pub fn term_count(&self) -> usize {
-        self.postings.len()
-    }
-
     /// Search with optional tag restriction. Query syntax: plain keywords
     /// score everywhere; `tag:keyword` (e.g. `person.name:ada`) only
     /// matches occurrences published under predicates starting with `tag`.
@@ -127,35 +122,23 @@ pub struct PaperDatabase;
 impl PaperDatabase {
     /// Render the publication list from the store.
     pub fn render(&self, store: &TripleStore) -> revere_storage::Relation {
-        use revere_storage::{RelSchema, Relation, Value};
+        use revere_storage::{RelSchema, Relation, Triple, Value};
         let schema = RelSchema::text("papers", &["paper", "title", "authors", "year"]);
-        let mut rel = Relation::new(schema);
-        for subject in store.subjects_with("publication.title") {
-            let title = store
-                .query((Some(subject), Some("publication.title"), None))
-                .first()
-                .map(|t| t.object.clone())
-                .unwrap_or(Value::Null);
-            let mut authors: Vec<String> = store
-                .query((Some(subject), Some("publication.author"), None))
-                .iter()
-                .map(|t| t.object.to_string())
-                .collect();
+        let mut rows = Vec::new();
+        let columns = ["publication.title", "publication.author", "publication.year"];
+        store.records("publication.title", &columns, |subject, groups| {
+            let oldest = |group: &[&Triple]| group.first().map_or(Value::Null, |t| t.object.clone());
+            let mut authors: Vec<String> = groups[1].iter().map(|t| t.object.to_string()).collect();
             authors.sort();
             authors.dedup();
-            let year = store
-                .query((Some(subject), Some("publication.year"), None))
-                .first()
-                .map(|t| t.object.clone())
-                .unwrap_or(Value::Null);
-            rel.insert(vec![
-                Value::str(subject),
-                title,
+            rows.push(vec![
+                Value::Str(subject.clone()),
+                oldest(&groups[0]),
                 Value::str(authors.join("; ")),
-                year,
+                oldest(&groups[2]),
             ]);
-        }
-        rel
+        });
+        Relation::with_rows(schema, rows)
     }
 }
 

@@ -74,16 +74,25 @@ pub struct RelStats {
 }
 
 impl RelStats {
-    /// Compute statistics from scratch with one scan.
+    /// Compute statistics from scratch, a column at a time: a stable sort
+    /// of its cells, and a histogram built in bulk from the runs. A run's
+    /// key is its first-seen spelling (`Int(2)` or `Float(2.0)`), as with
+    /// [`RelStats::note_insert`].
     pub fn compute(rel: &Relation) -> RelStats {
-        let mut s = RelStats {
-            rows: 0,
-            columns: vec![ColumnStats::default(); rel.schema.arity()],
-        };
-        for row in rel.iter() {
-            s.note_insert(row);
-        }
-        s
+        let mut cells: Vec<&Value> = Vec::with_capacity(rel.len());
+        let columns = (0..rel.schema.arity())
+            .map(|col| {
+                cells.clear();
+                cells.extend(rel.iter().map(|row| &row[col]));
+                cells.sort();
+                let counts = cells
+                    .chunk_by(|a, b| a == b)
+                    .map(|run| (run[0].clone(), run.len()))
+                    .collect();
+                ColumnStats { counts }
+            })
+            .collect();
+        RelStats { rows: rel.len(), columns }
     }
 
     /// Account for one appended row.
@@ -92,17 +101,6 @@ impl RelStats {
         for (col, v) in self.columns.iter_mut().zip(row) {
             col.note(v, 1);
         }
-    }
-
-    /// Account for one removed row.
-    ///
-    /// The caller must only report rows that were *actually* removed:
-    /// noting a row that was never present decrements `rows` while the
-    /// column histograms (which saturate at zero) may not shrink, silently
-    /// desyncing the stats. Delete paths that may miss should use
-    /// [`RelStats::note_delete_n`] with the count the relation reported.
-    pub fn note_delete(&mut self, row: &[Value]) {
-        self.note_delete_n(row, 1);
     }
 
     /// Account for `n` removed copies of `row` — `n` as reported by
@@ -340,12 +338,11 @@ mod tests {
         s.note_insert(&row);
         assert_eq!(s, RelStats::compute(&r));
         let gone = vec![Value::str("x"), Value::str("1")];
-        r.delete(&gone);
-        s.note_delete(&gone);
+        let removed = r.delete(&gone);
+        s.note_delete_n(&gone, removed);
         assert_eq!(s, RelStats::compute(&r));
         // Delete-of-absent: the relation reports 0 rows removed, and
-        // noting that count leaves the stats untouched (the old
-        // `note_delete` path would desync rows vs histograms here).
+        // noting that count leaves the stats untouched.
         let absent = vec![Value::str("ghost"), Value::str("9")];
         let removed = r.delete(&absent);
         assert_eq!(removed, 0);

@@ -16,10 +16,12 @@
 //!   and the next insert takes it, so the slab is as long as the largest
 //!   number of triples ever live at once;
 //! * subject and predicate names are interned to `u32`. The subject index
-//!   holds `(predicate id, slot)` per live triple, so an `(S, P, ?)` pattern
-//!   is one probe that dereferences only the matching triples; the
-//!   predicate index holds `subject id → live count`, so
-//!   [`TripleStore::subjects_with`] enumerates keys; the object and source
+//!   holds `(predicate id, slot)` per live triple in publish order, so an
+//!   `(S, P, ?)` pattern is one probe that dereferences only the matching
+//!   triples, oldest first; the predicate index holds `subject id → live
+//!   count`, so [`TripleStore::subjects_with`] enumerates keys, and
+//!   [`TripleStore::records`] reads several predicates of every such key in
+//!   one walk — what an application renders; the object and source
 //!   indexes hold slots;
 //! * retraction removes a triple from every index it is in, so no read
 //!   ever meets a dead entry and no cost depends on when
@@ -242,9 +244,9 @@ impl TripleStore {
     /// is one probe of the subject index (narrowed by predicate id before
     /// any triple is touched); otherwise a bound object probes the object
     /// index, a lone predicate walks its subjects' lists, and a fully-free
-    /// pattern scans the slab.
+    /// pattern scans the slab; only the last two need a sort.
     pub fn query(&self, pattern: Pattern<'_>) -> Vec<&Triple> {
-        let mut out: Vec<&Triple> = match pattern {
+        match pattern {
             (Some(s), p, o) => {
                 let Some(s) = self.subjects.id(s) else {
                     return Vec::new();
@@ -269,38 +271,61 @@ impl TripleStore {
                 .map(|&slot| self.at(slot))
                 .filter(|t| p.is_none_or(|p| t.predicate == p))
                 .collect(),
-            (None, Some(p), None) => {
-                let Some(p) = self.predicates.id(p) else {
-                    return Vec::new();
+            (None, p, None) => {
+                let mut out: Vec<&Triple> = match p.map(|p| self.predicates.id(p)) {
+                    Some(None) => return Vec::new(),
+                    Some(Some(p)) => (self.predicates.entry(p).keys())
+                        .flat_map(|&s| self.subjects.entry(s))
+                        .filter(|&&(q, _)| q == p)
+                        .map(|&(_, slot)| self.at(slot))
+                        .collect(),
+                    None => self.slots.iter().flatten().collect(),
                 };
-                self.predicates
-                    .entry(p)
-                    .keys()
-                    .flat_map(|&s| self.subjects.entry(s))
-                    .filter(|&&(q, _)| q == p)
-                    .map(|&(_, slot)| self.at(slot))
-                    .collect()
+                // Subjects are walked in id order, and freed slots are reused.
+                out.sort_unstable_by_key(|t| t.published_at);
+                out
             }
-            (None, None, None) => self.slots.iter().flatten().collect(),
-        };
-        // Freed slots are reused, so slot order is not publish order.
-        out.sort_unstable_by_key(|t| t.published_at);
-        out
+        }
     }
 
     /// Distinct subjects having the given predicate, sorted.
     pub fn subjects_with(&self, predicate: &str) -> Vec<&str> {
+        self.keyed(predicate).into_iter().map(|(name, _)| &**name).collect()
+    }
+
+    /// The subjects having `predicate`, with their ids, in name order.
+    fn keyed(&self, predicate: &str) -> Vec<(&Arc<str>, u32)> {
         let Some(p) = self.predicates.id(predicate) else {
             return Vec::new();
         };
-        let mut out: Vec<&str> = self
-            .predicates
-            .entry(p)
-            .keys()
-            .map(|&s| &*self.subjects.entries[s as usize].0)
+        let mut out: Vec<(&Arc<str>, u32)> = (self.predicates.entry(p).keys())
+            .map(|&s| (&self.subjects.entries[s as usize].0, s))
             .collect();
-        out.sort_unstable();
+        out.sort_unstable_by(|a, b| a.0.cmp(b.0));
         out
+    }
+
+    /// Walk the subjects having `key` in name order: `f` gets each one's
+    /// interned name and, per entry of `predicates`, its live triples for
+    /// that predicate, oldest first. Each name is looked up once a walk.
+    pub fn records<'s>(
+        &'s self,
+        key: &str,
+        predicates: &[&str],
+        mut f: impl FnMut(&'s Arc<str>, &[Vec<&'s Triple>]),
+    ) {
+        let wanted: Vec<Option<u32>> = predicates.iter().map(|p| self.predicates.id(p)).collect();
+        let mut groups: Vec<Vec<&Triple>> = vec![Vec::new(); predicates.len()];
+        for (name, s) in self.keyed(key) {
+            groups.iter_mut().for_each(Vec::clear);
+            // A subject's list is in publish order (see `compact`).
+            for &(p, slot) in self.subjects.entry(s) {
+                if let Some(at) = wanted.iter().position(|&w| w == Some(p)) {
+                    groups[at].push(self.at(slot));
+                }
+            }
+            f(name, &groups);
+        }
     }
 
     /// All live triples published from `source`, oldest first (a source's
@@ -354,16 +379,20 @@ impl TripleStore {
     /// only when there is such a name), and give back spare capacity.
     /// Nothing else accumulates: no query, publish or memory figure depends
     /// on calling this.
+    /// The rebuild goes in publish order, so every subject's list stays
+    /// oldest first, as [`TripleStore::records`] needs.
     pub fn compact(&mut self) {
         let unused = self.subjects.entries.iter().any(|(_, e)| e.is_empty())
             || self.predicates.entries.iter().any(|(_, e)| e.is_empty());
         if unused {
             self.subjects = Names::default();
             self.predicates = Names::default();
-            for (slot, t) in self.slots.iter().enumerate() {
-                if let Some(t) = t {
-                    Self::index_names(&mut self.subjects, &mut self.predicates, t, slot as u32);
-                }
+            let mut live: Vec<(u32, &Triple)> = (self.slots.iter().enumerate())
+                .filter_map(|(slot, t)| Some((slot as u32, t.as_ref()?)))
+                .collect();
+            live.sort_unstable_by_key(|(_, t)| t.published_at);
+            for (slot, t) in live {
+                Self::index_names(&mut self.subjects, &mut self.predicates, t, slot);
             }
         }
         self.slots.shrink_to_fit();

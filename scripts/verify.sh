@@ -105,9 +105,13 @@ done
 # Ingestion gate: random schedules of insert / republish / retract /
 # compact against a `Vec<Triple>` model — every read equals the model's
 # filter in publish order, every index holds exactly the live triples and
-# the slab never outgrows the peak live count, compacted or not — and
-# fifty revision rounds of a generated site must render, in all three
-# applications, what a store built fresh from the final pages renders.
+# the slab never outgrows the peak live count, compacted or not — fifty
+# revision rounds of a generated site must render, in all three
+# applications, what a store built fresh from the final pages renders,
+# and every application and generated summary, under every cleaning
+# policy and through republish / retract / compact churn over mixed
+# `Int`/`Float`/`Str` spellings, must render what a per-cell
+# `clean::resolve` oracle builds, spelling for spelling.
 # Override the seed set with REVERE_TRIPLES_SEEDS="1 2 3" scripts/verify.sh
 for seed in ${REVERE_TRIPLES_SEEDS:-7 42 1003}; do
     echo "ingestion gate: seed $seed"

@@ -1039,6 +1039,207 @@ fn triple_store_after_fifty_republish_rounds_renders_as_if_built_fresh() {
     });
 }
 
+/// Every application, under every cleaning policy, renders what a
+/// per-cell oracle builds from `clean::resolve` — one `(S, P, ?)` probe
+/// per cell — while the store is churned by republishes, retractions and
+/// `compact()`. The objects mix `Str`, `Int(k)` and `Float(k)` spellings of
+/// equal values, and the comparison is on `Debug` output, so a cell that
+/// kept another spelling than the oracle's fails.
+#[test]
+fn triple_store_apps_render_as_per_cell_resolve() {
+    use revere::mangrove::clean::resolve;
+    use revere::mangrove::{render_course_summary, render_people_summary, PaperDatabase};
+    use revere::xml::writer::{escape_attr, escape_text};
+    const SUBJECTS: [&str; 6] =
+        ["course/c1", "course/c2", "person/p1", "person/p2", "paper/x1", "paper/x2"];
+    const PREDICATES: [&str; 11] = [
+        "course.title",
+        "course.time",
+        "course.room",
+        "course.instructor",
+        "person.name",
+        "person.email",
+        "person.office",
+        "person.phone",
+        "publication.title",
+        "publication.author",
+        "publication.year",
+    ];
+    const SOURCES: [&str; 5] =
+        ["http://u/~p1/", "http://u/courses/c1.html", "http://u/x1", "http://u/dir1", "http://u/dir2"];
+    const POLICIES: [CleaningPolicy; 4] = [
+        CleaningPolicy::TakeAll,
+        CleaningPolicy::PreferOwnSource,
+        CleaningPolicy::Majority,
+        CleaningPolicy::Freshest,
+    ];
+    fn gen_object(g: &mut Gen) -> Value {
+        let k = g.random_range(0..3i64);
+        match g.random_range(0..4u8) {
+            0 => Value::Int(k),
+            1 => Value::Float(k as f64),
+            _ => Value::str(g.string_from("xyz", 1..2)),
+        }
+    }
+    fn first(store: &TripleStore, s: &str, p: &str, policy: &CleaningPolicy) -> Value {
+        resolve(store, s, p, policy).into_iter().next().unwrap_or(Value::Null)
+    }
+    fn joined(store: &TripleStore, s: &str, p: &str, policy: &CleaningPolicy) -> Value {
+        let vals = resolve(store, s, p, policy);
+        if vals.is_empty() {
+            return Value::Null;
+        }
+        Value::str(vals.iter().map(Value::to_string).collect::<Vec<_>>().join("; "))
+    }
+    fn table(name: &str, columns: &[&str], rows: Vec<Vec<Value>>) -> String {
+        format!("{:?}", Relation::with_rows(RelSchema::text(name, columns), rows))
+    }
+    /// A generated summary page: the page an empty store renders, with
+    /// one element per subject of `key` inserted before `end`.
+    fn summary(
+        render: fn(&TripleStore, &CleaningPolicy) -> String,
+        store: &TripleStore,
+        (key, end): (&str, &str),
+        policy: &CleaningPolicy,
+        (tag, open, close): (&str, &str, &str),
+        fields: &[(&str, &str, &str)],
+    ) -> String {
+        let mut html = render(&TripleStore::new(), policy);
+        let mut at = html.find(end).expect("the empty page has its end");
+        for s in store.subjects_with(key) {
+            let mut element = format!("<{tag} mg:about=\"{}\">{open}", escape_attr(s));
+            for (p, before, after) in fields {
+                if let Some(v) = resolve(store, s, p, policy).into_iter().next() {
+                    element.push_str(&format!(
+                        "{before}<span mg:tag=\"{}\">{}</span>{after}",
+                        escape_attr(p),
+                        escape_text(&v.to_string())
+                    ));
+                }
+            }
+            element.push_str(close);
+            html.insert_str(at, &element);
+            at += element.len();
+        }
+        html
+    }
+    fn check(store: &TripleStore) {
+        for policy in &POLICIES {
+            let calendar = store
+                .subjects_with("course.title")
+                .into_iter()
+                .map(|s| {
+                    let cell = |p| first(store, s, p, policy);
+                    vec![Value::str(s), cell("course.title"), cell("course.time"), cell("course.room")]
+                })
+                .collect();
+            assert_eq!(
+                format!("{:?}", CourseCalendar { policy: policy.clone() }.render(store)),
+                table("calendar", &["course", "title", "time", "room"], calendar),
+                "calendar under {policy:?}"
+            );
+            let people = store
+                .subjects_with("person.name")
+                .into_iter()
+                .map(|s| {
+                    let cell = |p| joined(store, s, p, policy);
+                    vec![Value::str(s), cell("person.name"), cell("person.email"), cell("person.office")]
+                })
+                .collect();
+            assert_eq!(
+                format!("{:?}", WhosWho { policy: policy.clone() }.render(store)),
+                table("whos_who", &["person", "name", "email", "office"], people),
+                "who's who under {policy:?}"
+            );
+            let phones = store
+                .subjects_with("person.phone")
+                .into_iter()
+                .map(|s| {
+                    let name = first(store, s, "person.name", &CleaningPolicy::Freshest);
+                    vec![Value::str(s), name, first(store, s, "person.phone", policy)]
+                })
+                .collect();
+            assert_eq!(
+                format!("{:?}", PhoneDirectory { policy: policy.clone() }.render(store)),
+                table("phone_directory", &["person", "name", "phone"], phones),
+                "phone directory under {policy:?}"
+            );
+            let courses = summary(
+                render_course_summary,
+                store,
+                ("course.title", "</body>"),
+                policy,
+                ("div", "\n", "</div>\n"),
+                &[
+                    ("course.title", "  <p>Title: ", "</p>\n"),
+                    ("course.instructor", "  <p>Instructor: ", "</p>\n"),
+                    ("course.time", "  <p>Time: ", "</p>\n"),
+                    ("course.room", "  <p>Room: ", "</p>\n"),
+                ],
+            );
+            assert_eq!(render_course_summary(store, policy), courses, "course summary under {policy:?}");
+            let people = summary(
+                render_people_summary,
+                store,
+                ("person.name", "</ul>"),
+                policy,
+                ("li", "", "</li>\n"),
+                &[("person.name", "", ""), ("person.email", " — ", ""), ("person.office", ", ", "")],
+            );
+            assert_eq!(render_people_summary(store, policy), people, "people summary under {policy:?}");
+        }
+        let papers = store
+            .subjects_with("publication.title")
+            .into_iter()
+            .map(|s| {
+                let all = |p| resolve(store, s, p, &CleaningPolicy::TakeAll);
+                let mut authors: Vec<String> =
+                    all("publication.author").iter().map(Value::to_string).collect();
+                authors.sort();
+                authors.dedup();
+                let oldest = |p| all(p).into_iter().next().unwrap_or(Value::Null);
+                vec![
+                    Value::str(s),
+                    oldest("publication.title"),
+                    Value::str(authors.join("; ")),
+                    oldest("publication.year"),
+                ]
+            })
+            .collect();
+        assert_eq!(
+            format!("{:?}", PaperDatabase.render(store)),
+            table("papers", &["paper", "title", "authors", "year"], papers)
+        );
+    }
+    forall(48, |g| {
+        let g = &mut triples_gen(g);
+        let mut store = TripleStore::new();
+        let mut minted = 0usize;
+        for _ in 0..g.random_range(1..30usize) {
+            let source = *g.pick(&SOURCES);
+            match g.random_range(0..10u8) {
+                0..=5 => {
+                    let statements = g.vec(0..8, |g| {
+                        let subject = if g.random_bool(0.1) {
+                            minted += 1;
+                            format!("person/n{minted}")
+                        } else {
+                            g.pick(&SUBJECTS).to_string()
+                        };
+                        (subject, g.pick(&PREDICATES).to_string(), gen_object(g))
+                    });
+                    store.republish(source, statements);
+                }
+                6 | 7 => {
+                    store.retract_source(source);
+                }
+                _ => store.compact(),
+            }
+            check(&store);
+        }
+    });
+}
+
 // ---------------------------------------------------------------------
 // Selection bitmaps and column vectors (the vectorized engine substrate)
 // ---------------------------------------------------------------------
@@ -1321,6 +1522,37 @@ fn relation_distinct_matches_a_btreeset_and_leaves_clones_alone() {
         assert_eq!(text(kept.rows()), text(&rows), "the other handle's rows changed");
         assert!(Arc::ptr_eq(&kept.stats(), &stats), "the other handle's statistics were dropped");
         assert!(Arc::ptr_eq(&kept.batch(), &batch), "the other handle's columnar image was dropped");
+    });
+}
+
+/// `RelStats::compute` equals the statistics a fold of `note_insert` over
+/// the rows builds, down to the spelling each histogram key keeps: of
+/// equal cells (`Int(2)`, `Float(2.0)`) the first seen, which is the one
+/// `most_common` reports. Histograms are compared by the `Debug` text of
+/// what `ColumnStats::iter` yields.
+#[test]
+fn relstats_compute_matches_a_fold_of_note_insert_spelling_and_all() {
+    use revere::storage::{RelStats, Tuple};
+    fn gen_cell(g: &mut Gen) -> Value {
+        let k = g.random_range(-2..3i64);
+        match g.random_range(0..5u8) {
+            0 => Value::Null,
+            1 => Value::Int(k),
+            2 => Value::Float(k as f64),
+            _ => Value::str(g.string_from("ab", 0..2)),
+        }
+    }
+    let spellings = |s: &RelStats| -> Vec<String> {
+        s.columns.iter().map(|c| format!("{:?}", c.iter().collect::<Vec<_>>())).collect()
+    };
+    forall(256, |g| {
+        let schema = RelSchema::text("t", &["a", "b", "c"]);
+        let rows: Vec<Tuple> = g.vec(0..40, |g| vec![gen_cell(g), gen_cell(g), gen_cell(g)]);
+        let mut folded = RelStats { rows: 0, columns: vec![Default::default(); 3] };
+        rows.iter().for_each(|row| folded.note_insert(row));
+        let computed = RelStats::compute(&Relation::with_rows(schema, rows));
+        assert_eq!(computed, folded);
+        assert_eq!(spellings(&computed), spellings(&folded));
     });
 }
 
