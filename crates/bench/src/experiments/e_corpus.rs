@@ -308,11 +308,11 @@ pub fn e10_join_effort() -> Table {
         ),
     ];
     for (joiner, lang) in &joiners {
-        // Strategy A: map to the most similar coalition peer, chosen by
+        // Route A: map to the most similar coalition peer, chosen by
         // the DesignAdvisor over the corpus.
         let ranking = advisor.rank(&corpus, &joiner.schema, &joiner.data);
         let best = &coalition[ranking[0].corpus_index];
-        // Strategy B: map to the mediated schema (helped only by the
+        // Route B: map to the mediated schema (helped only by the
         // mediated ecosystem's English corpus).
         let empty = Catalog::new();
         for (strategy, route_matcher, partner) in [

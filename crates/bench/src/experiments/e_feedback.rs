@@ -9,9 +9,10 @@
 //! that fail for two different reasons:
 //!
 //! * **E13** — the E14a workload verbatim. Its data is near-uniform, so
-//!   the MCV-overlap estimator alone repairs the depth-2 blowup (p90
-//!   40 → 1); the feedback loop correctly stays quiet (zero evictions,
-//!   nothing learned) because there is nothing left to learn.
+//!   the MCV-overlap estimator alone repairs the depth-2 blowup the
+//!   uniform `1/max(d1, d2)` assumption caused (p90 40 → 1); the feedback
+//!   loop correctly stays quiet (zero evictions, nothing learned) because
+//!   there is nothing left to learn.
 //! * **correlated** — each peer's `course` holds a block of seminar rows
 //!   sharing one hot enrollment value, and the workload probes them by a
 //!   constant title (`'Colloquium'`) whose rows all carry that value.
@@ -24,11 +25,11 @@
 //!   writes the observation back; by the next pass the estimator is
 //!   calibrated and the cache is stable again.
 //!
-//! Each workload is explained three ways against the same data — the
-//! historical `uniform` estimator, the `mcv` estimator cold, and
-//! `learned` after the feedback loop ran [`PASSES`] passes — and the last
-//! table prices the loop: warm-pass latency with feedback on vs frozen
-//! (`replan_q_error = None`), plans evicted, pairs learned.
+//! Each workload is explained two ways against the same data — the `mcv`
+//! estimator cold, and `learned` after the feedback loop ran [`PASSES`]
+//! passes — and the last table prices the loop: warm-pass latency with
+//! feedback on vs frozen (`replan_q_error = None`), plans evicted, pairs
+//! learned.
 //!
 //! Everything except the timings is a pure function of the seed
 //! (`REVERE_E15_SEED`, default the E13 seed). The success bar is enforced
@@ -40,7 +41,7 @@
 use crate::fixtures::network_with_rows;
 use crate::table::Table;
 use revere_pdms::{PdmsNetwork, Peer};
-use revere_query::plan::{explain_analyze_with, Selectivity, Strategy};
+use revere_query::explain_analyze;
 use revere_query::GlavMapping;
 use revere_storage::{Attribute, RelSchema, Relation, Value};
 use revere_workload::{course_templates, Topology, TopologyKind};
@@ -91,9 +92,8 @@ impl Workload {
 
 /// Everything one E15 run over one workload produces.
 pub struct FeedbackOutcome {
-    /// `(step depth, q-error)` under the historical uniform estimator.
-    pub uniform: Vec<(usize, f64)>,
-    /// Same, under the cold MCV-overlap estimator (no feedback).
+    /// `(step depth, q-error)` under the cold MCV-overlap estimator (no
+    /// feedback).
     pub mcv: Vec<(usize, f64)>,
     /// Same, after the feedback loop ran the workload.
     pub learned: Vec<(usize, f64)>,
@@ -202,16 +202,13 @@ pub fn feedback_outcome_with(w: Workload, cfg: PlanCacheConfig, seed: u64) -> Fe
     };
 
     // Collect `(depth, q-error)` for every executed step of every
-    // reformulated disjunct, under one estimator, against one snapshot.
-    let q_points = |net: &PdmsNetwork,
-                    snapshot: &revere_storage::Catalog,
-                    selectivity: Selectivity| {
+    // reformulated disjunct, against one snapshot's statistics.
+    let q_points = |net: &PdmsNetwork, snapshot: &revere_storage::Catalog| {
         let mut points = Vec::new();
         for q in &templates {
             let out = net.query_str("P0", q).expect("template query runs");
             for d in &out.reformulation.union.disjuncts {
-                let ea = explain_analyze_with(d, snapshot, Strategy::CostBased, selectivity)
-                    .expect("disjunct evaluates");
+                let ea = explain_analyze(d, snapshot).expect("disjunct evaluates");
                 for (depth, q_err) in ea.q_errors().into_iter().enumerate() {
                     points.push((depth + 1, q_err));
                 }
@@ -221,26 +218,24 @@ pub fn feedback_outcome_with(w: Workload, cfg: PlanCacheConfig, seed: u64) -> Fe
     };
 
     // Before: a frozen network (no feedback), so the snapshot carries
-    // base-relation statistics only. Uniform is the E14a estimator; mcv
-    // is the adaptive estimator with nothing learned yet.
+    // base-relation statistics only: the estimator with nothing learned
+    // yet.
     let frozen = {
         let mut net = build_network(w, &cfg, seed);
         net.replan_q_error = None;
         net
     };
     let cold_snapshot = frozen.snapshot_all();
-    let uniform = q_points(&frozen, &cold_snapshot, Selectivity::Uniform);
-    let mcv = q_points(&frozen, &cold_snapshot, Selectivity::Adaptive);
+    let mcv = q_points(&frozen, &cold_snapshot);
     let warm_frozen_us = run_passes(&frozen, &templates);
 
     // After: the same workload through a feedback-enabled network.
     let net = build_network(w, &cfg, seed);
     let warm_feedback_us = run_passes(&net, &templates);
     let learned_snapshot = net.snapshot_all();
-    let learned = q_points(&net, &learned_snapshot, Selectivity::Adaptive);
+    let learned = q_points(&net, &learned_snapshot);
 
     FeedbackOutcome {
-        uniform,
         mcv,
         learned,
         evictions: net.cache_stats().plan_evictions,
@@ -267,26 +262,24 @@ fn run_passes(net: &PdmsNetwork, templates: &[String]) -> f64 {
     last_us as f64 / templates.len().max(1) as f64
 }
 
-/// One calibration table: per depth, the three estimators side by side.
+/// One calibration table: per depth, the cold and the learned estimator
+/// side by side.
 /// The regression gate lives here: post-feedback p90 q-error at every
 /// depth ≥ 2 must stay within [`e15_max_p90`], so regenerating the report
 /// *is* the regression check.
 fn calibration_table(title: &str, o: &FeedbackOutcome) -> Table {
-    let uniform = calibration_rows(&o.uniform);
     let mcv = calibration_rows(&o.mcv);
     let learned = calibration_rows(&o.learned);
     let gate = e15_max_p90();
     let mut t = Table::new(
         title,
         &[
-            "step depth", "steps", "uniform p90", "uniform max", "mcv p90", "mcv max",
-            "learned p90", "learned max", "learned within 2x",
+            "step depth", "steps", "mcv p90", "mcv max", "learned p90", "learned max",
+            "learned within 2x",
         ],
     );
-    for (i, u) in uniform.iter().enumerate() {
-        let m = &mcv[i];
-        let l = &learned[i];
-        assert_eq!(u.depth, l.depth, "estimators disagree on plan depths");
+    for (m, l) in mcv.iter().zip(&learned) {
+        assert_eq!(m.depth, l.depth, "estimators disagree on plan depths");
         if l.depth >= 2 {
             assert!(
                 l.p90 <= gate,
@@ -297,10 +290,8 @@ fn calibration_table(title: &str, o: &FeedbackOutcome) -> Table {
             );
         }
         t.row(vec![
-            u.depth.to_string(),
-            u.steps.to_string(),
-            format!("{:.2}", u.p90),
-            format!("{:.2}", u.max),
+            m.depth.to_string(),
+            m.steps.to_string(),
             format!("{:.2}", m.p90),
             format!("{:.2}", m.max),
             format!("{:.2}", l.p90),
@@ -316,8 +307,8 @@ pub fn e15_tables() -> Vec<Table> {
     let e13 = feedback_outcome(Workload::E13);
     let corr = feedback_outcome(Workload::Correlated);
     let a = calibration_table(
-        "E15a: q-error by step depth on the E13 workload — uniform = historical estimator, \
-         mcv = overlap histograms cold, learned = after execution feedback",
+        "E15a: q-error by step depth on the E13 workload — mcv = overlap histograms cold, \
+         learned = after execution feedback",
         &e13,
     );
     let b = calibration_table(
@@ -369,12 +360,12 @@ mod tests {
     #[test]
     fn mcv_alone_repairs_the_e13_workload_and_the_loop_stays_quiet() {
         let o = smoke(Workload::E13);
-        let uniform = calibration_rows(&o.uniform);
+        let mcv = calibration_rows(&o.mcv);
         let learned = calibration_rows(&o.learned);
-        assert!(uniform.len() >= 2, "expected multi-step plans");
-        let u2 = p90_at(&uniform, 2).expect("depth-2 steps");
+        assert!(mcv.len() >= 2, "expected multi-step plans");
+        let m2 = p90_at(&mcv, 2).expect("depth-2 steps");
         let l2 = p90_at(&learned, 2).expect("depth-2 steps");
-        assert!(u2 > e15_max_p90(), "uniform was already calibrated: {u2}");
+        assert!(m2 <= e15_max_p90(), "{m2}");
         assert!(l2 <= e15_max_p90(), "{l2}");
         // Near-uniform data: exact histograms are already calibrated, so
         // nothing trips the threshold and nothing is learned.
@@ -409,7 +400,6 @@ mod tests {
         assert_eq!(a.stats_dump, b.stats_dump);
         assert_eq!(a.learned_pairs, b.learned_pairs);
         assert_eq!(a.evictions, b.evictions);
-        assert_eq!(a.uniform, b.uniform);
         assert_eq!(a.mcv, b.mcv);
         assert_eq!(a.learned, b.learned);
     }

@@ -8,8 +8,8 @@
 //! it once. E13 sweeps the Zipf skew of a repeated-query trace and
 //! measures: cache hit rates, mean cold vs warm query latency, end-to-end
 //! time with caching on vs off, and (independently of caching) how many
-//! intermediate join bindings the statistics-based planner produces
-//! compared to the historical greedy order on the same trace's templates.
+//! intermediate join bindings the planner's orders produce on the same
+//! trace's templates.
 //!
 //! Timings are wall-clock and machine-dependent; everything else in the
 //! table (hit rates, binding counts, answer checksums) is a pure function
@@ -18,8 +18,7 @@
 use crate::fixtures::network_with_rows;
 use crate::table::Table;
 use revere_pdms::PdmsNetwork;
-use revere_query::plan::{plan_cq_with, Strategy};
-use revere_query::eval_bindings;
+use revere_query::{eval_bindings, plan_cq};
 use revere_util::obs::{Obs, SpanHandle};
 use revere_workload::{course_templates, QueryMix, Topology, TopologyKind};
 use std::collections::BTreeSet;
@@ -72,10 +71,8 @@ pub struct PlanCachePoint {
     pub uncached_total_us: u128,
     /// Total answer rows over the trace (identical cached/uncached).
     pub answer_rows: usize,
-    /// Intermediate join bindings over the distinct templates, cost-based.
-    pub cost_bindings: usize,
-    /// Same, under the historical greedy order.
-    pub greedy_bindings: usize,
+    /// Intermediate join bindings over the distinct templates.
+    pub inter_bindings: usize,
 }
 
 /// Run the sweep at the default scale.
@@ -139,22 +136,17 @@ pub fn plan_cache_sweep_with(cfg: PlanCacheConfig) -> Vec<PlanCachePoint> {
         // Join-order quality over what actually executes: every
         // reformulated disjunct of the trace's distinct templates,
         // measured as total intermediate bindings against the merged
-        // snapshot — independent of caching, same data both strategies.
+        // snapshot — independent of caching.
         let snapshot = net.snapshot_all();
-        let (mut cost_bindings, mut greedy_bindings) = (0usize, 0usize);
+        let mut inter_bindings = 0usize;
         for q in &distinct {
             let out = net.query_str("P0", q).expect("trace query runs");
             for d in &out.reformulation.union.disjuncts {
-                for (strategy, acc) in [
-                    (Strategy::CostBased, &mut cost_bindings),
-                    (Strategy::Greedy, &mut greedy_bindings),
-                ] {
-                    let plan = plan_cq_with(d, &snapshot, strategy);
-                    let (_, steps) =
-                        eval_bindings(d, &plan, &snapshot, &Obs::disabled(), &SpanHandle::none())
-                            .expect("disjunct evaluates");
-                    *acc += steps.iter().map(|p| p.bindings).sum::<usize>();
-                }
+                let plan = plan_cq(d, &snapshot);
+                let (_, steps) =
+                    eval_bindings(d, &plan, &snapshot, &Obs::disabled(), &SpanHandle::none())
+                        .expect("disjunct evaluates");
+                inter_bindings += steps.iter().map(|p| p.bindings).sum::<usize>();
             }
         }
 
@@ -170,8 +162,7 @@ pub fn plan_cache_sweep_with(cfg: PlanCacheConfig) -> Vec<PlanCachePoint> {
             cached_total_us,
             uncached_total_us,
             answer_rows,
-            cost_bindings,
-            greedy_bindings,
+            inter_bindings,
         });
     }
     points
@@ -184,7 +175,7 @@ pub fn e13_plan_cache() -> Table {
         "E13: plan & reformulation caching under Zipf-repeated queries (plan once, run many)",
         &[
             "zipf s", "queries", "templates", "reform hit", "plan hit", "cold us/q",
-            "warm us/q", "cold/warm x", "uncached/cached x", "inter-bindings cost:greedy",
+            "warm us/q", "cold/warm x", "uncached/cached x", "inter-bindings",
         ],
     );
     for p in plan_cache_sweep() {
@@ -198,7 +189,7 @@ pub fn e13_plan_cache() -> Table {
             format!("{:.0}", p.warm_us),
             format!("{:.1}", p.cold_us / p.warm_us.max(1.0)),
             format!("{:.1}", p.uncached_total_us as f64 / p.cached_total_us.max(1) as f64),
-            format!("{}:{}", p.cost_bindings, p.greedy_bindings),
+            p.inter_bindings.to_string(),
         ]);
     }
     t
@@ -237,24 +228,8 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.answer_rows, y.answer_rows);
             assert_eq!(x.distinct_templates, y.distinct_templates);
-            assert_eq!(x.cost_bindings, y.cost_bindings);
-            assert_eq!(x.greedy_bindings, y.greedy_bindings);
+            assert_eq!(x.inter_bindings, y.inter_bindings);
         }
-    }
-
-    #[test]
-    fn cost_based_order_never_does_more_join_work() {
-        for p in smoke() {
-            assert!(
-                p.cost_bindings <= p.greedy_bindings,
-                "skew {}: cost {} > greedy {}",
-                p.skew,
-                p.cost_bindings,
-                p.greedy_bindings
-            );
-        }
-        // And on the constant-probe templates it strictly wins.
-        assert!(smoke().iter().any(|p| p.cost_bindings < p.greedy_bindings));
     }
 
     #[test]

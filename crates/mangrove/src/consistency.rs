@@ -25,16 +25,6 @@ pub struct Inconsistency {
     pub assertions: Vec<(Value, String, u64)>,
 }
 
-impl Inconsistency {
-    /// Distinct values asserted.
-    pub fn distinct_values(&self) -> usize {
-        let mut vals: Vec<&Value> = self.assertions.iter().map(|(v, _, _)| v).collect();
-        vals.sort();
-        vals.dedup();
-        vals.len()
-    }
-}
-
 /// `(value, source, published_at)` assertions keyed by (subject, predicate).
 type AssertionGroups = BTreeMap<(String, String), Vec<(Value, String, u64)>>;
 
@@ -104,7 +94,8 @@ mod tests {
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].subject, "person/ada");
         assert_eq!(found[0].predicate, "person.phone");
-        assert_eq!(found[0].distinct_values(), 2);
+        let values: Vec<&Value> = found[0].assertions.iter().map(|(v, _, _)| v).collect();
+        assert_eq!(values, [&Value::str("555-0001"), &Value::str("555-9999")]);
         // Assertions in publish order.
         assert!(found[0].assertions[0].2 < found[0].assertions[1].2);
     }

@@ -54,17 +54,6 @@ impl MangroveSchema {
         self.tags.get(tag)
     }
 
-    /// All declared tags under a concept prefix (`course` →
-    /// `course.title`, `course.time`, ...).
-    pub fn tags_of(&self, concept: &str) -> Vec<&str> {
-        let prefix = format!("{concept}.");
-        self.tags
-            .keys()
-            .filter(|t| t.starts_with(&prefix))
-            .map(String::as_str)
-            .collect()
-    }
-
     /// Number of declared tags.
     pub fn len(&self) -> usize {
         self.tags.len()
@@ -119,14 +108,6 @@ mod tests {
         let s = MangroveSchema::department();
         assert!(s.decl("person.phone").unwrap().single_valued);
         assert!(!s.decl("course.instructor").unwrap().single_valued);
-    }
-
-    #[test]
-    fn tags_of_concept() {
-        let s = MangroveSchema::department();
-        let course_tags = s.tags_of("course");
-        assert!(course_tags.contains(&"course.title"));
-        assert!(!course_tags.iter().any(|t| t.starts_with("person.")));
     }
 
     #[test]

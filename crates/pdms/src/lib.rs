@@ -28,9 +28,8 @@
 //!   fresh) and plan-aware query routing.
 //! * [`updategram`] — updategrams \[36\] and the cost-based choice between
 //!   pushing their deltas through a view and re-seeding it.
-//! * [`propagation`] — translating base-data updategrams through mappings
-//!   into virtual-relation updategrams for remote caches, shipped
-//!   at-least-once over faulty links with receiver-side dedup.
+//! * [`propagation`] — shipping updategrams to remote caches
+//!   at-least-once over faulty links, with receiver-side dedup.
 //! * [`durable`] — peer checkpoints + WAL recovery on top of
 //!   `revere_storage::wal`, making the at-least-once/dedup pair
 //!   exactly-once *across peer restarts*.
@@ -70,10 +69,7 @@ pub use network::{
 };
 pub use peer::Peer;
 pub use placement::{answer_with_plan, plan_placement, PlacementPlan, WorkloadEntry};
-pub use propagation::{
-    apply_once, propagate_through_mapping, Delivery, GramInbox, LinkStats, MappingPropagator,
-    ReliableLink,
-};
+pub use propagation::{apply_once, Delivery, GramInbox, LinkStats, ReliableLink};
 pub use reformulate::{ReformulateOptions, ReformulationResult, Reformulator};
 pub use updategram::{
     apply_updategrams, gram_to_batch, maintain, MaintenanceChoice, SequencedGram, Updategram,

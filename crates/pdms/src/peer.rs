@@ -59,12 +59,6 @@ impl Peer {
         self.storage.write(|c| c.register(rel));
     }
 
-    /// Declare a purely logical relation (peer schema only — a "logical
-    /// mediator" peer serving queries without storing data).
-    pub fn declare_relation(&mut self, schema: RelSchema) {
-        self.schema.relations.push(schema);
-    }
-
     /// Insert a row into a stored relation (unqualified name).
     pub fn insert(&mut self, relation: &str, row: Vec<Value>) -> bool {
         let q = qualified(&self.name, relation);
@@ -81,17 +75,6 @@ impl Peer {
     /// schema the overlay consults before spending messages on a fetch.
     pub fn stores(&self, qualified: &str) -> bool {
         self.storage.read(|c| c.get(qualified).is_some())
-    }
-
-    /// Qualified names of all stored relations.
-    pub fn stored_relations(&self) -> Vec<String> {
-        self.storage
-            .read(|c| c.names().map(str::to_string).collect())
-    }
-
-    /// Total stored tuples.
-    pub fn stored_rows(&self) -> usize {
-        self.storage.read(Catalog::total_rows)
     }
 }
 
@@ -110,7 +93,8 @@ mod tests {
     fn add_relation_qualifies_storage_keeps_schema_unqualified() {
         let mut p = Peer::new("MIT");
         p.add_relation(Relation::new(RelSchema::text("subject", &["title", "enrollment"])));
-        assert_eq!(p.stored_relations(), vec!["MIT.subject".to_string()]);
+        assert!(p.stores("MIT.subject"));
+        assert!(!p.stores("subject"));
         assert!(p.schema.relation("subject").is_some());
     }
 
@@ -120,7 +104,7 @@ mod tests {
         p.add_relation(Relation::new(RelSchema::text("subject", &["title"])));
         assert!(p.insert("subject", vec![Value::str("DB")]));
         assert!(!p.insert("nope", vec![Value::str("x")]));
-        assert_eq!(p.stored_rows(), 1);
+        assert_eq!(p.snapshot("MIT.subject").unwrap().len(), 1);
     }
 
     #[test]
@@ -138,8 +122,8 @@ mod tests {
     #[test]
     fn logical_peer_has_schema_but_no_storage() {
         let mut p = Peer::new("Mediator");
-        p.declare_relation(RelSchema::text("course", &["title"]));
-        assert!(p.stored_relations().is_empty());
+        p.schema.relations.push(RelSchema::text("course", &["title"]));
+        assert!(!p.stores("Mediator.course"));
         assert!(p.schema.relation("course").is_some());
     }
 }

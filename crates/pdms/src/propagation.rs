@@ -6,14 +6,15 @@
 //! the form of 'updategrams' \[36\]. Updategrams on base data can be
 //! combined to create updategrams for views."
 //!
-//! [`propagate_through_mapping`] takes an updategram on a *source* peer's
-//! base relation and translates it — through the mapping's GAV rule — into
-//! an updategram on the mapping's virtual relation `m`, suitable for
-//! shipping to the target side to maintain any cache of the translated
-//! data there. The source catalog is updated in the process (the virtual
-//! relation is a [`MaterializedView`]; the updategram is the set-level
-//! diff its circuit reports for the pushed delta, not a diff of
-//! recomputations).
+//! A change crosses a mapping as an updategram on the mapping's virtual
+//! relation `m`: a [`MaterializedView`] over the mapping's GAV rule at the
+//! source side turns each base gram into the set-level diff its circuit
+//! reports ([`MaterializedView::apply_gram`]), and that diff is what ships
+//! to the target side. The network's continuous queries
+//! ([`crate::PdmsNetwork::subscribe_str`]) are the maintained path: each
+//! subscription is one view over the query's reformulation across the
+//! mapping graph, refreshed by every published delta it touches. This
+//! module owns what happens to a shipped gram on the wire.
 //!
 //! # At-least-once shipping
 //!
@@ -28,52 +29,11 @@ use crate::updategram::{add_change, SequencedGram, Updategram};
 use crate::views::MaterializedView;
 use revere_query::dataflow::DeltaBatch;
 use revere_query::eval::EvalError;
-use revere_query::glav::GlavMapping;
-use revere_query::ConjunctiveQuery;
 use revere_storage::wal::{Journal, Lsn, WalRecord};
 use revere_storage::Catalog;
 use revere_util::fault::{Fate, FaultPlan, RetryPolicy};
 use revere_util::obs::{names, Obs};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Stateful propagator for one mapping edge: owns the materialized state
-/// of the mapping's virtual relation on the source side, so successive
-/// base updategrams yield *minimal* set-level updategrams for `m`.
-#[derive(Debug)]
-pub struct MappingPropagator {
-    /// The mapping this propagator serves.
-    pub mapping: GlavMapping,
-    /// Materialized extension of the virtual relation.
-    state: MaterializedView,
-}
-
-impl MappingPropagator {
-    /// Initialize from the source peer's current data.
-    pub fn new(mapping: GlavMapping, source_catalog: &Catalog) -> Result<Self, EvalError> {
-        let gav = mapping.gav_rule();
-        let definition = ConjunctiveQuery::new(gav.head.clone(), gav.body.clone());
-        let state = MaterializedView::new(mapping.name.clone(), definition, source_catalog)?;
-        Ok(MappingPropagator { mapping, state })
-    }
-
-    /// The virtual relation's current extension.
-    pub fn current(&self) -> revere_storage::Relation {
-        self.state.as_relation()
-    }
-
-    /// Apply a base-data updategram at the source peer and return the
-    /// induced updategram on the mapping's virtual relation (empty if the
-    /// change is invisible through the mapping). `source_catalog` is
-    /// mutated (the gram is applied).
-    pub fn propagate(
-        &mut self,
-        source_catalog: &mut Catalog,
-        gram: &Updategram,
-    ) -> Result<Updategram, EvalError> {
-        let (insert, delete) = self.state.apply_gram(source_catalog, gram);
-        Ok(Updategram { relation: self.mapping.name.clone(), insert, delete })
-    }
-}
 
 /// Receiver-side dedup ledger: which gram ids this cache has already
 /// applied. Makes delivery idempotent, so senders are free to re-deliver.
@@ -494,24 +454,12 @@ impl ReliableLink {
     }
 }
 
-/// One-shot convenience: propagate `gram` through `mapping` given the
-/// source peer's catalog, returning the updategram on the virtual
-/// relation. Builds a fresh propagator (O(source data)); use
-/// [`MappingPropagator`] for repeated propagation.
-pub fn propagate_through_mapping(
-    mapping: &GlavMapping,
-    source_catalog: &mut Catalog,
-    gram: &Updategram,
-) -> Result<Updategram, EvalError> {
-    let mut p = MappingPropagator::new(mapping.clone(), source_catalog)?;
-    p.propagate(source_catalog, gram)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::updategram::maintain;
-    use revere_query::parse_query;
+    use revere_query::glav::GlavMapping;
+    use revere_query::{parse_query, ConjunctiveQuery};
     use revere_storage::{RelSchema, Relation, Value};
 
     /// Berkeley's course data: the GAV rule joins course and teaches.
@@ -538,35 +486,55 @@ mod tests {
         .unwrap()
     }
 
+    /// The mapping's virtual relation `m_bm`, materialized at the source
+    /// through the mapping's GAV rule.
+    fn virtual_view(source: &Catalog) -> MaterializedView {
+        let m = mapping();
+        let gav = m.gav_rule();
+        MaterializedView::new(m.name, ConjunctiveQuery::new(gav.head, gav.body), source).unwrap()
+    }
+
+    /// Apply a base gram at the source and return the gram it induces on
+    /// the virtual relation (empty when the change is invisible through
+    /// the mapping).
+    fn virtual_gram(
+        view: &mut MaterializedView,
+        source: &mut Catalog,
+        gram: &Updategram,
+    ) -> Updategram {
+        let (insert, delete) = view.apply_gram(source, gram);
+        Updategram { relation: view.name.clone(), insert, delete }
+    }
+
     #[test]
     fn insert_propagates_as_virtual_insert() {
         let mut cat = source();
-        let mut p = MappingPropagator::new(mapping(), &cat).unwrap();
-        assert_eq!(p.current().len(), 2);
+        let mut p = virtual_view(&cat);
+        assert_eq!(p.as_relation().len(), 2);
         // A new course + its teacher arrive at Berkeley.
         let grams = [
             Updategram::inserts("B.course", vec![vec!["c3".into(), "Greece".into()]]),
             Updategram::inserts("B.teaches", vec![vec!["eve".into(), "c3".into()]]),
         ];
-        let out1 = p.propagate(&mut cat, &grams[0]).unwrap();
+        let out1 = virtual_gram(&mut p, &mut cat, &grams[0]);
         // Course without teacher: nothing visible through the join yet.
         assert!(out1.insert.is_empty() && out1.delete.is_empty());
-        let out2 = p.propagate(&mut cat, &grams[1]).unwrap();
+        let out2 = virtual_gram(&mut p, &mut cat, &grams[1]);
         assert_eq!(out2.relation, "m_bm");
         assert_eq!(out2.insert, vec![vec![Value::str("Greece"), Value::str("eve")]]);
         assert!(out2.delete.is_empty());
-        assert_eq!(p.current().len(), 3);
+        assert_eq!(p.as_relation().len(), 3);
     }
 
     #[test]
     fn delete_propagates_as_virtual_delete() {
         let mut cat = source();
-        let mut p = MappingPropagator::new(mapping(), &cat).unwrap();
+        let mut p = virtual_view(&cat);
         let gram = Updategram::deletes("B.teaches", vec![vec!["bob".into(), "c2".into()]]);
-        let out = p.propagate(&mut cat, &gram).unwrap();
+        let out = virtual_gram(&mut p, &mut cat, &gram);
         assert_eq!(out.delete, vec![vec![Value::str("Rome"), Value::str("bob")]]);
         assert!(out.insert.is_empty());
-        assert_eq!(p.current().len(), 1);
+        assert_eq!(p.as_relation().len(), 1);
     }
 
     #[test]
@@ -575,14 +543,14 @@ mod tests {
         // pair for the other but only removes that teacher's pair.
         let mut cat = source();
         cat.insert("B.teaches", vec!["carol".into(), "c1".into()]);
-        let mut p = MappingPropagator::new(mapping(), &cat).unwrap();
-        assert_eq!(p.current().len(), 3);
+        let mut p = virtual_view(&cat);
+        assert_eq!(p.as_relation().len(), 3);
         let gram = Updategram::deletes("B.teaches", vec![vec!["carol".into(), "c1".into()]]);
-        let out = p.propagate(&mut cat, &gram).unwrap();
+        let out = virtual_gram(&mut p, &mut cat, &gram);
         assert_eq!(out.delete, vec![vec![Value::str("Databases"), Value::str("carol")]]);
         // Ada's pair survives.
         assert!(p
-            .current()
+            .as_relation()
             .contains(&vec![Value::str("Databases"), Value::str("ada")]));
     }
 
@@ -591,11 +559,11 @@ mod tests {
         // The full [36] pipeline: source update → virtual updategram →
         // incremental maintenance of a remote cached copy.
         let mut source_cat = source();
-        let mut p = MappingPropagator::new(mapping(), &source_cat).unwrap();
+        let mut p = virtual_view(&source_cat);
 
         // Remote (target-side) cache of the virtual relation.
         let mut remote_cat = Catalog::new();
-        remote_cat.register(p.current());
+        remote_cat.register(p.as_relation());
         let mut remote_view = MaterializedView::new(
             "cache",
             parse_query("cache(T) :- m_bm(T, P)").unwrap(),
@@ -610,7 +578,7 @@ mod tests {
             insert: vec![],
             delete: vec![vec!["c1".into(), "Databases".into()]],
         };
-        let virtual_gram = p.propagate(&mut source_cat, &gram).unwrap();
+        let virtual_gram = virtual_gram(&mut p, &mut source_cat, &gram);
         assert_eq!(virtual_gram.delete.len(), 1);
 
         // Ship it and maintain the remote cache incrementally.
@@ -628,9 +596,9 @@ mod tests {
     }
 
     /// Target-side cache of the virtual relation, as in the [36] pipeline.
-    fn remote_cache(p: &MappingPropagator) -> (Catalog, MaterializedView) {
+    fn remote_cache(p: &MaterializedView) -> (Catalog, MaterializedView) {
         let mut remote_cat = Catalog::new();
-        remote_cat.register(p.current());
+        remote_cat.register(p.as_relation());
         let remote_view = MaterializedView::new(
             "cache",
             parse_query("cache(T, P) :- m_bm(T, P)").unwrap(),
@@ -643,17 +611,14 @@ mod tests {
     #[test]
     fn duplicated_delivery_applies_exactly_once() {
         let mut cat = source();
-        let mut p = MappingPropagator::new(mapping(), &cat).unwrap();
+        let mut p = virtual_view(&cat);
         let (mut remote_cat, mut remote_view) = remote_cache(&p);
         assert_eq!(remote_view.len(), 2);
 
         // New course + teacher at the source: the second base gram makes
         // one row visible through the mapping's join.
-        p.propagate(&mut cat, &Updategram::inserts("B.course", vec![vec!["c3".into(), "Greece".into()]]))
-            .unwrap();
-        let virtual_gram = p
-            .propagate(&mut cat, &Updategram::inserts("B.teaches", vec![vec!["eve".into(), "c3".into()]]))
-            .unwrap();
+        virtual_gram(&mut p, &mut cat, &Updategram::inserts("B.course", vec![vec!["c3".into(), "Greece".into()]]));
+        let virtual_gram = virtual_gram(&mut p, &mut cat, &Updategram::inserts("B.teaches", vec![vec!["eve".into(), "c3".into()]]));
         assert_eq!(virtual_gram.insert.len(), 1);
         let mut link = ReliableLink::new("M", FaultPlan::zero());
         let mut inbox = GramInbox::new();
@@ -678,7 +643,7 @@ mod tests {
         // Ship every virtual gram over a very lossy, duplicating link; the
         // remote cache must end up exactly where clean delivery ends up.
         let mut cat = source();
-        let mut p = MappingPropagator::new(mapping(), &cat).unwrap();
+        let mut p = virtual_view(&cat);
         let (mut remote_cat, mut remote_view) = remote_cache(&p);
 
         let plan = FaultPlan::new(revere_util::fault::FaultSpec {
@@ -697,7 +662,7 @@ mod tests {
             Updategram::deletes("B.teaches", vec![vec!["bob".into(), "c2".into()]]),
         ];
         for g in base_grams {
-            let virtual_gram = p.propagate(&mut cat, &g).unwrap();
+            let virtual_gram = virtual_gram(&mut p, &mut cat, &g);
             let sealed = link.seal(virtual_gram);
             let d = link
                 .ship_until_acknowledged(&sealed, &mut inbox, &mut remote_cat, &mut remote_view, 64)
@@ -706,7 +671,7 @@ mod tests {
         }
         // Converged: remote cache == current virtual extension.
         let mut want = Catalog::new();
-        want.register(p.current());
+        want.register(p.as_relation());
         let fresh = MaterializedView::new("chk", remote_view.definition.clone(), &want).unwrap();
         assert_eq!(remote_view.as_relation().rows(), fresh.as_relation().rows());
         // The weather actually did something, and we rode it out.
@@ -718,7 +683,7 @@ mod tests {
     fn link_replay_is_deterministic_per_seed() {
         let run = || {
             let mut cat = source();
-            let mut p = MappingPropagator::new(mapping(), &cat).unwrap();
+            let mut p = virtual_view(&cat);
             let (mut remote_cat, mut remote_view) = remote_cache(&p);
             let plan = FaultPlan::new(revere_util::fault::FaultSpec {
                 seed: 7,
@@ -728,9 +693,7 @@ mod tests {
             });
             let mut link = ReliableLink::new("M", plan);
             let mut inbox = GramInbox::new();
-            let vg = p
-                .propagate(&mut cat, &Updategram::deletes("B.teaches", vec![vec!["bob".into(), "c2".into()]]))
-                .unwrap();
+            let vg = virtual_gram(&mut p, &mut cat, &Updategram::deletes("B.teaches", vec![vec!["bob".into(), "c2".into()]]));
             let sealed = link.seal(vg);
             link.ship_until_acknowledged(&sealed, &mut inbox, &mut remote_cat, &mut remote_view, 32)
                 .unwrap();
@@ -743,7 +706,7 @@ mod tests {
     fn instrumented_link_ships_identically_and_records_spans() {
         let run = |obs: Obs| {
             let mut cat = source();
-            let mut p = MappingPropagator::new(mapping(), &cat).unwrap();
+            let mut p = virtual_view(&cat);
             let (mut remote_cat, mut remote_view) = remote_cache(&p);
             let plan = FaultPlan::new(revere_util::fault::FaultSpec {
                 seed: 7,
@@ -754,9 +717,7 @@ mod tests {
             let mut link = ReliableLink::new("M", plan);
             link.obs = obs;
             let mut inbox = GramInbox::new();
-            let vg = p
-                .propagate(&mut cat, &Updategram::deletes("B.teaches", vec![vec!["bob".into(), "c2".into()]]))
-                .unwrap();
+            let vg = virtual_gram(&mut p, &mut cat, &Updategram::deletes("B.teaches", vec![vec!["bob".into(), "c2".into()]]));
             let sealed = link.seal(vg);
             link.ship_until_acknowledged(&sealed, &mut inbox, &mut remote_cat, &mut remote_view, 32)
                 .unwrap();
@@ -783,17 +744,5 @@ mod tests {
         let metrics = obs.metrics().unwrap();
         assert_eq!(metrics.counter(names::PDMS_SHIP_MESSAGES_SENT), traced.0.messages as u64);
         assert_eq!(metrics.counter(names::PDMS_SHIP_MESSAGES_DROPPED), traced.0.dropped as u64);
-    }
-
-    #[test]
-    fn one_shot_helper_matches_stateful() {
-        let mut c1 = source();
-        let mut c2 = source();
-        let gram = Updategram::deletes("B.teaches", vec![vec!["bob".into(), "c2".into()]]);
-        let a = propagate_through_mapping(&mapping(), &mut c1, &gram).unwrap();
-        let mut p = MappingPropagator::new(mapping(), &c2).unwrap();
-        let b = p.propagate(&mut c2, &gram).unwrap();
-        assert_eq!(a.insert, b.insert);
-        assert_eq!(a.delete, b.delete);
     }
 }

@@ -42,7 +42,9 @@ use revere_query::unfold::{unfold_with, ViewDef};
 use revere_query::{contained_in, minimize, rewrite_using_views, ConjunctiveQuery, UnionQuery};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
-/// Tuning knobs for reformulation. Hashable: together with the query's
+/// Tuning knobs for reformulation: two bounds on the search and the E2
+/// pruning ablation. There is no direction knob — mappings are always
+/// traversed forward and backward. Hashable: together with the query's
 /// text they key the network's reformulation cache.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ReformulateOptions {
@@ -50,10 +52,8 @@ pub struct ReformulateOptions {
     pub max_depth: usize,
     /// Cap on produced disjuncts (safety valve; `usize::MAX` = unbounded).
     pub max_rewritings: usize,
-    /// Traverse mappings backwards too (the paper's "forward or backward
-    /// direction"). On by default.
-    pub bidirectional: bool,
-    /// Enable the relevance / containment / minimization heuristics.
+    /// Enable the relevance / containment / minimization heuristics
+    /// (off only for the E2 ablation).
     pub pruning: bool,
 }
 
@@ -62,7 +62,6 @@ impl Default for ReformulateOptions {
         ReformulateOptions {
             max_depth: 8,
             max_rewritings: 4096,
-            bidirectional: true,
             pruning: true,
         }
     }
@@ -99,12 +98,11 @@ impl Reformulator {
         Reformulator { mappings, options }
     }
 
-    /// All mappings including reversals (if enabled).
+    /// All mappings plus their reversals: the paper's "forward or
+    /// backward direction".
     fn edge_set(&self) -> Vec<GlavMapping> {
         let mut edges = self.mappings.clone();
-        if self.options.bidirectional {
-            edges.extend(self.mappings.iter().map(GlavMapping::reversed));
-        }
+        edges.extend(self.mappings.iter().map(GlavMapping::reversed));
         edges
     }
 
@@ -286,13 +284,6 @@ mod tests {
         let res = r.reformulate(&q);
         assert_eq!(res.union.len(), 2);
         assert!(res.peers_reached.contains("MIT"));
-        // With bidirectional off, the query stays local.
-        let uni = Reformulator::new(
-            vec![berkeley_mit()],
-            ReformulateOptions { bidirectional: false, ..Default::default() },
-        );
-        let res2 = uni.reformulate(&q);
-        assert_eq!(res2.union.len(), 1);
     }
 
     #[test]

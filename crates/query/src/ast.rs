@@ -187,12 +187,6 @@ impl ConjunctiveQuery {
         out
     }
 
-    /// Variables that occur in the body but not the head (existential).
-    pub fn existential_vars(&self) -> Vec<&str> {
-        let head: BTreeSet<&str> = self.head_vars().into_iter().collect();
-        self.body_vars().into_iter().filter(|v| !head.contains(v)).collect()
-    }
-
     /// Safety: every head variable and every comparison variable occurs in
     /// some relational subgoal.
     pub fn is_safe(&self) -> bool {
@@ -428,12 +422,6 @@ mod tests {
             vec![Atom::new("r", vec![Term::var("X")])],
         );
         assert!(!bad.is_safe());
-    }
-
-    #[test]
-    fn existential_vars() {
-        let q = parse_query("q(X) :- r(X, Y), s(Y, Z)").unwrap();
-        assert_eq!(q.existential_vars(), vec!["Y", "Z"]);
     }
 
     #[test]

@@ -163,12 +163,6 @@ impl<T: Ord> Delta<T> {
     pub fn map<U: Ord>(&self, mut f: impl FnMut(&T) -> U) -> Delta<U> {
         Delta::from_pairs(self.entries.iter().map(|(t, w)| (f(t), *w)))
     }
-
-    /// Sum of all weights (the delta's net cardinality change under bag
-    /// semantics).
-    pub fn total_weight(&self) -> i64 {
-        self.entries.values().sum()
-    }
 }
 
 impl Delta<Tuple> {
@@ -768,7 +762,7 @@ mod tests {
         batch.add("r", vec!["1".into(), "x".into()], -1);
         c.delete("r", &[Value::str("1"), Value::str("x")]);
         let out = cir.push(&batch);
-        assert_eq!(out.total_weight(), -1);
+        assert_eq!(out.iter().map(|(_, w)| w).sum::<i64>(), -1);
         assert_matches_recompute(&cir, &c);
     }
 

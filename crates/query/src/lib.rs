@@ -13,8 +13,7 @@
 //! * [`containment`] — query containment and equivalence via containment
 //!   mappings (the canonical-database test), plus query [`minimize`].
 //! * [`plan`] — statistics-driven join planning: explainable, cacheable
-//!   [`Plan`]s costed from catalog statistics, with the historical greedy
-//!   heuristic kept as an ablation baseline.
+//!   [`Plan`]s costed from catalog statistics and execution feedback.
 //! * [`eval`] — plan-driven evaluation of (unions of) conjunctive queries
 //!   over a [`revere_storage::Catalog`]: four entry points ([`eval_cq`],
 //!   [`eval_cq_bag`], [`eval_planned`], [`eval_bindings`]) over one
@@ -57,10 +56,7 @@ pub use eval::{
 #[doc(hidden)]
 pub use eval::{eval_cq_bag_planned_mode, eval_cq_bindings_mode, ExecMode};
 pub use vec::{eval_bindings, eval_planned, VecOpts};
-pub use plan::{
-    explain_analyze, explain_analyze_with, plan_cq, plan_cq_opts, plan_cq_with, q_error,
-    ExplainAnalyze, JoinPair, Plan, PlanStep, Selectivity, Strategy,
-};
+pub use plan::{explain_analyze, plan_cq, q_error, ExplainAnalyze, JoinPair, Plan, PlanStep};
 pub use glav::GlavMapping;
 pub use minicon::rewrite_using_views;
 pub use parse::parse_query;

@@ -114,11 +114,12 @@ fn find_cmp_op(s: &str) -> Option<(usize, CmpOp, usize)> {
             i += 1;
             continue;
         }
-        let two = if i + 1 < bytes.len() { &s[i..i + 2] } else { "" };
-        match two {
-            "!=" => return Some((i, CmpOp::Ne, 2)),
-            "<=" => return Some((i, CmpOp::Le, 2)),
-            ">=" => return Some((i, CmpOp::Ge, 2)),
+        // Match on bytes: a `&str` slice at `i + 2` can split a
+        // multi-byte character.
+        match bytes.get(i..i + 2) {
+            Some(b"!=") => return Some((i, CmpOp::Ne, 2)),
+            Some(b"<=") => return Some((i, CmpOp::Le, 2)),
+            Some(b">=") => return Some((i, CmpOp::Ge, 2)),
             _ => {}
         }
         match c {
@@ -229,6 +230,19 @@ mod tests {
         assert!(parse_query("q(X) :- ").is_err());
         assert!(parse_query("q(X) :- r(X,)").is_err());
         assert!(parse_query("q(X :- r(X)").is_err());
+    }
+
+    #[test]
+    fn non_ascii_input_never_panics() {
+        for src in ["q(X) :- ér(X)", "q(X) :- r😀(X)", "q(X) :- r(X) é"] {
+            let _ = parse_query(src);
+        }
+        let _ = crate::glav::GlavMapping::parse(
+            "m",
+            "B",
+            "M",
+            "m(T) :- B.cé(T) ==> m(T) :- M.o(T)",
+        );
     }
 
     #[test]

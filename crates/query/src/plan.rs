@@ -13,8 +13,9 @@
 //! * the chosen order is a permutation of the *canonical* body
 //!   ([`ConjunctiveQuery::canonical_order`]), so a plan cached under a
 //!   query's canonical key executes any isomorphic query;
-//! * [`Strategy::Greedy`] reproduces the historical heuristic, kept as the
-//!   ablation baseline the E13 experiment measures against.
+//! * join selectivities come from the best evidence at hand: a learned
+//!   overlap fed back from executed plans, then MCV-vs-MCV histogram
+//!   overlap, and only then the uniform containment assumption.
 //!
 //! A plan never changes *what* a query answers — only the join order and
 //! which filters are pushed into the hash build. The differential oracle
@@ -28,51 +29,6 @@ use std::fmt;
 
 /// Default equality selectivity when no statistics are available.
 const DEFAULT_EQ_SELECTIVITY: f64 = 0.1;
-
-/// How the join order is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// The historical heuristic: most shared variables, ties by smaller
-    /// relation. Blind to constants and value distributions.
-    Greedy,
-    /// Order by estimated output cardinality from catalog statistics,
-    /// avoiding cartesian products while any connected atom remains.
-    CostBased,
-}
-
-impl fmt::Display for Strategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Strategy::Greedy => write!(f, "greedy"),
-            Strategy::CostBased => write!(f, "cost-based"),
-        }
-    }
-}
-
-/// How equijoin selectivities are estimated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Selectivity {
-    /// The historical model, kept as the E15 ablation baseline: every
-    /// equijoin is `1/max(d1,d2)` (uniform values, full containment), and
-    /// joined-variable distincts are clamped by the running output
-    /// estimate — the clamp that made underestimates compound with depth.
-    Uniform,
-    /// Prefer a learned overlap fed back from executed plans
-    /// ([`revere_storage::stats::JoinStats::overlap`]), then the exact MCV-vs-MCV overlap
-    /// `Σ_v fA(v)·fB(v)` when both sides have histograms, and only then
-    /// the uniform assumption.
-    #[default]
-    Adaptive,
-}
-
-impl fmt::Display for Selectivity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Selectivity::Uniform => write!(f, "uniform"),
-            Selectivity::Adaptive => write!(f, "adaptive"),
-        }
-    }
-}
 
 /// One equijoin column pair a step resolves: the step's own column joined
 /// against the binding column first bound by `(other_relation,
@@ -125,8 +81,6 @@ pub struct Plan {
     pub steps: Vec<PlanStep>,
     /// Total estimated cost (sum of per-step build + output sizes).
     pub est_cost: f64,
-    /// The strategy that produced the order.
-    pub strategy: Strategy,
 }
 
 impl Plan {
@@ -151,7 +105,7 @@ impl Plan {
     /// shared prefix of every line is byte-identical with and without
     /// actuals and the two renderings diff cleanly.
     pub fn render(&self, actuals: Option<&[usize]>) -> String {
-        let mut out = format!("plan [{}] est cost {:.1}\n", self.strategy, self.est_cost);
+        let mut out = format!("plan [cost-based] est cost {:.1}\n", self.est_cost);
         let access: Vec<String> = self
             .steps
             .iter()
@@ -270,19 +224,7 @@ pub fn explain_analyze(
     q: &ConjunctiveQuery,
     source: &Catalog,
 ) -> Result<ExplainAnalyze, crate::eval::EvalError> {
-    explain_analyze_with(q, source, Strategy::CostBased, Selectivity::default())
-}
-
-/// [`explain_analyze`] with an explicit strategy and selectivity model —
-/// how the E15 experiment replays the historical estimator side by side
-/// with the adaptive one.
-pub fn explain_analyze_with(
-    q: &ConjunctiveQuery,
-    source: &Catalog,
-    strategy: Strategy,
-    selectivity: Selectivity,
-) -> Result<ExplainAnalyze, crate::eval::EvalError> {
-    let plan = plan_cq_opts(q, source, strategy, selectivity);
+    let plan = plan_cq(q, source);
     let (rel, profiles) =
         crate::eval_planned(q, &plan, source, &Obs::disabled(), &SpanHandle::none())?;
     let actual_bindings = profiles.iter().map(|p| p.bindings).collect();
@@ -312,8 +254,8 @@ struct CandidateEstimate {
     join_width: usize,
     /// Pushed constant / self-join filters.
     pushed: usize,
-    /// Raw relation size (`usize::MAX` when missing, like the old greedy).
-    raw_size: usize,
+    /// Raw relation size (`None` when the relation is missing).
+    raw_size: Option<usize>,
     /// Per new variable: (name, estimated distinct count, atom column).
     new_vars: Vec<(String, f64, usize)>,
     /// Per joined variable: (name, distinct estimate on the atom side).
@@ -322,22 +264,18 @@ struct CandidateEstimate {
     join_pairs: Vec<JoinPair>,
 }
 
-/// Selectivity of joining `atom`'s column `i` against an already-bound
+/// The selectivity of joining `atom`'s column `i` against an already-bound
 /// variable, best evidence first: a learned observation for the exact
 /// column pair, the MCV-vs-MCV overlap of the two histograms, and only
 /// then the uniform `1/max(d1,d2)` containment assumption.
 fn join_pair_selectivity(
     source: &Catalog,
-    selectivity: Selectivity,
     atom_rel: &str,
     i: usize,
     d_atom: f64,
     vb: &VarBound,
 ) -> f64 {
     let uniform = 1.0 / d_atom.max(vb.distinct).max(1.0);
-    if selectivity == Selectivity::Uniform {
-        return uniform;
-    }
     let Some((o_rel, o_col)) = &vb.origin else { return uniform };
     if let Some(learned) = source.join_stats().overlap(atom_rel, i, o_rel, *o_col) {
         return learned;
@@ -353,14 +291,13 @@ fn join_pair_selectivity(
 fn estimate(
     atom: &crate::ast::Atom,
     source: &Catalog,
-    selectivity: Selectivity,
     bound: &HashMap<String, VarBound>,
     cur_bindings: f64,
 ) -> CandidateEstimate {
     let rel = source.get(&atom.relation);
     let stats = source.rel_stats(&atom.relation);
-    let rows = rel.map(|r| r.len()).unwrap_or(0) as f64;
-    let raw_size = rel.map(|r| r.len()).unwrap_or(usize::MAX);
+    let raw_size = rel.map(|r| r.len());
+    let rows = raw_size.unwrap_or(0) as f64;
     let mut eff = rows;
     let mut pushed = 0usize;
     let mut join_sel = 1.0f64;
@@ -391,8 +328,7 @@ fn estimate(
                     .unwrap_or_else(|| rows.sqrt())
                     .max(1.0);
                 if let Some(vb) = bound.get(v) {
-                    join_sel *=
-                        join_pair_selectivity(source, selectivity, &atom.relation, i, d_atom, vb);
+                    join_sel *= join_pair_selectivity(source, &atom.relation, i, d_atom, vb);
                     join_width += 1;
                     joined_vars.push((v.clone(), d_atom));
                     if let Some((o_rel, o_col)) = &vb.origin {
@@ -421,26 +357,9 @@ fn estimate(
     }
 }
 
-/// Plan `q` against `source` with the default cost-based strategy and
-/// adaptive selectivity.
+/// Plan `q` against `source`: repeatedly join the atom with the smallest
+/// estimated output, never a cartesian step while a connected atom remains.
 pub fn plan_cq(q: &ConjunctiveQuery, source: &Catalog) -> Plan {
-    plan_cq_with(q, source, Strategy::CostBased)
-}
-
-/// Plan `q` against `source` with an explicit strategy (adaptive
-/// selectivity).
-pub fn plan_cq_with(q: &ConjunctiveQuery, source: &Catalog, strategy: Strategy) -> Plan {
-    plan_cq_opts(q, source, strategy, Selectivity::default())
-}
-
-/// Plan `q` against `source` with an explicit strategy and selectivity
-/// model.
-pub fn plan_cq_opts(
-    q: &ConjunctiveQuery,
-    source: &Catalog,
-    strategy: Strategy,
-    selectivity: Selectivity,
-) -> Plan {
     let canonical = q.canonical_order();
     let mut remaining: Vec<usize> = (0..canonical.len()).collect();
     let mut bound: HashMap<String, VarBound> = HashMap::new();
@@ -453,36 +372,26 @@ pub fn plan_cq_opts(
         // Estimate every remaining atom against the current bindings.
         let ests: Vec<(usize, CandidateEstimate)> = remaining
             .iter()
-            .map(|&ci| (ci, estimate(&q.body[canonical[ci]], source, selectivity, &bound, cur)))
+            .map(|&ci| (ci, estimate(&q.body[canonical[ci]], source, &bound, cur)))
             .collect();
         let connected = ests.iter().any(|(_, e)| e.join_width > 0);
-        let pick = match strategy {
-            Strategy::CostBased => ests
-                .iter()
-                .enumerate()
-                // While any atom shares a variable, cartesian candidates
-                // are out of the running.
-                .filter(|(_, (_, e))| !connected || e.join_width > 0)
-                .min_by(|(_, (ci_a, a)), (_, (ci_b, b))| {
-                    a.est_out
-                        .partial_cmp(&b.est_out)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| {
-                            a.eff_rows
-                                .partial_cmp(&b.eff_rows)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .then_with(|| ci_a.cmp(ci_b))
-                })
-                .map(|(pos, _)| pos)
-                .expect("remaining non-empty"),
-            Strategy::Greedy => ests
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (ci, e))| (std::cmp::Reverse(e.join_width), e.raw_size, *ci))
-                .map(|(pos, _)| pos)
-                .expect("remaining non-empty"),
-        };
+        let pick = ests
+            .iter()
+            .enumerate()
+            // While any atom shares a variable, cartesian candidates are
+            // out of the running.
+            .filter(|(_, (_, e))| !connected || e.join_width > 0)
+            .min_by(|(_, (ci_a, a)), (_, (ci_b, b))| {
+                a.est_out
+                    .partial_cmp(&b.est_out)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then_with(|| {
+                        a.eff_rows.partial_cmp(&b.eff_rows).unwrap_or(std::cmp::Ordering::Equal)
+                    })
+                    .then_with(|| ci_a.cmp(ci_b))
+            })
+            .map(|(pos, _)| pos)
+            .expect("remaining non-empty");
         let (ci, est) = &ests[pick];
         let atom = &q.body[canonical[*ci]];
         // Account the step and update the planner state.
@@ -490,14 +399,7 @@ pub fn plan_cq_opts(
         for (v, d_atom) in &est.joined_vars {
             // Containment: a join never grows a variable's distinct count.
             let prev = bound.get(v);
-            let mut d = prev.map(|b| b.distinct).unwrap_or(f64::MAX).min(*d_atom);
-            if selectivity == Selectivity::Uniform {
-                // Historical model only: also clamp by the running output
-                // estimate. With compounding underestimates this drives
-                // `d` toward 1 and every later `1/max(d1,d2)` toward the
-                // wrong side — the depth-2 q-error cliff E14a measured.
-                d = d.min(est.est_out.max(1.0));
-            }
+            let d = prev.map(|b| b.distinct).unwrap_or(f64::MAX).min(*d_atom);
             let origin = prev.and_then(|b| b.origin.clone());
             bound.insert(v.clone(), VarBound { distinct: d, origin });
         }
@@ -512,20 +414,20 @@ pub fn plan_cq_opts(
         }
         steps.push(PlanStep {
             relation: atom.relation.clone(),
-            rows: if est.raw_size == usize::MAX { 0 } else { est.raw_size },
+            rows: est.raw_size.unwrap_or(0),
             est_rows: est.eff_rows,
             est_bindings: est.est_out,
             join_width: est.join_width,
             pushed_filters: est.pushed,
             join_pairs: est.join_pairs.clone(),
-            missing: est.raw_size == usize::MAX,
+            missing: est.raw_size.is_none(),
         });
         cur = est.est_out;
         order.push(*ci);
         remaining.retain(|r| r != ci);
     }
 
-    Plan { key: q.canonical_key(), order, steps, est_cost: cost, strategy }
+    Plan { key: q.canonical_key(), order, steps, est_cost: cost }
 }
 
 #[cfg(test)]
@@ -534,9 +436,9 @@ mod tests {
     use crate::parse::parse_query;
     use revere_storage::{Attribute, Catalog, RelSchema, Relation, Value};
 
-    /// A catalog where the greedy heuristic picks badly: `big` has 1000
-    /// rows but a constant filter matching 2 of them; `small` has 50 rows
-    /// and no filter. Greedy (blind to constants) scans `small` first.
+    /// A catalog where raw sizes mislead: `big` has 1000 rows but a
+    /// constant filter matching 2 of them; `small` has 50 rows and no
+    /// filter, so a planner blind to constants would scan `small` first.
     fn skewed_catalog() -> Catalog {
         let mut c = Catalog::new();
         let mut big = Relation::new(RelSchema::new(
@@ -566,9 +468,6 @@ mod tests {
         let plan = plan_cq(&q, &c);
         assert_eq!(plan.steps[0].relation, "big", "{plan}");
         assert!(plan.steps[0].est_rows < 5.0, "{plan}");
-        let greedy = plan_cq_with(&q, &c, Strategy::Greedy);
-        assert_eq!(greedy.steps[0].relation, "small", "{greedy}");
-        assert!(plan.est_cost < greedy.est_cost, "{plan}\nvs\n{greedy}");
     }
 
     #[test]
@@ -680,7 +579,7 @@ mod tests {
     #[test]
     fn adaptive_estimates_use_mcv_overlap() {
         // Two relations joining on a skewed key: `hot` is 9 of 10 rows on
-        // one side, so uniform 1/max(d1,d2) badly underestimates.
+        // both sides, so uniform 1/max(d1,d2) would estimate 50 bindings.
         let mut c = Catalog::new();
         let mut a = Relation::new(RelSchema::text("a", &["k"]));
         let mut b = Relation::new(RelSchema::text("b", &["k", "v"]));
@@ -692,13 +591,10 @@ mod tests {
         c.register(a);
         c.register(b);
         let q = parse_query("q(K, V) :- a(K), b(K, V)").unwrap();
-        let adaptive = plan_cq_opts(&q, &c, Strategy::CostBased, Selectivity::Adaptive);
-        let uniform = plan_cq_opts(&q, &c, Strategy::CostBased, Selectivity::Uniform);
+        let plan = plan_cq(&q, &c);
         // True join output: 9·9 + 1·1 = 82 bindings.
-        let est_a = adaptive.steps.last().unwrap().est_bindings;
-        let est_u = uniform.steps.last().unwrap().est_bindings;
-        assert!((est_a - 82.0).abs() < 1e-6, "MCV overlap is exact here, got {est_a}");
-        assert!(est_u < 60.0, "uniform should underestimate the skewed join, got {est_u}");
+        let est = plan.steps.last().unwrap().est_bindings;
+        assert!((est - 82.0).abs() < 1e-6, "MCV overlap is exact here, got {est}");
     }
 
     #[test]
@@ -718,23 +614,6 @@ mod tests {
         assert!(
             (probe.est_bindings - expected).abs() < 1e-6,
             "learned selectivity should drive the estimate: {after}"
-        );
-    }
-
-    #[test]
-    fn uniform_mode_reproduces_the_historical_estimator() {
-        let c = skewed_catalog();
-        let q = parse_query("q(V) :- small(K, V), big(K, 'rare')").unwrap();
-        let plan = plan_cq_opts(&q, &c, Strategy::CostBased, Selectivity::Uniform);
-        // Historical model: `big['rare']` leads with est 2 rows, which
-        // clamps K's distinct estimate to 2; the probe into small (50
-        // rows, d(K)=50) then gets join_sel 1/max(50, 2) = 1/50.
-        let probe = plan.steps.iter().find(|s| s.join_width > 0).unwrap();
-        let lead = plan.steps.iter().find(|s| s.join_width == 0).unwrap();
-        let expected = lead.est_rows * probe.est_rows / 50.0;
-        assert!(
-            (probe.est_bindings - expected).abs() < 1e-6,
-            "uniform containment estimate changed: {plan}"
         );
     }
 

@@ -5,7 +5,7 @@
 //! (unification of a goal with a view head) and MiniCon coverage all reduce
 //! to finding structure-preserving variable mappings.
 
-use crate::ast::{Atom, Comparison, ConjunctiveQuery, Term};
+use crate::ast::{Atom, Comparison, Term};
 use std::collections::HashMap;
 
 /// A substitution from variable names to terms.
@@ -68,15 +68,6 @@ impl Subst {
         Comparison { left: self.resolve(&c.left), op: c.op, right: self.resolve(&c.right) }
     }
 
-    /// Apply to a whole query.
-    pub fn apply_query(&self, q: &ConjunctiveQuery) -> ConjunctiveQuery {
-        ConjunctiveQuery {
-            head: self.apply_atom(&q.head),
-            body: q.body.iter().map(|a| self.apply_atom(a)).collect(),
-            comparisons: q.comparisons.iter().map(|c| self.apply_cmp(c)).collect(),
-        }
-    }
-
     /// Number of bound variables.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -125,33 +116,14 @@ pub fn unify_atoms(a: &Atom, b: &Atom, base: &Subst) -> Option<Subst> {
 /// Unlike unification it is directional: target variables are treated as
 /// constants.
 ///
-/// Returns every homomorphism extending `base` (callers that only need
-/// existence use [`find_homomorphism`]).
+/// Returns every homomorphism extending `base`.
 pub fn all_homomorphisms(source: &[Atom], target: &[Atom], base: &Subst) -> Vec<Subst> {
     let mut results = Vec::new();
-    search(source, target, base.clone(), &mut results, None);
+    search(source, target, base.clone(), &mut results);
     results
 }
 
-/// Find one homomorphism from `source` into `target` extending `base`.
-pub fn find_homomorphism(source: &[Atom], target: &[Atom], base: &Subst) -> Option<Subst> {
-    let mut results = Vec::new();
-    search(source, target, base.clone(), &mut results, Some(1));
-    results.pop()
-}
-
-fn search(
-    source: &[Atom],
-    target: &[Atom],
-    current: Subst,
-    results: &mut Vec<Subst>,
-    limit: Option<usize>,
-) {
-    if let Some(l) = limit {
-        if results.len() >= l {
-            return;
-        }
-    }
+fn search(source: &[Atom], target: &[Atom], current: Subst, results: &mut Vec<Subst>) {
     let Some((first, rest)) = source.split_first() else {
         results.push(current);
         return;
@@ -180,7 +152,7 @@ fn search(
             }
         }
         if ok {
-            search(rest, target, s, results, limit);
+            search(rest, target, s, results);
         }
     }
 }
@@ -222,16 +194,16 @@ mod tests {
     fn homomorphism_respects_repeated_vars() {
         // r(X, X) maps into r(a, a) but not r(a, b).
         let src = atoms("r(X, X)");
-        assert!(find_homomorphism(&src, &atoms("r('a', 'a')"), &Subst::new()).is_some());
-        assert!(find_homomorphism(&src, &atoms("r('a', 'b')"), &Subst::new()).is_none());
+        assert!(!all_homomorphisms(&src, &atoms("r('a', 'a')"), &Subst::new()).is_empty());
+        assert!(all_homomorphisms(&src, &atoms("r('a', 'b')"), &Subst::new()).is_empty());
     }
 
     #[test]
     fn homomorphism_is_directional() {
         // Target variables behave as frozen constants: r('a') has no image
         // in r(X) under our directional definition... but r(X) maps to r('a').
-        assert!(find_homomorphism(&atoms("r(X)"), &atoms("r('a')"), &Subst::new()).is_some());
-        assert!(find_homomorphism(&atoms("r('a')"), &atoms("r(X)"), &Subst::new()).is_none());
+        assert!(!all_homomorphisms(&atoms("r(X)"), &atoms("r('a')"), &Subst::new()).is_empty());
+        assert!(all_homomorphisms(&atoms("r('a')"), &atoms("r(X)"), &Subst::new()).is_empty());
     }
 
     #[test]
@@ -244,8 +216,9 @@ mod tests {
     fn multi_atom_homomorphism_joins() {
         let src = atoms("r(X, Y), s(Y, Z)");
         let tgt = atoms("r('1', '2'), s('2', '3'), s('9', '9')");
-        let h = find_homomorphism(&src, &tgt, &Subst::new()).unwrap();
-        assert_eq!(h.resolve(&Term::var("Z")), Term::Const(Value::str("3")));
+        let hs = all_homomorphisms(&src, &tgt, &Subst::new());
+        assert_eq!(hs.len(), 1);
+        assert_eq!(hs[0].resolve(&Term::var("Z")), Term::Const(Value::str("3")));
     }
 
     #[test]

@@ -79,10 +79,9 @@ pub mod prelude {
     pub use revere_query::{
         contained_in, eval_bindings, eval_cq, eval_cq_bag, eval_naive, eval_naive_bag,
         eval_naive_profiles, eval_naive_union, eval_planned, eval_union, explain_analyze,
-        explain_analyze_with, minimize, parse_query, plan_cq, plan_cq_opts, plan_cq_with, q_error,
-        rewrite_using_views, unfold_with, Arrangement, Circuit, ConjunctiveQuery, Delta,
-        DeltaBatch, ExplainAnalyze, GlavMapping, JoinState, Plan, Selectivity,
-        StepProfile, Strategy, UnionQuery, VecOpts, ViewDef,
+        minimize, parse_query, plan_cq, q_error, rewrite_using_views, unfold_with, Arrangement,
+        Circuit, ConjunctiveQuery, Delta, DeltaBatch, ExplainAnalyze, GlavMapping, JoinState,
+        Plan, StepProfile, UnionQuery, VecOpts, ViewDef,
     };
     pub use revere_storage::{
         Catalog, ColumnVec, ColumnarBatch, DbSchema, Journal, RelSchema, Relation, SelBitmap,

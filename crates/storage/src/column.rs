@@ -478,12 +478,6 @@ pub struct ColumnarBatch {
 }
 
 impl ColumnarBatch {
-    /// An empty batch of the given arity (each column starts untyped and
-    /// adopts a representation from the first appended row).
-    pub fn empty(arity: usize) -> ColumnarBatch {
-        ColumnarBatch { columns: (0..arity).map(|_| ColumnVec::Any(Vec::new())).collect(), rows: 0 }
-    }
-
     /// Pivot a relation into columns (the batch append path: one pass
     /// per column, typed representations chosen per column).
     pub fn from_relation(rel: &Relation) -> ColumnarBatch {
@@ -515,18 +509,6 @@ impl ColumnarBatch {
     /// The column at position `i`.
     pub fn column(&self, i: usize) -> &ColumnVec {
         &self.columns[i]
-    }
-
-    /// Append one row, promoting column representations as needed.
-    ///
-    /// # Panics
-    /// Panics if the row's arity differs from the batch's.
-    pub fn push_row(&mut self, row: &[Value]) {
-        assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
-        for (col, v) in self.columns.iter_mut().zip(row) {
-            col.push(v.clone());
-        }
-        self.rows += 1;
     }
 
     /// Row `i` back as a tuple (exact round-trip).
@@ -673,10 +655,5 @@ mod tests {
         assert!(matches!(batch.column(0), ColumnVec::Str { .. }));
         assert!(matches!(batch.column(1), ColumnVec::Any(_)));
         assert_eq!(batch.to_relation(r.schema.clone()), r);
-        let mut appended = ColumnarBatch::empty(2);
-        for row in r.iter() {
-            appended.push_row(row);
-        }
-        assert_eq!(appended.to_relation(r.schema.clone()), r);
     }
 }

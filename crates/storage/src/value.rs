@@ -36,11 +36,6 @@ impl Value {
         Value::Str(Arc::from(s.as_ref()))
     }
 
-    /// True if this is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// The string payload, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -248,7 +243,7 @@ mod tests {
             Value::Float(2.5),
             Value::Bool(true)];
         vals.sort();
-        assert!(vals[0].is_null());
+        assert_eq!(vals[0], Value::Null);
         assert_eq!(vals[4], Value::Str("a".into()));
     }
 

@@ -39,11 +39,6 @@ impl BenchmarkId {
     pub fn new(function_id: impl Display, parameter: impl Display) -> Self {
         BenchmarkId { id: format!("{function_id}/{parameter}") }
     }
-
-    /// An id with only a parameter component.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId { id: parameter.to_string() }
-    }
 }
 
 /// Hint for how to amortize setup cost in [`Bencher::iter_batched`].
@@ -186,12 +181,6 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Route this driver's reporting through `sink` instead of stdout.
-    pub fn with_sink(mut self, sink: LogSink) -> Self {
-        self.sink = sink;
-        self
-    }
-
     /// Open a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let sample_size = self.sample_size;
@@ -282,7 +271,6 @@ mod tests {
     #[test]
     fn benchmark_id_formats_like_criterion() {
         assert_eq!(BenchmarkId::new("pruned", 8).id, "pruned/8");
-        assert_eq!(BenchmarkId::from_parameter(42).id, "42");
     }
 
     #[test]
@@ -304,7 +292,7 @@ mod tests {
     #[test]
     fn reporting_routes_through_the_sink() {
         let sink = LogSink::capture();
-        let mut c = Criterion::default().with_sink(sink.clone());
+        let mut c = Criterion { sink: sink.clone(), ..Criterion::default() };
         {
             let mut g = c.benchmark_group("sinked");
             g.sample_size(2);

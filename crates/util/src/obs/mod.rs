@@ -843,11 +843,6 @@ impl Obs {
         Obs { inner: None }
     }
 
-    /// True when this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// The tracer, when enabled.
     pub fn tracer(&self) -> Option<&Tracer> {
         self.inner.as_deref().map(|c| &c.tracer)
@@ -1301,7 +1296,7 @@ mod tests {
     #[test]
     fn disabled_obs_is_free_and_inert() {
         let o = Obs::disabled();
-        assert!(!o.is_enabled());
+        assert!(o.tracer().is_none());
         o.inc("x", 1);
         o.observe("y", 2);
         o.advance(10);

@@ -187,11 +187,6 @@ impl Ontology {
     pub fn concept(&self, canonical: &str) -> Option<&Concept> {
         self.concepts.iter().find(|c| c.canonical == canonical)
     }
-
-    /// Total attribute count across concepts.
-    pub fn attr_count(&self) -> usize {
-        self.concepts.iter().map(|c| c.attrs.len()).sum()
-    }
 }
 
 const FIRST_NAMES: &[&str] = &[
@@ -287,7 +282,7 @@ mod tests {
         assert_eq!(o.concepts.len(), 6);
         assert!(o.concept("course").is_some());
         assert!(o.concept("nonexistent").is_none());
-        assert!(o.attr_count() > 20);
+        assert!(o.concepts.iter().map(|c| c.attrs.len()).sum::<usize>() > 20);
     }
 
     #[test]

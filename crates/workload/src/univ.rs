@@ -9,7 +9,7 @@
 //! generated element to its ontology concept, which is what lets the
 //! matching experiments measure accuracy.
 
-use crate::ontology::{generate_value, Concept, Ontology, ValueKind};
+use crate::ontology::{generate_value, Ontology, ValueKind};
 use revere_util::rngs::StdRng;
 use revere_util::{RngExt, SeedableRng};
 use revere_storage::{Attribute, Catalog, DbSchema, RelSchema, Relation, Value};
@@ -218,14 +218,6 @@ impl UniversityGenerator {
     }
 }
 
-/// Convenience: derive the concept for a relation from ground truth.
-pub fn concept_for<'a>(ontology: &'a Ontology, truth: &GroundTruth, rel: &str) -> Option<&'a Concept> {
-    truth
-        .relations
-        .get(rel)
-        .and_then(|c| ontology.concept(c))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,7 +292,7 @@ mod tests {
         // Relation names come from the Italian dictionaries.
         let ontology = Ontology::university();
         for r in &u.schema.relations {
-            let concept = concept_for(&ontology, &u.truth, &r.name).unwrap();
+            let concept = ontology.concept(&u.truth.relations[&r.name]).unwrap();
             assert!(
                 concept.italian.contains(&r.name.as_str()),
                 "{} not an Italian name for {}",

@@ -105,11 +105,6 @@ impl Dtd {
         self.elements.get(name)
     }
 
-    /// All declared element names, sorted.
-    pub fn element_names(&self) -> impl Iterator<Item = &str> {
-        self.elements.keys().map(String::as_str)
-    }
-
     /// Number of declared elements.
     pub fn len(&self) -> usize {
         self.elements.len()

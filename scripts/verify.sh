@@ -131,7 +131,7 @@ cargo run --release --offline -p revere-bench --bin report E16
 
 # E13 smoke: the plan/reformulation cache sweep must run end to end and
 # report a table (its internal asserts cross-check cached vs uncached
-# answers and cost-based vs greedy join work).
+# answers).
 cargo run --release --offline -p revere-bench --bin report E13
 
 # E14 smoke: the observability experiment must run end to end — its

@@ -166,8 +166,51 @@ fn assert_agrees(case: u64, text: &str, q: &ConjunctiveQuery, catalog: &Catalog)
     }
 }
 
+/// Every permutation of `0..n`.
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for p in permutations(n - 1) {
+        for i in 0..=p.len() {
+            let mut q = p.clone();
+            q.insert(i, n - 1);
+            out.push(q);
+        }
+    }
+    out
+}
+
+/// Evaluate `q` under every join order, not just the planner's — the
+/// orders the cost model never picks too, a cartesian step first among
+/// them — and hold each to the oracle: the bag equals [`eval_naive_bag`]
+/// and the step profiles equal [`eval_naive_profiles`] for that order.
+/// Returns the number of orders checked.
+fn assert_every_order_agrees(
+    case: u64,
+    text: &str,
+    q: &ConjunctiveQuery,
+    catalog: &Catalog,
+) -> usize {
+    let planned = plan_cq(q, catalog);
+    let perms = permutations(planned.order.len());
+    for perm in &perms {
+        let mut plan = planned.clone();
+        plan.order = perm.iter().map(|&i| planned.order[i]).collect();
+        plan.steps = perm.iter().map(|&i| planned.steps[i].clone()).collect();
+        let got = eval_planned(q, &plan, catalog, &Obs::disabled(), &SpanHandle::none())
+            .map(|(bag, profiles)| (sorted_rows(bag), profiles));
+        let want = eval_naive_bag(q, catalog)
+            .and_then(|bag| Ok((sorted_rows(bag), eval_naive_profiles(q, &plan, catalog)?)));
+        assert_eq!(got, want, "case {case}: `{text}` diverged under order {:?}", plan.order);
+    }
+    perms.len()
+}
+
 #[test]
 fn planned_evaluator_agrees_with_naive_oracle() {
+    let mut orders = 0;
     for case in 0..64 {
         let mut g = case_gen(case);
         let catalog = random_catalog(&mut g);
@@ -175,15 +218,19 @@ fn planned_evaluator_agrees_with_naive_oracle() {
         let q = parse_query(&text).unwrap_or_else(|e| panic!("case {case}: `{text}`: {e}"));
         assert!(q.is_safe(), "case {case}: generated unsafe query `{text}`");
         assert_agrees(case, &text, &q, &catalog);
+        orders += assert_every_order_agrees(case, &text, &q, &catalog);
     }
+    // More orders than queries: multi-atom bodies were actually permuted.
+    assert!(orders > 64, "only {orders} orders checked");
 }
 
 /// Learned join statistics steer the *planner*, never the *answers*: a
 /// catalog poisoned with arbitrary (including wildly wrong) learned
 /// overlaps must evaluate every query exactly like the naive oracle, and
-/// the uniform-selectivity plan of the same query must agree row for row.
+/// so must every other join order of the same query.
 #[test]
 fn learned_statistics_never_change_answers() {
+    let mut orders = 0;
     for case in 0..32 {
         let mut g = case_gen(40_000 + case);
         let mut catalog = random_catalog(&mut g);
@@ -198,14 +245,9 @@ fn learned_statistics_never_change_answers() {
         let text = random_query(&mut g, &catalog, None, false);
         let q = parse_query(&text).unwrap_or_else(|e| panic!("case {case}: `{text}`: {e}"));
         assert_agrees(case, &text, &q, &catalog);
-        let uniform =
-            plan_cq_opts(&q, &catalog, Strategy::CostBased, Selectivity::Uniform);
-        let planned =
-            eval_planned(&q, &uniform, &catalog, &Obs::disabled(), &SpanHandle::none())
-                .map(|(bag, _)| sorted_rows(bag));
-        let naive = eval_naive_bag(&q, &catalog).map(sorted_rows);
-        assert_eq!(planned, naive, "case {case}: uniform plan of `{text}` diverged");
+        orders += assert_every_order_agrees(case, &text, &q, &catalog);
     }
+    assert!(orders > 32, "only {orders} orders checked");
 }
 
 #[test]

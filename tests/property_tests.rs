@@ -1599,3 +1599,42 @@ fn histogram_merge_equals_observing_the_union() {
         }
     });
 }
+
+// ---------------------------------------------------------------------
+// Query front door: no panic on any input
+// ---------------------------------------------------------------------
+
+/// Valid inputs the mutation loop starts from: queries with comparisons,
+/// quoted constants and dotted names, and one GLAV mapping rule.
+const PARSE_SEEDS: [&str; 4] = [
+    "q(X, T) :- course(X, T, S), S >= 100, T != 'a, b'",
+    "q(V) :- small(K, V), big(K, 'rare')",
+    "q(T) :- Berkeley.course(T, E), E <= 3",
+    "m(T, E) :- B.course(T, E) ==> m(T, E) :- M.subject(T, E)",
+];
+
+/// Every mutant of a valid query or mapping — characters inserted,
+/// replaced, deleted, or the text truncated, multi-byte characters
+/// included — parses to a value or an error, never a panic, through both
+/// the query parser and the mapping parser.
+#[test]
+fn query_and_mapping_parsers_never_panic_on_mutants() {
+    let alphabet: Vec<char> = "()',:-=<>!. XYTab01_é😀".chars().collect();
+    forall(20_000, |g| {
+        let mut text: Vec<char> = g.pick(&PARSE_SEEDS).chars().collect();
+        for _ in 0..g.random_range(1..4usize) {
+            let at = g.random_range(0..text.len() + 1);
+            match g.random_range(0..4u8) {
+                0 => text.insert(at, *g.pick(&alphabet)),
+                1 if at < text.len() => text[at] = *g.pick(&alphabet),
+                2 if at < text.len() => {
+                    text.remove(at);
+                }
+                _ => text.truncate(at),
+            }
+        }
+        let text: String = text.into_iter().collect();
+        let _ = parse_query(&text);
+        let _ = GlavMapping::parse("m", "B", "M", &text);
+    });
+}
