@@ -125,9 +125,6 @@ pub struct PeerVitals {
     /// WAL backlog: journaled records not yet truncated by a checkpoint
     /// (the unacked LSN span). 0 for non-durable peers.
     pub wal_records_pending: u64,
-    /// Inbox watermark lag: journaled records the durable-subscription
-    /// sync cursor has not absorbed yet. 0 for non-durable peers.
-    pub wal_records_unsynced: u64,
 }
 
 /// A threshold-crossing entry in the monitor's structured event log.
@@ -268,17 +265,7 @@ impl Monitor {
 
             let cur = acct.get(peer).cloned().unwrap_or_default();
             let prev = self.prev.get(peer).cloned().unwrap_or_default();
-            let (pending, unsynced) = match net.disk(peer) {
-                Some(disk) => {
-                    let journal = disk.journal();
-                    let cursor = net.wal_cursor(peer).unwrap_or(0);
-                    (
-                        journal.record_count() as u64,
-                        journal.next_lsn().saturating_sub(cursor),
-                    )
-                }
-                None => (0, 0),
-            };
+            let pending = net.disk(peer).map_or(0, |disk| disk.journal().record_count() as u64);
             let v = PeerVitals {
                 peer: peer.to_string(),
                 tick,
@@ -291,7 +278,6 @@ impl Monitor {
                 latency_p50_ticks: cur.latency.quantile(0.5),
                 worst_q_error_milli: (cur.worst_q_error * 1000.0).round() as u64,
                 wal_records_pending: pending,
-                wal_records_unsynced: unsynced,
             };
 
             let windows = self.cfg.windows;
@@ -305,7 +291,6 @@ impl Monitor {
             m.inc(names::PDMS_FETCH_GAPS_OBSERVED, v.gaps_observed);
             m.set_gauge(names::PDMS_FEEDBACK_QERROR_WORST_MILLI, v.worst_q_error_milli as i64);
             m.set_gauge(names::PDMS_WAL_RECORDS_PENDING, v.wal_records_pending as i64);
-            m.set_gauge(names::PDMS_WAL_RECORDS_UNSYNCED, v.wal_records_unsynced as i64);
             m.rotate_window();
 
             self.update_verdict(peer, &v, tick);
@@ -471,12 +456,12 @@ impl Monitor {
         );
         out.push_str(&format!("cache: {}\n", self.cache));
         out.push_str(
-            "peer        health    reach  drop/sent  gaps  retries  p50  q_err(m)  wal(pend/lag)\n",
+            "peer        health    reach  drop/sent  gaps  retries  p50  q_err(m)  wal(pend)\n",
         );
         for (peer, state) in &self.health {
             let v = self.vitals.get(peer).cloned().unwrap_or_default();
             out.push_str(&format!(
-                "{:<11} {:<9} {:<6} {:<10} {:<5} {:<8} {:<4} {:<9} {}/{}\n",
+                "{:<11} {:<9} {:<6} {:<10} {:<5} {:<8} {:<4} {:<9} {}\n",
                 peer,
                 state.verdict.to_string(),
                 if v.reachable { "yes" } else { "NO" },
@@ -486,7 +471,6 @@ impl Monitor {
                 v.latency_p50_ticks,
                 v.worst_q_error_milli,
                 v.wal_records_pending,
-                v.wal_records_unsynced,
             ));
         }
         out

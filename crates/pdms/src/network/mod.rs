@@ -40,7 +40,7 @@ use cache::Caches;
 use revere_query::eval::EvalError;
 use revere_query::glav::GlavMapping;
 use revere_query::parse::ParseError;
-use revere_storage::SharedCatalog;
+use revere_storage::{Catalog, SharedCatalog};
 use revere_util::fault::{FaultPlan, RetryPolicy};
 use revere_util::obs::Obs;
 use std::collections::{BTreeMap, BTreeSet};
@@ -96,7 +96,8 @@ pub struct PdmsNetwork {
     /// Peers without an entry lose everything on [`PdmsNetwork::restart_peer`]
     /// the way any in-memory store would — durability is opt-in.
     disks: BTreeMap<String, PeerDisk>,
-    /// Continuous queries and the base they are maintained against.
+    /// Continuous queries, maintained from the changes members' catalogs
+    /// record.
     subs: Subscriptions,
     caches: Mutex<Caches>,
     /// Per-owner fetch vitals for the health monitor; see
@@ -197,9 +198,9 @@ impl PdmsNetwork {
     }
 
     /// Add a peer. A member of the same name is first retired exactly as
-    /// [`PdmsNetwork::remove_peer`] retires it: its disk, its journal
-    /// cursor and the selectivities other peers learned from its data do
-    /// not pass to the newcomer.
+    /// [`PdmsNetwork::remove_peer`] retires it: its disk and the
+    /// selectivities other peers learned from its data do not pass to the
+    /// newcomer.
     pub fn add_peer(&mut self, peer: Peer) {
         self.remove_peer(&peer.name);
         self.topology_epoch += 1;
@@ -218,7 +219,8 @@ impl PdmsNetwork {
         self.topology_epoch += 1;
         let gone = self.peers.remove(name)?;
         self.disks.remove(name);
-        self.subs.forget_cursor(name);
+        // No sync drains a departed peer: its catalog stops recording.
+        gone.storage.write(Catalog::untrack_changes);
         for p in self.peers.values() {
             p.storage.write(|c| c.purge_join_stats(name));
         }
@@ -248,13 +250,9 @@ impl PdmsNetwork {
     }
 
     /// Checkpoint a durable peer: write a fresh image and truncate its
-    /// log (see [`crate::durable::checkpoint`]). Subscriptions absorb the
-    /// log first ([`PdmsNetwork::sync_durable_subscriptions`]): the
-    /// truncation must not drop a direct write they have not read. `None`
-    /// when the peer is unknown or not durable.
+    /// log (see [`crate::durable::checkpoint`]). `None` when the peer is
+    /// unknown or not durable.
     pub fn checkpoint_peer(&mut self, name: &str) -> Option<CheckpointReport> {
-        self.disks.get(name)?;
-        self.sync_durable_subscriptions();
         let peer = self.peers.get(name)?;
         let disk = self.disks.get(name)?;
         Some(peer.storage.read(|c| durable::checkpoint(disk, c, &[], &[])))
@@ -312,13 +310,15 @@ impl PdmsNetwork {
     }
 
     /// Mutably borrow a peer. Conservatively treated as a topology change
-    /// for cache purposes (every cached reformulation and plan is
-    /// invalidated) — the caller may swap the peer's entire storage for
-    /// one whose stats epoch happens to equal the old one, which the
-    /// per-owner plan stamps alone would not detect. To change a peer's
-    /// *data*, go through [`PdmsNetwork::peer`] and `storage.write`
-    /// instead: that bumps the catalog's stats epoch and re-plans only
-    /// the disjuncts that read the peer.
+    /// (every cached reformulation and plan is invalidated, and the next
+    /// [`PdmsNetwork::sync_subscriptions`] re-seeds every subscription) —
+    /// the caller may swap the peer's entire storage for one whose stats
+    /// epoch happens to equal the old one, which the per-owner plan stamps
+    /// alone would not detect, and whose writes no subscription would see.
+    /// To change a peer's *data*, go through [`PdmsNetwork::peer`] and
+    /// `storage.write` instead: that bumps the catalog's stats epoch,
+    /// re-plans only the disjuncts that read the peer, and reaches the
+    /// subscriptions as recorded changes.
     pub fn peer_mut(&mut self, name: &str) -> Option<&mut Peer> {
         if self.peers.contains_key(name) {
             self.topology_epoch += 1;

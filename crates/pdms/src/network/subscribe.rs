@@ -1,21 +1,21 @@
 //! How changes reach continuous queries.
 
 use super::{PdmsError, PdmsNetwork};
-use crate::peer::split_qualified;
-use crate::updategram::{add_change, apply_gram, Updategram};
+use crate::peer::{split_qualified, Peer};
+use crate::updategram::Updategram;
 use crate::views::MaterializedView;
 use revere_query::dataflow::DeltaBatch;
 use revere_query::eval::EvalError;
 use revere_query::{parse_query, ConjunctiveQuery};
-use revere_storage::{Catalog, Lsn, Relation};
+use revere_storage::{Catalog, Relation};
 use revere_util::obs::SpanHandle;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A continuous query registered at a peer ([`PdmsNetwork::subscribe_str`]):
 /// a [`MaterializedView`] of the query's reformulation over the mapping
-/// graph, plus where it was asked and what publishing has done to it.
-/// Published updategrams re-fire only subscriptions whose base relations
-/// the delta touches; everything else is a counted no-op.
+/// graph, plus where it was asked and what changes have done to it. A
+/// pushed batch of changes re-fires only subscriptions whose base
+/// relations it touches; everything else is a counted no-op.
 #[derive(Debug)]
 pub struct Subscription {
     /// The peer the continuous query was posed at.
@@ -24,12 +24,12 @@ pub struct Subscription {
     /// network), defined by the query as posed in that peer's vocabulary.
     pub view: MaterializedView,
     /// Disjuncts in the reformulated union; those the network could not
-    /// evaluate at subscribe time (unreachable base relations) are not in
-    /// the view.
+    /// evaluate when the view was last seeded (unreachable base
+    /// relations) are not in the view.
     pub disjuncts_total: usize,
-    /// Times a published delta incrementally refreshed this subscription.
+    /// Times a pushed batch incrementally refreshed this subscription.
     pub refreshes: usize,
-    /// Published deltas that touched none of this subscription's base
+    /// Pushed batches that touched none of this subscription's base
     /// relations (no work beyond the affected-set check).
     pub skipped: usize,
 }
@@ -69,51 +69,34 @@ pub struct PublishReport {
     pub output_changes: usize,
 }
 
-/// A network's continuous queries and the state they are maintained
-/// against, which [`PdmsNetwork::publish`] and
-/// [`PdmsNetwork::sync_durable_subscriptions`] move in lockstep.
+/// A network's continuous queries, and the topology their circuits were
+/// seeded under.
 #[derive(Debug, Default)]
 pub(super) struct Subscriptions {
     /// Continuous queries registered via [`PdmsNetwork::subscribe_str`].
     by_name: BTreeMap<String, Subscription>,
-    /// The merged base snapshot the subscription circuits were
-    /// initialized against. Built lazily at the first subscribe; `None`
-    /// until then.
-    base: Option<Catalog>,
-    /// Per-durable-peer journal positions already absorbed into `base`
-    /// (WAL change-data capture for mutations that bypass
-    /// [`PdmsNetwork::publish`]).
-    wal_cursors: BTreeMap<String, Lsn>,
-}
-
-impl Subscriptions {
-    /// Forget a departed peer's journal position.
-    pub(super) fn forget_cursor(&mut self, peer: &str) {
-        self.wal_cursors.remove(peer);
-    }
+    /// The topology epoch at which every member's catalog started
+    /// tracking its changes ([`Catalog::track_changes`]); `None` while no
+    /// one subscribes, when no catalog tracks.
+    topology: Option<u64>,
 }
 
 impl PdmsNetwork {
-    /// The durable-subscription sync cursor for `name`: journaled records
-    /// with `lsn < cursor` have been absorbed into the subscription base
-    /// (see [`PdmsNetwork::sync_durable_subscriptions`]). `None` until
-    /// the peer has a cursor. The health monitor reads
-    /// `journal.next_lsn() - cursor` as the inbox watermark lag.
-    pub fn wal_cursor(&self, name: &str) -> Option<Lsn> {
-        self.subs.wal_cursors.get(name).copied()
+    /// Start every member's catalog tracking its changes from now on, and
+    /// stamp the topology that covers.
+    fn track_members(&mut self) {
+        for p in self.peers.values() {
+            p.storage.write(Catalog::track_changes);
+        }
+        self.subs.topology = Some(self.topology_epoch);
     }
 
-    /// Build the mirrored base snapshot on first use, and start every
-    /// durable peer's WAL cursor at its current tail (the snapshot
-    /// already contains everything journaled so far).
-    fn ensure_subs_base(&mut self) {
-        if self.subs.base.is_some() {
-            return;
-        }
-        self.subs.base = Some(self.snapshot_all());
-        for (name, disk) in &self.disks {
-            self.subs.wal_cursors.insert(name.clone(), disk.journal().next_lsn());
-        }
+    /// `q`'s reformulation over the current mapping graph, compiled into
+    /// a view seeded from `base`, with the number of disjuncts it has.
+    fn seed(&self, name: &str, q: ConjunctiveQuery, base: &Catalog) -> (MaterializedView, usize) {
+        let (reformulation, _) = self.reformulate_cached(&q, &SpanHandle::none());
+        let disjuncts = &reformulation.union.disjuncts;
+        (MaterializedView::union(name, q, disjuncts, base), disjuncts.len())
     }
 
     /// Register a continuous query at a peer. The query is reformulated
@@ -141,26 +124,29 @@ impl PdmsNetwork {
         q: ConjunctiveQuery,
     ) -> Result<&Subscription, PdmsError> {
         self.member(at_peer)?;
-        // Absorb pending durable-peer mutations first, so the circuits
-        // initialize against the same state later deltas are signed from.
-        self.sync_durable_subscriptions();
-        self.ensure_subs_base();
-        let (reformulation, _) = self.reformulate_cached(&q, &SpanHandle::none());
-        let base = self.subs.base.as_ref().expect("ensured above");
-        let sub = Subscription {
-            at_peer: at_peer.to_string(),
-            view: MaterializedView::union(name, q, &reformulation.union.disjuncts, base),
-            disjuncts_total: reformulation.union.disjuncts.len(),
-            refreshes: 0,
-            skipped: 0,
-        };
+        // Bring the others up to date first, so every circuit holds the
+        // state the members' next recorded changes apply to.
+        self.sync_subscriptions();
+        if self.subs.topology != Some(self.topology_epoch) {
+            self.track_members();
+        }
+        let (view, disjuncts_total) = self.seed(name, q, &self.snapshot_all());
+        let at_peer = at_peer.to_string();
+        let sub = Subscription { at_peer, view, disjuncts_total, refreshes: 0, skipped: 0 };
         self.subs.by_name.insert(name.to_string(), sub);
         Ok(self.subs.by_name.get(name).expect("just inserted"))
     }
 
-    /// Remove a subscription, returning its final state.
+    /// Remove a subscription, returning its final state. The last one
+    /// out stops every member's catalog tracking its changes.
     pub fn unsubscribe(&mut self, name: &str) -> Option<Subscription> {
-        self.subs.by_name.remove(name)
+        let gone = self.subs.by_name.remove(name);
+        if self.subs.by_name.is_empty() && self.subs.topology.take().is_some() {
+            for p in self.peers.values() {
+                p.storage.write(Catalog::untrack_changes);
+            }
+        }
+        gone
     }
 
     /// Borrow a subscription.
@@ -174,70 +160,59 @@ impl PdmsNetwork {
     }
 
     /// Apply an updategram to the relation's owning peer and push the
-    /// resulting delta through every affected subscription. The gram is
-    /// applied to the owner's catalog and to the mirrored base, and the
-    /// signed rows the base's apply reports (a delete retracts every
-    /// stored copy of a row, duplicate inserts each count) re-fire *only*
-    /// subscriptions whose base relations they touch — everyone else pays
-    /// one set lookup. Errors when the relation is unqualified, its owner
-    /// is not a member, or the owner does not store it; a row of the
-    /// wrong arity is refused ([`PdmsError::Eval`]) before the owner
-    /// journals or writes anything.
+    /// resulting delta through every affected subscription. Changes made
+    /// elsewhere are synced first ([`PdmsNetwork::sync_subscriptions`]);
+    /// then the signed rows the owner's catalog reports for the gram (a
+    /// delete retracts every stored copy of a row, duplicate inserts each
+    /// count) re-fire *only* subscriptions whose base relations they
+    /// touch — everyone else pays one set lookup. Errors when the
+    /// relation is unqualified, its owner is not a member, or the owner
+    /// does not store it; a row of the wrong arity is refused
+    /// ([`PdmsError::Eval`]) before the owner journals or writes anything.
     pub fn publish(&mut self, gram: &Updategram) -> Result<PublishReport, PdmsError> {
         let Some((owner, _)) = split_qualified(&gram.relation) else {
             return Err(PdmsError::Unqualified(gram.relation.clone()));
         };
-        if !self.member(owner)?.storage.read(|c| c.get(&gram.relation).is_some()) {
+        if !self.member(owner)?.stores(&gram.relation) {
             return Err(PdmsError::NotStored { peer: owner.into(), relation: gram.relation.clone() });
         }
-        let owner = owner.to_string();
-        // Catch up on out-of-band durable-peer mutations so this gram's
-        // deltas are signed against the state subscribers actually hold.
-        self.sync_durable_subscriptions();
-        self.ensure_subs_base();
-        self.peers
-            .get(&owner)
-            .expect("membership checked above")
+        self.sync_subscriptions();
+        let owner = &self.peers[owner];
+        owner
             .storage
             .write(|c| c.apply(&gram.relation, &gram.delete, &gram.insert).map(drop))
             .map_err(EvalError::from)?;
-        // The application above may itself have journaled records on a
-        // durable owner; advance the cursor past them — their effect is
-        // exactly the batch the base's apply reports, pushed below.
-        if let Some(disk) = self.disks.get(&owner) {
-            self.subs.wal_cursors.insert(owner.clone(), disk.journal().next_lsn());
-        }
-        let batch = apply_gram(self.subs.base.as_mut().expect("ensured above"), gram)?;
-        Ok(refire(&mut self.subs.by_name, &batch))
+        Ok(refire(&mut self.subs.by_name, &drain([owner])))
     }
 
-    /// Absorb durable peers' journal suffixes into the subscription layer:
-    /// mutations made *directly* on a durable peer's catalog (bypassing
-    /// [`PdmsNetwork::publish`]) are recovered from its WAL via per-peer
-    /// LSN cursors, replayed into the mirrored base, and the signed rows
-    /// each replay reports ([`Catalog::replay`]) are pushed through
-    /// affected subscriptions. Returns the number of distinct changed rows
-    /// absorbed. No-op (0) before the first subscription.
-    pub fn sync_durable_subscriptions(&mut self) -> usize {
-        let Subscriptions { by_name, base: Some(base), wal_cursors } = &mut self.subs else {
+    /// Bring every subscription up to date with the network: push the
+    /// signed rows each member's catalog recorded since the last sync
+    /// through the affected circuits. When the topology has moved since
+    /// the circuits were seeded — a peer joined, left, restarted or was
+    /// borrowed mutably, or a mapping was added — every subscription is
+    /// re-reformulated and re-seeded from the current contents instead,
+    /// keeping its counters. Returns the number of distinct changed rows
+    /// pushed: 0 after a re-seed, or while no one subscribes.
+    pub fn sync_subscriptions(&mut self) -> usize {
+        if self.subs.by_name.is_empty() {
             return 0;
-        };
-        let mut changed = 0;
-        for (name, disk) in &self.disks {
-            let journal = disk.journal();
-            let cursor = wal_cursors.get(name).copied().unwrap_or(0);
-            let records = journal.records_from(cursor);
-            wal_cursors.insert(name.clone(), journal.next_lsn());
-            let mut batch = DeltaBatch::new();
-            for (_, rec) in &records {
-                add_change(&mut batch, &base.replay(rec));
-            }
-            if !batch.is_empty() {
-                changed += batch.len();
-                refire(by_name, &batch);
-            }
         }
-        changed
+        if self.subs.topology != Some(self.topology_epoch) {
+            self.track_members();
+            let base = self.snapshot_all();
+            let mut by_name = std::mem::take(&mut self.subs.by_name);
+            for (name, sub) in &mut by_name {
+                let q = sub.view.definition.clone();
+                (sub.view, sub.disjuncts_total) = self.seed(name, q, &base);
+            }
+            self.subs.by_name = by_name;
+            return 0;
+        }
+        let batch = drain(self.peers.values());
+        if !batch.is_empty() {
+            refire(&mut self.subs.by_name, &batch);
+        }
+        batch.len()
     }
 
     // This and `IvmStrategy` are named by `crates/e2e/src/surface.rs`;
@@ -252,6 +227,18 @@ impl PdmsNetwork {
     ) -> Result<&Subscription, PdmsError> {
         self.subscribe_str(at_peer, name, query)
     }
+}
+
+/// The signed rows `peers`' catalogs recorded since their last take, as
+/// one batch.
+fn drain<'a>(peers: impl IntoIterator<Item = &'a Peer>) -> DeltaBatch {
+    let mut batch = DeltaBatch::new();
+    for peer in peers {
+        for (relation, row, w) in peer.storage.write(Catalog::take_changes) {
+            batch.add(relation, row, w);
+        }
+    }
+    batch
 }
 
 /// Push one signed batch through every affected subscription.
@@ -275,4 +262,78 @@ fn refire(subs: &mut BTreeMap<String, Subscription>, batch: &DeltaBatch) -> Publ
 #[derive(Debug, Clone, Copy)]
 pub enum IvmStrategy {
     Dataflow,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use revere_query::glav::GlavMapping;
+    use revere_storage::{RelSchema, Value};
+
+    /// Peers `A` and `B`, in memory, each storing `r(x)` with one row.
+    fn two_peers() -> PdmsNetwork {
+        let mut net = PdmsNetwork::new();
+        for name in ["A", "B"] {
+            let mut p = Peer::new(name);
+            p.add_relation(Relation::with_rows(
+                RelSchema::text("r", &["x"]),
+                vec![vec![Value::str(name)]],
+            ));
+            net.add_peer(p);
+        }
+        net
+    }
+
+    fn assert_matches_query(net: &PdmsNetwork, name: &str, at: &str, text: &str) {
+        let oneshot = net.query_str(at, text).unwrap().answers;
+        assert_eq!(net.subscription(name).unwrap().answers().rows(), oneshot.rows());
+    }
+
+    #[test]
+    fn a_direct_write_to_an_in_memory_peer_reaches_the_subscription() {
+        let mut net = two_peers();
+        let text = "q(X) :- A.r(X)";
+        net.subscribe_str("A", "s", text).unwrap();
+        net.peer("A").unwrap().storage.write(|c| {
+            c.insert("A.r", vec![Value::str("direct")]);
+            c.delete("A.r", &[Value::str("A")]);
+        });
+        assert_eq!(net.sync_subscriptions(), 2);
+        assert_matches_query(&net, "s", "A", text);
+        assert_eq!(net.subscription("s").unwrap().answers().len(), 1);
+        assert_eq!(net.subscription("s").unwrap().refreshes, 1);
+    }
+
+    #[test]
+    fn a_mapping_added_after_subscribing_reaches_the_subscription() {
+        let mut net = two_peers();
+        let text = "q(X) :- A.r(X)";
+        net.subscribe_str("A", "s", text).unwrap();
+        let rule = "m(X) :- B.r(X) ==> m(X) :- A.r(X)";
+        net.add_mapping(GlavMapping::parse("ba", "B", "A", rule).unwrap());
+        net.sync_subscriptions();
+        assert_matches_query(&net, "s", "A", text);
+        assert_eq!(net.subscription("s").unwrap().answers().len(), 2);
+        // The re-seeded circuits follow later publishes to the new source.
+        let gram = Updategram::inserts("B.r", vec![vec![Value::str("late")]]);
+        assert_eq!(net.publish(&gram).unwrap().refreshed, ["s"]);
+        assert_matches_query(&net, "s", "A", text);
+        assert_eq!(net.subscription("s").unwrap().answers().len(), 3);
+    }
+
+    #[test]
+    fn catalogs_track_only_while_someone_subscribes() {
+        let mut net = two_peers();
+        let tracking = |net: &PdmsNetwork| {
+            net.peer("A").unwrap().storage.write(|c| {
+                c.insert("A.r", vec![Value::str("probe")]);
+                !c.take_changes().is_empty()
+            })
+        };
+        assert!(!tracking(&net));
+        net.subscribe_str("A", "s", "q(X) :- A.r(X)").unwrap();
+        assert!(tracking(&net));
+        net.unsubscribe("s");
+        assert!(!tracking(&net));
+    }
 }

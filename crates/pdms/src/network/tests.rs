@@ -751,7 +751,7 @@ fn unaffected_subscription_is_a_counted_noop() {
 }
 
 #[test]
-fn durable_peer_direct_mutations_sync_through_the_wal() {
+fn durable_peer_direct_mutations_reach_subscriptions() {
     let mut net = university_network();
     net.enable_durability("Berkeley").expect("Berkeley is a member");
     let text = "q(T, E) :- MIT.subject(T, E)";
@@ -761,12 +761,12 @@ fn durable_peer_direct_mutations_sync_through_the_wal() {
         c.insert("Berkeley.course", vec![Value::str("WAL Mining"), Value::Int(12)]);
         c.delete("Berkeley.course", &[Value::str("Ancient Greece"), Value::Int(40)]);
     });
-    let absorbed = net.sync_durable_subscriptions();
+    let absorbed = net.sync_subscriptions();
     assert!(absorbed >= 2, "both the insert and the delete are captured");
     let oneshot = net.query_str("MIT", text).unwrap().answers;
     assert_eq!(net.subscription("cq").unwrap().answers().rows(), oneshot.rows());
-    // Cursors advanced: a second sync has nothing left to absorb.
-    assert_eq!(net.sync_durable_subscriptions(), 0);
+    // The records were taken: a second sync has nothing left to push.
+    assert_eq!(net.sync_subscriptions(), 0);
 }
 
 #[test]

@@ -96,7 +96,10 @@ impl<'a> Change<'a> {
 /// registered relation has current statistics at all times
 /// ([`Catalog::rel_stats`] is `Some` exactly when [`Catalog::get`] is).
 /// [`Catalog::apply`] and [`Catalog::replay`] report the signed rows they
-/// made ([`Change`]), so no consumer of deltas recounts them.
+/// made ([`Change`]), so no consumer of deltas recounts them. While
+/// tracked ([`Catalog::track_changes`]) the catalog also records the
+/// signed rows of every change its mutators make, for
+/// [`Catalog::take_changes`] to hand over.
 ///
 /// Relations share their rows and what is derived from them (see
 /// [`Relation`]), so registering a clone of another catalog's relation
@@ -113,9 +116,9 @@ impl<'a> Change<'a> {
 /// [`crate::wal::recover_catalog`], the one catalog replay. The one
 /// exception is [`Catalog::absorb_join_stats`], a staging/merge API
 /// that durable catalogs do not use. `Clone` deliberately does **not**
-/// carry the journal: a clone is a value snapshot (staging catalogs,
-/// merged views), and double-journaling through copies would corrupt the
-/// history.
+/// carry the journal or the change record: a clone is a value snapshot
+/// (staging catalogs, merged views), and double-journaling through copies
+/// would corrupt the history.
 #[derive(Debug, Default)]
 pub struct Catalog {
     relations: BTreeMap<String, Stored>,
@@ -124,16 +127,21 @@ pub struct Catalog {
     epoch: u64,
     /// Attached durable change log; `None` for plain in-memory catalogs.
     journal: Option<Journal>,
+    /// The signed rows changed since the last [`Catalog::take_changes`],
+    /// as (relation, row, weight); `None` while untracked.
+    changes: Option<Vec<(String, Tuple, i64)>>,
 }
 
 impl Clone for Catalog {
-    /// Value snapshot: everything but the journal (see the type docs).
+    /// Value snapshot: everything but the journal and the change record
+    /// (see the type docs).
     fn clone(&self) -> Self {
         Catalog {
             relations: self.relations.clone(),
             join_stats: self.join_stats.clone(),
             epoch: self.epoch,
             journal: None,
+            changes: None,
         }
     }
 }
@@ -165,11 +173,38 @@ impl Catalog {
         }
     }
 
-    /// Apply one journaled record — crash recovery, and change capture
-    /// from a log — and return the signed rows it made: row records go
-    /// through [`Catalog::apply`], a `Register` retracts the contents it
-    /// replaces and asserts its own, and bookkeeping records change no
-    /// rows. The journal is suspended: replay must not re-journal history.
+    /// Start recording the signed rows of every change, from an empty
+    /// record (anything recorded before is dropped).
+    pub fn track_changes(&mut self) {
+        self.changes = Some(Vec::new());
+    }
+
+    /// Stop recording and drop the record.
+    pub fn untrack_changes(&mut self) {
+        self.changes = None;
+    }
+
+    /// The signed rows changed since tracking started or the last take,
+    /// as (relation, row, weight) in the order the changes were made; a
+    /// row's weights sum to its net change. Empty while untracked.
+    pub fn take_changes(&mut self) -> Vec<(String, Tuple, i64)> {
+        self.changes.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+
+    /// Add a change's signed rows to the record, while tracked.
+    fn record(&mut self, change: &Change) {
+        if let Some(changes) = &mut self.changes {
+            let rel = change.relation();
+            changes.extend(change.rows().map(|(row, w)| (rel.to_string(), row.to_vec(), w)));
+        }
+    }
+
+    /// Apply one journaled record — crash recovery — and return the
+    /// signed rows it made: row records go through [`Catalog::apply`], a
+    /// `Register` retracts the contents it replaces and asserts its own,
+    /// and bookkeeping records change no rows. The journal is suspended:
+    /// replay must not re-journal history. A tracked catalog records the
+    /// rows through those mutators.
     pub fn replay<'a>(&mut self, rec: &'a WalRecord) -> Change<'a> {
         let suspended = self.journal.take();
         let change = match rec {
@@ -229,10 +264,9 @@ impl Catalog {
     /// The row mutator, with an updategram's semantics: every copy of each
     /// `delete` row goes (in one pass), then each `insert` row is
     /// appended. Returns the signed rows it made ([`Catalog::sign`] of the
-    /// pre-state). Journals what single-row [`Catalog::delete`] and
-    /// [`Catalog::insert`] calls would: a `Delete` per listed row, then an
-    /// `Insert` per row. A row of the wrong arity refuses the whole change
-    /// before anything is journaled or written.
+    /// pre-state), and records them while tracked. Journals a `Delete` per
+    /// listed row, then an `Insert` per row. A row of the wrong arity
+    /// refuses the whole change before anything is journaled or written.
     pub fn apply<'a>(
         &mut self,
         rel: &'a str,
@@ -260,14 +294,22 @@ impl Catalog {
             s.push(row.clone());
         }
         self.epoch += (change.deleted.len() + insert.len()) as u64;
+        self.record(&change);
         Ok(change)
     }
 
     /// Register (or replace) a relation under its schema name. Statistics
     /// are the relation's own ([`Relation::stats`]): computed here if no
     /// clone of it has needed them yet, taken by reference otherwise.
+    /// While tracked, the replaced contents are recorded as retracted and
+    /// the new ones as asserted.
     pub fn register(&mut self, rel: Relation) {
         self.journal_record(|| WalRecord::Register { relation: rel.clone() });
+        if self.changes.is_some() {
+            let replaced = self.get(&rel.schema.name).cloned();
+            let (relation, inserted) = (rel.schema.name.as_str(), rel.rows());
+            self.record(&Change { relation, replaced, inserted, ..Change::default() });
+        }
         let stats = rel.stats();
         self.relations.insert(rel.schema.name.clone(), Stored { relation: rel, stats });
         self.epoch += 1;
@@ -284,45 +326,25 @@ impl Catalog {
     }
 
     /// Insert a row into a named relation: [`Catalog::apply`] of one
-    /// insert, taking the row by value. Returns `false` if the relation
-    /// does not exist. Statistics follow incrementally — no rescan.
+    /// insert. Returns `false` if the relation does not exist.
     ///
     /// # Panics
     /// Panics, before journaling, if the row's arity is not the relation's.
     pub fn insert(&mut self, rel: &str, row: Vec<Value>) -> bool {
-        let Some(s) = self.relations.get_mut(rel) else {
+        if self.get(rel).is_none() {
             return false;
-        };
-        s.relation.check_arity([&row]).unwrap_or_else(|e| panic!("{e}"));
-        if let Some(j) = &self.journal {
-            j.append(&WalRecord::Insert { relation: rel.to_string(), row: row.clone() });
         }
-        s.push(row);
-        self.epoch += 1;
+        self.apply(rel, &[], &[row]).unwrap_or_else(|e| panic!("{e}"));
         true
     }
 
-    /// Delete every copy of `row` from a named relation, returning how
-    /// many rows were actually removed. Statistics are noted with that
-    /// exact count (so a delete-of-absent cannot desync them), and the
-    /// epoch only moves when something really changed.
-    ///
-    /// When journaled, the delete is logged *before* it is applied —
-    /// even a delete that turns out to remove nothing (replaying a no-op
-    /// delete is itself a no-op, so recovery stays faithful).
+    /// Delete every copy of `row` from a named relation: [`Catalog::apply`]
+    /// of one delete. Returns how many rows were removed; 0 for an unknown
+    /// relation or a row of the wrong arity, which journals nothing.
     pub fn delete(&mut self, rel: &str, row: &[Value]) -> usize {
-        let Some(s) = self.relations.get_mut(rel) else {
-            return 0;
-        };
-        if let Some(j) = &self.journal {
-            j.append(&WalRecord::Delete { relation: rel.to_string(), row: row.to_vec() });
-        }
-        let removed = s.relation.delete(row);
-        if removed > 0 {
-            Arc::make_mut(&mut s.stats).note_delete_n(row, removed);
-            self.epoch += 1;
-        }
-        removed
+        let row = [row.to_vec()];
+        let change = self.apply(rel, &row, &[]);
+        change.map_or(0, |c| c.deleted.first().map_or(0, |&(_, n)| n))
     }
 
     /// Current statistics for a relation; `None` only for unknown
@@ -521,6 +543,19 @@ mod tests {
         assert_eq!(s.distinct(0), 1);
         assert_eq!(s, &crate::stats::RelStats::compute(c.get("t").unwrap()));
         assert_eq!(c.delete("missing", &[Value::str("x")]), 0);
+    }
+
+    #[test]
+    fn a_wrong_arity_delete_journals_nothing() {
+        use crate::wal::Journal;
+        let mut c = Catalog::new();
+        c.create(RelSchema::text("t", &["a", "b"]));
+        c.insert("t", vec![Value::str("x"), Value::str("y")]);
+        let journal = Journal::new();
+        c.attach_journal(journal.clone());
+        assert_eq!(c.delete("t", &[Value::str("x")]), 0);
+        assert_eq!(journal.record_count(), 0, "no record a replay would have to skip");
+        assert_eq!(c.get("t").unwrap().len(), 1);
     }
 
     fn signed(change: &Change) -> Vec<(Vec<Value>, i64)> {

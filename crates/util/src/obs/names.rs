@@ -79,9 +79,6 @@ pub const PDMS_CACHE_PLAN_EVICTIONS: &str = "pdms.cache.plan_evictions";
 /// Gauge: change-log records appended but not yet acknowledged by every
 /// durable subscriber (the unacked LSN span).
 pub const PDMS_WAL_RECORDS_PENDING: &str = "pdms.wal.records_pending";
-/// Gauge: change-log records published but not yet absorbed by the
-/// durable-subscription sync cursor (inbox watermark lag).
-pub const PDMS_WAL_RECORDS_UNSYNCED: &str = "pdms.wal.records_unsynced";
 
 // --- pdms feedback vitals (scraped as gauges) ------------------------------
 
@@ -126,7 +123,6 @@ pub const ALL: &[&str] = &[
     PDMS_SHIP_MESSAGES_SENT,
     PDMS_SHIP_RETRIES_SPENT,
     PDMS_WAL_RECORDS_PENDING,
-    PDMS_WAL_RECORDS_UNSYNCED,
     QUERY_EVAL_ROWS_BUILT,
     QUERY_EVAL_ROWS_PROBED,
     QUERY_EVAL_ROWS_SCANNED,

@@ -69,9 +69,11 @@ done
 # circuits and a view driven by `maintain`'s policy (the cost model's own
 # choice per gram, plus a forced re-seed every fifth) must both equal a
 # from-scratch recompute of their defining query, byte for byte; and
-# subscriptions over a durable peer, under publishes, direct writes,
-# checkpoints and restarts, must equal a one-shot query after every step
-# (change capture from the WAL). Override the seed set with
+# subscriptions over a durable and an in-memory peer, under publishes,
+# direct writes, checkpoints, restarts, a mapping added mid-stream, a
+# peer leaving and rejoining and a storage swap, must equal a one-shot
+# query after every step (changes the catalogs record, re-seeds on a
+# topology change). Override the seed set with
 # REVERE_IVM_SEEDS="1 2 3" scripts/verify.sh
 for seed in ${REVERE_IVM_SEEDS:-7 42 1003}; do
     echo "ivm differential gate: seed $seed"

@@ -13,11 +13,14 @@
 //! gram, and a forced re-seed every [`RESEED_EVERY`]-th — so one view
 //! alternates between push and re-plan-and-re-seed mid-stream.
 //!
-//! A second arm checks change capture from the WAL: two subscriptions
-//! over a durable peer — a local join and a query across a mapping — held
-//! to a one-shot query after every step of a seeded mix of publishes,
-//! direct writes (inserts, multi-copy and absent deletes, same-schema
-//! re-registrations), checkpoints and clean restarts.
+//! A second arm holds subscriptions to the query they were asked as:
+//! three subscriptions — a join local to a durable peer, a query across
+//! a mapping, and a query over an in-memory peer — equal a one-shot query
+//! after every step of a seeded mix of publishes, direct writes on both
+//! peers (inserts, multi-copy and absent deletes, same-schema
+//! re-registrations), checkpoints and clean restarts of the durable
+//! peer, a mapping added mid-stream, the in-memory peer leaving and
+//! rejoining, and its storage swapped through `peer_mut`.
 //!
 //! Seeding: `REVERE_IVM_SEED` (default 7) offsets every generator;
 //! `scripts/verify.sh` sweeps `REVERE_IVM_SEEDS` (default `7 42 1003`).
@@ -250,7 +253,7 @@ fn one_circuit_survives_a_long_gram_stream() {
 }
 
 // ---------------------------------------------------------------------
-// Change capture from the WAL: subscriptions over a durable peer
+// Subscriptions ≡ one-shot queries under every change path
 // ---------------------------------------------------------------------
 
 /// A binary int relation named `name`.
@@ -259,15 +262,25 @@ fn int_pair(name: impl Into<String>) -> RelSchema {
 }
 
 /// The subscriptions of [`run_durable_case`]: (name, peer, query) — a
-/// join local to the durable peer, and a query at `V` that the mapping
-/// `D.r ⟶ V.t` answers partly from `D`.
-const DURABLE_SUBSCRIPTIONS: [(&str, &str, &str); 2] = [
+/// join local to the durable peer, a query at `V` that the mapping
+/// `D.r ⟶ V.t` answers partly from `D` (and, once added, `M.u ⟶ V.t`
+/// from `M`), and a query over the in-memory peer `M`.
+const DURABLE_SUBSCRIPTIONS: [(&str, &str, &str); 3] = [
     ("local", "D", "q(A, C) :- D.r(A, B), D.s(B, C)"),
     ("mapped", "V", "q(A, B) :- V.t(A, B)"),
+    ("memory", "V", "q(A) :- M.u(A, B)"),
 ];
 
-/// A network of a durable peer `D` (relations `r`, `s`) and a peer `V`
-/// (relation `t`) with a mapping from `D.r` into `V.t`.
+/// A fresh in-memory peer `M` storing `u` with random rows.
+fn memory_peer(g: &mut Gen) -> Peer {
+    let mut p = Peer::new("M");
+    p.add_relation(Relation::with_rows(int_pair("u"), g.vec(0..8, random_row)));
+    p
+}
+
+/// A network of a durable peer `D` (relations `r`, `s`), a peer `V`
+/// (relation `t`) with a mapping from `D.r` into `V.t`, and an in-memory
+/// peer `M` (relation `u`).
 fn durable_network(g: &mut Gen) -> PdmsNetwork {
     let mut net = PdmsNetwork::new();
     for (peer, rels) in [("D", &["r", "s"][..]), ("V", &["t"][..])] {
@@ -277,6 +290,7 @@ fn durable_network(g: &mut Gen) -> PdmsNetwork {
         }
         net.add_peer(p);
     }
+    net.add_peer(memory_peer(g));
     net.add_mapping(
         GlavMapping::parse("m", "D", "V", "m(A, B) :- D.r(A, B) ==> m(A, B) :- V.t(A, B)")
             .expect("mapping parses"),
@@ -285,14 +299,14 @@ fn durable_network(g: &mut Gen) -> PdmsNetwork {
     net
 }
 
-/// One direct write on `D`'s catalog through `storage.write`, bypassing
-/// `publish`: an insert, a delete of a stored row (every copy goes), a
-/// delete of a row that may be absent, or a re-registration of a
-/// relation under the same schema. Returns what it did.
-fn direct_write(g: &mut Gen, net: &PdmsNetwork) -> String {
-    let rel = *g.pick(&["r", "s"]);
-    let qualified = format!("D.{rel}");
-    let peer = net.peer("D").expect("D is a member");
+/// One direct write on a catalog of `peer` through `storage.write`,
+/// bypassing `publish`: an insert, a delete of a stored row (every copy
+/// goes), a delete of a row that may be absent, or a re-registration of
+/// a relation under the same schema. Returns what it did.
+fn direct_write(g: &mut Gen, net: &PdmsNetwork, peer: &str) -> String {
+    let rel = if peer == "D" { *g.pick(&["r", "s"]) } else { "u" };
+    let qualified = format!("{peer}.{rel}");
+    let peer = net.peer(peer).expect("a member");
     peer.storage.write(|c| match g.random_range(0..4u8) {
         0 => {
             let row = random_row(g);
@@ -336,23 +350,27 @@ fn published_gram(g: &mut Gen, net: &PdmsNetwork) -> Updategram {
 }
 
 /// Drive one seeded schedule of publishes, direct writes, checkpoints
-/// and clean restarts of `D`; after every step, absorb the journal and
-/// hold each subscription to a one-shot query at its peer.
+/// and clean restarts of `D`, direct writes on `M`, the mapping
+/// `M.u ⟶ V.t`, `M` leaving and rejoining, and `M`'s storage swapped;
+/// after every step, sync and hold each subscription to a one-shot
+/// query at its peer.
 fn run_durable_case(case: u64, steps: usize) {
     let mut g = case_gen(case);
     let mut net = durable_network(&mut g);
     for (name, peer, text) in DURABLE_SUBSCRIPTIONS {
         net.subscribe_str(peer, name, text).expect("subscribes");
     }
+    let mut mapped_m = false;
     for step in 0..steps {
-        let what = match g.random_range(0..10u8) {
+        let m_member = net.peer("M").is_some();
+        let what = match g.random_range(0..15u8) {
             0..=2 => {
                 let gram = published_gram(&mut g, &net);
                 net.publish(&gram).expect("D stores the relation");
                 format!("publish {gram:?}")
             }
-            3..=6 => {
-                let mut what = direct_write(&mut g, &net);
+            3..=5 => {
+                let mut what = direct_write(&mut g, &net, "D");
                 // A checkpoint may land before anyone reads the write.
                 if g.random_bool(0.3) {
                     net.checkpoint_peer("D").expect("D is durable");
@@ -360,16 +378,41 @@ fn run_durable_case(case: u64, steps: usize) {
                 }
                 what
             }
-            7 => {
+            6 => {
                 net.checkpoint_peer("D").expect("D is durable");
                 "checkpoint".to_string()
             }
-            _ => {
+            7 => {
                 net.restart_peer("D").expect("D restarts cleanly");
                 "restart".to_string()
             }
+            8..=10 if m_member => direct_write(&mut g, &net, "M"),
+            11 if m_member && !mapped_m => {
+                mapped_m = true;
+                let rule = "m(A, B) :- M.u(A, B) ==> m(A, B) :- V.t(A, B)";
+                net.add_mapping(GlavMapping::parse("mu", "M", "V", rule).expect("parses"));
+                "add mapping M.u ⟶ V.t".to_string()
+            }
+            12 if m_member => {
+                let rows = g.vec(0..8, random_row);
+                let mut catalog = Catalog::new();
+                catalog.register(Relation::with_rows(int_pair("M.u"), rows));
+                let peer = net.peer_mut("M").expect("M is a member");
+                peer.storage = revere::storage::SharedCatalog::new(catalog);
+                "swap M's storage".to_string()
+            }
+            13 if m_member => {
+                net.remove_peer("M");
+                "remove M".to_string()
+            }
+            _ if !m_member => {
+                let m = memory_peer(&mut g);
+                net.add_peer(m);
+                "re-add M".to_string()
+            }
+            _ => "nothing".to_string(),
         };
-        net.sync_durable_subscriptions();
+        net.sync_subscriptions();
         for (name, peer, text) in DURABLE_SUBSCRIPTIONS {
             let oneshot = net.query_str(peer, text).expect("query runs").answers;
             assert_eq!(
@@ -382,8 +425,8 @@ fn run_durable_case(case: u64, steps: usize) {
 }
 
 #[test]
-fn subscriptions_over_a_durable_peer_track_direct_writes_through_the_wal() {
+fn subscriptions_equal_one_shot_queries_under_every_change_path() {
     for case in 0..8u64 {
-        run_durable_case(70_000 + case, 40);
+        run_durable_case(70_000 + case, 60);
     }
 }

@@ -697,6 +697,100 @@ fn catalog_signs_every_change_as_the_bag_difference() {
     });
 }
 
+/// A tracked catalog reports its own changes: across a random run of
+/// `apply`, `insert`, `delete`, `register` and `replay` calls (rows in
+/// `Int(k)`/`Float(k)` spellings, some of the wrong arity, some naming an
+/// unknown relation), the Z-set sum of the rows taken — at random points
+/// along the way — equals after − before as bags, relation by relation.
+/// A clone of the tracked catalog and an untracked twin put through the
+/// same calls record nothing.
+#[test]
+fn tracked_catalogs_record_the_bag_difference() {
+    use std::collections::BTreeMap;
+    fn bags(c: &Catalog) -> BTreeMap<String, Delta> {
+        let bag = |name| Delta::from_pairs(c.get(name).unwrap().iter().map(|r| (r.clone(), 1)));
+        c.names().map(|name| (name.to_string(), bag(name))).collect()
+    }
+    fn row(g: &mut Gen) -> Vec<Value> {
+        let arity = if g.random_bool(0.05) { 1 } else { 2 };
+        (0..arity).map(|_| gen_num(g)).collect()
+    }
+    forall(256, |g| {
+        let mut tracked = Catalog::new();
+        for name in ["r", "s"] {
+            let rows = g.vec(0..6, |g| vec![gen_num(g), gen_num(g)]);
+            tracked.register(Relation::with_rows(RelSchema::text(name, &["a", "b"]), rows));
+        }
+        let before = bags(&tracked);
+        let mut untracked = tracked.clone();
+        tracked.track_changes();
+        let mut copy = tracked.clone();
+        let mut taken: BTreeMap<String, Delta> = BTreeMap::new();
+        for _ in 0..g.random_range(1..12usize) {
+            let rel = *g.pick(&["r", "s", "r", "s", "nope"]);
+            let (delete, insert) = (g.vec(0..3, row), g.vec(0..3, row));
+            let stored = tracked.get(rel).map(|r| r.rows().to_vec()).unwrap_or_default();
+            let victim = if stored.is_empty() { row(g) } else { g.pick(&stored).clone() };
+            let replacement = g.vec(0..5, |g| vec![gen_num(g), gen_num(g)]);
+            let op = g.random_range(0..7u8);
+            for c in [&mut tracked, &mut copy, &mut untracked] {
+                let wide = |r: &Vec<Value>| r.len() != 2;
+                match op {
+                    0 => drop(c.apply(rel, &delete, &insert)),
+                    1 if !insert.iter().any(wide) => {
+                        for r in &insert {
+                            c.insert(rel, r.clone());
+                        }
+                    }
+                    2 => drop(c.delete(rel, &victim)),
+                    3 if rel != "nope" => c.register(Relation::with_rows(
+                        RelSchema::text(rel, &["a", "b"]),
+                        replacement.clone(),
+                    )),
+                    4 => {
+                        let rec = WalRecord::Delete { relation: rel.into(), row: victim.clone() };
+                        drop(c.replay(&rec));
+                    }
+                    5 => drop(c.replay(&WalRecord::DeltaApplied {
+                        link: "L".into(),
+                        id: 0,
+                        relation: rel.into(),
+                        insert: insert.clone(),
+                        delete: delete.clone(),
+                    })),
+                    _ if rel != "nope" => drop(c.replay(&WalRecord::Register {
+                        relation: Relation::with_rows(
+                            RelSchema::text(rel, &["a", "b"]),
+                            replacement.clone(),
+                        ),
+                    })),
+                    _ => {}
+                }
+            }
+            if g.random_bool(0.4) {
+                for (relation, row, w) in tracked.take_changes() {
+                    taken.entry(relation).or_default().add(row, w);
+                }
+            }
+        }
+        for (relation, row, w) in tracked.take_changes() {
+            taken.entry(relation).or_default().add(row, w);
+        }
+        let mut oracle = bags(&tracked);
+        for (name, bag) in &before {
+            oracle.get_mut(name).unwrap().merge(&bag.negate());
+        }
+        oracle.retain(|_, d| !d.is_empty());
+        taken.retain(|_, d| !d.is_empty());
+        assert_eq!(taken, oracle, "taken rows vs after − before");
+        assert!(tracked.take_changes().is_empty(), "a take empties the record");
+        assert!(copy.take_changes().is_empty(), "a clone does not track");
+        assert!(untracked.take_changes().is_empty(), "an untracked catalog records nothing");
+        assert_eq!(bags(&copy), bags(&tracked));
+        assert_eq!(bags(&untracked), bags(&tracked));
+    });
+}
+
 #[test]
 fn zset_consolidation_never_stores_zero_weights() {
     forall(128, |g| {
@@ -1613,28 +1707,53 @@ const PARSE_SEEDS: [&str; 4] = [
     "m(T, E) :- B.course(T, E) ==> m(T, E) :- M.subject(T, E)",
 ];
 
+/// Valid markup the mutation loop starts from: XML with a declaration, a
+/// comment, a CDATA section, entities and quoted attributes, and HTML
+/// with annotation attributes, void and unclosed tags.
+const MARKUP_SEEDS: [&str; 3] = [
+    "<?xml version=\"1.0\"?><!-- c --><a x='1' y=\"&amp;\"><b>t &lt; u</b><![CDATA[<raw>]]><c/></a>",
+    "<html><body><div mg:about=\"course/db\" mg:tag='title'>Data &amp; bases<br></div><p>x</body>",
+    "<!DOCTYPE html><ul><li><a href=\"/p?a=1&b=2\">&#233;t&eacute;</a><li>two</ul>",
+];
+
+/// `text` with one to three edits from `alphabet` — a character inserted,
+/// replaced or deleted, or the text truncated.
+fn mutant(g: &mut Gen, text: &str, alphabet: &[char]) -> String {
+    let mut text: Vec<char> = text.chars().collect();
+    for _ in 0..g.random_range(1..4usize) {
+        let at = g.random_range(0..text.len() + 1);
+        match g.random_range(0..4u8) {
+            0 => text.insert(at, *g.pick(alphabet)),
+            1 if at < text.len() => text[at] = *g.pick(alphabet),
+            2 if at < text.len() => {
+                text.remove(at);
+            }
+            _ => text.truncate(at),
+        }
+    }
+    text.into_iter().collect()
+}
+
 /// Every mutant of a valid query or mapping — characters inserted,
 /// replaced, deleted, or the text truncated, multi-byte characters
 /// included — parses to a value or an error, never a panic, through both
-/// the query parser and the mapping parser.
+/// the query parser and the mapping parser; every mutant of valid markup
+/// does the same through the XML parser and the HTML parser.
 #[test]
 fn query_and_mapping_parsers_never_panic_on_mutants() {
     let alphabet: Vec<char> = "()',:-=<>!. XYTab01_é😀".chars().collect();
     forall(20_000, |g| {
-        let mut text: Vec<char> = g.pick(&PARSE_SEEDS).chars().collect();
-        for _ in 0..g.random_range(1..4usize) {
-            let at = g.random_range(0..text.len() + 1);
-            match g.random_range(0..4u8) {
-                0 => text.insert(at, *g.pick(&alphabet)),
-                1 if at < text.len() => text[at] = *g.pick(&alphabet),
-                2 if at < text.len() => {
-                    text.remove(at);
-                }
-                _ => text.truncate(at),
-            }
-        }
-        let text: String = text.into_iter().collect();
+        let seed = *g.pick(&PARSE_SEEDS);
+        let text = mutant(g, seed, &alphabet);
         let _ = parse_query(&text);
         let _ = GlavMapping::parse("m", "B", "M", &text);
+    });
+    parse_xml(MARKUP_SEEDS[0]).expect("the XML seed is well-formed");
+    let alphabet: Vec<char> = "<>/=\"'!?-&;[]#é😀".chars().collect();
+    forall(20_000, |g| {
+        let seed = *g.pick(&MARKUP_SEEDS);
+        let text = mutant(g, seed, &alphabet);
+        let _ = parse_xml(&text);
+        let _ = revere::mangrove::parse_html(&text);
     });
 }
