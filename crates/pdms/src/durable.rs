@@ -430,7 +430,10 @@ mod tests {
     use crate::views::MaterializedView;
     use revere_query::parse_query;
     use revere_storage::{RelSchema, Relation, Value};
+    use revere_storage::wal::decode_catalog;
     use revere_util::fault::{FaultSpec, RetryPolicy};
+    use revere_util::prop::{forall, Gen};
+    use revere_util::RngExt;
 
     fn course_catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -599,5 +602,54 @@ mod tests {
         img[mid] ^= 0xFF;
         disk.with_image(|i| *i = Some(img));
         assert!(recover(&disk).is_none());
+    }
+
+    /// `bytes` with one to three edits — a bit flipped, a byte set,
+    /// deleted or inserted, or the tail cut off — and, four times in
+    /// five, the trailing CRC resealed over the edit so the structural
+    /// decoder runs.
+    fn image_mutant(g: &mut Gen, bytes: &[u8]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        for _ in 0..g.random_range(1..4usize) {
+            let at = g.random_range(0..out.len() + 1);
+            let byte = *g.pick(&[0u8, 1, 2, 4, 0x7f, 0x80, 0xff]);
+            match g.random_range(0..9u8) {
+                0..=2 if at < out.len() => out[at] ^= 1 << g.random_range(0..8u32),
+                3..=4 if at < out.len() => out[at] = byte,
+                5..=6 if at < out.len() => {
+                    out.remove(at);
+                }
+                8 => out.truncate(at),
+                _ => out.insert(at, byte),
+            }
+        }
+        if let Some(body) = out.len().checked_sub(4).filter(|_| g.random_bool(0.8)) {
+            let crc = crc32(&out[..body]);
+            out[body..].copy_from_slice(&crc.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn peer_image_decoder_never_panics_on_mutants() {
+        let disk = PeerDisk::new();
+        let mut inbox = GramInbox::durable("Src", disk.journal());
+        for id in [0, 2, 5] {
+            inbox.accept(id);
+        }
+        let mut link = ReliableLink::durable("T", FaultPlan::default(), disk.journal());
+        link.seal(Updategram::inserts("T.course", vec![]));
+        let image = encode_peer_image(&course_catalog(), 4, &[&inbox], &[&link]);
+        let (blob, inboxes, outboxes) = decode_peer_image(&image, &disk.journal).expect("valid");
+        assert!(blob.is_some() && inboxes.len() == 1 && outboxes.len() == 1);
+        let mut decoded = 0;
+        forall(10_000, |g| {
+            let mutant = image_mutant(g, &image);
+            if let Some((Some(blob), ..)) = decode_peer_image(&mutant, &disk.journal) {
+                decoded += 1;
+                let _ = decode_catalog(blob);
+            }
+        });
+        assert!(decoded > 500, "only {decoded} mutants got past the checksum and decoded");
     }
 }

@@ -91,11 +91,16 @@ impl MaterializedView {
     /// Re-plan every disjunct against `catalog` and re-seed it from
     /// scratch ("simply invalidating views and re-reading data" — the
     /// baseline the paper wants to avoid, and the right call when the
-    /// delta outweighs the base). Work counters restart with the circuits.
+    /// delta outweighs the base). Each seed is one pass over its base
+    /// relations ([`Circuit::init_full`]). All or nothing: when any
+    /// disjunct fails to seed, the view keeps every old circuit. Work
+    /// counters restart with the circuits.
     pub fn refresh_full(&mut self, catalog: &Catalog) -> Result<(), EvalError> {
-        for c in &mut self.circuits {
-            *c = seeded(c.definition(), catalog)?;
-        }
+        self.circuits = self
+            .circuits
+            .iter()
+            .map(|c| seeded(c.definition(), catalog))
+            .collect::<Result<_, _>>()?;
         Ok(())
     }
 
@@ -368,6 +373,29 @@ mod tests {
         let (_, van) = v.apply_gram(&mut c, &Updategram::deletes("s", vec![vec!["x".into()]]));
         assert_eq!(van, vec![vec![Value::str("x")]]);
         assert_eq!(v.as_relation().rows(), [vec![Value::str("y")]]);
+    }
+
+    #[test]
+    fn a_failed_refresh_leaves_every_circuit_as_it_was() {
+        let mut c = base();
+        c.register(Relation::with_rows(RelSchema::text("s", &["b"]), vec![vec!["x".into()]]));
+        let disjuncts: Vec<_> =
+            ["v(B) :- r(A, B)", "v(B) :- s(B)"].iter().map(|t| parse_query(t).unwrap()).collect();
+        let mut v = MaterializedView::union("v", disjuncts[0].clone(), &disjuncts, &c);
+        let bag = |v: &MaterializedView| v.as_bag().into_rows();
+        let before = bag(&v);
+        assert_eq!(before.len(), 4);
+        // `r` holds one new row and `s` is gone: the second disjunct
+        // cannot seed, so the first must not be re-seeded either.
+        let mut moved = Catalog::new();
+        moved.register(Relation::with_rows(
+            RelSchema::text("r", &["a", "b"]),
+            vec![vec!["9".into(), "zz".into()]],
+        ));
+        assert!(v.refresh_full(&moved).is_err());
+        assert_eq!(bag(&v), before);
+        assert!(v.refresh_full(&c).is_ok());
+        assert_eq!(bag(&v), before);
     }
 
     #[test]

@@ -26,12 +26,15 @@
 //! (a linear filter) and head projection (a linear map) run on it there,
 //! and no intermediate binding Z-set is built.
 //!
-//! `Delta` is the ordered, consolidated algebra every edge carries; the
-//! *stored* state is hashed. Arrangements and derivation counts are
+//! `Delta` is the ordered, consolidated algebra a batch carries and a
+//! push returns; what flows between stages and what a circuit *stores*
+//! is hashed. Binding deltas, arrangements and derivation counts are
 //! hash maps under the crate's seedless `FxHasher`, probed and folded by
 //! borrowed key, and sorted only when read
 //! ([`Circuit::derivations`], [`Circuit::output_set`]) — a push never
-//! scans or sorts full state.
+//! scans or sorts full state. Seeding ([`Circuit::init_full`]) runs the
+//! same stage loop as a push, reading each relation's rows straight from
+//! the catalog.
 //!
 //! `tests/differential_ivm.rs` holds every circuit byte-identical to
 //! [`crate::eval_planned`] recomputed from scratch after every delta;
@@ -190,21 +193,23 @@ impl Delta<Tuple> {
 // ---------------------------------------------------------------------
 
 /// Add `w` (nonzero) to `t`'s weight in `map`, consolidating: `t` is
-/// cloned only when it enters and removed when its weight cancels.
-/// Returns the change in the number of stored entries (+1, 0 or −1).
-fn fold_weight(map: &mut FxMap<Tuple, i64>, t: &Tuple, w: i64) -> isize {
-    match map.get_mut(t) {
+/// owned (cloned if borrowed) only when it enters, and removed when its
+/// weight cancels; an entry already there keeps its first-seen spelling
+/// (`Int(2)` vs `Float(2.0)`). Returns the change in the number of stored
+/// entries (+1, 0 or −1).
+fn fold_weight(map: &mut FxMap<Tuple, i64>, t: Cow<'_, Tuple>, w: i64) -> isize {
+    match map.get_mut(t.as_ref()) {
         Some(slot) => {
             *slot += w;
             if *slot == 0 {
-                map.remove(t);
+                map.remove(t.as_ref());
                 -1
             } else {
                 0
             }
         }
         None => {
-            insert_churning(map, t.clone(), w);
+            insert_churning(map, t.into_owned(), w);
             1
         }
     }
@@ -254,11 +259,17 @@ impl Arrangement {
     /// entries reaching weight zero are dropped). Cost is O(|delta|)
     /// index operations — touched entries only, never a full-index scan,
     /// or the "incremental" join would secretly pay O(base) per update.
-    /// A key is cloned only when its group is created.
     pub fn apply(&mut self, delta: &Delta) {
+        self.fold(delta.iter().map(|(t, w)| (Cow::Borrowed(t), w)));
+    }
+
+    /// [`Arrangement::apply`] over signed entries, each borrowed (cloned
+    /// only when it enters) or owned (moved in). A key is cloned only
+    /// when its group is created.
+    fn fold<'a>(&mut self, entries: impl IntoIterator<Item = (Cow<'a, Tuple>, i64)>) {
         let mut key = Vec::with_capacity(self.key_cols.len());
-        for (t, w) in delta.iter() {
-            fill_key(&mut key, &self.key_cols, t);
+        for (t, w) in entries {
+            fill_key(&mut key, &self.key_cols, &t);
             match self.index.get_mut(key.as_slice()) {
                 Some(group) => {
                     self.distinct = self.distinct.wrapping_add_signed(fold_weight(group, t, w));
@@ -267,7 +278,7 @@ impl Arrangement {
                     }
                 }
                 None => {
-                    let group = FxMap::from_iter([(t.clone(), w)]);
+                    let group = FxMap::from_iter([(t.into_owned(), w)]);
                     insert_churning(&mut self.index, key.clone(), group);
                     self.distinct += 1;
                 }
@@ -325,30 +336,38 @@ impl JoinState {
 
     /// Push one round of input deltas; `emit(l, r, w)` receives every
     /// matched pair with its signed multiplicity (`w_l · w_r`).
-    pub fn push_with(
+    pub fn push_with(&mut self, dl: &Delta, dr: &Delta, emit: impl FnMut(&Tuple, &Tuple, i64)) {
+        let dr: Vec<_> = dr.iter().collect();
+        self.join(dl.entries.iter().map(|(t, w)| (t, *w)), &dr, emit);
+        self.left.apply(dl);
+    }
+
+    /// One round up to folding `ΔL`, which the caller does next: fold `ΔR`
+    /// into the right arrangement, then emit `ΔL ⋈ R` (the updated right
+    /// side) and `L ⋈ ΔR` (the old left side). Both deltas consolidated.
+    fn join<'l>(
         &mut self,
-        dl: &Delta,
-        dr: &Delta,
+        dl: impl ExactSizeIterator<Item = (&'l Tuple, i64)>,
+        dr: &[(&Tuple, i64)],
         mut emit: impl FnMut(&Tuple, &Tuple, i64),
     ) {
-        self.right.apply(dr);
+        self.right.fold(dr.iter().map(|&(r, w)| (Cow::Borrowed(r), w)));
         self.work += (dl.len() + dr.len()) as u64;
         let mut key = Vec::with_capacity(self.left_key.len());
-        for (l, wl) in dl.iter() {
+        for (l, wl) in dl {
             fill_key(&mut key, &self.left_key, l);
             for (r, wr) in self.right.probe(&key) {
                 self.work += 1;
                 emit(l, r, wl * wr);
             }
         }
-        for (r, wr) in dr.iter() {
+        for &(r, wr) in dr {
             fill_key(&mut key, &self.right_key, r);
             for (l, wl) in self.left.probe(&key) {
                 self.work += 1;
                 emit(l, r, wl * wr);
             }
         }
-        self.left.apply(dl);
     }
 
     /// [`JoinState::push_with`] emitting concatenated `l ++ r` tuples —
@@ -455,9 +474,14 @@ fn cmp_pass(comparisons: &[(Operand, CmpOp, Operand)], binding: &Tuple) -> bool 
 }
 
 /// The head tuple of `binding`, or `None` when the head names a variable
-/// the body never binds.
+/// the body never binds. Allocated at its exact length: a seed moves it
+/// into the derivation counts, where it lives as long as the circuit.
 fn project(head: &[Operand], binding: &Tuple) -> Option<Tuple> {
-    head.iter().map(|o| o.value(binding).cloned()).collect()
+    let mut t = Vec::with_capacity(head.len());
+    for o in head {
+        t.push(o.value(binding)?.clone());
+    }
+    Some(t)
 }
 
 /// One join step of a circuit: the atom's pushed-filter/key analysis plus
@@ -471,16 +495,58 @@ struct Stage {
     join: JoinState,
 }
 
+/// Where one round's base rows come from: a pushed batch's per-relation
+/// deltas, or (seeding) every row a catalog stores, each an insert.
+#[derive(Clone, Copy)]
+enum Input<'a> {
+    Batch(&'a DeltaBatch),
+    Catalog(&'a Catalog),
+}
+
 impl Stage {
-    /// The batch's rows of this stage's relation that survive the atom's
-    /// pushed filters — borrowed when none is dropped.
-    fn row_delta<'b>(&self, batch: &'b DeltaBatch) -> Cow<'b, Delta> {
+    /// This round's consolidated delta on the stage's relation, borrowed
+    /// from `input`, keeping the rows that survive the atom's pushed
+    /// filters. A catalog's rows are consolidated by hash: equal rows sum,
+    /// and the first one seen keeps its spelling, as a batch's would.
+    fn rows<'a>(&self, input: Input<'a>) -> Vec<(&'a Tuple, i64)> {
         let keep = |t: &Tuple| t.len() == self.split.arity && self.split.row_passes(t);
-        match batch.get(&self.relation) {
-            Some(d) if d.iter().all(|(t, _)| keep(t)) => Cow::Borrowed(d),
-            Some(d) => Cow::Owned(d.filter(keep)),
-            None => Cow::Owned(Delta::new()),
+        match input {
+            Input::Batch(batch) => batch
+                .get(&self.relation)
+                .into_iter()
+                .flat_map(Delta::iter)
+                .filter(|(t, _)| keep(t))
+                .collect(),
+            Input::Catalog(catalog) => {
+                let rows = catalog.get(&self.relation).map_or(&[][..], Relation::rows);
+                let mut counts: FxMap<&Tuple, i64> =
+                    FxMap::with_capacity_and_hasher(rows.len(), Default::default());
+                for t in rows.iter().filter(|t| keep(t)) {
+                    *counts.entry(t).or_insert(0) += 1;
+                }
+                counts.into_iter().collect()
+            }
         }
+    }
+
+    /// One round of this stage: join the bindings entering it with its
+    /// rows, hand `emit` each match extended into one scratch binding,
+    /// then move the entering bindings into the left arrangement.
+    fn step(
+        &mut self,
+        d_bindings: FxMap<Tuple, i64>,
+        d_rows: &[(&Tuple, i64)],
+        mut emit: impl FnMut(&Tuple, i64),
+    ) {
+        let Stage { split, join, .. } = self;
+        let mut binding = Vec::new();
+        join.join(d_bindings.iter().map(|(b, w)| (b, *w)), d_rows, |b, r, w| {
+            binding.clear();
+            binding.extend_from_slice(b);
+            extend_binding(split, &mut binding, r);
+            emit(&binding, w);
+        });
+        join.left.fold(d_bindings.into_iter().map(|(b, w)| (Cow::Owned(b), w)));
     }
 }
 
@@ -578,68 +644,68 @@ impl Circuit {
         self.stages.iter().map(|s| s.relation.clone()).collect()
     }
 
-    /// Seed an empty circuit with a source's current contents, as one
-    /// batch of insert deltas — by bilinearity this lands exactly on the
-    /// from-scratch evaluation. Errors if a body relation is missing or
-    /// has the wrong arity (same contract as the evaluator).
+    /// Seed an empty circuit with a source's current contents in one pass
+    /// of the stage loop [`Circuit::push`] runs: each stage reads its
+    /// relation's rows straight from `source` as inserts, borrowed and
+    /// consolidated by hash, and the last stage folds its matches straight
+    /// into the derivation counts. The result, and every counter, equals
+    /// pushing the whole catalog as one batch of `+1`s — by bilinearity
+    /// the from-scratch evaluation. Errors if a body relation is missing
+    /// or has the wrong arity (same contract as the evaluator).
     pub fn init_full(&mut self, source: &Catalog) -> Result<(), EvalError> {
         validate(&self.query, source)?;
-        let mut batch = DeltaBatch::new();
-        for name in self.relations() {
-            let rel = source.get(&name).expect("validated above");
-            for row in rel.iter() {
-                batch.add(name.clone(), row.clone(), 1);
-            }
-        }
-        self.push(&batch);
+        let mut derivations = std::mem::take(&mut self.out);
+        self.round(Input::Catalog(source), |t, w| {
+            fold_weight(&mut derivations, Cow::Owned(t), w);
+        });
+        self.out = derivations;
         Ok(())
     }
 
     /// Push one batch of base-relation deltas through the circuit and
     /// return the derivation-level output delta (head tuples with signed
     /// multiplicities), also folded into [`Circuit::derivations`].
-    ///
-    /// Every stage but the last builds the next stage's binding delta; the
-    /// last one's emit applies the comparisons (linear filter) and head
-    /// projection (linear map) to each match and adds it straight into
-    /// the output, which by linearity equals filtering and projecting the
-    /// consolidated binding delta.
     pub fn push(&mut self, batch: &DeltaBatch) -> Delta {
-        let Circuit { stages, comparisons, head, out: derivations, pushes, .. } = self;
-        *pushes += 1;
         let mut out = Delta::new();
+        self.round(Input::Batch(batch), |t, w| out.add(t, w));
+        for (t, w) in out.iter() {
+            fold_weight(&mut self.out, Cow::Borrowed(t), w);
+        }
+        out
+    }
+
+    /// The stage loop of one round, shared by [`Circuit::push`] and
+    /// [`Circuit::init_full`]; `emit` receives every head tuple derived or
+    /// retracted, unconsolidated.
+    ///
+    /// Every stage but the last folds its matches into the next stage's
+    /// binding delta, consolidated by hash; the last one applies the
+    /// comparisons (linear filter) and head projection (linear map) to
+    /// each match, which by linearity equals filtering and projecting the
+    /// consolidated binding delta.
+    fn round(&mut self, input: Input<'_>, mut emit: impl FnMut(Tuple, i64)) {
+        let Circuit { stages, comparisons, head, pushes, .. } = self;
+        *pushes += 1;
         let Some((last, earlier)) = stages.split_last_mut() else {
-            return out;
+            return;
         };
         // ΔB_{-1}: the unit binding never changes.
-        let mut d_bindings: Delta = Delta::new();
+        let mut d_bindings = FxMap::default();
         for stage in earlier {
-            let d_rows = stage.row_delta(batch);
-            let (split, mut next) = (&stage.split, Delta::new());
-            stage.join.push_with(&d_bindings, &d_rows, |b, r, w| {
-                let mut binding = Vec::with_capacity(b.len() + split.new_vars.len());
-                binding.extend_from_slice(b);
-                extend_binding(split, &mut binding, r);
-                next.add(binding, w);
+            let (d_rows, mut next) = (stage.rows(input), FxMap::default());
+            stage.step(d_bindings, &d_rows, |binding, w| {
+                fold_weight(&mut next, Cow::Borrowed(binding), w);
             });
             d_bindings = next;
         }
-        let d_rows = last.row_delta(batch);
-        let (split, mut binding) = (&last.split, Vec::new());
-        last.join.push_with(&d_bindings, &d_rows, |b, r, w| {
-            binding.clear();
-            binding.extend_from_slice(b);
-            extend_binding(split, &mut binding, r);
-            if cmp_pass(comparisons, &binding) {
-                if let Some(t) = project(head, &binding) {
-                    out.add(t, w);
+        let d_rows = last.rows(input);
+        last.step(d_bindings, &d_rows, |binding, w| {
+            if cmp_pass(comparisons, binding) {
+                if let Some(t) = project(head, binding) {
+                    emit(t, w);
                 }
             }
         });
-        for (t, w) in out.iter() {
-            fold_weight(derivations, t, w);
-        }
-        out
     }
 
     /// The maintained derivation counts of head tuples (the bag result as
@@ -797,6 +863,25 @@ mod tests {
     }
 
     #[test]
+    fn seeding_keeps_the_first_spelling_of_equal_rows() {
+        // `Int(2)` and `Float(2.0)` are one row of weight 2, spelled as the
+        // catalog holds it first — as a batch of the rows would spell it.
+        for (first, second) in
+            [(Value::Int(2), Value::Float(2.0)), (Value::Float(2.0), Value::Int(2))]
+        {
+            let mut c = Catalog::new();
+            let mut r = Relation::new(RelSchema::text("r", &["a"]));
+            r.insert(vec![first.clone()]);
+            r.insert(vec![second]);
+            c.register(r);
+            let cir = circuit(&c, "q(A) :- r(A)");
+            let seeded: Vec<_> =
+                cir.derivations().iter().map(|(t, w)| (format!("{t:?}"), w)).collect();
+            assert_eq!(seeded, [(format!("{:?}", vec![first]), 2)]);
+        }
+    }
+
+    #[test]
     fn unaffected_relation_is_a_cheap_noop() {
         let c = catalog();
         let mut cir = circuit(&c, "q(A, C) :- r(A, B), s(B, C)");
@@ -817,9 +902,9 @@ mod tests {
             .capacity();
         let mut map: FxMap<Tuple, i64> = FxMap::default();
         for k in 0..200_000 {
-            fold_weight(&mut map, &vec![Value::Int(k as i64)], 1);
+            fold_weight(&mut map, Cow::Owned(vec![Value::Int(k as i64)]), 1);
             if k >= live {
-                fold_weight(&mut map, &vec![Value::Int((k - live) as i64)], -1);
+                fold_weight(&mut map, Cow::Owned(vec![Value::Int((k - live) as i64)]), -1);
             }
             assert!(map.capacity() <= ceiling, "table grew at key {k}");
         }

@@ -68,7 +68,11 @@ done
 # dataset joins/leaves), a view that always pushes the delta through its
 # circuits and a view driven by `maintain`'s policy (the cost model's own
 # choice per gram, plus a forced re-seed every fifth) must both equal a
-# from-scratch recompute of their defining query, byte for byte; and
+# from-scratch recompute of their defining query, byte for byte; the
+# seeding arm: a circuit seeded by `init_full` (one pass over the
+# catalog) must equal its twin seeded by pushing the whole catalog as one
+# batch of inserts (derivation counts, work, arranged tuples, pushes),
+# before and after a few random grams, over mixed `Int`/`Float` bags; and
 # subscriptions over a durable and an in-memory peer, under publishes,
 # direct writes, checkpoints, restarts, a mapping added mid-stream, a
 # peer leaving and rejoining and a storage swap, must equal a one-shot
@@ -124,6 +128,11 @@ done
 # vs crawl staleness; the cleaning policies under dirt).
 cargo run --release --offline -p revere-bench --bin report E4
 cargo run --release --offline -p revere-bench --bin report E5
+
+# E8 smoke: the maintenance experiment must run end to end — its
+# recompute column re-seeds a view, and every row asserts the pushed and
+# the re-seeded view agree.
+cargo run --release --offline -p revere-bench --bin report E8
 
 # E16 smoke: the durability experiment must run end to end — its sweep
 # asserts byte-identical convergence and suffix-bounded recovery for

@@ -13,7 +13,14 @@
 //! gram, and a forced re-seed every [`RESEED_EVERY`]-th — so one view
 //! alternates between push and re-plan-and-re-seed mid-stream.
 //!
-//! A second arm holds subscriptions to the query they were asked as:
+//! A second arm holds a seeded circuit to its definition: a circuit
+//! seeded by [`Circuit::init_full`] equals its twin seeded by pushing the
+//! whole catalog as one batch of inserts — derivation counts, join work,
+//! arranged tuples and pushes — over random 1–3-atom queries and bag
+//! catalogs that spell equal cells as both `Int` and `Float`, before and
+//! after a few random grams.
+//!
+//! A third arm holds subscriptions to the query they were asked as:
 //! three subscriptions — a join local to a durable peer, a query across
 //! a mapping, and a query over an in-memory peer — equal a one-shot query
 //! after every step of a seeded mix of publishes, direct writes on both
@@ -79,14 +86,15 @@ fn random_catalog(g: &mut Gen) -> Catalog {
     catalog
 }
 
-/// A random safe conjunctive query over the `r*` relations: 2–3 atoms
-/// (relations drawn with replacement, so self-joins happen), a small
+/// A random safe conjunctive query over the `r*` relations: as many atoms
+/// as one pick from `atoms` (relations drawn with replacement, so
+/// self-joins happen), a small
 /// variable pool (frequent join columns and repeated variables), optional
 /// constants in atom positions, 0–2 comparisons over body variables.
-fn random_query_text(g: &mut Gen, catalog: &Catalog) -> String {
+fn random_query_text(g: &mut Gen, catalog: &Catalog, atoms: &[usize]) -> String {
     let rels: Vec<String> =
         catalog.names().filter(|n| n.starts_with('r')).map(str::to_string).collect();
-    let n_atoms = *g.pick(&[2usize, 2, 3]);
+    let n_atoms = *g.pick(atoms);
     let mut body = Vec::new();
     let mut used: Vec<&str> = Vec::new();
     for ai in 0..n_atoms {
@@ -183,7 +191,7 @@ const RESEED_EVERY: usize = 5;
 fn run_case(case: u64, grams: usize) -> Option<[usize; 2]> {
     let mut g = case_gen(case);
     let mut catalog = random_catalog(&mut g);
-    let text = random_query_text(&mut g, &catalog);
+    let text = random_query_text(&mut g, &catalog, &[2, 2, 3]);
     let q = parse_query(&text).unwrap_or_else(|e| panic!("case {case}: `{text}`: {e}"));
     assert!(q.is_safe(), "case {case}: generated unsafe query `{text}`");
 
@@ -250,6 +258,88 @@ fn one_circuit_survives_a_long_gram_stream() {
         run_case(90_001, 250).or_else(|| run_case(90_002, 250)).is_some(),
         "soak cases failed to compile a circuit"
     );
+}
+
+// ---------------------------------------------------------------------
+// Seeding ≡ replaying the catalog as one batch
+// ---------------------------------------------------------------------
+
+/// `catalog` with about a third of its cells spelled as the equal
+/// `Float`, so one bag holds both `Int(2)` and `Float(2.0)`.
+fn respell(g: &mut Gen, catalog: &Catalog) -> Catalog {
+    let mut out = Catalog::new();
+    for name in catalog.names() {
+        let rel = catalog.get(name).expect("listed");
+        let rows = rel
+            .rows()
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|v| match v {
+                        Value::Int(i) if g.random_bool(0.3) => Value::Float(*i as f64),
+                        v => v.clone(),
+                    })
+                    .collect()
+            })
+            .collect();
+        out.register(Relation::with_rows(rel.schema.clone(), rows));
+    }
+    out
+}
+
+/// Push every stored row of `catalog` as a `+1`, in one batch: the
+/// definition of seeding that [`Circuit::init_full`] must reproduce.
+fn replay(circuit: &mut Circuit, catalog: &Catalog) {
+    let mut batch = DeltaBatch::new();
+    for name in catalog.names() {
+        for row in catalog.get(name).expect("listed").rows() {
+            batch.add(name, row.clone(), 1);
+        }
+    }
+    circuit.push(&batch);
+}
+
+/// The derivation counts and every counter of a circuit.
+fn counters(c: &Circuit) -> (Delta, u64, usize, usize) {
+    (c.derivations(), c.work(), c.arranged_tuples(), c.pushes)
+}
+
+/// Seed one circuit with `init_full` and its twin by [`replay`]; they
+/// must agree, and keep agreeing while a few random grams are pushed
+/// into both.
+fn run_seed_case(case: u64) {
+    let mut g = case_gen(case);
+    let base = random_catalog(&mut g);
+    let mut catalog = respell(&mut g, &base);
+    let text = random_query_text(&mut g, &catalog, &[1, 2, 3]);
+    let q = parse_query(&text).unwrap_or_else(|e| panic!("case {case}: `{text}`: {e}"));
+    let mut seeded = Circuit::new(&q, &plan_cq(&q, &catalog)).expect("the plan applies");
+    let mut replayed = seeded.clone();
+    seeded.init_full(&catalog).expect("every relation is stored");
+    replay(&mut replayed, &catalog);
+    let ctx = |round: &str| format!("case {case}, query `{text}`, {round}");
+    assert_eq!(counters(&seeded), counters(&replayed), "{}", ctx("seeded"));
+    assert_eq!(
+        seeded.output_bag().rows(),
+        sorted_rows(eval_cq_bag(&q, &catalog).unwrap()),
+        "{}",
+        ctx("seeded vs recompute")
+    );
+    for round in 0..6 {
+        let gram = random_gram(&mut g, &catalog);
+        let batch = gram_to_batch(&catalog, &gram);
+        catalog.apply(&gram.relation, &gram.delete, &gram.insert).expect("arity holds");
+        let round = format!("gram {round} on `{}`", gram.relation);
+        assert_eq!(seeded.push(&batch), replayed.push(&batch), "{}", ctx(&round));
+        assert_eq!(counters(&seeded), counters(&replayed), "{}", ctx(&round));
+    }
+}
+
+#[test]
+fn seeding_equals_replaying_the_catalog_as_one_batch() {
+    for case in 0..48u64 {
+        run_seed_case(60_000 + case);
+    }
 }
 
 // ---------------------------------------------------------------------

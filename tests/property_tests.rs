@@ -1757,3 +1757,137 @@ fn query_and_mapping_parsers_never_panic_on_mutants() {
         let _ = revere::mangrove::parse_html(&text);
     });
 }
+
+// ---------------------------------------------------------------------
+// Binary decoders: no panic on any input
+// ---------------------------------------------------------------------
+
+/// `bytes` with one to three edits: a bit flipped, a byte set, deleted
+/// or inserted, or (rarely) the tail cut off. Set and inserted bytes
+/// favour the ones length and tag fields break on.
+fn byte_mutant(g: &mut Gen, bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    for _ in 0..g.random_range(1..4usize) {
+        let at = g.random_range(0..out.len() + 1);
+        let byte = if g.random_bool(0.5) {
+            *g.pick(&[0u8, 1, 2, 3, 4, 9, 0x7f, 0x80, 0xfe, 0xff])
+        } else {
+            g.random_range(0..256u16) as u8
+        };
+        match g.random_range(0..9u8) {
+            0..=2 if at < out.len() => out[at] ^= 1 << g.random_range(0..8u32),
+            3..=4 if at < out.len() => out[at] = byte,
+            5..=6 if at < out.len() => {
+                out.remove(at);
+            }
+            8 => out.truncate(at),
+            _ => out.insert(at, byte),
+        }
+    }
+    out
+}
+
+/// Recompute the trailing CRC over everything before it (the `RVSN`
+/// snapshot's frame), so the mutant reaches the structural decoder.
+fn reseal_tail(bytes: &mut [u8]) {
+    if let Some(body) = bytes.len().checked_sub(4) {
+        let crc = revere::storage::wal::crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// Recompute a log's header CRC and the CRC of every frame its length
+/// prefixes still delimit.
+fn reseal_log(bytes: &mut [u8]) {
+    use revere::storage::wal::crc32;
+    let (header, frame) = (20, 8);
+    if bytes.len() < header {
+        return;
+    }
+    let crc = crc32(&bytes[..header - 4]);
+    bytes[header - 4..header].copy_from_slice(&crc.to_le_bytes());
+    let mut pos = header;
+    while pos + frame <= bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let Some(end) = (pos + frame).checked_add(len).filter(|&e| e <= bytes.len()) else {
+            break;
+        };
+        let crc = crc32(&bytes[pos + frame..end]);
+        bytes[pos + 4..pos + frame].copy_from_slice(&crc.to_le_bytes());
+        pos = end;
+    }
+}
+
+/// Every mutant of a valid record, log or catalog snapshot — bits
+/// flipped, bytes set, deleted, inserted or cut, and on most mutants the
+/// CRCs resealed over the edit — decodes to a value or to `None` (a log
+/// to its clean prefix), never a panic: `WalRecord::from_bytes`,
+/// `Wal::open` and `decode_catalog`.
+#[test]
+fn binary_decoders_never_panic_on_mutants() {
+    use revere::storage::wal::{decode_catalog, encode_catalog, Wal};
+    let row = |a: &str, b: Value| vec![Value::str(a), b, Value::Null, Value::Bool(true)];
+    let schema = RelSchema::text("S.mixed", &["a", "b", "c", "d"]);
+    let rows =
+        vec![row("x", Value::Int(-3)), row("", Value::Float(2.5)), row("x", Value::Int(-3))];
+    let mixed = Relation::with_rows(schema, rows.clone());
+    let mut catalog = Catalog::new();
+    catalog.register(mixed.clone());
+    catalog.create(RelSchema::text("S.empty", &["a"]));
+    catalog.note_join_overlap("S.mixed", 0, "S.empty", 0, 0.25);
+    let snapshot = encode_catalog(&catalog, 7);
+    let decoded = decode_catalog(&snapshot).expect("the snapshot decodes");
+    assert_eq!(encode_catalog(&decoded.0, decoded.1), snapshot);
+
+    let (relation, link) = ("S.mixed".to_string(), "T".to_string());
+    let records = [
+        WalRecord::Register { relation: mixed },
+        WalRecord::Insert { relation: relation.clone(), row: rows[0].clone() },
+        WalRecord::Delete { relation: relation.clone(), row: rows[1].clone() },
+        WalRecord::JoinObserved {
+            rel_a: relation.clone(),
+            col_a: 0,
+            rel_b: "S.empty".into(),
+            col_b: 0,
+            selectivity: 0.5,
+        },
+        WalRecord::DeltaApplied {
+            link: link.clone(),
+            id: 4,
+            relation: relation.clone(),
+            insert: rows.clone(),
+            delete: vec![],
+        },
+        WalRecord::DeltaSealed { link: link.clone(), id: 5, relation, insert: vec![], delete: rows },
+        WalRecord::DeltaAcked { link, id: 5 },
+        WalRecord::JoinPurged { peer: "S".into() },
+    ];
+    let encoded: Vec<Vec<u8>> = records.iter().map(WalRecord::to_bytes).collect();
+    for (rec, bytes) in records.iter().zip(&encoded) {
+        assert_eq!(WalRecord::from_bytes(bytes).as_ref(), Some(rec));
+    }
+    let mut wal = Wal::with_base(3);
+    for rec in &records {
+        wal.append(rec);
+    }
+    let log = wal.bytes().to_vec();
+    assert_eq!(Wal::open(&log).1.records, records.len());
+
+    // How many mutants got past the checksums and decoded: the loop must
+    // exercise the structural decoders, not only the CRC checks.
+    let (mut snapshots, mut logs) = (0, 0);
+    forall(30_000, |g| {
+        let record: &Vec<u8> = g.pick(&encoded);
+        let _ = WalRecord::from_bytes(&byte_mutant(g, record));
+        let reseal = g.random_bool(0.8);
+        let mut image = byte_mutant(g, &snapshot);
+        let mut bytes = byte_mutant(g, &log);
+        if reseal {
+            reseal_tail(&mut image);
+            reseal_log(&mut bytes);
+        }
+        snapshots += usize::from(decode_catalog(&image).is_some());
+        logs += usize::from(Wal::open(&bytes).1.records > 0);
+    });
+    assert!(snapshots > 1_000 && logs > 1_000, "decoded {snapshots} snapshots, {logs} logs");
+}
