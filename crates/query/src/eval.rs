@@ -6,7 +6,7 @@
 //! [`crate::plan`]): a statistics-costed join order over the query's
 //! canonical body, one hash join per step with constant and
 //! repeated-variable filters pushed into the hash build. There is one
-//! engine — the columnar one in [`crate::vec`] — behind four entry
+//! engine — the columnar one in the private `vec` module — behind four entry
 //! points: [`eval_cq`] and [`eval_cq_bag`] plan on the fly (set / bag
 //! semantics); [`eval_planned`] runs a caller-supplied (possibly cached)
 //! plan with full instrumentation; [`eval_bindings`] is the same kernel

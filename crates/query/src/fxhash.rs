@@ -1,5 +1,6 @@
-//! The crate's one fast hasher, shared by the vectorized engine's typed
-//! join indexes ([`crate::vec`]) and the dataflow circuits' arranged state
+//! The crate's one fast hasher, shared by every join index of the
+//! vectorized engine (`crate::vec`: `i64`, dictionary-code, string and
+//! `Vec<Value>` keys) and the dataflow circuits' arranged state
 //! ([`crate::dataflow`]).
 //!
 //! The default SipHash is collision-hardened but costs more than a whole

@@ -18,9 +18,9 @@
 //!   over a [`revere_storage::Catalog`]: four entry points ([`eval_cq`],
 //!   [`eval_cq_bag`], [`eval_planned`], [`eval_bindings`]) over one
 //!   engine, plus the nested-loop [`eval_naive`] differential oracle.
-//! * [`mod@vec`] — that engine: vectorized columnar execution with
-//!   selection bitmaps, typed batched hash joins, and morsel-parallel
-//!   probes with join-in-spawn-order determinism.
+//! * `vec` (private) — that engine: vectorized columnar execution with
+//!   selection bitmaps and typed batched hash joins, each phase one pass
+//!   on the calling thread.
 //! * [`dataflow`] — DBSP-style delta dataflow: Z-set [`Delta`]s, bilinear
 //!   incremental joins with arranged state, and [`Circuit`]s that keep a
 //!   planned conjunctive body fresh in O(|Δ|) per update.
@@ -44,7 +44,7 @@ pub mod parse;
 pub mod plan;
 pub mod unfold;
 pub mod unify;
-pub mod vec;
+mod vec;
 
 pub use ast::{Atom, CmpOp, Comparison, ConjunctiveQuery, Term, UnionQuery};
 pub use containment::{contained_in, equivalent, minimize};
@@ -55,7 +55,7 @@ pub use eval::{
 };
 #[doc(hidden)]
 pub use eval::{eval_cq_bag_planned_mode, eval_cq_bindings_mode, ExecMode};
-pub use vec::{eval_bindings, eval_planned, VecOpts};
+pub use vec::{eval_bindings, eval_planned};
 pub use plan::{explain_analyze, plan_cq, q_error, ExplainAnalyze, JoinPair, Plan, PlanStep};
 pub use glav::GlavMapping;
 pub use minicon::rewrite_using_views;

@@ -11,18 +11,14 @@
 //!
 //! **Determinism contract.** Output row order is a pure function of the
 //! query, the plan and the data: probe bindings in order, matches within
-//! a binding in relation insert order. Morsel-parallel execution keeps
-//! it: worker threads claim fixed-size morsels from an atomic counter,
-//! each morsel's output lands in its own slot, and slots are concatenated
-//! in morsel order, independent of thread scheduling. Workers never
-//! touch the tracer or metrics; the coordinator emits per-step totals
-//! once, so `query.eval.*` counters, `eval.step` span fields and
-//! [`StepProfile`]s do not depend on [`VecOpts`] either.
+//! a binding in relation insert order. Each phase — the leading scan, the
+//! probe, the comparison filter and the head projection — is one pass on
+//! the calling thread, so `query.eval.*` counters, `eval.step` span fields
+//! and [`StepProfile`]s are emitted once per step, in step order.
 //!
 //! `tests/differential_vec.rs` holds this engine to the nested-loop
 //! oracle ([`crate::eval::eval_naive_bag`]) on generated corpora —
-//! answers, errors, and step profiles — and every [`VecOpts`]
-//! configuration to the sequential run byte for byte.
+//! answers, errors, and step profiles.
 
 use crate::ast::{ConjunctiveQuery, Term};
 use crate::eval::{head_schema, validate, AtomSplit, EvalError, StepProfile};
@@ -30,108 +26,7 @@ use crate::fxhash::FxMap;
 use crate::plan::Plan;
 use revere_storage::{Catalog, ColumnVec, ColumnarBatch, Relation, SelBitmap, Value};
 use revere_util::obs::{names, Obs, SpanHandle};
-use std::collections::HashMap;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// Tuning knobs for the vectorized engine. Every setting changes only
-/// *how* work is scheduled, never what is computed — output is
-/// byte-identical across all values (a test invariant).
-#[derive(Debug, Clone, Copy)]
-pub struct VecOpts {
-    /// Rows per morsel when a phase runs in parallel.
-    pub morsel_rows: usize,
-    /// Phases over fewer rows than this stay sequential (parallelism has
-    /// a fixed spawn cost; tiny inputs never win it back).
-    pub parallel_min_rows: usize,
-    /// Upper bound on worker threads (actual count is also capped by
-    /// available parallelism and the number of morsels).
-    pub max_threads: usize,
-}
-
-impl Default for VecOpts {
-    fn default() -> Self {
-        VecOpts { morsel_rows: 2048, parallel_min_rows: 8192, max_threads: usize::MAX }
-    }
-}
-
-impl VecOpts {
-    /// Never spawn: single-threaded execution regardless of input size.
-    pub fn sequential() -> Self {
-        VecOpts { max_threads: 1, ..VecOpts::default() }
-    }
-
-    /// Parallelize at any size with the given morsel granularity — the
-    /// configuration the morsel byte-identity tests sweep.
-    pub fn forced_parallel(morsel_rows: usize) -> Self {
-        VecOpts { morsel_rows, parallel_min_rows: 0, max_threads: usize::MAX }
-    }
-}
-
-/// The machine's core count, read once per process. The standard
-/// library re-reads the cgroup quota files on every
-/// `available_parallelism` call, which costs more than a small scan; the
-/// count cannot change under a running process in any way we act on.
-fn available_cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Split `0..n` into contiguous morsels of `opts.morsel_rows` and map `f`
-/// over each, returning per-morsel results *in morsel order*.
-///
-/// Below `opts.parallel_min_rows` (or with one worker/morsel) this is a
-/// plain sequential loop on the calling thread, decided before anything
-/// else is looked at. Otherwise scoped worker threads claim morsel
-/// indices from a shared atomic counter; each result lands in the slot of
-/// its morsel index, workers are joined in spawn order, and the slots are
-/// read out in index order — so the concatenation is a pure function of
-/// `n`, `morsel_rows`, and `f`, whatever the thread scheduling did.
-fn morsel_map<T, F>(n: usize, opts: &VecOpts, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    let step = opts.morsel_rows.max(1);
-    let ranges: Vec<Range<usize>> =
-        (0..n).step_by(step).map(|s| s..(s + step).min(n)).collect();
-    let workers = if n < opts.parallel_min_rows {
-        1
-    } else {
-        available_cores().min(opts.max_threads).min(ranges.len())
-    };
-    if workers <= 1 {
-        return ranges.into_iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(ranges.len(), || None);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (ranges, next, f) = (&ranges, &next, &f);
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= ranges.len() {
-                            break;
-                        }
-                        out.push((i, f(ranges[i].clone())));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, t) in h.join().expect("morsel worker panicked") {
-                slots[i] = Some(t);
-            }
-        }
-    });
-    slots.into_iter().map(|t| t.expect("every morsel claimed")).collect()
-}
+use std::sync::Arc;
 
 /// The columnar binding table: one column per bound variable, `rows`
 /// logical rows. Starts with zero columns and one empty binding.
@@ -163,7 +58,7 @@ enum BuildIndex {
     },
     /// Anything else: materialized `Value` keys, equal exactly when the
     /// query language says so (numerically across `Int`/`Float`).
-    Generic(HashMap<Vec<Value>, Vec<u32>>),
+    Generic(FxMap<Vec<Value>, Vec<u32>>),
 }
 
 /// Build the step's hash index from the filtered build rows.
@@ -171,33 +66,30 @@ fn build_index(
     split: &AtomSplit,
     batch: &ColumnarBatch,
     bind: &Bindings,
-    sel_rows: &[u32],
+    sel_rows: Vec<u32>,
 ) -> BuildIndex {
     if split.join_cols.is_empty() {
-        return BuildIndex::All(sel_rows.to_vec());
+        return BuildIndex::All(sel_rows);
     }
     if let [(bcol, pcol)] = split.join_cols.as_slice() {
         match (batch.column(*bcol), &bind.cols[*pcol]) {
             (ColumnVec::Int(build), ColumnVec::Int(_)) => {
                 let mut index: FxMap<i64, Vec<u32>> = FxMap::default();
-                for &r in sel_rows {
+                for r in sel_rows {
                     index.entry(build[r as usize]).or_default().push(r);
                 }
                 return BuildIndex::Int(index);
             }
             (ColumnVec::Str { dict: bd, codes: bc }, ColumnVec::Str { dict: pd, .. }) => {
                 let mut index: FxMap<u32, Vec<u32>> = FxMap::default();
-                for &r in sel_rows {
+                for r in sel_rows {
                     index.entry(bc[r as usize]).or_default().push(r);
                 }
                 let trans: Vec<Option<u32>> = if Arc::ptr_eq(bd, pd) {
                     (0..pd.len() as u32).map(Some).collect()
                 } else {
-                    let codes: HashMap<&str, u32> = bd
-                        .iter()
-                        .enumerate()
-                        .map(|(i, s)| (&**s, i as u32))
-                        .collect();
+                    let codes: FxMap<&str, u32> =
+                        bd.iter().enumerate().map(|(i, s)| (&**s, i as u32)).collect();
                     pd.iter().map(|s| codes.get(&**s).copied()).collect()
                 };
                 return BuildIndex::Str { index, trans };
@@ -205,8 +97,8 @@ fn build_index(
             _ => {}
         }
     }
-    let mut index: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-    for &r in sel_rows {
+    let mut index: FxMap<Vec<Value>, Vec<u32>> = FxMap::default();
+    for r in sel_rows {
         let key: Vec<Value> =
             split.join_cols.iter().map(|(i, _)| batch.column(*i).get(r as usize)).collect();
         index.entry(key).or_default().push(r);
@@ -217,95 +109,51 @@ fn build_index(
 /// Probe every binding row against the index, producing the match pairs
 /// `(probe row, build row)` in the contract's order: bindings ascending,
 /// matches within a binding in relation insert order.
-fn probe(
-    index: &BuildIndex,
-    split: &AtomSplit,
-    bind: &Bindings,
-    opts: &VecOpts,
-) -> (Vec<u32>, Vec<u32>) {
-    // The leading-scan / cartesian shape: morselize over the *build*
-    // rows when there is a single probe binding (the common scan case),
-    // over the bindings otherwise.
-    if let BuildIndex::All(rows) = index {
-        if bind.rows == 1 {
-            let parts = morsel_map(rows.len(), opts, |range| rows[range].to_vec());
-            let build: Vec<u32> = parts.concat();
-            return (vec![0; build.len()], build);
+fn probe(index: &BuildIndex, split: &AtomSplit, bind: &Bindings) -> (Vec<u32>, Vec<u32>) {
+    // A cartesian step's output size is known up front; a keyed one's is not.
+    let cap = if let BuildIndex::All(rows) = index { bind.rows * rows.len() } else { 0 };
+    let (mut p, mut b) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+    let mut emit = |probe_row: usize, matches: &[u32]| {
+        p.extend(std::iter::repeat_n(probe_row as u32, matches.len()));
+        b.extend_from_slice(matches);
+    };
+    match index {
+        BuildIndex::All(rows) => {
+            for probe_row in 0..bind.rows {
+                emit(probe_row, rows);
+            }
         }
-        let parts = morsel_map(bind.rows, opts, |range| {
-            let mut p = Vec::with_capacity(range.len() * rows.len());
-            let mut b = Vec::with_capacity(range.len() * rows.len());
-            for probe_row in range {
-                for &m in rows {
-                    p.push(probe_row as u32);
-                    b.push(m);
-                }
-            }
-            (p, b)
-        });
-        return concat_pairs(parts);
-    }
-    let parts = morsel_map(bind.rows, opts, |range| {
-        let mut p: Vec<u32> = Vec::new();
-        let mut b: Vec<u32> = Vec::new();
-        let mut emit = |probe_row: usize, matches: &[u32]| {
-            for &m in matches {
-                p.push(probe_row as u32);
-                b.push(m);
-            }
-        };
-        match index {
-            BuildIndex::All(_) => unreachable!("handled above"),
-            BuildIndex::Int(map) => {
-                let keys = bind.cols[split.join_cols[0].1]
-                    .as_ints()
-                    .expect("Int index implies Int probe column");
-                for probe_row in range {
-                    if let Some(matches) = map.get(&keys[probe_row]) {
-                        emit(probe_row, matches);
-                    }
-                }
-            }
-            BuildIndex::Str { index: map, trans } => {
-                let (_, codes) = bind.cols[split.join_cols[0].1]
-                    .as_dict()
-                    .expect("Str index implies Str probe column");
-                for probe_row in range {
-                    if let Some(code) = trans[codes[probe_row] as usize] {
-                        if let Some(matches) = map.get(&code) {
-                            emit(probe_row, matches);
-                        }
-                    }
-                }
-            }
-            BuildIndex::Generic(map) => {
-                for probe_row in range {
-                    let key: Vec<Value> = split
-                        .join_cols
-                        .iter()
-                        .map(|(_, b)| bind.cols[*b].get(probe_row))
-                        .collect();
-                    if let Some(matches) = map.get(&key) {
-                        emit(probe_row, matches);
-                    }
+        BuildIndex::Int(map) => {
+            let keys = bind.cols[split.join_cols[0].1]
+                .as_ints()
+                .expect("Int index implies Int probe column");
+            for (probe_row, key) in keys.iter().enumerate() {
+                if let Some(matches) = map.get(key) {
+                    emit(probe_row, matches);
                 }
             }
         }
-        (p, b)
-    });
-    concat_pairs(parts)
-}
-
-/// Concatenate per-morsel `(probe, build)` pairs in morsel order.
-fn concat_pairs(parts: Vec<(Vec<u32>, Vec<u32>)>) -> (Vec<u32>, Vec<u32>) {
-    let total: usize = parts.iter().map(|(p, _)| p.len()).sum();
-    let mut probe = Vec::with_capacity(total);
-    let mut build = Vec::with_capacity(total);
-    for (p, b) in parts {
-        probe.extend(p);
-        build.extend(b);
+        BuildIndex::Str { index: map, trans } => {
+            let (_, codes) = bind.cols[split.join_cols[0].1]
+                .as_dict()
+                .expect("Str index implies Str probe column");
+            for (probe_row, &code) in codes.iter().enumerate() {
+                if let Some(matches) = trans[code as usize].and_then(|c| map.get(&c)) {
+                    emit(probe_row, matches);
+                }
+            }
+        }
+        BuildIndex::Generic(map) => {
+            for probe_row in 0..bind.rows {
+                let key: Vec<Value> =
+                    split.join_cols.iter().map(|(_, c)| bind.cols[*c].get(probe_row)).collect();
+                if let Some(matches) = map.get(&key) {
+                    emit(probe_row, matches);
+                }
+            }
+        }
     }
-    (probe, build)
+    (p, b)
 }
 
 /// A head or comparison term resolved against the binding columns.
@@ -315,6 +163,17 @@ enum Resolved {
     /// The variable is not bound by the body (an unsafe query): no row
     /// that reaches such a term survives.
     Missing,
+}
+
+impl Resolved {
+    /// The term's value at binding row `row`.
+    fn value_at(&self, bind: &Bindings, row: usize) -> Value {
+        match self {
+            Resolved::Const(v) => v.clone(),
+            Resolved::Col(i) => bind.cols[*i].get(row),
+            Resolved::Missing => unreachable!("callers reject unbound terms first"),
+        }
+    }
 }
 
 fn resolve_term(t: &Term, names: &[String]) -> Resolved {
@@ -344,7 +203,21 @@ pub fn eval_planned(
     obs: &Obs,
     parent: &SpanHandle,
 ) -> Result<(Relation, Vec<StepProfile>), EvalError> {
-    eval_planned_opts(q, plan, catalog, obs, parent, &VecOpts::default())
+    let (bind, trace) = eval_bindings_vec(q, plan, catalog, obs, parent)?;
+
+    // Project the head in binding order. Materializing output tuples is
+    // where string payloads finally leave their dictionaries — the
+    // dominant cost on answer-heavy queries.
+    let head: Vec<Resolved> =
+        q.head.terms.iter().map(|t| resolve_term(t, &bind.names)).collect();
+    let rows = if head.iter().any(|r| matches!(r, Resolved::Missing)) {
+        Vec::new()
+    } else {
+        (0..bind.rows)
+            .map(|row| head.iter().map(|r| r.value_at(&bind, row)).collect())
+            .collect()
+    };
+    Ok((Relation::with_rows(head_schema(q), rows), trace))
 }
 
 /// [`eval_planned`] without the answer copy-out: the join pipeline and
@@ -361,52 +234,7 @@ pub fn eval_bindings(
     obs: &Obs,
     parent: &SpanHandle,
 ) -> Result<(usize, Vec<StepProfile>), EvalError> {
-    eval_bindings_vec(q, plan, catalog, obs, parent, &VecOpts::default()).map(|(b, t)| (b.rows, t))
-}
-
-/// [`eval_planned`] under explicit scheduling options: the hook
-/// `tests/differential_vec.rs` forces real threads through at morsel
-/// sizes 1, 7, 64 and whole-relation. Production runs the default.
-#[doc(hidden)]
-pub fn eval_planned_opts(
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    catalog: &Catalog,
-    obs: &Obs,
-    parent: &SpanHandle,
-    opts: &VecOpts,
-) -> Result<(Relation, Vec<StepProfile>), EvalError> {
-    let (bind, trace) = eval_bindings_vec(q, plan, catalog, obs, parent, opts)?;
-
-    // Project the head. Materializing output tuples is where string
-    // payloads finally leave their dictionaries — the dominant cost on
-    // answer-heavy queries — and rows are independent, so the pass is
-    // morselized; concatenating morsels in index order keeps the output
-    // in binding order.
-    let mut out = Relation::new(head_schema(q));
-    let head: Vec<Resolved> =
-        q.head.terms.iter().map(|t| resolve_term(t, &bind.names)).collect();
-    if !head.iter().any(|r| matches!(r, Resolved::Missing)) {
-        let chunks = morsel_map(bind.rows, opts, |range| {
-            range
-                .map(|row| {
-                    head.iter()
-                        .map(|r| match r {
-                            Resolved::Const(v) => v.clone(),
-                            Resolved::Col(i) => bind.cols[*i].get(row),
-                            Resolved::Missing => unreachable!("guarded above"),
-                        })
-                        .collect::<Vec<Value>>()
-                })
-                .collect::<Vec<_>>()
-        });
-        for chunk in chunks {
-            for row in chunk {
-                out.insert(row);
-            }
-        }
-    }
-    Ok((out, trace))
+    eval_bindings_vec(q, plan, catalog, obs, parent).map(|(b, t)| (b.rows, t))
 }
 
 /// The binding-realization core: everything up to (not including) head
@@ -418,7 +246,6 @@ fn eval_bindings_vec(
     catalog: &Catalog,
     obs: &Obs,
     parent: &SpanHandle,
-    opts: &VecOpts,
 ) -> Result<(Bindings, Vec<StepProfile>), EvalError> {
     if !plan.applies_to(q) {
         return Err(EvalError {
@@ -430,18 +257,14 @@ fn eval_bindings_vec(
 
     let mut bind = Bindings { names: Vec::new(), cols: Vec::new(), rows: 1 };
     let mut trace = Vec::with_capacity(plan.order.len());
-    // Columnar images are each relation's own memoised image
-    // ([`Relation::batch`]), so repeated evaluations — the
-    // realized-bindings hot loop, every disjunct of a reformulated query —
-    // skip the row→column pivot entirely. The per-eval map just keeps a
-    // relation joined at several steps from being looked up twice.
-    let mut batches: HashMap<&str, Arc<ColumnarBatch>> = HashMap::new();
 
     for (step_no, &ci) in plan.order.iter().enumerate() {
         let atom = &q.body[canonical[ci]];
-        let batch: &ColumnarBatch = batches
-            .entry(&atom.relation)
-            .or_insert_with(|| catalog.get(&atom.relation).expect("validated above").batch());
+        // Each relation's columnar image is memoised on the relation
+        // ([`Relation::batch`]), so repeated evaluations skip the
+        // row→column pivot, and a relation joined at two steps hands both
+        // the same image (and so the same dictionaries).
+        let batch = catalog.get(&atom.relation).expect("validated above").batch();
         let split = AtomSplit::analyze(atom, &bind.names);
         let span = parent.child("eval.step");
         span.set("step", step_no + 1);
@@ -459,8 +282,8 @@ fn eval_bindings_vec(
         let sel_rows = sel.ones();
         let build_rows = sel_rows.len();
 
-        let index = build_index(&split, batch, &bind, &sel_rows);
-        let (probe_idx, build_idx) = probe(&index, &split, &bind, opts);
+        let index = build_index(&split, &batch, &bind, sel_rows);
+        let (probe_idx, build_idx) = probe(&index, &split, &bind);
 
         obs.inc(names::QUERY_EVAL_STEPS_EXECUTED, 1);
         obs.inc(names::QUERY_EVAL_ROWS_SCANNED, batch.rows() as u64);
@@ -497,8 +320,6 @@ fn eval_bindings_vec(
     trace.resize(plan.order.len(), StepProfile::default());
 
     // Apply comparisons: a row survives iff every comparison passes.
-    // Rows are independent, so the pass is morselized like any other
-    // operator.
     if !q.comparisons.is_empty() && bind.rows > 0 {
         let terms: Vec<(Resolved, Resolved)> = q
             .comparisons
@@ -508,30 +329,22 @@ fn eval_bindings_vec(
         let unsafe_cmp = terms
             .iter()
             .any(|(l, r)| matches!(l, Resolved::Missing) || matches!(r, Resolved::Missing));
-        let keep = if unsafe_cmp {
-            // Unsafe comparisons never pass (parser rejects them anyway).
-            SelBitmap::none(bind.rows)
+        // Unsafe comparisons never pass (the parser rejects them anyway).
+        let kept: Vec<u32> = if unsafe_cmp {
+            Vec::new()
         } else {
-            let value_at = |r: &Resolved, row: usize| match r {
-                Resolved::Const(v) => v.clone(),
-                Resolved::Col(i) => bind.cols[*i].get(row),
-                Resolved::Missing => unreachable!("handled above"),
-            };
-            let parts = morsel_map(bind.rows, opts, |range| {
-                range
-                    .filter(|&row| {
-                        q.comparisons
-                            .iter()
-                            .zip(&terms)
-                            .all(|(c, (l, r))| c.op.apply(&value_at(l, row), &value_at(r, row)))
+            (0..bind.rows)
+                .filter(|&row| {
+                    q.comparisons.iter().zip(&terms).all(|(c, (l, r))| {
+                        c.op.apply(&l.value_at(&bind, row), &r.value_at(&bind, row))
                     })
-                    .map(|row| row as u32)
-                    .collect::<Vec<u32>>()
-            });
-            SelBitmap::from_indices(bind.rows, &parts.concat())
+                })
+                .map(|row| row as u32)
+                .collect()
         };
+        let keep = SelBitmap::from_indices(bind.rows, &kept);
         bind.cols = bind.cols.iter().map(|c| c.filter(&keep)).collect();
-        bind.rows = keep.count_ones();
+        bind.rows = kept.len();
     }
     Ok((bind, trace))
 }
@@ -577,15 +390,13 @@ mod tests {
         q: &ConjunctiveQuery,
         plan: &Plan,
         c: &Catalog,
-        opts: &VecOpts,
     ) -> Result<(Relation, Vec<StepProfile>), EvalError> {
-        eval_planned_opts(q, plan, c, &Obs::disabled(), &SpanHandle::none(), opts)
+        eval_planned(q, plan, c, &Obs::disabled(), &SpanHandle::none())
     }
 
     /// On representative query shapes: the answer bag is the naive
     /// oracle's, the step profiles are the profile oracle's, the kernel's
-    /// binding count is the bag's length, and every scheduling
-    /// configuration returns the sequential run's rows in its order.
+    /// binding count is the bag's length.
     #[test]
     fn vectorized_matches_naive_and_profile_oracles_exactly() {
         let c = catalog();
@@ -604,14 +415,9 @@ mod tests {
             let plan = plan_cq(&q, &c);
             let naive = eval_naive_bag(&q, &c).unwrap();
             let profiles = eval_naive_profiles(&q, &plan, &c).unwrap();
-            let (sequential, _) = untraced(&q, &plan, &c, &VecOpts::sequential()).unwrap();
-            assert_eq!(sequential.sorted().rows(), naive.sorted().rows(), "answers: {text}");
-            for opts in [VecOpts::default(), VecOpts::sequential(), VecOpts::forced_parallel(2)]
-            {
-                let (vec, trace) = untraced(&q, &plan, &c, &opts).unwrap();
-                assert_eq!(vec.rows(), sequential.rows(), "row order diverged: {text}");
-                assert_eq!(trace, profiles, "step profiles diverged: {text}");
-            }
+            let (vec, trace) = untraced(&q, &plan, &c).unwrap();
+            assert_eq!(vec.sorted().rows(), naive.sorted().rows(), "answers: {text}");
+            assert_eq!(trace, profiles, "step profiles diverged: {text}");
             let (n, trace) =
                 eval_bindings(&q, &plan, &c, &Obs::disabled(), &SpanHandle::none()).unwrap();
             assert_eq!(n, naive.len(), "binding count: {text}");
@@ -627,7 +433,7 @@ mod tests {
         let c = catalog();
         let q = parse_query("q(X) :- ghost(X)").unwrap();
         let plan = plan_cq(&q, &c);
-        let vec = untraced(&q, &plan, &c, &VecOpts::default());
+        let vec = untraced(&q, &plan, &c);
         assert_eq!(vec.unwrap_err(), eval_naive_bag(&q, &c).unwrap_err());
 
         let other = parse_query("q(N) :- enrollment(C, N)").unwrap();
@@ -640,14 +446,13 @@ mod tests {
                 q2.canonical_key()
             ),
         };
-        assert_eq!(untraced(&q2, &wrong, &c, &VecOpts::default()).unwrap_err(), expected);
+        assert_eq!(untraced(&q2, &wrong, &c).unwrap_err(), expected);
         let kernel = eval_bindings(&q2, &wrong, &c, &Obs::disabled(), &SpanHandle::none());
         assert_eq!(kernel.unwrap_err(), expected);
     }
 
     /// Counters are emitted identically whether or not a recording span
-    /// is attached, and by the kernel as by the full evaluator — the
-    /// traced/untraced parity the parallel query path depends on.
+    /// is attached, and by the kernel as by the full evaluator.
     #[test]
     fn counters_agree_traced_untraced_and_across_entry_points() {
         let c = catalog();
@@ -669,24 +474,5 @@ mod tests {
         assert_eq!(baseline, run(true, true), "kernel and evaluator disagree on counters");
         assert_eq!(baseline, run(false, true));
         assert!(baseline.contains(names::QUERY_EVAL_STEP_BINDINGS), "{baseline}");
-    }
-
-    #[test]
-    fn morsel_map_is_order_preserving() {
-        let opts = VecOpts::forced_parallel(3);
-        let out = morsel_map(20, &opts, |r| r.collect::<Vec<usize>>());
-        assert_eq!(out.concat(), (0..20).collect::<Vec<usize>>());
-        assert_eq!(morsel_map(0, &opts, |r| r.len()), Vec::<usize>::new());
-    }
-
-    /// A phase below `parallel_min_rows` never leaves the calling thread,
-    /// however many morsels it splits into and whatever `max_threads`
-    /// allows.
-    #[test]
-    fn morsel_map_below_parallel_min_rows_runs_on_the_calling_thread() {
-        let opts = VecOpts { morsel_rows: 1, parallel_min_rows: 41, max_threads: usize::MAX };
-        let caller = std::thread::current().id();
-        let threads = morsel_map(40, &opts, |_| std::thread::current().id());
-        assert_eq!(threads, vec![caller; 40]);
     }
 }

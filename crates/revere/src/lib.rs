@@ -81,7 +81,7 @@ pub mod prelude {
         eval_naive_profiles, eval_naive_union, eval_planned, eval_union, explain_analyze,
         minimize, parse_query, plan_cq, q_error, rewrite_using_views, unfold_with, Arrangement,
         Circuit, ConjunctiveQuery, Delta, DeltaBatch, ExplainAnalyze, GlavMapping, JoinState,
-        Plan, StepProfile, UnionQuery, VecOpts, ViewDef,
+        Plan, StepProfile, UnionQuery, ViewDef,
     };
     pub use revere_storage::{
         Catalog, ColumnVec, ColumnarBatch, DbSchema, Journal, RelSchema, Relation, SelBitmap,

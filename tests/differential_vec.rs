@@ -1,6 +1,6 @@
 //! Differential gate for the vectorized columnar engine.
 //!
-//! The engine (`query::vec`) is held to the nested-loop naive oracle —
+//! The engine behind `eval_planned` is held to the nested-loop naive oracle —
 //! the same bag of answers after canonical sort, the same errors — and
 //! its step profiles, the feedback loop's input, to the profile oracle
 //! derived from that evaluator (`eval_naive_profiles`). These tests
@@ -16,16 +16,10 @@
 //! * broken queries (missing relation / wrong arity), which must produce
 //!   the *same* `EvalError` as the oracle.
 //!
-//! Every case also sweeps morsel configurations — sequential, and forced
-//! parallel at morsel sizes 1, 7, 64, and whole-relation — and holds the
-//! output (rows in order, profiles, errors) byte-identical across all of
-//! them.
-//!
 //! Seeding: `REVERE_VEC_SEED` (default 1) offsets every generator;
 //! `scripts/verify.sh` sweeps several seeds.
 
 use revere::prelude::*;
-use revere::query::vec::eval_planned_opts;
 use revere::storage::Attribute;
 use revere_util::prop::Gen;
 
@@ -172,25 +166,10 @@ fn random_query(g: &mut Gen, catalog: &Catalog, break_it: bool) -> String {
     format!("q({}) :- {}", head.join(", "), body.join(", "))
 }
 
-/// The morsel configurations every case is held byte-identical across:
-/// sequential, and forced-parallel at morsel sizes 1, 7, 64, and
-/// whole-relation (one morsel ⇒ one worker).
-fn opts_sweep() -> Vec<(&'static str, VecOpts)> {
-    vec![
-        ("default", VecOpts::default()),
-        ("sequential", VecOpts::sequential()),
-        ("morsel=1", VecOpts::forced_parallel(1)),
-        ("morsel=7", VecOpts::forced_parallel(7)),
-        ("morsel=64", VecOpts::forced_parallel(64)),
-        ("morsel=whole", VecOpts::forced_parallel(usize::MAX)),
-    ]
-}
-
 type Evaluated = Result<(Relation, Vec<StepProfile>), String>;
 
-fn run_vec(q: &ConjunctiveQuery, plan: &Plan, c: &Catalog, opts: &VecOpts) -> Evaluated {
-    eval_planned_opts(q, plan, c, &Obs::disabled(), &SpanHandle::none(), opts)
-        .map_err(|e| e.to_string())
+fn run_vec(q: &ConjunctiveQuery, plan: &Plan, c: &Catalog) -> Evaluated {
+    eval_planned(q, plan, c, &Obs::disabled(), &SpanHandle::none()).map_err(|e| e.to_string())
 }
 
 fn run_kernel(
@@ -207,32 +186,8 @@ fn sorted_rows(r: &Relation) -> Vec<Vec<Value>> {
     r.sorted().into_rows()
 }
 
-/// Every configuration of the morsel sweep returns what the sequential
-/// run returns — rows in order, profiles, errors (row order is part of
-/// the contract). Hands back the sequential result.
-fn assert_sweep_is_byte_identical(
-    ctx: &str,
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    c: &Catalog,
-) -> Evaluated {
-    let sequential = run_vec(q, plan, c, &VecOpts::sequential());
-    for (label, opts) in opts_sweep() {
-        match (&sequential, &run_vec(q, plan, c, &opts)) {
-            (Ok((s, st)), Ok((v, vt))) => {
-                assert_eq!(s.rows(), v.rows(), "{ctx} [{label}]: row order diverged");
-                assert_eq!(st, vt, "{ctx} [{label}]: step profiles diverged");
-            }
-            (Err(s), Err(v)) => assert_eq!(s, v, "{ctx} [{label}]: errors diverged"),
-            (s, v) => panic!("{ctx} [{label}]: sequential {s:?} vs {v:?}"),
-        }
-    }
-    sequential
-}
-
 /// Vectorized ≡ naive oracle after canonical sort, step profiles ≡ the
-/// profile oracle, the bindings-only kernel ≡ both, across the whole
-/// morsel sweep.
+/// profile oracle, the bindings-only kernel ≡ both.
 #[test]
 fn vectorized_agrees_with_naive_and_profile_oracles() {
     for case in 0..64u64 {
@@ -243,7 +198,7 @@ fn vectorized_agrees_with_naive_and_profile_oracles() {
         assert!(q.is_safe(), "case {case}: generated unsafe query `{text}`");
         let plan = plan_cq(&q, &catalog);
         let ctx = format!("case {case}: `{text}` (canonical `{}`)", q.canonical_key());
-        let vec = assert_sweep_is_byte_identical(&ctx, &q, &plan, &catalog);
+        let vec = run_vec(&q, &plan, &catalog);
         let naive = eval_naive_bag(&q, &catalog).map_err(|e| e.to_string());
         match (vec, naive) {
             (Ok((v, trace)), Ok(n)) => {
@@ -275,7 +230,7 @@ fn broken_queries_error_as_the_naive_oracle_does() {
         let text = random_query(&mut g, &catalog, true);
         let q = parse_query(&text).unwrap_or_else(|e| panic!("case {case}: `{text}`: {e}"));
         let plan = plan_cq(&q, &catalog);
-        let vec = run_vec(&q, &plan, &catalog, &VecOpts::default()).map(|(r, _)| r);
+        let vec = run_vec(&q, &plan, &catalog).map(|(r, _)| r);
         let naive = eval_naive_bag(&q, &catalog).map_err(|e| e.to_string());
         assert!(naive.is_err(), "case {case}: `{text}` should not evaluate");
         assert_eq!(vec, naive, "case {case}: `{text}` errors diverged");
@@ -285,8 +240,8 @@ fn broken_queries_error_as_the_naive_oracle_does() {
 }
 
 /// A plan cached for a different query is rejected before anything runs,
-/// with one error naming both canonical keys — by the evaluator under
-/// every morsel configuration and by the bindings-only kernel.
+/// with one error naming both canonical keys — by the evaluator and by the
+/// bindings-only kernel.
 #[test]
 fn inapplicable_plans_are_rejected_by_evaluator_and_kernel() {
     let mut g = case_gen(20_000);
@@ -299,41 +254,6 @@ fn inapplicable_plans_are_rejected_by_evaluator_and_kernel() {
         plan.key(),
         b.canonical_key()
     );
-    let vec = assert_sweep_is_byte_identical("inapplicable plan", &b, &plan, &catalog);
-    assert_eq!(vec.unwrap_err(), expected);
+    assert_eq!(run_vec(&b, &plan, &catalog).unwrap_err(), expected);
     assert_eq!(run_kernel(&b, &plan, &catalog).unwrap_err(), expected);
-}
-
-/// Real-thread coverage: a join over a relation large enough that every
-/// forced-parallel configuration actually spawns workers, held
-/// byte-identical to the sequential run.
-#[test]
-fn morsel_parallel_is_byte_identical_on_large_inputs() {
-    let mut edge = Relation::new(RelSchema::new(
-        "edge",
-        vec![Attribute::int("a"), Attribute::int("b")],
-    ));
-    // Deterministic pseudo-random graph over 400 nodes, 20k edges: big
-    // enough for thousands of morsels at size 7, small enough to stay
-    // fast as a test.
-    let mut x: u64 = 0x2545_F491_4F6C_DD1D;
-    for _ in 0..20_000 {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let a = (x % 400) as i64;
-        let b = ((x >> 16) % 400) as i64;
-        edge.insert(vec![Value::Int(a), Value::Int(b)]);
-    }
-    let mut catalog = Catalog::new();
-    catalog.register(edge);
-    for text in [
-        "q(A, C) :- edge(A, B), edge(B, C)",
-        "q(A) :- edge(A, A)",
-        "q(A, B) :- edge(A, B), edge(B, A), A != B",
-    ] {
-        let q = parse_query(text).unwrap();
-        let plan = plan_cq(&q, &catalog);
-        assert_sweep_is_byte_identical(text, &q, &plan, &catalog).unwrap();
-    }
 }

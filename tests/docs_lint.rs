@@ -17,6 +17,11 @@
 //! The same walk holds `crates/pdms/src` to its cut: no source file over
 //! [`MAX_PDMS_LINES`] lines (unit tests included), and no function there
 //! returning `Result<_, String>` — its front doors fail with `PdmsError`.
+//!
+//! And it holds every library crate to one thread per call: no source
+//! under `crates/*/src` (the `e2e` and `bench` harnesses aside) names
+//! [`THREAD_STARTS`] above its first `#[cfg(test)]`. Tests may start
+//! threads to check what the library does under them.
 
 use std::fs;
 use std::path::Path;
@@ -24,6 +29,9 @@ use std::path::Path;
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 const ROOTS: [&str; 4] = ["crates", "tests", "examples", "scripts"];
 const MAX_PDMS_LINES: usize = 800;
+const THREAD_STARTS: [&str; 2] = ["thread::scope", "thread::spawn"];
+/// Crates whose `src` is a harness, not the library: they may start threads.
+const HARNESS_CRATES: [&str; 2] = ["e2e", "bench"];
 
 /// Visit every readable file under `dir` with its path and contents, in
 /// path order. Build outputs (`target`, the benchmark's git-ignored
@@ -190,4 +198,49 @@ fn the_result_check_reads_the_error_type() {
     assert_eq!(result_error_type("-> Result<BTreeMap<u32, String>, E>"), Some("E"));
     assert_eq!(result_error_type("-> Result<&Subscription, String> {"), Some("String"));
     assert_eq!(result_error_type("let r: Result<(), String> = Ok(());"), None);
+}
+
+/// `(line number, line)` for every line of `text` above its first
+/// `#[cfg(test)]` that names one of [`THREAD_STARTS`].
+fn thread_starts(text: &str) -> Vec<(usize, &str)> {
+    let library = text.split("#[cfg(test)]").next().unwrap_or_default();
+    library
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| THREAD_STARTS.iter().any(|t| line.contains(t)))
+        .map(|(i, line)| (i + 1, line.trim()))
+        .collect()
+}
+
+#[test]
+fn library_code_starts_no_threads() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../crates");
+    let mut crates: Vec<_> = fs::read_dir(&root).expect("crates directory").flatten().collect();
+    crates.sort_by_key(|e| e.path());
+    let mut findings = Vec::new();
+    for krate in crates {
+        if HARNESS_CRATES.iter().any(|h| krate.file_name() == *h) {
+            continue;
+        }
+        read_tree(&krate.path().join("src"), &mut |path, text| {
+            for (line, code) in thread_starts(text) {
+                let path = path.strip_prefix(&root).unwrap_or(path);
+                findings.push(format!("crates/{}:{line}: {code}", path.display()));
+            }
+        });
+    }
+    assert!(
+        findings.is_empty(),
+        "library code runs each call on its caller's thread; outside `#[cfg(test)]` no source \
+         may name {THREAD_STARTS:?}:\n{}",
+        findings.join("\n")
+    );
+}
+
+#[test]
+fn the_thread_check_reads_only_library_code() {
+    let text = "fn f() {\n    std::thread::scope(|s| {});\n}\n#[cfg(test)]\nmod tests {\n    \
+                fn g() { std::thread::spawn(|| {}); }\n}\n";
+    assert_eq!(thread_starts(text), [(2, "std::thread::scope(|s| {});")]);
+    assert!(thread_starts("use std::thread;\nfn f() {}\n").is_empty());
 }

@@ -1758,6 +1758,65 @@ fn query_and_mapping_parsers_never_panic_on_mutants() {
     });
 }
 
+/// Annotated pages the MANGROVE mutation loop starts from: a course page
+/// and a person page in each of the generator's two layouts, with the
+/// `mg:about` / `mg:tag` attributes, entities and numeric cells the
+/// extractor and the cleaning policies read.
+const ANNOTATED_SEEDS: [&str; 3] = [
+    "<html><body mg:about=\"course/c1\"><h1><span mg:tag=\"course.title\">Data &amp; bases</span>\
+     </h1><p>Taught by <span mg:tag=\"course.instructor\">Ada Lovelace</span>.</p><p>Meets \
+     <span mg:tag=\"course.time\">MWF 10</span> in <span mg:tag=\"course.room\">203</span>.</p>\
+     </body></html>",
+    "<html><body mg:about=\"person/p1\"><h1><span mg:tag=\"person.name\">Ada Lovelace</span>\
+     </h1><ul><li>Phone: <span mg:tag=\"person.phone\">5551234</span></li><li>Email: \
+     <span mg:tag=\"person.email\">ada@u.edu</span></li><li>Office: \
+     <span mg:tag=\"person.office\">CSE 203</span></li></ul></body></html>",
+    "<html><body><div mg:about=\"person/p1\"><table><tr><td mg:tag=\"person.name\">Ada L.</td>\
+     </tr><tr><td mg:tag=\"person.phone\">555-9999</td></tr><tr>\
+     <td mg:tag=\"person.office\">203</td></tr></table></div></body></html>",
+];
+
+/// Every mutant of an annotated page goes through MANGROVE's front door
+/// without a panic: three mutants published at two colliding URLs (so
+/// republishes retract what a mutant stored), then the three
+/// applications rendered under every cleaning policy, both generated
+/// summaries rendered and re-extracted, the consistency check run and the
+/// store compacted.
+#[test]
+fn mangrove_publish_and_render_never_panic_on_mutants() {
+    use revere::mangrove::apps::{CourseCalendar, PhoneDirectory, WhosWho};
+    use revere::mangrove::{
+        extract_statements, find_inconsistencies, render_course_summary, render_people_summary,
+        Mangrove, MangroveSchema,
+    };
+    const URLS: [&str; 2] = ["http://u/courses/c1.html", "http://u/~p1/"];
+    const POLICIES: [CleaningPolicy; 4] = [
+        CleaningPolicy::TakeAll,
+        CleaningPolicy::PreferOwnSource,
+        CleaningPolicy::Majority,
+        CleaningPolicy::Freshest,
+    ];
+    let alphabet: Vec<char> = "<>/=\"':.!-&;# mg:abouttag0123é😀".chars().collect();
+    forall(5_000, |g| {
+        let mut m = Mangrove::new(MangroveSchema::department());
+        for _ in 0..3 {
+            let seed = *g.pick(&ANNOTATED_SEEDS);
+            let html = mutant(g, seed, &alphabet);
+            let url = g.pick(&URLS);
+            m.publish(url, &html);
+        }
+        for policy in POLICIES {
+            CourseCalendar { policy: policy.clone() }.render(&m.store);
+            WhosWho { policy: policy.clone() }.render(&m.store);
+            PhoneDirectory { policy: policy.clone() }.render(&m.store);
+            extract_statements(&render_course_summary(&m.store, &policy));
+            extract_statements(&render_people_summary(&m.store, &policy));
+        }
+        find_inconsistencies(&m.store, &m.schema);
+        m.store.compact();
+    });
+}
+
 // ---------------------------------------------------------------------
 // Binary decoders: no panic on any input
 // ---------------------------------------------------------------------
