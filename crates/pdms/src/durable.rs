@@ -150,7 +150,7 @@ pub fn checkpoint(
         .unwrap_or(as_of)
         .min(as_of);
     let truncated = disk.journal.truncate_below(floor);
-    let retained_for_acks = disk.journal.record_count() - disk.journal.records_from(as_of).len();
+    let retained_for_acks = disk.journal.count_below(as_of);
     let image_bytes = image.len();
     disk.with_image(|i| *i = Some(image));
     CheckpointReport {

@@ -60,7 +60,7 @@ pub use revere_util::obs;
 pub use durable::{
     checkpoint, recover, CheckpointReport, OutboxResume, PeerDisk, PeerRecovery, RecoveredPeer,
 };
-pub use monitor::{Health, Monitor, MonitorConfig, MonitorEvent, PeerVitals};
+pub use monitor::{Health, Monitor, MonitorEvent, PeerVitals};
 #[doc(hidden)]
 pub use network::IvmStrategy;
 pub use network::{

@@ -39,9 +39,9 @@ pub enum Health {
     /// Reachable but impaired: a missed probe, a windowed drop rate over
     /// threshold, or a worst q-error over threshold.
     Degraded,
-    /// Missed every probe for `suspect_misses` consecutive scrapes.
+    /// Missed every probe for `SUSPECT_MISSES` consecutive scrapes.
     Suspect,
-    /// Missed every probe for `down_misses` consecutive scrapes.
+    /// Missed every probe for `DOWN_MISSES` consecutive scrapes.
     Down,
 }
 
@@ -56,46 +56,24 @@ impl fmt::Display for Health {
     }
 }
 
-/// Thresholds and cadence knobs for the [`Monitor`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorConfig {
-    /// Sliding windows kept per peer ([`Metrics::windowed`]); verdicts
-    /// read the union of the last `windows` closed windows.
-    pub windows: usize,
-    /// Liveness probes sent per peer per scrape; one answer (delivered
-    /// *or* flaky — an error response still proves liveness) counts as
-    /// contact.
-    pub probe_attempts: u32,
-    /// Windowed `dropped/sent` fetch-message fraction above which a
-    /// reachable peer is [`Health::Degraded`].
-    pub degraded_drop_rate: f64,
-    /// Worst observed q-error above which a reachable peer is
-    /// [`Health::Degraded`] (the estimator is badly miscalibrated for
-    /// its data).
-    pub degraded_q_error: f64,
-    /// Consecutive all-probes-missed scrapes before [`Health::Suspect`].
-    pub suspect_misses: u32,
-    /// Consecutive all-probes-missed scrapes before [`Health::Down`].
-    pub down_misses: u32,
-    /// Hysteresis: consecutive scrapes with a *less severe* candidate
-    /// verdict before the peer is actually downgraded — one good probe
-    /// never un-flags a flapping peer.
-    pub recover_scrapes: u32,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            windows: 4,
-            probe_attempts: 3,
-            degraded_drop_rate: 0.5,
-            degraded_q_error: 64.0,
-            suspect_misses: 2,
-            down_misses: 4,
-            recover_scrapes: 2,
-        }
-    }
-}
+/// Liveness probes sent per peer per scrape; one answer (delivered *or*
+/// flaky — an error response still proves liveness) counts as contact.
+const PROBE_ATTEMPTS: u32 = 3;
+/// Windowed `dropped/sent` fetch-message fraction above which a reachable
+/// peer is [`Health::Degraded`].
+const DEGRADED_DROP_RATE: f64 = 0.5;
+/// Worst observed q-error above which a reachable peer is
+/// [`Health::Degraded`] (the estimator is badly miscalibrated for its
+/// data).
+const DEGRADED_Q_ERROR: f64 = 64.0;
+/// Consecutive all-probes-missed scrapes before [`Health::Suspect`].
+const SUSPECT_MISSES: u32 = 2;
+/// Consecutive all-probes-missed scrapes before [`Health::Down`].
+const DOWN_MISSES: u32 = 4;
+/// Hysteresis: consecutive scrapes with a *less severe* candidate verdict
+/// before the peer is actually downgraded — one good probe never
+/// un-flags a flapping peer.
+const RECOVER_SCRAPES: u32 = 2;
 
 /// One peer's scrape: probe result plus fetch-path deltas since the
 /// previous scrape and durable-layer backlog gauges.
@@ -175,9 +153,8 @@ impl Default for HealthState {
 /// event log, the dashboard, or the merged cluster rollup between
 /// scrapes. Scraping borrows the network immutably and never changes
 /// query behavior.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Monitor {
-    cfg: MonitorConfig,
     /// Accounting totals as of the previous scrape, for delta computation.
     prev: BTreeMap<String, PeerAccounting>,
     /// Per-peer windowed metrics, rotated once per scrape.
@@ -198,42 +175,18 @@ pub struct Monitor {
     scrapes: u64,
 }
 
-impl Default for Monitor {
-    fn default() -> Self {
-        Self::new(MonitorConfig::default())
-    }
-}
-
 impl Monitor {
-    /// A monitor with the given thresholds.
-    pub fn new(cfg: MonitorConfig) -> Self {
-        Monitor {
-            cfg,
-            prev: BTreeMap::new(),
-            peer_metrics: BTreeMap::new(),
-            health: BTreeMap::new(),
-            events: Vec::new(),
-            first_flagged: BTreeMap::new(),
-            vitals: BTreeMap::new(),
-            metrics: Metrics::new(),
-            cache: CacheStats::default(),
-            last_tick: 0,
-            scrapes: 0,
-        }
-    }
+    /// Sliding windows kept per peer ([`Metrics::windowed`]); verdicts
+    /// read the union of the last `WINDOWS` closed windows.
+    pub const WINDOWS: usize = 4;
 
-    /// The configured thresholds.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.cfg
-    }
-
-    /// Probe `peer` at `tick`: up to `probe_attempts` messages through
+    /// Probe `peer` at `tick`: up to `PROBE_ATTEMPTS` messages through
     /// the fault plan, keyed by tick so every scrape draws fresh weather.
     /// Returns (answered, probes_sent).
     fn probe(&self, faults: &FaultPlan, peer: &str, tick: u64) -> (bool, u64) {
         let key = format!("monitor.probe#{tick}");
         let mut sent = 0u64;
-        for attempt in 0..self.cfg.probe_attempts {
+        for attempt in 0..PROBE_ATTEMPTS {
             sent += 1;
             if faults.is_down_at(peer, tick) {
                 continue;
@@ -280,11 +233,10 @@ impl Monitor {
                 wal_records_pending: pending,
             };
 
-            let windows = self.cfg.windows;
             let m = self
                 .peer_metrics
                 .entry(peer.to_string())
-                .or_insert_with(|| Metrics::windowed(windows));
+                .or_insert_with(|| Metrics::windowed(Self::WINDOWS));
             m.inc(names::PDMS_FETCH_MESSAGES_SENT, v.messages_sent);
             m.inc(names::PDMS_FETCH_MESSAGES_DROPPED, v.messages_dropped);
             m.inc(names::PDMS_FETCH_RETRIES_SPENT, v.retries_spent);
@@ -302,10 +254,10 @@ impl Monitor {
     /// The candidate verdict from this scrape's evidence alone, plus the
     /// deterministic reason string an event would carry.
     fn candidate(&self, peer: &str, v: &PeerVitals, miss_streak: u32) -> (Health, String) {
-        if miss_streak >= self.cfg.down_misses {
+        if miss_streak >= DOWN_MISSES {
             return (Health::Down, format!("probe_miss_streak={miss_streak}"));
         }
-        if miss_streak >= self.cfg.suspect_misses {
+        if miss_streak >= SUSPECT_MISSES {
             return (Health::Suspect, format!("probe_miss_streak={miss_streak}"));
         }
         if !v.reachable {
@@ -314,19 +266,19 @@ impl Monitor {
         if let Some(m) = self.peer_metrics.get(peer) {
             let sent = m.window_counter(names::PDMS_FETCH_MESSAGES_SENT);
             let dropped = m.window_counter(names::PDMS_FETCH_MESSAGES_DROPPED);
-            if sent > 0 && dropped as f64 / sent as f64 > self.cfg.degraded_drop_rate {
+            if sent > 0 && dropped as f64 / sent as f64 > DEGRADED_DROP_RATE {
                 let milli = dropped * 1000 / sent;
                 return (Health::Degraded, format!("window_drop_rate_milli={milli}"));
             }
         }
-        if v.worst_q_error_milli as f64 / 1000.0 > self.cfg.degraded_q_error {
+        if v.worst_q_error_milli as f64 / 1000.0 > DEGRADED_Q_ERROR {
             return (Health::Degraded, format!("worst_q_error_milli={}", v.worst_q_error_milli));
         }
         (Health::Healthy, "recovered".to_string())
     }
 
     /// Apply this scrape's candidate verdict with hysteresis: escalations
-    /// are immediate, de-escalations wait for `recover_scrapes`
+    /// are immediate, de-escalations wait for `RECOVER_SCRAPES`
     /// consecutive calmer candidates.
     fn update_verdict(&mut self, peer: &str, v: &PeerVitals, tick: u64) {
         let mut state = self.health.get(peer).cloned().unwrap_or_default();
@@ -342,7 +294,7 @@ impl Monitor {
             state.ok_streak = 0;
         } else if cand < state.verdict {
             state.ok_streak += 1;
-            if state.ok_streak >= self.cfg.recover_scrapes {
+            if state.ok_streak >= RECOVER_SCRAPES {
                 transition = Some((state.verdict, cand, reason));
                 state.ok_streak = 0;
             }
@@ -598,7 +550,7 @@ mod tests {
         }
         assert_eq!(mon.health("P1"), Health::Down);
         // "Restart" the peer: clear the fault plan. One good scrape must
-        // NOT clear the flag (recover_scrapes = 2)...
+        // NOT clear the flag (RECOVER_SCRAPES = 2)...
         net.faults = FaultPlan::zero();
         mon.scrape(&net, 4);
         assert_eq!(mon.health("P1"), Health::Down, "one good probe un-flagged a down peer");

@@ -19,8 +19,8 @@
 //!   [`eval_cq_bag`], [`eval_planned`], [`eval_bindings`]) over one
 //!   engine, plus the nested-loop [`eval_naive`] differential oracle.
 //! * `vec` (private) — that engine: vectorized columnar execution with
-//!   selection bitmaps and typed batched hash joins, each phase one pass
-//!   on the calling thread.
+//!   row-list selections and typed batched hash joins, each phase one
+//!   pass on the calling thread.
 //! * [`dataflow`] — DBSP-style delta dataflow: Z-set [`Delta`]s, bilinear
 //!   incremental joins with arranged state, and [`Circuit`]s that keep a
 //!   planned conjunctive body fresh in O(|Δ|) per update.

@@ -3,11 +3,12 @@
 //!
 //! A plan runs in batches: the binding table is one [`ColumnVec`] per
 //! variable, build-side filters (constants, within-atom repeated
-//! variables) are selection bitmaps combined with [`SelBitmap`] algebra,
-//! hash joins build and probe with per-column typed keys (`i64`,
-//! dictionary codes) where both sides share a concrete type, and match
-//! output is a pair of index vectors gathered into new columns — integer
-//! and code copies, no per-row tuple clones or key vectors.
+//! variables) narrow one ascending row list in place
+//! ([`ColumnVec::retain_eq_const`], [`ColumnVec::retain_eq`]), hash
+//! joins build and probe with per-column typed keys (`i64`, dictionary
+//! codes) where both sides share a concrete type, and match output is a
+//! pair of index vectors gathered into new columns — integer and code
+//! copies, no per-row tuple clones or key vectors.
 //!
 //! **Determinism contract.** Output row order is a pure function of the
 //! query, the plan and the data: probe bindings in order, matches within
@@ -24,7 +25,7 @@ use crate::ast::{ConjunctiveQuery, Term};
 use crate::eval::{head_schema, validate, AtomSplit, EvalError, StepProfile};
 use crate::fxhash::FxMap;
 use crate::plan::Plan;
-use revere_storage::{Catalog, ColumnVec, ColumnarBatch, Relation, SelBitmap, Value};
+use revere_storage::{Catalog, ColumnVec, ColumnarBatch, Relation, Value};
 use revere_util::obs::{names, Obs, SpanHandle};
 use std::sync::Arc;
 
@@ -270,16 +271,15 @@ fn eval_bindings_vec(
         span.set("step", step_no + 1);
         span.set("relation", &atom.relation);
 
-        // Build-side filters as bitmap algebra: one bitmap per pushed
-        // constant and per within-atom repeated variable, intersected.
-        let mut sel = SelBitmap::all(batch.rows());
+        // Build-side filters: every row, narrowed in place once per pushed
+        // constant and once per within-atom repeated variable.
+        let mut sel_rows: Vec<u32> = (0..batch.rows() as u32).collect();
         for (i, c) in &split.const_checks {
-            sel = sel.and(&batch.column(*i).eq_const(c));
+            batch.column(*i).retain_eq_const(c, &mut sel_rows);
         }
         for (i, j) in &split.self_joins {
-            sel = sel.and(&batch.column(*i).eq_elementwise(batch.column(*j)));
+            batch.column(*i).retain_eq(batch.column(*j), &mut sel_rows);
         }
-        let sel_rows = sel.ones();
         let build_rows = sel_rows.len();
 
         let index = build_index(&split, &batch, &bind, sel_rows);
@@ -342,8 +342,7 @@ fn eval_bindings_vec(
                 .map(|row| row as u32)
                 .collect()
         };
-        let keep = SelBitmap::from_indices(bind.rows, &kept);
-        bind.cols = bind.cols.iter().map(|c| c.filter(&keep)).collect();
+        bind.cols = bind.cols.iter().map(|c| c.gather(&kept)).collect();
         bind.rows = kept.len();
     }
     Ok((bind, trace))

@@ -70,8 +70,8 @@ pub mod prelude {
     };
     pub use revere_pdms::{
         apply_once, apply_updategrams, gram_to_batch, maintain, CacheStats, CompletenessReport,
-        GramInbox, Health, MaintenanceChoice, MaterializedView, Monitor, MonitorConfig,
-        MonitorEvent, PdmsError, PdmsNetwork, Peer, PeerAccounting, PeerVitals, PublishReport,
+        GramInbox, Health, MaintenanceChoice, MaterializedView, Monitor, MonitorEvent,
+        PdmsError, PdmsNetwork, Peer, PeerAccounting, PeerVitals, PublishReport,
         QueryBudget, QueryOutcome,
         ReformulateOptions, Reformulator, ReliableLink, SequencedGram, Subscription, Updategram,
         XmlMapping,
@@ -84,7 +84,7 @@ pub mod prelude {
         Plan, StepProfile, UnionQuery, ViewDef,
     };
     pub use revere_storage::{
-        Catalog, ColumnVec, ColumnarBatch, DbSchema, Journal, RelSchema, Relation, SelBitmap,
+        Catalog, ColumnVec, ColumnarBatch, DbSchema, Journal, RelSchema, Relation,
         TripleStore, Value, WalRecord,
     };
     pub use revere_workload::{

@@ -1,6 +1,5 @@
-//! Typed column vectors, dictionary-encoded strings, and selection
-//! bitmaps — the columnar storage layer under the vectorized evaluator
-//! (`revere_query::vec`).
+//! Typed column vectors and dictionary-encoded strings — the columnar
+//! storage layer under the vectorized evaluator (`revere_query::vec`).
 //!
 //! A [`ColumnarBatch`] is a [`Relation`] pivoted into one [`ColumnVec`]
 //! per attribute. Columns are *typed when the data allows it*: an
@@ -20,169 +19,14 @@
 //! differential gate (`tests/differential_vec.rs`) holds the vectorized
 //! engine to the row engine on exactly these cases.
 //!
-//! A [`SelBitmap`] is one bit per row of a batch, with the small algebra
-//! (`and`/`or`/`not`, `rank`/`select`) filters and scans compose over.
+//! A selection is an ascending `Vec<u32>` of row indices. The two
+//! filters, [`ColumnVec::retain_eq_const`] and [`ColumnVec::retain_eq`],
+//! each narrow one in place, and [`ColumnVec::gather`] reads it out.
 
-use crate::relation::{Relation, Tuple};
-use crate::schema::RelSchema;
+use crate::relation::Relation;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// A selection bitmap: one bit per row, set = selected. Bits beyond
-/// `len` are kept zero so whole-word operations (`and`, `or`, `not`,
-/// `count_ones`) never see ghost rows.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SelBitmap {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl SelBitmap {
-    /// An all-zeros bitmap over `len` rows.
-    pub fn none(len: usize) -> SelBitmap {
-        SelBitmap { words: vec![0; len.div_ceil(64)], len }
-    }
-
-    /// An all-ones bitmap over `len` rows.
-    pub fn all(len: usize) -> SelBitmap {
-        let mut b = SelBitmap { words: vec![u64::MAX; len.div_ceil(64)], len };
-        b.mask_tail();
-        b
-    }
-
-    /// A bitmap with exactly the given row indices set.
-    ///
-    /// # Panics
-    /// Panics if any index is out of range.
-    pub fn from_indices(len: usize, indices: &[u32]) -> SelBitmap {
-        let mut b = SelBitmap::none(len);
-        for &i in indices {
-            b.set(i as usize);
-        }
-        b
-    }
-
-    /// Number of rows the bitmap covers.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the bitmap covers zero rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Zero every bit at or past `len`.
-    fn mask_tail(&mut self) {
-        let tail = self.len % 64;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
-    }
-
-    /// Set bit `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
-    pub fn set(&mut self, i: usize) {
-        assert!(i < self.len, "bit {i} out of range {}", self.len);
-        self.words[i / 64] |= 1u64 << (i % 64);
-    }
-
-    /// Read bit `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
-    pub fn get(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit {i} out of range {}", self.len);
-        self.words[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    /// Bitwise intersection.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn and(&self, other: &SelBitmap) -> SelBitmap {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        SelBitmap {
-            words: self.words.iter().zip(&other.words).map(|(a, b)| a & b).collect(),
-            len: self.len,
-        }
-    }
-
-    /// Bitwise union.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn or(&self, other: &SelBitmap) -> SelBitmap {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        SelBitmap {
-            words: self.words.iter().zip(&other.words).map(|(a, b)| a | b).collect(),
-            len: self.len,
-        }
-    }
-
-    /// Bitwise complement (over the `len` live rows only).
-    pub fn not(&self) -> SelBitmap {
-        let mut b =
-            SelBitmap { words: self.words.iter().map(|w| !w).collect(), len: self.len };
-        b.mask_tail();
-        b
-    }
-
-    /// Number of selected rows.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Number of selected rows strictly before `i` (ones in `[0, i)`).
-    ///
-    /// # Panics
-    /// Panics if `i > len`.
-    pub fn rank(&self, i: usize) -> usize {
-        assert!(i <= self.len, "rank {i} out of range {}", self.len);
-        let mut ones = self.words[..i / 64].iter().map(|w| w.count_ones() as usize).sum();
-        if i % 64 != 0 {
-            ones += (self.words[i / 64] & ((1u64 << (i % 64)) - 1)).count_ones() as usize;
-        }
-        ones
-    }
-
-    /// Row index of the `k`-th selected row (0-based), or `None` when
-    /// fewer than `k + 1` rows are selected. Inverse of [`SelBitmap::rank`]:
-    /// `select(rank(i)) == Some(i)` for every selected `i`.
-    pub fn select(&self, k: usize) -> Option<usize> {
-        let mut remaining = k;
-        for (wi, &w) in self.words.iter().enumerate() {
-            let ones = w.count_ones() as usize;
-            if remaining < ones {
-                let mut w = w;
-                for _ in 0..remaining {
-                    w &= w - 1; // clear lowest set bit
-                }
-                return Some(wi * 64 + w.trailing_zeros() as usize);
-            }
-            remaining -= ones;
-        }
-        None
-    }
-
-    /// The selected row indices, ascending.
-    pub fn ones(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.count_ones());
-        for (wi, &word) in self.words.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                out.push((wi * 64 + w.trailing_zeros() as usize) as u32);
-                w &= w - 1;
-            }
-        }
-        out
-    }
-}
 
 /// The dictionary of a [`ColumnVec::Str`] column: its distinct strings in
 /// first-seen order. Entries are the cells' own `Arc<str>`s, so
@@ -261,43 +105,6 @@ impl ColumnVec {
         }
     }
 
-    /// The whole column back as values (exact round-trip).
-    pub fn to_values(&self) -> Vec<Value> {
-        (0..self.len()).map(|i| self.get(i)).collect()
-    }
-
-    /// Append one value, promoting the representation when the new value
-    /// does not fit the current one (`Int` + a string ⇒ `Any`, etc.).
-    /// Bulk loads should prefer [`ColumnVec::from_values`], which picks
-    /// the representation once.
-    pub fn push(&mut self, v: Value) {
-        match (&mut *self, v) {
-            (ColumnVec::Int(ints), Value::Int(i)) => ints.push(i),
-            (ColumnVec::Str { dict, codes }, Value::Str(s)) => {
-                let code = match dict.iter().position(|d| *d == s) {
-                    Some(p) => p as u32,
-                    None => {
-                        let d = Arc::make_mut(dict);
-                        d.push(s);
-                        (d.len() - 1) as u32
-                    }
-                };
-                codes.push(code);
-            }
-            (_, v) => {
-                let mut vals = self.to_values();
-                vals.push(v);
-                // An empty column re-detects its representation from the
-                // first pushed value; a mismatched push demotes to Any.
-                *self = if self.is_empty() {
-                    ColumnVec::from_values(&vals)
-                } else {
-                    ColumnVec::Any(vals)
-                };
-            }
-        }
-    }
-
     /// The dense integer slice, when this is an `Int` column.
     pub fn as_ints(&self) -> Option<&[i64]> {
         match self {
@@ -314,10 +121,10 @@ impl ColumnVec {
         }
     }
 
-    /// Rows equal to a constant, under [`Value`] equality semantics
-    /// (numeric across `Int`/`Float`; see module docs).
-    pub fn eq_const(&self, c: &Value) -> SelBitmap {
-        let mut sel = SelBitmap::none(self.len());
+    /// Keep the rows of `rows` whose cell equals `c` under [`Value`]
+    /// equality semantics (numeric across `Int`/`Float`; see module docs),
+    /// in their order: the pushed-constant filter of the vectorized engine.
+    pub fn retain_eq_const(&self, c: &Value, rows: &mut Vec<u32>) {
         match self {
             ColumnVec::Int(v) => {
                 // An Int column can only match Int constants or Float
@@ -327,64 +134,39 @@ impl ColumnVec {
                     Value::Float(f) if Value::Int(*f as i64) == *c => Some(*f as i64),
                     _ => None,
                 };
-                if let Some(t) = target {
-                    for (i, x) in v.iter().enumerate() {
-                        if *x == t {
-                            sel.set(i);
-                        }
-                    }
+                match target {
+                    Some(t) => rows.retain(|&r| v[r as usize] == t),
+                    None => rows.clear(),
                 }
             }
             ColumnVec::Str { dict, codes } => {
-                if let Some(target) =
-                    c.as_str().and_then(|s| dict.iter().position(|d| &**d == s))
-                {
-                    let target = target as u32;
-                    for (i, code) in codes.iter().enumerate() {
-                        if *code == target {
-                            sel.set(i);
-                        }
-                    }
+                match c.as_str().and_then(|s| dict.iter().position(|d| &**d == s)) {
+                    Some(t) => rows.retain(|&r| codes[r as usize] == t as u32),
+                    None => rows.clear(),
                 }
             }
-            ColumnVec::Any(v) => {
-                for (i, x) in v.iter().enumerate() {
-                    if x == c {
-                        sel.set(i);
-                    }
-                }
-            }
+            ColumnVec::Any(v) => rows.retain(|&r| v[r as usize] == *c),
         }
-        sel
     }
 
-    /// Rows where this column equals `other` at the same row (both
-    /// columns must be the same length) — the within-atom repeated-
-    /// variable filter of the vectorized engine.
+    /// Keep the rows of `rows` where this column equals `other` at the
+    /// same row, in their order: the within-atom repeated-variable filter
+    /// of the vectorized engine.
     ///
     /// # Panics
     /// Panics if the lengths differ.
-    pub fn eq_elementwise(&self, other: &ColumnVec) -> SelBitmap {
+    pub fn retain_eq(&self, other: &ColumnVec, rows: &mut Vec<u32>) {
         assert_eq!(self.len(), other.len(), "column length mismatch");
-        let mut sel = SelBitmap::none(self.len());
         match (self, other) {
             (ColumnVec::Int(a), ColumnVec::Int(b)) => {
-                for i in 0..a.len() {
-                    if a[i] == b[i] {
-                        sel.set(i);
-                    }
-                }
+                rows.retain(|&r| a[r as usize] == b[r as usize]);
             }
             (
                 ColumnVec::Str { dict: da, codes: ca },
                 ColumnVec::Str { dict: db, codes: cb },
             ) => {
                 if Arc::ptr_eq(da, db) {
-                    for i in 0..ca.len() {
-                        if ca[i] == cb[i] {
-                            sel.set(i);
-                        }
-                    }
+                    rows.retain(|&r| ca[r as usize] == cb[r as usize]);
                 } else {
                     // Translate the other dictionary's codes into this
                     // one once, then compare codes.
@@ -392,51 +174,24 @@ impl ColumnVec {
                         .iter()
                         .map(|s| da.iter().position(|d| d == s).map(|p| p as u32))
                         .collect();
-                    for i in 0..ca.len() {
-                        if trans[cb[i] as usize] == Some(ca[i]) {
-                            sel.set(i);
-                        }
-                    }
+                    rows.retain(|&r| trans[cb[r as usize] as usize] == Some(ca[r as usize]));
                 }
             }
-            _ => {
-                for i in 0..self.len() {
-                    if self.eq_at(i, other, i) {
-                        sel.set(i);
-                    }
-                }
+            (ColumnVec::Any(a), ColumnVec::Any(b)) => {
+                rows.retain(|&r| a[r as usize] == b[r as usize]);
             }
-        }
-        sel
-    }
-
-    /// Does `self[i]` equal `other[j]` under [`Value`] semantics? No
-    /// allocation on any variant pair.
-    pub fn eq_at(&self, i: usize, other: &ColumnVec, j: usize) -> bool {
-        match (self, other) {
-            (ColumnVec::Int(a), ColumnVec::Int(b)) => a[i] == b[j],
-            (
-                ColumnVec::Str { dict: da, codes: ca },
-                ColumnVec::Str { dict: db, codes: cb },
-            ) => {
-                if Arc::ptr_eq(da, db) {
-                    ca[i] == cb[j]
-                } else {
-                    da[ca[i] as usize] == db[cb[j] as usize]
-                }
+            (ColumnVec::Int(a), ColumnVec::Any(b)) | (ColumnVec::Any(b), ColumnVec::Int(a)) => {
+                rows.retain(|&r| b[r as usize] == Value::Int(a[r as usize]));
             }
-            (ColumnVec::Any(a), ColumnVec::Any(b)) => a[i] == b[j],
-            (ColumnVec::Int(a), ColumnVec::Any(b)) => Value::Int(a[i]) == b[j],
-            (ColumnVec::Any(a), ColumnVec::Int(b)) => a[i] == Value::Int(b[j]),
-            (ColumnVec::Str { dict, codes }, ColumnVec::Any(b)) => {
-                b[j].as_str() == Some(&*dict[codes[i] as usize])
-            }
-            (ColumnVec::Any(a), ColumnVec::Str { dict, codes }) => {
-                a[i].as_str() == Some(&*dict[codes[j] as usize])
+            (ColumnVec::Str { dict, codes }, ColumnVec::Any(b))
+            | (ColumnVec::Any(b), ColumnVec::Str { dict, codes }) => {
+                rows.retain(|&r| {
+                    b[r as usize].as_str() == Some(&*dict[codes[r as usize] as usize])
+                });
             }
             // Int vs Str never compare equal (distinct type ranks).
             (ColumnVec::Int(_), ColumnVec::Str { .. })
-            | (ColumnVec::Str { .. }, ColumnVec::Int(_)) => false,
+            | (ColumnVec::Str { .. }, ColumnVec::Int(_)) => rows.clear(),
         }
     }
 
@@ -456,16 +211,6 @@ impl ColumnVec {
                 ColumnVec::Any(idx.iter().map(|&i| v[i as usize].clone()).collect())
             }
         }
-    }
-
-    /// The selected rows, in row order, as a new column. Equivalent to
-    /// `gather(&sel.ones())`.
-    ///
-    /// # Panics
-    /// Panics if the bitmap length differs from the column length.
-    pub fn filter(&self, sel: &SelBitmap) -> ColumnVec {
-        assert_eq!(self.len(), sel.len(), "bitmap/column length mismatch");
-        self.gather(&sel.ones())
     }
 }
 
@@ -496,67 +241,33 @@ impl ColumnarBatch {
         self.rows
     }
 
-    /// True when the batch holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// The columns.
-    pub fn columns(&self) -> &[ColumnVec] {
-        &self.columns
-    }
-
     /// The column at position `i`.
     pub fn column(&self, i: usize) -> &ColumnVec {
         &self.columns[i]
-    }
-
-    /// Row `i` back as a tuple (exact round-trip).
-    pub fn row(&self, i: usize) -> Tuple {
-        self.columns.iter().map(|c| c.get(i)).collect()
-    }
-
-    /// The whole batch back as a relation under `schema` (exact
-    /// round-trip of [`ColumnarBatch::from_relation`]).
-    ///
-    /// # Panics
-    /// Panics if the schema arity differs from the batch's.
-    pub fn to_relation(&self, schema: RelSchema) -> Relation {
-        assert_eq!(schema.arity(), self.columns.len(), "schema arity mismatch");
-        Relation::with_rows(schema, (0..self.rows).map(|i| self.row(i)).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::RelSchema;
 
-    #[test]
-    fn bitmap_algebra_basics() {
-        let mut a = SelBitmap::none(70);
-        for i in [0, 3, 63, 64, 69] {
-            a.set(i);
-        }
-        assert_eq!(a.count_ones(), 5);
-        assert_eq!(a.ones(), vec![0, 3, 63, 64, 69]);
-        assert!(a.get(64) && !a.get(65));
-        let b = SelBitmap::from_indices(70, &[3, 65]);
-        assert_eq!(a.and(&b).ones(), vec![3]);
-        assert_eq!(a.or(&b).count_ones(), 6);
-        assert_eq!(a.not().count_ones(), 65);
-        assert_eq!(a.not().not(), a);
-        assert_eq!(SelBitmap::all(70).count_ones(), 70);
+    fn values(col: &ColumnVec) -> Vec<Value> {
+        (0..col.len()).map(|i| col.get(i)).collect()
     }
 
-    #[test]
-    fn bitmap_rank_select_are_inverse() {
-        let bits = SelBitmap::from_indices(130, &[0, 1, 64, 100, 129]);
-        for (k, &i) in [0u32, 1, 64, 100, 129].iter().enumerate() {
-            assert_eq!(bits.select(k), Some(i as usize));
-            assert_eq!(bits.rank(i as usize), k);
-        }
-        assert_eq!(bits.select(5), None);
-        assert_eq!(bits.rank(130), 5);
+    /// The rows of `col` equal to `c`, narrowed from every row.
+    fn kept_eq_const(col: &ColumnVec, c: &Value) -> Vec<u32> {
+        let mut rows = (0..col.len() as u32).collect();
+        col.retain_eq_const(c, &mut rows);
+        rows
+    }
+
+    /// The rows where `a` equals `b`, narrowed from every row.
+    fn kept_eq(a: &ColumnVec, b: &ColumnVec) -> Vec<u32> {
+        let mut rows = (0..a.len() as u32).collect();
+        a.retain_eq(b, &mut rows);
+        rows
     }
 
     #[test]
@@ -564,7 +275,7 @@ mod tests {
         let vals = vec![Value::Int(3), Value::Int(-1), Value::Int(3)];
         let col = ColumnVec::from_values(&vals);
         assert!(matches!(col, ColumnVec::Int(_)));
-        assert_eq!(col.to_values(), vals);
+        assert_eq!(values(&col), vals);
     }
 
     #[test]
@@ -574,7 +285,7 @@ mod tests {
         let (dict, codes) = col.as_dict().expect("str column");
         assert_eq!(dict.as_slice(), &[Arc::from("a"), Arc::from("b")]);
         assert_eq!(codes, &[0, 1, 0, 0]);
-        assert_eq!(col.to_values(), vals);
+        assert_eq!(values(&col), vals);
     }
 
     #[test]
@@ -582,36 +293,28 @@ mod tests {
         let vals = vec![Value::Int(1), Value::Null, Value::Float(2.5), Value::Bool(true)];
         let col = ColumnVec::from_values(&vals);
         assert!(matches!(col, ColumnVec::Any(_)));
-        assert_eq!(col.to_values(), vals);
-    }
-
-    #[test]
-    fn push_promotes_representation() {
-        let mut col = ColumnVec::from_values(&[Value::Int(1), Value::Int(2)]);
-        col.push(Value::str("x"));
-        assert!(matches!(col, ColumnVec::Any(_)));
-        assert_eq!(col.to_values(), vec![Value::Int(1), Value::Int(2), Value::str("x")]);
-        let mut strs = ColumnVec::from_values(&[Value::str("a")]);
-        strs.push(Value::str("b"));
-        strs.push(Value::str("a"));
-        assert_eq!(strs.as_dict().unwrap().1, &[0, 1, 0]);
+        assert_eq!(values(&col), vals);
     }
 
     #[test]
     fn eq_const_matches_value_semantics() {
         let ints = ColumnVec::from_values(&[Value::Int(2), Value::Int(3)]);
-        // Cross-type numeric equality: Float(2.0) selects Int(2).
-        assert_eq!(ints.eq_const(&Value::Float(2.0)).ones(), vec![0]);
-        assert_eq!(ints.eq_const(&Value::Float(2.5)).count_ones(), 0);
-        assert_eq!(ints.eq_const(&Value::str("2")).count_ones(), 0);
+        // Cross-type numeric equality: Float(2.0) keeps Int(2).
+        assert_eq!(kept_eq_const(&ints, &Value::Float(2.0)), vec![0]);
+        assert!(kept_eq_const(&ints, &Value::Float(2.5)).is_empty());
+        assert!(kept_eq_const(&ints, &Value::str("2")).is_empty());
         let strs = ColumnVec::from_values(&[Value::str("a"), Value::str("b")]);
-        assert_eq!(strs.eq_const(&Value::str("b")).ones(), vec![1]);
-        assert_eq!(strs.eq_const(&Value::str("zzz")).count_ones(), 0);
+        assert_eq!(kept_eq_const(&strs, &Value::str("b")), vec![1]);
+        assert!(kept_eq_const(&strs, &Value::str("zzz")).is_empty());
         let any = ColumnVec::from_values(&[Value::Float(2.0), Value::Null]);
-        assert_eq!(any.eq_const(&Value::Int(2)).ones(), vec![0]);
+        assert_eq!(kept_eq_const(&any, &Value::Int(2)), vec![0]);
+        // A narrowed list only shrinks, keeping its order.
+        let mut rows = vec![1];
+        ints.retain_eq_const(&Value::Int(2), &mut rows);
+        assert!(rows.is_empty());
     }
 
-    /// The typed Int path selects exactly what `Value` equality selects at
+    /// The typed Int path keeps exactly what `Value` equality keeps at
     /// the edges a float-to-int conversion blurs: `-0.0`, 2⁶³ and NaN.
     #[test]
     fn eq_const_on_int_column_is_value_equality_at_the_edges() {
@@ -620,7 +323,7 @@ mod tests {
         for c in [-0.0, 0.0, 9_223_372_036_854_775_808.0, -9_223_372_036_854_775_808.0, f64::NAN] {
             let c = Value::Float(c);
             let expect: Vec<u32> = (0..3).filter(|&i| vals[i as usize] == c).collect();
-            assert_eq!(ints.eq_const(&c).ones(), expect, "{c:?}");
+            assert_eq!(kept_eq_const(&ints, &c), expect, "{c:?}");
         }
     }
 
@@ -628,10 +331,10 @@ mod tests {
     fn eq_elementwise_crosses_dictionaries() {
         let a = ColumnVec::from_values(&[Value::str("x"), Value::str("y")]);
         let b = ColumnVec::from_values(&[Value::str("y"), Value::str("y")]);
-        assert_eq!(a.eq_elementwise(&b).ones(), vec![1]);
+        assert_eq!(kept_eq(&a, &b), vec![1]);
         let ints = ColumnVec::from_values(&[Value::Int(2), Value::Int(7)]);
         let mixed = ColumnVec::from_values(&[Value::Float(2.0), Value::str("7")]);
-        assert_eq!(ints.eq_elementwise(&mixed).ones(), vec![0]);
+        assert_eq!(kept_eq(&ints, &mixed), vec![0]);
     }
 
     #[test]
@@ -642,7 +345,7 @@ mod tests {
         let (d1, codes) = g.as_dict().unwrap();
         assert!(Arc::ptr_eq(d0, d1));
         assert_eq!(codes, &[2, 0, 2]);
-        assert_eq!(g.to_values(), vec![Value::str("c"), Value::str("a"), Value::str("c")]);
+        assert_eq!(values(&g), vec![Value::str("c"), Value::str("a"), Value::str("c")]);
     }
 
     #[test]
@@ -654,6 +357,10 @@ mod tests {
         assert_eq!(batch.rows(), 2);
         assert!(matches!(batch.column(0), ColumnVec::Str { .. }));
         assert!(matches!(batch.column(1), ColumnVec::Any(_)));
-        assert_eq!(batch.to_relation(r.schema.clone()), r);
+        for (i, row) in r.iter().enumerate() {
+            for (j, cell) in row.iter().enumerate() {
+                assert_eq!(&batch.column(j).get(i), cell, "cell ({i}, {j})");
+            }
+        }
     }
 }

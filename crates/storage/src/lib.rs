@@ -10,9 +10,9 @@
 //!   ([`DbSchema`]): the unit that corpus tools and peer mappings operate on.
 //! * [`relation`] — in-memory [`Relation`]s (bags of tuples); clones
 //!   share rows, statistics and columnar image, writes are copy-on-write.
-//! * [`mod@column`] — typed column vectors ([`ColumnVec`]), relation→batch
-//!   pivoting ([`ColumnarBatch`]) and selection bitmaps ([`SelBitmap`]):
-//!   the columnar layer under the vectorized evaluator. Joins themselves
+//! * [`mod@column`] — typed column vectors ([`ColumnVec`]) with the
+//!   filters that narrow a row list, and relation→batch pivoting
+//!   ([`ColumnarBatch`]): the columnar layer under the vectorized evaluator. Joins themselves
 //!   live one crate up, in `revere_query::vec` — this crate stores.
 //! * [`triples`] — the provenance-carrying triple store MANGROVE publishes
 //!   annotations into, with SPO/POS/OSP indexes (our stand-in for Jena \[33\]).
@@ -35,7 +35,7 @@ pub mod value;
 pub mod wal;
 
 pub use catalog::{Catalog, Change, SharedCatalog};
-pub use column::{ColumnVec, ColumnarBatch, SelBitmap};
+pub use column::{ColumnVec, ColumnarBatch};
 pub use relation::{ArityError, Relation, Tuple};
 pub use schema::{AttrType, Attribute, DbSchema, RelSchema};
 pub use stats::{mcv_join_overlap, ColumnStats, JoinObservation, JoinStats, RelStats};

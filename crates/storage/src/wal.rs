@@ -691,12 +691,10 @@ impl Journal {
         self.with(|w| w.records().to_vec())
     }
 
-    /// Snapshot of the retained records with `lsn >= from` — what a
-    /// change-capture cursor or a truncation audit has not read yet,
-    /// found by a partition point on the LSN-ordered log and copied
-    /// without the prefix it has.
-    pub fn records_from(&self, from: Lsn) -> Vec<(Lsn, WalRecord)> {
-        self.with(|w| w.entries[w.entries.partition_point(|(l, _)| *l < from)..].to_vec())
+    /// Number of retained records with `lsn < below`, counted by a
+    /// partition point on the LSN-ordered log.
+    pub fn count_below(&self, below: Lsn) -> usize {
+        self.with(|w| w.entries.partition_point(|(l, _)| *l < below))
     }
 
     /// See [`Wal::truncate_below`].

@@ -78,6 +78,6 @@ fn main() {
     println!("event log:");
     print!("{}", mon.event_log());
     println!();
-    println!("cluster rollup (last {} windows):", mon.config().windows);
+    println!("cluster rollup (last {} windows):", Monitor::WINDOWS);
     print!("{}", mon.rollup());
 }

@@ -7,8 +7,8 @@
 //! generate random catalogs and conjunctive queries biased toward the
 //! shapes where a columnar engine can go wrong:
 //!
-//! * repeated variables *within* one atom (bitmap self-join filters),
-//! * constants in atom positions (`eq_const` pushdown, including the
+//! * repeated variables *within* one atom (the `retain_eq` filter),
+//! * constants in atom positions (`retain_eq_const` pushdown, including the
 //!   `Int`/`Float` numeric-equality corner),
 //! * mixed-type columns that force the `Any` fallback paths,
 //! * cartesian-adjacent bodies (atoms sharing no variables — the

@@ -22,6 +22,10 @@
 //! under `crates/*/src` (the `e2e` and `bench` harnesses aside) names
 //! [`THREAD_STARTS`] above its first `#[cfg(test)]`. Tests may start
 //! threads to check what the library does under them.
+//!
+//! And it holds CHANGES.md to a budget: every entry from PR
+//! [`BUDGET_FROM_PR`] on has at most [`MAX_ENTRY_WORDS`] words. An entry
+//! is a `- PR N …` line plus the indented lines that continue it.
 
 use std::fs;
 use std::path::Path;
@@ -32,6 +36,9 @@ const MAX_PDMS_LINES: usize = 800;
 const THREAD_STARTS: [&str; 2] = ["thread::scope", "thread::spawn"];
 /// Crates whose `src` is a harness, not the library: they may start threads.
 const HARNESS_CRATES: [&str; 2] = ["e2e", "bench"];
+/// The first CHANGES.md entry the word budget holds; older ones predate it.
+const BUDGET_FROM_PR: u32 = 35;
+const MAX_ENTRY_WORDS: usize = 300;
 
 /// Visit every readable file under `dir` with its path and contents, in
 /// path order. Build outputs (`target`, the benchmark's git-ignored
@@ -243,4 +250,60 @@ fn the_thread_check_reads_only_library_code() {
                 fn g() { std::thread::spawn(|| {}); }\n}\n";
     assert_eq!(thread_starts(text), [(2, "std::thread::scope(|s| {});")]);
     assert!(thread_starts("use std::thread;\nfn f() {}\n").is_empty());
+}
+
+/// `(line number, PR number, words)` of every CHANGES entry from
+/// [`BUDGET_FROM_PR`] on that has more than [`MAX_ENTRY_WORDS`] words. The
+/// bullet is not a word; an unindented or blank line ends an entry.
+fn over_budget(text: &str) -> Vec<(usize, u32, usize)> {
+    let mut entries: Vec<(usize, u32, usize)> = Vec::new();
+    let mut open = false;
+    for (i, line) in text.lines().enumerate() {
+        let pr = line.strip_prefix("- PR ").and_then(|rest| {
+            let digits = rest.split(|c: char| !c.is_ascii_digit()).next()?;
+            digits.parse::<u32>().ok()
+        });
+        if let Some(pr) = pr {
+            entries.push((i + 1, pr, line.split_whitespace().count() - 1));
+            open = true;
+        } else if open && line.starts_with(char::is_whitespace) && !line.trim().is_empty() {
+            entries.last_mut().expect("an open entry").2 += line.split_whitespace().count();
+        } else {
+            open = false;
+        }
+    }
+    entries.retain(|&(_, pr, words)| pr >= BUDGET_FROM_PR && words > MAX_ENTRY_WORDS);
+    entries
+}
+
+#[test]
+fn changes_entries_stay_within_their_budget() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let text = fs::read_to_string(root.join("CHANGES.md")).expect("CHANGES.md");
+    let over: Vec<String> = over_budget(&text)
+        .into_iter()
+        .map(|(line, pr, words)| format!("CHANGES.md:{line}: PR {pr} has {words} words"))
+        .collect();
+    assert!(
+        over.is_empty(),
+        "a CHANGES.md entry from PR {BUDGET_FROM_PR} on has at most {MAX_ENTRY_WORDS} words:\n{}",
+        over.join("\n")
+    );
+}
+
+#[test]
+fn the_budget_check_counts_whole_entries_from_its_first_pr() {
+    let words = |n: usize| vec!["w"; n].join(" ");
+    let text = format!(
+        "- PR 34 {}\n- PR 35 {}\n  {}\n- FOUND: {}\n- PR 36 {}\n\n  {}\n",
+        words(400),
+        words(150),
+        words(149),
+        words(400),
+        words(298),
+        words(5)
+    );
+    // PR 34 predates the budget; PR 35 is "PR", "35" and 299 more words;
+    // PR 36 is exactly at the budget, and the blank line ends it.
+    assert_eq!(over_budget(&text), [(2, 35, 301)]);
 }

@@ -1335,62 +1335,8 @@ fn triple_store_apps_render_as_per_cell_resolve() {
 }
 
 // ---------------------------------------------------------------------
-// Selection bitmaps and column vectors (the vectorized engine substrate)
+// Column vectors and their filters (the vectorized engine substrate)
 // ---------------------------------------------------------------------
-
-fn gen_bitmap(g: &mut Gen, len: usize) -> SelBitmap {
-    let mut b = SelBitmap::none(len);
-    for i in 0..len {
-        if g.random_bool(0.4) {
-            b.set(i);
-        }
-    }
-    b
-}
-
-#[test]
-fn bitmap_algebra_laws() {
-    forall(256, |g| {
-        // Lengths straddling the 64-bit word boundary, where tail
-        // masking can go wrong.
-        let len = g.random_range(0usize..150);
-        let a = gen_bitmap(g, len);
-        let b = gen_bitmap(g, len);
-        // Involution and idempotence.
-        assert_eq!(a.not().not(), a);
-        assert_eq!(a.and(&a), a);
-        assert_eq!(a.or(&a), a);
-        // De Morgan, both directions.
-        assert_eq!(a.and(&b).not(), a.not().or(&b.not()));
-        assert_eq!(a.or(&b).not(), a.not().and(&b.not()));
-        // Complement partitions the domain; inclusion-exclusion holds.
-        assert_eq!(a.and(&a.not()), SelBitmap::none(len));
-        assert_eq!(a.or(&a.not()), SelBitmap::all(len));
-        assert_eq!(
-            a.or(&b).count_ones() + a.and(&b).count_ones(),
-            a.count_ones() + b.count_ones()
-        );
-        // ones() round-trips through from_indices.
-        assert_eq!(SelBitmap::from_indices(len, &a.ones()), a);
-    });
-}
-
-#[test]
-fn bitmap_rank_select_are_inverse() {
-    forall(256, |g| {
-        let len = g.random_range(0usize..150);
-        let a = gen_bitmap(g, len);
-        let ones = a.ones();
-        assert_eq!(ones.len(), a.count_ones());
-        for (k, &pos) in ones.iter().enumerate() {
-            assert_eq!(a.select(k), Some(pos as usize), "select({k}) of {ones:?}");
-            assert_eq!(a.rank(pos as usize), k, "rank({pos}) of {ones:?}");
-            assert!(a.get(pos as usize));
-        }
-        assert_eq!(a.select(ones.len()), None);
-        assert_eq!(a.rank(len), ones.len());
-    });
-}
 
 /// A generated column: sometimes homogeneous (typed representation),
 /// sometimes mixed (the `Any` fallback), with nulls and duplicates.
@@ -1403,46 +1349,73 @@ fn gen_column_values(g: &mut Gen) -> Vec<Value> {
 }
 
 #[test]
-fn column_roundtrips_and_push_path_agrees() {
+fn column_get_roundtrips_every_cell() {
     forall(256, |g| {
         let vals = gen_column_values(g);
         let col = ColumnVec::from_values(&vals);
         assert_eq!(col.len(), vals.len());
-        assert_eq!(col.to_values(), vals, "bulk round-trip diverged");
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(&col.get(i), v, "get({i}) diverged");
         }
-        // Row-at-a-time construction converges to the same column even
-        // when pushes force representation promotion along the way.
-        let mut pushed = ColumnVec::from_values(&[]);
-        for v in &vals {
-            pushed.push(v.clone());
-        }
-        assert_eq!(pushed.to_values(), vals, "push-path round-trip diverged");
     });
 }
 
+/// One cell of a column kind — 0 all-`Int`, 1 all-`Str`, else mixed —
+/// from a domain small enough that equal values recur, within a
+/// representation and across one (`Int(2)` and `Float(2.0)`, `-0.0`,
+/// NaN).
+fn gen_small_cell(g: &mut Gen, kind: u8) -> Value {
+    let variant = if kind < 2 { kind } else { g.random_range(0..5u8) };
+    match variant {
+        0 => Value::Int(g.random_range(-2i64..3)),
+        1 => Value::str(g.string_from("ab", 0..2)),
+        2 => Value::Float(*g.pick(&[-1.0, 0.0, -0.0, 2.0, 2.5, f64::NAN])),
+        3 => Value::Null,
+        _ => Value::Bool(g.random_bool(0.5)),
+    }
+}
+
 #[test]
-fn column_filter_composes_and_matches_gather() {
-    forall(256, |g| {
-        let vals = gen_column_values(g);
-        let col = ColumnVec::from_values(&vals);
-        let f = gen_bitmap(g, vals.len());
-        // filter ≡ gather(ones): the two selection paths agree.
-        assert_eq!(col.filter(&f), col.gather(&f.ones()));
-        // filter(f) then filter(g-restricted-to-f) ≡ filter(f ∧ g).
-        let gsel = gen_bitmap(g, vals.len());
-        let mut g_on_filtered = SelBitmap::none(f.count_ones());
-        for (j, &pos) in f.ones().iter().enumerate() {
-            if gsel.get(pos as usize) {
-                g_on_filtered.set(j);
-            }
+fn column_filters_keep_what_value_equality_keeps() {
+    forall(512, |g| {
+        let kind = g.random_range(0..3u8);
+        let vals = g.vec(0..40, |g| gen_small_cell(g, kind));
+        // The second column is built on its own, so a `Str` one has its
+        // own dictionary; half its cells repeat the first column's row.
+        let twin_kind = if g.random_bool(0.8) { kind } else { g.random_range(0..3u8) };
+        let twin: Vec<Value> = vals
+            .iter()
+            .map(|v| if g.random_bool(0.5) { v.clone() } else { gen_small_cell(g, twin_kind) })
+            .collect();
+        let rows: Vec<u32> = (0..vals.len() as u32).filter(|_| g.random_bool(0.7)).collect();
+        let c = if !vals.is_empty() && g.random_bool(0.5) {
+            g.pick(&vals).clone()
+        } else {
+            gen_small_cell(g, 2)
+        };
+        let (a, b) = (ColumnVec::from_values(&vals), ColumnVec::from_values(&twin));
+        let oracle = |keep: &dyn Fn(usize) -> bool| -> Vec<u32> {
+            rows.iter().copied().filter(|&r| keep(r as usize)).collect()
+        };
+        let read = |col: &ColumnVec, kept: &[u32]| -> Vec<Value> {
+            let gathered = col.gather(kept);
+            (0..gathered.len()).map(|i| gathered.get(i)).collect()
+        };
+        for (col, cells) in [(&a, &vals), (&b, &twin)] {
+            let mut kept = rows.clone();
+            col.retain_eq_const(&c, &mut kept);
+            assert_eq!(kept, oracle(&|r| cells[r] == c), "retain_eq_const({c:?}) on {cells:?}");
+            let expect: Vec<Value> = kept.iter().map(|&r| cells[r as usize].clone()).collect();
+            assert_eq!(read(col, &kept), expect, "gather of the kept rows");
         }
-        assert_eq!(
-            col.filter(&f).filter(&g_on_filtered).to_values(),
-            col.filter(&f.and(&gsel)).to_values(),
-            "filter composition diverged"
-        );
+        let pairs = [(&a, &b, &vals, &twin), (&b, &a, &twin, &vals), (&a, &a, &vals, &vals)];
+        for (x, y, xs, ys) in pairs {
+            let mut kept = rows.clone();
+            x.retain_eq(y, &mut kept);
+            assert_eq!(kept, oracle(&|r| xs[r] == ys[r]), "retain_eq on {xs:?} and {ys:?}");
+            let expect: Vec<Value> = kept.iter().map(|&r| xs[r as usize].clone()).collect();
+            assert_eq!(read(x, &kept), expect, "gather of the kept rows");
+        }
     });
 }
 
@@ -1454,10 +1427,11 @@ fn columnar_batch_roundtrips_relations() {
             let rel = db.get(&name).unwrap();
             let batch = ColumnarBatch::from_relation(rel);
             assert_eq!(batch.rows(), rel.len());
-            let back = batch.to_relation(rel.schema.clone());
-            assert_eq!(back.rows(), rel.rows(), "batch round-trip diverged for {name}");
             for (i, row) in rel.iter().enumerate() {
-                assert_eq!(&batch.row(i), row, "row({i}) diverged for {name}");
+                for (j, cell) in row.iter().enumerate() {
+                    let got = batch.column(j).get(i);
+                    assert_eq!(&got, cell, "cell ({i}, {j}) diverged for {name}");
+                }
             }
         }
     });
