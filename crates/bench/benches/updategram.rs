@@ -5,8 +5,8 @@
 use revere_util::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use revere_bench::fixtures::big_relation;
 use revere_pdms::{maintain, MaintenanceChoice, MaterializedView, Updategram};
-use revere_query::{parse_query, DeltaBatch};
-use revere_storage::{Attribute, Catalog, RelSchema, Relation, Tuple, Value};
+use revere_query::parse_query;
+use revere_storage::{Attribute, Catalog, RelSchema, Relation, Tuple, Value, ZSetBatch};
 
 const BASE: usize = 20_000;
 const DOMAIN: i64 = 500;
@@ -89,7 +89,7 @@ fn bench_subscriber_fanout(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("subscriber_fanout", |b| {
         b.iter(|| {
-            let mut batch = DeltaBatch::new();
+            let mut batch = ZSetBatch::new();
             for row in live.drain(..) {
                 batch.add("r", row, -1);
             }

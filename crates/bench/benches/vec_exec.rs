@@ -1,11 +1,15 @@
 //! Bench (in-repo harness) for the columnar join engine: filtered scans
 //! and hash self-joins over a synthetic fact table (50 000 rows, and a
 //! 40-row scan that isolates the fixed per-call cost), timed both as the
-//! bindings-only kernel ([`eval_bindings`]) and as the full evaluation
-//! including answer materialization ([`eval_planned`]). Absolute times;
-//! the per-layer trajectory lives in `revere-e2e`
+//! bindings-only kernel ([`eval_bindings`]), as the full evaluation
+//! including answer materialization ([`eval_planned`]), and as the seed of
+//! a continuous query on the same plan ([`Circuit::new`] +
+//! [`Circuit::init_full`]), whose first round is that same answer: the
+//! `seed/` to `full/` ratio is what a subscribe pays over a one-shot
+//! query. Absolute times; the per-layer trajectory lives in `revere-e2e`
 //! (`query.vec.kernel_self_us_per_op`).
 
+use revere_query::dataflow::Circuit;
 use revere_query::parse::parse_query;
 use revere_query::plan::plan_cq;
 use revere_query::{eval_bindings, eval_planned};
@@ -68,6 +72,13 @@ fn bench_vec_exec(c: &mut Criterion) {
                     &SpanHandle::none(),
                 )
                 .expect("bench query evaluates")
+            })
+        });
+        group.bench_function(format!("seed/{name}"), |b| {
+            b.iter(|| {
+                let mut circuit = Circuit::new(&q, &plan).expect("the plan applies");
+                circuit.init_full(std::hint::black_box(catalog)).expect("bench query seeds");
+                circuit
             })
         });
     }

@@ -3,10 +3,10 @@
 use crate::fixtures::big_relation;
 use crate::table::{f2, ms, Table};
 use revere_pdms::{apply_updategrams, PdmsNetwork, Peer, Updategram};
-use revere_query::dataflow::{Circuit, DeltaBatch};
+use revere_query::dataflow::Circuit;
 use revere_query::plan::plan_cq;
 use revere_query::{eval_cq, eval_planned, parse_query};
-use revere_storage::{Catalog, Value};
+use revere_storage::{Catalog, Value, ZSetBatch};
 use revere_util::obs::{Obs, SpanHandle};
 use std::time::Instant;
 
@@ -41,7 +41,7 @@ pub fn e17_dataflow_scaling() -> Table {
         // Every fourth update retracts the previous insert. Batches are
         // prepared (and mirrored) up front so the timed loop measures
         // circuit refresh alone.
-        let batches: Vec<DeltaBatch> = (0..updates)
+        let batches: Vec<ZSetBatch> = (0..updates)
             .map(|u| {
                 let row = |i: usize| {
                     vec![
@@ -49,7 +49,7 @@ pub fn e17_dataflow_scaling() -> Table {
                         Value::Int((i as i64 * 17 + 5) % domain),
                     ]
                 };
-                let mut batch = DeltaBatch::new();
+                let mut batch = ZSetBatch::new();
                 if u % 4 == 3 {
                     batch.add("r", row(u - 1), -1);
                     mirror.delete("r", &row(u - 1));

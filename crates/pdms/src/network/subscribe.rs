@@ -4,10 +4,9 @@ use super::{PdmsError, PdmsNetwork};
 use crate::peer::{split_qualified, Peer};
 use crate::updategram::Updategram;
 use crate::views::MaterializedView;
-use revere_query::dataflow::DeltaBatch;
 use revere_query::eval::EvalError;
 use revere_query::{parse_query, ConjunctiveQuery};
-use revere_storage::{Catalog, Relation};
+use revere_storage::{Catalog, Relation, ZSetBatch};
 use revere_util::obs::SpanHandle;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -231,18 +230,16 @@ impl PdmsNetwork {
 
 /// The signed rows `peers`' catalogs recorded since their last take, as
 /// one batch.
-fn drain<'a>(peers: impl IntoIterator<Item = &'a Peer>) -> DeltaBatch {
-    let mut batch = DeltaBatch::new();
+fn drain<'a>(peers: impl IntoIterator<Item = &'a Peer>) -> ZSetBatch {
+    let mut batch = ZSetBatch::new();
     for peer in peers {
-        for (relation, row, w) in peer.storage.write(Catalog::take_changes) {
-            batch.add(relation, row, w);
-        }
+        batch.merge(peer.storage.write(Catalog::take_changes));
     }
     batch
 }
 
 /// Push one signed batch through every affected subscription.
-fn refire(subs: &mut BTreeMap<String, Subscription>, batch: &DeltaBatch) -> PublishReport {
+fn refire(subs: &mut BTreeMap<String, Subscription>, batch: &ZSetBatch) -> PublishReport {
     let mut report = PublishReport::default();
     for (name, sub) in subs.iter_mut() {
         if !batch.relations().any(|r| sub.view.relations().contains(r)) {

@@ -23,14 +23,15 @@
 //! [`RetryPolicy`] against a seeded [`FaultPlan`] (at-least-once), and the
 //! receiver-side [`GramInbox`] deduplicates by gram id before applying
 //! ([`apply_once`]) — so a dropped *or* duplicated delivery leaves the
-//! remote cache exactly where a single clean delivery would.
+//! remote cache exactly where a single clean delivery would. Either way
+//! the cache's view is pushed the [`revere_storage::ZSetBatch`] its
+//! catalog signs for the gram, live or replayed from the journal.
 
-use crate::updategram::{add_change, SequencedGram, Updategram};
+use crate::updategram::{SequencedGram, Updategram};
 use crate::views::MaterializedView;
-use revere_query::dataflow::DeltaBatch;
 use revere_query::eval::EvalError;
 use revere_storage::wal::{Journal, Lsn, WalRecord};
-use revere_storage::Catalog;
+use revere_storage::{Catalog, ZSetBatch};
 use revere_util::fault::{Fate, FaultPlan, RetryPolicy};
 use revere_util::obs::{names, Obs};
 use std::collections::{BTreeMap, BTreeSet};
@@ -160,9 +161,7 @@ pub fn apply_once(
         inbox.duplicates_ignored += 1;
         return Ok(false);
     }
-    if let Some(rel) = catalog.get(&gram.gram.relation) {
-        rel.check_arity(gram.gram.delete.iter().chain(&gram.gram.insert))?;
-    }
+    gram.gram.check_arity(catalog)?;
     if let Some((link, journal)) = &inbox.durability {
         let rec = WalRecord::DeltaApplied {
             link: link.clone(),
@@ -172,11 +171,9 @@ pub fn apply_once(
             delete: gram.gram.delete.clone(),
         };
         journal.append(&rec);
-        let mut batch = DeltaBatch::new();
-        add_change(&mut batch, &catalog.replay(&rec));
-        view.push_batch(&batch);
+        view.push_batch(&ZSetBatch::from(&catalog.replay(&rec)));
     } else {
-        view.apply_gram(catalog, &gram.gram);
+        view.apply_gram(catalog, &gram.gram)?;
     }
     let accepted = inbox.accept(gram.id);
     debug_assert!(accepted);
@@ -502,7 +499,7 @@ mod tests {
         source: &mut Catalog,
         gram: &Updategram,
     ) -> Updategram {
-        let (insert, delete) = view.apply_gram(source, gram);
+        let (insert, delete) = view.apply_gram(source, gram).unwrap();
         Updategram { relation: view.name.clone(), insert, delete }
     }
 

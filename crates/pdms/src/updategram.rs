@@ -6,14 +6,17 @@
 //! recomputed on a Piazza node, the query optimizer decides which
 //! updategrams to use in a cost-based fashion."
 //!
-//! An [`Updategram`] is a signed delta on one base relation. [`maintain`]
-//! applies a batch of updategrams to a catalog and brings a
+//! An [`Updategram`] is the wire's intent on one base relation: rows to
+//! insert, and rows of which to delete every copy. Its effect is what the
+//! owning catalog signs when it applies the gram ([`Catalog::apply`]): a
+//! [`revere_storage::ZSetBatch`], the one Z-set type a view is pushed.
+//! [`maintain`] applies a batch of updategrams to a catalog and brings a
 //! [`MaterializedView`] up to date, choosing between the two things the
-//! view can do — **incrementally** (each gram applied through
-//! [`Catalog::apply`], and the signed rows it reports pushed through the
-//! view's circuits, O(|Δ|)) or by **full recomputation** (apply the grams,
-//! re-plan, re-seed) — with a simple cost model: exactly the decision the
-//! paper assigns to the optimizer. Experiment E8 validates the crossover.
+//! view can do — **incrementally** (each gram's signed rows pushed
+//! through the view's circuits, O(|Δ|)) or by **full recomputation**
+//! (apply the grams, re-plan, re-seed) — with a simple cost model:
+//! exactly the decision the paper assigns to the optimizer. Experiment E8
+//! validates the crossover.
 //!
 //! The delta rule lives in [`revere_query::dataflow`]: every join stage
 //! computes `Δ(A ⋈ B) = ΔA ⋈ (B + ΔB) + A ⋈ ΔB` against arranged state, so
@@ -22,11 +25,11 @@
 //! it ([`revere_storage::Change`]).
 
 use crate::views::MaterializedView;
-use revere_query::dataflow::DeltaBatch;
 use revere_query::eval::EvalError;
-use revere_storage::{Catalog, Change, Relation, Tuple};
+use revere_storage::{ArityError, Catalog, Relation, Tuple, ZSetBatch};
 
-/// A signed delta on one base relation.
+/// A change on one base relation as sent: rows to insert and rows to
+/// delete, which the owning catalog signs into a Z-set where it applies it.
 #[derive(Debug, Clone, Default)]
 pub struct Updategram {
     /// The (qualified) base relation name.
@@ -58,6 +61,16 @@ impl Updategram {
     /// (and the wire) free of no-op frames.
     pub fn is_empty(&self) -> bool {
         self.insert.is_empty() && self.delete.is_empty()
+    }
+
+    /// Refuse a row whose arity is not its relation's in `catalog` (a
+    /// relation the catalog lacks refuses nothing: applying the gram
+    /// there is a no-op).
+    pub fn check_arity(&self, catalog: &Catalog) -> Result<(), ArityError> {
+        match catalog.get(&self.relation) {
+            Some(rel) => rel.check_arity(self.delete.iter().chain(&self.insert)),
+            None => Ok(()),
+        }
     }
 
     /// Stamp this gram with a delivery id, making it a unit of
@@ -125,12 +138,18 @@ fn estimate(
 /// Apply `grams` to `catalog` and bring `view` up to date.
 ///
 /// `force` overrides the cost-based choice (used by the E8 ablation).
+/// Every gram's arity is checked before any is applied: a row of the
+/// wrong arity anywhere in `grams` refuses the whole call, leaving the
+/// catalog and the view as they were.
 pub fn maintain(
     catalog: &mut Catalog,
     view: &mut MaterializedView,
     grams: &[Updategram],
     force: Option<MaintenanceChoice>,
 ) -> Result<MaintenanceReport, EvalError> {
+    for g in grams {
+        g.check_arity(catalog)?;
+    }
     let (est_incremental, est_recompute) = estimate(view, catalog, grams);
     let choice = force.unwrap_or(if est_incremental < est_recompute {
         MaintenanceChoice::Incremental
@@ -144,7 +163,7 @@ pub fn maintain(
         }
         MaintenanceChoice::Incremental => {
             for g in grams {
-                view.apply_gram(catalog, g);
+                view.apply_gram(catalog, g)?;
             }
         }
     }
@@ -160,32 +179,12 @@ pub fn apply_updategrams(catalog: &mut Catalog, grams: &[Updategram]) {
     }
 }
 
-/// The [`DeltaBatch`] applying one updategram would make of the
-/// catalog's current state ([`Catalog::sign`]): each insert is `+1`, each
-/// *distinct* delete row `-m` for its `m` current copies. Grams on
-/// unknown relations yield an empty batch.
-pub fn gram_to_batch(catalog: &Catalog, gram: &Updategram) -> DeltaBatch {
-    let mut batch = DeltaBatch::new();
-    add_change(&mut batch, &catalog.sign(&gram.relation, &gram.delete, &gram.insert));
-    batch
-}
-
-/// Apply one updategram through [`Catalog::apply`] and return the signed
-/// rows it made, as a batch (or the arity error that refused it).
-pub(crate) fn apply_gram(
-    catalog: &mut Catalog,
-    gram: &Updategram,
-) -> Result<DeltaBatch, EvalError> {
-    let mut batch = DeltaBatch::new();
-    add_change(&mut batch, &catalog.apply(&gram.relation, &gram.delete, &gram.insert)?);
-    Ok(batch)
-}
-
-/// Add the signed rows a catalog reported to `batch`.
-pub(crate) fn add_change(batch: &mut DeltaBatch, change: &Change) {
-    for (row, w) in change.rows() {
-        batch.add(change.relation(), row.to_vec(), w);
-    }
+/// The batch applying one updategram would make of the catalog's current
+/// state ([`Catalog::sign`]): each insert is `+1`, each *distinct* delete
+/// row `-m` for its `m` current copies. Grams on unknown relations yield
+/// an empty batch.
+pub fn gram_to_batch(catalog: &Catalog, gram: &Updategram) -> ZSetBatch {
+    ZSetBatch::from(&catalog.sign(&gram.relation, &gram.delete, &gram.insert))
 }
 
 #[cfg(test)]
@@ -418,9 +417,9 @@ mod tests {
         };
         let batch = gram_to_batch(&c, &g);
         let d = batch.get("r").unwrap();
-        assert_eq!(d.weight(&vec![Value::str("x")]), -2, "both stored copies retract");
-        assert_eq!(d.weight(&vec![Value::str("z")]), 2, "insert occurrences count");
-        assert_eq!(d.weight(&vec![Value::str("ghost")]), 0, "absent delete is a no-op");
+        assert_eq!(d.weight(&[Value::str("x")]), -2, "both stored copies retract");
+        assert_eq!(d.weight(&[Value::str("z")]), 2, "insert occurrences count");
+        assert_eq!(d.weight(&[Value::str("ghost")]), 0, "absent delete is a no-op");
 
         // A three-copy row listed twice, apart, among other deletes: one
         // retraction at its full multiplicity. Of equal rows spelled
@@ -444,9 +443,28 @@ mod tests {
         };
         let batch = gram_to_batch(&c, &g);
         let entries: Vec<(String, i64)> =
-            batch.get("r").unwrap().iter().map(|(t, w)| (format!("{t:?}"), w)).collect();
+            batch.get("r").unwrap().sorted().iter().map(|(t, w)| (format!("{t:?}"), *w)).collect();
         let expected = [("[Int(1)]", -2), ("[Float(3.0)]", -3), ("[Int(7)]", 1)];
         assert_eq!(entries, expected.map(|(t, w)| (t.to_string(), w)));
+    }
+
+    #[test]
+    fn a_wrong_arity_gram_refuses_the_whole_maintain_call() {
+        // The first gram is well-formed; the second carries a one-column
+        // row for a two-column relation. Neither path applies the first.
+        for choice in [MaintenanceChoice::Incremental, MaintenanceChoice::Recompute] {
+            let mut c = base();
+            let mut v = view(&c);
+            let (rows, bag) = (c.get("r").unwrap().clone(), v.as_bag());
+            let grams = [
+                Updategram::inserts("r", vec![vec!["4".into(), "y".into()]]),
+                Updategram::inserts("s", vec![vec!["lonely".into()]]),
+            ];
+            let err = maintain(&mut c, &mut v, &grams, Some(choice)).unwrap_err();
+            assert_eq!(err.message, "relation s has arity 2, row has 1", "{choice:?}");
+            assert_eq!(c.get("r"), Some(&rows), "{choice:?}: the catalog moved");
+            assert_eq!(v.as_bag().rows(), bag.rows(), "{choice:?}: the view moved");
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! base relations. [`crate::maintain`] is the paper's cost-based policy
 //! over that state: push the delta, or re-plan and re-seed.
 //!
+//! Every change a view sees is a [`revere_storage::ZSetBatch`] — what the
+//! catalog signs for an applied gram, or what tracked catalogs recorded —
+//! and every circuit returns and keeps a [`ZSet`]: the view merges them,
+//! and orders a result only where it is read.
+//!
 //! Derivation counts are true Z-set weights, summed over the circuits: a
 //! retraction arriving before its matching insert (out-of-order
 //! propagation, or a delta signed against a slightly stale base) drives a
@@ -20,18 +25,19 @@
 //! are visible through [`MaterializedView::as_relation`] /
 //! [`MaterializedView::len`].
 
-use crate::updategram::{apply_gram, Updategram};
-use revere_query::dataflow::{Circuit, Delta, DeltaBatch};
+use crate::updategram::Updategram;
+use revere_query::dataflow::Circuit;
 use revere_query::eval::{head_schema, EvalError};
 use revere_query::plan::plan_cq;
 use revere_query::ConjunctiveQuery;
-use revere_storage::{Catalog, Relation, Tuple};
+use revere_storage::{Catalog, Relation, Tuple, ZSet, ZSetBatch};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// A query whose answer is kept fresh under updategrams: each disjunct's
 /// planned body is compiled once into a chain of bilinear incremental
 /// joins with arranged per-side state, and each updategram becomes a
-/// [`DeltaBatch`] pushed through in O(|Δ|) — no base-relation rescan per
+/// [`ZSetBatch`] pushed through in O(|Δ|) — no base-relation rescan per
 /// update. `tests/differential_ivm.rs` holds it to the from-scratch
 /// recompute oracle after every delta, across mid-stream re-seeds.
 #[derive(Debug, Clone)]
@@ -107,34 +113,34 @@ impl MaterializedView {
     /// Apply one updategram to the catalog ([`Catalog::apply`]) **and**
     /// push the signed rows the apply reports through the view. Returns
     /// the set-level `(appeared, vanished)` diff — the updategram the
-    /// view's own consumers need. Panics, before anything is journaled or
-    /// written, on a row whose arity is not its relation's.
+    /// view's own consumers need. A row whose arity is not its
+    /// relation's refuses the gram before anything is journaled, written
+    /// or pushed.
     pub fn apply_gram(
         &mut self,
         catalog: &mut Catalog,
         gram: &Updategram,
-    ) -> (Vec<Tuple>, Vec<Tuple>) {
-        self.push_batch(&apply_gram(catalog, gram).unwrap_or_else(|e| panic!("{e}")))
+    ) -> Result<(Vec<Tuple>, Vec<Tuple>), EvalError> {
+        let change = catalog.apply(&gram.relation, &gram.delete, &gram.insert)?;
+        Ok(self.push_batch(&ZSetBatch::from(&change)))
     }
 
-    /// Push a pre-built delta batch (already signed against the view's
-    /// current base state) through every circuit — nothing else: no
-    /// set-level diff is computed. Returns the derivation weights that
-    /// changed, summed over the circuits (what a publish reports as
+    /// Push a pre-built batch (already signed against the view's current
+    /// base state) through every circuit — nothing else: no set-level
+    /// diff is computed. Returns the derivation weights that changed,
+    /// summed over the circuits (what a publish reports as
     /// `output_changes`).
-    pub fn push(&mut self, batch: &DeltaBatch) -> usize {
+    pub fn push(&mut self, batch: &ZSetBatch) -> usize {
         self.circuits.iter_mut().map(|c| c.push(batch).len()).sum()
     }
 
-    /// Push a pre-built delta batch and return the *set-level* change:
-    /// tuples whose summed derivation weight turned positive (appeared)
-    /// or stopped being positive (vanished), each in tuple order.
-    pub fn push_batch(&mut self, batch: &DeltaBatch) -> (Vec<Tuple>, Vec<Tuple>) {
-        let mut circuits = self.circuits.iter_mut();
-        let mut out = circuits.next().map(|c| c.push(batch)).unwrap_or_default();
-        for c in circuits {
-            out.merge(&c.push(batch));
-        }
+    /// Push a pre-built batch and return the *set-level* change: tuples
+    /// whose summed derivation weight turned positive (appeared) or
+    /// stopped being positive (vanished), each in tuple order.
+    pub fn push_batch(&mut self, batch: &ZSetBatch) -> (Vec<Tuple>, Vec<Tuple>) {
+        let mut outs = self.circuits.iter_mut().map(|c| c.push(batch));
+        let mut out = outs.next().unwrap_or_default();
+        outs.for_each(|o| out.merge(&o));
         let mut appeared = Vec::new();
         let mut vanished = Vec::new();
         for (t, w) in out.iter() {
@@ -146,27 +152,28 @@ impl MaterializedView {
                 vanished.push(t.clone());
             }
         }
+        appeared.sort_unstable();
+        vanished.sort_unstable();
         (appeared, vanished)
     }
 
-    /// The maintained derivation weights, summed over the circuits.
-    fn total(&self) -> Delta {
-        let mut circuits = self.circuits.iter();
-        let mut sum = circuits.next().map(Circuit::derivations).unwrap_or_default();
-        for c in circuits {
-            sum.merge(&c.derivations());
+    /// The maintained derivation weights, summed over the circuits
+    /// (borrowed when there is one).
+    fn total(&self) -> Cow<'_, ZSet> {
+        match self.circuits.as_slice() {
+            [one] => Cow::Borrowed(one.derivations()),
+            many => {
+                let mut sum = ZSet::new();
+                many.iter().for_each(|c| sum.merge(c.derivations()));
+                Cow::Owned(sum)
+            }
         }
-        sum
     }
 
     /// The view's current contents: tuples with *positive* derivation
     /// weight (set semantics, sorted).
     pub fn as_relation(&self) -> Relation {
-        let rows = match self.circuits.as_slice() {
-            [one] => one.output_set().into_rows(),
-            _ => self.total().positive().map(|(t, _)| t.clone()).collect(),
-        };
-        Relation::with_rows(head_schema(&self.definition), rows)
+        Relation::with_rows(head_schema(&self.definition), self.total().support())
     }
 
     /// The maintained *bag* result, sorted — what the differential harness
@@ -177,10 +184,7 @@ impl MaterializedView {
 
     /// Number of distinct tuples with positive derivation weight.
     pub fn len(&self) -> usize {
-        match self.circuits.as_slice() {
-            [one] => one.len(),
-            _ => self.total().positive().count(),
-        }
+        self.total().iter().filter(|(_, w)| *w > 0).count()
     }
 
     /// True when the view holds no (positively derived) tuples.
@@ -190,7 +194,7 @@ impl MaterializedView {
 
     /// Derivation weight of one tuple (0 if absent).
     pub fn derivations(&self, row: &Tuple) -> i64 {
-        self.circuits.iter().map(|c| c.weight(row)).sum()
+        self.circuits.iter().map(|c| c.derivations().weight(row)).sum()
     }
 
     /// The base relations this view listens to (the affected-set check:
@@ -248,8 +252,8 @@ mod tests {
     }
 
     /// `w` derivations of head tuple `(b)`, as a signed base delta on `r`.
-    fn delta(rows: &[(&str, &str, i64)]) -> DeltaBatch {
-        let mut batch = DeltaBatch::new();
+    fn delta(rows: &[(&str, &str, i64)]) -> ZSetBatch {
+        let mut batch = ZSetBatch::new();
         for (a, b, w) in rows {
             batch.add("r", vec![(*a).into(), (*b).into()], *w);
         }
@@ -368,9 +372,10 @@ mod tests {
             "r",
             vec![vec!["1".into(), "x".into()], vec!["2".into(), "x".into()]],
         );
-        let (app, van) = v.apply_gram(&mut c, &gone);
+        let (app, van) = v.apply_gram(&mut c, &gone).unwrap();
         assert!(app.is_empty() && van.is_empty(), "still derived through s");
-        let (_, van) = v.apply_gram(&mut c, &Updategram::deletes("s", vec![vec!["x".into()]]));
+        let gone = Updategram::deletes("s", vec![vec!["x".into()]]);
+        let (_, van) = v.apply_gram(&mut c, &gone).unwrap();
         assert_eq!(van, vec![vec![Value::str("x")]]);
         assert_eq!(v.as_relation().rows(), [vec![Value::str("y")]]);
     }
@@ -405,7 +410,8 @@ mod tests {
         let mut v = view(&c);
         let before = v.as_relation();
         let work = v.work();
-        let (app, van) = v.apply_gram(&mut c, &Updategram::inserts("t", vec![vec!["new".into()]]));
+        let gram = Updategram::inserts("t", vec![vec!["new".into()]]);
+        let (app, van) = v.apply_gram(&mut c, &gram).unwrap();
         assert!(app.is_empty() && van.is_empty());
         assert_eq!(v.as_relation().rows(), before.rows());
         assert_eq!(v.work(), work, "unrelated gram must cost nothing");

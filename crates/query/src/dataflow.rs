@@ -11,10 +11,10 @@
 //! proportional to the delta and the bindings it touches, not to the
 //! base tables.
 //!
-//! The algebra is Z-sets: a [`Delta`] maps tuples to signed
-//! multiplicities, insertions are `+w`, retractions `-w`, and operators
-//! are linear (filter/map/project) or bilinear (join) in their inputs, so
-//! `Δ(A ⋈ B) = ΔA ⋈ B + A ⋈ ΔB + ΔA ⋈ ΔB` — the decomposition
+//! The algebra is Z-sets: a [`revere_storage::ZSet`] maps tuples to
+//! signed multiplicities, insertions are `+w`, retractions `-w`, and
+//! operators are linear (filter/map/project) or bilinear (join) in their
+//! inputs, so `Δ(A ⋈ B) = ΔA ⋈ B + A ⋈ ΔB + ΔA ⋈ ΔB` — the decomposition
 //! [`JoinState`] implements by joining `ΔL` against the *updated* right
 //! arrangement and `ΔR` against the *old* left arrangement. A circuit is
 //! one `JoinState` per plan step — left the bindings entering the step,
@@ -24,17 +24,19 @@
 //! of the counts. The last step's join emits straight into the head: each
 //! match is extended into one scratch binding, the query's comparisons
 //! (a linear filter) and head projection (a linear map) run on it there,
-//! and no intermediate binding Z-set is built.
+//! and no intermediate binding Z-set is built. Stage 0's left side is the
+//! constant unit binding, so no entering binding ever probes its rows and
+//! they are not arranged.
 //!
-//! `Delta` is the ordered, consolidated algebra a batch carries and a
-//! push returns; what flows between stages and what a circuit *stores*
-//! is hashed. Binding deltas, arrangements and derivation counts are
-//! hash maps under the crate's seedless `FxHasher`, probed and folded by
-//! borrowed key, and sorted only when read
-//! ([`Circuit::derivations`], [`Circuit::output_set`]) — a push never
-//! scans or sorts full state. Seeding ([`Circuit::init_full`]) runs the
-//! same stage loop as a push, reading each relation's rows straight from
-//! the catalog.
+//! One type carries every Z-set here: a push reads a
+//! [`revere_storage::ZSetBatch`] (what a tracked catalog records) and
+//! returns a `ZSet`; binding deltas, arrangement groups and derivation
+//! counts are `ZSet`s too, hashed under the seedless
+//! [`revere_storage::fxhash`], probed and folded by borrowed key, and
+//! sorted only when read ([`Circuit::output_set`],
+//! [`Circuit::output_bag`]) — a push never scans or sorts full state.
+//! Seeding ([`Circuit::init_full`]) runs the same stage loop as a push,
+//! reading each relation's rows straight from the catalog.
 //!
 //! `tests/differential_ivm.rs` holds every circuit byte-identical to
 //! [`crate::eval_planned`] recomputed from scratch after every delta;
@@ -43,209 +45,31 @@
 
 use crate::ast::{CmpOp, ConjunctiveQuery, Term};
 use crate::eval::{head_schema, validate, AtomSplit, EvalError};
-use crate::fxhash::FxMap;
 use crate::plan::Plan;
-use revere_storage::{Catalog, RelSchema, Relation, Tuple, Value};
+use revere_storage::fxhash::{rebuild_if_full, FxMap};
+use revere_storage::{Catalog, RelSchema, Relation, Tuple, Value, ZSet, ZSetBatch};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
-use std::hash::Hash;
-
-// ---------------------------------------------------------------------
-// Z-sets
-// ---------------------------------------------------------------------
-
-/// A Z-set: a mapping from elements to signed multiplicities, the value
-/// flowing along every dataflow edge. The representation is always
-/// *consolidated* — no stored entry has weight zero — so `len() == 0` iff
-/// the delta changes nothing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Delta<T: Ord = Tuple> {
-    entries: BTreeMap<T, i64>,
-}
-
-impl<T: Ord> Delta<T> {
-    /// The empty delta.
-    pub fn new() -> Self {
-        Delta { entries: BTreeMap::new() }
-    }
-
-    /// Consolidate an iterator of signed entries (repeated elements sum;
-    /// zero-weight results are dropped).
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (T, i64)>) -> Self {
-        let mut d = Delta::new();
-        for (t, w) in pairs {
-            d.add(t, w);
-        }
-        d
-    }
-
-    /// Add `w` copies of `t` (negative `w` retracts). Entries reaching
-    /// weight zero are removed, keeping the Z-set consolidated.
-    pub fn add(&mut self, t: T, w: i64) {
-        if w == 0 {
-            return;
-        }
-        match self.entries.get_mut(&t) {
-            Some(slot) => {
-                *slot += w;
-                if *slot == 0 {
-                    self.entries.remove(&t);
-                }
-            }
-            None => {
-                self.entries.insert(t, w);
-            }
-        }
-    }
-
-    /// Signed multiplicity of `t` (0 when absent).
-    pub fn weight(&self, t: &T) -> i64 {
-        self.entries.get(t).copied().unwrap_or(0)
-    }
-
-    /// Pointwise sum: `self += other`. Z-set addition — commutative and
-    /// associative, with cancellation (an insert then its retraction
-    /// leaves the empty delta).
-    pub fn merge(&mut self, other: &Delta<T>)
-    where
-        T: Clone,
-    {
-        for (t, w) in &other.entries {
-            self.add(t.clone(), *w);
-        }
-    }
-
-    /// The additive inverse: every weight negated.
-    pub fn negate(&self) -> Delta<T>
-    where
-        T: Clone,
-    {
-        Delta {
-            entries: self.entries.iter().map(|(t, w)| (t.clone(), -w)).collect(),
-        }
-    }
-
-    /// Number of distinct elements with nonzero weight.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no element has nonzero weight.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterate `(element, weight)` in element order.
-    pub fn iter(&self) -> impl Iterator<Item = (&T, i64)> {
-        self.entries.iter().map(|(t, w)| (t, *w))
-    }
-
-    /// Elements with strictly positive weight, in order.
-    pub fn positive(&self) -> impl Iterator<Item = (&T, i64)> {
-        self.entries.iter().filter(|(_, w)| **w > 0).map(|(t, w)| (t, *w))
-    }
-
-    /// Linear filter: keep entries whose element satisfies `pred`.
-    /// Linearity: `filter(a + b) = filter(a) + filter(b)`.
-    pub fn filter(&self, mut pred: impl FnMut(&T) -> bool) -> Delta<T>
-    where
-        T: Clone,
-    {
-        Delta {
-            entries: self
-                .entries
-                .iter()
-                .filter(|(t, _)| pred(t))
-                .map(|(t, w)| (t.clone(), *w))
-                .collect(),
-        }
-    }
-
-    /// Linear map: transform each element, consolidating collisions
-    /// (a non-injective `f` sums weights, as projection must).
-    pub fn map<U: Ord>(&self, mut f: impl FnMut(&T) -> U) -> Delta<U> {
-        Delta::from_pairs(self.entries.iter().map(|(t, w)| (f(t), *w)))
-    }
-}
-
-impl Delta<Tuple> {
-    /// Linear projection onto `cols` (a [`Delta::map`] specialization).
-    pub fn project(&self, cols: &[usize]) -> Delta<Tuple> {
-        self.map(|t| cols.iter().map(|&c| t[c].clone()).collect())
-    }
-
-    /// The positive part as a sorted bag [`Relation`]: each tuple repeated
-    /// by its multiplicity. This is what the differential harness compares
-    /// byte-for-byte against a from-scratch bag recompute.
-    pub fn to_bag(&self, schema: RelSchema) -> Relation {
-        let mut rows = Vec::new();
-        for (t, w) in self.positive() {
-            for _ in 0..w {
-                rows.push(t.clone());
-            }
-        }
-        Relation::with_rows(schema, rows)
-    }
-}
+use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------
 // Arrangements and the bilinear join
 // ---------------------------------------------------------------------
 
-/// Add `w` (nonzero) to `t`'s weight in `map`, consolidating: `t` is
-/// owned (cloned if borrowed) only when it enters, and removed when its
-/// weight cancels; an entry already there keeps its first-seen spelling
-/// (`Int(2)` vs `Float(2.0)`). Returns the change in the number of stored
-/// entries (+1, 0 or −1).
-fn fold_weight(map: &mut FxMap<Tuple, i64>, t: Cow<'_, Tuple>, w: i64) -> isize {
-    match map.get_mut(t.as_ref()) {
-        Some(slot) => {
-            *slot += w;
-            if *slot == 0 {
-                map.remove(t.as_ref());
-                -1
-            } else {
-                0
-            }
-        }
-        None => {
-            insert_churning(map, t.into_owned(), w);
-            1
-        }
-    }
-}
-
-/// Insert into a map whose keys churn at a stationary size. Erasing from
-/// a swiss table can leave a tombstone that spends its growth budget like
-/// a live entry; when the budget runs out, a table over half full doubles
-/// although its live count never grew (and a hundred identical circuits
-/// double in the same push). So when the next insert may reallocate, the
-/// table is rebuilt at the size its live entries need instead: the same
-/// amortized rehash, without the growth.
-fn insert_churning<K: Hash + Eq, V>(map: &mut FxMap<K, V>, k: K, v: V) {
-    if map.len() == map.capacity() {
-        let mut rebuilt = FxMap::with_capacity_and_hasher(map.len() + 1, Default::default());
-        rebuilt.extend(map.drain());
-        *map = rebuilt;
-    }
-    map.insert(k, v);
-}
-
 /// Write `t`'s `cols` into `key`, reusing its allocation.
-fn fill_key(key: &mut Vec<Value>, cols: &[usize], t: &Tuple) {
+fn fill_key(key: &mut Vec<Value>, cols: &[usize], t: &[Value]) {
     key.clear();
     key.extend(cols.iter().map(|&c| t[c].clone()));
 }
 
 /// A Z-set arranged (indexed) by a key: the per-side state an incremental
 /// join probes instead of rescanning its input. Keys are column
-/// projections of the stored tuples; both the key index and each key's
-/// group are hash maps, so neither a probe nor a fold walks an ordered
+/// projections of the stored tuples; the key index is a hash map and each
+/// key's group a [`ZSet`], so neither a probe nor a fold walks an ordered
 /// tree. Group iteration order is unspecified (but deterministic).
 #[derive(Debug, Clone, Default)]
 pub struct Arrangement {
     key_cols: Vec<usize>,
-    index: FxMap<Vec<Value>, FxMap<Tuple, i64>>,
+    index: FxMap<Vec<Value>, ZSet>,
     distinct: usize,
 }
 
@@ -259,27 +83,29 @@ impl Arrangement {
     /// entries reaching weight zero are dropped). Cost is O(|delta|)
     /// index operations — touched entries only, never a full-index scan,
     /// or the "incremental" join would secretly pay O(base) per update.
-    pub fn apply(&mut self, delta: &Delta) {
-        self.fold(delta.iter().map(|(t, w)| (Cow::Borrowed(t), w)));
+    pub fn apply(&mut self, delta: &ZSet) {
+        self.fold(delta.iter().map(|(t, w)| (Cow::Borrowed(&t[..]), w)));
     }
 
     /// [`Arrangement::apply`] over signed entries, each borrowed (cloned
     /// only when it enters) or owned (moved in). A key is cloned only
     /// when its group is created.
-    fn fold<'a>(&mut self, entries: impl IntoIterator<Item = (Cow<'a, Tuple>, i64)>) {
+    fn fold<'a>(&mut self, entries: impl IntoIterator<Item = (Cow<'a, [Value]>, i64)>) {
         let mut key = Vec::with_capacity(self.key_cols.len());
         for (t, w) in entries {
             fill_key(&mut key, &self.key_cols, &t);
             match self.index.get_mut(key.as_slice()) {
                 Some(group) => {
-                    self.distinct = self.distinct.wrapping_add_signed(fold_weight(group, t, w));
+                    let before = group.len();
+                    group.add(t, w);
+                    self.distinct = self.distinct + group.len() - before;
                     if group.is_empty() {
                         self.index.remove(key.as_slice());
                     }
                 }
                 None => {
-                    let group = FxMap::from_iter([(t.into_owned(), w)]);
-                    insert_churning(&mut self.index, key.clone(), group);
+                    rebuild_if_full(&mut self.index);
+                    self.index.insert(key.clone(), ZSet::from_iter([(t, w)]));
                     self.distinct += 1;
                 }
             }
@@ -288,10 +114,7 @@ impl Arrangement {
 
     /// Iterate the `(tuple, weight)` entries stored under `key`.
     pub fn probe<'a>(&'a self, key: &[Value]) -> impl Iterator<Item = (&'a Tuple, i64)> + 'a {
-        self.index
-            .get(key)
-            .into_iter()
-            .flat_map(|g| g.iter().map(|(t, w)| (t, *w)))
+        self.index.get(key).into_iter().flat_map(ZSet::iter)
     }
 
     /// Distinct tuples currently stored (arranged-state footprint).
@@ -336,22 +159,23 @@ impl JoinState {
 
     /// Push one round of input deltas; `emit(l, r, w)` receives every
     /// matched pair with its signed multiplicity (`w_l · w_r`).
-    pub fn push_with(&mut self, dl: &Delta, dr: &Delta, emit: impl FnMut(&Tuple, &Tuple, i64)) {
+    pub fn push_with(&mut self, dl: &ZSet, dr: &ZSet, emit: impl FnMut(&Tuple, &Tuple, i64)) {
         let dr: Vec<_> = dr.iter().collect();
-        self.join(dl.entries.iter().map(|(t, w)| (t, *w)), &dr, emit);
+        self.right.fold(dr.iter().map(|&(r, w)| (Cow::Borrowed(&r[..]), w)));
+        self.join(dl.iter(), &dr, emit);
         self.left.apply(dl);
     }
 
-    /// One round up to folding `ΔL`, which the caller does next: fold `ΔR`
-    /// into the right arrangement, then emit `ΔL ⋈ R` (the updated right
-    /// side) and `L ⋈ ΔR` (the old left side). Both deltas consolidated.
+    /// One round between folding `ΔR` into the right arrangement, which
+    /// the caller does first, and folding `ΔL` into the left one, which
+    /// it does next: emit `ΔL ⋈ R` (the updated right side) and `L ⋈ ΔR`
+    /// (the old left side). Both deltas consolidated.
     fn join<'l>(
         &mut self,
         dl: impl ExactSizeIterator<Item = (&'l Tuple, i64)>,
         dr: &[(&Tuple, i64)],
         mut emit: impl FnMut(&Tuple, &Tuple, i64),
     ) {
-        self.right.fold(dr.iter().map(|&(r, w)| (Cow::Borrowed(r), w)));
         self.work += (dl.len() + dr.len()) as u64;
         let mut key = Vec::with_capacity(self.left_key.len());
         for (l, wl) in dl {
@@ -373,60 +197,14 @@ impl JoinState {
     /// [`JoinState::push_with`] emitting concatenated `l ++ r` tuples —
     /// the form the bilinearity property test checks against a
     /// from-scratch recompute.
-    pub fn push_concat(&mut self, dl: &Delta, dr: &Delta) -> Delta {
-        let mut out = Delta::new();
+    pub fn push_concat(&mut self, dl: &ZSet, dr: &ZSet) -> ZSet {
+        let mut out = ZSet::new();
         self.push_with(dl, dr, |l, r, w| {
             let mut t = l.clone();
             t.extend(r.iter().cloned());
             out.add(t, w);
         });
         out
-    }
-}
-
-// ---------------------------------------------------------------------
-// Input batches
-// ---------------------------------------------------------------------
-
-/// One synchronous round of input: a signed row delta per base relation.
-/// All relations' deltas are applied *simultaneously* — the bilinear join
-/// decomposition makes self-joins (Δ⋈Δ) come out right within one batch.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaBatch {
-    rels: BTreeMap<String, Delta>,
-}
-
-impl DeltaBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `w` copies of `row` to `relation`'s delta.
-    pub fn add(&mut self, relation: impl Into<String>, row: Tuple, w: i64) {
-        if w != 0 {
-            self.rels.entry(relation.into()).or_default().add(row, w);
-        }
-    }
-
-    /// The delta on one relation, if any.
-    pub fn get(&self, relation: &str) -> Option<&Delta> {
-        self.rels.get(relation)
-    }
-
-    /// Relations this batch touches.
-    pub fn relations(&self) -> impl Iterator<Item = &str> {
-        self.rels.keys().map(String::as_str)
-    }
-
-    /// Total distinct changed rows across relations.
-    pub fn len(&self) -> usize {
-        self.rels.values().map(Delta::len).sum()
-    }
-
-    /// True when every per-relation delta is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rels.values().all(Delta::is_empty)
     }
 }
 
@@ -493,13 +271,16 @@ struct Stage {
     relation: String,
     split: AtomSplit,
     join: JoinState,
+    /// False for stage 0: its left side is the constant unit binding, so
+    /// no entering binding ever probes its rows and they are not arranged.
+    arrange_rows: bool,
 }
 
 /// Where one round's base rows come from: a pushed batch's per-relation
-/// deltas, or (seeding) every row a catalog stores, each an insert.
+/// Z-sets, or (seeding) every row a catalog stores, each an insert.
 #[derive(Clone, Copy)]
 enum Input<'a> {
-    Batch(&'a DeltaBatch),
+    Batch(&'a ZSetBatch),
     Catalog(&'a Catalog),
 }
 
@@ -514,7 +295,7 @@ impl Stage {
             Input::Batch(batch) => batch
                 .get(&self.relation)
                 .into_iter()
-                .flat_map(Delta::iter)
+                .flat_map(ZSet::iter)
                 .filter(|(t, _)| keep(t))
                 .collect(),
             Input::Catalog(catalog) => {
@@ -529,18 +310,22 @@ impl Stage {
         }
     }
 
-    /// One round of this stage: join the bindings entering it with its
+    /// One round of this stage: fold its rows into the right arrangement
+    /// (unless nothing probes it), join the bindings entering it with the
     /// rows, hand `emit` each match extended into one scratch binding,
     /// then move the entering bindings into the left arrangement.
     fn step(
         &mut self,
-        d_bindings: FxMap<Tuple, i64>,
+        d_bindings: ZSet,
         d_rows: &[(&Tuple, i64)],
         mut emit: impl FnMut(&Tuple, i64),
     ) {
-        let Stage { split, join, .. } = self;
+        let Stage { split, join, arrange_rows, .. } = self;
+        if *arrange_rows {
+            join.right.fold(d_rows.iter().map(|&(r, w)| (Cow::Borrowed(&r[..]), w)));
+        }
         let mut binding = Vec::new();
-        join.join(d_bindings.iter().map(|(b, w)| (b, *w)), d_rows, |b, r, w| {
+        join.join(d_bindings.iter(), d_rows, |b, r, w| {
             binding.clear();
             binding.extend_from_slice(b);
             extend_binding(split, &mut binding, r);
@@ -559,7 +344,7 @@ fn extend_binding(split: &AtomSplit, binding: &mut Tuple, row: &Tuple) {
 /// A compiled continuous query: the plan's join order as a chain of
 /// bilinear incremental joins, then the query's comparisons (linear
 /// filter) and head projection (linear map), accumulating derivation
-/// counts of head tuples. Pushing a [`DeltaBatch`] costs work
+/// counts of head tuples. Pushing a [`ZSetBatch`] costs work
 /// proportional to the delta and the bindings it touches — never a base
 /// relation rescan.
 #[derive(Debug, Clone)]
@@ -569,9 +354,9 @@ pub struct Circuit {
     comparisons: Vec<(Operand, CmpOp, Operand)>,
     head: Vec<Operand>,
     schema: RelSchema,
-    /// Derivation counts of head tuples, consolidated (no zero weights).
-    out: FxMap<Tuple, i64>,
-    /// Delta batches pushed so far (including the initializing one).
+    /// Derivation counts of head tuples.
+    out: ZSet,
+    /// Batches pushed so far (including the initializing one).
     pub pushes: usize,
 }
 
@@ -600,14 +385,15 @@ impl Circuit {
                 split.join_cols.iter().map(|(_, b)| *b).collect(),
                 split.join_cols.iter().map(|(i, _)| *i).collect(),
             );
-            if stages.is_empty() {
+            let arrange_rows = !stages.is_empty();
+            if !arrange_rows {
                 // The unit binding: one empty tuple with weight 1. It
                 // never changes; stage 0's only live input is its rows'
                 // delta. Seeding it is construction, not refresh work.
-                join.left.apply(&Delta::from_pairs([(Vec::new(), 1)]));
+                join.left.fold([(Cow::Owned(Vec::new()), 1)]);
             }
             var_cols.extend(split.new_vars.iter().map(|(_, v)| v.clone()));
-            stages.push(Stage { relation: atom.relation.clone(), split, join });
+            stages.push(Stage { relation: atom.relation.clone(), split, join, arrange_rows });
         }
         let comparisons = q
             .comparisons
@@ -627,7 +413,7 @@ impl Circuit {
             comparisons,
             head,
             schema: head_schema(q),
-            out: FxMap::default(),
+            out: ZSet::new(),
             pushes: 0,
         })
     }
@@ -655,9 +441,7 @@ impl Circuit {
     pub fn init_full(&mut self, source: &Catalog) -> Result<(), EvalError> {
         validate(&self.query, source)?;
         let mut derivations = std::mem::take(&mut self.out);
-        self.round(Input::Catalog(source), |t, w| {
-            fold_weight(&mut derivations, Cow::Owned(t), w);
-        });
+        self.round(Input::Catalog(source), |t, w| derivations.add(t, w));
         self.out = derivations;
         Ok(())
     }
@@ -665,12 +449,10 @@ impl Circuit {
     /// Push one batch of base-relation deltas through the circuit and
     /// return the derivation-level output delta (head tuples with signed
     /// multiplicities), also folded into [`Circuit::derivations`].
-    pub fn push(&mut self, batch: &DeltaBatch) -> Delta {
-        let mut out = Delta::new();
+    pub fn push(&mut self, batch: &ZSetBatch) -> ZSet {
+        let mut out = ZSet::new();
         self.round(Input::Batch(batch), |t, w| out.add(t, w));
-        for (t, w) in out.iter() {
-            fold_weight(&mut self.out, Cow::Borrowed(t), w);
-        }
+        self.out.merge(&out);
         out
     }
 
@@ -690,12 +472,10 @@ impl Circuit {
             return;
         };
         // ΔB_{-1}: the unit binding never changes.
-        let mut d_bindings = FxMap::default();
+        let mut d_bindings = ZSet::new();
         for stage in earlier {
-            let (d_rows, mut next) = (stage.rows(input), FxMap::default());
-            stage.step(d_bindings, &d_rows, |binding, w| {
-                fold_weight(&mut next, Cow::Borrowed(binding), w);
-            });
+            let (d_rows, mut next) = (stage.rows(input), ZSet::new());
+            stage.step(d_bindings, &d_rows, |binding, w| next.add(binding, w));
             d_bindings = next;
         }
         let d_rows = last.rows(input);
@@ -708,40 +488,21 @@ impl Circuit {
         });
     }
 
-    /// The maintained derivation counts of head tuples (the bag result as
-    /// a Z-set), sorted into an owned [`Delta`] on each call.
-    pub fn derivations(&self) -> Delta {
-        Delta { entries: self.out.iter().map(|(t, w)| (t.clone(), *w)).collect() }
-    }
-
-    /// Derivation count of one head tuple (0 when absent).
-    pub fn weight(&self, t: &Tuple) -> i64 {
-        self.out.get(t).copied().unwrap_or(0)
+    /// The maintained derivation counts of head tuples: the bag result
+    /// as a Z-set.
+    pub fn derivations(&self) -> &ZSet {
+        &self.out
     }
 
     /// The maintained bag result, sorted — byte-comparable with
     /// `eval_planned(..).0.sorted()`.
     pub fn output_bag(&self) -> Relation {
-        self.derivations().to_bag(self.schema.clone())
+        self.out.to_bag(self.schema.clone())
     }
 
     /// The maintained set-semantics result, sorted and deduplicated.
     pub fn output_set(&self) -> Relation {
-        let mut rows: Vec<Tuple> =
-            self.out.iter().filter(|(_, w)| **w > 0).map(|(t, _)| t.clone()).collect();
-        // Stored tuples are pairwise unequal, so any sort is the sort.
-        rows.sort_unstable();
-        Relation::with_rows(self.schema.clone(), rows)
-    }
-
-    /// Distinct tuples currently derivable.
-    pub fn len(&self) -> usize {
-        self.out.values().filter(|w| **w > 0).count()
-    }
-
-    /// True when the maintained result is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        Relation::with_rows(self.schema.clone(), self.out.support())
     }
 
     /// Tuples touched across all pushes — folded delta entries plus probe
@@ -817,14 +578,14 @@ mod tests {
         let mut c = catalog();
         let mut cir = circuit(&c, "q(A, C) :- r(A, B), s(B, C)");
         // Insert: a new r row joins with an existing s row.
-        let mut batch = DeltaBatch::new();
+        let mut batch = ZSetBatch::new();
         batch.add("r", vec!["4".into(), "y".into()], 1);
         c.insert("r", vec!["4".into(), "y".into()]);
         let out = cir.push(&batch);
         assert_eq!(out.len(), 1);
         assert_matches_recompute(&cir, &c);
         // Delete: retract an r row; its derivation vanishes.
-        let mut batch = DeltaBatch::new();
+        let mut batch = ZSetBatch::new();
         batch.add("r", vec!["1".into(), "x".into()], -1);
         c.delete("r", &[Value::str("1"), Value::str("x")]);
         let out = cir.push(&batch);
@@ -841,7 +602,7 @@ mod tests {
         e.insert(vec!["1".into(), "2".into()]);
         c.register(e);
         let mut cir = circuit(&c, "q(X, Z) :- e(X, Y), e(Y, Z)");
-        let mut batch = DeltaBatch::new();
+        let mut batch = ZSetBatch::new();
         batch.add("e", vec!["9".into(), "9".into()], 1);
         c.insert("e", vec!["9".into(), "9".into()]);
         cir.push(&batch);
@@ -858,7 +619,7 @@ mod tests {
         r.insert(vec!["x".into()]);
         c.register(r);
         let cir = circuit(&c, "q(A) :- r(A)");
-        assert_eq!(cir.derivations().weight(&vec!["x".into()]), 2);
+        assert_eq!(cir.derivations().weight(&["x".into()]), 2);
         assert_matches_recompute(&cir, &c);
     }
 
@@ -886,29 +647,11 @@ mod tests {
         let c = catalog();
         let mut cir = circuit(&c, "q(A, C) :- r(A, B), s(B, C)");
         let work_before = cir.work();
-        let mut batch = DeltaBatch::new();
+        let mut batch = ZSetBatch::new();
         batch.add("unrelated", vec!["z".into()], 1);
         let out = cir.push(&batch);
         assert!(out.is_empty());
         assert_eq!(cir.work(), work_before);
-    }
-
-    #[test]
-    fn a_map_churning_at_a_stationary_size_keeps_its_table() {
-        // Fresh keys in, oldest out, 3 000 live throughout: the table may
-        // rebuild, but never grows past what 3 000 entries need.
-        let live = 3_000;
-        let ceiling = FxMap::<Tuple, i64>::with_capacity_and_hasher(live + 1, Default::default())
-            .capacity();
-        let mut map: FxMap<Tuple, i64> = FxMap::default();
-        for k in 0..200_000 {
-            fold_weight(&mut map, Cow::Owned(vec![Value::Int(k as i64)]), 1);
-            if k >= live {
-                fold_weight(&mut map, Cow::Owned(vec![Value::Int((k - live) as i64)]), -1);
-            }
-            assert!(map.capacity() <= ceiling, "table grew at key {k}");
-        }
-        assert_eq!(map.len(), live);
     }
 
     #[test]

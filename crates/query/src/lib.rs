@@ -21,9 +21,10 @@
 //! * `vec` (private) — that engine: vectorized columnar execution with
 //!   row-list selections and typed batched hash joins, each phase one
 //!   pass on the calling thread.
-//! * [`dataflow`] — DBSP-style delta dataflow: Z-set [`Delta`]s, bilinear
-//!   incremental joins with arranged state, and [`Circuit`]s that keep a
-//!   planned conjunctive body fresh in O(|Δ|) per update.
+//! * [`dataflow`] — DBSP-style delta dataflow over `revere_storage`'s
+//!   Z-sets: bilinear incremental joins with arranged state, and
+//!   [`Circuit`]s that keep a planned conjunctive body fresh in O(|Δ|)
+//!   per update.
 //! * [`unfold`] — global-as-view unfolding of defined relations.
 //! * [`minicon`] — the MiniCon algorithm for answering queries using views
 //!   (local-as-view rewriting).
@@ -37,7 +38,6 @@ pub mod ast;
 pub mod containment;
 pub mod dataflow;
 pub mod eval;
-mod fxhash;
 pub mod glav;
 pub mod minicon;
 pub mod parse;
@@ -48,7 +48,7 @@ mod vec;
 
 pub use ast::{Atom, CmpOp, Comparison, ConjunctiveQuery, Term, UnionQuery};
 pub use containment::{contained_in, equivalent, minimize};
-pub use dataflow::{Arrangement, Circuit, Delta, DeltaBatch, JoinState};
+pub use dataflow::{Arrangement, Circuit, JoinState};
 pub use eval::{
     eval_cq, eval_cq_bag, eval_naive, eval_naive_bag, eval_naive_profiles, eval_naive_union,
     eval_union, head_schema, StepProfile,

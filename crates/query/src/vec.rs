@@ -23,8 +23,8 @@
 
 use crate::ast::{ConjunctiveQuery, Term};
 use crate::eval::{head_schema, validate, AtomSplit, EvalError, StepProfile};
-use crate::fxhash::FxMap;
 use crate::plan::Plan;
+use revere_storage::fxhash::FxMap;
 use revere_storage::{Catalog, ColumnVec, ColumnarBatch, Relation, Value};
 use revere_util::obs::{names, Obs, SpanHandle};
 use std::sync::Arc;

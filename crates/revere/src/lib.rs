@@ -80,12 +80,12 @@ pub mod prelude {
         contained_in, eval_bindings, eval_cq, eval_cq_bag, eval_naive, eval_naive_bag,
         eval_naive_profiles, eval_naive_union, eval_planned, eval_union, explain_analyze,
         minimize, parse_query, plan_cq, q_error, rewrite_using_views, unfold_with, Arrangement,
-        Circuit, ConjunctiveQuery, Delta, DeltaBatch, ExplainAnalyze, GlavMapping, JoinState,
-        Plan, StepProfile, UnionQuery, ViewDef,
+        Circuit, ConjunctiveQuery, ExplainAnalyze, GlavMapping, JoinState, Plan, StepProfile,
+        UnionQuery, ViewDef,
     };
     pub use revere_storage::{
         Catalog, ColumnVec, ColumnarBatch, DbSchema, Journal, RelSchema, Relation,
-        TripleStore, Value, WalRecord,
+        TripleStore, Value, WalRecord, ZSet, ZSetBatch,
     };
     pub use revere_workload::{
         course_templates, PageGenerator, QueryMix, Topology, TopologyKind, University,

@@ -25,6 +25,7 @@ use crate::schema::{DbSchema, RelSchema};
 use crate::stats::{JoinStats, RelStats};
 use crate::value::Value;
 use crate::wal::{Journal, WalRecord};
+use crate::zset::ZSetBatch;
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
@@ -128,8 +129,8 @@ pub struct Catalog {
     /// Attached durable change log; `None` for plain in-memory catalogs.
     journal: Option<Journal>,
     /// The signed rows changed since the last [`Catalog::take_changes`],
-    /// as (relation, row, weight); `None` while untracked.
-    changes: Option<Vec<(String, Tuple, i64)>>,
+    /// consolidated; `None` while untracked.
+    changes: Option<ZSetBatch>,
 }
 
 impl Clone for Catalog {
@@ -176,7 +177,7 @@ impl Catalog {
     /// Start recording the signed rows of every change, from an empty
     /// record (anything recorded before is dropped).
     pub fn track_changes(&mut self) {
-        self.changes = Some(Vec::new());
+        self.changes = Some(ZSetBatch::new());
     }
 
     /// Stop recording and drop the record.
@@ -184,19 +185,11 @@ impl Catalog {
         self.changes = None;
     }
 
-    /// The signed rows changed since tracking started or the last take,
-    /// as (relation, row, weight) in the order the changes were made; a
-    /// row's weights sum to its net change. Empty while untracked.
-    pub fn take_changes(&mut self) -> Vec<(String, Tuple, i64)> {
+    /// The net change of every row since tracking started or the last
+    /// take, consolidated: each row once, with its summed weight, and no
+    /// row whose changes cancelled. Empty while untracked.
+    pub fn take_changes(&mut self) -> ZSetBatch {
         self.changes.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Add a change's signed rows to the record, while tracked.
-    fn record(&mut self, change: &Change) {
-        if let Some(changes) = &mut self.changes {
-            let rel = change.relation();
-            changes.extend(change.rows().map(|(row, w)| (rel.to_string(), row.to_vec(), w)));
-        }
     }
 
     /// Apply one journaled record — crash recovery — and return the
@@ -294,7 +287,9 @@ impl Catalog {
             s.push(row.clone());
         }
         self.epoch += (change.deleted.len() + insert.len()) as u64;
-        self.record(&change);
+        if let Some(changes) = &mut self.changes {
+            changes.record(&change);
+        }
         Ok(change)
     }
 
@@ -305,10 +300,10 @@ impl Catalog {
     /// the new ones as asserted.
     pub fn register(&mut self, rel: Relation) {
         self.journal_record(|| WalRecord::Register { relation: rel.clone() });
-        if self.changes.is_some() {
-            let replaced = self.get(&rel.schema.name).cloned();
+        if let Some(changes) = &mut self.changes {
+            let replaced = self.relations.get(&rel.schema.name).map(|s| s.relation.clone());
             let (relation, inserted) = (rel.schema.name.as_str(), rel.rows());
-            self.record(&Change { relation, replaced, inserted, ..Change::default() });
+            changes.record(&Change { relation, replaced, inserted, ..Change::default() });
         }
         let stats = rel.stats();
         self.relations.insert(rel.schema.name.clone(), Stored { relation: rel, stats });

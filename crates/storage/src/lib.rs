@@ -18,6 +18,9 @@
 //!   annotations into, with SPO/POS/OSP indexes (our stand-in for Jena \[33\]).
 //! * [`catalog`] — a named collection of relations, plus a thread-safe
 //!   shared wrapper used by the PDMS peers, whose snapshots are O(1).
+//! * [`zset`] — hashed Z-sets ([`ZSet`], per relation a [`ZSetBatch`]):
+//!   every change, from a catalog's record to a continuous query's state.
+//! * [`fxhash`] — the seedless hasher under every Z-set and join index.
 //! * [`stats`] — incremental per-relation/per-column statistics (row,
 //!   distinct and value-frequency counts) behind the catalog's stats
 //!   epoch; what the query planner costs join orders with.
@@ -27,12 +30,14 @@
 
 pub mod catalog;
 pub mod column;
+pub mod fxhash;
 pub mod relation;
 pub mod schema;
 pub mod stats;
 pub mod triples;
 pub mod value;
 pub mod wal;
+pub mod zset;
 
 pub use catalog::{Catalog, Change, SharedCatalog};
 pub use column::{ColumnVec, ColumnarBatch};
@@ -45,3 +50,4 @@ pub use wal::{
     decode_catalog, encode_catalog, recover_catalog, Journal, Lsn, RecoveryReport,
     Wal, WalOpenReport, WalRecord,
 };
+pub use zset::{ZSet, ZSetBatch};

@@ -202,7 +202,7 @@ fn run_case(case: u64, grams: usize) -> Option<[usize; 2]> {
 
     for round in 0..grams {
         let gram = random_gram(&mut g, &catalog);
-        push.apply_gram(&mut catalog, &gram);
+        push.apply_gram(&mut catalog, &gram).unwrap();
         let force = (round % RESEED_EVERY == RESEED_EVERY - 1).then_some(MaintenanceChoice::Recompute);
         let report =
             maintain(&mut policy_catalog, &mut policy, std::slice::from_ref(&gram), force).unwrap();
@@ -290,7 +290,7 @@ fn respell(g: &mut Gen, catalog: &Catalog) -> Catalog {
 /// Push every stored row of `catalog` as a `+1`, in one batch: the
 /// definition of seeding that [`Circuit::init_full`] must reproduce.
 fn replay(circuit: &mut Circuit, catalog: &Catalog) {
-    let mut batch = DeltaBatch::new();
+    let mut batch = ZSetBatch::new();
     for name in catalog.names() {
         for row in catalog.get(name).expect("listed").rows() {
             batch.add(name, row.clone(), 1);
@@ -300,8 +300,8 @@ fn replay(circuit: &mut Circuit, catalog: &Catalog) {
 }
 
 /// The derivation counts and every counter of a circuit.
-fn counters(c: &Circuit) -> (Delta, u64, usize, usize) {
-    (c.derivations(), c.work(), c.arranged_tuples(), c.pushes)
+fn counters(c: &Circuit) -> (ZSet, u64, usize, usize) {
+    (c.derivations().clone(), c.work(), c.arranged_tuples(), c.pushes)
 }
 
 /// Seed one circuit with `init_full` and its twin by [`replay`]; they

@@ -427,23 +427,30 @@ fn placed_views_answer_as_the_network_does_after_every_publish() {
 }
 
 // ---------------------------------------------------------------------
-// Z-sets: the delta-dataflow algebra (query::dataflow)
+// Z-sets: the delta-dataflow algebra (storage::zset, query::dataflow)
 // ---------------------------------------------------------------------
 
 /// A small random Z-set over binary integer tuples, weights in `-3..=3`.
-fn gen_delta(g: &mut Gen) -> Delta {
-    Delta::from_pairs(g.vec(0..8, |g| {
+fn gen_delta(g: &mut Gen) -> ZSet {
+    g.vec(0..8, |g| {
         (
             vec![Value::Int(g.random_range(0i64..4)), Value::Int(g.random_range(0i64..4))],
             g.random_range(-3i64..4),
         )
-    }))
+    })
+    .into_iter()
+    .collect()
+}
+
+/// The additive inverse: every weight negated.
+fn negated(a: &ZSet) -> ZSet {
+    a.iter().map(|(t, w)| (t, -w)).collect()
 }
 
 /// Nested-loop Z-set equijoin on the first column: the oracle
 /// [`JoinState`] is checked against.
-fn brute_join(a: &Delta, b: &Delta) -> Delta {
-    let mut out = Delta::new();
+fn brute_join(a: &ZSet, b: &ZSet) -> ZSet {
+    let mut out = ZSet::new();
     for (l, wl) in a.iter() {
         for (r, wr) in b.iter() {
             if l[0] == r[0] {
@@ -480,26 +487,8 @@ fn zset_insert_then_retract_cancels() {
     forall(128, |g| {
         let a = gen_delta(g);
         let mut sum = a.clone();
-        sum.merge(&a.negate());
+        sum.merge(&negated(&a));
         assert!(sum.is_empty(), "a + (-a) left residue: {sum:?}");
-    });
-}
-
-#[test]
-fn zset_filter_and_map_are_linear() {
-    forall(128, |g| {
-        let (a, b) = (gen_delta(g), gen_delta(g));
-        let mut sum = a.clone();
-        sum.merge(&b);
-        // filter(a + b) == filter(a) + filter(b)
-        let mut fa = a.filter(|t| t[0] <= t[1]);
-        fa.merge(&b.filter(|t| t[0] <= t[1]));
-        assert_eq!(sum.filter(|t| t[0] <= t[1]), fa);
-        // A collapsing projection is still linear: weights of merged
-        // images sum.
-        let mut ma = a.project(&[0]);
-        ma.merge(&b.project(&[0]));
-        assert_eq!(sum.project(&[0]), ma);
     });
 }
 
@@ -516,7 +505,7 @@ fn zset_incremental_join_is_bilinear() {
         let mut b2 = b.clone();
         b2.merge(&db);
         let mut expected = brute_join(&a2, &b2);
-        expected.merge(&brute_join(&a, &b).negate());
+        expected.merge(&negated(&brute_join(&a, &b)));
         assert_eq!(incr, expected, "incremental != recompute difference");
         // ... and decomposes as ΔA⋈B + A⋈ΔB + ΔA⋈ΔB.
         let mut decomposed = brute_join(&da, &b);
@@ -528,7 +517,7 @@ fn zset_incremental_join_is_bilinear() {
 
 /// A cell `k` in `0..4`, spelled `Int(k)` or `Float(k)` at random: equal
 /// values of both spellings must meet in one hashed group and one
-/// derivation count, as they meet in one `Delta` entry.
+/// derivation count, as they meet in one `ZSet` entry.
 fn gen_num(g: &mut Gen) -> Value {
     let k = g.random_range(0i64..4);
     if g.random_bool(0.5) {
@@ -539,8 +528,9 @@ fn gen_num(g: &mut Gen) -> Value {
 }
 
 /// [`gen_delta`] with mixed `Int`/`Float` spellings.
-fn gen_mixed_delta(g: &mut Gen) -> Delta {
-    Delta::from_pairs(g.vec(0..8, |g| (vec![gen_num(g), gen_num(g)], g.random_range(-3i64..4))))
+fn gen_mixed_delta(g: &mut Gen) -> ZSet {
+    let entries = g.vec(0..8, |g| (vec![gen_num(g), gen_num(g)], g.random_range(-3i64..4)));
+    entries.into_iter().collect()
 }
 
 #[test]
@@ -557,10 +547,10 @@ fn zset_hashed_state_agrees_with_value_equality() {
         decomposed.merge(&brute_join(&da, &db));
         assert_eq!(incr, decomposed, "bilinear decomposition diverged across spellings");
 
-        // An arrangement counts distinct nonzero tuples as a Delta does,
+        // An arrangement counts distinct nonzero tuples as a ZSet does,
         // and a key of either spelling probes the same group.
         let mut arr = Arrangement::new(vec![0]);
-        let mut sum = Delta::new();
+        let mut sum = ZSet::new();
         for _ in 0..g.random_range(1..5usize) {
             let d = gen_mixed_delta(g);
             arr.apply(&d);
@@ -568,9 +558,9 @@ fn zset_hashed_state_agrees_with_value_equality() {
             assert_eq!(arr.len(), sum.len(), "arranged tuples != distinct nonzero tuples");
         }
         for k in 0..4i64 {
-            let expected = sum.filter(|t| t[0] == Value::Int(k));
+            let expected: ZSet = sum.iter().filter(|(t, _)| t[0] == Value::Int(k)).collect();
             for key in [Value::Int(k), Value::Float(k as f64)] {
-                let got = Delta::from_pairs(arr.probe(&[key]).map(|(t, w)| (t.clone(), w)));
+                let got: ZSet = arr.probe(&[key]).collect();
                 assert_eq!(got, expected, "probe of key {k} missed entries");
             }
         }
@@ -623,8 +613,8 @@ fn circuit_over_mixed_spellings_matches_recompute() {
 #[test]
 fn catalog_signs_every_change_as_the_bag_difference() {
     use revere::storage::{Change, Tuple};
-    fn signed(change: &Change) -> Delta {
-        Delta::from_pairs(change.rows().map(|(row, w)| (row.to_vec(), w)))
+    fn signed(change: &Change) -> ZSet {
+        change.rows().collect()
     }
     fn respelled(row: &[Value]) -> Tuple {
         row.iter()
@@ -660,15 +650,15 @@ fn catalog_signs_every_change_as_the_bag_difference() {
 
         let (mut post, journal) = journaled(&pre);
         let applied = signed(&post.apply(rel, &gram.delete, &gram.insert).unwrap());
-        let mut oracle = Delta::from_pairs(post.get("r").unwrap().iter().map(|r| (r.clone(), 1)));
-        oracle.merge(&Delta::from_pairs(stored.iter().map(|r| (r.clone(), -1))));
+        let mut oracle: ZSet = post.get("r").unwrap().iter().map(|r| (r, 1)).collect();
+        oracle.merge(&stored.iter().map(|r| (r, -1)).collect());
         assert_eq!(applied, oracle, "(a) apply of {gram:?}");
 
         let batch = gram_to_batch(&pre, &gram);
         assert_eq!(batch.get("r").cloned().unwrap_or_default(), oracle, "(b) gram_to_batch");
 
         let mut replica = pre.clone();
-        let mut replayed = Delta::new();
+        let mut replayed = ZSet::new();
         for (_, rec) in journal.records() {
             replayed.merge(&signed(&replica.replay(&rec)));
         }
@@ -700,16 +690,28 @@ fn catalog_signs_every_change_as_the_bag_difference() {
 /// A tracked catalog reports its own changes: across a random run of
 /// `apply`, `insert`, `delete`, `register` and `replay` calls (rows in
 /// `Int(k)`/`Float(k)` spellings, some of the wrong arity, some naming an
-/// unknown relation), the Z-set sum of the rows taken — at random points
-/// along the way — equals after − before as bags, relation by relation.
-/// A clone of the tracked catalog and an untracked twin put through the
-/// same calls record nothing.
+/// unknown relation), each take is consolidated — no row twice, none
+/// with weight zero — and the Z-set sum of the rows taken at random
+/// points along the way equals after − before as bags, relation by
+/// relation. A clone of the tracked catalog and an untracked twin put
+/// through the same calls record nothing.
 #[test]
 fn tracked_catalogs_record_the_bag_difference() {
     use std::collections::BTreeMap;
-    fn bags(c: &Catalog) -> BTreeMap<String, Delta> {
-        let bag = |name| Delta::from_pairs(c.get(name).unwrap().iter().map(|r| (r.clone(), 1)));
+    fn bags(c: &Catalog) -> BTreeMap<String, ZSet> {
+        let bag = |name| c.get(name).unwrap().iter().map(|r| (r, 1)).collect();
         c.names().map(|name| (name.to_string(), bag(name))).collect()
+    }
+    /// Add one take to `taken`, after checking it is consolidated.
+    fn take(tracked: &mut Catalog, taken: &mut BTreeMap<String, ZSet>) {
+        let batch = tracked.take_changes();
+        for (relation, z) in batch.relations().map(|r| (r, batch.get(r).unwrap())) {
+            let entries = z.sorted();
+            assert_eq!(entries.len(), z.len());
+            assert!(entries.iter().all(|(_, w)| *w != 0), "a zero weight in {relation}: {z:?}");
+            assert!(entries.windows(2).all(|p| p[0].0 != p[1].0), "a row twice in {relation}");
+            taken.entry(relation.to_string()).or_default().merge(z);
+        }
     }
     fn row(g: &mut Gen) -> Vec<Value> {
         let arity = if g.random_bool(0.05) { 1 } else { 2 };
@@ -725,7 +727,7 @@ fn tracked_catalogs_record_the_bag_difference() {
         let mut untracked = tracked.clone();
         tracked.track_changes();
         let mut copy = tracked.clone();
-        let mut taken: BTreeMap<String, Delta> = BTreeMap::new();
+        let mut taken: BTreeMap<String, ZSet> = BTreeMap::new();
         for _ in 0..g.random_range(1..12usize) {
             let rel = *g.pick(&["r", "s", "r", "s", "nope"]);
             let (delete, insert) = (g.vec(0..3, row), g.vec(0..3, row));
@@ -768,17 +770,13 @@ fn tracked_catalogs_record_the_bag_difference() {
                 }
             }
             if g.random_bool(0.4) {
-                for (relation, row, w) in tracked.take_changes() {
-                    taken.entry(relation).or_default().add(row, w);
-                }
+                take(&mut tracked, &mut taken);
             }
         }
-        for (relation, row, w) in tracked.take_changes() {
-            taken.entry(relation).or_default().add(row, w);
-        }
+        take(&mut tracked, &mut taken);
         let mut oracle = bags(&tracked);
         for (name, bag) in &before {
-            oracle.get_mut(name).unwrap().merge(&bag.negate());
+            oracle.get_mut(name).unwrap().merge(&negated(bag));
         }
         oracle.retain(|_, d| !d.is_empty());
         taken.retain(|_, d| !d.is_empty());
@@ -794,12 +792,12 @@ fn tracked_catalogs_record_the_bag_difference() {
 #[test]
 fn zset_consolidation_never_stores_zero_weights() {
     forall(128, |g| {
-        let mut acc = Delta::new();
+        let mut acc = ZSet::new();
         for _ in 0..g.random_range(1..5usize) {
             let d = gen_delta(g);
             acc.merge(&d);
             if g.random_bool(0.5) {
-                acc.merge(&d.negate());
+                acc.merge(&negated(&d));
             }
         }
         assert!(acc.iter().all(|(_, w)| w != 0), "zero-weight entry survived: {acc:?}");
@@ -809,7 +807,7 @@ fn zset_consolidation_never_stores_zero_weights() {
             acc.add(t, -w);
         }
         assert!(acc.is_empty());
-        assert_eq!(acc, Delta::new());
+        assert_eq!(acc, ZSet::new());
     });
 }
 
