@@ -106,10 +106,9 @@ impl PdmsNetwork {
         let span = root.child("pdms.eval.disjunct");
         let (plan, verdict) = self.plan_for(i, d, fetched, scope);
         if span.is_recording() {
-            // The canonical form, not `d` itself: reformulation mints
-            // fresh variable names from a process-wide counter, so the
-            // raw text varies run to run while the canonical key is
-            // byte-stable — the golden-trace contract needs the latter.
+            // The canonical form, not `d` itself: it names the plan the
+            // disjunct ran, whatever names reformulation gave its
+            // variables.
             span.set("disjunct", plan.key());
             match verdict {
                 PlanVerdict::Bypass => span.set("plan_cache", "bypass"),

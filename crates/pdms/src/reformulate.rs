@@ -39,7 +39,7 @@
 
 use revere_query::glav::GlavMapping;
 use revere_query::unfold::{unfold_with, ViewDef};
-use revere_query::{contained_in, minimize, rewrite_using_views, ConjunctiveQuery, UnionQuery};
+use revere_query::{contained_in, minimize, ConjunctiveQuery, UnionQuery, ViewCover};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
 /// Tuning knobs for reformulation: two bounds on the search and the E2
@@ -124,7 +124,7 @@ impl Reformulator {
         let root = if self.options.pruning { minimize(query) } else { query.clone() };
         visited.insert(root.canonical_key());
         accepted.push(root.clone());
-        result.union.push_dedup(root.clone());
+        result.union.disjuncts.push(root.clone());
 
         let mut frontier: VecDeque<(ConjunctiveQuery, usize)> = VecDeque::from([(root, 0)]);
         while let Some((node, depth)) = frontier.pop_front() {
@@ -152,8 +152,10 @@ impl Reformulator {
                     result.pruned_by_containment += 1;
                     continue;
                 }
+                // `visited` holds every accepted key, so the union needs
+                // no dedup of its own.
                 accepted.push(candidate.clone());
-                result.union.push_dedup(candidate.clone());
+                result.union.disjuncts.push(candidate.clone());
                 frontier.push_back((candidate, depth + 1));
                 if result.union.len() >= self.options.max_rewritings {
                     break;
@@ -179,7 +181,6 @@ impl Reformulator {
         let node_relations: BTreeSet<&str> =
             node.body.iter().map(|a| a.relation.as_str()).collect();
         let mut identity_views: Vec<ViewDef> = Vec::new();
-        let mut identity_defs: Vec<ViewDef> = Vec::new();
         for (i, a) in node.body.iter().enumerate() {
             let rel = &a.relation;
             let vars: Vec<revere_query::Term> = (0..a.terms.len())
@@ -188,9 +189,11 @@ impl Reformulator {
             let id_name = format!("id__{i}__{rel}");
             let head = revere_query::Atom::new(id_name, vars.clone());
             let body = vec![revere_query::Atom::new(rel.clone(), vars)];
-            identity_views.push(ViewDef { head: head.clone(), body: body.clone() });
-            identity_defs.push(ViewDef { head, body });
+            identity_views.push(ViewDef { head, body });
         }
+        // The identity views' MCDs are the same for every edge: form them
+        // once per node.
+        let cover = ViewCover::new(node, &identity_views);
 
         let mut out = Vec::new();
         for m in edges {
@@ -205,19 +208,12 @@ impl Reformulator {
                     continue;
                 }
             }
-            let mut views = identity_views.clone();
-            views.push(m.lav_view());
-            for rw in rewrite_using_views(node, &views) {
-                // Did the mapping actually participate? Pure-identity
-                // rewritings reproduce the node.
-                let uses_mapping = rw.body.iter().any(|a| a.relation == m.name);
-                if !uses_mapping {
-                    continue;
-                }
-                // Unfold: mapping atoms via the GAV rule, identity atoms
-                // back to their base relations.
-                let mut defs = identity_defs.clone();
-                defs.push(m.gav_rule());
+            // Unfold: mapping atoms via the GAV rule, identity atoms back
+            // to their base relations. Only rewritings that use the
+            // mapping come back; pure-identity ones reproduce the node.
+            let mut defs = identity_views.clone();
+            defs.push(m.gav_rule());
+            for rw in cover.rewrite_through(&m.lav_view()) {
                 for expanded in unfold_with(&rw, &defs, 16) {
                     if expanded.is_safe() {
                         out.push(expanded);

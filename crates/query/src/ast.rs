@@ -231,8 +231,9 @@ impl ConjunctiveQuery {
     /// verbatim, a head variable by its head position, any other variable
     /// by where it first occurs in the atom — and, between atoms of one
     /// shape, by body position. Variable names must not take part:
-    /// reformulation mints them from a process-wide counter, and `u9_T`
-    /// sorts after `u10_T`. Two queries with equal
+    /// isomorphic disjuncts may name their variables differently
+    /// (unfolding freshens with `u{n}_` prefixes), and `u9_T` sorts after
+    /// `u10_T`. Two queries with equal
     /// [`ConjunctiveQuery::canonical_key`] have structurally identical
     /// bodies *position by position* under this ordering, which is what
     /// lets a cached [plan](crate::plan) built for one disjunct execute an
@@ -437,7 +438,7 @@ mod tests {
     fn canonical_key_ignores_how_minted_names_sort() {
         // `u10_T` sorts before `u9_T`, `u8_T` after `u7_T`: ordering
         // same-relation atoms by their printed form made the key depend
-        // on where the fresh-name counter stood.
+        // on which fresh prefix unfolding picked.
         let minted = |e: &str, f: &str| {
             parse_query(&format!("q(A, B) :- r({e}, A), r({f}, B)")).unwrap().canonical_key()
         };

@@ -13,30 +13,40 @@
 //! pruning heuristic.
 
 use crate::ast::{Atom, Comparison, ConjunctiveQuery, Term};
-use crate::unify::{all_homomorphisms, Subst};
+use crate::unify::{any_homomorphism, Subst};
 use revere_storage::Value;
+
+/// Freeze a term: a variable becomes a distinct fresh constant.
+fn frozen(t: &Term) -> Term {
+    match t {
+        Term::Var(v) => Term::Const(Value::str(format!("\u{2744}{v}"))),
+        c @ Term::Const(_) => c.clone(),
+    }
+}
 
 /// Freeze a query: replace each variable by a distinct fresh constant.
 /// Returns the frozen body and head.
 fn freeze(q: &ConjunctiveQuery) -> (Vec<Atom>, Atom) {
-    let frozen = |t: &Term| match t {
-        Term::Var(v) => Term::Const(Value::str(format!("\u{2744}{v}"))),
-        c @ Term::Const(_) => c.clone(),
-    };
-    let body = q
-        .body
-        .iter()
-        .map(|a| Atom::new(a.relation.clone(), a.terms.iter().map(frozen).collect()))
-        .collect();
-    let head = Atom::new(q.head.relation.clone(), q.head.terms.iter().map(frozen).collect());
-    (body, head)
+    let freeze_atom = |a: &Atom| Atom::new(a.relation.clone(), a.terms.iter().map(frozen).collect());
+    (q.body.iter().map(freeze_atom).collect(), freeze_atom(&q.head))
 }
 
 /// Test `q1 ⊆ q2` (every answer of `q1` on every database is an answer of
 /// `q2`). Sound and complete for comparison-free queries; sound (may say
 /// `false` unnecessarily) when comparisons are present.
+///
+/// A homomorphism sends every body atom of `q2` onto an atom of `q1` with
+/// the same relation and arity, so a `q2` atom without one decides `false`
+/// before anything is frozen; the search stops at the first homomorphism
+/// that also carries `q2`'s comparisons.
 pub fn contained_in(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
     if q1.head.terms.len() != q2.head.terms.len() {
+        return false;
+    }
+    let has_image = |a: &Atom| {
+        q1.body.iter().any(|b| b.relation == a.relation && b.terms.len() == a.terms.len())
+    };
+    if !q2.body.iter().all(has_image) {
         return false;
     }
     let (frozen_body, frozen_head) = freeze(q1);
@@ -56,24 +66,15 @@ pub fn contained_in(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
             }
         }
     }
-    let homs = all_homomorphisms(&q2.body, &frozen_body, &base);
-    if q2.comparisons.is_empty() {
-        return !homs.is_empty();
-    }
     // Conservative comparison check: q2's comparisons, after mapping, must
     // be syntactically implied by q1's (frozen) comparisons or hold between
     // constants.
-    let frozen_cmp: Vec<Comparison> = {
-        let frozenize = |t: &Term| match t {
-            Term::Var(v) => Term::Const(Value::str(format!("\u{2744}{v}"))),
-            c @ Term::Const(_) => c.clone(),
-        };
-        q1.comparisons
-            .iter()
-            .map(|c| Comparison { left: frozenize(&c.left), op: c.op, right: frozenize(&c.right) })
-            .collect()
-    };
-    homs.into_iter().any(|h| {
+    let frozen_cmp: Vec<Comparison> = q1
+        .comparisons
+        .iter()
+        .map(|c| Comparison { left: frozen(&c.left), op: c.op, right: frozen(&c.right) })
+        .collect();
+    any_homomorphism(&q2.body, &frozen_body, &base, |h| {
         q2.comparisons.iter().all(|c| {
             let mapped = h.apply_cmp(c);
             match (&mapped.left, &mapped.right) {

@@ -58,6 +58,6 @@ pub use eval::{eval_cq_bag_planned_mode, eval_cq_bindings_mode, ExecMode};
 pub use vec::{eval_bindings, eval_planned};
 pub use plan::{explain_analyze, plan_cq, q_error, ExplainAnalyze, JoinPair, Plan, PlanStep};
 pub use glav::GlavMapping;
-pub use minicon::rewrite_using_views;
+pub use minicon::{rewrite_using_views, ViewCover};
 pub use parse::parse_query;
 pub use unfold::{unfold_once, unfold_with, ViewDef};

@@ -21,7 +21,16 @@
 use crate::ast::{Atom, ConjunctiveQuery, Term};
 use crate::unfold::ViewDef;
 use crate::unify::Subst;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::rc::Rc;
+
+/// A view with its variables freshened, shared by every MCD formed from it.
+#[derive(Debug)]
+struct FreshView {
+    query: ConjunctiveQuery,
+    /// Distinguished (head) variables.
+    distinguished: HashSet<String>,
+}
 
 /// One MiniCon description.
 #[derive(Debug, Clone)]
@@ -29,14 +38,13 @@ struct Mcd {
     view_idx: usize,
     /// Indices of covered query goals.
     goals: BTreeSet<usize>,
-    /// Query variable → view term (resolved through `sigma` when read).
-    tau: HashMap<String, Term>,
+    /// Query variable → view term (resolved through `sigma` when read),
+    /// ordered by name so every walk over it is deterministic.
+    tau: BTreeMap<String, Term>,
     /// Bindings among/over view variables (head homomorphism + constants).
     sigma: Subst,
     /// The freshened view used by this MCD.
-    view: ConjunctiveQuery,
-    /// Distinguished (head) variables of the freshened view.
-    distinguished: HashSet<String>,
+    view: Rc<FreshView>,
 }
 
 /// Rewrite `q` using only the given views. Every returned query references
@@ -44,47 +52,92 @@ struct Mcd {
 /// a complete set of MCD combinations the union of results is the maximal
 /// contained rewriting for comparison-free queries.
 pub fn rewrite_using_views(q: &ConjunctiveQuery, views: &[ViewDef]) -> Vec<ConjunctiveQuery> {
-    // Variables whose values must be retrievable from the views.
-    let mut needed: HashSet<String> = q.head_vars().into_iter().map(str::to_string).collect();
-    for c in &q.comparisons {
-        for t in [&c.left, &c.right] {
-            if let Some(v) = t.as_var() {
-                needed.insert(v.to_string());
+    ViewCover::new(q, views).rewrite(&[], None)
+}
+
+/// The MiniCon descriptions of one query over a fixed list of views: the
+/// part of [`rewrite_using_views`] that views appended later cannot change.
+/// The reformulator forms one per query node over the node's identity
+/// views, then rewrites through each mapping edge with
+/// [`ViewCover::rewrite_through`] instead of re-forming the identity MCDs
+/// per edge.
+#[derive(Debug)]
+pub struct ViewCover<'q> {
+    q: &'q ConjunctiveQuery,
+    /// Variables whose values must be retrievable from the views.
+    needed: HashSet<String>,
+    /// Deduplicated MCDs of the fixed views, in view order.
+    mcds: Vec<Mcd>,
+    /// How many views are fixed: the index an appended view takes.
+    views: usize,
+}
+
+impl<'q> ViewCover<'q> {
+    /// Form (phase 1) the MCDs of `q` over `views`.
+    pub fn new(q: &'q ConjunctiveQuery, views: &[ViewDef]) -> Self {
+        let mut needed: HashSet<String> = q.head_vars().into_iter().map(str::to_string).collect();
+        for c in &q.comparisons {
+            for t in [&c.left, &c.right] {
+                if let Some(v) = t.as_var() {
+                    needed.insert(v.to_string());
+                }
             }
         }
+        let mut mcds = Vec::new();
+        for (vi, vdef) in views.iter().enumerate() {
+            form_mcds(q, &needed, vi, vdef, &mut mcds);
+        }
+        dedup_mcds(&mut mcds);
+        ViewCover { q, needed, mcds, views: views.len() }
     }
 
-    // Phase 1: form MCDs from every (goal, view, view-atom) seed.
-    let mut mcds: Vec<Mcd> = Vec::new();
-    for (vi, vdef) in views.iter().enumerate() {
-        let view = vdef.as_query().rename_vars(&format!("mc{vi}_"));
-        let distinguished: HashSet<String> =
-            view.head.terms.iter().filter_map(|t| t.as_var().map(str::to_string)).collect();
-        for gi in 0..q.body.len() {
-            let seed = Mcd {
-                view_idx: vi,
-                goals: BTreeSet::new(),
-                tau: HashMap::new(),
-                sigma: Subst::new(),
-                view: view.clone(),
-                distinguished: distinguished.clone(),
-            };
-            for with_goal in map_goal_into_view(q, gi, &seed) {
-                close_mcd(q, &needed, with_goal, &mut mcds);
-            }
+    /// The rewritings `rewrite_using_views(q, views ++ [view])` returns
+    /// that use `view`, in the same order and spelled the same way.
+    pub fn rewrite_through(&self, view: &ViewDef) -> Vec<ConjunctiveQuery> {
+        let mut extra = Vec::new();
+        form_mcds(self.q, &self.needed, self.views, view, &mut extra);
+        dedup_mcds(&mut extra);
+        self.rewrite(&extra, Some(self.views))
+    }
+
+    /// Phase 2 over the fixed MCDs then `extra`: every exact cover by
+    /// pairwise-disjoint MCDs (one of view `required`, when given) becomes
+    /// a rewriting; rewritings equal up to renaming are kept once.
+    fn rewrite(&self, extra: &[Mcd], required: Option<usize>) -> Vec<ConjunctiveQuery> {
+        let mcds: Vec<&Mcd> = self.mcds.iter().chain(extra).collect();
+        let all: BTreeSet<usize> = (0..self.q.body.len()).collect();
+        let mut rewritings = Vec::new();
+        combine(&mcds, &all, &BTreeSet::new(), &mut Vec::new(), required, self.q, &mut rewritings);
+        let mut seen = HashSet::new();
+        rewritings.retain(|r| seen.insert(r.canonical_key()));
+        rewritings
+    }
+}
+
+/// MCDs from every (goal, view-atom) seed of view `vi`, whose variables
+/// are freshened with the prefix `mc{vi}_`.
+fn form_mcds(
+    q: &ConjunctiveQuery,
+    needed: &HashSet<String>,
+    vi: usize,
+    vdef: &ViewDef,
+    out: &mut Vec<Mcd>,
+) {
+    let query = vdef.as_query().rename_vars(&format!("mc{vi}_"));
+    let distinguished =
+        query.head.terms.iter().filter_map(|t| t.as_var().map(str::to_string)).collect();
+    let seed = Mcd {
+        view_idx: vi,
+        goals: BTreeSet::new(),
+        tau: BTreeMap::new(),
+        sigma: Subst::new(),
+        view: Rc::new(FreshView { query, distinguished }),
+    };
+    for gi in 0..q.body.len() {
+        for with_goal in map_goal_into_view(q, gi, &seed) {
+            close_mcd(q, needed, with_goal, out);
         }
     }
-    dedup_mcds(&mut mcds);
-
-    // Phase 2: combine pairwise-disjoint MCDs covering all goals.
-    let all: BTreeSet<usize> = (0..q.body.len()).collect();
-    let mut rewritings = Vec::new();
-    combine(&mcds, &all, &BTreeSet::new(), &mut Vec::new(), q, &mut rewritings);
-
-    // Dedup up to renaming.
-    let mut seen = HashSet::new();
-    rewritings.retain(|r| seen.insert(r.canonical_key()));
-    rewritings
 }
 
 /// All ways of consistently mapping query goal `gi` into some atom of the
@@ -92,7 +145,7 @@ pub fn rewrite_using_views(q: &ConjunctiveQuery, views: &[ViewDef]) -> Vec<Conju
 fn map_goal_into_view(q: &ConjunctiveQuery, gi: usize, base: &Mcd) -> Vec<Mcd> {
     let goal = &q.body[gi];
     let mut out = Vec::new();
-    for w in &base.view.body {
+    for w in &base.view.query.body {
         if w.relation != goal.relation || w.terms.len() != goal.terms.len() {
             continue;
         }
@@ -119,7 +172,7 @@ fn try_map_atom(goal: &Atom, w: &Atom, m: &mut Mcd) -> bool {
                 Term::Var(y) => {
                     // A query constant can only constrain a distinguished
                     // view variable (via selection on the view's output).
-                    if !m.distinguished.contains(&y) {
+                    if !m.view.distinguished.contains(&y) {
                         return false;
                     }
                     if !m.sigma.bind(&y, Term::Const(c.clone())) {
@@ -151,14 +204,14 @@ fn reconcile(a: Term, b: Term, m: &mut Mcd) -> bool {
     match (a, b) {
         (Term::Const(x), Term::Const(y)) => x == y,
         (Term::Var(y), Term::Const(c)) | (Term::Const(c), Term::Var(y)) => {
-            m.distinguished.contains(&y) && m.sigma.bind(&y, Term::Const(c))
+            m.view.distinguished.contains(&y) && m.sigma.bind(&y, Term::Const(c))
         }
         (Term::Var(y1), Term::Var(y2)) => {
             if y1 == y2 {
                 return true;
             }
-            m.distinguished.contains(&y1)
-                && m.distinguished.contains(&y2)
+            m.view.distinguished.contains(&y1)
+                && m.view.distinguished.contains(&y2)
                 && m.sigma.bind(&y1, Term::Var(y2))
         }
     }
@@ -170,12 +223,12 @@ fn reconcile(a: Term, b: Term, m: &mut Mcd) -> bool {
 /// MCDs into `out`.
 fn close_mcd(q: &ConjunctiveQuery, needed: &HashSet<String>, m: Mcd, out: &mut Vec<Mcd>) {
     // Find a violation: var on existential view var with an uncovered goal.
-    for (x, t) in m.tau.clone() {
-        let resolved = m.sigma.resolve(&t);
+    for (x, t) in &m.tau {
+        let resolved = m.sigma.resolve(t);
         if let Term::Var(y) = &resolved {
-            if !m.distinguished.contains(y) {
+            if !m.view.distinguished.contains(y) {
                 // C1: needed variables may not land on existential vars.
-                if needed.contains(&x) {
+                if needed.contains(x) {
                     return; // dead MCD
                 }
                 for (gi, g) in q.body.iter().enumerate() {
@@ -184,7 +237,7 @@ fn close_mcd(q: &ConjunctiveQuery, needed: &HashSet<String>, m: Mcd, out: &mut V
                     }
                     if g.vars().contains(&x.as_str()) {
                         // Force goal gi in, branching over target atoms.
-                        for next in map_goal_into_view_at(q, gi, &m) {
+                        for next in map_goal_into_view(q, gi, &m) {
                             close_mcd(q, needed, next, out);
                         }
                         return;
@@ -196,48 +249,38 @@ fn close_mcd(q: &ConjunctiveQuery, needed: &HashSet<String>, m: Mcd, out: &mut V
     out.push(m);
 }
 
-fn map_goal_into_view_at(q: &ConjunctiveQuery, gi: usize, base: &Mcd) -> Vec<Mcd> {
-    let goal = &q.body[gi];
-    let mut out = Vec::new();
-    for w in &base.view.body {
-        if w.relation != goal.relation || w.terms.len() != goal.terms.len() {
-            continue;
-        }
-        let mut m = base.clone();
-        if try_map_atom(goal, w, &mut m) {
-            m.goals.insert(gi);
-            out.push(m);
-        }
-    }
-    out
-}
-
 fn dedup_mcds(mcds: &mut Vec<Mcd>) {
+    use std::fmt::Write as _;
     let mut seen = HashSet::new();
     mcds.retain(|m| {
-        let mut tau: Vec<String> = m
-            .tau
-            .iter()
-            .map(|(k, v)| format!("{k}->{}", m.sigma.resolve(v)))
-            .collect();
-        tau.sort();
-        let key = format!("{}|{:?}|{}", m.view_idx, m.goals, tau.join(","));
+        // `tau` iterates in name order, so the key is canonical as built.
+        let mut key = format!("{}|{:?}|", m.view_idx, m.goals);
+        for (k, v) in &m.tau {
+            // Writing to a `String` cannot fail.
+            let _ = write!(key, "{k}->{},", m.sigma.resolve(v));
+        }
         seen.insert(key)
     });
 }
 
-/// Recursive exact-cover over goal sets.
+/// Recursive exact-cover over goal sets; a cover that uses no MCD of
+/// view `required` (when given) is not built.
 fn combine(
-    mcds: &[Mcd],
+    mcds: &[&Mcd],
     all: &BTreeSet<usize>,
     covered: &BTreeSet<usize>,
     chosen: &mut Vec<usize>,
+    required: Option<usize>,
     q: &ConjunctiveQuery,
     out: &mut Vec<ConjunctiveQuery>,
 ) {
     if covered == all {
-        if let Some(r) = build_rewriting(q, mcds, chosen) {
-            out.push(r);
+        let uses_required =
+            required.is_none_or(|vi| chosen.iter().any(|&i| mcds[i].view_idx == vi));
+        if uses_required {
+            if let Some(r) = build_rewriting(q, mcds, chosen) {
+                out.push(r);
+            }
         }
         return;
     }
@@ -252,13 +295,13 @@ fn combine(
         let mut new_cov = covered.clone();
         new_cov.extend(m.goals.iter().copied());
         chosen.push(i);
-        combine(mcds, all, &new_cov, chosen, q, out);
+        combine(mcds, all, &new_cov, chosen, required, q, out);
         chosen.pop();
     }
 }
 
 /// Materialize a rewriting from a set of chosen MCDs.
-fn build_rewriting(q: &ConjunctiveQuery, mcds: &[Mcd], chosen: &[usize]) -> Option<ConjunctiveQuery> {
+fn build_rewriting(q: &ConjunctiveQuery, mcds: &[&Mcd], chosen: &[usize]) -> Option<ConjunctiveQuery> {
     // Global mapping from query variables to rewriting terms.
     let head_vars: HashSet<&str> = q.head_vars().into_iter().collect();
     let mut global: HashMap<String, Term> = HashMap::new();
@@ -266,7 +309,7 @@ fn build_rewriting(q: &ConjunctiveQuery, mcds: &[Mcd], chosen: &[usize]) -> Opti
     let mut fresh_counter = 0usize;
 
     for (k, &mi) in chosen.iter().enumerate() {
-        let m = &mcds[mi];
+        let m = mcds[mi];
         // Group query vars by the view variable they land on.
         let mut by_view_var: HashMap<String, Vec<&String>> = HashMap::new();
         for (x, t) in &m.tau {
@@ -310,8 +353,8 @@ fn build_rewriting(q: &ConjunctiveQuery, mcds: &[Mcd], chosen: &[usize]) -> Opti
             }
         }
         // Build the view atom's arguments from the view head.
-        let mut args = Vec::with_capacity(m.view.head.terms.len());
-        for t in &m.view.head.terms {
+        let mut args = Vec::with_capacity(m.view.query.head.terms.len());
+        for t in &m.view.query.head.terms {
             match m.sigma.resolve(t) {
                 Term::Const(c) => args.push(Term::Const(c)),
                 Term::Var(y) => {
@@ -331,7 +374,7 @@ fn build_rewriting(q: &ConjunctiveQuery, mcds: &[Mcd], chosen: &[usize]) -> Opti
                 }
             }
         }
-        atoms.push(Atom::new(m.view.head.relation.clone(), args));
+        atoms.push(Atom::new(m.view.query.head.relation.clone(), args));
     }
 
     // Apply the global substitution to the head, atoms and comparisons.
@@ -517,6 +560,26 @@ mod tests {
         let a = &rs[0].body[0];
         assert_eq!(a.terms[0], a.terms[1]);
         assert_sound(&q, &vs, &rs);
+    }
+
+    #[test]
+    fn a_cover_rewrites_through_an_appended_view_as_the_full_list_does() {
+        let fixed = views(&["id0(A, B) :- e(A, B)", "id1(A, B) :- f(A, B)"]);
+        for (q, extra) in [
+            ("q(X, Z) :- e(X, Y), f(Y, Z)", "m(A, B) :- e(A, B)"),
+            ("q(X) :- e(X, Y), f(Y, Z)", "m(A) :- e(A, B), f(B, C)"),
+            ("q(X, Y) :- e(X, Y), e(Y, X)", "m(A, B) :- e(A, B)"),
+            ("q(X) :- e(X, 'c'), f(X, X)", "m(A, B) :- f(A, B)"),
+            ("q(X) :- e(X, Y)", "m(A) :- g(A)"),
+        ] {
+            let q = parse_query(q).unwrap();
+            let extra = views(&[extra]).remove(0);
+            let mut all = fixed.clone();
+            all.push(extra.clone());
+            let mut full = rewrite_using_views(&q, &all);
+            full.retain(|r| r.body.iter().any(|a| a.relation == "m"));
+            assert_eq!(ViewCover::new(&q, &fixed).rewrite_through(&extra), full, "{q}");
+        }
     }
 
     /// End-to-end: evaluating the rewriting over materialized views equals

@@ -8,7 +8,6 @@
 
 use crate::ast::{Atom, ConjunctiveQuery};
 use crate::unify::{unify_atoms, Subst};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A view definition `head :- body` (a GAV rule).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,10 +31,22 @@ impl ViewDef {
     }
 }
 
-static FRESH: AtomicU64 = AtomicU64::new(0);
-
-fn fresh_prefix() -> String {
-    format!("u{}_", FRESH.fetch_add(1, Ordering::Relaxed))
+/// The prefix that freshens a definition unfolded into `q`: the smallest
+/// `u{n}_` that no variable of `q` starts with, so a renamed definition
+/// variable cannot capture one of `q`'s, and the same query always gets
+/// the same names.
+fn fresh_prefix(q: &ConjunctiveQuery) -> String {
+    let vars: Vec<&str> = q
+        .body
+        .iter()
+        .chain(std::iter::once(&q.head))
+        .flat_map(|a| a.terms.iter().filter_map(|t| t.as_var()))
+        .chain(q.comparisons.iter().flat_map(|c| [&c.left, &c.right]).filter_map(|t| t.as_var()))
+        .collect();
+    (0..)
+        .map(|n| format!("u{n}_"))
+        .find(|prefix| !vars.iter().any(|v| v.starts_with(prefix.as_str())))
+        .expect("finitely many variables leave some prefix free")
 }
 
 /// Unfold the atom at `q.body[idx]` using `def`. Returns `None` if the atom
@@ -44,7 +55,7 @@ fn fresh_prefix() -> String {
 pub fn unfold_once(q: &ConjunctiveQuery, idx: usize, def: &ViewDef) -> Option<ConjunctiveQuery> {
     let goal = &q.body[idx];
     // Freshen the definition so its variables cannot capture the query's.
-    let fresh = ConjunctiveQuery::new(def.head.clone(), def.body.clone()).rename_vars(&fresh_prefix());
+    let fresh = def.as_query().rename_vars(&fresh_prefix(q));
     let s = unify_atoms(goal, &fresh.head, &Subst::new())?;
     let mut body: Vec<Atom> = Vec::with_capacity(q.body.len() - 1 + fresh.body.len());
     for (i, a) in q.body.iter().enumerate() {
@@ -148,6 +159,25 @@ mod tests {
         let course_atom = u.body.iter().find(|a| a.relation == "course").unwrap();
         let t_in_course = course_atom.terms[1].as_var().unwrap();
         assert_ne!(t_in_course, "T", "definition's T captured the query's T");
+    }
+
+    #[test]
+    fn fresh_names_come_from_the_query_not_from_the_call_count() {
+        use crate::ast::Term;
+        let d = def("v(A) :- course(A, T)");
+        // `q(X, u0_T) :- v(X), r(X, u0_T), s(u1_)`: lowercase names do not
+        // parse as variables, so the query is built by hand.
+        let (x, t, u1) = (Term::var("X"), Term::var("u0_T"), Term::var("u1_"));
+        let q = ConjunctiveQuery::new(
+            Atom::new("q", vec![x.clone(), t.clone()]),
+            vec![Atom::new("v", vec![x.clone()]), Atom::new("r", vec![x, t]), Atom::new("s", vec![u1])],
+        );
+        let once = unfold_once(&q, 0, &d).unwrap();
+        assert_eq!(once, unfold_once(&q, 0, &d).unwrap(), "the same call, the same names");
+        // `u0_` is taken and `u1_` is spelled out (a variable *named* `u1_`
+        // starts with it), so the definition's `T` becomes `u2_T`.
+        let course = once.body.iter().find(|a| a.relation == "course").unwrap();
+        assert_eq!(course.terms[1].as_var(), Some("u2_T"));
     }
 
     #[test]

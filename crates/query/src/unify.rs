@@ -119,14 +119,35 @@ pub fn unify_atoms(a: &Atom, b: &Atom, base: &Subst) -> Option<Subst> {
 /// Returns every homomorphism extending `base`.
 pub fn all_homomorphisms(source: &[Atom], target: &[Atom], base: &Subst) -> Vec<Subst> {
     let mut results = Vec::new();
-    search(source, target, base.clone(), &mut results);
+    search(source, target, base.clone(), &mut |h| {
+        results.push(h.clone());
+        false
+    });
     results
 }
 
-fn search(source: &[Atom], target: &[Atom], current: Subst, results: &mut Vec<Subst>) {
+/// Whether some homomorphism extending `base` satisfies `accept`: the
+/// search stops at the first one that does, in the order
+/// [`all_homomorphisms`] lists them.
+pub fn any_homomorphism(
+    source: &[Atom],
+    target: &[Atom],
+    base: &Subst,
+    mut accept: impl FnMut(&Subst) -> bool,
+) -> bool {
+    search(source, target, base.clone(), &mut accept)
+}
+
+/// Depth-first over the source atoms; `found` sees each complete
+/// homomorphism and returns `true` to stop. Returns whether it stopped.
+fn search(
+    source: &[Atom],
+    target: &[Atom],
+    current: Subst,
+    found: &mut dyn FnMut(&Subst) -> bool,
+) -> bool {
     let Some((first, rest)) = source.split_first() else {
-        results.push(current);
-        return;
+        return found(&current);
     };
     for cand in target {
         if cand.relation != first.relation || cand.terms.len() != first.terms.len() {
@@ -151,10 +172,11 @@ fn search(source: &[Atom], target: &[Atom], current: Subst, results: &mut Vec<Su
                 }
             }
         }
-        if ok {
-            search(rest, target, s, results);
+        if ok && search(rest, target, s, found) {
+            return true;
         }
     }
+    false
 }
 
 #[cfg(test)]
@@ -210,6 +232,19 @@ mod tests {
     fn all_homomorphisms_enumerates() {
         let hs = all_homomorphisms(&atoms("r(X)"), &atoms("r('a'), r('b')"), &Subst::new());
         assert_eq!(hs.len(), 2);
+    }
+
+    #[test]
+    fn any_homomorphism_stops_at_the_first_accepted() {
+        let (src, tgt) = (atoms("r(X)"), atoms("r('a'), r('b'), r('c')"));
+        let mut seen = 0;
+        let b = Term::Const(Value::str("b"));
+        assert!(any_homomorphism(&src, &tgt, &Subst::new(), |h| {
+            seen += 1;
+            h.resolve(&Term::var("X")) == b
+        }));
+        assert_eq!(seen, 2, "r('c') is never tried");
+        assert!(!any_homomorphism(&src, &atoms("s('a')"), &Subst::new(), |_| true));
     }
 
     #[test]

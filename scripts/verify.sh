@@ -41,16 +41,13 @@ for seed in ${REVERE_TRACE_SEEDS:-1003 7 42}; do
     REVERE_TRACE_SEED="$seed" cargo test -q --offline -p revere --test trace_obs
 done
 
-# Renaming gate: the trace suite's tests run concurrently and share the
-# process-wide fresh-variable counter of `query::unfold`, so where it
-# stands when a test reformulates differs from run to run. Plan-cache
-# keys must not depend on it (they did: `u9_T` sorts after `u10_T`, and
-# about one run in seventy failed byte-identity when a counter crossed a
-# digit boundary mid-test). Twenty-five runs make a relapse visible.
-echo "renaming gate: trace_obs x25"
-for _ in $(seq 25); do
-    cargo test -q --offline -p revere --test trace_obs >/dev/null
-done
+# Purity gate: reformulation is a function of the query and the mapping
+# graph — the same query reformulated twice, once on another thread,
+# spells every disjunct the same way — and the benchmark overlays'
+# reformulations (every disjunct's canonical key and every search counter)
+# equal the golden file `tests/golden/reformulation.txt`.
+echo "purity gate: reformulation_golden"
+cargo test -q --offline -p revere --test reformulation_golden
 
 # Crash-recovery gate: the durability suite must hold under several
 # fixed seeds — WAL round-trips, torn-tail recovery, ack-driven log

@@ -23,6 +23,11 @@
 //! [`THREAD_STARTS`] above its first `#[cfg(test)]`. Tests may start
 //! threads to check what the library does under them.
 //!
+//! And it holds every library crate to no process-global mutable state:
+//! no source there declares a `static` atomic or a `static mut` above its
+//! first `#[cfg(test)]`, so a call's result cannot depend on what other
+//! calls in the process did before it.
+//!
 //! And it holds CHANGES.md to a budget: every entry from PR
 //! [`BUDGET_FROM_PR`] on has at most [`MAX_ENTRY_WORDS`] words. An entry
 //! is a `- PR N …` line plus the indented lines that continue it.
@@ -221,21 +226,12 @@ fn thread_starts(text: &str) -> Vec<(usize, &str)> {
 
 #[test]
 fn library_code_starts_no_threads() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../crates");
-    let mut crates: Vec<_> = fs::read_dir(&root).expect("crates directory").flatten().collect();
-    crates.sort_by_key(|e| e.path());
     let mut findings = Vec::new();
-    for krate in crates {
-        if HARNESS_CRATES.iter().any(|h| krate.file_name() == *h) {
-            continue;
+    library_sources(&mut |path, text| {
+        for (line, code) in thread_starts(text) {
+            findings.push(format!("{path}:{line}: {code}"));
         }
-        read_tree(&krate.path().join("src"), &mut |path, text| {
-            for (line, code) in thread_starts(text) {
-                let path = path.strip_prefix(&root).unwrap_or(path);
-                findings.push(format!("crates/{}:{line}: {code}", path.display()));
-            }
-        });
-    }
+    });
     assert!(
         findings.is_empty(),
         "library code runs each call on its caller's thread; outside `#[cfg(test)]` no source \
@@ -250,6 +246,65 @@ fn the_thread_check_reads_only_library_code() {
                 fn g() { std::thread::spawn(|| {}); }\n}\n";
     assert_eq!(thread_starts(text), [(2, "std::thread::scope(|s| {});")]);
     assert!(thread_starts("use std::thread;\nfn f() {}\n").is_empty());
+}
+
+/// `(line number, line)` for every line of `text` above its first
+/// `#[cfg(test)]` that declares a `static` atomic or a `static mut`.
+fn global_state(text: &str) -> Vec<(usize, &str)> {
+    let library = text.split("#[cfg(test)]").next().unwrap_or_default();
+    library
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| {
+            let mut words = line.split_whitespace().skip_while(|w| w.starts_with("pub"));
+            words.next() == Some("static") && (words.next() == Some("mut") || line.contains("Atomic"))
+        })
+        .map(|(i, line)| (i + 1, line.trim()))
+        .collect()
+}
+
+/// Every library crate's sources: `crates/*/src`, the harnesses aside, as
+/// `(path under the repository, text)`.
+fn library_sources(visit: &mut dyn FnMut(String, &str)) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../crates");
+    let mut crates: Vec<_> = fs::read_dir(&root).expect("crates directory").flatten().collect();
+    crates.sort_by_key(|e| e.path());
+    for krate in crates {
+        if HARNESS_CRATES.iter().any(|h| krate.file_name() == *h) {
+            continue;
+        }
+        read_tree(&krate.path().join("src"), &mut |path, text| {
+            let path = path.strip_prefix(&root).unwrap_or(path);
+            visit(format!("crates/{}", path.display()), text);
+        });
+    }
+}
+
+#[test]
+fn library_code_keeps_no_process_global_state() {
+    let mut findings = Vec::new();
+    library_sources(&mut |path, text| {
+        for (line, code) in global_state(text) {
+            findings.push(format!("{path}:{line}: {code}"));
+        }
+    });
+    assert!(
+        findings.is_empty(),
+        "library code is a function of its inputs; outside `#[cfg(test)]` no source may declare \
+         a `static` atomic or a `static mut`:\n{}",
+        findings.join("\n")
+    );
+}
+
+#[test]
+fn the_global_state_check_reads_only_library_code() {
+    let text = "static FRESH: AtomicU64 = AtomicU64::new(0);\npub(crate) static mut N: u32 = 0;\n\
+                pub static NAMES: [&str; 1] = [\"x\"];\nfn f(s: &'static str) {}\n#[cfg(test)]\n\
+                mod tests {\n    static SEEN: AtomicUsize = AtomicUsize::new(0);\n}\n";
+    assert_eq!(
+        global_state(text),
+        [(1, "static FRESH: AtomicU64 = AtomicU64::new(0);"), (2, "pub(crate) static mut N: u32 = 0;")]
+    );
 }
 
 /// `(line number, PR number, words)` of every CHANGES entry from

@@ -14,7 +14,8 @@ use revere::pdms::placement::{answer_with_plan, plan_placement, WorkloadEntry};
 use revere::pdms::{maintain, MaintenanceChoice, MaterializedView, Updategram};
 use revere::prelude::*;
 use revere::query::unfold::{unfold_with, ViewDef};
-use revere::query::{eval_cq, rewrite_using_views};
+use revere::query::unify::{all_homomorphisms, Subst};
+use revere::query::{eval_cq, rewrite_using_views, Atom, CmpOp, Comparison, Term};
 use revere::storage::{Catalog, Relation};
 use revere::xml::{parse as parse_xml, to_string, Document, NodeId};
 use revere_util::prop::{forall, Gen};
@@ -229,6 +230,134 @@ fn containment_implies_answer_inclusion() {
             }
         }
     });
+}
+
+/// A body term for the containment generators: one of four variables,
+/// or one of two constants.
+fn gen_term(g: &mut Gen) -> Term {
+    if g.random_range(0..5u32) == 0 {
+        Term::Const(Value::Int(g.random_range(0i64..2)))
+    } else {
+        Term::var(*g.pick(&["X", "Y", "Z", "W"]))
+    }
+}
+
+/// A conjunctive query whose atoms differ in relation (`r`, `s`), arity
+/// (1 or 2) and constants, with up to two comparisons and a head of arity
+/// 1 or 2. Not necessarily safe: containment does not ask.
+fn gen_cq_with_comparisons(g: &mut Gen) -> ConjunctiveQuery {
+    let body: Vec<Atom> = g.vec(1..4, |g| {
+        let arity = g.random_range(1..3usize);
+        Atom::new(*g.pick(&["r", "s"]), g.vec(arity..arity, gen_term))
+    });
+    let vars: Vec<Term> = body.iter().flat_map(|a| a.terms.clone()).filter(|t| !t.is_const()).collect();
+    let pick_var = |g: &mut Gen| match vars.is_empty() {
+        true => Term::Const(Value::Int(0)),
+        false => g.pick(&vars).clone(),
+    };
+    let arity = g.random_range(1..3usize);
+    let head = Atom::new("q", (0..arity).map(|_| pick_var(g)).collect());
+    let comparisons = g.vec(0..3, |g| Comparison {
+        left: pick_var(g),
+        op: *g.pick(&[CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge]),
+        right: match g.random_range(0..2u32) {
+            0 => Term::Const(Value::Int(g.random_range(0i64..3))),
+            _ => pick_var(g),
+        },
+    });
+    ConjunctiveQuery { head, body, comparisons }
+}
+
+/// `q` with less asked of it — an atom, a constant or a comparison
+/// dropped — so that `q` is often contained in the result.
+fn loosen(g: &mut Gen, q: &ConjunctiveQuery) -> ConjunctiveQuery {
+    let mut out = q.clone();
+    match g.random_range(0..3u32) {
+        0 if out.body.len() > 1 => {
+            let i = g.random_range(0..out.body.len());
+            out.body.remove(i);
+        }
+        1 => {
+            for a in &mut out.body {
+                for t in &mut a.terms {
+                    if t.is_const() {
+                        *t = Term::var("V");
+                    }
+                }
+            }
+        }
+        _ => {
+            out.comparisons.pop();
+        }
+    }
+    out
+}
+
+/// The containment test as stated (Chandra–Merlin, with the conservative
+/// comparison check): list every homomorphism from `q2`'s body into the
+/// frozen `q1` that maps head to head, and ask whether one of them carries
+/// `q2`'s comparisons onto `q1`'s or onto true facts between constants.
+fn contained_by_listing(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
+    const FROST: char = '\u{2744}';
+    if q1.head.terms.len() != q2.head.terms.len() {
+        return false;
+    }
+    let frozen = |t: &Term| match t {
+        Term::Var(v) => Term::Const(Value::str(format!("{FROST}{v}"))),
+        c => c.clone(),
+    };
+    let freeze = |a: &Atom| Atom::new(a.relation.clone(), a.terms.iter().map(frozen).collect());
+    let body: Vec<Atom> = q1.body.iter().map(freeze).collect();
+    let mut base = Subst::new();
+    for (t2, t1) in q2.head.terms.iter().zip(q1.head.terms.iter().map(frozen)) {
+        let ok = match t2 {
+            Term::Var(v) => base.bind(v, t1),
+            c => *c == t1,
+        };
+        if !ok {
+            return false;
+        }
+    }
+    let facts: Vec<Comparison> = q1
+        .comparisons
+        .iter()
+        .map(|c| Comparison { left: frozen(&c.left), op: c.op, right: frozen(&c.right) })
+        .collect();
+    all_homomorphisms(&q2.body, &body, &base).iter().any(|h| {
+        q2.comparisons.iter().all(|c| {
+            let mapped = h.apply_cmp(c);
+            match (&mapped.left, &mapped.right) {
+                (Term::Const(a), Term::Const(b))
+                    if !a.to_string().starts_with(FROST) && !b.to_string().starts_with(FROST) =>
+                {
+                    mapped.op.apply(a, b)
+                }
+                _ => facts.contains(&mapped),
+            }
+        })
+    })
+}
+
+#[test]
+fn containment_agrees_with_listing_every_homomorphism() {
+    let (mut held, mut failed) = (0, 0);
+    forall(256, |g| {
+        let q = gen_cq_with_comparisons(g);
+        let (q1, q2) = match g.random_range(0..3u32) {
+            0 => (q, gen_cq_with_comparisons(g)),
+            1 => (q.clone(), loosen(g, &q)),
+            _ => (loosen(g, &q), q),
+        };
+        let want = contained_by_listing(&q1, &q2);
+        assert_eq!(contained_in(&q1, &q2), want, "{q1} ⊆ {q2}");
+        if want {
+            held += 1;
+        } else {
+            failed += 1;
+        }
+    });
+    // Both answers must be exercised, or the agreement shows nothing.
+    assert!(held >= 32 && failed >= 32, "contained {held}, not contained {failed}");
 }
 
 #[test]
