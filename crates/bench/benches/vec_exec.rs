@@ -2,7 +2,10 @@
 //! and hash self-joins over a synthetic fact table (50 000 rows, and a
 //! 40-row scan that isolates the fixed per-call cost), timed both as the
 //! bindings-only kernel ([`eval_bindings`]), as the full evaluation
-//! including answer materialization ([`eval_planned`]), and as the seed of
+//! including answer materialization ([`eval_planned`]), as that
+//! evaluation under set semantics ([`Relation::distinct`] of the bag,
+//! which leaves the engine in head order: one linear pass), and as the
+//! seed of
 //! a continuous query on the same plan ([`Circuit::new`] +
 //! [`Circuit::init_full`]), whose first round is that same answer: the
 //! `seed/` to `full/` ratio is what a subscribe pays over a one-shot
@@ -72,6 +75,20 @@ fn bench_vec_exec(c: &mut Criterion) {
                     &SpanHandle::none(),
                 )
                 .expect("bench query evaluates")
+            })
+        });
+        group.bench_function(format!("set/{name}"), |b| {
+            b.iter(|| {
+                eval_planned(
+                    &q,
+                    &plan,
+                    std::hint::black_box(catalog),
+                    &Obs::disabled(),
+                    &SpanHandle::none(),
+                )
+                .expect("bench query evaluates")
+                .0
+                .distinct()
             })
         });
         group.bench_function(format!("seed/{name}"), |b| {

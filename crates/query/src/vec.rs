@@ -11,11 +11,18 @@
 //! copies, no per-row tuple clones or key vectors.
 //!
 //! **Determinism contract.** Output row order is a pure function of the
-//! query, the plan and the data: probe bindings in order, matches within
-//! a binding in relation insert order. Each phase — the leading scan, the
-//! probe, the comparison filter and the head projection — is one pass on
-//! the calling thread, so `query.eval.*` counters, `eval.step` span fields
-//! and [`StepProfile`]s are emitted once per step, in step order.
+//! query, the plan and the data: head order, ties in binding order. The
+//! binding table itself runs probe bindings in order, matches within a
+//! binding in relation insert order; [`eval_planned`] then projects the
+//! head in ascending order of its values, ordering binding rows by
+//! integer keys (an `Int` column's value, a `Str` column's dictionary
+//! rank, see `revere_storage::column`) and keeping rows with equal keys
+//! in binding order. The bag leaves the engine sorted, so set semantics
+//! over it ([`Relation::distinct`]) is one linear pass. Each phase — the
+//! leading scan, the probe, the comparison filter and the head
+//! projection — is one pass on the calling thread, so `query.eval.*`
+//! counters, `eval.step` span fields and [`StepProfile`]s are emitted once
+//! per step, in step order.
 //!
 //! `tests/differential_vec.rs` holds this engine to the nested-loop
 //! oracle ([`crate::eval::eval_naive_bag`]) on generated corpora —
@@ -27,7 +34,7 @@ use crate::plan::Plan;
 use revere_storage::fxhash::FxMap;
 use revere_storage::{Catalog, ColumnVec, ColumnarBatch, Relation, Value};
 use revere_util::obs::{names, Obs, SpanHandle};
-use std::sync::Arc;
+use std::cmp::Ordering;
 
 /// The columnar binding table: one column per bound variable, `rows`
 /// logical rows. Starts with zero columns and one empty binding.
@@ -86,14 +93,7 @@ fn build_index(
                 for r in sel_rows {
                     index.entry(bc[r as usize]).or_default().push(r);
                 }
-                let trans: Vec<Option<u32>> = if Arc::ptr_eq(bd, pd) {
-                    (0..pd.len() as u32).map(Some).collect()
-                } else {
-                    let codes: FxMap<&str, u32> =
-                        bd.iter().enumerate().map(|(i, s)| (&**s, i as u32)).collect();
-                    pd.iter().map(|s| codes.get(&**s).copied()).collect()
-                };
-                return BuildIndex::Str { index, trans };
+                return BuildIndex::Str { index, trans: bd.translate(pd) };
             }
             _ => {}
         }
@@ -108,8 +108,8 @@ fn build_index(
 }
 
 /// Probe every binding row against the index, producing the match pairs
-/// `(probe row, build row)` in the contract's order: bindings ascending,
-/// matches within a binding in relation insert order.
+/// `(probe row, build row)` in binding order: bindings ascending, matches
+/// within a binding in relation insert order.
 fn probe(index: &BuildIndex, split: &AtomSplit, bind: &Bindings) -> (Vec<u32>, Vec<u32>) {
     // A cartesian step's output size is known up front; a keyed one's is not.
     let cap = if let BuildIndex::All(rows) = index { bind.rows * rows.len() } else { 0 };
@@ -188,7 +188,8 @@ fn resolve_term(t: &Term, names: &[String]) -> Resolved {
 }
 
 /// Evaluate `q` under a caller-supplied (possibly cached) plan, with full
-/// fidelity: the answer bag, one [`StepProfile`] per plan step (parallel
+/// fidelity: the answer bag, in head order (see the module's determinism
+/// contract), one [`StepProfile`] per plan step (parallel
 /// to `plan.order` — what the PDMS feedback loop turns into observed join
 /// selectivities), one `eval.step` child span of `parent` per executed
 /// step, and the `query.eval.*` counters in `obs`. The plan must apply to
@@ -206,19 +207,97 @@ pub fn eval_planned(
 ) -> Result<(Relation, Vec<StepProfile>), EvalError> {
     let (bind, trace) = eval_bindings_vec(q, plan, catalog, obs, parent)?;
 
-    // Project the head in binding order. Materializing output tuples is
+    // Project the head in head order. Materializing output tuples is
     // where string payloads finally leave their dictionaries — the
     // dominant cost on answer-heavy queries.
     let head: Vec<Resolved> =
         q.head.terms.iter().map(|t| resolve_term(t, &bind.names)).collect();
+    let project = |row: usize| head.iter().map(|r| r.value_at(&bind, row)).collect();
     let rows = if head.iter().any(|r| matches!(r, Resolved::Missing)) {
         Vec::new()
     } else {
-        (0..bind.rows)
-            .map(|row| head.iter().map(|r| r.value_at(&bind, row)).collect())
-            .collect()
+        // Constant head terms are equal on every row: only columns order.
+        let cols: Vec<usize> = head
+            .iter()
+            .filter_map(|r| if let Resolved::Col(c) = r { Some(*c) } else { None })
+            .collect();
+        match head_order(&bind, &cols) {
+            Some(order) => order.into_iter().map(|row| project(row as usize)).collect(),
+            None => (0..bind.rows).map(project).collect(),
+        }
     };
     Ok((Relation::with_rows(head_schema(q), rows), trace))
+}
+
+/// The binding rows in head order: ascending by the columns `cols` (the
+/// head's, left to right) under [`Value`] order, rows with equal cells in
+/// binding order. `None` when the rows already stand in that order — one
+/// linear check, made before anything is ranked.
+///
+/// Rows with equal keys project to rows that compare equal, so which
+/// binding order they keep is visible only in their spelling (an `Any`
+/// column's `Int(2)` and `Float(2.0)`); keeping binding order keeps it a
+/// pure function of (query, plan, data), and the one a stable sort of the
+/// unordered bag would give.
+fn head_order(bind: &Bindings, cols: &[usize]) -> Option<Vec<u32>> {
+    let cmp_rows = |a: usize, b: usize| {
+        cols.iter().map(|&c| cmp_cells(&bind.cols[c], a, b)).find(|o| o.is_ne())
+    };
+    if (1..bind.rows).all(|r| cmp_rows(r - 1, r) != Some(Ordering::Greater)) {
+        return None;
+    }
+    let keys: Vec<Vec<u64>> = cols.iter().map(|&c| order_keys(&bind.cols[c])).collect();
+    let mut order: Vec<u32> = (0..bind.rows as u32).collect();
+    // Stable: rows with equal keys keep binding order.
+    order.sort_by(|&a, &b| {
+        let (a, b) = (a as usize, b as usize);
+        keys.iter().map(|k| k[a].cmp(&k[b])).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+    });
+    Some(order)
+}
+
+/// Cells `a` and `b` of one column under [`Value`] order, compared by
+/// dictionary code first when both are strings.
+fn cmp_cells(col: &ColumnVec, a: usize, b: usize) -> Ordering {
+    match col {
+        ColumnVec::Int(v) => v[a].cmp(&v[b]),
+        ColumnVec::Str { codes, .. } if codes[a] == codes[b] => Ordering::Equal,
+        ColumnVec::Str { dict, codes } => {
+            dict.strings()[codes[a] as usize].cmp(&dict.strings()[codes[b] as usize])
+        }
+        ColumnVec::Any(v) => v[a].cmp(&v[b]),
+    }
+}
+
+/// One integer per cell that orders as the cells do under [`Value`] order,
+/// equal exactly when the cells are: an `Int` column's value (sign bit
+/// flipped), a `Str` column's dictionary rank, an `Any` column's dense
+/// rank among its own cells.
+fn order_keys(col: &ColumnVec) -> Vec<u64> {
+    match col {
+        ColumnVec::Int(v) => v.iter().map(|&i| (i as u64) ^ (1 << 63)).collect(),
+        ColumnVec::Str { dict, codes } => {
+            let ranks = dict.ranks();
+            codes.iter().map(|&c| ranks[c as usize] as u64).collect()
+        }
+        ColumnVec::Any(v) => dense_ranks(v.len(), |a, b| v[a].cmp(&v[b])),
+    }
+}
+
+/// Each of `n` items' rank among the distinct items under `cmp`: order
+/// and equality kept.
+fn dense_ranks(n: usize, cmp: impl Fn(usize, usize) -> Ordering) -> Vec<u64> {
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_unstable_by(|&a, &b| cmp(a as usize, b as usize));
+    let mut ranks = vec![0; n];
+    let mut rank = 0;
+    for w in 1..n {
+        if cmp(order[w - 1] as usize, order[w] as usize).is_ne() {
+            rank += 1;
+        }
+        ranks[order[w] as usize] = rank;
+    }
+    ranks
 }
 
 /// [`eval_planned`] without the answer copy-out: the join pipeline and
@@ -415,13 +494,33 @@ mod tests {
             let naive = eval_naive_bag(&q, &c).unwrap();
             let profiles = eval_naive_profiles(&q, &plan, &c).unwrap();
             let (vec, trace) = untraced(&q, &plan, &c).unwrap();
-            assert_eq!(vec.sorted().rows(), naive.sorted().rows(), "answers: {text}");
+            assert!(vec.rows().is_sorted(), "head order: {text}");
+            assert_eq!(vec.rows(), naive.sorted().rows(), "answers: {text}");
             assert_eq!(trace, profiles, "step profiles diverged: {text}");
             let (n, trace) =
                 eval_bindings(&q, &plan, &c, &Obs::disabled(), &SpanHandle::none()).unwrap();
             assert_eq!(n, naive.len(), "binding count: {text}");
             assert_eq!(trace, profiles, "kernel step profiles diverged: {text}");
         }
+    }
+
+    /// The bag leaves in head order. Of rows that compare equal but are
+    /// spelled differently (an `Any` column's `Int(2)` and `Float(2.0)`),
+    /// binding order is kept, so set semantics keeps the spelling a
+    /// stable sort of the binding-order bag keeps: the last one.
+    #[test]
+    fn equal_rows_keep_binding_order_and_eval_cq_its_spelling() {
+        let mut c = Catalog::new();
+        let mut r = Relation::new(RelSchema::text("r", &["x", "tag"]));
+        for (x, tag) in [(Value::Float(2.0), "a"), (Value::Int(1), "b"), (Value::Int(2), "c")] {
+            r.insert(vec![x, tag.into()]);
+        }
+        c.register(r);
+        let q = parse_query("q(X) :- r(X, T)").unwrap();
+        let (bag, _) = untraced(&q, &plan_cq(&q, &c), &c).unwrap();
+        let spelled = |rel: &Relation| format!("{:?}", rel.rows());
+        assert_eq!(spelled(&bag), "[[Int(1)], [Float(2.0)], [Int(2)]]");
+        assert_eq!(spelled(&crate::eval::eval_cq(&q, &c).unwrap()), "[[Int(1)], [Int(2)]]");
     }
 
     /// A broken query errors with the oracle's message (both check

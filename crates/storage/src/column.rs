@@ -4,11 +4,20 @@
 //! A [`ColumnarBatch`] is a [`Relation`] pivoted into one [`ColumnVec`]
 //! per attribute. Columns are *typed when the data allows it*: an
 //! all-integer column becomes a dense `Vec<i64>`, an all-string column is
-//! dictionary-encoded (first-seen-order dictionary + `u32` codes), and
-//! everything else (nulls, bools, floats, mixed types) falls back to a
-//! plain `Vec<Value>`. The conversion is exact: `get` reconstructs the
+//! dictionary-encoded (a first-seen-order [`Dictionary`] + `u32` codes),
+//! and everything else (nulls, bools, floats, mixed types) falls back to
+//! a plain `Vec<Value>`. The conversion is exact: `get` reconstructs the
 //! original [`Value`] byte for byte, so the batch layer can sit under the
 //! evaluator without changing any answer.
+//!
+//! **Dictionary ranks.** Codes are assigned in first-seen order, so they
+//! answer equality but not order. A [`Dictionary`] also keeps each
+//! string's rank in string order ([`Dictionary::ranks`]), sorted once on
+//! first use: `ranks[a] < ranks[b]` exactly when string `a` sorts before
+//! string `b`. Every column gathered from a column shares its dictionary
+//! `Arc`, and a relation's columnar image is memoised per row state
+//! ([`Relation::batch`]), so a static relation ranks each dictionary
+//! once, however many evaluations order their answers by it.
 //!
 //! **Correctness rule for typed fast paths.** [`Value`] equality is
 //! *numeric* across `Int` and `Float` (`Value::Int(2) == Value::Float(2.0)`),
@@ -23,16 +32,64 @@
 //! filters, [`ColumnVec::retain_eq_const`] and [`ColumnVec::retain_eq`],
 //! each narrow one in place, and [`ColumnVec::gather`] reads it out.
 
+use crate::fxhash::FxMap;
 use crate::relation::Relation;
 use crate::value::Value;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The dictionary of a [`ColumnVec::Str`] column: its distinct strings in
-/// first-seen order. Entries are the cells' own `Arc<str>`s, so
-/// [`ColumnVec::get`] hands a string back out by reference count, and the
-/// whole dictionary is shared by every column gathered from this one.
-pub type Dictionary = Arc<Vec<Arc<str>>>;
+/// first-seen order (a cell's code is its string's position) and, once
+/// asked for, their ranks in string order. Entries are the cells' own
+/// `Arc<str>`s, so [`ColumnVec::get`] hands a string back out by
+/// reference count, and the whole dictionary is shared by every column
+/// gathered from this one.
+#[derive(Debug)]
+pub struct Dictionary {
+    strings: Vec<Arc<str>>,
+    ranks: OnceLock<Vec<u32>>,
+}
+
+impl Dictionary {
+    /// The distinct strings, in first-seen order: `strings()[code]`.
+    pub fn strings(&self) -> &[Arc<str>] {
+        &self.strings
+    }
+
+    /// `ranks()[code]`: the position of `code`'s string among this
+    /// dictionary's strings in string order, so codes order as their
+    /// strings do when compared by rank. Sorted on first use and kept.
+    pub fn ranks(&self) -> &[u32] {
+        self.ranks.get_or_init(|| {
+            let strings = &self.strings;
+            let mut order: Vec<u32> = (0..strings.len() as u32).collect();
+            order.sort_unstable_by(|&a, &b| strings[a as usize].cmp(&strings[b as usize]));
+            let mut ranks = vec![0; order.len()];
+            for (rank, &code) in order.iter().enumerate() {
+                ranks[code as usize] = rank as u32;
+            }
+            ranks
+        })
+    }
+
+    /// `translate(from)[code]`: this dictionary's code for the string
+    /// `from` encodes as `code`, or `None` when this one never saw it.
+    /// One hash map over this dictionary, one lookup per `from` entry.
+    pub fn translate(&self, from: &Dictionary) -> Vec<Option<u32>> {
+        if std::ptr::eq(self, from) {
+            return (0..self.strings.len() as u32).map(Some).collect();
+        }
+        let codes: FxMap<&str, u32> =
+            self.strings.iter().enumerate().map(|(i, s)| (&**s, i as u32)).collect();
+        from.strings.iter().map(|s| codes.get(&**s).copied()).collect()
+    }
+}
+
+impl PartialEq for Dictionary {
+    /// The same strings under the same codes; the ranks follow from them.
+    fn eq(&self, other: &Self) -> bool {
+        self.strings == other.strings
+    }
+}
 
 /// One column of a batch, stored as the tightest representation the data
 /// admits. See the module docs for the cross-type correctness rule.
@@ -46,7 +103,7 @@ pub enum ColumnVec {
     /// translated (see `Arc` sharing in [`ColumnVec::gather`]).
     Str {
         /// The distinct strings, in first-seen order.
-        dict: Dictionary,
+        dict: Arc<Dictionary>,
         /// Per-row index into `dict`.
         codes: Vec<u32>,
     },
@@ -59,26 +116,35 @@ impl ColumnVec {
     /// representation ([`ColumnVec::Int`] if all-int, dictionary-encoded
     /// [`ColumnVec::Str`] if all-string, else [`ColumnVec::Any`]).
     pub fn from_values(vals: &[Value]) -> ColumnVec {
-        if !vals.is_empty() && vals.iter().all(|v| matches!(v, Value::Int(_))) {
-            return ColumnVec::Int(
-                vals.iter().map(|v| v.as_int().expect("all-int column")).collect(),
-            );
+        ColumnVec::from_cells(vals.iter())
+    }
+
+    /// [`ColumnVec::from_values`] over borrowed cells: a string cell is
+    /// cloned once, into the dictionary, and only if it is new there.
+    fn from_cells<'a, I>(cells: I) -> ColumnVec
+    where
+        I: ExactSizeIterator<Item = &'a Value> + Clone,
+    {
+        let n = cells.len();
+        if n > 0 && cells.clone().all(|v| matches!(v, Value::Int(_))) {
+            return ColumnVec::Int(cells.map(|v| v.as_int().expect("all-int column")).collect());
         }
-        if !vals.is_empty() && vals.iter().all(|v| matches!(v, Value::Str(_))) {
-            let mut dict: Vec<Arc<str>> = Vec::new();
-            let mut positions: HashMap<&str, u32> = HashMap::new();
-            let mut codes = Vec::with_capacity(vals.len());
-            for v in vals {
+        if n > 0 && cells.clone().all(|v| matches!(v, Value::Str(_))) {
+            let mut strings: Vec<Arc<str>> = Vec::new();
+            let mut positions: FxMap<&str, u32> = FxMap::default();
+            let mut codes = Vec::with_capacity(n);
+            for v in cells {
                 let Value::Str(s) = v else { unreachable!("all-str column") };
                 let code = *positions.entry(s).or_insert_with(|| {
-                    dict.push(Arc::clone(s));
-                    (dict.len() - 1) as u32
+                    strings.push(Arc::clone(s));
+                    (strings.len() - 1) as u32
                 });
                 codes.push(code);
             }
-            return ColumnVec::Str { dict: Arc::new(dict), codes };
+            let dict = Arc::new(Dictionary { strings, ranks: OnceLock::new() });
+            return ColumnVec::Str { dict, codes };
         }
-        ColumnVec::Any(vals.to_vec())
+        ColumnVec::Any(cells.cloned().collect())
     }
 
     /// Number of rows.
@@ -100,7 +166,9 @@ impl ColumnVec {
     pub fn get(&self, i: usize) -> Value {
         match self {
             ColumnVec::Int(v) => Value::Int(v[i]),
-            ColumnVec::Str { dict, codes } => Value::Str(Arc::clone(&dict[codes[i] as usize])),
+            ColumnVec::Str { dict, codes } => {
+                Value::Str(Arc::clone(&dict.strings[codes[i] as usize]))
+            }
             ColumnVec::Any(v) => v[i].clone(),
         }
     }
@@ -114,7 +182,7 @@ impl ColumnVec {
     }
 
     /// The dictionary and code slice, when this is a `Str` column.
-    pub fn as_dict(&self) -> Option<(&Dictionary, &[u32])> {
+    pub fn as_dict(&self) -> Option<(&Arc<Dictionary>, &[u32])> {
         match self {
             ColumnVec::Str { dict, codes } => Some((dict, codes)),
             _ => None,
@@ -140,7 +208,7 @@ impl ColumnVec {
                 }
             }
             ColumnVec::Str { dict, codes } => {
-                match c.as_str().and_then(|s| dict.iter().position(|d| &**d == s)) {
+                match c.as_str().and_then(|s| dict.strings.iter().position(|d| &**d == s)) {
                     Some(t) => rows.retain(|&r| codes[r as usize] == t as u32),
                     None => rows.clear(),
                 }
@@ -165,17 +233,10 @@ impl ColumnVec {
                 ColumnVec::Str { dict: da, codes: ca },
                 ColumnVec::Str { dict: db, codes: cb },
             ) => {
-                if Arc::ptr_eq(da, db) {
-                    rows.retain(|&r| ca[r as usize] == cb[r as usize]);
-                } else {
-                    // Translate the other dictionary's codes into this
-                    // one once, then compare codes.
-                    let trans: Vec<Option<u32>> = db
-                        .iter()
-                        .map(|s| da.iter().position(|d| d == s).map(|p| p as u32))
-                        .collect();
-                    rows.retain(|&r| trans[cb[r as usize] as usize] == Some(ca[r as usize]));
-                }
+                // Translate the other dictionary's codes into this one
+                // once, then compare codes.
+                let trans = da.translate(db);
+                rows.retain(|&r| trans[cb[r as usize] as usize] == Some(ca[r as usize]));
             }
             (ColumnVec::Any(a), ColumnVec::Any(b)) => {
                 rows.retain(|&r| a[r as usize] == b[r as usize]);
@@ -186,7 +247,7 @@ impl ColumnVec {
             (ColumnVec::Str { dict, codes }, ColumnVec::Any(b))
             | (ColumnVec::Any(b), ColumnVec::Str { dict, codes }) => {
                 rows.retain(|&r| {
-                    b[r as usize].as_str() == Some(&*dict[codes[r as usize] as usize])
+                    b[r as usize].as_str() == Some(&*dict.strings[codes[r as usize] as usize])
                 });
             }
             // Int vs Str never compare equal (distinct type ranks).
@@ -228,10 +289,7 @@ impl ColumnarBatch {
     pub fn from_relation(rel: &Relation) -> ColumnarBatch {
         let arity = rel.schema.arity();
         let columns = (0..arity)
-            .map(|j| {
-                let vals: Vec<Value> = rel.iter().map(|r| r[j].clone()).collect();
-                ColumnVec::from_values(&vals)
-            })
+            .map(|j| ColumnVec::from_cells(rel.rows().iter().map(move |r| &r[j])))
             .collect();
         ColumnarBatch { columns, rows: rel.len() }
     }
@@ -283,7 +341,7 @@ mod tests {
         let vals: Vec<Value> = ["a", "b", "a", "a"].iter().map(|s| Value::str(*s)).collect();
         let col = ColumnVec::from_values(&vals);
         let (dict, codes) = col.as_dict().expect("str column");
-        assert_eq!(dict.as_slice(), &[Arc::from("a"), Arc::from("b")]);
+        assert_eq!(dict.strings(), &[Arc::from("a"), Arc::from("b")]);
         assert_eq!(codes, &[0, 1, 0, 0]);
         assert_eq!(values(&col), vals);
     }
@@ -346,6 +404,42 @@ mod tests {
         assert!(Arc::ptr_eq(d0, d1));
         assert_eq!(codes, &[2, 0, 2]);
         assert_eq!(values(&g), vec![Value::str("c"), Value::str("a"), Value::str("c")]);
+    }
+
+    /// Ranks order a dictionary's strings whatever order they arrived
+    /// in, and a gathered column reads the same rank table.
+    #[test]
+    fn ranks_order_the_dictionary_and_gathers_share_them() {
+        let col = ColumnVec::from_values(
+            &["pear", "apple", "fig", "apple", "Zed", ""].map(Value::str),
+        );
+        let (dict, _) = col.as_dict().expect("str column");
+        let ranks = dict.ranks();
+        let mut by_rank: Vec<&str> = vec![""; ranks.len()];
+        for (code, &rank) in ranks.iter().enumerate() {
+            by_rank[rank as usize] = &dict.strings()[code];
+        }
+        assert_eq!(by_rank, ["", "Zed", "apple", "fig", "pear"]);
+        let g = col.gather(&[4, 0]);
+        let (gathered, _) = g.as_dict().expect("str column");
+        assert!(Arc::ptr_eq(dict, gathered));
+        assert!(std::ptr::eq(ranks, gathered.ranks()), "the rank table is computed once");
+    }
+
+    /// Two ~1 000-string columns under different dictionaries (each in
+    /// its own first-seen order, partly overlapping) keep exactly the
+    /// rows `Value` equality keeps.
+    #[test]
+    fn eq_across_large_dictionaries_is_value_equality() {
+        let n = 1_000;
+        let a: Vec<Value> = (0..n).map(|i| Value::str(format!("s{}", (i * 7) % 1_100))).collect();
+        let b: Vec<Value> = (0..n).map(|i| Value::str(format!("s{}", (n - i) % 1_200))).collect();
+        let (ca, cb) = (ColumnVec::from_values(&a), ColumnVec::from_values(&b));
+        assert!(ca.as_dict().unwrap().0.strings().len() > 900);
+        let expect: Vec<u32> = (0..n as u32).filter(|&i| a[i as usize] == b[i as usize]).collect();
+        assert!(!expect.is_empty());
+        assert_eq!(kept_eq(&ca, &cb), expect);
+        assert_eq!(kept_eq(&cb, &ca), expect);
     }
 
     #[test]

@@ -114,6 +114,9 @@ impl Ord for Value {
             (Float(a), Float(b)) => a.total_cmp(b),
             (Int(a), Float(b)) => cmp_int_float(*a, *b),
             (Float(a), Int(b)) => cmp_int_float(*b, *a).reverse(),
+            // Cells gathered from one dictionary share its allocation:
+            // equal without reading a byte.
+            (Str(a), Str(b)) if Arc::ptr_eq(a, b) => Ordering::Equal,
             (Str(a), Str(b)) => a.cmp(b),
             _ => self.type_rank().cmp(&other.type_rank()),
         }
