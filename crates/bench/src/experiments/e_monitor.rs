@@ -15,10 +15,9 @@
 //!   false-positive surface);
 //! * **bounded detection latency** — every injected fault is flagged
 //!   within `REVERE_E19_MAX_DETECT_TICKS` of its onset;
-//! * **bounded telemetry cost** — the production observability profile
-//!   (head-sampled tracing + flight recorder) costs at
-//!   most `REVERE_E19_MAX_OVERHEAD_PCT` percent over [`Obs::disabled`]
-//!   on the same workload.
+//! * **bounded telemetry cost** — full tracing ([`Obs::enabled`], every
+//!   span kept) costs at most `REVERE_E19_MAX_OVERHEAD_PCT` percent over
+//!   [`Obs::disabled`] on the same workload.
 //!
 //! Attribution and latency are pure functions of `REVERE_E19_SEED`; only
 //! the overhead row measures wall time (min-of-N, like E15's cost table).
@@ -27,7 +26,7 @@ use crate::fixtures::network_from_topology;
 use crate::table::{f2, Table};
 use revere_pdms::fault::{FaultPlan, FaultSpec};
 use revere_pdms::monitor::{Health, Monitor};
-use revere_pdms::obs::{Obs, ObsConfig};
+use revere_pdms::obs::Obs;
 use revere_pdms::PdmsNetwork;
 use revere_workload::{course_templates, QueryMix, Topology, TopologyKind};
 use std::time::Instant;
@@ -191,16 +190,6 @@ fn time_workload(cfg: &E19Config, seed: u64, runs: usize, obs: impl Fn() -> Obs)
     best
 }
 
-/// The production observability profile the overhead gate prices: a
-/// 256-span flight recorder and 5% head sampling.
-pub fn production_obs(seed: u64) -> Obs {
-    Obs::with_config(ObsConfig {
-        flight_capacity: Some(256),
-        sample_rate: Some(0.05),
-        sample_seed: seed,
-    })
-}
-
 /// E19a — fault attribution and detection latency. Gates: the flagged
 /// set equals the injected set exactly, and every detection lands within
 /// [`e19_max_detect_ticks`].
@@ -254,39 +243,31 @@ pub fn e19_attribution() -> Table {
     t
 }
 
-/// E19b — telemetry overhead: the same chaos workload under three
-/// observability profiles. Gate: the production profile stays within
-/// [`e19_max_overhead_pct`] of disabled.
+/// E19b — telemetry overhead: the same chaos workload untraced and fully
+/// traced. Gate: full tracing stays within [`e19_max_overhead_pct`] of
+/// disabled.
 pub fn e19_overhead() -> Table {
     let cfg = E19Config::default();
     let seed = e19_seed();
     let runs = 3;
     let disabled = time_workload(&cfg, seed, runs, Obs::disabled);
     let full = time_workload(&cfg, seed, runs, Obs::enabled);
-    let production = time_workload(&cfg, seed, runs, || production_obs(seed));
-    let pct = |us: f64| (us - disabled) / disabled.max(1e-9) * 100.0;
+    let pct = (full - disabled) / disabled.max(1e-9) * 100.0;
     let gate = e19_max_overhead_pct();
     assert!(
-        pct(production) <= gate,
-        "production telemetry overhead {:.1}% > gate {gate}% (REVERE_E19_MAX_OVERHEAD_PCT): \
-         disabled {disabled:.1}us, production {production:.1}us",
-        pct(production)
+        pct <= gate,
+        "full tracing overhead {pct:.1}% > gate {gate}% (REVERE_E19_MAX_OVERHEAD_PCT): \
+         disabled {disabled:.1}us, full {full:.1}us",
     );
     let mut t = Table::new(
         format!(
-            "E19b: telemetry overhead, min-of-{runs} (gate: production <= {gate}%, \
+            "E19b: telemetry overhead, min-of-{runs} (gate: full tracing <= {gate}%, \
              REVERE_E19_MAX_OVERHEAD_PCT)",
         ),
         &["profile", "us/query", "overhead %", "gate"],
     );
     t.row(vec!["disabled".into(), f2(disabled), "-".into(), "-".into()]);
-    t.row(vec!["full tracing".into(), f2(full), f2(pct(full)), "-".into()]);
-    t.row(vec![
-        "production (5% sampled, 256-span flight)".into(),
-        f2(production),
-        f2(pct(production)),
-        "ok".into(),
-    ]);
+    t.row(vec!["full tracing".into(), f2(full), f2(pct), "ok".into()]);
     t
 }
 

@@ -33,8 +33,8 @@
 //! * [`durable`] — peer checkpoints + WAL recovery on top of
 //!   `revere_storage::wal`, making the at-least-once/dedup pair
 //!   exactly-once *across peer restarts*.
-//! * [`monitor`] — the overlay health monitor: per-peer vitals scraped
-//!   into windowed metrics, Healthy/Degraded/Suspect/Down verdicts with
+//! * [`monitor`] — the overlay health monitor: per-peer vitals kept over
+//!   a window of scrapes, Healthy/Degraded/Suspect/Down verdicts with
 //!   hysteresis, a structured event log, and a cluster dashboard.
 
 pub mod durable;

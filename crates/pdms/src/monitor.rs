@@ -5,13 +5,13 @@
 //! can watch itself. This module closes that loop (DESIGN.md §13):
 //!
 //! * each peer exposes a [`PeerVitals`] scrape built from the network's
-//!   always-on [`PeerAccounting`] (fetch attempts, drops, retries,
+//!   always-on [`PeerAccounting`] (messages sent and dropped, retries,
 //!   completeness gaps, worst q-error) plus its durable-layer backlog
-//!   (WAL records pending, inbox watermark lag);
+//!   (WAL records pending);
 //! * an overlay-wide [`Monitor`] probes and scrapes every peer on a tick
-//!   cadence, feeds the deltas into per-peer *windowed* metrics
-//!   ([`Metrics::windowed`]), and assigns each peer a [`Health`] verdict
-//!   from windowed thresholds with hysteresis;
+//!   cadence, keeps each peer's last [`Monitor::WINDOWS`] scrapes, and
+//!   assigns each peer a [`Health`] verdict from thresholds over that
+//!   window, with hysteresis;
 //! * threshold crossings append [`MonitorEvent`]s to a deterministic
 //!   structured event log, and [`Monitor::render_dashboard`] renders the
 //!   whole cluster as sorted text.
@@ -28,7 +28,7 @@
 use crate::network::{CacheStats, PdmsNetwork, PeerAccounting};
 use revere_util::fault::{FaultPlan, Fate};
 use revere_util::obs::{json_escape, names, Metrics, MetricsSnapshot};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// A peer's health verdict, ordered by severity.
@@ -85,8 +85,6 @@ pub struct PeerVitals {
     pub tick: u64,
     /// Did any probe get an answer this scrape?
     pub reachable: bool,
-    /// Fetch attempts aimed at this peer since the last scrape.
-    pub fetch_attempts: u64,
     /// Fetch messages sent toward this peer since the last scrape.
     pub messages_sent: u64,
     /// Fetch messages dropped since the last scrape.
@@ -157,27 +155,25 @@ impl Default for HealthState {
 pub struct Monitor {
     /// Accounting totals as of the previous scrape, for delta computation.
     prev: BTreeMap<String, PeerAccounting>,
-    /// Per-peer windowed metrics, rotated once per scrape.
-    peer_metrics: BTreeMap<String, Metrics>,
+    /// Each peer's last `WINDOWS` scrapes, oldest first; the newest is
+    /// the latest scrape.
+    windows: BTreeMap<String, VecDeque<PeerVitals>>,
     health: BTreeMap<String, HealthState>,
     events: Vec<MonitorEvent>,
     /// First tick each peer ever reached Suspect-or-worse (detection
     /// latency numerator; never cleared by recovery).
     first_flagged: BTreeMap<String, u64>,
-    /// Latest scrape's vitals, by peer.
-    vitals: BTreeMap<String, PeerVitals>,
     /// The monitor's own accounting (`monitor.probe.*`, `monitor.scrape.*`).
     metrics: Metrics,
     /// Network-wide cache verdicts as of the latest scrape (the caches
     /// live at network scope, so they roll up at cluster level).
     cache: CacheStats,
     last_tick: u64,
-    scrapes: u64,
 }
 
 impl Monitor {
-    /// Sliding windows kept per peer ([`Metrics::windowed`]); verdicts
-    /// read the union of the last `WINDOWS` closed windows.
+    /// Scrapes kept per peer; the drop-rate verdict and the rollup sum
+    /// the fetch counters over them.
     pub const WINDOWS: usize = 4;
 
     /// Probe `peer` at `tick`: up to `PROBE_ATTEMPTS` messages through
@@ -201,12 +197,12 @@ impl Monitor {
     }
 
     /// Scrape every peer of `net` at monitor tick `tick`: probe, diff
-    /// accounting, feed windowed metrics, update verdicts, append events.
+    /// accounting, keep the scrape in the peer's window, update verdicts,
+    /// append events.
     pub fn scrape(&mut self, net: &PdmsNetwork, tick: u64) {
         let acct = net.peer_accounting();
         self.cache = net.cache_stats();
         self.last_tick = tick;
-        self.scrapes += 1;
         for peer in net.peer_names() {
             let (reachable, probes_sent) = self.probe(&net.faults, peer, tick);
             self.metrics.inc(names::MONITOR_PROBE_PROBES_SENT, probes_sent);
@@ -223,7 +219,6 @@ impl Monitor {
                 peer: peer.to_string(),
                 tick,
                 reachable,
-                fetch_attempts: cur.fetch_attempts - prev.fetch_attempts,
                 messages_sent: cur.messages_sent - prev.messages_sent,
                 messages_dropped: cur.messages_dropped - prev.messages_dropped,
                 retries_spent: cur.retries_spent - prev.retries_spent,
@@ -232,28 +227,21 @@ impl Monitor {
                 worst_q_error_milli: (cur.worst_q_error * 1000.0).round() as u64,
                 wal_records_pending: pending,
             };
-
-            let m = self
-                .peer_metrics
-                .entry(peer.to_string())
-                .or_insert_with(|| Metrics::windowed(Self::WINDOWS));
-            m.inc(names::PDMS_FETCH_MESSAGES_SENT, v.messages_sent);
-            m.inc(names::PDMS_FETCH_MESSAGES_DROPPED, v.messages_dropped);
-            m.inc(names::PDMS_FETCH_RETRIES_SPENT, v.retries_spent);
-            m.inc(names::PDMS_FETCH_GAPS_OBSERVED, v.gaps_observed);
-            m.set_gauge(names::PDMS_FEEDBACK_QERROR_WORST_MILLI, v.worst_q_error_milli as i64);
-            m.set_gauge(names::PDMS_WAL_RECORDS_PENDING, v.wal_records_pending as i64);
-            m.rotate_window();
-
-            self.update_verdict(peer, &v, tick);
-            self.vitals.insert(peer.to_string(), v);
+            let window = self.windows.entry(peer.to_string()).or_default();
+            if window.len() == Self::WINDOWS {
+                window.pop_front();
+            }
+            window.push_back(v);
+            self.update_verdict(peer, tick);
         }
         self.prev = acct;
     }
 
-    /// The candidate verdict from this scrape's evidence alone, plus the
-    /// deterministic reason string an event would carry.
-    fn candidate(&self, peer: &str, v: &PeerVitals, miss_streak: u32) -> (Health, String) {
+    /// The candidate verdict from the peer's window alone (its newest
+    /// scrape last), plus the deterministic reason string an event would
+    /// carry.
+    fn candidate(window: &VecDeque<PeerVitals>, miss_streak: u32) -> (Health, String) {
+        let v = window.back().expect("a window holds the scrape that reads it");
         if miss_streak >= DOWN_MISSES {
             return (Health::Down, format!("probe_miss_streak={miss_streak}"));
         }
@@ -263,13 +251,11 @@ impl Monitor {
         if !v.reachable {
             return (Health::Degraded, format!("probe_miss_streak={miss_streak}"));
         }
-        if let Some(m) = self.peer_metrics.get(peer) {
-            let sent = m.window_counter(names::PDMS_FETCH_MESSAGES_SENT);
-            let dropped = m.window_counter(names::PDMS_FETCH_MESSAGES_DROPPED);
-            if sent > 0 && dropped as f64 / sent as f64 > DEGRADED_DROP_RATE {
-                let milli = dropped * 1000 / sent;
-                return (Health::Degraded, format!("window_drop_rate_milli={milli}"));
-            }
+        let sent: u64 = window.iter().map(|v| v.messages_sent).sum();
+        let dropped: u64 = window.iter().map(|v| v.messages_dropped).sum();
+        if sent > 0 && dropped as f64 / sent as f64 > DEGRADED_DROP_RATE {
+            let milli = dropped * 1000 / sent;
+            return (Health::Degraded, format!("window_drop_rate_milli={milli}"));
         }
         if v.worst_q_error_milli as f64 / 1000.0 > DEGRADED_Q_ERROR {
             return (Health::Degraded, format!("worst_q_error_milli={}", v.worst_q_error_milli));
@@ -280,14 +266,15 @@ impl Monitor {
     /// Apply this scrape's candidate verdict with hysteresis: escalations
     /// are immediate, de-escalations wait for `RECOVER_SCRAPES`
     /// consecutive calmer candidates.
-    fn update_verdict(&mut self, peer: &str, v: &PeerVitals, tick: u64) {
+    fn update_verdict(&mut self, peer: &str, tick: u64) {
+        let window = &self.windows[peer];
         let mut state = self.health.get(peer).cloned().unwrap_or_default();
-        if v.reachable {
+        if window.back().is_some_and(|v| v.reachable) {
             state.miss_streak = 0;
         } else {
             state.miss_streak += 1;
         }
-        let (cand, reason) = self.candidate(peer, v, state.miss_streak);
+        let (cand, reason) = Self::candidate(window, state.miss_streak);
         let mut transition: Option<(Health, Health, String)> = None;
         if cand > state.verdict {
             transition = Some((state.verdict, cand, reason));
@@ -341,7 +328,7 @@ impl Monitor {
 
     /// The latest scrape's vitals for `peer`.
     pub fn vitals(&self, peer: &str) -> Option<&PeerVitals> {
-        self.vitals.get(peer)
+        self.windows.get(peer)?.back()
     }
 
     /// The structured event log, in append (= tick) order.
@@ -365,14 +352,32 @@ impl Monitor {
         &self.metrics
     }
 
-    /// Lossless cluster rollup: every peer's windowed snapshot merged
-    /// into one [`MetricsSnapshot`] (counters and gauges sum to cluster
-    /// totals over the open windows), plus the monitor's own counters and
-    /// the network-scope cache verdicts as `pdms.cache.*` counters.
+    /// Lossless cluster rollup as one [`MetricsSnapshot`]: the fetch
+    /// counters summed over every peer's window, each peer's latest
+    /// q-error and WAL backlog summed as gauges, plus the monitor's own
+    /// counters and the network-scope cache verdicts as `pdms.cache.*`
+    /// counters.
     pub fn rollup(&self) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::default();
-        for m in self.peer_metrics.values() {
-            out.merge(&m.window_snapshot());
+        for window in self.windows.values() {
+            let sum = |field: fn(&PeerVitals) -> u64| window.iter().map(field).sum::<u64>();
+            let counters = [
+                (names::PDMS_FETCH_MESSAGES_SENT, sum(|v| v.messages_sent)),
+                (names::PDMS_FETCH_MESSAGES_DROPPED, sum(|v| v.messages_dropped)),
+                (names::PDMS_FETCH_RETRIES_SPENT, sum(|v| v.retries_spent)),
+                (names::PDMS_FETCH_GAPS_OBSERVED, sum(|v| v.gaps_observed)),
+            ];
+            for (name, n) in counters {
+                *out.counters.entry(name.to_string()).or_insert(0) += n;
+            }
+            let Some(latest) = window.back() else { continue };
+            let gauges = [
+                (names::PDMS_FEEDBACK_QERROR_WORST_MILLI, latest.worst_q_error_milli),
+                (names::PDMS_WAL_RECORDS_PENDING, latest.wal_records_pending),
+            ];
+            for (name, g) in gauges {
+                *out.gauges.entry(name.to_string()).or_insert(0) += g as i64;
+            }
         }
         out.merge(&self.metrics.snapshot());
         let cache: [(&str, usize); 5] = [
@@ -411,7 +416,7 @@ impl Monitor {
             "peer        health    reach  drop/sent  gaps  retries  p50  q_err(m)  wal(pend)\n",
         );
         for (peer, state) in &self.health {
-            let v = self.vitals.get(peer).cloned().unwrap_or_default();
+            let v = self.vitals(peer).cloned().unwrap_or_default();
             out.push_str(&format!(
                 "{:<11} {:<9} {:<6} {:<10} {:<5} {:<8} {:<4} {:<9} {}\n",
                 peer,
@@ -499,9 +504,10 @@ mod tests {
         for peer in ["P0", "P1", "P2"] {
             assert_eq!(mon.health(peer), Health::Healthy);
         }
+        // P2 answered the last tick's remote fetch: its scrape saw it.
         let v = mon.vitals("P2").expect("P2 scraped");
         assert!(v.reachable);
-        assert!(v.messages_sent > 0 || v.fetch_attempts > 0 || mon.scrapes > 0);
+        assert!(v.messages_sent > 0, "the last fetch from P2 left no trace: {v:?}");
     }
 
     #[test]
@@ -559,6 +565,38 @@ mod tests {
         assert_eq!(mon.health("P1"), Health::Healthy);
         let log = mon.event_log();
         assert!(log.contains("peer=P1 Down->Healthy reason=recovered"), "no recovery event:\n{log}");
+    }
+
+    #[test]
+    fn windowed_drop_rate_degrades_until_the_drops_leave_the_window() {
+        let mut net = tiny_net();
+        let mut mon = Monitor::default();
+        // One query through a link that loses every message; the probes
+        // then run in calm weather, so P2 stays reachable.
+        net.faults = FaultPlan::new(FaultSpec { drop_prob: 1.0, ..FaultSpec::default() });
+        net.query_str("P0", "q(N) :- P2.item(N)").expect("a lossy query still answers");
+        net.faults = FaultPlan::zero();
+        mon.scrape(&net, 0);
+        assert_eq!(mon.health("P2"), Health::Degraded);
+        let log = mon.event_log();
+        assert!(
+            log.contains("tick=0 peer=P2 Healthy->Degraded reason=window_drop_rate_milli=1000"),
+            "missing drop-rate event:\n{log}"
+        );
+        // Calm scrapes: the lossy one stays in the window for WINDOWS
+        // scrapes, then RECOVER_SCRAPES calm verdicts clear the flag.
+        let healthy_at = Monitor::WINDOWS as u64 + u64::from(RECOVER_SCRAPES) - 1;
+        for tick in 1..healthy_at {
+            mon.scrape(&net, tick);
+            assert_eq!(mon.health("P2"), Health::Degraded, "recovered early at tick {tick}");
+        }
+        mon.scrape(&net, healthy_at);
+        assert_eq!(mon.health("P2"), Health::Healthy);
+        let log = mon.event_log();
+        assert!(
+            log.contains(&format!("tick={healthy_at} peer=P2 Degraded->Healthy reason=recovered")),
+            "no recovery event:\n{log}"
+        );
     }
 
     #[test]

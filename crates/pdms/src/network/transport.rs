@@ -18,8 +18,6 @@ use std::sync::{MutexGuard, PoisonError};
 /// (local reads involve no network and say nothing about peer health).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PeerAccounting {
-    /// Fetch attempts aimed at this owner (first tries + retries).
-    pub fetch_attempts: u64,
     /// Messages sent toward this owner (requests and its responses).
     pub messages_sent: u64,
     /// Messages the fault plan dropped on the way to/from this owner.
@@ -277,7 +275,6 @@ impl PdmsNetwork {
                     // matter how concurrent queries interleave.
                     let mut acct = self.lock_accounting();
                     let a = acct.entry(owner.to_string()).or_default();
-                    a.fetch_attempts += attempts as u64;
                     a.messages_sent += messages as u64;
                     a.messages_dropped += dropped as u64;
                     a.retries_spent += retries as u64;

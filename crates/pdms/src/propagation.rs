@@ -140,10 +140,11 @@ impl GramInbox {
 
 /// Apply a sequenced gram to a target-side cache **exactly once**: a gram
 /// id the inbox has already seen is a no-op (`Ok(false)`). First-time
-/// grams are pushed through the cached view's circuits and applied to the
-/// catalog ([`MaterializedView::apply_gram`]). A gram carrying a row of
-/// the wrong arity is refused (`Err`) before anything is journaled,
-/// written or accepted.
+/// grams are applied to the catalog, and the batch it signs is pushed
+/// through the cached view's circuits ([`MaterializedView::push`]); no
+/// set-level diff is built, since the receiver ships nothing on. A gram
+/// carrying a row of the wrong arity is refused (`Err`) before anything
+/// is journaled, written or accepted.
 ///
 /// For a durable inbox the gram is journaled as one atomic
 /// [`WalRecord::DeltaApplied`] *before* applying, and applied as recovery
@@ -171,9 +172,10 @@ pub fn apply_once(
             delete: gram.gram.delete.clone(),
         };
         journal.append(&rec);
-        view.push_batch(&ZSetBatch::from(&catalog.replay(&rec)));
+        view.push(&ZSetBatch::from(&catalog.replay(&rec)));
     } else {
-        view.apply_gram(catalog, &gram.gram)?;
+        let change = catalog.apply(&gram.gram.relation, &gram.gram.delete, &gram.gram.insert)?;
+        view.push(&ZSetBatch::from(&change));
     }
     let accepted = inbox.accept(gram.id);
     debug_assert!(accepted);

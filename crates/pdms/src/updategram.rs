@@ -163,7 +163,8 @@ pub fn maintain(
         }
         MaintenanceChoice::Incremental => {
             for g in grams {
-                view.apply_gram(catalog, g)?;
+                let change = catalog.apply(&g.relation, &g.delete, &g.insert)?;
+                view.push(&ZSetBatch::from(&change));
             }
         }
     }

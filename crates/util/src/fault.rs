@@ -33,8 +33,8 @@ pub fn stable_hash(s: &str) -> u64 {
 /// Mix a sequence of words into one via SplitMix64 steps (order-sensitive,
 /// avalanche-quality). The basis constant keeps `mix(&[])` away from 0.
 /// Public because it is the workspace's shared pure-hash coin: the fault
-/// plan, the obs head sampler, and the monitor's probe draws all derive
-/// deterministic verdicts from it.
+/// plan and the monitor's probe draws derive deterministic verdicts from
+/// it.
 pub fn mix(parts: &[u64]) -> u64 {
     let mut s: u64 = 0x243F_6A88_85A3_08D3; // π digits
     for &p in parts {

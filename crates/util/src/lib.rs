@@ -21,8 +21,8 @@
 //!   of `(seed, peer, key, attempt)`, plus capped-exponential
 //!   [`fault::RetryPolicy`].
 //! * [`obs`] — the observability substrate: a deterministic span-tree
-//!   tracer on a logical tick clock, a metrics registry (counters,
-//!   gauges, log2-bucket histograms), a Chrome trace-event JSON
+//!   tracer on a logical tick clock, a metrics registry (counters and
+//!   log2-bucket histograms), a Chrome trace-event JSON
 //!   exporter, and the [`obs::LogSink`] shared writer the harnesses
 //!   report through.
 //!

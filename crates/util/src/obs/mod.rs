@@ -10,29 +10,15 @@
 //!   clock**. Every span start/end consumes one tick, and simulated
 //!   latency can be charged with [`Tracer::advance`], so span timestamps
 //!   are a pure function of the instrumented code path, not of the
-//!   machine. Wall-clock durations are captured on the side and *never*
-//!   enter the deterministic exports, so traces can be golden-tested
-//!   byte for byte. [`Tracer::new`] retains every span (for golden-trace
-//!   tests); [`Tracer::flight`] is the production **flight recorder**: a
-//!   bounded ring of the most recently finished spans with deterministic
-//!   oldest-first eviction, so long runs keep O(capacity) memory and
-//!   [`Tracer::dump`] always has a post-incident snapshot.
-//! * [`Metrics`] — a registry of named counters, gauges and log2-bucket
+//!   machine, and traces can be golden-tested byte for byte. A tracer
+//!   keeps every span it starts, so its exports are always complete.
+//! * [`Metrics`] — a registry of named counters and log2-bucket
 //!   [`Histogram`]s. Counter updates are commutative, so totals stay
-//!   deterministic even when worker threads race. [`Metrics::windowed`]
-//!   adds epoch-rotated sliding windows: observations land in the
-//!   current window, [`Metrics::rotate_window`] (driven by the caller's
-//!   logical tick cadence, never wall-clock) closes it, and
-//!   [`Metrics::window_counter`] / [`Metrics::window_snapshot`] read the
-//!   last K closed windows — recent behaviour, not lifetime averages.
+//!   deterministic even when worker threads race.
 //! * Lossless rollups — [`Histogram::merge`] and
 //!   [`MetricsSnapshot::merge`] combine per-peer metrics into a cluster
 //!   view. Log2 buckets plus exact count/sum/min/max make histogram
 //!   merge *exact*: merging equals observing the union.
-//! * Deterministic **head sampling** — [`ObsConfig::sample_rate`] keeps
-//!   a pure-hash-chosen fraction of root spans (children follow their
-//!   root), bounding tracing overhead under sustained load without
-//!   losing run-to-run determinism.
 //! * Chrome trace-event export ([`Tracer::chrome_trace`]) — the JSON
 //!   array `chrome://tracing` / Perfetto load directly, rendered with an
 //!   in-repo serializer (the workspace has no serde).
@@ -53,12 +39,9 @@
 
 pub mod names;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
-
-use crate::fault::{mix, unit};
 
 // ---------------------------------------------------------------------------
 // Tracer
@@ -81,9 +64,6 @@ pub struct SpanRecord {
     pub start_tick: u64,
     /// Logical tick at span end (`None` while open).
     pub end_tick: Option<u64>,
-    /// Wall-clock nanoseconds between start and finish. Diagnostic only:
-    /// excluded from the deterministic exports.
-    pub wall_ns: Option<u128>,
 }
 
 impl SpanRecord {
@@ -98,42 +78,12 @@ impl SpanRecord {
     }
 }
 
-/// A started, not yet finished span plus its wall-clock start.
-#[derive(Debug)]
-struct OpenSpan {
-    rec: SpanRecord,
-    started_at: Instant,
-}
-
 #[derive(Debug, Default)]
 struct TracerInner {
     ticks: u64,
-    /// Ids handed out so far (monotone; ids stay dense in start order
-    /// even after old spans have been evicted).
-    started: usize,
-    /// Spans currently open, by id. Bounded by instrumented nesting depth
-    /// (the span stack), never by trace length.
-    open: BTreeMap<usize, OpenSpan>,
-    /// Finished spans in finish order. In flight-recorder mode this is a
-    /// ring: once `capacity` is reached, finishing a span evicts the
-    /// oldest-finished one.
-    done: VecDeque<SpanRecord>,
-    /// `None` = unbounded (golden-trace mode); `Some(n)` = flight
-    /// recorder keeping at most `n` finished spans.
-    capacity: Option<usize>,
-    /// Finished spans evicted so far (flight-recorder mode only).
-    evicted: u64,
-}
-
-impl TracerInner {
-    /// References to every retained span (finished and open), sorted by
-    /// span id — the one walk all exporters share, clone-free.
-    fn sorted(&self) -> Vec<&SpanRecord> {
-        let mut refs: Vec<&SpanRecord> =
-            self.done.iter().chain(self.open.values().map(|o| &o.rec)).collect();
-        refs.sort_by_key(|s| s.id);
-        refs
-    }
+    /// Every span started so far, indexed by id; open ones have no end
+    /// tick yet.
+    spans: Vec<SpanRecord>,
 }
 
 /// A deterministic structured tracer: a tree of [`SpanRecord`]s on a
@@ -145,24 +95,9 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A fresh unbounded tracer at tick 0: every span is retained, so
-    /// exports are complete. This is the golden-trace-test mode; long
-    /// runs should use [`Tracer::flight`].
+    /// A fresh tracer at tick 0.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A fresh **flight recorder** at tick 0: at most `capacity` finished
-    /// spans are retained, evicting the oldest-finished deterministically,
-    /// so memory is O(capacity) regardless of trace length. `capacity` is
-    /// clamped to at least 1.
-    pub fn flight(capacity: usize) -> Self {
-        Tracer {
-            inner: Arc::new(Mutex::new(TracerInner {
-                capacity: Some(capacity.max(1)),
-                ..TracerInner::default()
-            })),
-        }
     }
 
     fn lock(&self) -> MutexGuard<'_, TracerInner> {
@@ -178,26 +113,11 @@ impl Tracer {
 
     fn open(&self, name: String, parent: Option<usize>) -> Span {
         let mut t = self.lock();
-        let id = t.started;
-        t.started += 1;
+        let id = t.spans.len();
         let start_tick = t.ticks;
         t.ticks += 1;
-        t.open.insert(
-            id,
-            OpenSpan {
-                rec: SpanRecord {
-                    id,
-                    parent,
-                    name,
-                    args: Vec::new(),
-                    start_tick,
-                    end_tick: None,
-                    wall_ns: None,
-                },
-                started_at: Instant::now(),
-            },
-        );
-        Span { tracer: self.clone(), id, closed: false }
+        t.spans.push(SpanRecord { id, parent, name, args: Vec::new(), start_tick, end_tick: None });
+        Span { tracer: self.clone(), id }
     }
 
     /// Advance the logical clock by `n` ticks — how simulated latency
@@ -211,16 +131,15 @@ impl Tracer {
         self.lock().ticks
     }
 
-    /// Snapshot every *retained* span (in span-id order). In unbounded
-    /// mode that is the full trace; a flight recorder returns its ring
-    /// plus any still-open spans. Clones each record.
+    /// Snapshot every span, finished and open, in span-id order. Clones
+    /// each record.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.lock().sorted().into_iter().cloned().collect()
+        self.lock().spans.clone()
     }
 
-    /// Number of spans started so far (including evicted ones).
+    /// Number of spans started so far.
     pub fn len(&self) -> usize {
-        self.lock().started
+        self.lock().spans.len()
     }
 
     /// True when nothing has been recorded.
@@ -228,34 +147,17 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Number of spans currently retained (finished ring + open spans).
-    pub fn retained(&self) -> usize {
-        let t = self.lock();
-        t.done.len() + t.open.len()
-    }
-
-    /// Finished spans evicted from the flight-recorder ring so far.
-    pub fn evicted(&self) -> u64 {
-        self.lock().evicted
-    }
-
-    /// The flight-recorder capacity (`None` for an unbounded tracer).
-    pub fn capacity(&self) -> Option<usize> {
-        self.lock().capacity
-    }
-
     /// Export the span tree as a Chrome trace-event JSON array (the
     /// `chrome://tracing` / Perfetto "JSON Array Format"). Timestamps and
     /// durations are **logical ticks**, so for a fixed instrumented code
-    /// path the output is byte-identical run to run; wall-clock is
-    /// deliberately left out. Load with `ph:"X"` complete events; spans
-    /// still open at export time run to the current tick. A flight
-    /// recorder exports only its retained window.
+    /// path the output is byte-identical run to run. Load with `ph:"X"`
+    /// complete events; spans still open at export time run to the
+    /// current tick.
     pub fn chrome_trace(&self) -> String {
         let t = self.lock();
         let now = t.ticks;
         let mut out = String::from("[");
-        for (i, s) in t.sorted().into_iter().enumerate() {
+        for (i, s) in t.spans.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -283,82 +185,43 @@ impl Tracer {
         out
     }
 
-    /// The post-incident text snapshot: one line per retained span,
-    /// ordered by span id, headed by the recorder's accounting. Purely
-    /// logical-tick data, so a fixed code path dumps byte-identically.
-    pub fn dump(&self) -> String {
-        let t = self.lock();
-        let cap = match t.capacity {
-            Some(c) => c.to_string(),
-            None => "unbounded".to_string(),
-        };
-        let mut out = format!(
-            "flight recorder: capacity={cap} retained={} evicted={} started={} now={}\n",
-            t.done.len() + t.open.len(),
-            t.evicted,
-            t.started,
-            t.ticks,
-        );
-        for s in t.sorted() {
-            let end = match s.end_tick {
-                Some(e) => e.to_string(),
-                None => "*".to_string(),
-            };
-            out.push_str(&format!("#{} {} [{}..{}]", s.id, s.name, s.start_tick, end));
-            if let Some(p) = s.parent {
-                out.push_str(&format!(" parent={p}"));
-            }
-            for (k, v) in &s.args {
-                out.push_str(&format!(" {k}={v}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     /// Render the span tree as indented text — the human-facing view of
-    /// the same deterministic data the JSON export carries. Spans whose
-    /// parent was evicted from a flight-recorder ring render as roots.
+    /// the same deterministic data the JSON export carries. Siblings, and
+    /// roots, appear in span-id order.
     pub fn render_tree(&self) -> String {
         let t = self.lock();
         let now = t.ticks;
-        let by_id: BTreeMap<usize, &SpanRecord> =
-            t.sorted().into_iter().map(|s| (s.id, s)).collect();
-        let mut children: BTreeMap<Option<usize>, Vec<usize>> = BTreeMap::new();
-        for s in by_id.values() {
-            let key = s.parent.filter(|p| by_id.contains_key(p));
-            children.entry(key).or_default().push(s.id);
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); t.spans.len()];
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        // A parent starts before its children, so walking ids downwards
+        // fills every list, and the stack, smallest id on top.
+        for s in t.spans.iter().rev() {
+            match s.parent {
+                Some(p) => children[p].push(s.id),
+                None => stack.push((s.id, 0)),
+            }
         }
         let mut out = String::new();
-        let mut stack: Vec<(usize, usize)> = children
-            .get(&None)
-            .map(|roots| roots.iter().rev().map(|&r| (r, 0)).collect())
-            .unwrap_or_default();
         while let Some((id, depth)) = stack.pop() {
-            let s = by_id[&id];
+            let s = &t.spans[id];
             out.push_str(&"  ".repeat(depth));
             out.push_str(&format!("{} [{}..{}]", s.name, s.start_tick, s.end_tick.unwrap_or(now)));
             for (k, v) in &s.args {
                 out.push_str(&format!(" {k}={v}"));
             }
             out.push('\n');
-            if let Some(kids) = children.get(&Some(id)) {
-                for &k in kids.iter().rev() {
-                    stack.push((k, depth + 1));
-                }
-            }
+            stack.extend(children[id].iter().map(|&k| (k, depth + 1)));
         }
         out
     }
 }
 
 /// An open span. Finishes (records its end tick) on [`Span::finish`] or
-/// on drop, whichever comes first.
+/// on drop.
 #[derive(Debug)]
 pub struct Span {
     tracer: Tracer,
     id: usize,
-    closed: bool,
 }
 
 impl Span {
@@ -375,43 +238,26 @@ impl Span {
     /// Set an annotation (replaces an existing key in place).
     pub fn set(&self, key: &str, value: impl fmt::Display) {
         let mut t = self.tracer.lock();
-        let Some(open) = t.open.get_mut(&self.id) else { return };
+        let args = &mut t.spans[self.id].args;
         let value = value.to_string();
-        match open.rec.args.iter_mut().find(|(k, _)| k == key) {
+        match args.iter_mut().find(|(k, _)| k == key) {
             Some((_, v)) => *v = value,
-            None => open.rec.args.push((key.to_string(), value)),
+            None => args.push((key.to_string(), value)),
         }
     }
 
     /// Close the span at the current tick.
-    pub fn finish(mut self) {
-        self.close();
-    }
-
-    fn close(&mut self) {
-        if self.closed {
-            return;
-        }
-        self.closed = true;
-        let mut t = self.tracer.lock();
-        let Some(mut open) = t.open.remove(&self.id) else { return };
-        let end = t.ticks;
-        t.ticks += 1;
-        open.rec.end_tick = Some(end);
-        open.rec.wall_ns = Some(open.started_at.elapsed().as_nanos());
-        t.done.push_back(open.rec);
-        if let Some(cap) = t.capacity {
-            while t.done.len() > cap {
-                t.done.pop_front();
-                t.evicted += 1;
-            }
-        }
+    pub fn finish(self) {
+        drop(self);
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.close();
+        let mut t = self.tracer.lock();
+        let end = t.ticks;
+        t.ticks += 1;
+        t.spans[self.id].end_tick = Some(end);
     }
 }
 
@@ -538,66 +384,24 @@ impl Histogram {
     }
 }
 
-/// One sliding window's worth of deltas: the counters and histogram
-/// observations that landed while this window was current.
-#[derive(Debug, Default, Clone)]
-struct Frame {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-/// Sliding-window state for a windowed [`Metrics`] registry: the
-/// in-progress frame plus up to `keep` closed frames.
-#[derive(Debug)]
-struct WindowState {
-    keep: usize,
-    current: Frame,
-    closed: VecDeque<Frame>,
-}
-
 #[derive(Debug, Default)]
 struct MetricsInner {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
     histograms: BTreeMap<String, Histogram>,
-    windows: Option<WindowState>,
 }
 
-/// A registry of named counters, gauges and histograms. Cheap to clone
-/// (shared handle); `&self` updates via interior mutability. Snapshots
-/// render in sorted name order, so output is deterministic.
-///
-/// [`Metrics::windowed`] additionally keeps epoch-rotated sliding
-/// windows: every `inc`/`observe` also lands in the *current* window,
-/// [`Metrics::rotate_window`] closes it (retaining the last `keep`
-/// closed windows), and [`Metrics::window_counter`] /
-/// [`Metrics::window_snapshot`] read only those closed windows. Rotation is driven by the caller's
-/// logical tick cadence — never wall-clock — so windowed readings are as
-/// byte-deterministic as cumulative ones.
+/// A registry of named counters and histograms. Cheap to clone (shared
+/// handle); `&self` updates via interior mutability. Snapshots render in
+/// sorted name order, so output is deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     inner: Arc<Mutex<MetricsInner>>,
 }
 
 impl Metrics {
-    /// An empty cumulative-only registry.
+    /// An empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty registry that also keeps the last `keep` rotated windows
-    /// (`keep` is clamped to at least 1).
-    pub fn windowed(keep: usize) -> Self {
-        Metrics {
-            inner: Arc::new(Mutex::new(MetricsInner {
-                windows: Some(WindowState {
-                    keep: keep.max(1),
-                    current: Frame::default(),
-                    closed: VecDeque::new(),
-                }),
-                ..MetricsInner::default()
-            })),
-        }
     }
 
     fn lock(&self) -> MutexGuard<'_, MetricsInner> {
@@ -613,9 +417,6 @@ impl Metrics {
                 m.counters.insert(name.to_string(), n);
             }
         }
-        if let Some(w) = &mut m.windows {
-            *w.current.counters.entry(name.to_string()).or_insert(0) += n;
-        }
     }
 
     /// Read a counter (0 when absent).
@@ -623,49 +424,14 @@ impl Metrics {
         self.lock().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Set the named gauge.
-    pub fn set_gauge(&self, name: &str, v: i64) {
-        self.lock().gauges.insert(name.to_string(), v);
-    }
-
-    /// Read a gauge (`None` when never set).
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.lock().gauges.get(name).copied()
-    }
-
     /// Record an observation into the named histogram.
     pub fn observe(&self, name: &str, v: u64) {
-        let mut m = self.lock();
-        m.histograms.entry(name.to_string()).or_default().observe(v);
-        if let Some(w) = &mut m.windows {
-            w.current.histograms.entry(name.to_string()).or_default().observe(v);
-        }
+        self.lock().histograms.entry(name.to_string()).or_default().observe(v);
     }
 
-    /// Clone out the named histogram (cumulative).
+    /// Clone out the named histogram.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         self.lock().histograms.get(name).cloned()
-    }
-
-    /// Close the current window and open a fresh one, retaining at most
-    /// `keep` closed windows. No-op on a cumulative-only registry.
-    pub fn rotate_window(&self) {
-        let mut m = self.lock();
-        if let Some(w) = &mut m.windows {
-            let frame = std::mem::take(&mut w.current);
-            w.closed.push_back(frame);
-            while w.closed.len() > w.keep {
-                w.closed.pop_front();
-            }
-        }
-    }
-
-    /// Sum of the named counter over the retained closed windows.
-    pub fn window_counter(&self, name: &str) -> u64 {
-        let m = self.lock();
-        m.windows
-            .as_ref()
-            .map_or(0, |w| w.closed.iter().filter_map(|f| f.counters.get(name)).sum())
     }
 
     /// A point-in-time copy of every metric, for rendering or assertions.
@@ -673,39 +439,21 @@ impl Metrics {
         let m = self.lock();
         MetricsSnapshot {
             counters: m.counters.clone(),
-            gauges: m.gauges.clone(),
             histograms: m.histograms.clone(),
+            ..MetricsSnapshot::default()
         }
-    }
-
-    /// A snapshot of the retained closed windows only: counters summed
-    /// and histograms merged across them, gauges carried over at their
-    /// current value (gauges are points, not deltas). This is what a
-    /// monitor scrapes to see *recent* behaviour.
-    pub fn window_snapshot(&self) -> MetricsSnapshot {
-        let m = self.lock();
-        let mut out = MetricsSnapshot { gauges: m.gauges.clone(), ..MetricsSnapshot::default() };
-        if let Some(w) = m.windows.as_ref() {
-            for f in &w.closed {
-                for (k, v) in &f.counters {
-                    *out.counters.entry(k.clone()).or_insert(0) += v;
-                }
-                for (k, h) in &f.histograms {
-                    out.histograms.entry(k.clone()).or_default().merge(h);
-                }
-            }
-        }
-        out
     }
 }
 
-/// A frozen copy of a [`Metrics`] registry. `Display` renders one
-/// machine-parseable line per metric, sorted by name.
+/// A frozen copy of a [`Metrics`] registry, or a rollup built from
+/// several. `Display` renders one machine-parseable line per metric,
+/// sorted by name.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counters by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauges by name.
+    /// Gauges by name: point readings a rollup carries (a registry
+    /// records none).
     pub gauges: BTreeMap<String, i64>,
     /// Histograms by name.
     pub histograms: BTreeMap<String, Histogram>,
@@ -714,8 +462,8 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Fold `other` into `self`: counters and gauges add, histograms
     /// merge losslessly ([`Histogram::merge`]). Gauges *sum* because a
-    /// rollup reads them as cluster totals (total WAL backlog, total
-    /// sync lag); per-peer points stay visible in per-peer snapshots.
+    /// rollup reads them as cluster totals (total WAL backlog, worst
+    /// q-errors summed over peers).
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
@@ -757,56 +505,10 @@ impl fmt::Display for MetricsSnapshot {
 // Obs: the handle instrumented layers carry
 // ---------------------------------------------------------------------------
 
-/// How an [`Obs`] handle records: unbounded vs flight-recorder tracing,
-/// full vs head-sampled spans. The
-/// default (`Obs::enabled()`) is the golden-trace configuration: retain
-/// everything, sample nothing away.
-#[derive(Debug, Clone, Default)]
-pub struct ObsConfig {
-    /// `Some(n)` bounds the tracer to a flight-recorder ring of `n`
-    /// finished spans ([`Tracer::flight`]); `None` retains every span.
-    pub flight_capacity: Option<usize>,
-    /// `Some(r)` head-samples root spans at rate `r` (`0.0..=1.0`): a
-    /// pure-hash draw on `(sample_seed, root ordinal)` keeps the span
-    /// tree for ~`r` of the roots and drops it (children included,
-    /// recorded as no-ops) for the rest. `None` traces every root.
-    pub sample_rate: Option<f64>,
-    /// Seed for the sampling draw — same seed, same call sequence, same
-    /// kept set, so sampled traces stay byte-deterministic.
-    pub sample_seed: u64,
-}
-
-/// Head-sampling state: the pure-hash draw plus the root ordinal.
-#[derive(Debug)]
-struct Sampler {
-    rate: f64,
-    seed: u64,
-    roots: Mutex<u64>,
-}
-
-const SALT_SAMPLE: u64 = 0x0b5e_c0de_5a3b_1e5d;
-
-impl Sampler {
-    /// Deterministically decide the next root span's fate.
-    fn keep_next(&self) -> bool {
-        let mut n = self.roots.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let ordinal = *n;
-        *n += 1;
-        if self.rate >= 1.0 {
-            return true;
-        }
-        if self.rate <= 0.0 {
-            return false;
-        }
-        unit(mix(&[self.seed, SALT_SAMPLE, ordinal])) < self.rate
-    }
-}
-
 #[derive(Debug)]
 struct ObsCore {
     tracer: Tracer,
     metrics: Metrics,
-    sampler: Option<Sampler>,
 }
 
 /// The observability handle threaded through storage → query → pdms: one
@@ -819,23 +521,9 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// A live handle with a fresh unbounded tracer and cumulative metrics
-    /// registry — the golden-trace configuration.
+    /// A live handle with a fresh tracer and metrics registry.
     pub fn enabled() -> Self {
-        Self::with_config(ObsConfig::default())
-    }
-
-    /// A live handle configured for production telemetry: flight-recorder
-    /// capacity, head sampling, or both.
-    pub fn with_config(cfg: ObsConfig) -> Self {
-        let tracer = match cfg.flight_capacity {
-            Some(cap) => Tracer::flight(cap),
-            None => Tracer::new(),
-        };
-        let sampler = cfg
-            .sample_rate
-            .map(|rate| Sampler { rate, seed: cfg.sample_seed, roots: Mutex::new(0) });
-        Obs { inner: Some(Arc::new(ObsCore { tracer, metrics: Metrics::new(), sampler })) }
+        Obs { inner: Some(Arc::new(ObsCore { tracer: Tracer::new(), metrics: Metrics::new() })) }
     }
 
     /// The no-op handle (no allocation).
@@ -867,13 +555,6 @@ impl Obs {
         }
     }
 
-    /// Gauge set (no-op when disabled).
-    pub fn set_gauge(&self, name: &str, v: i64) {
-        if let Some(c) = &self.inner {
-            c.metrics.set_gauge(name, v);
-        }
-    }
-
     /// Charge `n` logical ticks to the trace clock (no-op when disabled).
     pub fn advance(&self, n: u64) {
         if let Some(c) = &self.inner {
@@ -881,16 +562,9 @@ impl Obs {
         }
     }
 
-    /// Open a root span (a no-op handle when disabled, or when the head
-    /// sampler drops this root — children of a dropped root are free).
+    /// Open a root span (a no-op handle when disabled).
     pub fn span(&self, name: &str) -> SpanHandle {
-        let Some(c) = &self.inner else { return SpanHandle(None) };
-        if let Some(s) = &c.sampler {
-            if !s.keep_next() {
-                return SpanHandle(None);
-            }
-        }
-        SpanHandle(Some(c.tracer.span(name)))
+        SpanHandle(self.inner.as_ref().map(|c| c.tracer.span(name)))
     }
 }
 
@@ -1050,7 +724,6 @@ mod tests {
         assert_eq!(spans[1].start_tick, 1);
         assert_eq!(spans[1].end_tick, Some(7));
         assert_eq!(spans[0].end_tick, Some(8));
-        assert!(spans[0].wall_ns.is_some());
     }
 
     #[test]
@@ -1098,53 +771,18 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_bounds_memory_and_evicts_oldest() {
-        let t = Tracer::flight(4);
-        assert_eq!(t.capacity(), Some(4));
-        for i in 0..100 {
-            t.span(format!("s{i}")).finish();
-        }
-        assert_eq!(t.len(), 100, "len counts every started span");
-        assert_eq!(t.retained(), 4, "ring holds exactly its capacity");
-        assert_eq!(t.evicted(), 96);
-        // Survivors are the most recent finishes, exported in id order.
-        let ids: Vec<usize> = t.spans().iter().map(|s| s.id).collect();
-        assert_eq!(ids, vec![96, 97, 98, 99]);
-    }
-
-    #[test]
-    fn flight_recorder_dump_is_ordered_and_deterministic() {
-        let run = || {
-            let t = Tracer::flight(3);
-            let root = t.span("root");
-            root.set("peer", "P0");
-            for i in 0..5 {
-                root.child(format!("c{i}")).finish();
-            }
-            drop(root);
-            t.dump()
-        };
-        let d = run();
-        assert_eq!(d, run(), "dump diverged across identical runs");
-        assert!(d.starts_with("flight recorder: capacity=3 retained=3 evicted=3 started=6"), "{d}");
-        // Ordered by span id: the retained children then the root.
-        let i4 = d.find("#4 c3").expect("span 4 retained");
-        let i5 = d.find("#5 c4").expect("span 5 retained");
-        assert!(i4 < i5, "{d}");
-        // Children whose parent survives keep the parent edge; render_tree
-        // treats evicted parents as roots without panicking.
-        assert!(d.contains("parent=0"), "{d}");
-        let _ = Tracer::flight(1).render_tree();
-    }
-
-    #[test]
     fn unbounded_dump_and_open_spans_render() {
+        // Every span is kept, and a span still open runs to the current
+        // tick in both renderings.
         let t = Tracer::new();
         let root = t.span("open_root");
-        let d = t.dump();
-        assert!(d.contains("capacity=unbounded"), "{d}");
-        assert!(d.contains("#0 open_root [0..*]"), "open span marked: {d}");
+        root.child("done").finish();
+        assert_eq!(t.render_tree(), "open_root [0..3]\n  done [1..2]\n");
+        let trace = t.chrome_trace();
+        let open_root = "\"name\":\"open_root\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":0,\"dur\":3";
+        assert!(trace.contains(open_root), "{trace}");
         root.finish();
+        assert_eq!(t.spans()[0].end_tick, Some(3));
     }
 
     #[test]
@@ -1228,64 +866,31 @@ mod tests {
         m.inc("b.count", 2);
         m.inc("a.count", 1);
         m.inc("b.count", 3);
-        m.set_gauge("depth", -4);
         m.observe("lat", 7);
         m.observe("lat", 100);
         assert_eq!(m.counter("b.count"), 5);
         assert_eq!(m.counter("missing"), 0);
-        assert_eq!(m.gauge("depth"), Some(-4));
         assert_eq!(m.histogram("lat").unwrap().count, 2);
         let text = m.snapshot().to_string();
         let a_pos = text.find("counter a.count=1").expect("a.count line");
         let b_pos = text.find("counter b.count=5").expect("b.count line");
         assert!(a_pos < b_pos, "sorted order: {text}");
-        assert!(text.contains("gauge depth=-4"), "{text}");
         assert!(text.contains("histogram lat count=2"), "{text}");
-    }
-
-    #[test]
-    fn windowed_metrics_read_only_closed_windows() {
-        let m = Metrics::windowed(2);
-        m.inc("c", 10);
-        m.observe("h", 100);
-        // Nothing rotated yet: windowed readers see nothing, cumulative
-        // readers see everything.
-        assert_eq!(m.window_counter("c"), 0);
-        assert_eq!(m.counter("c"), 10);
-        m.rotate_window();
-        assert_eq!(m.window_counter("c"), 10);
-        // Two more rotations age the first window out (keep = 2).
-        m.inc("c", 4);
-        m.rotate_window();
-        m.rotate_window();
-        assert_eq!(m.window_counter("c"), 4, "first window aged out");
-        // Cumulative view is untouched by rotation.
-        assert_eq!(m.counter("c"), 14);
-        // window_snapshot carries only retained-window deltas (+ gauges).
-        m.set_gauge("g", 7);
-        let ws = m.window_snapshot();
-        assert_eq!(ws.counters.get("c"), Some(&4));
-        assert_eq!(ws.gauges.get("g"), Some(&7));
-        // rotate_window on a cumulative registry is a no-op.
-        let plain = Metrics::new();
-        plain.inc("c", 1);
-        plain.rotate_window();
-        assert!(plain.window_snapshot().counters.is_empty());
-        assert_eq!(plain.counter("c"), 1);
     }
 
     #[test]
     fn snapshot_merge_rolls_up_losslessly() {
         let (a, b) = (Metrics::new(), Metrics::new());
         a.inc("x", 2);
-        a.set_gauge("g", 5);
         a.observe("h", 10);
         b.inc("x", 3);
         b.inc("y", 1);
-        b.set_gauge("g", -2);
         b.observe("h", 1000);
         let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
+        merged.gauges.insert("g".to_string(), 5);
+        let mut other = b.snapshot();
+        other.gauges.insert("g".to_string(), -2);
+        merged.merge(&other);
         assert_eq!(merged.counters.get("x"), Some(&5));
         assert_eq!(merged.counters.get("y"), Some(&1));
         assert_eq!(merged.gauges.get("g"), Some(&3), "gauges sum in rollups");
@@ -1321,38 +926,6 @@ mod tests {
         let o2 = o.clone();
         o2.inc("c", 1);
         assert_eq!(o.metrics().unwrap().counter("c"), 3);
-    }
-
-    #[test]
-    fn head_sampling_is_deterministic_and_bounds_spans() {
-        let run = |rate| {
-            let o = Obs::with_config(ObsConfig {
-                sample_rate: Some(rate),
-                sample_seed: 7,
-                ..ObsConfig::default()
-            });
-            for i in 0..200 {
-                let root = o.span("root");
-                root.child(&format!("kid{i}")).finish();
-                root.finish();
-            }
-            (o.tracer().unwrap().len(), o.tracer().unwrap().chrome_trace())
-        };
-        let (n_kept, trace_a) = run(0.25);
-        let (n_again, trace_b) = run(0.25);
-        assert_eq!(n_kept, n_again, "sampled span count diverged");
-        assert_eq!(trace_a, trace_b, "sampled trace diverged");
-        // Roughly the configured fraction of the 400 spans survives, and
-        // children follow their roots exactly (even count).
-        assert!(n_kept % 2 == 0, "a kept root keeps its child");
-        assert!((40..160).contains(&n_kept), "rate 0.25 kept {n_kept} of 400");
-        // Boundary rates short-circuit.
-        assert_eq!(run(1.0).0, 400);
-        assert_eq!(run(0.0).0, 0);
-        // Metrics still record under sampling.
-        let o = Obs::with_config(ObsConfig { sample_rate: Some(0.0), ..ObsConfig::default() });
-        o.inc("c", 1);
-        assert_eq!(o.metrics().unwrap().counter("c"), 1);
     }
 
     #[test]

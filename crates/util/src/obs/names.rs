@@ -201,9 +201,12 @@ mod tests {
         let m = Metrics::new();
         m.inc(QUERY_EVAL_ROWS_SCANNED, 1);
         m.observe(PDMS_FETCH_LATENCY_TICKS, 3);
-        m.set_gauge(PDMS_WAL_RECORDS_PENDING, 5);
-        assert!(unregistered(&m.snapshot()).is_empty());
+        let mut snap = m.snapshot();
+        snap.gauges.insert(PDMS_WAL_RECORDS_PENDING.to_string(), 5);
+        assert!(unregistered(&snap).is_empty());
+        snap.gauges.insert("pdms.wal.bytes".to_string(), 1);
         m.inc("pdms.fetch.bytes", 1);
         assert_eq!(unregistered(&m.snapshot()), vec!["pdms.fetch.bytes".to_string()]);
+        assert_eq!(unregistered(&snap), vec!["pdms.wal.bytes".to_string()]);
     }
 }

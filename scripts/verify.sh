@@ -166,9 +166,8 @@ cargo run --release --offline -p revere --example views_and_updates
 
 # Monitor gate: the health-monitor suite must hold under several fixed
 # seeds — exact fault attribution within the detection bound, answer
-# invariance under scraping (twin runs byte-identical), the flight
-# recorder's fixed memory over a 10x E13 trace, and byte-deterministic
-# dashboards/event logs/rollups. Override the seed set with
+# invariance under scraping (twin runs byte-identical), and
+# byte-deterministic dashboards/event logs/rollups. Override the seed set with
 # REVERE_E19_SEEDS="1 2 3" scripts/verify.sh
 for seed in ${REVERE_E19_SEEDS:-1003 7 42}; do
     echo "monitor gate: seed $seed"
@@ -178,10 +177,12 @@ done
 # E19 gate: the telemetry experiment asserts in-process that the monitor's
 # flagged set equals the injected degraded-peer set (zero misses, zero
 # false positives), that every detection lands within
-# REVERE_E19_MAX_DETECT_TICKS (default 8), and that the production
-# observability profile (5% sampled tracing + flight recorder) costs at
-# most REVERE_E19_MAX_OVERHEAD_PCT (default 50%) over
-# Obs::disabled() — running the report IS the gate, like E15.
+# REVERE_E19_MAX_DETECT_TICKS (default 8), and that full tracing
+# (Obs::enabled, every span kept) costs at most
+# REVERE_E19_MAX_OVERHEAD_PCT (default 50%) over Obs::disabled() —
+# running the report IS the gate, like E15. That overhead is a min-of-3
+# wall-clock reading below its own run-to-run noise, so the gate can
+# pass on noise (ROADMAP 17(c)).
 echo "telemetry gate: seed ${REVERE_E19_SEED:-1003}, max detect ${REVERE_E19_MAX_DETECT_TICKS:-8} ticks, max overhead ${REVERE_E19_MAX_OVERHEAD_PCT:-50}%"
 cargo run --release --offline -p revere-bench --bin report E19
 

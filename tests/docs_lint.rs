@@ -23,6 +23,11 @@
 //! [`THREAD_STARTS`] above its first `#[cfg(test)]`. Tests may start
 //! threads to check what the library does under them.
 //!
+//! And it holds every library crate to no wall clock: no source there
+//! names one of [`WALL_CLOCKS`] above its first `#[cfg(test)]`, so what
+//! a call records is a function of its inputs, not of the machine. The
+//! bench harness in [`TIMING_HARNESSES`] times code by design.
+//!
 //! And it holds every library crate to no process-global mutable state:
 //! no source there declares a `static` atomic or a `static mut` above its
 //! first `#[cfg(test)]`, so a call's result cannot depend on what other
@@ -41,6 +46,9 @@ const MAX_PDMS_LINES: usize = 800;
 const THREAD_STARTS: [&str; 2] = ["thread::scope", "thread::spawn"];
 /// Crates whose `src` is a harness, not the library: they may start threads.
 const HARNESS_CRATES: [&str; 2] = ["e2e", "bench"];
+const WALL_CLOCKS: [&str; 2] = ["Instant::now", "SystemTime::now"];
+/// Library sources that are a bench harness: they may read the wall clock.
+const TIMING_HARNESSES: [&str; 1] = ["crates/util/src/criterion.rs"];
 /// The first CHANGES.md entry the word budget holds; older ones predate it.
 const BUDGET_FROM_PR: u32 = 35;
 const MAX_ENTRY_WORDS: usize = 300;
@@ -213,15 +221,20 @@ fn the_result_check_reads_the_error_type() {
 }
 
 /// `(line number, line)` for every line of `text` above its first
-/// `#[cfg(test)]` that names one of [`THREAD_STARTS`].
-fn thread_starts(text: &str) -> Vec<(usize, &str)> {
+/// `#[cfg(test)]` that names one of `needles`.
+fn library_lines_naming<'t>(text: &'t str, needles: &[&str]) -> Vec<(usize, &'t str)> {
     let library = text.split("#[cfg(test)]").next().unwrap_or_default();
     library
         .lines()
         .enumerate()
-        .filter(|(_, line)| THREAD_STARTS.iter().any(|t| line.contains(t)))
+        .filter(|(_, line)| needles.iter().any(|t| line.contains(t)))
         .map(|(i, line)| (i + 1, line.trim()))
         .collect()
+}
+
+/// The lines of `text` that start a thread ([`THREAD_STARTS`]).
+fn thread_starts(text: &str) -> Vec<(usize, &str)> {
+    library_lines_naming(text, &THREAD_STARTS)
 }
 
 #[test]
@@ -246,6 +259,46 @@ fn the_thread_check_reads_only_library_code() {
                 fn g() { std::thread::spawn(|| {}); }\n}\n";
     assert_eq!(thread_starts(text), [(2, "std::thread::scope(|s| {});")]);
     assert!(thread_starts("use std::thread;\nfn f() {}\n").is_empty());
+}
+
+/// The lines of `text` that read a wall clock ([`WALL_CLOCKS`]).
+fn wall_clock_reads(text: &str) -> Vec<(usize, &str)> {
+    library_lines_naming(text, &WALL_CLOCKS)
+}
+
+#[test]
+fn library_code_reads_no_wall_clock() {
+    let mut findings = Vec::new();
+    library_sources(&mut |path, text| {
+        if TIMING_HARNESSES.contains(&path.as_str()) {
+            return;
+        }
+        for (line, code) in wall_clock_reads(text) {
+            findings.push(format!("{path}:{line}: {code}"));
+        }
+    });
+    assert!(
+        findings.is_empty(),
+        "library code records logical ticks, not time; outside `#[cfg(test)]` no source may \
+         name {WALL_CLOCKS:?}:\n{}",
+        findings.join("\n")
+    );
+}
+
+#[test]
+fn the_wall_clock_check_reads_only_library_code() {
+    let text = "use std::time::Instant;\nfn f() {\n    let t = Instant::now();\n}\n\
+                fn g() -> u64 { SystemTime::now().elapsed().as_secs() }\n#[cfg(test)]\n\
+                mod tests {\n    fn h() { let _ = std::time::Instant::now(); }\n}\n";
+    assert_eq!(
+        wall_clock_reads(text),
+        [
+            (3, "let t = Instant::now();"),
+            (5, "fn g() -> u64 { SystemTime::now().elapsed().as_secs() }"),
+        ]
+    );
+    let names_the_type_only = "use std::time::{Duration, Instant};\nfn f(_: Instant) {}\n";
+    assert!(wall_clock_reads(names_the_type_only).is_empty());
 }
 
 /// `(line number, line)` for every line of `text` above its first
