@@ -1,7 +1,7 @@
 //! Bench (in-repo harness) for the columnar join engine: filtered scans
 //! and hash self-joins over a synthetic fact table (50 000 rows, and a
-//! 40-row scan that isolates the fixed per-call cost), timed both as the
-//! bindings-only kernel ([`eval_bindings`]), as the full evaluation
+//! 40-row scan and self-join that isolate the fixed per-call cost), timed
+//! both as the bindings-only kernel ([`eval_bindings`]), as the full evaluation
 //! including answer materialization ([`eval_planned`]), as that
 //! evaluation under set semantics ([`Relation::distinct`] of the bag,
 //! which leaves the engine in head order: one linear pass), and as the
@@ -49,6 +49,9 @@ fn bench_vec_exec(c: &mut Criterion) {
         // A 40-row scan, the size of one disjunct of a small-data query:
         // what is left is the fixed cost every evaluation pays.
         ("filter_scan_small", "q(K, V) :- fact(K, T, V), V < 30", &small),
+        // Its keyed-build twin: the 40 rows joined to themselves on `val`,
+        // then filtered — a build index, a probe and a comparison pass.
+        ("self_join_small", "q(K, W) :- fact(K, T, V), fact(W, U, V), V < 30", &small),
     ];
     for (name, text, catalog) in queries {
         let q = parse_query(text).expect("bench query parses");

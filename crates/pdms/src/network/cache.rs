@@ -5,8 +5,9 @@ use super::{owners_of, PdmsNetwork};
 use crate::reformulate::{ReformulateOptions, ReformulationResult, Reformulator};
 use revere_query::plan::{plan_cq, Plan};
 use revere_query::{ConjunctiveQuery, UnionQuery};
+use revere_storage::fxhash::FxMap;
 use revere_util::obs::SpanHandle;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -214,12 +215,12 @@ pub(super) enum PlanVerdict<'a> {
 pub(super) struct BoundedMap<K, V> {
     capacity: usize,
     inserted: u64,
-    pub(super) entries: HashMap<K, (u64, V)>,
+    pub(super) entries: FxMap<K, (u64, V)>,
 }
 
 impl<K: Hash + Eq, V> BoundedMap<K, V> {
     pub(super) fn new(capacity: usize) -> Self {
-        BoundedMap { capacity, inserted: 0, entries: HashMap::new() }
+        BoundedMap { capacity, inserted: 0, entries: FxMap::default() }
     }
 
     pub(super) fn get(&self, key: &K) -> Option<&V> {

@@ -1,8 +1,9 @@
 //! How a union is evaluated and fed back.
 
 use super::cache::{PlanScope, PlanVerdict};
-use super::transport::{CompletenessReport, Fetched};
+use super::transport::{CompletenessReport, Fetched, PeerAccounting};
 use super::{owners_of, PdmsError, PdmsNetwork};
+use crate::peer::split_qualified;
 use crate::reformulate::ReformulationResult;
 use revere_query::eval::EvalError;
 use revere_query::plan::{q_error, Plan};
@@ -194,16 +195,20 @@ impl PdmsNetwork {
     /// relations the profiled plan touched — a monitor vital, not part of
     /// the feedback write-back (it is recorded below the replan
     /// threshold too, and even when feedback is disabled).
+    ///
+    /// Each step updates its owner's entry in place (an owner met twice
+    /// takes the same maximum twice); only an owner's first entry
+    /// allocates its name.
     fn note_worst_q_error(&self, plan: &Plan, max_q: f64) {
-        let owners = owners_of(plan.steps.iter().map(|s| s.relation.as_str()));
-        if owners.is_empty() {
-            return;
-        }
         let mut acct = self.lock_accounting();
-        for owner in owners {
-            let a = acct.entry(owner.to_string()).or_default();
-            if max_q > a.worst_q_error {
-                a.worst_q_error = max_q;
+        for (owner, _) in plan.steps.iter().filter_map(|s| split_qualified(&s.relation)) {
+            if let Some(a) = acct.get_mut(owner) {
+                if max_q > a.worst_q_error {
+                    a.worst_q_error = max_q;
+                }
+            } else {
+                let first = PeerAccounting { worst_q_error: max_q, ..PeerAccounting::default() };
+                acct.insert(owner.to_string(), first);
             }
         }
     }
@@ -256,5 +261,60 @@ impl PdmsNetwork {
             });
         }
         c
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::peer::Peer;
+    use revere_query::glav::GlavMapping;
+    use revere_query::plan::explain_analyze;
+    use revere_storage::{Attribute, RelSchema, Value};
+    use std::collections::BTreeMap;
+
+    /// After one complete query over a two-peer mapping, the accounting
+    /// holds one entry per owner of the executed plans' relations, each
+    /// at the largest q-error of the plans that read it.
+    #[test]
+    fn accounting_keeps_each_owner_at_its_plans_worst_q_error() {
+        let mut net = PdmsNetwork::new();
+        for (peer, rel, rows) in [
+            ("A", "r", vec![(1, 2), (2, 3), (2, 4), (2, 5), (3, 1)]),
+            ("B", "s", vec![(2, 2), (2, 6), (7, 2)]),
+        ] {
+            let mut p = Peer::new(peer);
+            let schema = vec![Attribute::int("x"), Attribute::int("y")];
+            let mut r = Relation::new(RelSchema::new(rel, schema));
+            for (x, y) in rows {
+                r.insert(vec![Value::Int(x), Value::Int(y)]);
+            }
+            p.add_relation(r);
+            net.add_peer(p);
+        }
+        let rule = "m(X, Y) :- B.s(X, Y) ==> m(X, Y) :- A.r(X, Y)";
+        net.add_mapping(GlavMapping::parse("m_ba", "B", "A", rule).unwrap());
+        let q = parse_query("q(X, W) :- A.r(X, Y), A.r(Y, Z), A.r(Z, W), Z > 1").unwrap();
+
+        // The plans the query will run: a cold cache plans every disjunct
+        // afresh against the staged relations, as `explain_analyze` does.
+        let (reformulation, _) = net.reformulate_cached(&q, &SpanHandle::none());
+        let fetched = net.fetch_phase("A", &reformulation.union, &SpanHandle::none());
+        let mut expect: BTreeMap<String, f64> = BTreeMap::new();
+        for d in &reformulation.union.disjuncts {
+            let ea = explain_analyze(d, &fetched.staging).unwrap();
+            for owner in owners_of(ea.plan.steps.iter().map(|s| s.relation.as_str())) {
+                let worst = expect.entry(owner.to_string()).or_insert(0.0);
+                *worst = worst.max(ea.max_q_error());
+            }
+        }
+        assert_eq!(expect.len(), 2, "{expect:?}");
+        assert!(expect.values().any(|&w| w > 1.0), "some estimate is off: {expect:?}");
+
+        let out = net.query("A", &q).unwrap();
+        assert!(out.completeness.is_complete());
+        let worst: BTreeMap<String, f64> =
+            net.peer_accounting().into_iter().map(|(o, a)| (o, a.worst_q_error)).collect();
+        assert_eq!(worst, expect);
     }
 }

@@ -1,6 +1,7 @@
 //! Conjunctive queries and unions of conjunctive queries.
 
 use revere_storage::Value;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -116,6 +117,30 @@ impl CmpOp {
             CmpOp::Le => a <= b,
             CmpOp::Gt => a > b,
             CmpOp::Ge => a >= b,
+        }
+    }
+
+    /// Whether `a op b` holds, given `a.cmp(b)`.
+    pub(crate) fn holds(self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+        }
+    }
+
+    /// The operator with its operands swapped: `a op b` exactly when
+    /// `b op.flip() a`.
+    pub(crate) fn flip(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            op => op,
         }
     }
 }

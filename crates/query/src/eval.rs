@@ -112,20 +112,18 @@ impl AtomSplit {
             join_cols: Vec::new(),
             new_vars: Vec::new(),
         };
-        let mut seen_in_atom: HashMap<&str, usize> = HashMap::new();
         for (i, t) in atom.terms.iter().enumerate() {
             match t {
                 Term::Const(c) => split.const_checks.push((i, c.clone())),
                 Term::Var(v) => {
-                    if let Some(&first) = seen_in_atom.get(v.as_str()) {
+                    // Atoms are short: the variable's first column is a
+                    // scan of the terms before it.
+                    if let Some(first) = atom.terms[..i].iter().position(|u| u == t) {
                         split.self_joins.push((i, first));
+                    } else if let Some(bcol) = var_cols.iter().position(|c| c == v) {
+                        split.join_cols.push((i, bcol));
                     } else {
-                        seen_in_atom.insert(v, i);
-                        if let Some(bcol) = var_cols.iter().position(|c| c == v) {
-                            split.join_cols.push((i, bcol));
-                        } else {
-                            split.new_vars.push((i, v.clone()));
-                        }
+                        split.new_vars.push((i, v.clone()));
                     }
                 }
             }

@@ -10,6 +10,23 @@
 //! pair of index vectors gathered into new columns — integer and code
 //! copies, no per-row tuple clones or key vectors.
 //!
+//! **Grouped build index.** A keyed step groups its filtered build rows
+//! in one flat layout: each distinct key gets a group number (by first
+//! appearance through one hash map for `i64` and `Value` keys; a `Str`
+//! key's build dictionary code is its group), a count per group and its
+//! prefix sums give every group a slice of one row array, and a fill in
+//! relation order leaves each key's matches as one slice in relation
+//! order. However many keys, the index is one map (none for a `Str` key)
+//! and two arrays; the probe looks each binding's key up once and copies
+//! its slice.
+//!
+//! **Comparison pass.** Comparisons run after the last join step, column
+//! by column: each narrows one list of kept rows, an `Int` column
+//! against an `Int` constant as `i64`s (a constant on the left flips the
+//! operator) and every other pair through [`CmpOp::apply`] on `Value`s.
+//! The binding columns are gathered once by the rows kept, and not at all
+//! when every row survives.
+//!
 //! **Determinism contract.** Output row order is a pure function of the
 //! query, the plan and the data: head order, ties in binding order. The
 //! binding table itself runs probe bindings in order, matches within a
@@ -28,13 +45,15 @@
 //! oracle ([`crate::eval::eval_naive_bag`]) on generated corpora —
 //! answers, errors, and step profiles.
 
-use crate::ast::{ConjunctiveQuery, Term};
+use crate::ast::{CmpOp, ConjunctiveQuery, Term};
 use crate::eval::{head_schema, validate, AtomSplit, EvalError, StepProfile};
 use crate::plan::Plan;
 use revere_storage::fxhash::FxMap;
 use revere_storage::{Catalog, ColumnVec, ColumnarBatch, Relation, Value};
 use revere_util::obs::{names, Obs, SpanHandle};
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::hash::Hash;
 
 /// The columnar binding table: one column per bound variable, `rows`
 /// logical rows. Starts with zero columns and one empty binding.
@@ -48,25 +67,78 @@ struct Bindings {
 /// key representation the join columns admit. Typed paths require both
 /// sides to hold the same concrete [`ColumnVec`] variant — `Value`
 /// equality is numeric across `Int`/`Float`, which only the generic
-/// `Value`-keyed path honors (see `revere_storage::column` docs).
+/// `Value`-keyed path honors (see `revere_storage::column` docs). A keyed
+/// index maps each key to a group of [`Groups`].
 enum BuildIndex {
     /// No join columns: every probe row matches every build row
     /// (leading scan or cartesian extension). Holds the filtered row
     /// indices in relation order.
     All(Vec<u32>),
     /// Single join column, both sides `Int`.
-    Int(FxMap<i64, Vec<u32>>),
-    /// Single join column, both sides `Str`: keyed by *build* dictionary
-    /// code, probed through a probe-code → build-code translation.
+    Int { keys: FxMap<i64, u32>, groups: Groups },
+    /// Single join column, both sides `Str`: grouped by *build* dictionary
+    /// code (the code is the group), probed through a probe-code →
+    /// build-code translation.
     Str {
-        index: FxMap<u32, Vec<u32>>,
+        groups: Groups,
         /// `trans[probe_code]` = the build dictionary's code for the same
         /// string, or `None` when the build side never saw it.
         trans: Vec<Option<u32>>,
     },
     /// Anything else: materialized `Value` keys, equal exactly when the
     /// query language says so (numerically across `Int`/`Float`).
-    Generic(FxMap<Vec<Value>, Vec<u32>>),
+    Generic { keys: FxMap<Vec<Value>, u32>, groups: Groups },
+}
+
+/// The filtered build rows grouped by join key in one flat array: group
+/// `g`'s rows are `rows[starts[g]..starts[g + 1]]`, in relation order.
+struct Groups {
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Groups {
+    /// Group the ascending `sel_rows` into `n` groups, `group(i)` being
+    /// the group of `sel_rows[i]`: count each group's rows, take prefix
+    /// sums, and fill every group front to back — a stable counting sort.
+    fn new(sel_rows: &[u32], n: usize, group: impl Fn(usize) -> u32) -> Groups {
+        let mut starts = vec![0u32; n + 1];
+        for i in 0..sel_rows.len() {
+            starts[group(i) as usize + 1] += 1;
+        }
+        for g in 0..n {
+            starts[g + 1] += starts[g];
+        }
+        let mut next = starts[..n].to_vec();
+        let mut rows = vec![0; sel_rows.len()];
+        for (i, &r) in sel_rows.iter().enumerate() {
+            let slot = &mut next[group(i) as usize];
+            rows[*slot as usize] = r;
+            *slot += 1;
+        }
+        Groups { starts, rows }
+    }
+
+    /// Group `g`'s rows, in relation order.
+    fn get(&self, g: u32) -> &[u32] {
+        let g = g as usize;
+        &self.rows[self.starts[g] as usize..self.starts[g + 1] as usize]
+    }
+}
+
+/// Number the distinct keys of the `sel_rows` by first appearance, and
+/// group the rows by them.
+fn group_by_key<K: Hash + Eq>(sel_rows: &[u32], key: impl Fn(u32) -> K) -> (FxMap<K, u32>, Groups) {
+    let mut keys = FxMap::with_capacity_and_hasher(sel_rows.len(), Default::default());
+    let group_of: Vec<u32> = sel_rows
+        .iter()
+        .map(|&r| {
+            let next = keys.len() as u32;
+            *keys.entry(key(r)).or_insert(next)
+        })
+        .collect();
+    let groups = Groups::new(sel_rows, keys.len(), |i| group_of[i]);
+    (keys, groups)
 }
 
 /// Build the step's hash index from the filtered build rows.
@@ -82,37 +154,31 @@ fn build_index(
     if let [(bcol, pcol)] = split.join_cols.as_slice() {
         match (batch.column(*bcol), &bind.cols[*pcol]) {
             (ColumnVec::Int(build), ColumnVec::Int(_)) => {
-                let mut index: FxMap<i64, Vec<u32>> = FxMap::default();
-                for r in sel_rows {
-                    index.entry(build[r as usize]).or_default().push(r);
-                }
-                return BuildIndex::Int(index);
+                let (keys, groups) = group_by_key(&sel_rows, |r| build[r as usize]);
+                return BuildIndex::Int { keys, groups };
             }
             (ColumnVec::Str { dict: bd, codes: bc }, ColumnVec::Str { dict: pd, .. }) => {
-                let mut index: FxMap<u32, Vec<u32>> = FxMap::default();
-                for r in sel_rows {
-                    index.entry(bc[r as usize]).or_default().push(r);
-                }
-                return BuildIndex::Str { index, trans: bd.translate(pd) };
+                let groups = Groups::new(&sel_rows, bd.strings().len(), |i| {
+                    bc[sel_rows[i] as usize]
+                });
+                return BuildIndex::Str { groups, trans: bd.translate(pd) };
             }
             _ => {}
         }
     }
-    let mut index: FxMap<Vec<Value>, Vec<u32>> = FxMap::default();
-    for r in sel_rows {
-        let key: Vec<Value> =
-            split.join_cols.iter().map(|(i, _)| batch.column(*i).get(r as usize)).collect();
-        index.entry(key).or_default().push(r);
-    }
-    BuildIndex::Generic(index)
+    let (keys, groups) = group_by_key(&sel_rows, |r| {
+        split.join_cols.iter().map(|(i, _)| batch.column(*i).get(r as usize)).collect::<Vec<_>>()
+    });
+    BuildIndex::Generic { keys, groups }
 }
 
 /// Probe every binding row against the index, producing the match pairs
 /// `(probe row, build row)` in binding order: bindings ascending, matches
 /// within a binding in relation insert order.
 fn probe(index: &BuildIndex, split: &AtomSplit, bind: &Bindings) -> (Vec<u32>, Vec<u32>) {
-    // A cartesian step's output size is known up front; a keyed one's is not.
-    let cap = if let BuildIndex::All(rows) = index { bind.rows * rows.len() } else { 0 };
+    // A cartesian step's output size is known up front; a keyed one's is
+    // not, and one match per probe row (a key join) is the first guess.
+    let cap = if let BuildIndex::All(rows) = index { bind.rows * rows.len() } else { bind.rows };
     let (mut p, mut b) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
     let mut emit = |probe_row: usize, matches: &[u32]| {
         p.extend(std::iter::repeat_n(probe_row as u32, matches.len()));
@@ -124,32 +190,32 @@ fn probe(index: &BuildIndex, split: &AtomSplit, bind: &Bindings) -> (Vec<u32>, V
                 emit(probe_row, rows);
             }
         }
-        BuildIndex::Int(map) => {
-            let keys = bind.cols[split.join_cols[0].1]
+        BuildIndex::Int { keys, groups } => {
+            let probe_keys = bind.cols[split.join_cols[0].1]
                 .as_ints()
                 .expect("Int index implies Int probe column");
-            for (probe_row, key) in keys.iter().enumerate() {
-                if let Some(matches) = map.get(key) {
-                    emit(probe_row, matches);
+            for (probe_row, key) in probe_keys.iter().enumerate() {
+                if let Some(&g) = keys.get(key) {
+                    emit(probe_row, groups.get(g));
                 }
             }
         }
-        BuildIndex::Str { index: map, trans } => {
+        BuildIndex::Str { groups, trans } => {
             let (_, codes) = bind.cols[split.join_cols[0].1]
                 .as_dict()
                 .expect("Str index implies Str probe column");
             for (probe_row, &code) in codes.iter().enumerate() {
-                if let Some(matches) = trans[code as usize].and_then(|c| map.get(&c)) {
-                    emit(probe_row, matches);
+                if let Some(g) = trans[code as usize] {
+                    emit(probe_row, groups.get(g));
                 }
             }
         }
-        BuildIndex::Generic(map) => {
+        BuildIndex::Generic { keys, groups } => {
             for probe_row in 0..bind.rows {
                 let key: Vec<Value> =
                     split.join_cols.iter().map(|(_, c)| bind.cols[*c].get(probe_row)).collect();
-                if let Some(matches) = map.get(&key) {
-                    emit(probe_row, matches);
+                if let Some(&g) = keys.get(&key) {
+                    emit(probe_row, groups.get(g));
                 }
             }
         }
@@ -167,11 +233,12 @@ enum Resolved {
 }
 
 impl Resolved {
-    /// The term's value at binding row `row`.
-    fn value_at(&self, bind: &Bindings, row: usize) -> Value {
+    /// The term's value at binding row `row`: a constant by reference, a
+    /// column's cell rebuilt.
+    fn value_at(&self, bind: &Bindings, row: usize) -> Cow<'_, Value> {
         match self {
-            Resolved::Const(v) => v.clone(),
-            Resolved::Col(i) => bind.cols[*i].get(row),
+            Resolved::Const(v) => Cow::Borrowed(v),
+            Resolved::Col(i) => Cow::Owned(bind.cols[*i].get(row)),
             Resolved::Missing => unreachable!("callers reject unbound terms first"),
         }
     }
@@ -184,6 +251,30 @@ fn resolve_term(t: &Term, names: &[String]) -> Resolved {
             Some(i) => Resolved::Col(i),
             None => Resolved::Missing,
         },
+    }
+}
+
+/// Keep the binding rows of `kept` on which `l op r` holds. An `Int`
+/// column against an `Int` constant compares `i64`s (a constant on the
+/// left flips the operator); every other pair goes through
+/// [`CmpOp::apply`]. An unbound term passes no row (the parser rejects
+/// such comparisons anyway).
+fn retain_cmp(bind: &Bindings, l: &Resolved, op: CmpOp, r: &Resolved, kept: &mut Vec<u32>) {
+    let ints = |col: &usize| bind.cols[*col].as_ints();
+    let typed = match (l, r) {
+        (Resolved::Col(i), Resolved::Const(Value::Int(c))) => ints(i).map(|v| (v, op, *c)),
+        (Resolved::Const(Value::Int(c)), Resolved::Col(i)) => ints(i).map(|v| (v, op.flip(), *c)),
+        _ => None,
+    };
+    if let Some((v, op, c)) = typed {
+        kept.retain(|&row| op.holds(v[row as usize].cmp(&c)));
+    } else if matches!(l, Resolved::Missing) || matches!(r, Resolved::Missing) {
+        kept.clear();
+    } else {
+        kept.retain(|&row| {
+            let row = row as usize;
+            op.apply(&l.value_at(bind, row), &r.value_at(bind, row))
+        });
     }
 }
 
@@ -212,7 +303,8 @@ pub fn eval_planned(
     // dominant cost on answer-heavy queries.
     let head: Vec<Resolved> =
         q.head.terms.iter().map(|t| resolve_term(t, &bind.names)).collect();
-    let project = |row: usize| head.iter().map(|r| r.value_at(&bind, row)).collect();
+    let project =
+        |row: usize| head.iter().map(|r| r.value_at(&bind, row).into_owned()).collect();
     let rows = if head.iter().any(|r| matches!(r, Resolved::Missing)) {
         Vec::new()
     } else {
@@ -382,9 +474,9 @@ fn eval_bindings_vec(
         // per-row tuple clones.
         let mut next_cols: Vec<ColumnVec> =
             bind.cols.iter().map(|c| c.gather(&probe_idx)).collect();
-        for (i, v) in &split.new_vars {
-            next_cols.push(batch.column(*i).gather(&build_idx));
-            bind.names.push(v.clone());
+        for (i, v) in split.new_vars {
+            next_cols.push(batch.column(i).gather(&build_idx));
+            bind.names.push(v);
         }
         let probes = bind.rows;
         bind.cols = next_cols;
@@ -398,31 +490,19 @@ fn eval_bindings_vec(
     // (and no build/probe work, so feedback skips them).
     trace.resize(plan.order.len(), StepProfile::default());
 
-    // Apply comparisons: a row survives iff every comparison passes.
+    // Apply comparisons column by column, each narrowing the kept rows:
+    // a row survives iff every comparison passes.
     if !q.comparisons.is_empty() && bind.rows > 0 {
-        let terms: Vec<(Resolved, Resolved)> = q
-            .comparisons
-            .iter()
-            .map(|c| (resolve_term(&c.left, &bind.names), resolve_term(&c.right, &bind.names)))
-            .collect();
-        let unsafe_cmp = terms
-            .iter()
-            .any(|(l, r)| matches!(l, Resolved::Missing) || matches!(r, Resolved::Missing));
-        // Unsafe comparisons never pass (the parser rejects them anyway).
-        let kept: Vec<u32> = if unsafe_cmp {
-            Vec::new()
-        } else {
-            (0..bind.rows)
-                .filter(|&row| {
-                    q.comparisons.iter().zip(&terms).all(|(c, (l, r))| {
-                        c.op.apply(&l.value_at(&bind, row), &r.value_at(&bind, row))
-                    })
-                })
-                .map(|row| row as u32)
-                .collect()
-        };
-        bind.cols = bind.cols.iter().map(|c| c.gather(&kept)).collect();
-        bind.rows = kept.len();
+        let mut kept: Vec<u32> = (0..bind.rows as u32).collect();
+        for c in &q.comparisons {
+            let l = resolve_term(&c.left, &bind.names);
+            let r = resolve_term(&c.right, &bind.names);
+            retain_cmp(&bind, &l, c.op, &r, &mut kept);
+        }
+        if kept.len() < bind.rows {
+            bind.cols = bind.cols.iter().map(|c| c.gather(&kept)).collect();
+            bind.rows = kept.len();
+        }
     }
     Ok((bind, trace))
 }
@@ -521,6 +601,109 @@ mod tests {
         let spelled = |rel: &Relation| format!("{:?}", rel.rows());
         assert_eq!(spelled(&bag), "[[Int(1)], [Float(2.0)], [Int(2)]]");
         assert_eq!(spelled(&crate::eval::eval_cq(&q, &c).unwrap()), "[[Int(1)], [Int(2)]]");
+    }
+
+    /// A build side whose key repeats at non-adjacent rows hands the
+    /// key's matches to the probe in relation order, on the `Int`, `Str`
+    /// and `Generic` index paths alike (for `Generic`, an `Any` key column
+    /// spelling one key `Int(2)` and `Float(2.0)`). The matches differ
+    /// only in spelling, so the bag shows their binding order.
+    #[test]
+    fn grouped_index_keeps_ties_in_relation_order_on_every_path() {
+        let tags = [Value::Float(2.0), Value::Int(5), Value::Int(2), Value::Int(6), Value::Int(2)];
+        let paths: [(&str, [Value; 5], Value); 3] = [
+            ("Int", [1, 5, 1, 6, 1].map(Value::Int), Value::Int(1)),
+            ("Str", ["a", "e", "a", "f", "a"].map(Value::str), Value::str("a")),
+            (
+                "Generic",
+                [Value::Float(2.0), Value::Int(5), Value::Int(2), Value::Int(6), Value::Float(2.0)],
+                Value::Int(2),
+            ),
+        ];
+        for (path, keys, probe_key) in paths {
+            let mut c = Catalog::new();
+            let mut p = Relation::new(RelSchema::text("p", &["k"]));
+            p.insert(vec![probe_key]);
+            c.register(p);
+            let mut b = Relation::new(RelSchema::text("b", &["k", "x"]));
+            for (k, x) in keys.into_iter().zip(tags.clone()) {
+                b.insert(vec![k, x]);
+            }
+            c.register(b);
+            let built = c.get("b").unwrap().batch();
+            let kind = match built.column(0) {
+                ColumnVec::Int(_) => "Int",
+                ColumnVec::Str { .. } => "Str",
+                ColumnVec::Any(_) => "Generic",
+            };
+            assert_eq!(kind, path, "the key column takes the {path} path");
+            let q = parse_query("q(X) :- p(K), b(K, X)").unwrap();
+            let plan = plan_cq(&q, &c);
+            assert_eq!(plan.steps[1].relation, "b", "{path}: b is the build side");
+            let (bag, _) = untraced(&q, &plan, &c).unwrap();
+            assert_eq!(
+                format!("{:?}", bag.rows()),
+                "[[Float(2.0)], [Int(2)], [Int(2)]]",
+                "{path}: ties in relation order"
+            );
+        }
+    }
+
+    /// The comparison pass agrees with [`CmpOp::apply`] row by row, for
+    /// `Int`, `Str` and `Any` columns against `Int`, `Float`, `Str` and
+    /// `Null` constants, under all six operators, with the constant on
+    /// either side.
+    #[test]
+    fn comparison_pass_agrees_with_cmp_op_apply() {
+        use crate::ast::{Atom, Comparison};
+        let columns: [Vec<Value>; 3] = [
+            [1, 2, 3, -5, 2].map(Value::Int).to_vec(),
+            ["a", "b", "2", "c"].map(Value::str).to_vec(),
+            vec![
+                Value::Int(2),
+                Value::Float(2.0),
+                Value::Float(2.5),
+                Value::str("b"),
+                Value::Null,
+                Value::Int(3),
+            ],
+        ];
+        let constants =
+            [Value::Int(2), Value::Float(2.0), Value::Float(2.5), Value::str("b"), Value::Null];
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        for cells in columns {
+            let mut c = Catalog::new();
+            let mut r = Relation::new(RelSchema::text("r", &["x"]));
+            for cell in &cells {
+                r.insert(vec![cell.clone()]);
+            }
+            c.register(r);
+            for k in &constants {
+                for op in ops {
+                    for const_left in [false, true] {
+                        let (var, con) = (Term::Var("X".into()), Term::Const(k.clone()));
+                        let (left, right) = if const_left { (con, var) } else { (var, con) };
+                        let q = ConjunctiveQuery {
+                            head: Atom::new("q", vec![Term::Var("X".into())]),
+                            body: vec![Atom::new("r", vec![Term::Var("X".into())])],
+                            comparisons: vec![Comparison { left, op, right }],
+                        };
+                        let mut expect: Vec<Vec<Value>> = cells
+                            .iter()
+                            .filter(|x| if const_left { op.apply(k, x) } else { op.apply(x, k) })
+                            .map(|x| vec![x.clone()])
+                            .collect();
+                        expect.sort();
+                        let (bag, _) = untraced(&q, &plan_cq(&q, &c), &c).unwrap();
+                        assert_eq!(
+                            format!("{:?}", bag.rows()),
+                            format!("{expect:?}"),
+                            "{q} over {cells:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// A broken query errors with the oracle's message (both check

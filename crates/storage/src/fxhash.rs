@@ -1,11 +1,13 @@
 //! The workspace's one fast hasher, shared by the Z-sets of this crate
 //! ([`crate::zset`]: change records, pushed batches, and the arranged
-//! state and derivation counts of `revere_query::dataflow` circuits) and
-//! by every join index of the vectorized engine in `revere_query` (`i64`,
-//! dictionary-code, string and `Vec<Value>` keys).
+//! state and derivation counts of `revere_query::dataflow` circuits), by
+//! every join index of the vectorized engine in `revere_query` (`i64` and
+//! `Vec<Value>` keys, and the string map that translates one dictionary's
+//! codes into another's), and by the PDMS reformulation and plan caches
+//! (query-text and canonical-key strings).
 //!
 //! The default SipHash is collision-hardened but costs more than a whole
-//! probe or fold on `i64`, dictionary-code and short `Value` keys. This
+//! probe or fold on `i64`, short string and short `Value` keys. This
 //! multiply-fold hash has no per-process seed, so a map's iteration order
 //! is a pure function of what was inserted and removed: even where a map
 //! is iterated it cannot leak nondeterminism, and every iteration that
@@ -16,6 +18,7 @@
 //!
 //! The price is SipHash's resistance to crafted collisions: a source that
 //! chose its rows to collide could slow the joins and circuits over them,
+//! and a client that chose its queries to collide the cache lookups,
 //! though never change what they compute.
 
 use std::collections::HashMap;

@@ -9,7 +9,8 @@
 //!
 //! * repeated variables *within* one atom (the `retain_eq` filter),
 //! * constants in atom positions (`retain_eq_const` pushdown, including the
-//!   `Int`/`Float` numeric-equality corner),
+//!   `Int`/`Float` numeric-equality corner) and in comparisons (the typed
+//!   `Int` pass and the `CmpOp::apply` fallback, across types),
 //! * mixed-type columns that force the `Any` fallback paths,
 //! * cartesian-adjacent bodies (atoms sharing no variables — the
 //!   `BuildIndex::All` fan-out), and
@@ -102,12 +103,14 @@ fn random_catalog(g: &mut Gen) -> Catalog {
     catalog
 }
 
-/// A random constant, rendered for the query parser.
+/// A random constant, rendered for the query parser: an integer or a
+/// string, now and then a float (one equal to an integer, one between
+/// two), so comparisons meet typed columns across types.
 fn random_const(g: &mut Gen) -> String {
-    if *g.pick(&[true, false]) {
-        g.pick(&INT_DOMAIN).to_string()
-    } else {
-        format!("'{}'", g.pick(&STR_DOMAIN))
+    match *g.pick(&[0u8, 0, 1, 1, 2]) {
+        0 => g.pick(&INT_DOMAIN).to_string(),
+        1 => format!("'{}'", g.pick(&STR_DOMAIN)),
+        _ => g.pick(&["2.0", "2.5"]).to_string(),
     }
 }
 
