@@ -97,16 +97,6 @@ impl PeerDisk {
     pub fn stable_len(&self) -> usize {
         self.image_len() + self.log_len()
     }
-
-    /// Corrupt the tail of the log in place: keep only the first `keep`
-    /// bytes. Models a torn write at crash time; [`recover`] must come
-    /// back with the clean prefix.
-    pub fn tear_log(&self, keep: usize) {
-        let bytes = self.journal.bytes();
-        let cut = keep.min(bytes.len());
-        let (wal, _) = Wal::open(&bytes[..cut]);
-        self.journal.replace(wal);
-    }
 }
 
 /// What one [`checkpoint`] did.
@@ -276,26 +266,21 @@ pub fn recover(disk: &PeerDisk) -> Option<RecoveredPeer> {
     for (lsn, rec) in wal.records() {
         match rec {
             WalRecord::DeltaSealed { link, id, relation, insert, delete } => {
-                let ob = outboxes.entry(link.clone()).or_default();
+                let ob = outboxes.entry(link).or_default();
                 ob.next_id = ob.next_id.max(id + 1);
-                let gram = Updategram {
-                    relation: relation.clone(),
-                    insert: insert.clone(),
-                    delete: delete.clone(),
-                };
-                ob.unacked.insert(*id, (*lsn, gram));
+                ob.unacked.insert(id, (lsn, Updategram { relation, insert, delete }));
                 outbox_folds += 1;
             }
             WalRecord::DeltaAcked { link, id } => {
-                outboxes.entry(link.clone()).or_default().unacked.remove(id);
+                outboxes.entry(link).or_default().unacked.remove(&id);
                 outbox_folds += 1;
             }
-            _ if *lsn >= as_of => {
+            _ if lsn >= as_of => {
                 if let WalRecord::DeltaApplied { link, id, .. } = rec {
                     inboxes
-                        .entry(link.clone())
-                        .or_insert_with(|| GramInbox::durable(link.clone(), disk.journal()))
-                        .accept(*id);
+                        .entry(link)
+                        .or_insert_with_key(|link| GramInbox::durable(link.clone(), disk.journal()))
+                        .accept(id);
                 }
                 replayed += 1;
             }
@@ -441,6 +426,15 @@ mod tests {
         c.insert("S.course", vec![Value::str("db"), Value::str("systems")]);
         c.insert("S.course", vec![Value::str("ml"), Value::str("ai")]);
         c
+    }
+
+    /// Corrupt the tail of `disk`'s log in place, keeping only the first
+    /// `keep` bytes: a torn write at crash time, which [`recover`] must
+    /// come back from with the clean prefix.
+    fn tear_log(disk: &PeerDisk, keep: usize) {
+        let bytes = disk.journal.bytes();
+        let (wal, _) = Wal::open(&bytes[..keep.min(bytes.len())]);
+        disk.journal.replace(wal);
     }
 
     /// A view over `relation`, seeded from `catalog` so incremental
@@ -591,7 +585,7 @@ mod tests {
         // Tear the log mid-frame: the post-checkpoint insert was in
         // flight at the crash, so recovery keeps the image state only.
         let full = disk.journal.bytes().len();
-        disk.tear_log(full.saturating_sub(3));
+        tear_log(&disk, full.saturating_sub(3));
         let rec = recover(&disk).expect("torn log recovers");
         assert_eq!(rec.report.replayed, 0, "the torn record is discarded");
         assert_eq!(rec.catalog.get("S.course").expect("relation").len(), 2);

@@ -29,28 +29,6 @@ use crate::zset::ZSetBatch;
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
-/// A registered relation and its statistics, kept together so that
-/// neither exists without the other.
-#[derive(Debug, Clone)]
-struct Stored {
-    relation: Relation,
-    /// Shared with the relation's own memo ([`Relation::stats`]) until an
-    /// insert or delete moves them on incrementally.
-    stats: Arc<RelStats>,
-}
-
-impl Stored {
-    /// Append a row; the statistics follow.
-    fn push(&mut self, row: Tuple) {
-        // The relation first: its write drops the memo's reference to
-        // these statistics, so `make_mut` updates them in place instead
-        // of copying every histogram.
-        self.relation.insert(row);
-        let row = self.relation.rows().last().expect("just inserted");
-        Arc::make_mut(&mut self.stats).note_insert(row);
-    }
-}
-
 /// The signed rows one catalog change made to one relation, as a Z-set
 /// delta: `-m` once for each distinct deleted row that had `m` copies
 /// (spelled as listed first), `-1` for each row a re-registration
@@ -85,13 +63,16 @@ impl<'a> Change<'a> {
 
 /// A named collection of relations.
 ///
-/// The catalog also owns the planner-facing metadata for its relations:
-/// incremental [`RelStats`] per relation (see [`crate::stats`]) and a
-/// *stats epoch*, a counter bumped on every mutation. Plan caches stamp
-/// each entry with the epoch, so a cached plan can never outlive the
-/// statistics it was costed against.
+/// The catalog also serves the planner-facing metadata for its relations:
+/// [`RelStats`] per relation (see [`crate::stats`]) and a *stats epoch*,
+/// a counter bumped on every mutation. Plan caches stamp each entry with
+/// the epoch, so a cached plan can never outlive the statistics it was
+/// costed against.
 ///
-/// Relations are written only through the catalog's own mutators —
+/// The statistics live in each relation's own memo ([`Relation::stats`]),
+/// computed when the relation is registered unless a clone of it already
+/// has them, and moved on incrementally by every write. Relations are
+/// written only through the catalog's own mutators —
 /// [`Catalog::register`] / [`Catalog::create`], [`Catalog::apply`] and its
 /// one-row cases [`Catalog::insert`] and [`Catalog::delete`] — so every
 /// registered relation has current statistics at all times
@@ -122,7 +103,7 @@ impl<'a> Change<'a> {
 /// would corrupt the history.
 #[derive(Debug, Default)]
 pub struct Catalog {
-    relations: BTreeMap<String, Stored>,
+    relations: BTreeMap<String, Relation>,
     /// Learned equijoin selectivities fed back from executed plans.
     join_stats: JoinStats,
     epoch: u64,
@@ -242,14 +223,14 @@ impl Catalog {
     /// without writing: one pass over the relation counts the copies of
     /// every distinct deleted row. An unknown relation yields no rows.
     pub fn sign<'a>(&self, rel: &'a str, delete: &'a [Tuple], insert: &'a [Tuple]) -> Change<'a> {
-        let Some(s) = self.relations.get(rel) else {
+        let Some(stored) = self.relations.get(rel) else {
             return Change { relation: rel, ..Change::default() };
         };
         let mut deleted: Vec<(&[Value], usize)> = delete.iter().map(|row| (&row[..], 0)).collect();
         // A stable sort keeps the first-listed spelling of equal rows in front.
         deleted.sort_by(|a, b| a.0.cmp(b.0));
         deleted.dedup_by(|later, kept| later.0 == kept.0);
-        s.relation.count_copies(&mut deleted);
+        stored.count_copies(&mut deleted);
         deleted.retain(|(_, n)| *n > 0);
         Change { relation: rel, deleted, replaced: None, inserted: insert }
     }
@@ -267,10 +248,10 @@ impl Catalog {
         insert: &'a [Tuple],
     ) -> Result<Change<'a>, ArityError> {
         let change = self.sign(rel, delete, insert);
-        let Some(s) = self.relations.get_mut(rel) else {
+        let Some(stored) = self.relations.get_mut(rel) else {
             return Ok(change);
         };
-        s.relation.check_arity(delete.iter().chain(insert))?;
+        stored.check_arity(delete.iter().chain(insert))?;
         if let Some(j) = &self.journal {
             for row in delete {
                 j.append(&WalRecord::Delete { relation: rel.to_string(), row: row.clone() });
@@ -279,12 +260,9 @@ impl Catalog {
                 j.append(&WalRecord::Insert { relation: rel.to_string(), row: row.clone() });
             }
         }
-        s.relation.remove_all(&change.deleted);
-        for &(row, n) in &change.deleted {
-            Arc::make_mut(&mut s.stats).note_delete_n(row, n);
-        }
+        stored.remove_all(&change.deleted);
         for row in insert {
-            s.push(row.clone());
+            stored.insert(row.clone());
         }
         self.epoch += (change.deleted.len() + insert.len()) as u64;
         if let Some(changes) = &mut self.changes {
@@ -295,18 +273,18 @@ impl Catalog {
 
     /// Register (or replace) a relation under its schema name. Statistics
     /// are the relation's own ([`Relation::stats`]): computed here if no
-    /// clone of it has needed them yet, taken by reference otherwise.
-    /// While tracked, the replaced contents are recorded as retracted and
-    /// the new ones as asserted.
+    /// clone of it has needed them yet, shared otherwise. While tracked,
+    /// the replaced contents are recorded as retracted and the new ones as
+    /// asserted.
     pub fn register(&mut self, rel: Relation) {
         self.journal_record(|| WalRecord::Register { relation: rel.clone() });
         if let Some(changes) = &mut self.changes {
-            let replaced = self.relations.get(&rel.schema.name).map(|s| s.relation.clone());
+            let replaced = self.relations.get(&rel.schema.name).cloned();
             let (relation, inserted) = (rel.schema.name.as_str(), rel.rows());
             changes.record(&Change { relation, replaced, inserted, ..Change::default() });
         }
-        let stats = rel.stats();
-        self.relations.insert(rel.schema.name.clone(), Stored { relation: rel, stats });
+        rel.stats_memo();
+        self.relations.insert(rel.schema.name.clone(), rel);
         self.epoch += 1;
     }
 
@@ -317,7 +295,7 @@ impl Catalog {
 
     /// Borrow a relation.
     pub fn get(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(name).map(|s| &s.relation)
+        self.relations.get(name)
     }
 
     /// Insert a row into a named relation: [`Catalog::apply`] of one
@@ -342,10 +320,10 @@ impl Catalog {
         change.map_or(0, |c| c.deleted.first().map_or(0, |&(_, n)| n))
     }
 
-    /// Current statistics for a relation; `None` only for unknown
-    /// relations.
+    /// Current statistics for a relation, its own memo; `None` only for
+    /// unknown relations.
     pub fn rel_stats(&self, name: &str) -> Option<&RelStats> {
-        self.relations.get(name).map(|s| s.stats.as_ref())
+        self.relations.get(name).map(|r| &**r.stats_memo())
     }
 
     /// The learned join-overlap store (see [`crate::stats::JoinStats`]).
@@ -434,13 +412,13 @@ impl Catalog {
     pub fn schema(&self, name: impl Into<String>) -> DbSchema {
         DbSchema {
             name: name.into(),
-            relations: self.relations.values().map(|s| s.relation.schema.clone()).collect(),
+            relations: self.relations.values().map(|r| r.schema.clone()).collect(),
         }
     }
 
     /// Total tuple count across all relations.
     pub fn total_rows(&self) -> usize {
-        self.relations.values().map(|s| s.relation.len()).sum()
+        self.relations.values().map(Relation::len).sum()
     }
 }
 
@@ -471,14 +449,9 @@ impl SharedCatalog {
     /// A snapshot of a relation by name: a handle on the rows as they are
     /// now, O(1) whatever the cardinality, which later writes to the
     /// catalog leave untouched (see [`Relation`] on sharing). The
-    /// catalog's incrementally maintained statistics ride along, so a
-    /// relation written since its last scan is not rescanned for them.
+    /// relation's current statistics ride along in its memo.
     pub fn snapshot(&self, rel: &str) -> Option<Relation> {
-        self.read(|c| {
-            let s = c.relations.get(rel)?;
-            s.relation.seed_stats(&s.stats);
-            Some(s.relation.clone())
-        })
+        self.read(|c| c.get(rel).cloned())
     }
 
     /// The wrapped catalog's stats epoch (see [`Catalog::stats_epoch`]).
@@ -809,8 +782,8 @@ mod tests {
             c.create(RelSchema::text("t", &["v"]));
             c.insert("t", vec![Value::str("a")]);
         });
-        // The insert emptied the memo; the snapshot is seeded from the
-        // catalog's incremental statistics instead of rescanning.
+        // The insert moved the relation's statistics on; the snapshot
+        // shares them instead of rescanning.
         let snap = shared.snapshot("t").unwrap();
         assert!(shared.read(|c| std::ptr::eq(&*snap.stats(), c.rel_stats("t").unwrap())));
         shared.write(|c| {
@@ -828,6 +801,29 @@ mod tests {
         let at = rows_at(&shared);
         shared.write(|c| c.delete("t", &[Value::str("b")]));
         assert_eq!(rows_at(&shared), at, "an unshared relation is mutated in place");
+    }
+
+    #[test]
+    fn a_registered_relation_has_one_owner_journaled_or_recovered() {
+        use crate::wal::{recover_catalog, Journal, Wal};
+        // The log holds a `Register` as bytes, not as a handle on the
+        // rows, so the first write after it copies nothing.
+        let written_in_place = |c: &mut Catalog| {
+            let at = Arc::as_ptr(&c.get("t").unwrap().shared);
+            assert_eq!(Arc::strong_count(&c.get("t").unwrap().shared), 1, "a second owner");
+            c.insert("t", vec![Value::str("b")]);
+            assert_eq!(Arc::as_ptr(&c.get("t").unwrap().shared), at, "a copy-on-write copy");
+            assert_eq!(c.rel_stats("t"), Some(&RelStats::compute(c.get("t").unwrap())));
+        };
+        let mut live = Catalog::new();
+        let journal = Journal::new();
+        live.attach_journal(journal.clone());
+        live.register(Relation::with_rows(RelSchema::text("t", &["v"]), vec![vec![Value::str("a")]]));
+        let (log, _) = Wal::open(&journal.bytes());
+        written_in_place(&mut live);
+        let (mut recovered, _) = recover_catalog(None, &log).expect("recovers");
+        written_in_place(&mut recovered);
+        assert_eq!(recovered.get("t"), live.get("t"));
     }
 
     #[test]

@@ -23,38 +23,41 @@ pub type Tuple = Vec<Value>;
 /// derived from them ([`Relation::stats`], [`Relation::batch`]). `Clone`
 /// therefore costs a schema copy and one reference-count bump whatever
 /// the cardinality, and every clone — a peer's stored relation, the copy
-/// [`crate::SharedCatalog::snapshot`] stages for a query, the relation
-/// inside a WAL `Register` record — reads the same rows, the same
-/// statistics and the same columnar image.
+/// [`crate::SharedCatalog::snapshot`] stages for a query — reads the same
+/// rows, the same statistics and the same columnar image. The statistics
+/// in the memo are the only copy: [`crate::Catalog::rel_stats`] reads
+/// them too.
 ///
 /// Mutation is copy-on-write: [`Relation::insert`] and
 /// [`Relation::delete`] work in place when this handle is the only one,
 /// and otherwise copy the rows once and leave every other handle reading
 /// what it was cloned from (snapshot isolation). Either way the mutated
-/// handle's memo is emptied, so a derived value can never describe rows
-/// other than the ones beside it. The memo depends on the rows alone;
-/// `schema` may be renamed freely, but its arity must stay the rows'.
+/// handle's statistics, once computed, follow each write incrementally
+/// (a copy takes them along), and its columnar image is dropped, so a
+/// derived value can never describe rows other than the ones beside it.
+/// The memo depends on the rows alone; `schema` may be renamed freely,
+/// but its arity must stay the rows'.
 #[derive(Clone)]
 pub struct Relation {
     /// The schema this relation conforms to.
     pub schema: RelSchema,
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
 }
 
 /// What the clones of one relation share: the rows and, computed at most
 /// once per row state, what is derived from them.
 #[derive(Default)]
-struct Shared {
+pub(crate) struct Shared {
     rows: Vec<Tuple>,
     stats: OnceLock<Arc<RelStats>>,
     batch: OnceLock<Arc<ColumnarBatch>>,
 }
 
 impl Clone for Shared {
-    /// The copy half of copy-on-write: the rows, under an empty memo
-    /// (the caller is about to change them).
+    /// The copy half of copy-on-write: the rows and their statistics,
+    /// which the caller's write moves on, but no columnar image.
     fn clone(&self) -> Self {
-        Shared { rows: self.rows.clone(), ..Shared::default() }
+        Shared { rows: self.rows.clone(), stats: self.stats.clone(), ..Shared::default() }
     }
 }
 
@@ -103,14 +106,13 @@ impl Relation {
         }
     }
 
-    /// The rows for writing: unshared (copied first if another handle
-    /// reads them) and with the memo emptied. The memo's allocation is
-    /// reused, so a write to an unshared relation allocates nothing here.
-    fn rows_mut(&mut self) -> &mut Vec<Tuple> {
+    /// The rows and memo for writing: unshared (copied first if another
+    /// handle reads them) and without a columnar image. The caller moves
+    /// the statistics, if computed, on with its write.
+    fn write(&mut self) -> &mut Shared {
         let shared = Arc::make_mut(&mut self.shared);
-        shared.stats.take();
         shared.batch.take();
-        &mut shared.rows
+        shared
     }
 
     /// Append a tuple.
@@ -119,7 +121,11 @@ impl Relation {
     /// Panics if the tuple's arity differs from the schema's.
     pub fn insert(&mut self, row: Tuple) {
         self.check_arity([&row]).unwrap_or_else(|e| panic!("{e}"));
-        self.rows_mut().push(row);
+        let shared = self.write();
+        if let Some(stats) = shared.stats.get_mut() {
+            Arc::make_mut(stats).note_insert(&row);
+        }
+        shared.rows.push(row);
     }
 
     /// Remove every occurrence of `row`; returns how many were removed.
@@ -151,22 +157,24 @@ impl Relation {
         if rows.iter().all(|(_, n)| *n == 0) {
             return;
         }
-        self.rows_mut()
-            .retain(|r| rows.binary_search_by(|(d, _)| (*d).cmp(r.as_slice())).is_err());
+        let shared = self.write();
+        shared.rows.retain(|r| rows.binary_search_by(|(d, _)| (*d).cmp(r.as_slice())).is_err());
+        if let Some(stats) = shared.stats.get_mut().map(Arc::make_mut) {
+            for &(row, n) in rows {
+                stats.note_delete_n(row, n);
+            }
+        }
     }
 
-    /// Statistics of the current rows, computed on first use and shared
-    /// by every clone until one of them is mutated.
+    /// Statistics of the current rows, computed on first use, moved on by
+    /// every write after, and shared by every clone until one of them is
+    /// written to.
     pub fn stats(&self) -> Arc<RelStats> {
-        Arc::clone(self.shared.stats.get_or_init(|| Arc::new(RelStats::compute(self))))
+        Arc::clone(self.stats_memo())
     }
 
-    /// Offer already-known statistics of the current rows (a catalog
-    /// maintains them incrementally) to an empty memo, sparing the next
-    /// [`Relation::stats`] its scan. `stats` must equal
-    /// [`RelStats::compute`] of this relation.
-    pub(crate) fn seed_stats(&self, stats: &Arc<RelStats>) {
-        let _ = self.shared.stats.set(Arc::clone(stats));
+    pub(crate) fn stats_memo(&self) -> &Arc<RelStats> {
+        self.shared.stats.get_or_init(|| Arc::new(RelStats::compute(self)))
     }
 
     /// The columnar image of the current rows (see [`ColumnarBatch`]),
@@ -227,7 +235,9 @@ impl Relation {
     /// last one in the bag is kept, as collecting into a `BTreeSet` keeps
     /// it, so answers are byte-identical to that older implementation.
     pub fn distinct(mut self) -> Relation {
-        let rows = self.rows_mut();
+        let shared = self.write();
+        shared.stats.take();
+        let rows = &mut shared.rows;
         rows.sort();
         rows.dedup_by(|later, kept| {
             let equal = later == kept;

@@ -24,9 +24,12 @@
 //! payload  = lsn u64 | record bytes (see WalRecord)
 //! ```
 //!
-//! All integers are little-endian. [`Wal::open`] validates the header and
-//! every frame CRC in order and **truncates the torn tail**: the first
-//! short or corrupt frame ends the log, and everything before it is the
+//! All integers are little-endian. A [`Wal`] holds exactly these bytes
+//! and one `(lsn, offset)` per frame: a record is encoded once, when it
+//! is appended, and decoded only when [`Wal::records`] is read (recovery
+//! and tests). [`Wal::open`] validates the header and every frame in
+//! order and **truncates the torn tail**: the first short or corrupt
+//! frame ends the log, and the bytes before it are kept as they are, the
 //! recovered clean prefix. A torn write can therefore lose the records
 //! that were mid-flight at the crash — exactly the contract of a real WAL
 //! without `fsync` batching — but can never produce a wrong record.
@@ -469,16 +472,19 @@ impl WalOpenReport {
     }
 }
 
-/// An append-only log of [`WalRecord`]s over simulated stable storage.
+/// An append-only log of [`WalRecord`]s over simulated stable storage:
+/// its bytes and one `(lsn, offset)` per frame (see the module docs).
 ///
 /// Appends assign strictly increasing LSNs starting at the header's
-/// `base_lsn`. [`Wal::truncate_below`] drops the acknowledged prefix and
-/// advances `base_lsn` so truncated LSNs are never reused.
+/// `base_lsn`. [`Wal::truncate_below`] cuts the acknowledged prefix at a
+/// frame boundary and advances `base_lsn` so truncated LSNs are never
+/// reused.
 #[derive(Debug, Clone)]
 pub struct Wal {
     base_lsn: Lsn,
-    entries: Vec<(Lsn, WalRecord)>,
     bytes: Vec<u8>,
+    /// Each retained frame's LSN and its offset in `bytes`.
+    frames: Vec<(Lsn, usize)>,
 }
 
 impl Default for Wal {
@@ -495,9 +501,7 @@ impl Wal {
 
     /// A fresh empty log whose first record will get `base_lsn`.
     pub fn with_base(base_lsn: Lsn) -> Self {
-        let mut w = Wal { base_lsn, entries: Vec::new(), bytes: Vec::new() };
-        w.bytes = Self::header_bytes(base_lsn);
-        w
+        Wal { base_lsn, bytes: Self::header_bytes(base_lsn), frames: Vec::new() }
     }
 
     fn header_bytes(base_lsn: Lsn) -> Vec<u8> {
@@ -511,9 +515,10 @@ impl Wal {
     }
 
     /// Open a log from its serialized bytes, validating the header and
-    /// every frame CRC, and truncating the torn tail. Never fails: a
-    /// hopeless byte soup recovers as an empty log (and the report says
-    /// so).
+    /// every frame (CRC, LSN order, a record that decodes), and keeping
+    /// the clean prefix as it is: the torn tail is cut, nothing is
+    /// re-encoded. Never fails: a hopeless byte soup recovers as an empty
+    /// log (and the report says so).
     pub fn open(bytes: &[u8]) -> (Wal, WalOpenReport) {
         let mut report = WalOpenReport::default();
         if bytes.is_empty() {
@@ -530,85 +535,72 @@ impl Wal {
             return (Wal::new(), report);
         }
         let base_lsn = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let mut wal = Wal::with_base(base_lsn);
+        let mut frames = Vec::new();
         let mut pos = HEADER_LEN;
-        let mut last_lsn: Option<Lsn> = None;
-        while pos < bytes.len() {
-            let Some(frame) = Self::read_frame(&bytes[pos..]) else { break };
-            let (lsn, rec, frame_len) = frame;
-            // LSNs must start at or after the base and strictly increase;
-            // anything else is corruption and ends the clean prefix.
-            let ok = match last_lsn {
-                None => lsn >= base_lsn,
-                Some(prev) => lsn > prev,
-            };
-            if !ok {
+        while let Some((lsn, rec)) = Self::frame(&bytes[pos..]) {
+            // LSNs must start at or after the base and strictly increase,
+            // and the record must decode; anything else is corruption and
+            // ends the clean prefix.
+            let in_order = frames.last().map_or(lsn >= base_lsn, |&(prev, _)| lsn > prev);
+            if !in_order || WalRecord::from_bytes(rec).is_none() {
                 break;
             }
-            last_lsn = Some(lsn);
-            wal.push_frame(lsn, rec);
-            pos += frame_len;
+            frames.push((lsn, pos));
+            pos += FRAME_OVERHEAD + 8 + rec.len();
         }
-        report.records = wal.entries.len();
+        report.records = frames.len();
         report.torn_bytes = bytes.len() - pos;
-        (wal, report)
+        (Wal { base_lsn, bytes: bytes[..pos].to_vec(), frames }, report)
     }
 
-    /// Decode one frame at the start of `buf`; `None` if short or corrupt.
-    fn read_frame(buf: &[u8]) -> Option<(Lsn, WalRecord, usize)> {
-        if buf.len() < FRAME_OVERHEAD {
-            return None;
-        }
-        let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        let end = FRAME_OVERHEAD.checked_add(len)?;
-        if end > buf.len() {
-            return None;
-        }
-        let payload = &buf[FRAME_OVERHEAD..end];
+    /// Split the frame at the start of `buf` into its LSN and record
+    /// bytes; `None` if short or its CRC fails.
+    fn frame(buf: &[u8]) -> Option<(Lsn, &[u8])> {
+        let len = u32::from_le_bytes(buf.get(0..4)?.try_into().unwrap()) as usize;
+        let crc = u32::from_le_bytes(buf.get(4..8)?.try_into().unwrap());
+        let payload = buf.get(FRAME_OVERHEAD..FRAME_OVERHEAD.checked_add(len)?)?;
         if crc32(payload) != crc || payload.len() < 8 {
             return None;
         }
-        let lsn = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-        let rec = WalRecord::from_bytes(&payload[8..])?;
-        Some((lsn, rec, end))
+        Some((u64::from_le_bytes(payload[0..8].try_into().unwrap()), &payload[8..]))
     }
 
-    fn push_frame(&mut self, lsn: Lsn, rec: WalRecord) {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, lsn);
-        payload.extend_from_slice(&rec.to_bytes());
-        put_u32(&mut self.bytes, payload.len() as u32);
-        put_u32(&mut self.bytes, crc32(&payload));
-        self.bytes.extend_from_slice(&payload);
-        self.entries.push((lsn, rec));
-    }
-
-    /// Append a record, assigning and returning its LSN.
+    /// Append a record, assigning and returning its LSN. The record is
+    /// encoded once, into the frame.
     pub fn append(&mut self, rec: &WalRecord) -> Lsn {
-        let lsn = self.next_lsn();
-        self.push_frame(lsn, rec.clone());
+        let (lsn, at) = (self.next_lsn(), self.bytes.len());
+        self.bytes.extend_from_slice(&[0; FRAME_OVERHEAD]);
+        put_u64(&mut self.bytes, lsn);
+        self.bytes.extend_from_slice(&rec.to_bytes());
+        let payload = &self.bytes[at + FRAME_OVERHEAD..];
+        let head = [(payload.len() as u32).to_le_bytes(), crc32(payload).to_le_bytes()];
+        self.bytes[at..at + FRAME_OVERHEAD].copy_from_slice(head.as_flattened());
+        self.frames.push((lsn, at));
         lsn
     }
 
     /// The LSN the next appended record will get.
     pub fn next_lsn(&self) -> Lsn {
-        self.entries.last().map(|(l, _)| l + 1).unwrap_or(self.base_lsn)
+        self.frames.last().map_or(self.base_lsn, |(l, _)| l + 1)
     }
 
-    /// The retained records in LSN order.
-    pub fn records(&self) -> &[(Lsn, WalRecord)] {
-        &self.entries
+    /// The retained records in LSN order, decoded from the frames.
+    pub fn records(&self) -> Vec<(Lsn, WalRecord)> {
+        let decode = |&(lsn, at): &(Lsn, usize)| {
+            let (_, rec) = Self::frame(&self.bytes[at..]).expect("a kept frame is whole");
+            (lsn, WalRecord::from_bytes(rec).expect("a kept frame decodes"))
+        };
+        self.frames.iter().map(decode).collect()
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.frames.len()
     }
 
     /// True when no record is retained.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.frames.is_empty()
     }
 
     /// The serialized log (header + frames) as it would sit on disk.
@@ -623,22 +615,20 @@ impl Wal {
 
     /// Drop every record with `lsn < floor` (they are captured by a
     /// snapshot and acknowledged downstream) and advance `base_lsn` so
-    /// truncated LSNs are never reused. Returns how many records were
-    /// dropped. A floor beyond `next_lsn` is clamped (LSNs never skip).
+    /// truncated LSNs are never reused: a new header, then the kept
+    /// frames' bytes as they are. Returns how many records were dropped.
+    /// A floor beyond `next_lsn` is clamped (LSNs never skip).
     pub fn truncate_below(&mut self, floor: Lsn) -> usize {
         let floor = floor.min(self.next_lsn());
         if floor <= self.base_lsn {
             return 0;
         }
-        let keep: Vec<(Lsn, WalRecord)> =
-            self.entries.iter().filter(|(l, _)| *l >= floor).cloned().collect();
-        let dropped = self.entries.len() - keep.len();
+        let dropped = self.frames.partition_point(|(l, _)| *l < floor);
+        let cut = self.frames.get(dropped).map_or(self.bytes.len(), |&(_, at)| at);
+        self.bytes.splice(..cut, Self::header_bytes(floor));
+        self.frames.drain(..dropped);
+        self.frames.iter_mut().for_each(|(_, at)| *at = *at + HEADER_LEN - cut);
         self.base_lsn = floor;
-        self.entries = Vec::new();
-        self.bytes = Self::header_bytes(floor);
-        for (lsn, rec) in keep {
-            self.push_frame(lsn, rec);
-        }
         dropped
     }
 }
@@ -686,15 +676,15 @@ impl Journal {
         self.with(|w| w.len())
     }
 
-    /// Snapshot of the retained records in LSN order.
+    /// The retained records in LSN order, decoded from the frames.
     pub fn records(&self) -> Vec<(Lsn, WalRecord)> {
-        self.with(|w| w.records().to_vec())
+        self.with(|w| w.records())
     }
 
     /// Number of retained records with `lsn < below`, counted by a
     /// partition point on the LSN-ordered log.
     pub fn count_below(&self, below: Lsn) -> usize {
-        self.with(|w| w.entries.partition_point(|(l, _)| *l < below))
+        self.with(|w| w.frames.partition_point(|(l, _)| *l < below))
     }
 
     /// See [`Wal::truncate_below`].
@@ -823,10 +813,10 @@ pub fn recover_catalog(snapshot: Option<&[u8]>, wal: &Wal) -> Option<(Catalog, R
         None => Catalog::new(),
     };
     for (lsn, rec) in wal.records() {
-        if *lsn < report.as_of {
+        if lsn < report.as_of {
             report.skipped += 1;
         } else {
-            cat.replay(rec);
+            cat.replay(&rec);
             report.replayed += 1;
         }
     }

@@ -113,8 +113,11 @@ fn prop_log_torn_at_any_offset_recovers_the_clean_prefix() {
     forall(32, |g| {
         let mut wal = Wal::new();
         let n = g.random_range(1..6usize);
+        let mut frames = Vec::new();
         for _ in 0..n {
+            let at = wal.byte_len();
             wal.append(&gen_record(g));
+            frames.push(wal.bytes()[at..].to_vec());
         }
         let full = wal.bytes().to_vec();
         let cut = g.random_range(0..full.len() + 1);
@@ -131,6 +134,15 @@ fn prop_log_torn_at_any_offset_recovers_the_clean_prefix() {
             assert!(report.is_clean(), "an untorn log reopens clean");
             assert_eq!(recovered.len(), original.len());
         }
+        // The log is its frame bytes: reopening gives them back, and a
+        // truncation keeps the appended frames byte for byte.
+        let mut truncated = wal.clone();
+        let dropped = truncated.truncate_below(g.random_range(0..n as u64 + 1));
+        assert_eq!(
+            (Wal::open(&full).0.bytes(), &truncated.bytes()[Wal::new().byte_len()..]),
+            (&full[..], &frames[dropped..].concat()[..]),
+            "reopening or truncating re-encoded a frame"
+        );
     });
 }
 
