@@ -8,7 +8,9 @@
 //! append-only WAL from `revere_storage::wal`) plus at most one *peer
 //! image* — a snapshot of catalog, inbox watermarks, and outbox
 //! sequence counters taken at a known LSN. Recovery is image + replay of
-//! the LSN suffix, never a full-history replay.
+//! the LSN suffix, never a full-history replay, in one pass over the log:
+//! a journal is clean by construction (see `revere_storage::wal`), so
+//! recovery decodes each record once and re-validates nothing.
 //!
 //! # Exactly-once across restarts
 //!
@@ -39,8 +41,8 @@ use crate::propagation::{GramInbox, ReliableLink};
 use crate::updategram::Updategram;
 use crate::SequencedGram;
 use revere_storage::wal::{
-    crc32, encode_catalog, put_str, put_u32, put_u64, recover_catalog, Journal, Lsn, Reader,
-    RecoveryReport, Wal, WalRecord,
+    crc32, decode_catalog, encode_catalog, put_str, put_u32, put_u64, Journal, Lsn, Reader,
+    WalRecord,
 };
 use revere_storage::Catalog;
 use revere_util::fault::FaultPlan;
@@ -75,11 +77,6 @@ impl PeerDisk {
 
     fn with_image<T>(&self, f: impl FnOnce(&mut Option<Vec<u8>>) -> T) -> T {
         f(&mut self.image.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-    }
-
-    /// The current peer image, if a checkpoint has been taken.
-    pub fn image_bytes(&self) -> Option<Vec<u8>> {
-        self.with_image(|i| i.clone())
     }
 
     /// Size of the peer image in bytes (0 when none).
@@ -203,14 +200,8 @@ pub struct PeerRecovery {
     /// Records with `lsn >= as_of` replayed into the catalog/inboxes —
     /// the suffix; the acceptance criterion is that this stays small
     /// after a checkpoint, because everything older is in the image.
+    /// Seal and ack records fold into outboxes and are not counted.
     pub replayed: usize,
-    /// Seal/ack records folded into outbox state (any LSN — unacked seals
-    /// deliberately survive checkpoints).
-    pub outbox_folds: usize,
-    /// Bytes of torn log tail discarded on open (0 for a clean log).
-    pub torn_bytes: usize,
-    /// Grams still owed to downstream peers after recovery.
-    pub pending_grams: usize,
 }
 
 /// Everything [`recover`] rebuilds from a [`PeerDisk`].
@@ -227,55 +218,55 @@ pub struct RecoveredPeer {
     pub report: PeerRecovery,
 }
 
-/// Recover a peer from its stable storage: open the log (truncating any
-/// torn tail), then hand the image's catalog blob and the opened log to
-/// [`recover_catalog`], the one catalog replay.
-///
-/// What the catalog replay does not cover — peer-level state — is folded
-/// here, split by the image's `as_of` mark:
+/// Recover a peer from its stable storage in one pass over the log: the
+/// image's catalog, inboxes and sequence counters are decoded where they
+/// lie, under the disk's lock, and then each retained record is decoded
+/// once and folded, split by the image's `as_of` mark:
 ///
 /// * seal/ack records fold into outbox state at **any** LSN — the image
 ///   stores only each link's sequence counter, and an unacked seal
 ///   record below `as_of` is the gram's only surviving copy;
-/// * a [`WalRecord::DeltaApplied`] is accepted by its link's inbox
-///   ([`GramInbox::accept`]) **only** when `lsn >= as_of` — older ones
+/// * any other record with `lsn >= as_of` replays into the catalog
+///   ([`Catalog::replay`]), and a [`WalRecord::DeltaApplied`] is also
+///   accepted by its link's inbox ([`GramInbox::accept`]); older ones
 ///   are already reflected in the image.
 ///
-/// Returns `None` only when the image itself is corrupt (log corruption
-/// is handled by tail truncation and is not fatal).
+/// The log needs no validation here: a [`Journal`] only ever holds
+/// records it appended or a log
+/// [`Wal::open`](revere_storage::wal::Wal::open) cut to its clean prefix.
+/// Returns `None` only when the image is corrupt.
 pub fn recover(disk: &PeerDisk) -> Option<RecoveredPeer> {
-    let bytes = disk.journal.bytes();
-    let (wal, open) = Wal::open(&bytes);
-    // Adopt the clean prefix: the journal handle now matches what
-    // recovery saw, and new appends continue from its last LSN.
-    disk.journal.replace(wal.clone());
-
-    let image = disk.image_bytes();
-    let (blob, mut inboxes, next_ids) = match &image {
-        Some(b) => decode_peer_image(b, &disk.journal)?,
-        None => (None, BTreeMap::new(), BTreeMap::new()),
+    // `None`: no image was taken; `Some(None)`: the image is corrupt.
+    let image = disk.with_image(|image| {
+        image.as_deref().map(|bytes| {
+            let (blob, inboxes, next_ids) = decode_peer_image(bytes, &disk.journal)?;
+            let (catalog, as_of) = decode_catalog(blob)?;
+            Some((catalog, as_of, inboxes, next_ids))
+        })
+    });
+    let image_used = image.is_some();
+    let (mut catalog, as_of, mut inboxes, next_ids) = match image {
+        Some(decoded) => decoded?,
+        None => (Catalog::new(), 0, BTreeMap::new(), BTreeMap::new()),
     };
-    let (mut catalog, RecoveryReport { as_of, .. }) = recover_catalog(blob, &wal)?;
     let mut outboxes: BTreeMap<String, OutboxResume> = next_ids
         .into_iter()
         .map(|(link, next_id)| (link, OutboxResume { next_id, unacked: BTreeMap::new() }))
         .collect();
 
     let mut replayed = 0usize;
-    let mut outbox_folds = 0usize;
-    for (lsn, rec) in wal.records() {
+    for (lsn, rec) in disk.journal.records() {
         match rec {
             WalRecord::DeltaSealed { link, id, relation, insert, delete } => {
                 let ob = outboxes.entry(link).or_default();
                 ob.next_id = ob.next_id.max(id + 1);
                 ob.unacked.insert(id, (lsn, Updategram { relation, insert, delete }));
-                outbox_folds += 1;
             }
             WalRecord::DeltaAcked { link, id } => {
                 outboxes.entry(link).or_default().unacked.remove(&id);
-                outbox_folds += 1;
             }
             _ if lsn >= as_of => {
+                catalog.replay(&rec);
                 if let WalRecord::DeltaApplied { link, id, .. } = rec {
                     inboxes
                         .entry(link)
@@ -290,19 +281,11 @@ pub fn recover(disk: &PeerDisk) -> Option<RecoveredPeer> {
     }
 
     catalog.attach_journal(disk.journal());
-    let pending_grams = outboxes.values().map(OutboxResume::pending_count).sum();
     Some(RecoveredPeer {
         catalog,
         inboxes,
         outboxes,
-        report: PeerRecovery {
-            image_used: image.is_some(),
-            as_of,
-            replayed,
-            outbox_folds,
-            torn_bytes: open.torn_bytes,
-            pending_grams,
-        },
+        report: PeerRecovery { image_used, as_of, replayed },
     })
 }
 
@@ -360,8 +343,7 @@ fn encode_peer_image(
 }
 
 /// A peer image's catalog blob, durable inboxes and outbox next ids.
-type DecodedImage<'a> =
-    (Option<&'a [u8]>, BTreeMap<String, GramInbox>, BTreeMap<String, u64>);
+type DecodedImage<'a> = (&'a [u8], BTreeMap<String, GramInbox>, BTreeMap<String, u64>);
 
 fn decode_peer_image<'a>(bytes: &'a [u8], journal: &Journal) -> Option<DecodedImage<'a>> {
     if bytes.len() < 8 {
@@ -386,15 +368,13 @@ fn decode_peer_image<'a>(bytes: &'a [u8], journal: &Journal) -> Option<DecodedIm
         let link = r.str()?;
         let watermark = r.u64()?;
         let duplicates = r.u64()?;
-        let applied = r.u64()?;
+        r.u64()?; // the applied count, which the ids above derive
         let mut above = BTreeSet::new();
         for _ in 0..r.u32()? {
             above.insert(r.u64()?);
         }
         let durability = Some((link.clone(), journal.clone()));
-        let inbox =
-            GramInbox::restore(watermark, above, duplicates as usize, applied as usize, durability);
-        inboxes.insert(link, inbox);
+        inboxes.insert(link, GramInbox::restore(watermark, above, duplicates as usize, durability));
     }
     let mut outboxes = BTreeMap::new();
     for _ in 0..r.u32()? {
@@ -405,7 +385,7 @@ fn decode_peer_image<'a>(bytes: &'a [u8], journal: &Journal) -> Option<DecodedIm
     if !r.done() {
         return None;
     }
-    Some((Some(blob), inboxes, outboxes))
+    Some((blob, inboxes, outboxes))
 }
 
 #[cfg(test)]
@@ -415,7 +395,7 @@ mod tests {
     use crate::views::MaterializedView;
     use revere_query::parse_query;
     use revere_storage::{RelSchema, Relation, Value};
-    use revere_storage::wal::decode_catalog;
+    use revere_storage::wal::Wal;
     use revere_util::fault::{FaultSpec, RetryPolicy};
     use revere_util::prop::{forall, Gen};
     use revere_util::RngExt;
@@ -591,10 +571,11 @@ mod tests {
         assert_eq!(rec.catalog.get("S.course").expect("relation").len(), 2);
 
         // Corrupt the image: recovery refuses (the image CRC catches it).
-        let mut img = disk.image_bytes().expect("image");
-        let mid = img.len() / 2;
-        img[mid] ^= 0xFF;
-        disk.with_image(|i| *i = Some(img));
+        disk.with_image(|i| {
+            let img = i.as_mut().expect("image");
+            let mid = img.len() / 2;
+            img[mid] ^= 0xFF;
+        });
         assert!(recover(&disk).is_none());
     }
 
@@ -635,11 +616,11 @@ mod tests {
         link.seal(Updategram::inserts("T.course", vec![]));
         let image = encode_peer_image(&course_catalog(), 4, &[&inbox], &[&link]);
         let (blob, inboxes, outboxes) = decode_peer_image(&image, &disk.journal).expect("valid");
-        assert!(blob.is_some() && inboxes.len() == 1 && outboxes.len() == 1);
+        assert!(!blob.is_empty() && inboxes.len() == 1 && outboxes.len() == 1);
         let mut decoded = 0;
         forall(10_000, |g| {
             let mutant = image_mutant(g, &image);
-            if let Some((Some(blob), ..)) = decode_peer_image(&mutant, &disk.journal) {
+            if let Some((blob, ..)) = decode_peer_image(&mutant, &disk.journal) {
                 decoded += 1;
                 let _ = decode_catalog(blob);
             }

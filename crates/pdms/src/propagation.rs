@@ -61,8 +61,6 @@ pub struct GramInbox {
     above: BTreeSet<u64>,
     /// Deliveries ignored because their id had already been applied.
     pub duplicates_ignored: usize,
-    /// Distinct ids applied (monotone; survives compaction).
-    applied: usize,
     /// Durable identity: (link name, journal) when restart-safe.
     durability: Option<(String, Journal)>,
 }
@@ -85,10 +83,9 @@ impl GramInbox {
         watermark: u64,
         above: BTreeSet<u64>,
         duplicates_ignored: usize,
-        applied: usize,
         durability: Option<(String, Journal)>,
     ) -> Self {
-        GramInbox { watermark, above, duplicates_ignored, applied, durability }
+        GramInbox { watermark, above, duplicates_ignored, durability }
     }
 
     /// True when `id` was already accepted.
@@ -103,7 +100,6 @@ impl GramInbox {
             return false;
         }
         self.above.insert(id);
-        self.applied += 1;
         // Compact: swallow the contiguous run into the watermark.
         while self.above.remove(&self.watermark) {
             self.watermark += 1;
@@ -111,9 +107,10 @@ impl GramInbox {
         true
     }
 
-    /// Distinct gram ids applied so far.
+    /// Distinct gram ids applied so far: every id below the watermark
+    /// and each one stored above it.
     pub fn applied_count(&self) -> usize {
-        self.applied
+        self.watermark as usize + self.above.len()
     }
 
     /// The compaction watermark: every id below it is seen.

@@ -65,7 +65,7 @@ pub mod prelude {
         WhosWho,
     };
     pub use revere_pdms::fault::{FaultPlan, FaultSpec, RetryPolicy};
-    pub use revere_pdms::obs::{LogSink, Metrics, MetricsSnapshot, Obs, SpanHandle, Tracer};
+    pub use revere_pdms::obs::{Metrics, MetricsSnapshot, Obs, SpanHandle, Tracer};
     pub use revere_pdms::{
         apply_once, apply_updategrams, gram_to_batch, maintain, CacheStats, CompletenessReport,
         GramInbox, Health, MaintenanceChoice, MaterializedView, Monitor, MonitorEvent,

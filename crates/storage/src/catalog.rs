@@ -94,8 +94,9 @@ impl<'a> Change<'a> {
 /// ([`Catalog::attach_journal`]); every mutator then journals a
 /// [`WalRecord`] *before* it touches memory (after checking every row's
 /// arity, so each record replays), so the log is never behind the state
-/// and the catalog can be recovered after a crash via
-/// [`crate::wal::recover_catalog`], the one catalog replay. The one
+/// and the catalog can be recovered after a crash: a snapshot
+/// ([`crate::wal::decode_catalog`]) plus [`Catalog::replay`] of each
+/// record of the log suffix. The one
 /// exception is [`Catalog::absorb_join_stats`], a staging/merge API
 /// that durable catalogs do not use. `Clone` deliberately does **not**
 /// carry the journal or the change record: a clone is a value snapshot
@@ -670,7 +671,7 @@ mod tests {
 
     #[test]
     fn journaled_mutations_replay_to_the_same_catalog() {
-        use crate::wal::{encode_catalog, recover_catalog, Journal, Wal};
+        use crate::wal::{encode_catalog, Journal};
         let mut c = Catalog::new();
         let journal = Journal::new();
         c.attach_journal(journal.clone());
@@ -682,9 +683,10 @@ mod tests {
         c.note_join_overlap("A.r", 0, "B.s", 1, 0.5); // re-observation journaled too
         c.note_join_overlap("Gone.r", 0, "B.s", 1, 0.25);
         c.purge_join_stats("Gone"); // a departed peer stays departed after a restart
-        let (log, _) = Wal::open(&journal.bytes());
-        let (rec, report) = recover_catalog(None, &log).expect("recovers");
-        assert!(!report.snapshot_used);
+        let mut rec = Catalog::new();
+        for (_, r) in &journal.records() {
+            rec.replay(r);
+        }
         assert_eq!(encode_catalog(&rec, 0), encode_catalog(&c, 0));
         assert_eq!(
             rec.join_stats().iter().next().unwrap().1.observations,
@@ -805,7 +807,7 @@ mod tests {
 
     #[test]
     fn a_registered_relation_has_one_owner_journaled_or_recovered() {
-        use crate::wal::{recover_catalog, Journal, Wal};
+        use crate::wal::Journal;
         // The log holds a `Register` as bytes, not as a handle on the
         // rows, so the first write after it copies nothing.
         let written_in_place = |c: &mut Catalog| {
@@ -819,9 +821,12 @@ mod tests {
         let journal = Journal::new();
         live.attach_journal(journal.clone());
         live.register(Relation::with_rows(RelSchema::text("t", &["v"]), vec![vec![Value::str("a")]]));
-        let (log, _) = Wal::open(&journal.bytes());
+        let log = journal.records();
         written_in_place(&mut live);
-        let (mut recovered, _) = recover_catalog(None, &log).expect("recovers");
+        let mut recovered = Catalog::new();
+        for (_, r) in log {
+            recovered.replay(&r);
+        }
         written_in_place(&mut recovered);
         assert_eq!(recovered.get("t"), live.get("t"));
     }

@@ -46,8 +46,5 @@ pub use schema::{AttrType, Attribute, DbSchema, RelSchema};
 pub use stats::{mcv_join_overlap, ColumnStats, JoinObservation, JoinStats, RelStats};
 pub use triples::{Occupancy, Triple, TripleStore};
 pub use value::Value;
-pub use wal::{
-    decode_catalog, encode_catalog, recover_catalog, Journal, Lsn, RecoveryReport,
-    Wal, WalOpenReport, WalRecord,
-};
+pub use wal::{decode_catalog, encode_catalog, Journal, Lsn, Wal, WalOpenReport, WalRecord};
 pub use zset::{ZSet, ZSetBatch};

@@ -27,12 +27,17 @@
 //! All integers are little-endian. A [`Wal`] holds exactly these bytes
 //! and one `(lsn, offset)` per frame: a record is encoded once, when it
 //! is appended, and decoded only when [`Wal::records`] is read (recovery
-//! and tests). [`Wal::open`] validates the header and every frame in
-//! order and **truncates the torn tail**: the first short or corrupt
+//! and tests).
+//!
+//! A [`Journal`] is clean by construction: it only ever holds a log
+//! built by [`Wal::append`] and [`Wal::truncate_below`], or one that
+//! [`Wal::open`] validated, so its readers never re-check it. `open` is
+//! where foreign bytes enter, and it validates the header and every frame
+//! in order and **truncates the torn tail**: the first short or corrupt
 //! frame ends the log, and the bytes before it are kept as they are, the
-//! recovered clean prefix. A torn write can therefore lose the records
-//! that were mid-flight at the crash — exactly the contract of a real WAL
-//! without `fsync` batching — but can never produce a wrong record.
+//! clean prefix. A torn write can therefore lose the records that were
+//! mid-flight at the crash — exactly the contract of a real WAL without
+//! `fsync` batching — but can never produce a wrong record.
 
 use crate::catalog::Catalog;
 use crate::relation::{Relation, Tuple};
@@ -692,8 +697,8 @@ impl Journal {
         self.with(|w| w.truncate_below(floor))
     }
 
-    /// Replace the wrapped log (recovery installs the reopened log here so
-    /// every handle — catalog, links, disk — sees the recovered state).
+    /// Replace the wrapped log, for every handle — catalog, links, disk
+    /// — at once (a torn-write fixture installs a reopened log here).
     pub fn replace(&self, wal: Wal) {
         self.with(|w| *w = wal);
     }
@@ -777,50 +782,6 @@ pub fn decode_catalog(bytes: &[u8]) -> Option<(Catalog, Lsn)> {
     }
     cat.absorb_join_stats(&js);
     r.done().then_some((cat, as_of))
-}
-
-// ---------------------------------------------------------------------------
-// Catalog recovery (snapshot + suffix replay)
-// ---------------------------------------------------------------------------
-
-/// What a recovery did: how much was restored from the snapshot vs
-/// replayed from the log suffix.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// True when a snapshot was decoded (false: full-history replay).
-    pub snapshot_used: bool,
-    /// The snapshot's exclusive LSN high-water mark (0 without one).
-    pub as_of: Lsn,
-    /// Log records replayed (those with `lsn >= as_of`).
-    pub replayed: usize,
-    /// Log records skipped as already captured by the snapshot.
-    pub skipped: usize,
-}
-
-/// The one catalog replay: decode an optional snapshot, then replay only
-/// the records of an opened log ([`Wal::open`] cut any torn tail) with
-/// `lsn >= as_of` — the LSN suffix, not full history. Returns `None` only
-/// when snapshot bytes are present but corrupt: the baseline is gone.
-pub fn recover_catalog(snapshot: Option<&[u8]>, wal: &Wal) -> Option<(Catalog, RecoveryReport)> {
-    let mut report = RecoveryReport::default();
-    let mut cat = match snapshot {
-        Some(bytes) => {
-            let (cat, as_of) = decode_catalog(bytes)?;
-            report.snapshot_used = true;
-            report.as_of = as_of;
-            cat
-        }
-        None => Catalog::new(),
-    };
-    for (lsn, rec) in wal.records() {
-        if lsn < report.as_of {
-            report.skipped += 1;
-        } else {
-            cat.replay(&rec);
-            report.replayed += 1;
-        }
-    }
-    Some((cat, report))
 }
 
 #[cfg(test)]
@@ -1015,7 +976,7 @@ mod tests {
     }
 
     #[test]
-    fn recover_catalog_replays_only_the_suffix() {
+    fn snapshot_plus_suffix_replay_rebuilds_the_catalog() {
         let mut live = Catalog::new();
         let journal = Journal::new();
         live.attach_journal(journal.clone());
@@ -1026,17 +987,19 @@ mod tests {
         live.insert("t", vec![Value::str("b")]);
         live.delete("t", &[Value::str("a")]);
 
-        let (wal, _) = Wal::open(&journal.bytes());
-        let (rec, report) = recover_catalog(Some(&snap), &wal).expect("recovers");
-        assert!(report.snapshot_used);
-        assert_eq!(report.replayed, 2, "only the post-snapshot suffix");
-        assert_eq!(report.skipped, 2, "pre-snapshot records are skipped");
+        let (mut rec, as_of) = decode_catalog(&snap).expect("clean snapshot");
+        let suffix: Vec<_> = journal.records().into_iter().filter(|(l, _)| *l >= as_of).collect();
+        assert_eq!(suffix.len(), 2, "only the post-snapshot suffix");
+        for (_, r) in &suffix {
+            rec.replay(r);
+        }
         assert_eq!(encode_catalog(&rec, 0), encode_catalog(&live, 0));
 
         // Full-history replay (no snapshot) lands in the same state.
-        let (rec2, report2) = recover_catalog(None, &wal).expect("recovers");
-        assert!(!report2.snapshot_used);
-        assert_eq!(report2.replayed, 4);
+        let mut rec2 = Catalog::new();
+        for (_, r) in &journal.records() {
+            rec2.replay(r);
+        }
         assert_eq!(encode_catalog(&rec2, 0), encode_catalog(&live, 0));
     }
 }

@@ -6,18 +6,15 @@
 //! / [`BenchmarkGroup::sample_size`], [`BenchmarkId`], [`Bencher::iter`] /
 //! [`Bencher::iter_batched`], [`BatchSize`], and the
 //! [`criterion_group!`](crate::criterion_group) /
-//! [`criterion_main!`](crate::criterion_main) macros — so the five files in
+//! [`criterion_main!`](crate::criterion_main) macros — so the files in
 //! `crates/bench/benches/` keep their structure.
 //!
 //! Measurement model: one warmup phase sizes an iteration batch so a
 //! sample takes roughly `TARGET_SAMPLE`, then `sample_size` samples are
-//! timed and per-iteration **median** and **p95** are reported through a
-//! [`LogSink`] (stdout by default, a capture sink in tests). Each
-//! measurement also emits a machine-parseable `key=value` record on the
-//! `bench` stream, so CI can grep results out of interleaved output. No
-//! plotting, no statistics files, no outlier analysis.
+//! timed and per-iteration **median** and **p95** are printed to stdout,
+//! one line per measurement. No plotting, no statistics files, no outlier
+//! analysis.
 
-use crate::obs::LogSink;
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 
@@ -108,13 +105,12 @@ impl Bencher {
 }
 
 /// A named group of related benchmarks.
-pub struct BenchmarkGroup<'a> {
-    criterion: &'a mut Criterion,
+pub struct BenchmarkGroup {
     name: String,
     sample_size: usize,
 }
 
-impl BenchmarkGroup<'_> {
+impl BenchmarkGroup {
     /// Override the number of timed samples for this group.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(2);
@@ -143,23 +139,8 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    fn report(&mut self, id: &str, samples: &[f64]) {
-        let name = format!("{}/{}", self.name, id);
-        let line = summarize(&name, samples);
-        self.criterion.sink.emit("bench", &line);
-        if !samples.is_empty() {
-            let (median, p95) = percentiles(samples);
-            self.criterion.sink.emit_kv(
-                "bench.kv",
-                &[
-                    ("name", name),
-                    ("median_s", format!("{median:.9}")),
-                    ("p95_s", format!("{p95:.9}")),
-                    ("samples", samples.len().to_string()),
-                ],
-            );
-        }
-        self.criterion.lines.push(line);
+    fn report(&self, id: &str, samples: &[f64]) {
+        println!("{}", summarize(&format!("{}/{}", self.name, id), samples));
     }
 
     /// End the group (kept for criterion API compatibility; reporting is
@@ -170,32 +151,18 @@ impl BenchmarkGroup<'_> {
 /// Top-level bench driver; one per process, created by `criterion_main!`.
 pub struct Criterion {
     sample_size: usize,
-    lines: Vec<String>,
-    sink: LogSink,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 20, lines: Vec::new(), sink: LogSink::stdout() }
+        Criterion { sample_size: 20 }
     }
 }
 
 impl Criterion {
     /// Open a named benchmark group.
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        let sample_size = self.sample_size;
-        BenchmarkGroup { criterion: self, name: name.into(), sample_size }
-    }
-
-    /// Re-emit every measurement at the end of the run.
-    pub fn final_summary(&self) {
-        if self.lines.is_empty() {
-            return;
-        }
-        self.sink.emit("bench", &format!("== bench summary ({} measurements) ==", self.lines.len()));
-        for l in &self.lines {
-            self.sink.emit("bench", l);
-        }
+    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup {
+        BenchmarkGroup { name: name.into(), sample_size: self.sample_size }
     }
 }
 
@@ -254,7 +221,6 @@ macro_rules! criterion_main {
         fn main() {
             let mut c = $crate::criterion::Criterion::default();
             $( $group(&mut c); )+
-            c.final_summary();
         }
     };
 }
@@ -290,35 +256,20 @@ mod tests {
     }
 
     #[test]
-    fn reporting_routes_through_the_sink() {
-        let sink = LogSink::capture();
-        let mut c = Criterion { sink: sink.clone(), ..Criterion::default() };
-        {
-            let mut g = c.benchmark_group("sinked");
-            g.sample_size(2);
-            g.bench_function("f", |b| b.iter(|| black_box(2 * 2)));
-        }
-        c.final_summary();
-        let lines = sink.lines();
-        // Human line, machine line, then the summary re-emit — no stdout.
-        assert!(lines[0].starts_with("[bench] sinked/f"), "{lines:?}");
-        assert!(lines[1].starts_with("[bench.kv] name=sinked/f median_s="), "{lines:?}");
-        assert!(lines[1].contains("samples=2"), "{lines:?}");
-        assert!(lines.iter().any(|l| l.contains("bench summary (1 measurements)")), "{lines:?}");
-    }
-
-    #[test]
     fn bench_pipeline_produces_samples() {
         let mut c = Criterion::default();
-        {
-            let mut g = c.benchmark_group("smoke");
-            g.sample_size(3);
-            g.bench_function("iter", |b| b.iter(|| black_box(1 + 1)));
-            g.bench_with_input(BenchmarkId::new("with_input", 4), &4u64, |b, &n| {
-                b.iter_batched(|| vec![0u64; n as usize], |v| v.len(), BatchSize::SmallInput)
-            });
-            g.finish();
-        }
-        assert_eq!(c.lines.len(), 2);
+        let mut g = c.benchmark_group("smoke");
+        g.sample_size(3);
+        let mut taken = Vec::new();
+        g.bench_function("iter", |b| {
+            b.iter(|| black_box(1 + 1));
+            taken.push(b.samples.len());
+        });
+        g.bench_with_input(BenchmarkId::new("with_input", 4), &4u64, |b, &n| {
+            b.iter_batched(|| vec![0u64; n as usize], |v| v.len(), BatchSize::SmallInput);
+            taken.push(b.samples.len());
+        });
+        g.finish();
+        assert_eq!(taken, [3, 3]);
     }
 }

@@ -22,9 +22,8 @@
 //!   [`fault::RetryPolicy`].
 //! * [`obs`] — the observability substrate: a deterministic span-tree
 //!   tracer on a logical tick clock, a metrics registry (counters and
-//!   log2-bucket histograms), a Chrome trace-event JSON
-//!   exporter, and the [`obs::LogSink`] shared writer the harnesses
-//!   report through.
+//!   log2-bucket histograms), and a Chrome trace-event JSON
+//!   exporter.
 //!
 //! Everything here is deterministic given a seed, allocation-light, and
 //! uses only `std`.

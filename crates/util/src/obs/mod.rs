@@ -22,9 +22,6 @@
 //! * Chrome trace-event export ([`Tracer::chrome_trace`]) — the JSON
 //!   array `chrome://tracing` / Perfetto load directly, rendered with an
 //!   in-repo serializer (the workspace has no serde).
-//! * [`LogSink`] — the shared writer the bench/property harnesses report
-//!   through instead of bare `println!`/`eprintln!`, so harness output is
-//!   machine-parseable and separable from test noise.
 //!
 //! Canonical metric names live in [`names`]; every `Obs::inc`/`observe`
 //! call site uses those constants, and [`names::unregistered`] lets tests
@@ -605,97 +602,6 @@ impl SpanHandle {
     }
 }
 
-// ---------------------------------------------------------------------------
-// LogSink
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-enum SinkTarget {
-    Stdout,
-    Stderr,
-    Capture(Vec<String>),
-}
-
-/// A shared line-oriented writer for harness diagnostics. The bench and
-/// property harnesses emit through a sink instead of bare
-/// `println!`/`eprintln!`: every line is prefixed `[stream]`, so
-/// consumers can grep one stream out of interleaved output, and tests can
-/// swap in a capturing sink to assert on (or silence) diagnostics.
-#[derive(Debug, Clone)]
-pub struct LogSink {
-    target: Arc<Mutex<SinkTarget>>,
-}
-
-impl LogSink {
-    /// A sink that prints to stdout.
-    pub fn stdout() -> Self {
-        LogSink { target: Arc::new(Mutex::new(SinkTarget::Stdout)) }
-    }
-
-    /// A sink that prints to stderr.
-    pub fn stderr() -> Self {
-        LogSink { target: Arc::new(Mutex::new(SinkTarget::Stderr)) }
-    }
-
-    /// A sink that buffers lines for later inspection.
-    pub fn capture() -> Self {
-        LogSink { target: Arc::new(Mutex::new(SinkTarget::Capture(Vec::new()))) }
-    }
-
-    /// Emit one line on `stream` (rendered as `[stream] line`).
-    pub fn emit(&self, stream: &str, line: &str) {
-        let rendered = format!("[{stream}] {line}");
-        let mut t = self.target.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        match &mut *t {
-            SinkTarget::Stdout => println!("{rendered}"),
-            SinkTarget::Stderr => eprintln!("{rendered}"),
-            SinkTarget::Capture(lines) => lines.push(rendered),
-        }
-    }
-
-    /// Emit one machine-parseable `key=value` record on `stream`. Values
-    /// containing whitespace are double-quoted (with `"` and `\` escaped),
-    /// so a consumer can split on spaces outside quotes.
-    pub fn emit_kv(&self, stream: &str, fields: &[(&str, String)]) {
-        let mut line = String::new();
-        for (i, (k, v)) in fields.iter().enumerate() {
-            if i > 0 {
-                line.push(' ');
-            }
-            line.push_str(k);
-            line.push('=');
-            if v.is_empty() || v.contains(char::is_whitespace) || v.contains('"') {
-                line.push('"');
-                for c in v.chars() {
-                    if c == '"' || c == '\\' {
-                        line.push('\\');
-                    }
-                    line.push(c);
-                }
-                line.push('"');
-            } else {
-                line.push_str(v);
-            }
-        }
-        self.emit(stream, &line);
-    }
-
-    /// Lines captured so far (empty for stdout/stderr sinks).
-    pub fn lines(&self) -> Vec<String> {
-        let t = self.target.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        match &*t {
-            SinkTarget::Capture(lines) => lines.clone(),
-            _ => Vec::new(),
-        }
-    }
-}
-
-impl Default for LogSink {
-    fn default() -> Self {
-        Self::stdout()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -933,20 +839,5 @@ mod tests {
         assert_eq!(json_escape("plain"), "\"plain\"");
         assert_eq!(json_escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn log_sink_captures_and_prefixes() {
-        let sink = LogSink::capture();
-        sink.emit("bench", "hello");
-        sink.emit_kv(
-            "bench",
-            &[("name", "g/f".to_string()), ("title", "two words".to_string()), ("n", "3".to_string())],
-        );
-        let lines = sink.lines();
-        assert_eq!(lines[0], "[bench] hello");
-        assert_eq!(lines[1], "[bench] name=g/f title=\"two words\" n=3");
-        // stdout sinks don't capture.
-        assert!(LogSink::stdout().lines().is_empty());
     }
 }

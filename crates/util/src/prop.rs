@@ -23,7 +23,6 @@
 //! Set `REVERE_PROP_CASES` to scale every `forall` count (e.g. `=4x` in a
 //! soak run, or an absolute number) without touching the tests.
 
-use crate::obs::LogSink;
 use crate::rng::{splitmix64, RngCore, SeedableRng, StdRng};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -96,32 +95,18 @@ fn effective_cases(nominal: u32) -> u32 {
 /// Run `property` against `cases` independently seeded inputs.
 ///
 /// Panics (failing the enclosing `#[test]`) on the first failing case,
-/// after reporting the case index and seed needed to reproduce it with
-/// [`Gen::from_seed`]. The report goes to stderr; use
-/// [`forall_with_sink`] to capture or redirect it.
-pub fn forall(cases: u32, property: impl FnMut(&mut Gen)) {
-    forall_with_sink(cases, &LogSink::stderr(), property);
-}
-
-/// [`forall`] with the failure report routed through `sink` (stream
-/// `prop`) instead of stderr — a machine-parseable `key=value` record
-/// carrying the case index and reproduction seed.
-pub fn forall_with_sink(cases: u32, sink: &LogSink, mut property: impl FnMut(&mut Gen)) {
+/// after printing to stderr the case index and the seed that reproduces
+/// it with [`Gen::from_seed`].
+pub fn forall(cases: u32, mut property: impl FnMut(&mut Gen)) {
     let cases = effective_cases(cases);
     for case in 0..cases {
         let mut sm = BASE_SEED ^ (case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let seed = splitmix64(&mut sm);
         let mut gen = Gen::from_seed(seed);
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| property(&mut gen))) {
-            sink.emit_kv(
-                "prop",
-                &[
-                    ("event", "property_failed".to_string()),
-                    ("case", case.to_string()),
-                    ("cases", cases.to_string()),
-                    ("seed", format!("{seed:#018x}")),
-                    ("reproduce", format!("Gen::from_seed({seed:#x})")),
-                ],
+            eprintln!(
+                "property failed at case {case} of {cases}, seed {seed:#018x}: \
+                 reproduce with Gen::from_seed({seed:#x})"
             );
             resume_unwind(payload);
         }
@@ -153,19 +138,6 @@ mod tests {
             })
         }));
         assert!(result.is_err(), "a draw ≥ 5 must occur within 16 cases");
-    }
-
-    #[test]
-    fn failure_report_routes_through_sink() {
-        let sink = LogSink::capture();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            forall_with_sink(4, &sink, |_| panic!("always"));
-        }));
-        assert!(result.is_err());
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 1, "{lines:?}");
-        assert!(lines[0].starts_with("[prop] event=property_failed case=0 cases=4 seed=0x"), "{lines:?}");
-        assert!(lines[0].contains("reproduce=Gen::from_seed(0x"), "{lines:?}");
     }
 
     #[test]

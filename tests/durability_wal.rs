@@ -18,7 +18,7 @@
 //!   at checkpoints, and the receiver's dedup inbox compacts to a
 //!   watermark instead of remembering every id forever.
 
-use revere::pdms::durable::{checkpoint, recover, PeerDisk};
+use revere::pdms::durable::{checkpoint, recover, PeerDisk, RecoveredPeer};
 use revere::pdms::propagation::{GramInbox, ReliableLink};
 use revere::pdms::{MaterializedView, SequencedGram, Updategram};
 use revere::prelude::*;
@@ -27,6 +27,7 @@ use revere::storage::wal::encode_catalog;
 use revere::storage::{Attribute, Catalog};
 use revere_util::prop::{forall, Gen};
 use revere_util::RngExt;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The crash seed under test: `REVERE_CRASH_SEED` or 7.
 fn crash_seed() -> u64 {
@@ -256,6 +257,32 @@ fn inbox_memory_stays_bounded_over_many_ship_rounds() {
 // Crash convergence (the verify-gate invariant)
 // ---------------------------------------------------------------------
 
+/// Recovery checked against the log it folds: `replayed` counts the
+/// records at or above the image's mark that the catalog and inboxes
+/// take (seal and ack records fold into outboxes instead), and each
+/// outbox owes exactly the seals the log holds without a matching ack.
+fn assert_fold_matches_the_log(disk: &PeerDisk, rec: &RecoveredPeer) {
+    let mut owed: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
+    let mut suffix = 0;
+    for (lsn, r) in disk.journal().records() {
+        match r {
+            WalRecord::DeltaSealed { link, id, .. } => {
+                owed.entry(link).or_default().insert(id);
+            }
+            WalRecord::DeltaAcked { link, id } => {
+                owed.entry(link).or_default().remove(&id);
+            }
+            _ => suffix += usize::from(lsn >= rec.report.as_of),
+        }
+    }
+    assert_eq!(rec.report.replayed, suffix, "replayed is not the log's suffix");
+    for (link, outbox) in &rec.outboxes {
+        let pending: BTreeSet<u64> = outbox.pending().iter().map(|g| g.id).collect();
+        assert_eq!(pending, owed.remove(link).unwrap_or_default(), "link {link} owes other grams");
+    }
+    assert!(owed.values().all(BTreeSet::is_empty), "seals with no outbox: {owed:?}");
+}
+
 /// Final canonical state of one seeded propagation run: (source catalog
 /// bytes, target catalog bytes, distinct grams applied).
 fn propagation_run(seed: u64, crashing: bool) -> (Vec<u8>, Vec<u8>, usize) {
@@ -295,6 +322,9 @@ fn propagation_run(seed: u64, crashing: bool) -> (Vec<u8>, Vec<u8>, usize) {
         if crashing && tick == crash_dst {
             drop(std::mem::take(&mut dst));
             let rec = recover(&dst_disk).expect("receiver recovers");
+            assert_fold_matches_the_log(&dst_disk, &rec);
+            let restored = rec.inboxes.get("Src").map_or(0, GramInbox::applied_count);
+            assert_eq!(restored, inbox.applied_count(), "the inbox forgot or invented grams");
             dst = rec.catalog;
             inbox = rec
                 .inboxes
@@ -307,6 +337,8 @@ fn propagation_run(seed: u64, crashing: bool) -> (Vec<u8>, Vec<u8>, usize) {
         if crashing && tick == crash_src {
             drop(std::mem::take(&mut src));
             let rec = recover(&src_disk).expect("sender recovers");
+            assert_fold_matches_the_log(&src_disk, &rec);
+            assert!(rec.inboxes.is_empty(), "the sender had no inbox");
             src = rec.catalog;
             let resume = rec.outboxes.get("Dst").cloned().unwrap_or_default();
             link = resume.resume("Dst", plan.clone(), &src_disk);
