@@ -104,7 +104,7 @@ pub fn e5_cleaning_policies() -> Table {
                 m.store
                     .query((Some(s), Some("person.phone"), None))
                     .iter()
-                    .any(|tr| tr.object != *v)
+                    .any(|tr| tr.object != v)
             })
             .count();
         let acc = |policy: &CleaningPolicy| -> f64 {

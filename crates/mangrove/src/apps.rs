@@ -16,18 +16,21 @@
 //! decision.
 
 use crate::clean::{resolve_among, CleaningPolicy};
-use revere_storage::{Attribute, RelSchema, Relation, Triple, TripleStore, Value};
+use revere_storage::{RelSchema, Relation, Triple, TripleStore, Value};
 use std::fmt::Write as _;
+
+/// How one cell is made of its `(subject, predicate)` group.
+type Cell = fn(&str, &[Triple], &CleaningPolicy) -> Value;
 
 /// The first value `policy` keeps of one `(subject, predicate)` group, or
 /// `Null`.
-fn first(subject: &str, group: &[&Triple], policy: &CleaningPolicy) -> Value {
+fn first(subject: &str, group: &[Triple], policy: &CleaningPolicy) -> Value {
     resolve_among(subject, group, policy).next().cloned().unwrap_or(Value::Null)
 }
 
 /// Every value `policy` keeps of one group, joined with `; ` into one
 /// string (a lone string value is that cell), or `Null`.
-fn joined(subject: &str, group: &[&Triple], policy: &CleaningPolicy) -> Value {
+fn joined(subject: &str, group: &[Triple], policy: &CleaningPolicy) -> Value {
     let mut values = resolve_among(subject, group, policy).peekable();
     let Some(head) = values.next() else {
         return Value::Null;
@@ -40,6 +43,26 @@ fn joined(subject: &str, group: &[&Triple], policy: &CleaningPolicy) -> Value {
         let _ = write!(text, "; {v}");
     }
     Value::str(text)
+}
+
+/// One row per subject having `key`, in name order: the subject, then per
+/// `(predicate, cell, policy)` column the cell made of that group.
+fn render_rows(
+    store: &TripleStore,
+    schema: RelSchema,
+    key: &str,
+    columns: &[(&str, Cell, &CleaningPolicy)],
+) -> Relation {
+    let predicates: Vec<&str> = columns.iter().map(|&(p, _, _)| p).collect();
+    let mut rows = Vec::new();
+    store.records(key, &predicates, |subject, groups| {
+        let mut row = Vec::with_capacity(columns.len() + 1);
+        row.push(Value::Str(subject.clone()));
+        let cells = columns.iter().zip(groups);
+        row.extend(cells.map(|(&(_, cell, policy), group)| cell(subject, group, policy)));
+        rows.push(row);
+    });
+    Relation::with_rows(schema, rows)
 }
 
 /// The departmental course calendar: one row per course with title, time
@@ -60,15 +83,13 @@ impl Default for CourseCalendar {
 impl CourseCalendar {
     /// Render the calendar from the store's current contents.
     pub fn render(&self, store: &TripleStore) -> Relation {
-        let schema = RelSchema::text("calendar", &["course", "title", "time", "room"]);
-        let mut rows = Vec::new();
-        let columns = ["course.title", "course.time", "course.room"];
-        store.records("course.title", &columns, |subject, groups| {
-            let mut row = vec![Value::Str(subject.clone())];
-            row.extend(groups.iter().map(|group| first(subject, group, &self.policy)));
-            rows.push(row);
-        });
-        Relation::with_rows(schema, rows)
+        let p = &self.policy;
+        render_rows(
+            store,
+            RelSchema::text("calendar", &["course", "title", "time", "room"]),
+            "course.title",
+            &[("course.title", first, p), ("course.time", first, p), ("course.room", first, p)],
+        )
     }
 }
 
@@ -89,15 +110,17 @@ impl Default for WhosWho {
 impl WhosWho {
     /// Render the listing.
     pub fn render(&self, store: &TripleStore) -> Relation {
-        let schema = RelSchema::text("whos_who", &["person", "name", "email", "office"]);
-        let mut rows = Vec::new();
-        let columns = ["person.name", "person.email", "person.office"];
-        store.records("person.name", &columns, |subject, groups| {
-            let mut row = vec![Value::Str(subject.clone())];
-            row.extend(groups.iter().map(|group| joined(subject, group, &self.policy)));
-            rows.push(row);
-        });
-        Relation::with_rows(schema, rows)
+        let p = &self.policy;
+        render_rows(
+            store,
+            RelSchema::text("whos_who", &["person", "name", "email", "office"]),
+            "person.name",
+            &[
+                ("person.name", joined, p),
+                ("person.email", joined, p),
+                ("person.office", joined, p),
+            ],
+        )
     }
 }
 
@@ -120,19 +143,15 @@ impl Default for PhoneDirectory {
 impl PhoneDirectory {
     /// Render the directory: one phone per person under the policy.
     pub fn render(&self, store: &TripleStore) -> Relation {
-        let schema = RelSchema::new(
-            "phone_directory",
-            vec![Attribute::text("person"), Attribute::text("name"), Attribute::text("phone")],
-        );
-        let mut rows = Vec::new();
-        store.records("person.phone", &["person.name", "person.phone"], |subject, groups| {
-            rows.push(vec![
-                Value::Str(subject.clone()),
-                first(subject, &groups[0], &CleaningPolicy::Freshest),
-                first(subject, &groups[1], &self.policy),
-            ]);
-        });
-        Relation::with_rows(schema, rows)
+        render_rows(
+            store,
+            RelSchema::text("phone_directory", &["person", "name", "phone"]),
+            "person.phone",
+            &[
+                ("person.name", first, &CleaningPolicy::Freshest),
+                ("person.phone", first, &self.policy),
+            ],
+        )
     }
 }
 

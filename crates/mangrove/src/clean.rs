@@ -64,37 +64,37 @@ pub fn resolve(
 /// Resolve one `(subject, predicate)` group — its live triples, oldest
 /// first, as [`TripleStore::query`] and [`TripleStore::records`] give
 /// them — under a policy, as [`resolve`] does. The values are borrowed
-/// from the group (a value asserted as both `Int(2)` and `Float(2.0)`
+/// from the store (a value asserted as both `Int(2)` and `Float(2.0)`
 /// keeps its oldest spelling under `TakeAll` and `Majority`); only
 /// [`CleaningPolicy::Majority`], and the fallback to it, allocate.
 pub fn resolve_among<'t>(
     subject: &str,
-    triples: &'t [&'t Triple],
+    triples: &'t [Triple<'t>],
     policy: &CleaningPolicy,
 ) -> impl Iterator<Item = &'t Value> {
     let (all, winner) = match policy {
         CleaningPolicy::TakeAll => (triples, None),
         CleaningPolicy::PreferOwnSource => {
-            let own = triples.iter().rev().find(|t| is_own_source(subject, &t.source));
-            (&[][..], own.map(|t| &t.object).or_else(|| majority(triples)))
+            let own = triples.iter().rev().find(|t| is_own_source(subject, t.source));
+            (&[][..], own.map(|t| t.object).or_else(|| majority(triples)))
         }
         CleaningPolicy::Majority => (&[][..], majority(triples)),
-        CleaningPolicy::Freshest => (&[][..], triples.last().map(|t| &t.object)),
+        CleaningPolicy::Freshest => (&[][..], triples.last().map(|t| t.object)),
     };
     // TakeAll: every value not asserted by an older triple of the group.
     let distinct = all
         .iter()
         .enumerate()
         .filter(|&(i, t)| all[..i].iter().all(|u| u.object != t.object))
-        .map(|(_, t)| &t.object);
+        .map(|(_, t)| t.object);
     winner.into_iter().chain(distinct)
 }
 
 /// The most frequently asserted value, ties broken by the latest publish.
-fn majority<'t>(triples: &[&'t Triple]) -> Option<&'t Value> {
+fn majority<'t>(triples: &[Triple<'t>]) -> Option<&'t Value> {
     let mut counts: BTreeMap<&Value, (usize, u64)> = BTreeMap::new();
     for t in triples {
-        let e = counts.entry(&t.object).or_insert((0, 0));
+        let e = counts.entry(t.object).or_insert((0, 0));
         e.0 += 1;
         e.1 = e.1.max(t.published_at);
     }

@@ -25,29 +25,35 @@ pub struct Inconsistency {
     pub assertions: Vec<(Value, String, u64)>,
 }
 
-/// `(value, source, published_at)` assertions keyed by (subject, predicate).
-type AssertionGroups = BTreeMap<(String, String), Vec<(Value, String, u64)>>;
+/// `(value, source, published_at)` assertions keyed by (subject, predicate),
+/// borrowed from the store.
+type AssertionGroups<'s> = BTreeMap<(&'s str, &'s str), Vec<(&'s Value, &'s str, u64)>>;
 
 /// Scan the store for violations of the schema's single-valued hints.
 pub fn find_inconsistencies(store: &TripleStore, schema: &MangroveSchema) -> Vec<Inconsistency> {
-    // Group assertions by (subject, predicate).
+    // Group assertions by (subject, predicate), oldest first.
     let mut groups: AssertionGroups = BTreeMap::new();
     for t in store.iter() {
-        if schema.decl(&t.predicate).map(|d| d.single_valued).unwrap_or(false) {
+        if schema.decl(t.predicate).map(|d| d.single_valued).unwrap_or(false) {
             groups
-                .entry((t.subject.clone(), t.predicate.clone()))
+                .entry((t.subject, t.predicate))
                 .or_default()
-                .push((t.object.clone(), t.source.clone(), t.published_at));
+                .push((t.object, t.source, t.published_at));
         }
     }
     let mut out = Vec::new();
-    for ((subject, predicate), mut assertions) in groups {
-        assertions.sort_by_key(|(_, _, at)| *at);
-        let mut values: Vec<&Value> = assertions.iter().map(|(v, _, _)| v).collect();
+    for ((subject, predicate), assertions) in groups {
+        let mut values: Vec<&Value> = assertions.iter().map(|&(v, _, _)| v).collect();
         values.sort();
         values.dedup();
         if values.len() > 1 {
-            out.push(Inconsistency { subject, predicate, assertions });
+            out.push(Inconsistency {
+                subject: subject.to_string(),
+                predicate: predicate.to_string(),
+                assertions: (assertions.into_iter())
+                    .map(|(v, source, at)| (v.clone(), source.to_string(), at))
+                    .collect(),
+            });
         }
     }
     out

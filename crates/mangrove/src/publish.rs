@@ -108,7 +108,7 @@ mod tests {
             .store
             .query((Some("person/ada"), Some("person.phone"), None));
         assert_eq!(phones.len(), 1);
-        assert_eq!(phones[0].object, Value::str("555-0001"));
+        assert_eq!(*phones[0].object, Value::str("555-0001"));
     }
 
     #[test]
@@ -120,7 +120,7 @@ mod tests {
             .store
             .query((Some("person/ada"), Some("person.phone"), None));
         assert_eq!(phones.len(), 1);
-        assert_eq!(phones[0].object, Value::str("555-0002"));
+        assert_eq!(*phones[0].object, Value::str("555-0002"));
     }
 
     #[test]

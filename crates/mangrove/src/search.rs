@@ -46,14 +46,14 @@ impl SearchEngine {
         let mut postings: HashMap<String, BTreeMap<String, Vec<String>>> = HashMap::new();
         let mut subjects: BTreeMap<&str, ()> = BTreeMap::new();
         for t in store.iter() {
-            subjects.insert(&t.subject, ());
+            subjects.insert(t.subject, ());
             for term in terms_of(&t.object.to_string()) {
                 postings
                     .entry(term)
                     .or_default()
-                    .entry(t.subject.clone())
+                    .entry(t.subject.to_string())
                     .or_default()
-                    .push(t.predicate.clone());
+                    .push(t.predicate.to_string());
             }
         }
         SearchEngine { postings, subjects: subjects.len() }
@@ -127,7 +127,7 @@ impl PaperDatabase {
         let mut rows = Vec::new();
         let columns = ["publication.title", "publication.author", "publication.year"];
         store.records("publication.title", &columns, |subject, groups| {
-            let oldest = |group: &[&Triple]| group.first().map_or(Value::Null, |t| t.object.clone());
+            let oldest = |group: &[Triple]| group.first().map_or(Value::Null, |t| t.object.clone());
             let mut authors: Vec<String> = groups[1].iter().map(|t| t.object.to_string()).collect();
             authors.sort();
             authors.dedup();

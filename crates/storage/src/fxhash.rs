@@ -3,8 +3,10 @@
 //! state and derivation counts of `revere_query::dataflow` circuits), by
 //! every join index of the vectorized engine in `revere_query` (`i64` and
 //! `Vec<Value>` keys, and the string map that translates one dictionary's
-//! codes into another's), and by the PDMS reformulation and plan caches
-//! (query-text and canonical-key strings).
+//! codes into another's), by the PDMS reformulation and plan caches
+//! (query-text and canonical-key strings), and by the triple store's
+//! per-predicate counts (dense subject ids; its maps keyed by
+//! page-supplied names and values keep SipHash).
 //!
 //! The default SipHash is collision-hardened but costs more than a whole
 //! probe or fold on `i64`, short string and short `Value` keys. This

@@ -6,45 +6,55 @@
 //! source URL of the data is stored in the database and can serve as an
 //! important resource for cleaning up the data."
 //!
-//! A [`Triple`] is `(subject, predicate, object)` plus its provenance: the
+//! A triple is `(subject, predicate, object)` plus its provenance: the
 //! source URL it was published from and the logical publish time. The store
 //! supports *republish* semantics — publishing a page replaces all triples
 //! previously published from that URL, which is what makes MANGROVE's
 //! instant-gratification loop work — and everything it keeps is live:
 //!
-//! * triples sit in a slab; a retracted triple's slot goes on a free list
+//! * a stored triple is a fixed-width record: its subject, predicate and
+//!   source are `u32` ids into three interners, each holding a name once,
+//!   and its object is a [`Value`]; a `Str` object equal to one already
+//!   stored shares that allocation (by string content only, so `Int(2)`
+//!   and `Float(2.0)` keep their spellings). Reads give [`Triple`] views
+//!   borrowing the store's names and objects, and allocate nothing per
+//!   triple;
+//! * records sit in a slab; a retracted record's slot goes on a free list
 //!   and the next insert takes it, so the slab is as long as the largest
 //!   number of triples ever live at once;
-//! * subject and predicate names are interned to `u32`. The subject index
-//!   holds `(predicate id, slot)` per live triple in publish order, so an
-//!   `(S, P, ?)` pattern is one probe that dereferences only the matching
-//!   triples, oldest first; the predicate index holds `subject id → live
-//!   count`, so [`TripleStore::subjects_with`] enumerates keys, and
-//!   [`TripleStore::records`] reads several predicates of every such key in
-//!   one walk — what an application renders; the object and source
-//!   indexes hold slots;
+//! * each subject holds `(predicate id, slot)` per live triple in publish
+//!   order, so an `(S, P, ?)` pattern is one probe that dereferences only
+//!   the matching records, oldest first; each predicate holds `subject id
+//!   → live count`, so [`TripleStore::subjects_with`] enumerates keys, and
+//!   [`TripleStore::records`] reads several predicates of every such key
+//!   in one walk — what an application renders; each source holds its
+//!   slots in publish order, and the object index maps a value to its
+//!   slots;
 //! * retraction removes a triple from every index it is in, so no read
 //!   ever meets a dead entry and no cost depends on when
-//!   [`TripleStore::compact`] last ran.
+//!   [`TripleStore::compact`] last ran. A name whose last triple went
+//!   keeps its id until `compact`.
 
+use crate::fxhash::FxMap;
 use crate::relation::Relation;
 use crate::schema::RelSchema;
 use crate::value::Value;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// One edge of the annotation graph, with provenance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Triple {
+/// One edge of the annotation graph, with provenance, as the store's reads
+/// give it: every field borrows the store's own name or object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Triple<'s> {
     /// Subject: the entity the statement is about (e.g. a course URL).
-    pub subject: String,
+    pub subject: &'s str,
     /// Predicate: the schema tag (e.g. `course.title`).
-    pub predicate: String,
+    pub predicate: &'s str,
     /// Object: the value.
-    pub object: Value,
+    pub object: &'s Value,
     /// Source URL the triple was extracted from.
-    pub source: String,
+    pub source: &'s str,
     /// Logical publish time (monotonically increasing per store).
     pub published_at: u64,
 }
@@ -52,8 +62,21 @@ pub struct Triple {
 /// A query pattern: each position either bound or free.
 pub type Pattern<'a> = (Option<&'a str>, Option<&'a str>, Option<&'a Value>);
 
-/// Names interned to dense ids, each id carrying an index entry `T`. A
-/// name whose entry has emptied keeps its id until [`TripleStore::compact`].
+/// A stored triple: ids into the store's interners, the object, and the
+/// publish time.
+#[derive(Debug, Clone)]
+struct Record {
+    subject: u32,
+    predicate: u32,
+    source: u32,
+    object: Value,
+    published_at: u64,
+}
+
+/// Names interned to dense ids, each id carrying an index entry `T`. The
+/// name map is keyed by page-supplied strings, so it keeps the default
+/// collision-hardened hasher. A name whose entry has emptied keeps its id
+/// until [`TripleStore::compact`].
 #[derive(Debug, Clone)]
 struct Names<T> {
     ids: HashMap<Arc<str>, u32>,
@@ -82,6 +105,10 @@ impl<T: Default> Names<T> {
         id
     }
 
+    fn name(&self, id: u32) -> &Arc<str> {
+        &self.entries[id as usize].0
+    }
+
     fn entry(&self, id: u32) -> &T {
         &self.entries[id as usize].1
     }
@@ -89,12 +116,38 @@ impl<T: Default> Names<T> {
     fn entry_mut(&mut self, id: u32) -> &mut T {
         &mut self.entries[id as usize].1
     }
+
+    /// Forget the names whose entry is `unused`, renumbering the rest in
+    /// their order. Returns the old → new id map when a name went.
+    fn forget(&mut self, unused: impl Fn(&T) -> bool) -> Option<Vec<u32>> {
+        if !self.entries.iter().any(|(_, e)| unused(e)) {
+            return None;
+        }
+        let mut remap = vec![u32::MAX; self.entries.len()];
+        let mut kept = 0;
+        for (id, (_, e)) in self.entries.iter().enumerate() {
+            if !unused(e) {
+                remap[id] = kept;
+                kept += 1;
+            }
+        }
+        self.entries.retain(|(_, e)| !unused(e));
+        self.entries.shrink_to_fit();
+        self.ids.retain(|_, id| {
+            *id = remap[*id as usize];
+            *id != u32::MAX
+        });
+        self.ids.shrink_to_fit();
+        Some(remap)
+    }
 }
 
 /// `(predicate id, slot)` of each live triple of one subject.
 type SubjectEntry = Vec<(u32, u32)>;
 /// `subject id → live triples carrying the pair` for one predicate.
-type PredicateEntry = HashMap<u32, u32>;
+type PredicateEntry = FxMap<u32, u32>;
+/// The slots of one source's live triples, in publish order.
+type SourceEntry = Vec<u32>;
 
 /// How much a [`TripleStore`] holds, part by part. With nothing dead
 /// reachable, every `*_entries` field equals [`TripleStore::len`].
@@ -112,18 +165,23 @@ pub struct Occupancy {
     pub source_entries: usize,
     /// Interned subject and predicate names, used or not.
     pub names: usize,
+    /// Interned source URLs, used or not.
+    pub sources: usize,
+    /// Distinct string allocations among the live triples' `Str` objects:
+    /// with sharing, the number of distinct live `Str` contents.
+    pub object_strings: usize,
 }
 
 /// The annotation repository.
 #[derive(Debug, Default, Clone)]
 pub struct TripleStore {
-    slots: Vec<Option<Triple>>, // `None` exactly for the slots in `free`
+    slots: Vec<Option<Record>>, // `None` exactly for the slots in `free`
     free: Vec<u32>,
     clock: u64,
     subjects: Names<SubjectEntry>,
     predicates: Names<PredicateEntry>,
+    sources: Names<SourceEntry>,
     by_object: HashMap<Value, Vec<u32>>,
-    by_source: HashMap<String, Vec<u32>>,
 }
 
 impl TripleStore {
@@ -150,83 +208,89 @@ impl TripleStore {
     /// Insert one triple from `source`. Returns its publish time.
     pub fn insert(
         &mut self,
-        subject: impl Into<String>,
-        predicate: impl Into<String>,
+        subject: &str,
+        predicate: &str,
         object: impl Into<Value>,
-        source: impl Into<String>,
+        source: &str,
     ) -> u64 {
+        let source = self.sources.intern(source);
+        self.insert_from(source, subject, predicate, object.into())
+    }
+
+    fn insert_from(&mut self, source: u32, subject: &str, predicate: &str, object: Value) -> u64 {
         self.clock += 1;
-        let t = Triple {
-            subject: subject.into(),
-            predicate: predicate.into(),
-            object: object.into(),
-            source: source.into(),
-            published_at: self.clock,
-        };
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
             u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 triples")
         });
-        Self::index_names(&mut self.subjects, &mut self.predicates, &t, slot);
-        self.by_object.entry(t.object.clone()).or_default().push(slot);
-        match self.by_source.get_mut(&t.source) {
-            Some(slots) => slots.push(slot),
-            None => {
-                self.by_source.insert(t.source.clone(), vec![slot]);
+        let subject = self.subjects.intern(subject);
+        let predicate = self.predicates.intern(predicate);
+        self.subjects.entry_mut(subject).push((predicate, slot));
+        *self.predicates.entry_mut(predicate).entry(subject).or_insert(0) += 1;
+        self.sources.entry_mut(source).push(slot);
+        // A `Str` equal to a stored one takes that allocation; any other
+        // object keeps its own spelling (`Int(2)` equals `Float(2.0)`).
+        let object = match self.by_object.entry(object.clone()) {
+            Entry::Occupied(mut at) => {
+                at.get_mut().push(slot);
+                match (at.key(), object) {
+                    (Value::Str(kept), Value::Str(_)) => Value::Str(kept.clone()),
+                    (_, object) => object,
+                }
             }
-        }
-        self.slots[slot as usize] = Some(t);
-        self.clock
-    }
-
-    fn index_names(
-        subjects: &mut Names<SubjectEntry>,
-        predicates: &mut Names<PredicateEntry>,
-        t: &Triple,
-        slot: u32,
-    ) {
-        let s = subjects.intern(&t.subject);
-        let p = predicates.intern(&t.predicate);
-        subjects.entry_mut(s).push((p, slot));
-        *predicates.entry_mut(p).entry(s).or_insert(0) += 1;
+            Entry::Vacant(at) => {
+                at.insert(vec![slot]);
+                object
+            }
+        };
+        let published_at = self.clock;
+        let record = Record { subject, predicate, source, object, published_at };
+        self.slots[slot as usize] = Some(record);
+        published_at
     }
 
     /// Replace everything previously published from `source` with the given
     /// `(subject, predicate, object)` statements — the semantics of a user
     /// hitting "publish" in the MANGROVE annotation tool. Returns how many
-    /// triples the previous version had.
+    /// triples the previous version had. The source is looked up once.
     pub fn republish(
         &mut self,
         source: &str,
         statements: impl IntoIterator<Item = (String, String, Value)>,
     ) -> usize {
         let retracted = self.retract_source(source);
-        for (s, p, o) in statements {
-            self.insert(s, p, o, source);
+        let mut statements = statements.into_iter().peekable();
+        if statements.peek().is_some() {
+            let source = self.sources.intern(source);
+            for (s, p, o) in statements {
+                self.insert_from(source, &s, &p, o);
+            }
         }
         retracted
     }
 
     /// Remove all triples from a source (page deleted). Returns the count.
-    /// Costs the page's statements, each times the length of its subject's
-    /// and its object's list.
+    /// Costs one lookup of the URL, then per statement one pass over its
+    /// subject's list, one probe of its predicate's counts and one hash of
+    /// its object with a pass over that object's list; no name is hashed.
+    /// The source keeps its id until [`TripleStore::compact`].
     pub fn retract_source(&mut self, source: &str) -> usize {
-        let Some(slots) = self.by_source.remove(source) else {
+        let Some(id) = self.sources.id(source) else {
             return 0;
         };
+        let slots = std::mem::take(self.sources.entry_mut(id));
         for &slot in &slots {
-            let t = self.slots[slot as usize].take().expect("the source index holds live slots");
+            let r = self.slots[slot as usize].take().expect("the source index holds live slots");
             self.free.push(slot);
-            let s = self.subjects.id(&t.subject).expect("a live triple's subject is interned");
-            let p = self.predicates.id(&t.predicate).expect("a live triple's predicate is interned");
-            self.subjects.entry_mut(s).retain(|&(_, at)| at != slot);
-            if let Entry::Occupied(mut count) = self.predicates.entry_mut(p).entry(s) {
+            self.subjects.entry_mut(r.subject).retain(|&(_, at)| at != slot);
+            let counts = self.predicates.entry_mut(r.predicate);
+            if let Entry::Occupied(mut count) = counts.entry(r.subject) {
                 *count.get_mut() -= 1;
                 if *count.get() == 0 {
                     count.remove();
                 }
             }
-            if let Entry::Occupied(mut at) = self.by_object.entry(t.object) {
+            if let Entry::Occupied(mut at) = self.by_object.entry(r.object) {
                 at.get_mut().retain(|&at| at != slot);
                 if at.get().is_empty() {
                     at.remove();
@@ -236,56 +300,69 @@ impl TripleStore {
         slots.len()
     }
 
-    fn at(&self, slot: u32) -> &Triple {
+    fn record(&self, slot: u32) -> &Record {
         self.slots[slot as usize].as_ref().expect("indexes hold live slots")
+    }
+
+    /// The view of one record.
+    fn view<'s>(&'s self, r: &'s Record) -> Triple<'s> {
+        Triple {
+            subject: self.subjects.name(r.subject),
+            predicate: self.predicates.name(r.predicate),
+            object: &r.object,
+            source: self.sources.name(r.source),
+            published_at: r.published_at,
+        }
+    }
+
+    /// Every live record, oldest first.
+    fn oldest_first(&self) -> Vec<&Record> {
+        let mut live: Vec<&Record> = self.slots.iter().flatten().collect();
+        // Freed slots are reused, so slab order is not publish order.
+        live.sort_unstable_by_key(|r| r.published_at);
+        live
     }
 
     /// All live triples matching a pattern, oldest first. A bound subject
     /// is one probe of the subject index (narrowed by predicate id before
-    /// any triple is touched); otherwise a bound object probes the object
+    /// any record is touched); otherwise a bound object probes the object
     /// index, a lone predicate walks its subjects' lists, and a fully-free
     /// pattern scans the slab; only the last two need a sort.
-    pub fn query(&self, pattern: Pattern<'_>) -> Vec<&Triple> {
-        match pattern {
-            (Some(s), p, o) => {
+    pub fn query(&self, (s, p, o): Pattern<'_>) -> Vec<Triple<'_>> {
+        let p = match p.map(|p| self.predicates.id(p)) {
+            Some(None) => return Vec::new(), // a predicate nobody published
+            p => p.flatten(),
+        };
+        let records: Vec<&Record> = match (s, o) {
+            (Some(s), o) => {
                 let Some(s) = self.subjects.id(s) else {
                     return Vec::new();
                 };
-                let p = match p.map(|p| self.predicates.id(p)) {
-                    Some(None) => return Vec::new(), // a predicate nobody published
-                    p => p.flatten(),
-                };
-                self.subjects
-                    .entry(s)
-                    .iter()
+                (self.subjects.entry(s).iter())
                     .filter(|&&(q, _)| p.is_none_or(|p| p == q))
-                    .map(|&(_, slot)| self.at(slot))
-                    .filter(|t| o.is_none_or(|o| &t.object == o))
+                    .map(|&(_, slot)| self.record(slot))
+                    .filter(|r| o.is_none_or(|o| &r.object == o))
                     .collect()
             }
-            (None, p, Some(o)) => self
-                .by_object
-                .get(o)
-                .into_iter()
-                .flatten()
-                .map(|&slot| self.at(slot))
-                .filter(|t| p.is_none_or(|p| t.predicate == p))
+            (None, Some(o)) => (self.by_object.get(o).into_iter().flatten())
+                .map(|&slot| self.record(slot))
+                .filter(|r| p.is_none_or(|p| r.predicate == p))
                 .collect(),
-            (None, p, None) => {
-                let mut out: Vec<&Triple> = match p.map(|p| self.predicates.id(p)) {
-                    Some(None) => return Vec::new(),
-                    Some(Some(p)) => (self.predicates.entry(p).keys())
+            (None, None) => match p {
+                Some(p) => {
+                    let mut out: Vec<&Record> = (self.predicates.entry(p).keys())
                         .flat_map(|&s| self.subjects.entry(s))
                         .filter(|&&(q, _)| q == p)
-                        .map(|&(_, slot)| self.at(slot))
-                        .collect(),
-                    None => self.slots.iter().flatten().collect(),
-                };
-                // Subjects are walked in id order, and freed slots are reused.
-                out.sort_unstable_by_key(|t| t.published_at);
-                out
-            }
-        }
+                        .map(|&(_, slot)| self.record(slot))
+                        .collect();
+                    // Subjects are walked in map order.
+                    out.sort_unstable_by_key(|r| r.published_at);
+                    out
+                }
+                None => self.oldest_first(),
+            },
+        };
+        records.into_iter().map(|r| self.view(r)).collect()
     }
 
     /// Distinct subjects having the given predicate, sorted.
@@ -298,9 +375,8 @@ impl TripleStore {
         let Some(p) = self.predicates.id(predicate) else {
             return Vec::new();
         };
-        let mut out: Vec<(&Arc<str>, u32)> = (self.predicates.entry(p).keys())
-            .map(|&s| (&self.subjects.entries[s as usize].0, s))
-            .collect();
+        let mut out: Vec<(&Arc<str>, u32)> =
+            (self.predicates.entry(p).keys()).map(|&s| (self.subjects.name(s), s)).collect();
         out.sort_unstable_by(|a, b| a.0.cmp(b.0));
         out
     }
@@ -312,16 +388,16 @@ impl TripleStore {
         &'s self,
         key: &str,
         predicates: &[&str],
-        mut f: impl FnMut(&'s Arc<str>, &[Vec<&'s Triple>]),
+        mut f: impl FnMut(&'s Arc<str>, &[Vec<Triple<'s>>]),
     ) {
         let wanted: Vec<Option<u32>> = predicates.iter().map(|p| self.predicates.id(p)).collect();
-        let mut groups: Vec<Vec<&Triple>> = vec![Vec::new(); predicates.len()];
+        let mut groups: Vec<Vec<Triple<'s>>> = vec![Vec::new(); predicates.len()];
         for (name, s) in self.keyed(key) {
             groups.iter_mut().for_each(Vec::clear);
-            // A subject's list is in publish order (see `compact`).
+            // A subject's list is in publish order.
             for &(p, slot) in self.subjects.entry(s) {
                 if let Some(at) = wanted.iter().position(|&w| w == Some(p)) {
-                    groups[at].push(self.at(slot));
+                    groups[at].push(self.view(self.record(slot)));
                 }
             }
             f(name, &groups);
@@ -329,25 +405,23 @@ impl TripleStore {
     }
 
     /// All live triples published from `source`, oldest first (a source's
-    /// list grows in publish order and is only ever removed whole).
-    pub fn from_source(&self, source: &str) -> Vec<&Triple> {
-        self.by_source
-            .get(source)
-            .into_iter()
-            .flatten()
-            .map(|&slot| self.at(slot))
+    /// list grows in publish order and is only ever emptied whole).
+    pub fn from_source(&self, source: &str) -> Vec<Triple<'_>> {
+        (self.sources.id(source).into_iter())
+            .flat_map(|id| self.sources.entry(id))
+            .map(|&slot| self.view(self.record(slot)))
             .collect()
     }
 
     /// Iterate over all live triples, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Triple> {
-        self.query((None, None, None)).into_iter()
+    pub fn iter(&self) -> impl Iterator<Item = Triple<'_>> {
+        self.oldest_first().into_iter().map(move |r| self.view(r))
     }
 
     /// Expose the graph as a 5-column relation
     /// `triple(subject, predicate, object, source, published_at)` so the
     /// conjunctive-query engine can join over it — the "RDF-style queries"
-    /// of §2.2.
+    /// of §2.2. Its name cells share the store's interned strings.
     pub fn as_relation(&self) -> Relation {
         let schema = RelSchema::new(
             "triple",
@@ -359,40 +433,50 @@ impl TripleStore {
                 crate::schema::Attribute::int("published_at"),
             ],
         );
-        let rows = self
-            .iter()
-            .map(|t| {
+        let rows = (self.oldest_first().into_iter())
+            .map(|r| {
                 vec![
-                    Value::str(&t.subject),
-                    Value::str(&t.predicate),
-                    t.object.clone(),
-                    Value::str(&t.source),
-                    Value::Int(t.published_at as i64),
+                    Value::Str(self.subjects.name(r.subject).clone()),
+                    Value::Str(self.predicates.name(r.predicate).clone()),
+                    r.object.clone(),
+                    Value::Str(self.sources.name(r.source).clone()),
+                    Value::Int(r.published_at as i64),
                 ]
             })
             .collect();
         Relation::with_rows(schema, rows)
     }
 
-    /// Forget the subject and predicate names no live triple uses any more
-    /// (their ids are renumbered, so both name-keyed indexes are rebuilt —
-    /// only when there is such a name), and give back spare capacity.
-    /// Nothing else accumulates: no query, publish or memory figure depends
-    /// on calling this.
-    /// The rebuild goes in publish order, so every subject's list stays
-    /// oldest first, as [`TripleStore::records`] needs.
+    /// Forget the subject, predicate and source names no live triple uses
+    /// any more. The names that stay are renumbered in their order, and
+    /// the records and indexes that hold their ids rewritten — only when
+    /// such a name exists; then give back spare capacity. Nothing else
+    /// accumulates: no query, publish or memory figure depends on calling
+    /// this, and every list keeps its publish order.
     pub fn compact(&mut self) {
-        let unused = self.subjects.entries.iter().any(|(_, e)| e.is_empty())
-            || self.predicates.entries.iter().any(|(_, e)| e.is_empty());
-        if unused {
-            self.subjects = Names::default();
-            self.predicates = Names::default();
-            let mut live: Vec<(u32, &Triple)> = (self.slots.iter().enumerate())
-                .filter_map(|(slot, t)| Some((slot as u32, t.as_ref()?)))
-                .collect();
-            live.sort_unstable_by_key(|(_, t)| t.published_at);
-            for (slot, t) in live {
-                Self::index_names(&mut self.subjects, &mut self.predicates, t, slot);
+        let subjects = self.subjects.forget(Vec::is_empty);
+        let predicates = self.predicates.forget(|e| e.is_empty());
+        let sources = self.sources.forget(Vec::is_empty);
+        let renumber = |map: &Option<Vec<u32>>, id: &mut u32| {
+            if let Some(map) = map {
+                *id = map[*id as usize];
+            }
+        };
+        if subjects.is_some() || predicates.is_some() || sources.is_some() {
+            for r in self.slots.iter_mut().flatten() {
+                renumber(&subjects, &mut r.subject);
+                renumber(&predicates, &mut r.predicate);
+                renumber(&sources, &mut r.source);
+            }
+        }
+        if predicates.is_some() {
+            for (_, entry) in &mut self.subjects.entries {
+                entry.iter_mut().for_each(|(p, _)| renumber(&predicates, p));
+            }
+        }
+        if let Some(map) = &subjects {
+            for (_, entry) in &mut self.predicates.entries {
+                *entry = entry.drain().map(|(s, n)| (map[s as usize], n)).collect();
             }
         }
         self.slots.shrink_to_fit();
@@ -401,19 +485,24 @@ impl TripleStore {
 
     /// Sizes of the slab and of each index (see [`Occupancy`]).
     pub fn occupancy(&self) -> Occupancy {
+        let object_strings: HashSet<*const u8> = (self.slots.iter().flatten())
+            .filter_map(|r| match &r.object {
+                Value::Str(s) => Some(s.as_ptr()),
+                _ => None,
+            })
+            .collect();
         Occupancy {
             slots: self.slots.len(),
             subject_entries: self.subjects.entries.iter().map(|(_, e)| e.len()).sum(),
-            predicate_entries: self
-                .predicates
-                .entries
-                .iter()
+            predicate_entries: (self.predicates.entries.iter())
                 .flat_map(|(_, e)| e.values())
                 .map(|&n| n as usize)
                 .sum(),
             object_entries: self.by_object.values().map(Vec::len).sum(),
-            source_entries: self.by_source.values().map(Vec::len).sum(),
+            source_entries: self.sources.entries.iter().map(|(_, e)| e.len()).sum(),
             names: self.subjects.entries.len() + self.predicates.entries.len(),
+            sources: self.sources.entries.len(),
+            object_strings: object_strings.len(),
         }
     }
 }
@@ -522,7 +611,7 @@ mod tests {
             assert_eq!(phones.len(), 2);
             // Oldest first, although the new triple sits in a reused slot.
             assert_eq!(phones[0].source, "http://other.org/alice");
-            assert_eq!(phones[1].object, phone);
+            assert_eq!(*phones[1].object, phone);
         }
         let o = s.occupancy();
         assert_eq!((o.slots, o.subject_entries, o.object_entries), (4, 4, 4));
@@ -532,14 +621,43 @@ mod tests {
     #[test]
     fn compact_forgets_names_no_live_triple_uses() {
         let mut s = store();
-        assert_eq!(s.occupancy().names, 2 + 3);
+        assert_eq!((s.occupancy().names, s.occupancy().sources), (2 + 3, 3));
         s.retract_source("http://uw.edu/db");
-        assert_eq!(s.occupancy().names, 2 + 3, "names outlive their triples until compact");
+        let o = s.occupancy();
+        assert_eq!((o.names, o.sources), (2 + 3, 3), "names outlive their triples until compact");
         s.compact();
-        assert_eq!(s.occupancy().names, 1 + 1);
+        assert_eq!((s.occupancy().names, s.occupancy().sources), (1 + 1, 2));
+        assert_eq!(s.from_source("http://other.org/alice")[0].object, &Value::str("555-9999"));
+        assert!(s.from_source("http://uw.edu/db").is_empty());
         assert_eq!(s.subjects_with("person.phone"), vec!["alice"]);
         assert!(s.subjects_with("course.title").is_empty());
         assert_eq!(s.query((None, Some("person.phone"), None)).len(), 2);
+    }
+
+    #[test]
+    fn a_record_is_fixed_width() {
+        // Three name ids, the publish time and one `Value`: no owned name.
+        assert!(std::mem::size_of::<Option<Record>>() <= 48);
+    }
+
+    #[test]
+    fn equal_string_objects_share_one_allocation_and_numbers_keep_their_spelling() {
+        let mut s = TripleStore::new();
+        s.insert("a", "p", Value::str("x"), "u/1");
+        s.insert("b", "p", Value::str("x"), "u/2");
+        s.insert("a", "n", Value::Int(2), "u/1");
+        s.insert("b", "n", Value::Float(2.0), "u/2");
+        let xs = s.query((None, Some("p"), None));
+        let (Value::Str(a), Value::Str(b)) = (xs[0].object, xs[1].object) else {
+            panic!("string objects")
+        };
+        assert!(Arc::ptr_eq(a, b), "equal contents share the first one's allocation");
+        assert_eq!(s.occupancy().object_strings, 1);
+        let ns: Vec<String> =
+            s.query((None, Some("n"), None)).iter().map(|t| format!("{:?}", t.object)).collect();
+        assert_eq!(ns, ["Int(2)", "Float(2.0)"]);
+        s.retract_source("u/1");
+        assert_eq!(s.query((Some("b"), Some("n"), None))[0].object, &Value::Float(2.0));
     }
 
     #[test]

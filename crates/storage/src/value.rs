@@ -192,7 +192,7 @@ impl fmt::Display for Value {
             Value::Bool(b) => write!(f, "{b}"),
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(x) => write!(f, "{x}"),
-            Value::Str(s) => write!(f, "{s}"),
+            Value::Str(s) => f.write_str(s),
         }
     }
 }

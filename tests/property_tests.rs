@@ -1031,7 +1031,7 @@ fn triple_store_republish_is_idempotent() {
         // Indexed pattern query agrees with a full scan for every subject.
         for (s, _, _) in &stmts {
             let indexed = store.query((Some(s), None, None)).len();
-            let scanned = store.iter().filter(|t| &t.subject == s).count();
+            let scanned = store.iter().filter(|t| t.subject == s.as_str()).count();
             assert_eq!(indexed, scanned);
         }
     });
@@ -1048,8 +1048,11 @@ fn triples_gen(g: &mut Gen) -> Gen {
 }
 
 /// The store holds exactly its live triples: every index has one entry per
-/// live triple and the slab never outgrew the most that were ever live.
-fn assert_nothing_dead(store: &revere::storage::TripleStore, peak_live: usize) {
+/// live triple, the slab never outgrew the most that were ever live, and
+/// the live `Str` objects hold one allocation per distinct content. Right
+/// after `compact()`, the name and source interners hold exactly the names
+/// and sources the live triples use.
+fn assert_nothing_dead(store: &revere::storage::TripleStore, peak_live: usize, compacted: bool) {
     let o = store.occupancy();
     let live = store.len();
     assert!(o.slots <= peak_live, "{} slots for a peak of {peak_live} live triples", o.slots);
@@ -1058,28 +1061,64 @@ fn assert_nothing_dead(store: &revere::storage::TripleStore, peak_live: usize) {
         [live; 4],
         "an index holds something other than the live triples"
     );
+    let distinct = |mut items: Vec<&str>| {
+        items.sort_unstable();
+        items.dedup();
+        items.len()
+    };
+    let strings = distinct(store.iter().filter_map(|t| t.object.as_str()).collect());
+    assert_eq!(o.object_strings, strings, "equal object strings share one allocation");
+    let names = distinct(store.iter().flat_map(|t| [t.subject, t.predicate]).collect());
+    let sources = distinct(store.iter().map(|t| t.source).collect());
+    if compacted {
+        assert_eq!((o.names, o.sources), (names, sources), "compact kept a dead name or source");
+    } else {
+        assert!(o.names >= names && o.sources >= sources, "a live name or source is not interned");
+    }
 }
 
-/// Random schedules of every write the store has, against a `Vec<Triple>`
-/// in publish order as the model. After every step every read equals the
-/// model's filter, oldest first, and nothing dead is kept — whether or not
-/// the schedule ever calls `compact()`.
+/// Random schedules of every write the store has, against a vector of
+/// owned triples in publish order as the model. After every step every
+/// read equals the model's filter, oldest first, every object keeps the
+/// spelling it was published with, and nothing dead is kept — whether or
+/// not the schedule ever calls `compact()`.
 #[test]
 fn triple_store_agrees_with_a_vec_model_and_keeps_nothing_dead() {
     use revere::storage::{Triple, TripleStore};
     const SUBJECTS: [&str; 4] = ["course/a", "course/b", "person/a", "person/b"];
     const PREDICATES: [&str; 3] = ["x.title", "x.phone", "x.room"];
     const SOURCES: [&str; 4] = ["http://u/0", "http://u/1", "http://u/2", "http://u/3"];
+    /// One published triple, owned.
+    struct Fact {
+        subject: String,
+        predicate: String,
+        object: Value,
+        source: &'static str,
+        published_at: u64,
+    }
+    impl Fact {
+        fn view(&self) -> Triple<'_> {
+            Triple {
+                subject: &self.subject,
+                predicate: &self.predicate,
+                object: &self.object,
+                source: self.source,
+                published_at: self.published_at,
+            }
+        }
+    }
+    /// `Int(k)` and `Float(k)` are equal values with two spellings.
     fn gen_object(g: &mut Gen) -> Value {
         match g.random_range(0..5u8) {
             0 => Value::Int(g.random_range(0..2i64)),
+            1 => Value::Float(g.random_range(0..2i64) as f64),
             _ => Value::str(g.string_from("xyz", 1..2)),
         }
     }
     forall(128, |g| {
         let g = &mut triples_gen(g);
         let mut store = TripleStore::new();
-        let mut model: Vec<Triple> = Vec::new();
+        let mut model: Vec<Fact> = Vec::new();
         let (mut clock, mut peak, mut minted) = (0u64, 0usize, 0usize);
         let compacts = g.random_bool(0.5);
         for _ in 0..g.random_range(1..40usize) {
@@ -1095,17 +1134,17 @@ fn triple_store_agrees_with_a_vec_model_and_keeps_nothing_dead() {
                 (subject, g.pick(&PREDICATES).to_string(), gen_object(g))
             };
             let source = *g.pick(&SOURCES);
-            let mut publish = |model: &mut Vec<Triple>, (subject, predicate, object)| {
+            let mut publish = |model: &mut Vec<Fact>, (subject, predicate, object)| {
                 clock += 1;
-                let source = source.to_string();
-                model.push(Triple { subject, predicate, object, source, published_at: clock });
+                model.push(Fact { subject, predicate, object, source, published_at: clock });
                 peak = peak.max(model.len());
             };
+            let mut compacted = false;
             match g.random_range(0..10u8) {
                 0..=2 => {
                     let (s, p, o) = gen_statement(g);
                     publish(&mut model, (s.clone(), p.clone(), o.clone()));
-                    assert_eq!(store.insert(s, p, o, source), clock);
+                    assert_eq!(store.insert(&s, &p, o, source), clock);
                 }
                 3..=6 => {
                     let statements = g.vec(0..6, &mut gen_statement);
@@ -1121,13 +1160,7 @@ fn triple_store_agrees_with_a_vec_model_and_keeps_nothing_dead() {
                 }
                 _ if compacts => {
                     store.compact();
-                    let mut names: Vec<&str> = model
-                        .iter()
-                        .flat_map(|t| [t.subject.as_str(), t.predicate.as_str()])
-                        .collect();
-                    names.sort();
-                    names.dedup();
-                    assert_eq!(store.occupancy().names, names.len(), "compact kept a dead name");
+                    compacted = true;
                 }
                 _ => {}
             }
@@ -1135,8 +1168,10 @@ fn triple_store_agrees_with_a_vec_model_and_keeps_nothing_dead() {
             assert_eq!(store.len(), model.len());
             assert_eq!(store.is_empty(), model.is_empty());
             assert_eq!(store.now(), clock);
-            assert_nothing_dead(&store, peak);
-            assert_eq!(store.iter().collect::<Vec<_>>(), model.iter().collect::<Vec<_>>());
+            // `Debug`, so an object stored under another spelling fails.
+            let expect: Vec<Triple> = model.iter().map(Fact::view).collect();
+            assert_eq!(format!("{:?}", store.iter().collect::<Vec<_>>()), format!("{expect:?}"));
+            assert_nothing_dead(&store, peak, compacted);
             let rows: Vec<Vec<Value>> = model
                 .iter()
                 .map(|t| {
@@ -1144,14 +1179,15 @@ fn triple_store_agrees_with_a_vec_model_and_keeps_nothing_dead() {
                         Value::str(&t.subject),
                         Value::str(&t.predicate),
                         t.object.clone(),
-                        Value::str(&t.source),
+                        Value::str(t.source),
                         Value::Int(t.published_at as i64),
                     ]
                 })
                 .collect();
             assert_eq!(store.as_relation().rows(), rows);
             for source in SOURCES.iter().chain(&["http://u/never"]) {
-                let expect: Vec<&Triple> = model.iter().filter(|t| t.source == *source).collect();
+                let expect: Vec<Triple> =
+                    model.iter().filter(|t| t.source == *source).map(Fact::view).collect();
                 assert_eq!(store.from_source(source), expect, "from_source({source})");
             }
             // All eight patterns, each position free, bound to every name
@@ -1166,18 +1202,25 @@ fn triple_store_agrees_with_a_vec_model_and_keeps_nothing_dead() {
                 .collect();
             let predicates: Vec<Option<&str>> =
                 PREDICATES.iter().copied().chain(["x.none"]).map(Some).chain([None]).collect();
-            let objects = [Value::Int(0), Value::Int(1), Value::str("x"), Value::str("y"), Value::str("q")];
+            let objects = [
+                Value::Int(0),
+                Value::Float(1.0),
+                Value::str("x"),
+                Value::str("y"),
+                Value::str("q"),
+            ];
             let objects: Vec<Option<&Value>> = objects.iter().map(Some).chain([None]).collect();
             for &s in &subjects {
                 for &p in &predicates {
                     for &o in &objects {
-                        let expect: Vec<&Triple> = model
+                        let expect: Vec<Triple> = model
                             .iter()
                             .filter(|t| {
                                 s.is_none_or(|s| t.subject == s)
                                     && p.is_none_or(|p| t.predicate == p)
                                     && o.is_none_or(|o| &t.object == o)
                             })
+                            .map(Fact::view)
                             .collect();
                         assert_eq!(store.query((s, p, o)), expect, "query({s:?}, {p:?}, {o:?})");
                     }
@@ -1242,7 +1285,7 @@ fn triple_store_after_fifty_republish_rounds_renders_as_if_built_fresh() {
                 peak = peak.max(churned.store.len());
             }
             assert_eq!(churned.store.len(), last.iter().map(|l| l.2).sum::<usize>());
-            assert_nothing_dead(&churned.store, peak);
+            assert_nothing_dead(&churned.store, peak, false);
         }
         // Freshest and majority ties go by publish time: publish the final
         // versions in the order the churned store last saw them.
