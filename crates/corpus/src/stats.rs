@@ -68,8 +68,6 @@ pub struct CorpusStats {
     /// Stemmed attribute term → co-occurrence vector over sibling
     /// attribute terms (how often they share a relation).
     cooccurrence: BTreeMap<String, SparseVec>,
-    /// Frequent within-relation attribute pairs: (a, b) sorted → count.
-    pub frequent_pairs: BTreeMap<(String, String), usize>,
     /// Attribute term → relation-name terms it appears under.
     pub home_relations: BTreeMap<String, BTreeMap<String, usize>>,
     /// Number of schemas in the corpus when computed.
@@ -109,7 +107,7 @@ impl CorpusStats {
                         .entry(rel_term.clone())
                         .or_default() += 1;
                 }
-                // Co-occurrence + frequent pairs.
+                // Co-occurrence, each pair counted from both ends.
                 for (i, a) in attr_terms.iter().enumerate() {
                     for b in attr_terms.iter().skip(i + 1) {
                         stats
@@ -122,12 +120,6 @@ impl CorpusStats {
                             .entry(b.clone())
                             .or_default()
                             .add(a.clone(), 1.0);
-                        let key = if a <= b {
-                            (a.clone(), b.clone())
-                        } else {
-                            (b.clone(), a.clone())
-                        };
-                        *stats.frequent_pairs.entry(key).or_default() += 1;
                     }
                 }
                 // Data term usage (sampled).
@@ -172,9 +164,9 @@ impl CorpusStats {
 
     /// How often two attribute terms share a relation.
     pub fn pair_support(&self, a: &str, b: &str) -> usize {
-        let (sa, sb) = (stem(a), stem(b));
-        let key = if sa <= sb { (sa, sb) } else { (sb, sa) };
-        self.frequent_pairs.get(&key).copied().unwrap_or(0)
+        (self.cooccurrence.get(&stem(a)))
+            .and_then(|v| v.weights().get(&stem(b)))
+            .map_or(0, |&n| n as usize)
     }
 
     /// The relation-name term an attribute term most commonly lives under,
@@ -192,14 +184,12 @@ impl CorpusStats {
 
     /// Frequent attribute pairs above a support threshold, most frequent
     /// first (the composite statistics of §4.2.2).
-    pub fn frequent_pairs_above(&self, min_support: usize) -> Vec<(&(String, String), usize)> {
-        let mut pairs: Vec<_> = self
-            .frequent_pairs
-            .iter()
-            .filter(|(_, &n)| n >= min_support)
-            .map(|(p, &n)| (p, n))
+    pub fn frequent_pairs_above(&self, min_support: usize) -> Vec<((&str, &str), usize)> {
+        let mut pairs: Vec<_> = (self.cooccurrence.iter())
+            .flat_map(|(a, v)| v.weights().iter().map(move |(b, &n)| ((&**a, &**b), n as usize)))
+            .filter(|&((a, b), n)| a < b && n >= min_support)
             .collect();
-        pairs.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        pairs.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         pairs
     }
 }

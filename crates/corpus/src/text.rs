@@ -257,6 +257,11 @@ impl SparseVec {
         SparseVec { weights: counts.into_iter().filter(|(_, w)| *w != 0.0).collect() }
     }
 
+    /// Each term's weight, in term order.
+    pub fn weights(&self) -> &BTreeMap<String, f64> {
+        &self.weights
+    }
+
     /// Add weight to a term.
     pub fn add(&mut self, term: impl Into<String>, w: f64) {
         *self.weights.entry(term.into()).or_insert(0.0) += w;

@@ -50,11 +50,6 @@ impl Mangrove {
     pub fn publish(&mut self, url: &str, html: &str) -> PublishReport {
         publish_page(&mut self.store, &self.schema, url, html)
     }
-
-    /// Remove a deleted page's statements.
-    pub fn unpublish(&mut self, url: &str) -> usize {
-        self.store.retract_source(url)
-    }
 }
 
 /// Free-function form of the publish pipeline (used by the crawl baseline,
@@ -146,14 +141,6 @@ mod tests {
             .store
             .query((Some("person/ada"), Some("person.phone"), None));
         assert_eq!(phones.len(), 2);
-    }
-
-    #[test]
-    fn unpublish_removes_page() {
-        let mut m = Mangrove::new(MangroveSchema::department());
-        m.publish("http://u/ada", &page("555-0001"));
-        assert_eq!(m.unpublish("http://u/ada"), 2);
-        assert!(m.store.is_empty());
     }
 
     #[test]

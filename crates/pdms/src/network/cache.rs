@@ -201,8 +201,6 @@ pub(super) struct PlanScope {
 /// Why a disjunct was planned the way it was, recorded on its
 /// `pdms.eval.disjunct` span.
 pub(super) enum PlanVerdict<'a> {
-    /// `caching` is off.
-    Bypass,
     Hit,
     /// `stale_owner` is the first owner whose stats epoch moved since the
     /// cached plan was costed; `None` when there was no current entry.
@@ -260,16 +258,15 @@ impl PdmsNetwork {
     }
 
     /// Reformulate through the cache, under a `pdms.reformulate` span that
-    /// records the cache verdict ("hit" / "miss" / "audit" / "bypass") and,
-    /// when the rule-goal expansion actually ran, how much work it did (an
-    /// audit counts as a miss in [`CacheStats`]: the query reformulated
-    /// from scratch). The second return is `None` exactly when `caching`
-    /// is off.
+    /// records the cache verdict ("hit" / "miss" / "audit") and, when the
+    /// rule-goal expansion actually ran, how much work it did (an audit
+    /// counts as a miss in [`CacheStats`]: the query reformulated from
+    /// scratch).
     pub(super) fn reformulate_cached(
         &self,
         q: &ConjunctiveQuery,
         parent: &SpanHandle,
-    ) -> (Arc<ReformulationResult>, Option<Arc<UnionDeps>>) {
+    ) -> (Arc<ReformulationResult>, Arc<UnionDeps>) {
         let span = parent.child("pdms.reformulate");
         let expand = |verdict: &str| {
             let r = Reformulator::new(self.mappings.clone(), self.options.clone()).reformulate(q);
@@ -281,9 +278,6 @@ impl PdmsNetwork {
             span.set("pruned_by_visited", r.pruned_by_visited);
             Arc::new(r)
         };
-        if !self.caching {
-            return (expand("bypass"), None);
-        }
         let key = (self.options.clone(), q.to_string());
         let audited = {
             let mut guard = self.lock_caches();
@@ -297,7 +291,7 @@ impl PdmsNetwork {
                         caches.stats.reformulation_hits += 1;
                         span.set("cache", "hit");
                         span.set("disjuncts", e.result.union.disjuncts.len());
-                        return (Arc::clone(&e.result), Some(Arc::clone(&e.deps)));
+                        return (Arc::clone(&e.result), Arc::clone(&e.deps));
                     }
                     caches.audit_at *= REFORMULATION_AUDIT_BACKOFF;
                     Some(Arc::clone(&e.result))
@@ -327,7 +321,7 @@ impl PdmsNetwork {
                 deps: Arc::clone(&deps),
             },
         );
-        (result, Some(deps))
+        (result, deps)
     }
 
     /// Read the current stats epoch of every owner the union depends on.
@@ -338,17 +332,14 @@ impl PdmsNetwork {
     }
 
     /// Plan disjunct `i` of the query's union against what was fetched,
-    /// through the cache unless `scope` is `None` (caching is off).
+    /// through the cache.
     pub(super) fn plan_for<'a>(
         &self,
         i: usize,
         d: &ConjunctiveQuery,
         fetched: &Fetched,
-        scope: Option<&'a PlanScope>,
+        scope: &'a PlanScope,
     ) -> (Arc<Plan>, PlanVerdict<'a>) {
-        let Some(scope) = scope else {
-            return (Arc::new(plan_cq(d, &fetched.staging)), PlanVerdict::Bypass);
-        };
         let dep = &scope.deps.disjuncts[i];
         let mut stale_owner = None;
         {

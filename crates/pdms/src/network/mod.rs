@@ -61,15 +61,6 @@ pub struct PdmsNetwork {
     pub retry: RetryPolicy,
     /// Per-query spend limits.
     pub budget: QueryBudget,
-    /// Reuse reformulations and query plans across queries (default on).
-    /// A cached reformulation is served while the mapping graph it was
-    /// expanded over is current, a cached plan while the statistics of
-    /// the peers it reads are (DESIGN.md has the dependency table);
-    /// nothing a cache holds can change an answer. Turning it
-    /// off makes every query reformulate and plan from scratch — the
-    /// baseline the cache-invalidation tests compare byte-for-byte
-    /// against.
-    pub caching: bool,
     /// Observability handle. [`Obs::disabled`] (the default) records
     /// nothing; an enabled handle collects per-query spans
     /// (reformulation, per-relation fetch, per-disjunct evaluation) and
@@ -114,7 +105,6 @@ impl Default for PdmsNetwork {
             faults: FaultPlan::default(),
             retry: RetryPolicy::default(),
             budget: QueryBudget::default(),
-            caching: true,
             obs: Obs::disabled(),
             replan_q_error: Some(REPLAN_Q_ERROR_DEFAULT),
             topology_epoch: 0,

@@ -19,7 +19,7 @@ pub struct QueryOutcome {
     /// The answers, in the querying peer's vocabulary.
     pub answers: Relation,
     /// The reformulated union and its statistics, shared with the
-    /// reformulation cache when caching is on.
+    /// reformulation cache.
     pub reformulation: Arc<ReformulationResult>,
     /// Peers whose data actually contributed (had the needed relations).
     pub peers_contacted: BTreeSet<String>,
@@ -50,7 +50,7 @@ impl PdmsNetwork {
         root.set("peer", at_peer);
         root.set("query", q);
         let (reformulation, deps) = self.reformulate_cached(q, &root);
-        let scope = deps.map(|deps| self.plan_scope(deps));
+        let scope = self.plan_scope(deps);
         let fetched = self.fetch_phase(at_peer, &reformulation.union, &root);
 
         // Evaluate disjuncts (those whose relations are all staged), each
@@ -62,7 +62,7 @@ impl PdmsNetwork {
         let mut schema = None;
         let mut rows = Vec::new();
         for (i, d) in disjuncts.iter().enumerate() {
-            if let Some(r) = self.eval_disjunct(i, d, &fetched, scope.as_ref(), &root) {
+            if let Some(r) = self.eval_disjunct(i, d, &fetched, &scope, &root) {
                 schema.get_or_insert_with(|| r.schema.clone());
                 rows.extend(r.into_rows());
             }
@@ -101,7 +101,7 @@ impl PdmsNetwork {
         i: usize,
         d: &ConjunctiveQuery,
         fetched: &Fetched,
-        scope: Option<&PlanScope>,
+        scope: &PlanScope,
         root: &SpanHandle,
     ) -> Option<Relation> {
         let span = root.child("pdms.eval.disjunct");
@@ -112,7 +112,6 @@ impl PdmsNetwork {
             // variables.
             span.set("disjunct", plan.key());
             match verdict {
-                PlanVerdict::Bypass => span.set("plan_cache", "bypass"),
                 PlanVerdict::Hit => span.set("plan_cache", "hit"),
                 PlanVerdict::Miss { stale_owner } => {
                     span.set("plan_cache", "miss");
@@ -158,7 +157,7 @@ impl PdmsNetwork {
             return;
         }
         self.obs.inc(names::PDMS_FEEDBACK_PLANS_REPLANNED, 1);
-        if self.caching {
+        {
             let mut caches = self.lock_caches();
             if caches.plans.remove(&plan.key().to_owned()).is_some() {
                 caches.stats.plan_evictions += 1;
@@ -236,13 +235,6 @@ impl PdmsNetwork {
             }
         }
         Ok(out)
-    }
-
-    /// `EXPLAIN ANALYZE` for a textual query (see
-    /// [`PdmsNetwork::explain_analyze`]).
-    pub fn explain_analyze_str(&self, at_peer: &str, query: &str) -> Result<String, PdmsError> {
-        let q = parse_query(query)?;
-        self.explain_analyze(at_peer, &q)
     }
 
     /// Every peer's stored relations and learned join statistics merged

@@ -266,19 +266,28 @@ fn warm_cache_answers_are_byte_identical_and_counted() {
     assert_eq!(stats.plan_hits, 3 * cold.reformulation.union.disjuncts.len());
 }
 
+/// Pose `q` at `MIT` with every cache cleared first — reformulated and
+/// planned from scratch, the reference a warm network is held to — and
+/// assert that nothing was served from a cache.
+fn cold_query(net: &PdmsNetwork, q: &str) -> QueryOutcome {
+    net.clear_caches();
+    let out = net.query_str("MIT", q).unwrap();
+    let stats = net.cache_stats();
+    assert_eq!((stats.reformulation_hits, stats.plan_hits), (0, 0), "{stats}");
+    out
+}
+
 #[test]
-fn caching_disabled_is_byte_identical() {
+fn a_cold_cache_is_byte_identical() {
     let cached = university_network();
-    let mut plain = university_network();
-    plain.caching = false;
-    let q = parse_query("q(T, E) :- MIT.subject(T, E), E > 30").unwrap();
+    let cold = university_network();
+    let q = "q(T, E) :- MIT.subject(T, E), E > 30";
     for _ in 0..2 {
-        let a = cached.query("MIT", &q).unwrap();
-        let b = plain.query("MIT", &q).unwrap();
+        let a = cached.query_str("MIT", q).unwrap();
+        let b = cold_query(&cold, q);
         assert_eq!(a.answers.rows(), b.answers.rows());
         assert_eq!(a.completeness, b.completeness);
     }
-    assert_eq!(plain.cache_stats(), CacheStats::default());
 }
 
 #[test]
@@ -361,16 +370,12 @@ fn clear_caches_resets_entries_and_counters() {
 #[test]
 fn caches_stay_within_capacity_and_never_change_an_answer() {
     let cached = university_network();
-    let mut plain = university_network();
-    plain.caching = false;
+    let cold = university_network();
     // More distinct query texts than the reformulation cache holds,
     // each with disjunct shapes of its own: the constants differ.
     let texts = |i: usize| format!("q(T, E) :- MIT.subject(T, E), E > {i}");
     for i in 0..REFORMULATION_CAPACITY + 40 {
-        let (a, b) = (
-            cached.query_str("MIT", &texts(i)).unwrap(),
-            plain.query_str("MIT", &texts(i)).unwrap(),
-        );
+        let (a, b) = (cached.query_str("MIT", &texts(i)).unwrap(), cold_query(&cold, &texts(i)));
         assert_eq!(a.answers.rows(), b.answers.rows(), "query {i}");
         let caches = cached.lock_caches();
         assert!(caches.reformulations.entries.len() <= REFORMULATION_CAPACITY);
@@ -533,13 +538,15 @@ fn live_completeness_reports_round_trip() {
 #[test]
 fn explain_analyze_renders_per_disjunct_tables() {
     let net = university_network();
-    let text = net.explain_analyze_str("MIT", "q(T, E) :- MIT.subject(T, E)").unwrap();
+    let q = parse_query("q(T, E) :- MIT.subject(T, E)").unwrap();
+    let text = net.explain_analyze("MIT", &q).unwrap();
     assert!(text.contains("explain analyze at MIT"), "{text}");
     assert!(text.contains("disjunct 1:"), "{text}");
     assert!(text.contains("act bind"), "{text}");
     assert!(text.contains("q-err"), "{text}");
     assert!(text.contains("max q-error"), "{text}");
-    let err = net.explain_analyze_str("Oxford", "q(T) :- Oxford.c(T)").unwrap_err();
+    let q = parse_query("q(T) :- Oxford.c(T)").unwrap();
+    let err = net.explain_analyze("Oxford", &q).unwrap_err();
     assert!(matches!(err, PdmsError::UnknownPeer(_)), "{err:?}");
 }
 

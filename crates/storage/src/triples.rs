@@ -16,24 +16,27 @@
 //!   source are `u32` ids into three interners, each holding a name once,
 //!   and its object is a [`Value`]; a `Str` object equal to one already
 //!   stored shares that allocation (by string content only, so `Int(2)`
-//!   and `Float(2.0)` keep their spellings). Reads give [`Triple`] views
-//!   borrowing the store's names and objects, and allocate nothing per
-//!   triple;
+//!   and `Float(2.0)` keep their spellings) through a map from each live
+//!   object string to the number of live triples holding it; no other
+//!   object is hashed. Reads give [`Triple`] views borrowing the store's
+//!   names and objects, and allocate nothing per triple;
 //! * records sit in a slab; a retracted record's slot goes on a free list
 //!   and the next insert takes it, so the slab is as long as the largest
 //!   number of triples ever live at once;
 //! * each subject holds `(predicate id, slot)` per live triple in publish
 //!   order, so an `(S, P, ?)` pattern is one probe that dereferences only
-//!   the matching records, oldest first; each predicate holds `subject id
-//!   → live count`, so [`TripleStore::subjects_with`] enumerates keys, and
+//!   the matching records, oldest first — the only pattern MANGROVE's
+//!   applications and cleaning pose; each predicate holds `subject id →
+//!   live count`, so [`TripleStore::subjects_with`] enumerates keys, and
 //!   [`TripleStore::records`] reads several predicates of every such key
 //!   in one walk — what an application renders; each source holds its
-//!   slots in publish order, and the object index maps a value to its
-//!   slots;
+//!   slots in publish order. Nothing indexes objects: a pattern with a
+//!   free subject is one scan of the live records;
 //! * retraction removes a triple from every index it is in, so no read
 //!   ever meets a dead entry and no cost depends on when
 //!   [`TripleStore::compact`] last ran. A name whose last triple went
-//!   keeps its id until `compact`.
+//!   keeps its id until `compact`; an object string leaves with its last
+//!   triple.
 
 use crate::fxhash::FxMap;
 use crate::relation::Relation;
@@ -159,8 +162,6 @@ pub struct Occupancy {
     pub subject_entries: usize,
     /// Live counts summed over all `(predicate, subject)` pairs.
     pub predicate_entries: usize,
-    /// Entries over all objects' lists.
-    pub object_entries: usize,
     /// Entries over all sources' lists.
     pub source_entries: usize,
     /// Interned subject and predicate names, used or not.
@@ -170,6 +171,9 @@ pub struct Occupancy {
     /// Distinct string allocations among the live triples' `Str` objects:
     /// with sharing, the number of distinct live `Str` contents.
     pub object_strings: usize,
+    /// The map equal `Str` objects share through: each string it holds,
+    /// in content order, with its count of live triples.
+    pub shared_strings: Vec<(Arc<str>, usize)>,
 }
 
 /// The annotation repository.
@@ -181,7 +185,9 @@ pub struct TripleStore {
     subjects: Names<SubjectEntry>,
     predicates: Names<PredicateEntry>,
     sources: Names<SourceEntry>,
-    by_object: HashMap<Value, Vec<u32>>,
+    /// Each live `Str` object's allocation → the live triples holding it.
+    /// Keyed by page-supplied strings, so the default hasher.
+    strings: HashMap<Arc<str>, u32>,
 }
 
 impl TripleStore {
@@ -230,18 +236,18 @@ impl TripleStore {
         self.sources.entry_mut(source).push(slot);
         // A `Str` equal to a stored one takes that allocation; any other
         // object keeps its own spelling (`Int(2)` equals `Float(2.0)`).
-        let object = match self.by_object.entry(object.clone()) {
-            Entry::Occupied(mut at) => {
-                at.get_mut().push(slot);
-                match (at.key(), object) {
-                    (Value::Str(kept), Value::Str(_)) => Value::Str(kept.clone()),
-                    (_, object) => object,
+        let object = match object {
+            Value::Str(s) => match self.strings.entry(s.clone()) {
+                Entry::Occupied(mut at) => {
+                    *at.get_mut() += 1;
+                    Value::Str(at.key().clone())
                 }
-            }
-            Entry::Vacant(at) => {
-                at.insert(vec![slot]);
-                object
-            }
+                Entry::Vacant(at) => {
+                    at.insert(1);
+                    Value::Str(s)
+                }
+            },
+            object => object,
         };
         let published_at = self.clock;
         let record = Record { subject, predicate, source, object, published_at };
@@ -271,9 +277,9 @@ impl TripleStore {
 
     /// Remove all triples from a source (page deleted). Returns the count.
     /// Costs one lookup of the URL, then per statement one pass over its
-    /// subject's list, one probe of its predicate's counts and one hash of
-    /// its object with a pass over that object's list; no name is hashed.
-    /// The source keeps its id until [`TripleStore::compact`].
+    /// subject's list, one probe of its predicate's counts and, for a `Str`
+    /// object, one hash of the string to drop its count; no name is
+    /// hashed. The source keeps its id until [`TripleStore::compact`].
     pub fn retract_source(&mut self, source: &str) -> usize {
         let Some(id) = self.sources.id(source) else {
             return 0;
@@ -290,10 +296,12 @@ impl TripleStore {
                     count.remove();
                 }
             }
-            if let Entry::Occupied(mut at) = self.by_object.entry(r.object) {
-                at.get_mut().retain(|&at| at != slot);
-                if at.get().is_empty() {
-                    at.remove();
+            if let Value::Str(s) = r.object {
+                if let Entry::Occupied(mut at) = self.strings.entry(s) {
+                    *at.get_mut() -= 1;
+                    if *at.get() == 0 {
+                        at.remove();
+                    }
                 }
             }
         }
@@ -315,52 +323,36 @@ impl TripleStore {
         }
     }
 
-    /// Every live record, oldest first.
-    fn oldest_first(&self) -> Vec<&Record> {
-        let mut live: Vec<&Record> = self.slots.iter().flatten().collect();
+    /// Every live record that `keep` accepts, oldest first.
+    fn oldest_first(&self, keep: impl Fn(&Record) -> bool) -> Vec<&Record> {
+        let mut live: Vec<&Record> = self.slots.iter().flatten().filter(|r| keep(r)).collect();
         // Freed slots are reused, so slab order is not publish order.
         live.sort_unstable_by_key(|r| r.published_at);
         live
     }
 
     /// All live triples matching a pattern, oldest first. A bound subject
-    /// is one probe of the subject index (narrowed by predicate id before
-    /// any record is touched); otherwise a bound object probes the object
-    /// index, a lone predicate walks its subjects' lists, and a fully-free
-    /// pattern scans the slab; only the last two need a sort.
+    /// is one probe of the subject index, narrowed by predicate id before
+    /// any record is touched; any other pattern is one scan of the live
+    /// records, filtered, then sorted.
     pub fn query(&self, (s, p, o): Pattern<'_>) -> Vec<Triple<'_>> {
         let p = match p.map(|p| self.predicates.id(p)) {
             Some(None) => return Vec::new(), // a predicate nobody published
             p => p.flatten(),
         };
-        let records: Vec<&Record> = match (s, o) {
-            (Some(s), o) => {
+        let object = |r: &Record| o.is_none_or(|o| &r.object == o);
+        let records: Vec<&Record> = match s {
+            Some(s) => {
                 let Some(s) = self.subjects.id(s) else {
                     return Vec::new();
                 };
                 (self.subjects.entry(s).iter())
                     .filter(|&&(q, _)| p.is_none_or(|p| p == q))
                     .map(|&(_, slot)| self.record(slot))
-                    .filter(|r| o.is_none_or(|o| &r.object == o))
+                    .filter(|r| object(r))
                     .collect()
             }
-            (None, Some(o)) => (self.by_object.get(o).into_iter().flatten())
-                .map(|&slot| self.record(slot))
-                .filter(|r| p.is_none_or(|p| r.predicate == p))
-                .collect(),
-            (None, None) => match p {
-                Some(p) => {
-                    let mut out: Vec<&Record> = (self.predicates.entry(p).keys())
-                        .flat_map(|&s| self.subjects.entry(s))
-                        .filter(|&&(q, _)| q == p)
-                        .map(|&(_, slot)| self.record(slot))
-                        .collect();
-                    // Subjects are walked in map order.
-                    out.sort_unstable_by_key(|r| r.published_at);
-                    out
-                }
-                None => self.oldest_first(),
-            },
+            None => self.oldest_first(|r| p.is_none_or(|p| r.predicate == p) && object(r)),
         };
         records.into_iter().map(|r| self.view(r)).collect()
     }
@@ -415,7 +407,7 @@ impl TripleStore {
 
     /// Iterate over all live triples, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = Triple<'_>> {
-        self.oldest_first().into_iter().map(move |r| self.view(r))
+        self.oldest_first(|_| true).into_iter().map(move |r| self.view(r))
     }
 
     /// Expose the graph as a 5-column relation
@@ -433,7 +425,7 @@ impl TripleStore {
                 crate::schema::Attribute::int("published_at"),
             ],
         );
-        let rows = (self.oldest_first().into_iter())
+        let rows = (self.oldest_first(|_| true).into_iter())
             .map(|r| {
                 vec![
                     Value::Str(self.subjects.name(r.subject).clone()),
@@ -498,11 +490,16 @@ impl TripleStore {
                 .flat_map(|(_, e)| e.values())
                 .map(|&n| n as usize)
                 .sum(),
-            object_entries: self.by_object.values().map(Vec::len).sum(),
             source_entries: self.sources.entries.iter().map(|(_, e)| e.len()).sum(),
             names: self.subjects.entries.len() + self.predicates.entries.len(),
             sources: self.sources.entries.len(),
             object_strings: object_strings.len(),
+            shared_strings: {
+                let mut shared: Vec<(Arc<str>, usize)> =
+                    self.strings.iter().map(|(s, &n)| (s.clone(), n as usize)).collect();
+                shared.sort_unstable();
+                shared
+            },
         }
     }
 }
@@ -522,7 +519,7 @@ mod tests {
 
     #[test]
     fn pattern_queries_use_each_bound_position() {
-        let s = store();
+        let mut s = store();
         assert_eq!(s.query((Some("alice"), None, None)).len(), 2);
         assert_eq!(s.query((None, Some("course.title"), None)).len(), 1);
         let v = Value::str("555-1234");
@@ -533,6 +530,26 @@ mod tests {
             1
         );
         assert!(s.query((Some("nobody"), None, None)).is_empty());
+
+        // Two newer triples carrying `v` take the slots the course page
+        // freed, in the reverse of their publish order: the scan still
+        // answers oldest first.
+        s.retract_source("http://uw.edu/db");
+        s.insert("bob", "person.phone", "555-1234", "http://uw.edu/bob");
+        s.insert("bob", "person.room", "555-1234", "http://uw.edu/bob");
+        let seen = |pattern| -> Vec<(&str, &str)> {
+            s.query(pattern).iter().map(|t| (t.subject, t.predicate)).collect()
+        };
+        assert_eq!(
+            seen((None, None, Some(&v))),
+            [("alice", "person.phone"), ("bob", "person.phone"), ("bob", "person.room")]
+        );
+        assert_eq!(
+            seen((None, Some("person.phone"), Some(&v))),
+            [("alice", "person.phone"), ("bob", "person.phone")]
+        );
+        assert_eq!(seen((None, Some("person.room"), Some(&v))), [("bob", "person.room")]);
+        assert!(seen((None, Some("course.title"), Some(&v))).is_empty());
     }
 
     #[test]
@@ -614,7 +631,10 @@ mod tests {
             assert_eq!(*phones[1].object, phone);
         }
         let o = s.occupancy();
-        assert_eq!((o.slots, o.subject_entries, o.object_entries), (4, 4, 4));
+        assert_eq!((o.slots, o.subject_entries, o.source_entries), (4, 4, 4));
+        // "Databases" and two phones: `Int(120)` is not in the map, and
+        // each retracted phone left it.
+        assert_eq!(o.shared_strings.len(), 3);
         assert_eq!(s.now(), 104, "every statement still gets its own tick");
     }
 

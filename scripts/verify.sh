@@ -95,7 +95,7 @@ done
 # change a cached reformulation's or a cached plan's inputs (publishes,
 # direct writes and deletes, new mappings, peers leaving and rejoining with
 # different data, crash-restarts, weather, estimator feedback) applied to
-# a caching and a non-caching network, which must agree on answers and
+# a network and its cold-cache twin, which must agree on answers and
 # completeness after every step. Override the seed set with
 # REVERE_CACHE_SEEDS="1 2 3" scripts/verify.sh
 for seed in ${REVERE_CACHE_SEEDS:-7 42 1003 1 2}; do

@@ -1,4 +1,4 @@
-//! Differential testing for the PDMS query caches: cached ≡ uncached.
+//! Differential testing for the PDMS query caches: warm ≡ cold.
 //!
 //! A cached reformulation is valid for the mapping graph it was expanded
 //! over, a cached plan for the statistics of the peers it reads; nothing
@@ -8,9 +8,11 @@
 //! leaving and rejoining under the same name with *different* data,
 //! crash-restarts of durable peers, changing network weather, and the
 //! estimator feedback loop writing learned statistics mid-query — and
-//! applies it to two networks that differ only in `caching`. After every
-//! step a random query (at a random peer) must return identical sorted
-//! answers and an identical [`CompletenessReport`] on both.
+//! applies it to a network and its cold-cache twin, which clears every
+//! cache before each query and so reformulates and plans from scratch.
+//! After every step a random query (at a random peer) must return
+//! identical sorted answers and an identical [`CompletenessReport`] on
+//! both, and the twin must record no cache hit.
 //!
 //! Seeding: `REVERE_CACHE_SEED` (default 7) seeds the schedule;
 //! `scripts/verify.sh` sweeps `REVERE_CACHE_SEEDS` (default
@@ -75,9 +77,8 @@ fn renaming(name: String, a: usize, b: usize) -> GlavMapping {
 /// Six peers and a single mapping: the schedule's `add_mapping` steps
 /// connect the rest, so each one makes new data reachable and a stale
 /// cached reformulation shows as a missing answer.
-fn build(caching: bool) -> PdmsNetwork {
+fn build() -> PdmsNetwork {
     let mut net = PdmsNetwork::new();
-    net.caching = caching;
     for i in 0..PEERS {
         net.add_peer(course_peer(i, 0));
     }
@@ -96,21 +97,26 @@ fn templates(peer: &str) -> Vec<String> {
     pool
 }
 
-/// Pose `text` at `at` on both networks and hold them to each other.
+/// Pose `text` at `at` on both networks, the twin's caches cleared first,
+/// and hold them to each other.
 fn assert_same(
     cached: &PdmsNetwork,
-    plain: &PdmsNetwork,
+    cold: &PdmsNetwork,
     at: &str,
     text: &str,
     when: &str,
 ) {
     let q = parse_query(text).expect("template parses");
     let run = |net: &PdmsNetwork| net.query(at, &q).expect("member peer");
-    let (a, b) = (run(cached), run(plain));
+    let a = run(cached);
+    cold.clear_caches();
+    let b = run(cold);
+    let stats = cold.cache_stats();
+    assert_eq!((stats.reformulation_hits, stats.plan_hits), (0, 0), "{when}: the cold twin hit");
     assert_eq!(
         a.answers.sorted().into_rows(),
         b.answers.sorted().into_rows(),
-        "{when}: `{text}` at {at} diverged from the uncached run"
+        "{when}: `{text}` at {at} diverged from the cold run"
     );
     assert_eq!(a.completeness, b.completeness, "{when}: `{text}` at {at}: completeness diverged");
 }
@@ -119,14 +125,14 @@ fn assert_same(
 fn random_schedule_cached_equals_uncached() {
     let seed = cache_seed();
     let mut g = Gen::from_seed(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut cached = build(true);
-    let mut plain = build(false);
+    let mut cached = build();
+    let mut cold = build();
 
     // Warm-up: every template once at P0 — and the correlated probe must
     // actually force a feedback eviction, or the schedule below would
     // never exercise plans invalidated by learned statistics.
     for text in templates("P0") {
-        assert_same(&cached, &plain, "P0", &text, "warm-up");
+        assert_same(&cached, &cold, "P0", &text, "warm-up");
     }
     assert!(cached.cache_stats().plan_evictions > 0, "the correlated probe never tripped feedback");
 
@@ -151,7 +157,7 @@ fn random_schedule_cached_equals_uncached() {
                     })
                     .collect();
                 let gram = Updategram::inserts(relation.clone(), rows.clone());
-                for net in [&mut cached, &mut plain] {
+                for net in [&mut cached, &mut cold] {
                     net.publish(&gram).expect("member stores course");
                 }
                 published.push((relation, rows));
@@ -162,14 +168,14 @@ fn random_schedule_cached_equals_uncached() {
                 // The owner may have left (or rejoined without these
                 // rows) since; a refused or no-op gram is a fine step.
                 let gram = Updategram::deletes(relation, rows);
-                for net in [&mut cached, &mut plain] {
+                for net in [&mut cached, &mut cold] {
                     let _ = net.publish(&gram);
                 }
                 "publish delete"
             }
             2 => {
                 let row = vec![Value::str(format!("Direct {step}")), Value::Int(100)];
-                for net in [&cached, &plain] {
+                for net in [&cached, &cold] {
                     net.peer(&format!("P{target}"))
                         .expect("member")
                         .storage
@@ -182,7 +188,7 @@ fn random_schedule_cached_equals_uncached() {
                 // (a delete that removes nothing is a fine step).
                 let row =
                     vec![Value::str(format!("Direct {}", g.random_range(0..step + 1))), Value::Int(100)];
-                for net in [&cached, &plain] {
+                for net in [&cached, &cold] {
                     net.peer(&format!("P{target}"))
                         .expect("member")
                         .storage
@@ -193,14 +199,14 @@ fn random_schedule_cached_equals_uncached() {
             4 if members.len() > 1 => {
                 let other = *g.pick(&members);
                 if other != target {
-                    for net in [&mut cached, &mut plain] {
+                    for net in [&mut cached, &mut cold] {
                         net.add_mapping(renaming(format!("late{step}"), target, other));
                     }
                 }
                 "add_mapping"
             }
             5 if target != 0 && absent.len() < 2 => {
-                for net in [&mut cached, &mut plain] {
+                for net in [&mut cached, &mut cold] {
                     assert!(net.remove_peer(&format!("P{target}")).is_some());
                 }
                 absent.push(target);
@@ -209,7 +215,7 @@ fn random_schedule_cached_equals_uncached() {
             6 if !absent.is_empty() => {
                 let back = absent.swap_remove(g.random_range(0..absent.len()));
                 generation[back] += 1;
-                for net in [&mut cached, &mut plain] {
+                for net in [&mut cached, &mut cold] {
                     net.add_peer(course_peer(back, generation[back]));
                     if DURABLE.contains(&back) {
                         net.enable_durability(&format!("P{back}")).expect("just added");
@@ -222,7 +228,7 @@ fn random_schedule_cached_equals_uncached() {
                     DURABLE.iter().copied().filter(|i| !absent.contains(i)).collect();
                 if !durable.is_empty() {
                     let i = *g.pick(&durable);
-                    for net in [&mut cached, &mut plain] {
+                    for net in [&mut cached, &mut cold] {
                         net.restart_peer(&format!("P{i}")).expect("durable peer recovers");
                     }
                 }
@@ -230,7 +236,7 @@ fn random_schedule_cached_equals_uncached() {
             }
             8 => {
                 stormy = !stormy;
-                for net in [&mut cached, &mut plain] {
+                for net in [&mut cached, &mut cold] {
                     net.faults = if stormy {
                         FaultPlan::new(FaultSpec::chaos(seed, 0.15))
                     } else {
@@ -245,10 +251,9 @@ fn random_schedule_cached_equals_uncached() {
         let at = format!("P{}", g.pick(&members));
         let text = g.pick(&templates(&at)).clone();
         let when = format!("seed {seed} step {step} ({what})");
-        assert_same(&cached, &plain, &at, &text, &when);
+        assert_same(&cached, &cold, &at, &text, &when);
     }
 
     let stats = cached.cache_stats();
     assert!(stats.reformulation_hits > 0 && stats.plan_hits > 0, "caches never hit: {stats}");
-    assert_eq!(plain.cache_stats(), CacheStats::default(), "the uncached twin touched a cache");
 }

@@ -2,9 +2,9 @@
 //! answers.
 //!
 //! Every test drives two networks through the *same* sequence of queries
-//! and mutations — one with caching on (the default), one with
-//! `caching = false` — and asserts the answers stay byte-identical at
-//! every step. The mutations are exactly the ones the cache stamps must
+//! and mutations — one warm, one a cold-cache twin that clears every
+//! cache before each query and records no hit — and asserts the answers
+//! stay byte-identical at every step. The mutations are exactly the ones the cache stamps must
 //! notice: adding a mapping, removing a peer, and updategram-driven data
 //! maintenance flowing through a peer's catalog — and each must
 //! invalidate only what was computed from the thing that changed.
@@ -22,9 +22,8 @@ const QUERIES: [&str; 3] = [
 /// `course` relation; mappings are pure renamings along the line. With
 /// `last_mapping` false the `B — C` edge is left out (so a test can add
 /// it after warming the caches).
-fn build(caching: bool, last_mapping: bool) -> PdmsNetwork {
+fn build(last_mapping: bool) -> PdmsNetwork {
     let mut net = PdmsNetwork::new();
-    net.caching = caching;
     for (i, name) in ["A", "B", "C"].iter().enumerate() {
         let mut p = Peer::new(*name);
         let mut r = Relation::new(RelSchema::new(
@@ -61,12 +60,15 @@ fn rows(out: &QueryOutcome) -> Vec<Vec<Value>> {
 
 /// Run every probe query on both networks and assert byte-identical
 /// answers; returns the total row count (to assert mutations took effect).
-fn assert_identical(cached: &PdmsNetwork, plain: &PdmsNetwork, when: &str) -> usize {
+fn assert_identical(cached: &PdmsNetwork, cold: &PdmsNetwork, when: &str) -> usize {
     let mut total = 0;
     for q in QUERIES {
         let a = cached.query_str("A", q).expect("cached query runs");
-        let b = plain.query_str("A", q).expect("uncached query runs");
-        assert_eq!(rows(&a), rows(&b), "{when}: `{q}` diverged from the uncached run");
+        cold.clear_caches();
+        let b = cold.query_str("A", q).expect("cold query runs");
+        let stats = cold.cache_stats();
+        assert_eq!((stats.reformulation_hits, stats.plan_hits), (0, 0), "{when}: the cold twin hit");
+        assert_eq!(rows(&a), rows(&b), "{when}: `{q}` diverged from the cold run");
         total += a.answers.len();
     }
     total
@@ -74,24 +76,22 @@ fn assert_identical(cached: &PdmsNetwork, plain: &PdmsNetwork, when: &str) -> us
 
 #[test]
 fn warm_answers_are_byte_identical_and_actually_cached() {
-    let cached = build(true, true);
-    let plain = build(false, true);
-    let cold = assert_identical(&cached, &plain, "cold");
-    let warm = assert_identical(&cached, &plain, "warm");
-    assert_eq!(cold, warm);
+    let cached = build(true);
+    let cold = build(true);
+    let first = assert_identical(&cached, &cold, "first pass");
+    let second = assert_identical(&cached, &cold, "second pass");
+    assert_eq!(first, second);
     let stats = cached.cache_stats();
     assert_eq!(stats.reformulation_hits, QUERIES.len(), "second pass should be all hits");
     assert!(stats.plan_hits > 0, "warm pass should reuse plans: {stats:?}");
-    // The uncached network must never have populated a cache.
-    assert_eq!(plain.cache_stats(), CacheStats::default());
 }
 
 #[test]
 fn adding_a_mapping_after_warmup_is_visible_immediately() {
-    let mut cached = build(true, false);
-    let mut plain = build(false, false);
-    let before = assert_identical(&cached, &plain, "before add_mapping");
-    for net in [&mut cached, &mut plain] {
+    let mut cached = build(false);
+    let mut cold = build(false);
+    let before = assert_identical(&cached, &cold, "before add_mapping");
+    for net in [&mut cached, &mut cold] {
         net.try_add_mapping(
             GlavMapping::parse(
                 "late",
@@ -103,27 +103,27 @@ fn adding_a_mapping_after_warmup_is_visible_immediately() {
         )
         .expect("both endpoints exist");
     }
-    let after = assert_identical(&cached, &plain, "after add_mapping");
+    let after = assert_identical(&cached, &cold, "after add_mapping");
     assert!(after > before, "C's rows should now reach A ({before} -> {after})");
 }
 
 #[test]
 fn removing_a_peer_after_warmup_stops_its_contribution() {
-    let mut cached = build(true, true);
-    let mut plain = build(false, true);
-    let before = assert_identical(&cached, &plain, "before remove_peer");
-    for net in [&mut cached, &mut plain] {
+    let mut cached = build(true);
+    let mut cold = build(true);
+    let before = assert_identical(&cached, &cold, "before remove_peer");
+    for net in [&mut cached, &mut cold] {
         assert!(net.remove_peer("C").is_some());
     }
-    let after = assert_identical(&cached, &plain, "after remove_peer");
+    let after = assert_identical(&cached, &cold, "after remove_peer");
     assert!(after < before, "C's rows should be gone ({before} -> {after})");
 }
 
 #[test]
 fn updategram_maintenance_after_warmup_invalidates_warm_plans() {
-    let cached = build(true, true);
-    let plain = build(false, true);
-    let before = assert_identical(&cached, &plain, "before updategram");
+    let cached = build(true);
+    let cold = build(true);
+    let before = assert_identical(&cached, &cold, "before updategram");
     // The same maintenance round on each network's copy of peer B: an
     // updategram of new rows flows through `maintain`, which mutates the
     // peer catalog (bumping its stats epoch) while bringing a local
@@ -135,7 +135,7 @@ fn updategram_maintenance_after_warmup_invalidates_warm_plans() {
             vec![Value::str("late-breaking colloquium"), Value::Int(12)],
         ],
     )];
-    for net in [&cached, &plain] {
+    for net in [&cached, &cold] {
         let view = net.peer("B").unwrap().storage.write(|c| {
             let mut view = MaterializedView::new(
                 "B.popular",
@@ -148,7 +148,7 @@ fn updategram_maintenance_after_warmup_invalidates_warm_plans() {
         });
         assert_eq!(view.len(), 1, "the view saw the new row too");
     }
-    let after = assert_identical(&cached, &plain, "after updategram");
+    let after = assert_identical(&cached, &cold, "after updategram");
     assert!(after > before, "inserted rows should reach A ({before} -> {after})");
 }
 
@@ -171,16 +171,16 @@ fn disjuncts_reading(net: &PdmsNetwork, owner: &str) -> usize {
 
 #[test]
 fn reformulations_survive_data_changes_but_not_topology_changes() {
-    let mut cached = build(true, false);
-    let mut plain = build(false, false);
-    for net in [&mut cached, &mut plain] {
+    let mut cached = build(false);
+    let mut cold = build(false);
+    for net in [&mut cached, &mut cold] {
         // Freeze the estimator feedback loop: its writes are peer-data
         // changes of their own and would blur the exact counts below
         // (`tests/differential_cache.rs` covers it under caching).
         net.replan_q_error = None;
     }
-    assert_identical(&cached, &plain, "cold");
-    assert_identical(&cached, &plain, "warm");
+    assert_identical(&cached, &cold, "cold");
+    assert_identical(&cached, &cold, "warm");
     let reading_b = disjuncts_reading(&cached, "B");
     assert!(reading_b > 0, "no disjunct reads the peer the test publishes to");
 
@@ -191,10 +191,10 @@ fn reformulations_survive_data_changes_but_not_topology_changes() {
         [Updategram::inserts("B.course", rows.clone()), Updategram::deletes("B.course", rows)];
     for gram in grams {
         let before = cached.cache_stats();
-        for net in [&mut cached, &mut plain] {
+        for net in [&mut cached, &mut cold] {
             net.publish(&gram).expect("B stores course");
         }
-        assert_identical(&cached, &plain, "after publish");
+        assert_identical(&cached, &cold, "after publish");
         let after = cached.cache_stats();
         assert_eq!(after.reformulation_misses, before.reformulation_misses, "{after}");
         assert_eq!(after.reformulation_hits, before.reformulation_hits + QUERIES.len(), "{after}");
@@ -228,11 +228,11 @@ fn reformulations_survive_data_changes_but_not_topology_changes() {
         ("remove_peer", Box::new(|net| assert!(net.remove_peer("C").is_some()))),
     ];
     for (what, change) in &changes {
-        for net in [&mut cached, &mut plain] {
+        for net in [&mut cached, &mut cold] {
             change(net);
         }
         let before = cached.cache_stats();
-        assert_identical(&cached, &plain, what);
+        assert_identical(&cached, &cold, what);
         let after = cached.cache_stats();
         assert_eq!(
             after.reformulation_misses,
@@ -252,7 +252,7 @@ fn reformulations_survive_data_changes_but_not_topology_changes() {
 #[test]
 fn queries_share_one_columnar_image_per_relation_until_its_owner_is_written() {
     use std::sync::Arc;
-    let mut net = build(true, true);
+    let mut net = build(true);
     let image = |net: &PdmsNetwork, owner: &str| {
         let snapshot = net.peer(owner).unwrap().snapshot(&format!("{owner}.course"));
         snapshot.expect("every peer stores course").batch()

@@ -1048,26 +1048,36 @@ fn triples_gen(g: &mut Gen) -> Gen {
 }
 
 /// The store holds exactly its live triples: every index has one entry per
-/// live triple, the slab never outgrew the most that were ever live, and
-/// the live `Str` objects hold one allocation per distinct content. Right
-/// after `compact()`, the name and source interners hold exactly the names
-/// and sources the live triples use.
+/// live triple, the slab never outgrew the most that were ever live, the
+/// live `Str` objects hold one allocation per distinct content, and the
+/// map they share through holds each live content with its count of live
+/// triples. Right after `compact()`, the name and source interners hold
+/// exactly the names and sources the live triples use.
 fn assert_nothing_dead(store: &revere::storage::TripleStore, peak_live: usize, compacted: bool) {
     let o = store.occupancy();
     let live = store.len();
     assert!(o.slots <= peak_live, "{} slots for a peak of {peak_live} live triples", o.slots);
     assert_eq!(
-        [o.subject_entries, o.predicate_entries, o.object_entries, o.source_entries],
-        [live; 4],
+        [o.subject_entries, o.predicate_entries, o.source_entries],
+        [live; 3],
         "an index holds something other than the live triples"
+    );
+    let mut strings: std::collections::BTreeMap<&str, usize> = Default::default();
+    for s in store.iter().filter_map(|t| t.object.as_str()) {
+        *strings.entry(s).or_default() += 1;
+    }
+    assert_eq!(o.object_strings, strings.len(), "equal object strings share one allocation");
+    let shared: Vec<(&str, usize)> = o.shared_strings.iter().map(|(s, n)| (&**s, *n)).collect();
+    assert_eq!(
+        shared,
+        strings.into_iter().collect::<Vec<_>>(),
+        "the shared-string map holds other than the live strings and their counts"
     );
     let distinct = |mut items: Vec<&str>| {
         items.sort_unstable();
         items.dedup();
         items.len()
     };
-    let strings = distinct(store.iter().filter_map(|t| t.object.as_str()).collect());
-    assert_eq!(o.object_strings, strings, "equal object strings share one allocation");
     let names = distinct(store.iter().flat_map(|t| [t.subject, t.predicate]).collect());
     let sources = distinct(store.iter().map(|t| t.source).collect());
     if compacted {
